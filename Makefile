@@ -99,6 +99,7 @@ fuzz:
 	for t in FuzzPartition FuzzGenerateRows; do \
 		$(GO) test -run='^$$' -fuzz="^$$t\$$" -fuzztime=$(FUZZTIME) ./internal/mesh || exit 1; done
 	$(GO) test -run='^$$' -fuzz='^FuzzLevels$$' -fuzztime=$(FUZZTIME) ./internal/par
+	$(GO) test -run='^$$' -fuzz='^FuzzMinDegreeMatchesReference$$' -fuzztime=$(FUZZTIME) ./internal/slu
 
 clean:
 	rm -f telemetry.json out.json sweep.json sweep.md

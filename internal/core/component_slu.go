@@ -19,8 +19,13 @@ import (
 type SLUComponent struct {
 	baseAdapter
 
-	dist     *slu.DistSolver
-	builtVer int
+	dist      *slu.DistSolver
+	builtVer  int
+	builtOpts slu.Options // the factor-affecting parameters dist was built with
+
+	// seen is dist's set-up record as of the last (re)build, kept so the
+	// next one's share can be added to the recorder.
+	seen slu.SetupStats
 }
 
 var _ SparseSolver = (*SLUComponent)(nil)
@@ -103,6 +108,9 @@ func (sc *SLUComponent) GetAll() string {
 		"backend":        "slu (SuperLU-role, direct)",
 		"matrix_free":    "false",
 		"factorizations": strconv.Itoa(sc.factorizations),
+		// Rank 0 analyses and factors; other ranks report 0 here.
+		"analyses":        strconv.Itoa(sc.seen.Analyses),
+		"symbolic_reuses": strconv.Itoa(sc.seen.SymbolicReuses),
 	}
 	for k := range sc.params {
 		if ignoredIterativeKeys[k] {
@@ -131,7 +139,9 @@ func (sc *SLUComponent) options() slu.Options {
 
 // Solve implements the LISI solve on the direct backend. The
 // factorization is reused across right-hand sides and across Solve calls
-// until SetupMatrix changes the matrix — use case §5.2b.
+// (use case §5.2b) until SetupMatrix changes the matrix or Set changes a
+// factor-affecting parameter; then it is redone, keeping the symbolic
+// analysis when the pattern and ordering allow (use case §5.2d).
 func (sc *SLUComponent) Solve(solution []float64, status []float64, numLocalRow, statusLength int) int {
 	if code := sc.solvePrep(solution, status, numLocalRow); code != OK {
 		return code
@@ -146,21 +156,32 @@ func (sc *SLUComponent) Solve(solution []float64, status []float64, numLocalRow,
 		return ErrBadArg
 	}
 
-	if sc.dist == nil || sc.builtVer != sc.matVer {
+	// The factor is a function of the matrix and of slu.Options, so those
+	// two key the rebuild: refine_steps, workers, format and the ignored
+	// iterative keys change cfgVer but not the options value.
+	if opts := sc.options(); sc.dist == nil || sc.builtVer != sc.matVer || sc.builtOpts != opts {
 		stopSetup := sc.rec.StartPhase(telemetry.PhaseSetup)
 		pm, err := pmat.NewMat(l, sc.localA)
 		if err != nil {
 			stopSetup()
 			return ErrBadArg
 		}
-		d, err := slu.NewDistSolver(pm, sc.options())
+		// A live solver refactors: same pattern and ordering take the
+		// numeric phase only (§5.2d), anything else is re-analysed inside,
+		// and the L/U storage is refilled either way.
+		if sc.dist == nil {
+			sc.dist, err = slu.NewDistSolver(pm, opts)
+		} else {
+			err = sc.dist.Refactor(pm, opts)
+		}
 		stopSetup()
+		sc.recordSetup()
 		if err != nil {
 			writeStatus(status, statusLength, 0, 0, false, sc.factorizations, classifySolveError(err))
 			return ErrSolveFailed
 		}
-		sc.dist = d
 		sc.builtVer = sc.matVer
+		sc.builtOpts = opts
 		sc.factorizations++
 	}
 	sc.dist.SetRecorder(sc.rec)
@@ -184,6 +205,22 @@ func (sc *SLUComponent) Solve(solution []float64, status []float64, numLocalRow,
 	sc.recordPoolStats()
 	writeStatus(status, statusLength, 0, lastRes, true, sc.factorizations, FailNone)
 	return OK
+}
+
+// recordSetup feeds the recorder what the set-up just run did on this
+// rank: analysed or reused, and the ordering/numeric split of its
+// PhaseSetup time.
+func (sc *SLUComponent) recordSetup() {
+	if sc.dist == nil {
+		return
+	}
+	st := sc.dist.SetupStats()
+	d := st.Sub(sc.seen)
+	sc.seen = st
+	sc.rec.Add("slu.analyses", int64(d.Analyses))
+	sc.rec.Add("slu.symbolic_reuses", int64(d.SymbolicReuses))
+	sc.rec.Add("slu.ordering_ns", d.OrderingNs)
+	sc.rec.Add("slu.numeric_ns", d.NumericNs)
 }
 
 func init() {

@@ -2,6 +2,7 @@ package slu
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/par"
 	"repro/internal/pmat"
@@ -23,6 +24,13 @@ type DistSolver struct {
 	global *sparse.CSR // non-nil on rank 0 only
 	nnz    int
 	rec    *telemetry.Recorder
+
+	// Rank 0's set-up state across Refactor calls: the analysis of the
+	// last pattern factored, the storage of a factor a failed Refactor
+	// withdrew (f is nil then), and what the set-ups did.
+	sym   *Symbolic
+	spare *LU
+	stats SetupStats
 
 	// Persistent per-solve buffers (steady-state reuse): the gathered
 	// rhs and solution (rank 0 only), the scatter views into xGlobal,
@@ -56,44 +64,126 @@ func (d *DistSolver) SetFormat(fc sparse.FormatChoice) (pmat.FormatInfo, bool) {
 	return pmat.FormatInfo{}, false
 }
 
+// SetupStats is what this rank's set-ups have done since the solver was
+// built. Only rank 0 analyses and factors, so every field is zero on the
+// other ranks.
+type SetupStats struct {
+	Analyses       int   // set-ups that ordered and analysed the pattern
+	SymbolicReuses int   // set-ups that found the stored analysis valid
+	OrderingNs     int64 // time in Analyze
+	NumericNs      int64 // time in the numeric phase
+}
+
+// Sub returns s − o, the set-up work done between two readings.
+func (s SetupStats) Sub(o SetupStats) SetupStats {
+	return SetupStats{
+		Analyses:       s.Analyses - o.Analyses,
+		SymbolicReuses: s.SymbolicReuses - o.SymbolicReuses,
+		OrderingNs:     s.OrderingNs - o.OrderingNs,
+		NumericNs:      s.NumericNs - o.NumericNs,
+	}
+}
+
+// SetupStats returns the cumulative set-up record (local, no
+// communication).
+func (d *DistSolver) SetupStats() SetupStats { return d.stats }
+
 // NewDistSolver gathers the distributed matrix to rank 0 and factors it
 // there (collective). Every rank receives the same success/failure
 // outcome.
 func NewDistSolver(m *pmat.Mat, opts Options) (*DistSolver, error) {
-	l := m.L
-	c := l.Comm()
-	d := &DistSolver{layout: l}
+	d := &DistSolver{layout: m.L}
+	if err := d.Refactor(m, opts); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// Refactor replaces the factored matrix by m (collective; every rank
+// receives the same outcome). Rank 0 keeps the symbolic analysis of the
+// last pattern it factored: when m's gathered pattern and opts.ColPerm
+// equal the stored ones entry for entry, only the numeric phase runs;
+// otherwise the pattern is analysed afresh. Either way the previous
+// factor's arrays are refilled rather than reallocated. After an error
+// the solver holds no factor — solves fail with a typed error — until a
+// later Refactor succeeds.
+func (d *DistSolver) Refactor(m *pmat.Mat, opts Options) error {
+	if l := d.layout; m.L.Comm() != l.Comm() || !m.L.Conformal(l) {
+		// A new partition moves where vectors are gathered from and
+		// scattered to, nothing else: the analysis and the factor describe
+		// the global matrix. (Starts is global, so every rank agrees.)
+		d.xGlobal, d.parts = nil, nil
+	}
+	d.layout = m.L
+	c := d.layout.Comm()
 	// GatherGlobal assembles on every rank; only rank 0 retains it. The
 	// assembly cost is dominated by the factorization, and the gather is
 	// itself the collective every rank must join.
 	global := m.GatherGlobal()
 	errText := ""
 	if c.Rank() == 0 {
-		f, err := Factor(global, opts)
-		if err != nil {
+		// Whether the analysis is reused is decided here, on rank 0 alone,
+		// and nothing below depends on it: both outcomes run the same
+		// broadcasts, so the ranks cannot diverge over it.
+		if err := d.refactorRoot(global, opts); err != nil {
 			errText = err.Error()
-		} else {
-			d.f = f
-			d.global = global
-			d.nnz = global.NNZ()
 		}
 	}
 	errText = c.BcastString(0, errText)
 	if errText != "" {
-		return nil, fmt.Errorf("slu: distributed factorization failed: %s", errText)
+		return fmt.Errorf("slu: distributed factorization failed: %s", errText)
 	}
 	d.nnz = c.BcastInt(0, d.nnz)
-	return d, nil
+	return nil
 }
 
-// Factorization exposes the LU factors (nil on ranks other than 0).
+// refactorRoot is rank 0's part of Refactor. The old factor is withdrawn
+// before anything is overwritten, so a failure leaves nothing
+// half-written reachable.
+func (d *DistSolver) refactorRoot(a *sparse.CSR, opts Options) error {
+	f := d.f
+	if f == nil {
+		f = d.spare
+	}
+	if f == nil {
+		f = new(LU)
+	}
+	d.f, d.spare, d.global = nil, f, nil
+	if err := checkFactorArgs(a, opts); err != nil {
+		return err
+	}
+	start := time.Now()
+	if d.sym != nil && d.sym.matches(a, opts.ColPerm) {
+		d.stats.SymbolicReuses++
+	} else {
+		s, err := Analyze(a, opts.ColPerm)
+		if err != nil {
+			return err
+		}
+		d.sym = s
+		d.stats.Analyses++
+		d.stats.OrderingNs += int64(time.Since(start))
+		start = time.Now()
+	}
+	err := d.sym.factorInto(f, a, opts)
+	d.stats.NumericNs += int64(time.Since(start))
+	if err != nil {
+		return err
+	}
+	d.f, d.spare, d.global, d.nnz = f, nil, a, a.NNZ()
+	return nil
+}
+
+// Factorization exposes the LU factors (nil on ranks other than 0, and
+// after a failed Refactor).
 func (d *DistSolver) Factorization() *LU { return d.f }
 
-// FillRatio reports nnz(L+U)/nnz(A) (collective).
+// FillRatio reports nnz(L+U)/nnz(A) (collective); 0 while a failed
+// Refactor has left the solver without a factor.
 func (d *DistSolver) FillRatio() float64 {
 	c := d.layout.Comm()
 	v := 0.0
-	if c.Rank() == 0 {
+	if c.Rank() == 0 && d.f != nil {
 		v = d.f.FillRatio(d.nnz)
 	}
 	all := c.BcastFloat64s(0, []float64{v})
@@ -137,8 +227,9 @@ func (d *DistSolver) rootSolveInto(xLocal, bLocal []float64, steps int) (float64
 			}
 		}
 		stop := d.rec.StartPhase(telemetry.PhaseIterate)
-		err := d.f.SolveInto(d.xGlobal, d.bGlobal)
-		if err != nil {
+		if d.f == nil {
+			errText = "no factorization: the last Refactor failed"
+		} else if err := d.f.SolveInto(d.xGlobal, d.bGlobal); err != nil {
 			errText = err.Error()
 		} else if steps > 0 {
 			d.rec.Add("slu.refine_steps", int64(steps))

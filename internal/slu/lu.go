@@ -3,6 +3,7 @@ package slu
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/sparse"
 )
@@ -61,66 +62,107 @@ func (f *LU) N() int { return f.n }
 // NNZ returns the stored entries in L and U combined.
 func (f *LU) NNZ() int { return len(f.lVals) + len(f.uVals) }
 
-// Factor computes the sparse LU factorization of a square CSR matrix
-// using the left-looking Gilbert–Peierls algorithm with threshold partial
-// pivoting.
-func Factor(a *sparse.CSR, opts Options) (*LU, error) {
+// checkFactorArgs rejects what no analysis or numeric phase can work on.
+func checkFactorArgs(a *sparse.CSR, opts Options) error {
 	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("slu: Factor requires a square matrix, got %dx%d", a.Rows, a.Cols)
+		return fmt.Errorf("slu: Factor requires a square matrix, got %dx%d", a.Rows, a.Cols)
 	}
 	if opts.PivotThreshold <= 0 || opts.PivotThreshold > 1 {
-		return nil, fmt.Errorf("slu: pivot threshold must be in (0,1], got %g", opts.PivotThreshold)
+		return fmt.Errorf("slu: pivot threshold must be in (0,1], got %g", opts.PivotThreshold)
 	}
-	n := a.Rows
-	if n == 0 {
-		return nil, fmt.Errorf("slu: cannot factor an empty matrix")
+	if a.Rows == 0 {
+		return fmt.Errorf("slu: cannot factor an empty matrix")
 	}
+	return nil
+}
 
-	f := &LU{n: n}
-
-	work := a
-	if opts.Equilibrate {
-		var err error
-		work, f.dr, f.dc, err = equilibrate(a)
-		if err != nil {
-			return nil, err
-		}
+// Factor computes the sparse LU factorization of a square CSR matrix
+// using the left-looking Gilbert–Peierls algorithm with threshold partial
+// pivoting: Analyze followed by one numeric phase. Callers that factor a
+// sequence of matrices with one pattern keep the Symbolic and call its
+// Factor instead.
+func Factor(a *sparse.CSR, opts Options) (*LU, error) {
+	if err := checkFactorArgs(a, opts); err != nil {
+		return nil, err
 	}
-	f.anorm = work.NormOne()
-
-	q, err := ComputeOrdering(work, opts.ColPerm)
+	s, err := Analyze(a, opts.ColPerm)
 	if err != nil {
 		return nil, err
 	}
-	f.colPerm = q
+	return s.factorFresh(a, opts)
+}
 
-	// Column access to the (scaled) matrix.
-	acsc := work.ToCSC()
+// Factor runs the numeric phase for a matrix with the analysed pattern
+// and ordering: equilibration, threshold partial pivoting and the L/U
+// structure all depend on the values, so they are redone; the column
+// permutation and the column access structure are not. The result is
+// bit-for-bit what the package-level Factor returns for (a, opts).
+func (s *Symbolic) Factor(a *sparse.CSR, opts Options) (*LU, error) {
+	if err := checkFactorArgs(a, opts); err != nil {
+		return nil, err
+	}
+	if !s.matches(a, opts.ColPerm) {
+		return nil, fmt.Errorf("slu: Symbolic.Factor: pattern or ordering differs from the analysed one")
+	}
+	return s.factorFresh(a, opts)
+}
 
-	f.lPtr = make([]int, n+1)
-	f.uPtr = make([]int, n+1)
-	pinv := make([]int, n) // original row -> factor row (-1 unpivoted)
+// factorFresh runs the numeric phase into a new LU.
+func (s *Symbolic) factorFresh(a *sparse.CSR, opts Options) (*LU, error) {
+	f := new(LU)
+	if err := s.factorInto(f, a, opts); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// factorInto is the numeric phase, writing into f and reusing whatever
+// backing arrays f already owns (a refresh refills the previous factor's
+// storage; a fresh LU is sized from the last run's hints). The caller has
+// checked the arguments and that s matches a. On error f is half-written
+// and must be discarded or refilled.
+func (s *Symbolic) factorInto(f *LU, a *sparse.CSR, opts Options) error {
+	n := s.n
+	if len(f.workC) != n {
+		f.workC, f.workR, f.workDx = nil, nil, nil
+	}
+	f.n = n
+	f.colPerm = s.colPerm
+
+	if err := s.scatter(f, a, opts.Equilibrate); err != nil {
+		return err
+	}
+	q, colPtr, rowInd, vals := s.colPerm, s.colPtr, s.rowInd, s.vals
+
+	lPtr := slices.Grow(f.lPtr[:0], n+1)[:n+1]
+	uPtr := slices.Grow(f.uPtr[:0], n+1)[:n+1]
+	lPtr[0], uPtr[0] = 0, 0
+	lRows := slices.Grow(f.lRows[:0], s.lCap)
+	lVals := slices.Grow(f.lVals[:0], s.lCap)
+	uRows := slices.Grow(f.uRows[:0], s.uCap)
+	uVals := slices.Grow(f.uVals[:0], s.uCap)
+	pinv := slices.Grow(f.rowPerm[:0], n)[:n] // original row -> factor row (-1 unpivoted)
 	for i := range pinv {
 		pinv[i] = -1
 	}
 
-	x := make([]float64, n)       // dense accumulator
-	pattern := make([]int, 0, 64) // topological pattern of x
-	marked := make([]bool, n)
-	stack := make([]int, 0, 64)
-	pstack := make([]int, 0, 64)
+	x := s.x           // dense accumulator
+	marked := s.marked // a failed run may have left both dirty
+	clear(x)
+	clear(marked)
+	pattern, stack, pstack := s.pattern, s.stack, s.pstack // topological pattern of x, DFS stacks
 
 	for k := 0; k < n; k++ {
 		col := q[k]
-		b0, b1 := acsc.ColPtr[col], acsc.ColPtr[col+1]
+		b0, b1 := colPtr[col], colPtr[col+1]
 		if b0 == b1 {
-			return nil, fmt.Errorf("slu: structurally singular: column %d is empty", col)
+			return fmt.Errorf("slu: structurally singular: column %d is empty", col)
 		}
 
 		// ---- Symbolic: reach of the column pattern through L ----
 		pattern = pattern[:0]
 		for p := b0; p < b1; p++ {
-			i := acsc.RowInd[p]
+			i := rowInd[p]
 			if marked[i] {
 				continue
 			}
@@ -135,9 +177,9 @@ func Factor(a *sparse.CSR, opts Options) (*LU, error) {
 				J := pinv[node]
 				descended := false
 				if J >= 0 {
-					lo, hi := f.lPtr[J], f.lPtr[J+1]
+					lo, hi := lPtr[J], lPtr[J+1]
 					for pp := lo + 1 + pstack[top]; pp < hi; pp++ {
-						child := f.lRows[pp]
+						child := lRows[pp]
 						if !marked[child] {
 							pstack[top] = pp - lo // resume point
 							stack = append(stack, child)
@@ -165,7 +207,7 @@ func Factor(a *sparse.CSR, opts Options) (*LU, error) {
 			x[i] = 0
 		}
 		for p := b0; p < b1; p++ {
-			x[acsc.RowInd[p]] = acsc.Vals[p]
+			x[rowInd[p]] = vals[p]
 		}
 		for _, i := range pattern {
 			J := pinv[i]
@@ -176,8 +218,8 @@ func Factor(a *sparse.CSR, opts Options) (*LU, error) {
 			if xi == 0 {
 				continue
 			}
-			for pp := f.lPtr[J] + 1; pp < f.lPtr[J+1]; pp++ {
-				x[f.lRows[pp]] -= f.lVals[pp] * xi
+			for pp := lPtr[J] + 1; pp < lPtr[J+1]; pp++ {
+				x[lRows[pp]] -= lVals[pp] * xi
 			}
 		}
 
@@ -196,7 +238,7 @@ func Factor(a *sparse.CSR, opts Options) (*LU, error) {
 			}
 		}
 		if pivRow < 0 || maxAbs == 0 {
-			return nil, fmt.Errorf("slu: matrix is singular at column %d (no usable pivot)", k)
+			return fmt.Errorf("slu: matrix is singular at column %d (no usable pivot)", k)
 		}
 		if diagRow >= 0 && math.Abs(x[diagRow]) >= opts.PivotThreshold*maxAbs {
 			pivRow = diagRow // prefer the diagonal under the threshold rule
@@ -207,23 +249,23 @@ func Factor(a *sparse.CSR, opts Options) (*LU, error) {
 		// ---- Store U(:,k) (factor rows < k, diagonal last) and L(:,k) ----
 		for _, i := range pattern {
 			if fi := pinv[i]; fi >= 0 && fi < k {
-				f.uRows = append(f.uRows, fi)
-				f.uVals = append(f.uVals, x[i])
+				uRows = append(uRows, fi)
+				uVals = append(uVals, x[i])
 			}
 		}
-		f.uRows = append(f.uRows, k)
-		f.uVals = append(f.uVals, pivot)
-		f.uPtr[k+1] = len(f.uRows)
+		uRows = append(uRows, k)
+		uVals = append(uVals, pivot)
+		uPtr[k+1] = len(uRows)
 
-		f.lRows = append(f.lRows, pivRow)
-		f.lVals = append(f.lVals, 1.0)
+		lRows = append(lRows, pivRow)
+		lVals = append(lVals, 1.0)
 		for _, i := range pattern {
 			if pinv[i] < 0 && x[i] != 0 {
-				f.lRows = append(f.lRows, i)
-				f.lVals = append(f.lVals, x[i]/pivot)
+				lRows = append(lRows, i)
+				lVals = append(lVals, x[i]/pivot)
 			}
 		}
-		f.lPtr[k+1] = len(f.lRows)
+		lPtr[k+1] = len(lRows)
 
 		for _, i := range pattern {
 			marked[i] = false
@@ -233,55 +275,20 @@ func Factor(a *sparse.CSR, opts Options) (*LU, error) {
 
 	// Renumber L's stored rows into factor coordinates so the triangular
 	// solves are plain loops.
-	for p := range f.lRows {
-		f.lRows[p] = pinv[f.lRows[p]]
+	for p := range lRows {
+		lRows[p] = pinv[lRows[p]]
 	}
+	f.lPtr, f.lRows, f.lVals = lPtr, lRows, lVals
+	f.uPtr, f.uRows, f.uVals = uPtr, uRows, uVals
 	f.rowPerm = pinv
-	return f, nil
-}
+	s.pattern, s.stack, s.pstack = pattern, stack, pstack
+	s.lCap, s.uCap = len(lRows), len(uRows)
 
-// equilibrate computes row scalings dr and column scalings dc that bring
-// the largest entry of every row and column of dr·A·dc to about 1, as
-// SuperLU's sgsequ does.
-func equilibrate(a *sparse.CSR) (*sparse.CSR, []float64, []float64, error) {
-	n := a.Rows
-	dr := make([]float64, n)
-	for i := 0; i < n; i++ {
-		_, vals := a.RowView(i)
-		m := 0.0
-		for _, v := range vals {
-			if av := math.Abs(v); av > m {
-				m = av
-			}
-		}
-		if m == 0 {
-			return nil, nil, nil, fmt.Errorf("slu: equilibrate: row %d is entirely zero", i)
-		}
-		dr[i] = 1 / m
+	// The row-major mirrors describe the previous factor: rebuild them for
+	// the pool the caller attached.
+	if ls := f.ls; ls != nil {
+		f.ls = nil
+		f.EnableLevels(ls.pool)
 	}
-	scaled := a.Clone()
-	scaled.ScaleRows(dr)
-	dc := make([]float64, n)
-	colMax := make([]float64, n)
-	for i := 0; i < n; i++ {
-		cols, vals := scaled.RowView(i)
-		for p, j := range cols {
-			if av := math.Abs(vals[p]); av > colMax[j] {
-				colMax[j] = av
-			}
-		}
-	}
-	for j := 0; j < n; j++ {
-		if colMax[j] == 0 {
-			return nil, nil, nil, fmt.Errorf("slu: equilibrate: column %d is entirely zero", j)
-		}
-		dc[j] = 1 / colMax[j]
-	}
-	for i := 0; i < n; i++ {
-		cols, vals := scaled.RowView(i)
-		for p, j := range cols {
-			vals[p] *= dc[j]
-		}
-	}
-	return scaled, dr, dc, nil
+	return nil
 }

@@ -1,0 +1,458 @@
+package slu
+
+import (
+	"math"
+	"slices"
+	"strings"
+	"testing"
+
+	"repro/internal/comm"
+	"repro/internal/par"
+	"repro/internal/pmat"
+	"repro/internal/sparse"
+)
+
+// requireSameLU fails unless the two factors agree in every stored
+// index and in every bit of every stored value.
+func requireSameLU(t *testing.T, what string, got, want *LU) {
+	t.Helper()
+	bits := func(xs []float64) []uint64 {
+		out := make([]uint64, len(xs))
+		for i, v := range xs {
+			out[i] = math.Float64bits(v)
+		}
+		return out
+	}
+	for _, c := range []struct {
+		name string
+		same bool
+	}{
+		{"n", got.n == want.n},
+		{"lPtr", slices.Equal(got.lPtr, want.lPtr)},
+		{"lRows", slices.Equal(got.lRows, want.lRows)},
+		{"lVals", slices.Equal(bits(got.lVals), bits(want.lVals))},
+		{"uPtr", slices.Equal(got.uPtr, want.uPtr)},
+		{"uRows", slices.Equal(got.uRows, want.uRows)},
+		{"uVals", slices.Equal(bits(got.uVals), bits(want.uVals))},
+		{"rowPerm", slices.Equal(got.rowPerm, want.rowPerm)},
+		{"colPerm", slices.Equal(got.colPerm, want.colPerm)},
+		{"dr", slices.Equal(bits(got.dr), bits(want.dr))},
+		{"dc", slices.Equal(bits(got.dc), bits(want.dc))},
+		{"anorm", math.Float64bits(got.anorm) == math.Float64bits(want.anorm)},
+	} {
+		if !c.same {
+			t.Fatalf("%s: %s differs from the from-scratch factor", what, c.name)
+		}
+	}
+}
+
+// perturbed returns a with the same pattern and values moved enough to
+// change pivots on the unsymmetric test matrices.
+func perturbed(a *sparse.CSR, seed int64) *sparse.CSR {
+	b := a.Clone()
+	noise := sparse.RandomVector(len(b.Vals), seed)
+	for k := range b.Vals {
+		b.Vals[k] *= 1 + 0.5*noise[k]
+	}
+	return b
+}
+
+func TestSymbolicFactorEqualsFactor(t *testing.T) {
+	mats := map[string]*sparse.CSR{
+		"laplace": sparse.Laplace2D(12, 9),
+		"unsym":   sparse.RandomUnsymmetric(80, 5, 3),
+		"dd":      sparse.RandomDiagDominant(90, 6, 11),
+	}
+	for name, a := range mats {
+		for _, ord := range []Ordering{OrderNatural, OrderRCM, OrderMinDegree} {
+			for _, opts := range []Options{
+				{ColPerm: ord, PivotThreshold: 1, Equilibrate: true},
+				{ColPerm: ord, PivotThreshold: 0.1, Equilibrate: false},
+			} {
+				sym, err := Analyze(a, ord)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// One analysis, several value sets, each compared with a
+				// cold Factor; the later rounds start from capacity hints.
+				for round := int64(0); round < 3; round++ {
+					b := perturbed(a, 100+round)
+					got, err := sym.Factor(b, opts)
+					if err != nil {
+						t.Fatalf("%s/%v: %v", name, ord, err)
+					}
+					want, err := Factor(b, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireSameLU(t, name+"/"+ord.String(), got, want)
+				}
+			}
+		}
+	}
+}
+
+func TestSymbolicFactorRejectsOtherPatterns(t *testing.T) {
+	a := sparse.Laplace2D(5, 4)
+	sym, err := Analyze(a, OrderMinDegree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	if _, err := sym.Factor(sparse.Laplace2D(4, 5), opts); err == nil {
+		t.Error("different pattern of the same order accepted")
+	}
+	if _, err := sym.Factor(sparse.Laplace2D(5, 5), opts); err == nil {
+		t.Error("different dimension accepted")
+	}
+	opts.ColPerm = OrderRCM
+	if _, err := sym.Factor(a, opts); err == nil {
+		t.Error("different ordering accepted")
+	}
+	opts = DefaultOptions()
+	opts.PivotThreshold = 0
+	if _, err := sym.Factor(a, opts); err == nil {
+		t.Error("zero pivot threshold accepted")
+	}
+}
+
+// rowPtrOnlyPair returns two nonsingular 3×3 matrices that share ColInd
+// and differ in RowPtr alone.
+func rowPtrOnlyPair(t *testing.T) (a, b *sparse.CSR) {
+	t.Helper()
+	ci := []int{0, 1, 2, 1, 2}
+	a, err := sparse.NewCSR(3, 3, []int{0, 3, 4, 5}, ci, []float64{2, 1, 1, 3, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err = sparse.NewCSR(3, 3, []int{0, 1, 3, 5}, ci, []float64{2, 1, 1, 3, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a, b
+}
+
+func TestSymbolicMatches(t *testing.T) {
+	a := sparse.RandomDiagDominant(30, 4, 5)
+	sym, err := Analyze(a, OrderMinDegree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sym.matches(perturbed(a, 1), OrderMinDegree) {
+		t.Error("same pattern, new values: no match")
+	}
+	if sym.matches(a, OrderRCM) {
+		t.Error("other ordering matched")
+	}
+	oneCol := a.Clone()
+	k := oneCol.RowPtr[3] // first entry of row 3: retarget it to a free column
+	for j := 0; ; j++ {
+		if !slices.Contains(oneCol.ColInd[oneCol.RowPtr[3]:oneCol.RowPtr[4]], j) {
+			oneCol.ColInd[k] = j
+			break
+		}
+	}
+	if sym.matches(oneCol, OrderMinDegree) {
+		t.Error("one differing ColInd matched")
+	}
+	if sym.matches(sparse.RandomDiagDominant(31, 4, 5), OrderMinDegree) {
+		t.Error("other dimension matched")
+	}
+	p, q := rowPtrOnlyPair(t)
+	symP, err := Analyze(p, OrderNatural)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !symP.matches(p, OrderNatural) || symP.matches(q, OrderNatural) {
+		t.Error("RowPtr-only difference not told apart")
+	}
+	// The analysis owns its copy of the pattern.
+	a.ColInd[0], a.ColInd[1] = a.ColInd[1], a.ColInd[0]
+	if sym.matches(a, OrderMinDegree) {
+		t.Error("analysis aliases the caller's pattern arrays")
+	}
+}
+
+// onRanks runs fn on every rank of a p-rank world.
+func onRanks(t *testing.T, p int, fn func(c *comm.Comm)) {
+	t.Helper()
+	w, err := comm.NewWorld(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Run(fn); err != nil {
+		t.Fatalf("p=%d: %v", p, err)
+	}
+}
+
+func onOneRank(t *testing.T, fn func(c *comm.Comm)) { t.Helper(); onRanks(t, 1, fn) }
+
+func mustMat(t *testing.T, c *comm.Comm, a *sparse.CSR) *pmat.Mat {
+	t.Helper()
+	l, err := pmat.EvenLayout(c, a.Rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := pmat.NewMat(l, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// requireSolvesLikeCold checks d against a solver built cold on a: same
+// factor, same solution bits.
+func requireSolvesLikeCold(t *testing.T, what string, c *comm.Comm, d *DistSolver, a *sparse.CSR, opts Options) {
+	t.Helper()
+	cold, err := NewDistSolver(mustMat(t, c, a), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameLU(t, what, d.Factorization(), cold.Factorization())
+	b := sparse.RandomVector(a.Rows, 77)
+	x, y := make([]float64, a.Rows), make([]float64, a.Rows)
+	if _, err := d.SolveRefinedInto(x, b, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cold.SolveRefinedInto(y, b, 1); err != nil {
+		t.Fatal(err)
+	}
+	for i := range x {
+		if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+			t.Fatalf("%s: x[%d] = %v, cold solver has %v", what, i, x[i], y[i])
+		}
+	}
+}
+
+func TestRefactorReusesAndInvalidates(t *testing.T) {
+	onOneRank(t, func(c *comm.Comm) {
+		a := sparse.RandomUnsymmetric(70, 5, 21)
+		opts := DefaultOptions()
+		d, err := NewDistSolver(mustMat(t, c, a), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := SetupStats{Analyses: 1}
+		check := func(what string, a *sparse.CSR, opts Options) {
+			t.Helper()
+			got := d.SetupStats()
+			if got.Analyses != want.Analyses || got.SymbolicReuses != want.SymbolicReuses {
+				t.Fatalf("%s: %d analyses / %d reuses, want %d / %d", what,
+					got.Analyses, got.SymbolicReuses, want.Analyses, want.SymbolicReuses)
+			}
+			requireSolvesLikeCold(t, what, c, d, a, opts)
+		}
+		check("cold", a, opts)
+
+		refactor := func(a *sparse.CSR, opts Options) {
+			t.Helper()
+			if err := d.Refactor(mustMat(t, c, a), opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		b := perturbed(a, 5)
+		refactor(b, opts)
+		want.SymbolicReuses++
+		check("same pattern, new values", b, opts)
+
+		noEquil := opts
+		noEquil.Equilibrate = false
+		refactor(b, noEquil)
+		want.SymbolicReuses++
+		check("equilibrate off: numeric only", b, noEquil)
+
+		rcm := opts
+		rcm.ColPerm = OrderRCM
+		refactor(b, rcm)
+		want.Analyses++
+		check("ordering changed", b, rcm)
+		refactor(b, opts)
+		want.Analyses++
+
+		// One ColInd moved: drop the stored entry (0, j) for some j ≠ 0 by
+		// retargeting it to a column row 0 does not hold yet.
+		oneCol := b.Clone()
+		row0 := oneCol.ColInd[oneCol.RowPtr[0]:oneCol.RowPtr[1]]
+		for j := oneCol.Cols - 1; ; j-- {
+			if !slices.Contains(row0, j) {
+				row0[len(row0)-1] = j
+				break
+			}
+		}
+		refactor(oneCol, opts)
+		want.Analyses++
+		check("one ColInd differs", oneCol, opts)
+
+		// Another dimension is another partition too: the gather/scatter
+		// staging is rebuilt along with the analysis.
+		smaller := sparse.RandomUnsymmetric(40, 4, 2)
+		refactor(smaller, opts)
+		want.Analyses++
+		check("dimension differs", smaller, opts)
+	})
+
+	onOneRank(t, func(c *comm.Comm) {
+		p, q := rowPtrOnlyPair(t)
+		opts := Options{ColPerm: OrderNatural, PivotThreshold: 1}
+		d, err := NewDistSolver(mustMat(t, c, p), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Refactor(mustMat(t, c, q), opts); err != nil {
+			t.Fatal(err)
+		}
+		if st := d.SetupStats(); st.Analyses != 2 || st.SymbolicReuses != 0 {
+			t.Fatalf("RowPtr-only change: %+v, want a second analysis", st)
+		}
+		requireSolvesLikeCold(t, "RowPtr differs", c, d, q, opts)
+	})
+}
+
+func TestRefactorFailureLeavesNoFactor(t *testing.T) {
+	onOneRank(t, func(c *comm.Comm) {
+		good := sparse.RandomDiagDominant(25, 4, 9)
+		// Same pattern, column 7 stored as zeros: equilibration off meets
+		// "no usable pivot", on meets the zero-column check.
+		zeroCol := good.Clone()
+		for k, j := range zeroCol.ColInd {
+			if j == 7 {
+				zeroCol.Vals[k] = 0
+			}
+		}
+		for _, equil := range []bool{false, true} {
+			opts := DefaultOptions()
+			opts.Equilibrate = equil
+			d, err := NewDistSolver(mustMat(t, c, good), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := par.New(2)
+			d.SetPool(p)
+
+			_, wantErr := Factor(zeroCol, opts)
+			if wantErr == nil {
+				t.Fatal("singular test matrix factored")
+			}
+			err = d.Refactor(mustMat(t, c, zeroCol), opts)
+			if err == nil || !strings.HasSuffix(err.Error(), wantErr.Error()) {
+				t.Fatalf("Refactor error %q does not carry Factor's %q", err, wantErr)
+			}
+			if d.Factorization() != nil {
+				t.Error("failed Refactor left a factor reachable")
+			}
+			x := make([]float64, good.Rows)
+			if _, err := d.SolveRefinedInto(x, sparse.RandomVector(good.Rows, 1), 0); err == nil {
+				t.Error("solve after a failed Refactor succeeded")
+			}
+			if d.FillRatio() != 0 {
+				t.Error("fill ratio reported without a factor")
+			}
+
+			next := perturbed(good, 3)
+			if err := d.Refactor(mustMat(t, c, next), opts); err != nil {
+				t.Fatalf("Refactor after a failure: %v", err)
+			}
+			if st := d.SetupStats(); st.Analyses != 1 || st.SymbolicReuses != 2 {
+				t.Errorf("equil=%v: %+v, want 1 analysis and 2 reuses", equil, st)
+			}
+			requireSolvesLikeCold(t, "after failure", c, d, next, opts)
+			p.Close()
+		}
+
+		// A structurally empty column is a different pattern: re-analysed,
+		// then rejected with Factor's text.
+		coo := sparse.NewCOO(3, 3)
+		coo.Append(0, 0, 1)
+		coo.Append(1, 0, 2)
+		coo.Append(2, 2, 3)
+		coo.Append(1, 2, 1)
+		empty := coo.ToCSR()
+		opts := Options{ColPerm: OrderNatural, PivotThreshold: 1}
+		d, err := NewDistSolver(mustMat(t, c, sparse.Identity(3)), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, wantErr := Factor(empty, opts)
+		if err := d.Refactor(mustMat(t, c, empty), opts); err == nil || !strings.HasSuffix(err.Error(), wantErr.Error()) {
+			t.Fatalf("Refactor error %q does not carry Factor's %q", err, wantErr)
+		}
+	})
+}
+
+// TestRefactorRebuildsLevelMirrors: the row-major mirrors of a pooled
+// factor describe the old values and structure; after a refactor the
+// pooled solve must agree bit for bit with a serial solve of the new
+// factor.
+func TestRefactorRebuildsLevelMirrors(t *testing.T) {
+	onOneRank(t, func(c *comm.Comm) {
+		a := sparse.RandomUnsymmetric(120, 5, 8)
+		d, err := NewDistSolver(mustMat(t, c, a), DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := par.New(2)
+		defer p.Close()
+		d.SetPool(p)
+		b := perturbed(a, 4)
+		if err := d.Refactor(mustMat(t, c, b), DefaultOptions()); err != nil {
+			t.Fatal(err)
+		}
+		if ls := d.Factorization().ls; ls == nil || !ls.pool.Parallel() {
+			t.Fatal("pool not carried across the refactor")
+		}
+		requireSolvesLikeCold(t, "pooled after refactor", c, d, b, DefaultOptions())
+	})
+}
+
+// TestRefactorAcrossPartitions: repartitioning the same global matrix
+// moves the gather/scatter staging and nothing else — rank 0 still finds
+// its analysis valid.
+func TestRefactorAcrossPartitions(t *testing.T) {
+	global := sparse.RandomDiagDominant(41, 4, 13)
+	n := global.Rows
+	xstar := sparse.RandomVector(n, 5)
+	b := make([]float64, n)
+	global.MulVec(b, xstar)
+	onRanks(t, 2, func(c *comm.Comm) {
+		var d *DistSolver
+		for round, rank0Rows := range []int{20, 33, 33, 7} {
+			localN := rank0Rows
+			if c.Rank() == 1 {
+				localN = n - rank0Rows
+			}
+			l, err := pmat.NewLayout(c, localN)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			m, err := pmat.NewMat(l, global.SubMatrix(l.Start, l.Start+l.LocalN))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if d == nil {
+				d, err = NewDistSolver(m, DefaultOptions())
+			} else {
+				err = d.Refactor(m, DefaultOptions())
+			}
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			x := make([]float64, l.LocalN)
+			if _, err := d.SolveRefinedInto(x, b[l.Start:l.Start+l.LocalN], 1); err != nil {
+				t.Error(err)
+				return
+			}
+			for i := range x {
+				if math.Abs(x[i]-xstar[l.Start+i]) > 1e-9 {
+					t.Errorf("round %d rank %d: x[%d] = %v, want %v", round, c.Rank(), i, x[i], xstar[l.Start+i])
+					return
+				}
+			}
+		}
+		if st := d.SetupStats(); c.Rank() == 0 && (st.Analyses != 1 || st.SymbolicReuses != 3) {
+			t.Errorf("repartitioning re-analysed: %+v", st)
+		}
+	})
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/mesh"
 	"repro/internal/par"
 	"repro/internal/sparse"
 )
@@ -51,19 +52,70 @@ func BenchmarkTriangularSolve(b *testing.B) {
 	}
 }
 
-// BenchmarkOrderingAlgorithms isolates the symbolic orderings.
+// BenchmarkOrderingAlgorithms isolates the symbolic orderings on the
+// synthetic Laplacian and on the two benchmark operators. An ordering
+// allocates a fixed number of O(n)/O(nnz) slices — never O(fill) — so
+// scripts/benchguard.sh gates the ::allocs keys exactly.
 func BenchmarkOrderingAlgorithms(b *testing.B) {
 	b.ReportAllocs()
-	a := sparse.Laplace2D(50, 50)
-	for _, ord := range []Ordering{OrderRCM, OrderMinDegree} {
-		b.Run(ord.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := ComputeOrdering(a, ord); err != nil {
-					b.Fatal(err)
+	stencil, _, err := mesh.PaperProblem(100).GenerateGlobal()
+	if err != nil {
+		b.Fatal(err)
+	}
+	fem, _, err := mesh.DefaultFEMProblem(16, 7).GenerateGlobal()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, m := range []struct {
+		name string
+		a    *sparse.CSR
+	}{{"laplace-50", sparse.Laplace2D(50, 50)}, {"stencil-100", stencil}, {"fem-16", fem}} {
+		for _, ord := range []Ordering{OrderRCM, OrderMinDegree} {
+			b.Run(m.name+"/"+ord.String(), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := ComputeOrdering(m.a, ord); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
+	}
+}
+
+// BenchmarkRefactorSamePattern is use case §5.2d at the size the
+// end-to-end benchmark runs it (stencil grid 100): analyse once, then
+// numeric phases into the same LU for a sequence of same-pattern value
+// sets. The analysis and the L/U storage are reused, so a refresh
+// allocates nothing — scripts/benchguard.sh gates ::allocs exactly.
+func BenchmarkRefactorSamePattern(b *testing.B) {
+	a, _, err := mesh.PaperProblem(100).GenerateGlobal()
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := DefaultOptions()
+	sym, err := Analyze(a, opts.ColPerm)
+	if err != nil {
+		b.Fatal(err)
+	}
+	f := new(LU)
+	if err := sym.factorInto(f, a, opts); err != nil {
+		b.Fatal(err)
+	}
+	fresh := a.Clone()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		scale := 1 + 1e-3*float64(i%7)
+		for k, v := range a.Vals {
+			fresh.Vals[k] = v * scale
+		}
+		if !sym.matches(fresh, opts.ColPerm) {
+			b.Fatal("pattern moved")
+		}
+		if err := sym.factorInto(f, fresh, opts); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
