@@ -100,6 +100,7 @@ fuzz:
 		$(GO) test -run='^$$' -fuzz="^$$t\$$" -fuzztime=$(FUZZTIME) ./internal/mesh || exit 1; done
 	$(GO) test -run='^$$' -fuzz='^FuzzLevels$$' -fuzztime=$(FUZZTIME) ./internal/par
 	$(GO) test -run='^$$' -fuzz='^FuzzMinDegreeMatchesReference$$' -fuzztime=$(FUZZTIME) ./internal/slu
+	$(GO) test -run='^$$' -fuzz='^FuzzILUTMatchesReference$$' -fuzztime=$(FUZZTIME) ./internal/aztec
 
 clean:
 	rm -f telemetry.json out.json sweep.json sweep.md

@@ -5,21 +5,23 @@ import (
 	"testing"
 
 	"repro/internal/comm"
+	"repro/internal/mesh"
 	"repro/internal/sparse"
 )
 
 // BenchmarkILUT quantifies the dual-threshold factorization across drop
 // tolerances (the AZDrop/AZIlutFill parameter space of the Trilinos-role
-// component).
+// component), and at the component's defaults (drop 0, fill 1) on the two
+// operators of the end-to-end benchmark. scripts/benchguard.sh gates the
+// allocs/op of every case: a build allocates a fixed handful of slices.
 func BenchmarkILUT(b *testing.B) {
 	b.ReportAllocs()
-	a := sparse.Laplace2D(60, 60)
-	for _, drop := range []float64{0, 0.001, 0.01} {
-		b.Run(fmt.Sprintf("drop=%g", drop), func(b *testing.B) {
+	run := func(name string, a *sparse.CSR, drop, fill float64) {
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			var nnz int
 			for i := 0; i < b.N; i++ {
-				f, err := NewILUT(a, drop, 3)
+				f, err := NewILUT(a, drop, fill)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -28,6 +30,20 @@ func BenchmarkILUT(b *testing.B) {
 			b.ReportMetric(float64(nnz), "factor-nnz")
 		})
 	}
+	lap := sparse.Laplace2D(60, 60)
+	for _, drop := range []float64{0, 0.001, 0.01} {
+		run(fmt.Sprintf("drop=%g", drop), lap, drop, 3)
+	}
+	fem, _, err := mesh.DefaultFEMProblem(16, 7).GenerateGlobal()
+	if err != nil {
+		b.Fatal(err)
+	}
+	run("fem-16", fem, 0, 1)
+	stencil, _, err := mesh.PaperProblem(100).GenerateGlobal()
+	if err != nil {
+		b.Fatal(err)
+	}
+	run("stencil-100", stencil, 0, 1)
 }
 
 // BenchmarkAztecSolvers measures one full Iterate per AZ solver at fixed

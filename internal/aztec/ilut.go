@@ -1,10 +1,11 @@
 package aztec
 
 import (
-	"container/heap"
+	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"repro/internal/par"
 	"repro/internal/sparse"
@@ -89,23 +90,66 @@ func (t *ilutSweepTask) Range(_, lo, hi int) {
 	}
 }
 
-type intHeap []int
+// Failures of NewILUT, wrapped with the offending row index.
+var (
+	// ErrILUTZeroRow: a row with no nonzero entry has no norm to scale
+	// the drop tolerance by — the matrix is structurally singular.
+	ErrILUTZeroRow = errors.New("row is entirely zero")
+	// ErrILUTZeroPivot: elimination cancelled the diagonal and a zero
+	// drop tolerance leaves nothing to substitute for it.
+	ErrILUTZeroPivot = errors.New("zero pivot with zero drop tolerance")
+	// ErrILUTNonFinite: a NaN or Inf in the row, or one produced by the
+	// elimination, which every threshold test would silently let through.
+	ErrILUTNonFinite = errors.New("non-finite entry or pivot")
+)
 
-func (h intHeap) Len() int           { return len(h) }
-func (h intHeap) Less(i, j int) bool { return h[i] < h[j] }
-func (h intHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *intHeap) Push(x any)        { *h = append(*h, x.(int)) }
-func (h *intHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+// ilutCand is one entry of the working row staged for the keep-largest
+// cut, its magnitude beside its column so that selection compares
+// contiguous memory rather than chasing w[col].
+type ilutCand struct {
+	abs float64
+	col int
+}
+
+// before is the total order of the cut: larger magnitude first, an exact
+// tie going to the smaller column. Columns of one row are distinct, so no
+// two candidates compare equal and the kept set is unique.
+func (a ilutCand) before(b ilutCand) bool {
+	if a.abs > b.abs {
+		return true
+	}
+	if a.abs < b.abs {
+		return false
+	}
+	return a.col < b.col
+}
+
+// ilutScratch is the working storage of one NewILUT call, allocated once
+// and reused by every row.
+type ilutScratch struct {
+	w      []float64 // dense accumulator of the current row
+	marked []bool    // membership in the current row pattern
+	// pending is a bitset of the lower-part columns still to eliminate.
+	// Eliminating column k only adds columns of U's strict upper row k,
+	// all > k, so the next column is always the lowest set bit at or
+	// after the one just cleared: a forward cursor yields them in
+	// ascending order, the order a heap would pop them in.
+	pending      []uint64
+	pattern      []int // every index marked while building the row
+	lCand, uCand []ilutCand
+}
+
+// ilutBudget is the number of entries each half (strict lower, strict
+// upper) of a factor row may keep for an input row of nnzRow entries.
+func ilutBudget(fill float64, nnzRow int) int {
+	return max(1, int(math.Ceil(fill*float64(nnzRow)/2)))
 }
 
 // NewILUT factors a with drop tolerance droptol (relative to each row's
-// 2-norm) and fill ratio fill (≥ 1 keeps at least the original row
-// density in each factor).
+// 2-norm) and fill ratio fill: row i of L and row i of U each keep at
+// most ⌈fill·nnz(a_i)/2⌉ off-diagonal entries, so fill = 1 holds the two
+// factors together to about the density of a. Column indices within a
+// row of a must be distinct.
 func NewILUT(a *sparse.CSR, droptol, fill float64) (*ILUT, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("aztec: ILUT requires a square matrix, got %dx%d", a.Rows, a.Cols)
@@ -117,97 +161,110 @@ func NewILUT(a *sparse.CSR, droptol, fill float64) (*ILUT, error) {
 		return nil, fmt.Errorf("aztec: ILUT fill ratio must be positive, got %g", fill)
 	}
 	n := a.Rows
+
+	// Size L and U to the sum of the row budgets so the row loop never
+	// regrows them. The hint is capped at a few times nnz(a): a fill ratio
+	// chosen to mean "never cut" would otherwise ask for O(n²) up front.
+	lCap, uCap := 0, 0
+	for i := 0; i < n; i++ {
+		b := ilutBudget(fill, a.RowPtr[i+1]-a.RowPtr[i])
+		lCap += min(b, i)
+		uCap += min(b, n-1-i)
+	}
+	hintMax := 4*a.NNZ() + n
+	lCap, uCap = min(lCap, hintMax), min(uCap, hintMax)
+
 	f := &ILUT{
 		n:     n,
 		lPtr:  make([]int, n+1),
+		lCols: make([]int, 0, lCap),
+		lVals: make([]float64, 0, lCap),
 		uPtr:  make([]int, n+1),
+		uCols: make([]int, 0, uCap),
+		uVals: make([]float64, 0, uCap),
 		uDiag: make([]float64, n),
 	}
-	w := make([]float64, n)      // dense accumulator
-	inPattern := make([]bool, n) // membership in the current row pattern
-	var lower intHeap            // pending lower-part columns
-	var patternList []int        // every marked index of the current row
+	s := ilutScratch{
+		w:       make([]float64, n),
+		marked:  make([]bool, n),
+		pending: make([]uint64, (n+63)/64),
+	}
+	w, marked, pending := s.w, s.marked, s.pending
 
 	for i := 0; i < n; i++ {
 		cols, vals := a.RowView(i)
 		rowNorm := sparse.Norm2(vals)
 		if rowNorm == 0 {
-			return nil, fmt.Errorf("aztec: ILUT: row %d is entirely zero", i)
+			return nil, fmt.Errorf("aztec: ILUT: row %d: %w", i, ErrILUTZeroRow)
+		}
+		if math.IsNaN(rowNorm) || math.IsInf(rowNorm, 0) {
+			return nil, fmt.Errorf("aztec: ILUT: row %d: %w", i, ErrILUTNonFinite)
 		}
 		tau := droptol * rowNorm
-		nnzRow := len(cols)
-		budget := int(math.Ceil(fill * float64(nnzRow) / 2))
-		if budget < 1 {
-			budget = 1
-		}
+		budget := ilutBudget(fill, len(cols))
 
-		lower = lower[:0]
-		patternList = patternList[:0]
+		s.pattern = s.pattern[:0]
+		first := i // lowest pending column
 		for k, j := range cols {
 			w[j] = vals[k]
-			inPattern[j] = true
-			patternList = append(patternList, j)
+			marked[j] = true
+			s.pattern = append(s.pattern, j)
 			if j < i {
-				heap.Push(&lower, j)
+				pending[j>>6] |= 1 << (j & 63)
+				first = min(first, j)
 			}
 		}
 
-		// Eliminate lower-part entries in increasing column order.
-		for lower.Len() > 0 {
-			k := heap.Pop(&lower).(int)
+		// Eliminate lower-part entries in increasing column order. Bits
+		// exist only for columns < i, and every pop clears its bit, so the
+		// set is empty again when the cursor leaves the last word.
+		for wi, end := first>>6, (i+63)>>6; wi < end; {
+			word := pending[wi]
+			if word == 0 {
+				wi++
+				continue
+			}
+			pending[wi] = word & (word - 1)
+			k := wi<<6 | bits.TrailingZeros64(word)
 			lik := w[k] / f.uDiag[k]
 			if math.Abs(lik) <= tau {
 				w[k] = 0
-				inPattern[k] = false
+				marked[k] = false
 				continue
 			}
 			w[k] = lik
 			for p := f.uPtr[k]; p < f.uPtr[k+1]; p++ {
 				j := f.uCols[p]
-				if !inPattern[j] {
-					inPattern[j] = true
+				if !marked[j] {
+					marked[j] = true
 					w[j] = 0
-					patternList = append(patternList, j)
+					s.pattern = append(s.pattern, j)
 					if j < i {
-						heap.Push(&lower, j)
+						pending[j>>6] |= 1 << (j & 63)
 					}
 				}
 				w[j] -= lik * f.uVals[p]
 			}
 		}
 
-		// Gather surviving entries. Entries dropped during elimination
-		// were unmarked but remain in patternList; skip them.
-		var lCand, uCand []int
-		for _, j := range patternList {
-			if !inPattern[j] {
+		// Stage the entries that survive the drop tolerance. Columns
+		// dropped during elimination were unmarked but remain in pattern.
+		s.lCand, s.uCand = s.lCand[:0], s.uCand[:0]
+		for _, j := range s.pattern {
+			if !marked[j] || j == i {
 				continue
 			}
-			switch {
-			case j < i:
-				if math.Abs(w[j]) > tau {
-					lCand = append(lCand, j)
+			if av := math.Abs(w[j]); av > tau {
+				if j < i {
+					s.lCand = append(s.lCand, ilutCand{av, j})
 				} else {
-					w[j] = 0
-					inPattern[j] = false
-				}
-			case j > i:
-				if math.Abs(w[j]) > tau {
-					uCand = append(uCand, j)
-				} else {
-					w[j] = 0
-					inPattern[j] = false
+					s.uCand = append(s.uCand, ilutCand{av, j})
 				}
 			}
 		}
-		keepLargest(&lCand, w, budget)
-		keepLargest(&uCand, w, budget)
-		sort.Ints(lCand)
-		sort.Ints(uCand)
-
-		for _, j := range lCand {
-			f.lCols = append(f.lCols, j)
-			f.lVals = append(f.lVals, w[j])
+		for _, c := range keepLargest(s.lCand, budget) {
+			f.lCols = append(f.lCols, c.col)
+			f.lVals = append(f.lVals, w[c.col])
 		}
 		f.lPtr[i+1] = len(f.lCols)
 
@@ -217,36 +274,75 @@ func NewILUT(a *sparse.CSR, droptol, fill float64) (*ILUT, error) {
 			// keeping the preconditioner usable for nearly singular rows.
 			diag = tau
 			if diag == 0 {
-				return nil, fmt.Errorf("aztec: ILUT: zero pivot at row %d with zero drop tolerance", i)
+				return nil, fmt.Errorf("aztec: ILUT: row %d: %w", i, ErrILUTZeroPivot)
 			}
 		}
+		if math.IsNaN(diag) || math.IsInf(diag, 0) {
+			return nil, fmt.Errorf("aztec: ILUT: row %d: %w", i, ErrILUTNonFinite)
+		}
 		f.uDiag[i] = diag
-		for _, j := range uCand {
-			f.uCols = append(f.uCols, j)
-			f.uVals = append(f.uVals, w[j])
+		for _, c := range keepLargest(s.uCand, budget) {
+			f.uCols = append(f.uCols, c.col)
+			f.uVals = append(f.uVals, w[c.col])
 		}
 		f.uPtr[i+1] = len(f.uCols)
 
 		// Reset the accumulator and marks for the next row.
-		for _, j := range patternList {
+		for _, j := range s.pattern {
 			w[j] = 0
-			inPattern[j] = false
+			marked[j] = false
 		}
 	}
 	return f, nil
 }
 
-// keepLargest truncates cand to its m entries of largest |w| value.
-func keepLargest(cand *[]int, w []float64, m int) {
-	c := *cand
-	if len(c) <= m {
-		return
+// keepLargest returns the m candidates that come first under
+// ilutCand.before (all of them when there are no more than m), sorted by
+// column. It reorders c in place.
+func keepLargest(c []ilutCand, m int) []ilutCand {
+	if len(c) > m {
+		selectFirst(c, m)
+		c = c[:m]
 	}
-	sort.Slice(c, func(a, b int) bool { return math.Abs(w[c[a]]) > math.Abs(w[c[b]]) })
-	for _, j := range c[m:] {
-		w[j] = 0
+	slices.SortFunc(c, func(a, b ilutCand) int { return a.col - b.col })
+	return c
+}
+
+// selectFirst permutes c so that c[:m] holds its m first elements under
+// ilutCand.before, in no particular order: quickselect with a
+// median-of-three pivot, O(len(c)) where a full sort is O(len·log len).
+func selectFirst(c []ilutCand, m int) {
+	lo, hi := 0, len(c)-1
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if c[mid].before(c[lo]) {
+			c[mid], c[lo] = c[lo], c[mid]
+		}
+		if c[hi].before(c[lo]) {
+			c[hi], c[lo] = c[lo], c[hi]
+		}
+		if c[mid].before(c[hi]) {
+			c[mid], c[hi] = c[hi], c[mid]
+		}
+		pivot := c[hi] // the median of the three
+		p := lo
+		for k := lo; k < hi; k++ {
+			if c[k].before(pivot) {
+				c[k], c[p] = c[p], c[k]
+				p++
+			}
+		}
+		c[p], c[hi] = c[hi], c[p]
+		// c[lo:p] come before the pivot at p, c[p+1:hi+1] after it.
+		switch {
+		case p == m || p == m-1:
+			return
+		case p < m:
+			lo = p + 1
+		default:
+			hi = p - 1
+		}
 	}
-	*cand = c[:m]
 }
 
 // Solve computes z = (LU)⁻¹ r; z and r may alias.

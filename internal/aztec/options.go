@@ -80,7 +80,7 @@ const (
 const (
 	AZNormal    = iota // converged
 	AZMaxIts           // ran out of iterations
-	AZBreakdown        // Krylov breakdown
+	AZBreakdown        // Krylov breakdown, or a non-finite value met in preconditioner setup
 	AZIllCond          // preconditioner setup failed / unusable system
 )
 

@@ -87,13 +87,7 @@ func (a *CrsMatrix) FillComplete() error {
 		return fmt.Errorf("aztec: FillComplete called twice")
 	}
 	l := a.rowMap.Layout()
-	coo := sparse.NewCOO(l.LocalN, l.N)
-	for lr := range a.stageCols {
-		for k, j := range a.stageCols[lr] {
-			coo.Append(lr, j, a.stageVals[lr][k])
-		}
-	}
-	a.localCSR = coo.ToCSR()
+	a.localCSR = a.stagedCSR(l.N)
 	dist, err := pmat.NewMat(l, a.localCSR)
 	if err != nil {
 		return fmt.Errorf("aztec: FillComplete: %w", err)
@@ -102,6 +96,38 @@ func (a *CrsMatrix) FillComplete() error {
 	a.filled = true
 	a.stageCols, a.stageVals = nil, nil
 	return nil
+}
+
+// stagedCSR freezes the staged rows into a CSR with sorted, duplicate-free
+// rows. Rows staged in strictly ascending column order — what a caller
+// copying rows out of a CSR inserts — are already that and are
+// concatenated; anything else goes through COO for the sort and merge.
+func (a *CrsMatrix) stagedCSR(cols int) *sparse.CSR {
+	n := len(a.stageCols)
+	rp := make([]int, n+1)
+	ascending := true
+	for lr, row := range a.stageCols {
+		rp[lr+1] = rp[lr] + len(row)
+		for k := 1; k < len(row) && ascending; k++ {
+			ascending = row[k-1] < row[k]
+		}
+	}
+	if !ascending {
+		coo := sparse.NewCOO(n, cols)
+		for lr := range a.stageCols {
+			for k, j := range a.stageCols[lr] {
+				coo.Append(lr, j, a.stageVals[lr][k])
+			}
+		}
+		return coo.ToCSR()
+	}
+	ci := make([]int, rp[n])
+	v := make([]float64, rp[n])
+	for lr := range a.stageCols {
+		copy(ci[rp[lr]:], a.stageCols[lr])
+		copy(v[rp[lr]:], a.stageVals[lr])
+	}
+	return &sparse.CSR{Rows: n, Cols: cols, RowPtr: rp, ColInd: ci, Vals: v}
 }
 
 // Filled reports whether FillComplete has been called.
@@ -160,10 +186,40 @@ func (a *CrsMatrix) ExtractDiagonalCopy() ([]float64, error) {
 // preconditioners that need the local diagonal block).
 func (a *CrsMatrix) Dist() *pmat.Mat { return a.dist }
 
-// rowMatrixDiagBlock extracts the local diagonal block from any RowMatrix
-// through the public row-access interface, so user-defined RowMatrix
-// implementations (not just CrsMatrix) can be preconditioned.
+// rowMatrixDiagBlock extracts the local diagonal block of a RowMatrix. A
+// filled CrsMatrix is cut straight out of its local CSR; anything else is
+// read through the public row-access interface, so user-defined
+// RowMatrix implementations can be preconditioned too.
 func rowMatrixDiagBlock(m RowMatrix) (*sparse.CSR, error) {
+	if crs, ok := m.(*CrsMatrix); ok && crs.filled {
+		return crs.diagBlock(), nil
+	}
+	return genericDiagBlock(m)
+}
+
+// diagBlock copies the columns [lo, lo+n) of every local row, shifted to
+// local numbering. The rows of localCSR are sorted, so each row's share
+// is one contiguous run.
+func (a *CrsMatrix) diagBlock() *sparse.CSR {
+	lo, n := a.rowMap.MinMyGID(), a.rowMap.NumMyElements()
+	src := a.localCSR
+	rp := make([]int, n+1)
+	ci := make([]int, 0, src.NNZ())
+	v := make([]float64, 0, src.NNZ())
+	for lr := 0; lr < n; lr++ {
+		cols, vals := src.RowView(lr)
+		b := sort.SearchInts(cols, lo)
+		e := b + sort.SearchInts(cols[b:], lo+n)
+		for _, j := range cols[b:e] {
+			ci = append(ci, j-lo)
+		}
+		v = append(v, vals[b:e]...)
+		rp[lr+1] = len(ci)
+	}
+	return &sparse.CSR{Rows: n, Cols: n, RowPtr: rp, ColInd: ci, Vals: v}
+}
+
+func genericDiagBlock(m RowMatrix) (*sparse.CSR, error) {
 	rm := m.RowMap()
 	lo, n := rm.MinMyGID(), rm.NumMyElements()
 	coo := sparse.NewCOO(n, n)

@@ -1,6 +1,7 @@
 package aztec
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -216,6 +217,9 @@ func (s *Solver) Solve(x, b []float64) error {
 		if err != nil {
 			s.prec = nil
 			s.status[AZWhy] = AZIllCond
+			if errors.Is(err, ErrILUTNonFinite) {
+				s.status[AZWhy] = AZBreakdown
+			}
 			return err
 		}
 		s.prec = prec

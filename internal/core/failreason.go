@@ -1,8 +1,11 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"strings"
+
+	"repro/internal/aztec"
 )
 
 // FailReason is the normalized, backend-independent classification of a
@@ -98,12 +101,19 @@ func failReasonFromStatus(status []float64) FailReason {
 	return r
 }
 
-// classifySolveError maps a native solver error message onto a
-// FailReason for backends whose failure vocabulary is textual (slu's
-// singularity diagnostics, ILU/ILUT zero pivots, mg's cycle reports).
+// classifySolveError maps a native solver error onto a FailReason:
+// sentinel errors first, then the message for backends whose failure
+// vocabulary is textual (slu's singularity diagnostics, ILU zero pivots,
+// mg's cycle reports).
 func classifySolveError(err error) FailReason {
 	if err == nil {
 		return FailNone
+	}
+	switch {
+	case errors.Is(err, aztec.ErrILUTZeroRow), errors.Is(err, aztec.ErrILUTZeroPivot):
+		return FailSingular
+	case errors.Is(err, aztec.ErrILUTNonFinite):
+		return FailBreakdown
 	}
 	msg := err.Error()
 	switch {

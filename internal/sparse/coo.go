@@ -85,7 +85,12 @@ func (c *COO) ToCSR() *CSR {
 	}
 	// Sort each row by column and merge duplicates, compacting through a
 	// per-row scratch copy (writes may move left past unread entries, so
-	// the row must be snapshotted first).
+	// the row must be snapshotted first). A row that scattered strictly
+	// ascending has nothing to sort or merge and is moved down as it is.
+	// For the rest, sort.Slice is unstable, so the order in which three or
+	// more duplicates of one entry are added — and with it the last bit
+	// of their sum — is whatever the sort makes of it; that is left as it
+	// has always been.
 	outPtr := make([]int, c.Rows+1)
 	var scratchIdx []int
 	var scratchVal []float64
@@ -93,6 +98,17 @@ func (c *COO) ToCSR() *CSR {
 	for i := 0; i < c.Rows; i++ {
 		lo, hi := rp[i], rp[i+1]
 		n := hi - lo
+		ascending := true
+		for k := lo + 1; k < hi && ascending; k++ {
+			ascending = ci[k-1] < ci[k]
+		}
+		if ascending {
+			copy(ci[w:], ci[lo:hi])
+			copy(v[w:], v[lo:hi])
+			w += n
+			outPtr[i+1] = w
+			continue
+		}
 		scratchIdx = append(scratchIdx[:0], ci[lo:hi]...)
 		scratchVal = append(scratchVal[:0], v[lo:hi]...)
 		order := make([]int, n)

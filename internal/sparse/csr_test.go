@@ -207,6 +207,45 @@ func TestCOOToCSRSumsDuplicates(t *testing.T) {
 	}
 }
 
+// TestCOOToCSRAscendingRowsPassThrough: rows that scatter in ascending
+// order skip the sort; they must land correctly after rows whose merged
+// duplicates shifted everything behind them to the left, and an allocation
+// count independent of the row count shows the sort really is skipped.
+func TestCOOToCSRAscendingRowsPassThrough(t *testing.T) {
+	c := NewCOO(5, 6)
+	c.Append(0, 1, 1) // ascending
+	c.Append(0, 4, 2)
+	c.Append(1, 3, 1) // duplicates and disorder: 3 entries merge away
+	c.Append(1, 0, 2)
+	c.Append(1, 3, 4)
+	c.Append(1, 0, 8)
+	c.Append(1, 3, 16)
+	c.Append(2, 0, 5) // ascending, lands 3 slots left of where it scattered
+	c.Append(2, 2, 6)
+	c.Append(2, 5, 7)
+	// row 3 empty
+	c.Append(4, 5, 9) // interleaved appends still scatter ascending
+	c.Append(0, 5, 3)
+	want, err := NewCSR(5, 6,
+		[]int{0, 3, 5, 8, 8, 9},
+		[]int{1, 4, 5, 0, 3, 0, 2, 5, 5},
+		[]float64{1, 2, 3, 10, 21, 5, 6, 7, 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := c.ToCSR(); !got.Equal(want) {
+		t.Errorf("ToCSR = %v %v %v, want %v %v %v",
+			got.RowPtr, got.ColInd, got.Vals, want.RowPtr, want.ColInd, want.Vals)
+	}
+
+	small, large := Laplace2D(10, 10).ToCOO(), Laplace2D(40, 40).ToCOO()
+	as := testing.AllocsPerRun(5, func() { small.ToCSR() })
+	al := testing.AllocsPerRun(5, func() { large.ToCSR() })
+	if as != al {
+		t.Errorf("ToCSR of sorted input allocates %v objects at n=100 but %v at n=1600", as, al)
+	}
+}
+
 func TestCOOValidation(t *testing.T) {
 	if _, err := NewCOOFromArrays(2, 2, []int{0}, []int{0, 1}, []float64{1, 2}); err == nil {
 		t.Error("length mismatch accepted")

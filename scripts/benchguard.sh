@@ -37,13 +37,16 @@ PKGS=(
   "./internal/service"
   "./internal/slu"
   "./internal/mesh"
+  "./internal/aztec"
 )
-PATTERN='^(BenchmarkCOOToCSR|BenchmarkTranspose|BenchmarkMSRConversion|BenchmarkSpMVFormats|BenchmarkFormatProbe|BenchmarkNilRecorderAdd|BenchmarkNilRecorderStartPhase|BenchmarkRecorderAdd|BenchmarkRecorderResidual|BenchmarkSessionReuseSolve|BenchmarkSolveSteadyState|BenchmarkApplyAllocs|BenchmarkServiceSolveReuse|BenchmarkApplyWorkers|BenchmarkTriSolveWorkers|BenchmarkFEMAssembly|BenchmarkReadMatrixMarket|BenchmarkMMIngestSetup|BenchmarkRefactorSamePattern|BenchmarkOrderingAlgorithms)$'
+PATTERN='^(BenchmarkCOOToCSR|BenchmarkTranspose|BenchmarkMSRConversion|BenchmarkSpMVFormats|BenchmarkFormatProbe|BenchmarkNilRecorderAdd|BenchmarkNilRecorderStartPhase|BenchmarkRecorderAdd|BenchmarkRecorderResidual|BenchmarkSessionReuseSolve|BenchmarkSolveSteadyState|BenchmarkApplyAllocs|BenchmarkServiceSolveReuse|BenchmarkApplyWorkers|BenchmarkTriSolveWorkers|BenchmarkFEMAssembly|BenchmarkReadMatrixMarket|BenchmarkMMIngestSetup|BenchmarkRefactorSamePattern|BenchmarkOrderingAlgorithms|BenchmarkILUT)$'
 # Guarded on allocs/op alone: what these take in wall clock is the
-# end-to-end benchmark's business (benchmark/: refresh_ms, slu.ordering_ms),
-# what they allocate is exact — a same-pattern refactor reuses all its
-# storage, an ordering allocates a fixed handful of O(n)/O(nnz) slices.
-ALLOCS_ONLY='^(BenchmarkRefactorSamePattern|BenchmarkOrderingAlgorithms)(/|$)'
+# end-to-end benchmark's business (benchmark/: refresh_ms, slu.ordering_ms,
+# aztec.ilut_build_ms), what they allocate is exact — a same-pattern
+# refactor reuses all its storage, an ordering allocates a fixed handful
+# of O(n)/O(nnz) slices, an ILUT build a fixed handful of O(n)/O(Σ budget)
+# slices rather than one object per eliminated column.
+ALLOCS_ONLY='^(BenchmarkRefactorSamePattern|BenchmarkOrderingAlgorithms|BenchmarkILUT)(/|$)'
 
 OUT="$(mktemp)"
 trap 'rm -f "$OUT"' EXIT
@@ -62,8 +65,9 @@ allocs_only_re = re.compile(allocs_only)
 
 # Collect the best (minimum) ns/op per benchmark: minima are the most
 # stable statistic for short benchmarks on shared machines. With
-# -benchmem each line also carries allocs/op, recorded under a separate
-# "<name>::allocs" key. Track which package produced each result ("pkg:"
+# -benchmem each line also carries allocs/op (after any b.ReportMetric
+# columns, which are skipped), recorded under a separate "<name>::allocs"
+# key. Track which package produced each result ("pkg:"
 # headers in `go test` output) so a guarded package that silently stops
 # producing benchmarks is an error, not a pass.
 results = {}
@@ -71,7 +75,7 @@ per_pkg = {}
 cur_pkg = None
 line_re = re.compile(
     r"^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op"
-    r"(?:\s+[\d.]+ B/op\s+(\d+) allocs/op)?")
+    r"(?:(?:\s+[\d.e+-]+ \S+)*?\s+[\d.]+ B/op\s+(\d+) allocs/op)?")
 pkg_re = re.compile(r"^pkg:\s+(\S+)$")
 for line in open(out_path):
     pm = pkg_re.match(line)
