@@ -94,7 +94,7 @@ golden:
 # testdata/fuzz/ replay in every plain `go test` run regardless).
 FUZZTIME ?= 10s
 fuzz:
-	for t in FuzzCSRFromTriplets FuzzNewCSRValidation FuzzReadMatrixMarket; do \
+	for t in FuzzCSRFromTriplets FuzzNewCSRValidation FuzzSELLFromCSR FuzzReadMatrixMarket; do \
 		$(GO) test -run='^$$' -fuzz="^$$t\$$" -fuzztime=$(FUZZTIME) ./internal/sparse || exit 1; done
 	for t in FuzzPartition FuzzGenerateRows; do \
 		$(GO) test -run='^$$' -fuzz="^$$t\$$" -fuzztime=$(FUZZTIME) ./internal/mesh || exit 1; done

@@ -9,8 +9,8 @@
 //	lisi-bench -sweep -corpus testdata/corpus -sweep-out report.json
 //
 // -sweep runs the workload-corpus accuracy/efficiency sweep instead of
-// the paper experiments: {backend × preconditioner × format × problem
-// family} with true-residual accuracy columns. The complete table is
+// the paper experiments: {backend × preconditioner × problem family}
+// with true-residual accuracy columns. The complete table is
 // always printed and the JSON/Markdown reports always written; if any
 // cell failed to converge the process then exits with the distinct
 // status 3 — a typed failure, never a silently partial table.
@@ -43,7 +43,6 @@ import (
 	"repro/internal/comm"
 	"repro/internal/fault"
 	"repro/internal/mesh"
-	"repro/internal/sparse"
 	"repro/internal/telemetry"
 )
 
@@ -66,7 +65,6 @@ func main() {
 	stat := flag.String("stat", "median", "aggregate repeated runs with \"median\" (robust) or \"mean\" (as the paper)")
 	timeout := flag.Duration("timeout", 0, "overall campaign deadline (0 = none); expiry exits with status 124")
 	workers := flag.Int("workers", 1, "intra-rank worker-pool size for the CCA measurements (results are bitwise-identical for any count)")
-	format := flag.String("format", "", "local SpMV storage format for the CCA measurements: auto, csr, msr, sell, or bcsr (empty = csr)")
 	telemetryOut := flag.String("telemetry", "", "write instrumented per-phase solve reports to this JSON file")
 	faultSpec := flag.String("fault-spec", "",
 		"arm this deterministic fault-injection schedule on every measurement world "+
@@ -120,13 +118,6 @@ func main() {
 		// no intra-rank pool — another port-vocabulary difference).
 		params["workers"] = strconv.Itoa(*workers)
 	}
-	if *format != "" {
-		if _, err := sparse.ParseFormatChoice(*format); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		params["format"] = *format
-	}
 
 	// SIGINT and -timeout both cancel the campaign context; the harness
 	// returns whatever it completed so far plus the cancellation cause.
@@ -139,7 +130,7 @@ func main() {
 	}
 
 	if *sweep {
-		runSweep(ctx, *corpus, *procs, *workers, *format, *sweepTol, *sweepMaxIts, *sweepOut, *sweepMD)
+		runSweep(ctx, *corpus, *procs, *workers, *sweepTol, *sweepMaxIts, *sweepOut, *sweepMD)
 		return
 	}
 
@@ -232,7 +223,7 @@ func main() {
 // with the appropriate status: 0 when every cell converged, 3 when any
 // cell failed (after the complete table and reports are out), 124/130
 // on cancellation.
-func runSweep(ctx context.Context, corpusDir string, procs, workers int, format string, tol float64, maxIts int, outJSON, outMD string) {
+func runSweep(ctx context.Context, corpusDir string, procs, workers int, tol float64, maxIts int, outJSON, outMD string) {
 	families, err := bench.CorpusFamilies(corpusDir)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
@@ -245,11 +236,8 @@ func runSweep(ctx context.Context, corpusDir string, procs, workers int, format 
 		cfg.Procs = procs
 	}
 	cfg.Workers = workers
-	if format != "" {
-		cfg.Formats = []string{format}
-	}
-	fmt.Printf("== Workload sweep: %d families, procs=%d, workers=%d, formats=%s, tol=%g, maxits=%d ==\n",
-		len(families), cfg.Procs, cfg.Workers, strings.Join(cfg.Formats, ","), cfg.Tol, cfg.MaxIts)
+	fmt.Printf("== Workload sweep: %d families, procs=%d, workers=%d, tol=%g, maxits=%d ==\n",
+		len(families), cfg.Procs, cfg.Workers, cfg.Tol, cfg.MaxIts)
 	report, runErr := bench.RunSweep(ctx, families, cfg)
 
 	// The table and reports are emitted unconditionally — a failing

@@ -31,7 +31,6 @@ func main() {
 		maxProcs   = flag.Int("max-procs", 8, "largest world size a request may ask for")
 		workers    = flag.Int("workers", 1, "default intra-rank worker-pool size for requests that omit workers")
 		maxWorkers = flag.Int("max-workers", 16, "largest intra-rank worker count a request may ask for")
-		format     = flag.String("format", "", "default SpMV storage format for requests that omit format: auto, csr, msr, sell, or bcsr (empty = csr)")
 		sessions   = flag.Int("max-sessions", 64, "pooled session cap (LRU-evicted beyond it)")
 		queue      = flag.Int("queue-depth", 32, "per-session queue depth before queue_full shedding")
 		pending    = flag.Int("max-pending", 1024, "server-wide pending request cap before overloaded shedding")
@@ -61,7 +60,6 @@ func main() {
 		MaxProcs:             *maxProcs,
 		DefaultWorkers:       *workers,
 		MaxWorkers:           *maxWorkers,
-		DefaultFormat:        *format,
 		MaxSessions:          *sessions,
 		QueueDepth:           *queue,
 		MaxPending:           *pending,

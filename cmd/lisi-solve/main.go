@@ -71,7 +71,6 @@ func main() {
 		fmt.Sprintf("solver backend: one of %s", strings.Join(core.Names(), ", ")))
 	procs := flag.Int("procs", 2, "simulated processor count")
 	workers := flag.Int("workers", 1, "intra-rank worker-pool size for the backend's kernels (results are bitwise-identical for any count)")
-	format := flag.String("format", "", "local SpMV storage format: auto, csr, msr, sell, or bcsr (empty = csr; results are bitwise-identical for every format)")
 	timeout := flag.Duration("timeout", 0, "per-solve deadline (0 = none); expiry exits with status 124")
 	params := setFlags{}
 	flag.Var(params, "set", "LISI parameter key=value (repeatable)")
@@ -171,7 +170,6 @@ func main() {
 			SolveTimeout: *timeout,
 			Params:       params,
 			Workers:      *workers,
-			Format:       *format,
 			Failover:     failoverChain,
 			MaxAttempts:  *maxAttempts,
 		})

@@ -33,7 +33,7 @@ import (
 //     steady-state 0-alloc contract runs through on every product, so
 //     any make() or self-append growth anywhere in them (not just in a
 //     loop) is reported. Scratch must be bound once at conversion or
-//     Bind time (the SELL/BCSR `acc` fields and ParSpMV slot scratch).
+//     Bind time (the SELL `acc` field and ParSpMV slot scratch).
 //
 //   - Converter loops — loops inside the CSR→X converters (functions
 //     named *FromCSR) — must not make() per iteration: converters run
@@ -135,7 +135,7 @@ func reportKernelAllocs(pass *Pass, body *ast.BlockStmt, method string) {
 			if isBuiltinCall(info, s, "make") {
 				pass.Report(s.Pos(),
 					"make() inside per-product kernel "+method+" allocates on every product",
-					"bind the scratch once at conversion or Bind time (like the SELL/BCSR acc fields), or suppress with //lisi:ignore hotalloc <reason>")
+					"bind the scratch once at conversion or Bind time (like the SELL acc field), or suppress with //lisi:ignore hotalloc <reason>")
 			}
 		case *ast.AssignStmt:
 			for i, rhs := range s.Rhs {

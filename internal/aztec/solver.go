@@ -59,17 +59,6 @@ func (s *Solver) SetPool(p *par.Pool) {
 	}
 }
 
-// SetFormat selects the local SpMV storage format for the assembled
-// matrix's distributed product (no-op for matrix-free operators).
-// Cached on (choice, pool) inside the matrix; the bool reports whether
-// a (re)bind happened. Call after SetMatrix and SetPool.
-func (s *Solver) SetFormat(fc sparse.FormatChoice) (pmat.FormatInfo, bool) {
-	if cm, ok := s.rm.(*CrsMatrix); ok && cm != nil && cm.Dist() != nil {
-		return cm.Dist().SetFormat(fc)
-	}
-	return pmat.FormatInfo{}, false
-}
-
 // lDot and lNorm2 are the local halves of the global reductions: the
 // pooled fixed-slot fold when a pool is attached (bitwise-identical
 // for every worker count), exactly sparse.Dot / sparse.Norm2 without

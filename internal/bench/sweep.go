@@ -19,10 +19,10 @@ import (
 	"repro/internal/telemetry"
 )
 
-// The sweep harness runs {backend × preconditioner × format × problem
-// family} over the workload corpus and reports accuracy metrics — the
-// true relative residual recomputed from A/x/b, not just the solver's
-// own claim — alongside wall time, in the style of the paper's
+// The sweep harness runs {backend × preconditioner × problem family}
+// over the workload corpus and reports accuracy metrics — the true
+// relative residual recomputed from A/x/b, not just the solver's own
+// claim — alongside wall time, in the style of the paper's
 // Figure 5 / Table 1 artifacts extended to structurally diverse
 // operators (ROADMAP item 4).
 
@@ -135,11 +135,10 @@ func CorpusFamilies(dir string) ([]SweepFamily, error) {
 
 // SweepConfig controls one sweep run.
 type SweepConfig struct {
-	Procs   int      // simulated ranks per cell (mg cells snap to a grid-aligned count)
-	Workers int      // intra-rank worker-pool size
-	Formats []string // SpMV format axis, e.g. ["csr", "auto"]
-	Tol     float64  // convergence tolerance passed to every backend
-	MaxIts  int      // iteration cap (mapped to "cycles" for mg)
+	Procs   int     // simulated ranks per cell (mg cells snap to a grid-aligned count)
+	Workers int     // intra-rank worker-pool size
+	Tol     float64 // convergence tolerance passed to every backend
+	MaxIts  int     // iteration cap (mapped to "cycles" for mg)
 }
 
 // DefaultSweepConfig returns the corpus smoke configuration.
@@ -147,18 +146,16 @@ func DefaultSweepConfig() SweepConfig {
 	return SweepConfig{
 		Procs:   3,
 		Workers: 1,
-		Formats: []string{"csr", "auto"},
 		Tol:     1e-8,
 		MaxIts:  2000,
 	}
 }
 
-// SweepCell is one {family × backend × preconditioner × format} run.
+// SweepCell is one {family × backend × preconditioner} run.
 type SweepCell struct {
 	Family  string `json:"family"`
 	Backend string `json:"backend"`
 	Precond string `json:"preconditioner"`
-	Format  string `json:"format"`
 	Procs   int    `json:"procs"`
 	Workers int    `json:"workers"`
 	N       int    `json:"n"`
@@ -176,14 +173,15 @@ type SweepCell struct {
 	ReportedResidual float64 `json:"reported_residual"`
 	TrueResidual     float64 `json:"true_residual"`
 	RelativeResidual float64 `json:"relative_residual"`
-	// ChosenFormat is the probe's pick when Format is "auto" (from the
-	// sparse.format telemetry label), else the requested format.
+	// ChosenFormat is the SpMV kernel the format rule bound (the
+	// sparse.format telemetry label); empty for the direct solver,
+	// which has no distributed product.
 	ChosenFormat string `json:"chosen_format"`
 }
 
 // ID names a cell in failure lists and logs.
 func (c SweepCell) ID() string {
-	return fmt.Sprintf("%s/%s/%s/%s", c.Family, c.Backend, c.Precond, c.Format)
+	return fmt.Sprintf("%s/%s/%s", c.Family, c.Backend, c.Precond)
 }
 
 // SweepFamilyInfo summarizes one family in the report.
@@ -228,8 +226,7 @@ type sweepMethod struct {
 
 // sweepMethods returns the preconditioner axis for a backend. Every
 // parameter set stays inside the backend's validated vocabulary —
-// Session.OpenSession rejects unknown keys for anything but
-// workers/format.
+// Session.OpenSession rejects unknown keys for anything but workers.
 func sweepMethods(backend string, family SweepFamily, cfg SweepConfig) []sweepMethod {
 	tol := strconv.FormatFloat(cfg.Tol, 'g', -1, 64)
 	its := strconv.Itoa(cfg.MaxIts)
@@ -283,9 +280,6 @@ func cellProcs(backend string, family SweepFamily, procs int) int {
 // cancellation) abort the sweep, returning the cells completed so far
 // alongside the error.
 func RunSweep(ctx context.Context, families []SweepFamily, cfg SweepConfig) (*SweepReport, error) {
-	if len(cfg.Formats) == 0 {
-		cfg.Formats = []string{"csr"}
-	}
 	if cfg.Procs < 1 {
 		cfg.Procs = 1
 	}
@@ -305,16 +299,14 @@ func RunSweep(ctx context.Context, families []SweepFamily, cfg SweepConfig) (*Sw
 	for _, fam := range families {
 		for _, backend := range fam.Backends {
 			for _, method := range sweepMethods(backend, fam, cfg) {
-				for _, format := range cfg.Formats {
-					if err := ctx.Err(); err != nil {
-						return report, err
-					}
-					cell, err := runSweepCell(ctx, fam, backend, method, format, cfg)
-					if err != nil {
-						return report, fmt.Errorf("bench: sweep %s: %w", cell.ID(), err)
-					}
-					report.Cells = append(report.Cells, cell)
+				if err := ctx.Err(); err != nil {
+					return report, err
 				}
+				cell, err := runSweepCell(ctx, fam, backend, method, cfg)
+				if err != nil {
+					return report, fmt.Errorf("bench: sweep %s: %w", cell.ID(), err)
+				}
+				report.Cells = append(report.Cells, cell)
 			}
 		}
 	}
@@ -324,13 +316,12 @@ func RunSweep(ctx context.Context, families []SweepFamily, cfg SweepConfig) (*Sw
 // runSweepCell solves one cell on a fresh world. Solver-level failures
 // (non-convergence, typed breakdowns) land in the cell; the returned
 // error is reserved for infrastructure problems.
-func runSweepCell(ctx context.Context, fam SweepFamily, backend string, method sweepMethod, format string, cfg SweepConfig) (SweepCell, error) {
+func runSweepCell(ctx context.Context, fam SweepFamily, backend string, method sweepMethod, cfg SweepConfig) (SweepCell, error) {
 	procs := cellProcs(backend, fam, cfg.Procs)
 	cell := SweepCell{
 		Family:  fam.Name,
 		Backend: backend,
 		Precond: method.precond,
-		Format:  format,
 		Procs:   procs,
 		Workers: cfg.Workers,
 		N:       fam.Matrix.Rows,
@@ -359,7 +350,6 @@ func runSweepCell(ctx context.Context, fam SweepFamily, backend string, method s
 			Recorder: rec,
 			Params:   method.params,
 			Workers:  cfg.Workers,
-			Format:   format,
 		})
 		if err != nil {
 			if c.Rank() == 0 {
@@ -403,11 +393,8 @@ func runSweepCell(ctx context.Context, fam SweepFamily, backend string, method s
 			if solveErr != nil && !res.Converged {
 				cell.Error = solveErr.Error()
 			}
-			cell.ChosenFormat = format
 			if rep := rec.Report(backend); rep != nil {
-				if chosen, ok := rep.Labels["sparse.format"]; ok {
-					cell.ChosenFormat = strings.ToLower(chosen)
-				}
+				cell.ChosenFormat = strings.ToLower(rep.Labels["sparse.format"])
 			}
 		}
 	})
@@ -450,8 +437,8 @@ func FormatSweepMarkdown(r *SweepReport) string {
 	}
 	for _, fam := range r.Families {
 		fmt.Fprintf(&sb, "## %s (%s, n=%d, nnz=%d)\n\n", fam.Name, fam.Kind, fam.N, fam.NNZ)
-		sb.WriteString("| backend | precond | format | chosen | procs | iters | wall (s) | reported resid | true resid | rel resid | ok |\n")
-		sb.WriteString("|---|---|---|---|---|---|---|---|---|---|---|\n")
+		sb.WriteString("| backend | precond | chosen | procs | iters | wall (s) | reported resid | true resid | rel resid | ok |\n")
+		sb.WriteString("|---|---|---|---|---|---|---|---|---|---|\n")
 		for _, c := range r.Cells {
 			if c.Family != fam.Name {
 				continue
@@ -463,8 +450,8 @@ func FormatSweepMarkdown(r *SweepReport) string {
 					ok += " (" + c.FailReason + ")"
 				}
 			}
-			fmt.Fprintf(&sb, "| %s | %s | %s | %s | %d | %d | %.4g | %.3e | %.3e | %.3e | %s |\n",
-				c.Backend, c.Precond, c.Format, c.ChosenFormat, c.Procs, c.Iterations,
+			fmt.Fprintf(&sb, "| %s | %s | %s | %d | %d | %.4g | %.3e | %.3e | %.3e | %s |\n",
+				c.Backend, c.Precond, c.ChosenFormat, c.Procs, c.Iterations,
 				c.WallSeconds, c.ReportedResidual, c.TrueResidual, c.RelativeResidual, ok)
 		}
 		sb.WriteString("\n")

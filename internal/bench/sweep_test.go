@@ -9,11 +9,10 @@ import (
 	"repro/internal/mesh"
 )
 
-// sweepTestConfig keeps in-process sweep tests fast: one format, small
-// iteration budget.
+// sweepTestConfig keeps in-process sweep tests fast: a small iteration
+// budget.
 func sweepTestConfig() SweepConfig {
 	cfg := DefaultSweepConfig()
-	cfg.Formats = []string{"csr"}
 	cfg.MaxIts = 500
 	return cfg
 }
@@ -48,7 +47,7 @@ func TestSweepReportSchema(t *testing.T) {
 		t.Fatalf("%d families, want 3", len(report.Families))
 	}
 	// stencil: petsc(2)+trilinos(2)+superlu(1)+mg(1) = 6 cells;
-	// fem/mm: 5 cells each (no mg). One format.
+	// fem/mm: 5 cells each (no mg).
 	if want := 6 + 5 + 5; len(report.Cells) != want {
 		t.Fatalf("%d cells, want %d", len(report.Cells), want)
 	}
@@ -58,8 +57,15 @@ func TestSweepReportSchema(t *testing.T) {
 		if c.N <= 0 || c.NNZ <= 0 {
 			t.Fatalf("%s: empty dimensions", c.ID())
 		}
-		if c.ChosenFormat == "" {
-			t.Fatalf("%s: no chosen format", c.ID())
+		// Every interior block here stores several entries per row, so
+		// the format rule binds SELL; the direct solver has no
+		// distributed product to bind.
+		wantFormat := "sell"
+		if c.Backend == "superlu" {
+			wantFormat = ""
+		}
+		if c.ChosenFormat != wantFormat {
+			t.Fatalf("%s: chosen format %q, want %q", c.ID(), c.ChosenFormat, wantFormat)
 		}
 		if !c.Converged {
 			t.Fatalf("%s: did not converge: %s %s", c.ID(), c.FailReason, c.Error)
@@ -96,7 +102,7 @@ func TestSweepReportSchema(t *testing.T) {
 	}
 	cell := decoded["cells"].([]any)[0].(map[string]any)
 	for _, key := range []string{
-		"family", "backend", "preconditioner", "format", "procs", "workers", "n", "nnz",
+		"family", "backend", "preconditioner", "procs", "workers", "n", "nnz",
 		"converged", "iterations", "wall_seconds",
 		"reported_residual", "true_residual", "relative_residual", "chosen_format",
 	} {

@@ -47,6 +47,11 @@ type baseAdapter struct {
 	params map[string]string
 	mf     MatrixFree
 
+	// checkParam validates a (key, value) pair against the embedding
+	// backend's own parameter vocabulary; Set calls it for every key
+	// but the cross-cutting ones it validates itself.
+	checkParam func(key, value string) int
+
 	// cfgVer is bumped whenever the parameter store or the MatrixFree
 	// port changes; components key their cached, configured backend
 	// solver objects on it so a steady-state Solve reuses the solver
@@ -85,9 +90,10 @@ type baseAdapter struct {
 // (the default) disables instrumentation at one nil check per event.
 func (b *baseAdapter) SetRecorder(r *telemetry.Recorder) { b.rec = r }
 
-func newBaseAdapter(name string) baseAdapter {
+func newBaseAdapter(name string, checkParam func(key, value string) int) baseAdapter {
 	return baseAdapter{
 		name:       name,
+		checkParam: checkParam,
 		blockSize:  1,
 		startRow:   -1,
 		localRows:  -1,
@@ -400,9 +406,35 @@ func (b *baseAdapter) SetupRHS(rightHandSide []float64, numLocalRow, nRhs int) i
 
 // ---- generic parameters (§6.5) ----
 
-func (b *baseAdapter) storeParam(key, value string) {
+// Set validates and stores a generic parameter (§6.5): "workers", the
+// one key every backend shares, here, and everything else against the
+// backend's own vocabulary.
+func (b *baseAdapter) Set(key, value string) int {
+	if key == "workers" {
+		if v, err := strconv.Atoi(value); err != nil || v < 1 {
+			return ErrBadArg
+		}
+	} else if code := b.checkParam(key, value); code != OK {
+		return code
+	}
 	b.params[key] = value
 	b.cfgVer++
+	return OK
+}
+
+// SetInt routes through Set so validation is uniform.
+func (b *baseAdapter) SetInt(key string, value int) int {
+	return b.Set(key, strconv.Itoa(value))
+}
+
+// SetBool routes through Set.
+func (b *baseAdapter) SetBool(key string, value bool) int {
+	return b.Set(key, strconv.FormatBool(value))
+}
+
+// SetDouble routes through Set.
+func (b *baseAdapter) SetDouble(key string, value float64) int {
+	return b.Set(key, strconv.FormatFloat(value, 'g', -1, 64))
 }
 
 // getAll renders the parameter store plus identification, sorted for
@@ -436,47 +468,11 @@ func (b *baseAdapter) SetMatrixFree(mf MatrixFree) int {
 	return OK
 }
 
-// validWorkers reports whether value is an acceptable "workers"
-// parameter: a positive integer worker count.
-func validWorkers(value string) bool {
-	v, err := strconv.Atoi(value)
-	return err == nil && v >= 1
-}
-
-// validFormat reports whether value is an acceptable "format"
-// parameter (auto, csr, msr, sell, bcsr).
-func validFormat(value string) bool {
-	_, err := sparse.ParseFormatChoice(value)
-	return err == nil
-}
-
-// formatChoice returns the SpMV format selection from the "format"
-// parameter; absent (or anything unparseable, which Set rejects
-// anyway) means the legacy CSR path.
-func (b *baseAdapter) formatChoice() sparse.FormatChoice {
-	v, ok := b.params["format"]
-	if !ok {
-		return sparse.ChoiceCSR
-	}
-	fc, err := sparse.ParseFormatChoice(v)
-	if err != nil {
-		return sparse.ChoiceCSR
-	}
-	return fc
-}
-
-// recordFormat feeds a format (re)binding into telemetry: the bound
-// interior format as the sparse.format label and the autotuning probe's
-// cost as sparse.probe_ns. It only fires when a rebind actually
-// happened, so the steady-state Solve path stays allocation-free.
-func (b *baseAdapter) recordFormat(info pmat.FormatInfo, changed bool) {
-	if !changed {
-		return
-	}
-	b.rec.SetLabel("sparse.format", info.Interior.String())
-	if info.ProbeNS > 0 {
-		b.rec.Add("sparse.probe_ns", info.ProbeNS)
-	}
+// recordFormat labels the solve with the kernel the format rule bound
+// to the operator's interior block, so a report can explain its SpMV.
+// Call after SetPool, which binds.
+func (b *baseAdapter) recordFormat(m *pmat.Mat) {
+	b.rec.SetLabel("sparse.format", m.Format().Interior.String())
 }
 
 // workerPool returns the intra-rank pool matching the "workers"

@@ -39,7 +39,7 @@ var _ cca.Component = (*AztecComponent)(nil)
 // NewAztecComponent returns an unconfigured component (CCA class
 // ClassAztecSolver).
 func NewAztecComponent() *AztecComponent {
-	return &AztecComponent{baseAdapter: newBaseAdapter("lisi.solver.aztec")}
+	return &AztecComponent{baseAdapter: newBaseAdapter("lisi.solver.aztec", checkAztecParam)}
 }
 
 // SetServices implements cca.Component.
@@ -78,8 +78,8 @@ var aztecConvNames = map[string]int{
 	"anorm": aztec.AZAnorm,
 }
 
-// Set validates and stores a generic parameter (§6.5).
-func (ac *AztecComponent) Set(key, value string) int {
+// checkAztecParam validates a parameter of the aztec vocabulary (§6.5).
+func checkAztecParam(key, value string) int {
 	switch key {
 	case "solver":
 		if _, ok := aztecSolverNames[value]; !ok {
@@ -117,34 +117,10 @@ func (ac *AztecComponent) Set(key, value string) int {
 		if v, err := strconv.Atoi(value); err != nil || v < 0 {
 			return ErrBadArg
 		}
-	case "workers":
-		if !validWorkers(value) {
-			return ErrBadArg
-		}
-	case "format":
-		if !validFormat(value) {
-			return ErrBadArg
-		}
 	default:
 		return ErrUnknownKey
 	}
-	ac.storeParam(key, value)
 	return OK
-}
-
-// SetInt routes through Set so validation is uniform.
-func (ac *AztecComponent) SetInt(key string, value int) int {
-	return ac.Set(key, strconv.Itoa(value))
-}
-
-// SetBool routes through Set.
-func (ac *AztecComponent) SetBool(key string, value bool) int {
-	return ac.Set(key, strconv.FormatBool(value))
-}
-
-// SetDouble routes through Set.
-func (ac *AztecComponent) SetDouble(key string, value float64) int {
-	return ac.Set(key, strconv.FormatFloat(value, 'g', -1, 64))
 }
 
 // GetAll reports the configuration (§7.2).
@@ -258,7 +234,9 @@ func (ac *AztecComponent) Solve(solution []float64, status []float64, numLocalRo
 	}
 	s.SetRecorder(ac.rec)
 	s.SetPool(ac.workerPool())
-	ac.recordFormat(s.SetFormat(ac.formatChoice()))
+	if ac.mf == nil {
+		ac.recordFormat(ac.crs.Dist())
+	}
 
 	totalIts := 0
 	lastNorm := 0.0

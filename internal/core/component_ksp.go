@@ -35,7 +35,7 @@ var _ cca.Component = (*KSPComponent)(nil)
 // NewKSPComponent returns an unconfigured component (CCA class
 // ClassKSPSolver).
 func NewKSPComponent() *KSPComponent {
-	return &KSPComponent{baseAdapter: newBaseAdapter("lisi.solver.ksp")}
+	return &KSPComponent{baseAdapter: newBaseAdapter("lisi.solver.ksp", checkKSPParam)}
 }
 
 // SetServices implements cca.Component.
@@ -64,8 +64,8 @@ var kspPCNames = map[string]string{
 	"ilu":     ksp.PCILU,
 }
 
-// Set validates and stores a generic parameter (§6.5).
-func (kc *KSPComponent) Set(key, value string) int {
+// checkKSPParam validates a parameter of the ksp vocabulary (§6.5).
+func checkKSPParam(key, value string) int {
 	switch key {
 	case "solver":
 		if _, ok := kspSolverNames[value]; !ok {
@@ -91,36 +91,10 @@ func (kc *KSPComponent) Set(key, value string) int {
 		if _, err := strconv.ParseBool(value); err != nil {
 			return ErrBadArg
 		}
-	case "workers":
-		if !validWorkers(value) {
-			return ErrBadArg
-		}
-	case "format":
-		if !validFormat(value) {
-			return ErrBadArg
-		}
 	default:
 		return ErrUnknownKey
 	}
-	kc.storeParam(key, value)
 	return OK
-}
-
-func (kc *KSPComponent) setChecked(key, value string) int { return kc.Set(key, value) }
-
-// SetInt routes through Set so validation is uniform.
-func (kc *KSPComponent) SetInt(key string, value int) int {
-	return kc.Set(key, strconv.Itoa(value))
-}
-
-// SetBool routes through Set.
-func (kc *KSPComponent) SetBool(key string, value bool) int {
-	return kc.Set(key, strconv.FormatBool(value))
-}
-
-// SetDouble routes through Set.
-func (kc *KSPComponent) SetDouble(key string, value float64) int {
-	return kc.Set(key, strconv.FormatFloat(value, 'g', -1, 64))
 }
 
 // GetAll reports the configuration (§7.2).
@@ -247,7 +221,9 @@ func (kc *KSPComponent) Solve(solution []float64, status []float64, numLocalRow,
 	k.SetOperators(kc.op)
 	k.SetRecorder(kc.rec)
 	k.SetPool(kc.workerPool())
-	kc.recordFormat(k.SetFormat(kc.formatChoice()))
+	if pm := kc.op.Assembled(); pm != nil {
+		kc.recordFormat(pm)
+	}
 
 	totalIts := 0
 	lastNorm := 0.0

@@ -47,7 +47,7 @@ var _ cca.Component = (*MGComponent)(nil)
 // NewMGComponent returns an unconfigured component (CCA class
 // ClassMGSolver).
 func NewMGComponent() *MGComponent {
-	return &MGComponent{baseAdapter: newBaseAdapter("lisi.solver.mg")}
+	return &MGComponent{baseAdapter: newBaseAdapter("lisi.solver.mg", checkMGParam)}
 }
 
 // SetServices implements cca.Component.
@@ -55,8 +55,8 @@ func (mc *MGComponent) SetServices(svc cca.Services) error {
 	return mc.baseAdapter.setServices(svc, mc)
 }
 
-// Set validates and stores a generic parameter.
-func (mc *MGComponent) Set(key, value string) int {
+// checkMGParam validates a parameter of the multigrid vocabulary.
+func checkMGParam(key, value string) int {
 	switch key {
 	case "grid_n":
 		if v, err := strconv.Atoi(value); err != nil || v < 3 || v%2 == 0 {
@@ -78,34 +78,10 @@ func (mc *MGComponent) Set(key, value string) int {
 		if _, err := strconv.ParseBool(value); err != nil {
 			return ErrBadArg
 		}
-	case "workers":
-		if !validWorkers(value) {
-			return ErrBadArg
-		}
-	case "format":
-		if !validFormat(value) {
-			return ErrBadArg
-		}
 	default:
 		return ErrUnknownKey
 	}
-	mc.storeParam(key, value)
 	return OK
-}
-
-// SetInt routes through Set so validation is uniform.
-func (mc *MGComponent) SetInt(key string, value int) int {
-	return mc.Set(key, strconv.Itoa(value))
-}
-
-// SetBool routes through Set.
-func (mc *MGComponent) SetBool(key string, value bool) int {
-	return mc.Set(key, strconv.FormatBool(value))
-}
-
-// SetDouble routes through Set.
-func (mc *MGComponent) SetDouble(key string, value float64) int {
-	return mc.Set(key, strconv.FormatFloat(value, 'g', -1, 64))
 }
 
 // GetAll reports the configuration.
@@ -238,7 +214,7 @@ func (mc *MGComponent) Solve(solution []float64, status []float64, numLocalRow, 
 	}
 	mc.solver.SetRecorder(mc.rec)
 	mc.solver.SetPool(mc.workerPool())
-	mc.recordFormat(mc.solver.SetFormat(mc.formatChoice()))
+	mc.recordFormat(mc.solver.FineOperator())
 
 	totalCycles := 0
 	lastNorm := 0.0

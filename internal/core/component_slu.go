@@ -34,7 +34,7 @@ var _ cca.Component = (*SLUComponent)(nil)
 // NewSLUComponent returns an unconfigured component (CCA class
 // ClassSLUSolver).
 func NewSLUComponent() *SLUComponent {
-	return &SLUComponent{baseAdapter: newBaseAdapter("lisi.solver.superlu")}
+	return &SLUComponent{baseAdapter: newBaseAdapter("lisi.solver.superlu", checkSLUParam)}
 }
 
 // SetServices implements cca.Component.
@@ -49,8 +49,8 @@ var ignoredIterativeKeys = map[string]bool{
 	"maxits": true, "restart": true,
 }
 
-// Set validates and stores a generic parameter.
-func (sc *SLUComponent) Set(key, value string) int {
+// checkSLUParam validates a parameter of the direct solver's vocabulary.
+func checkSLUParam(key, value string) int {
 	switch {
 	case key == "ordering":
 		if _, err := slu.OrderingFromName(value); err != nil {
@@ -68,38 +68,12 @@ func (sc *SLUComponent) Set(key, value string) int {
 		if v, err := strconv.Atoi(value); err != nil || v < 0 {
 			return ErrBadArg
 		}
-	case key == "workers":
-		if !validWorkers(value) {
-			return ErrBadArg
-		}
-	case key == "format":
-		// Accepted for seamless component swapping; the direct solver
-		// factors at setup, so no SpMV kernel survives to re-format.
-		if !validFormat(value) {
-			return ErrBadArg
-		}
 	case ignoredIterativeKeys[key]:
-		// Tolerated for seamless component swapping; recorded below.
+		// Tolerated for seamless component swapping; GetAll reports them.
 	default:
 		return ErrUnknownKey
 	}
-	sc.storeParam(key, value)
 	return OK
-}
-
-// SetInt routes through Set so validation is uniform.
-func (sc *SLUComponent) SetInt(key string, value int) int {
-	return sc.Set(key, strconv.Itoa(value))
-}
-
-// SetBool routes through Set.
-func (sc *SLUComponent) SetBool(key string, value bool) int {
-	return sc.Set(key, strconv.FormatBool(value))
-}
-
-// SetDouble routes through Set.
-func (sc *SLUComponent) SetDouble(key string, value float64) int {
-	return sc.Set(key, strconv.FormatFloat(value, 'g', -1, 64))
 }
 
 // GetAll reports the configuration.
@@ -157,7 +131,7 @@ func (sc *SLUComponent) Solve(solution []float64, status []float64, numLocalRow,
 	}
 
 	// The factor is a function of the matrix and of slu.Options, so those
-	// two key the rebuild: refine_steps, workers, format and the ignored
+	// two key the rebuild: refine_steps, workers and the ignored
 	// iterative keys change cfgVer but not the options value.
 	if opts := sc.options(); sc.dist == nil || sc.builtVer != sc.matVer || sc.builtOpts != opts {
 		stopSetup := sc.rec.StartPhase(telemetry.PhaseSetup)
@@ -186,7 +160,6 @@ func (sc *SLUComponent) Solve(solution []float64, status []float64, numLocalRow,
 	}
 	sc.dist.SetRecorder(sc.rec)
 	sc.dist.SetPool(sc.workerPool())
-	sc.recordFormat(sc.dist.SetFormat(sc.formatChoice()))
 
 	refineSteps := 0
 	if v, ok := sc.params["refine_steps"]; ok {

@@ -111,7 +111,7 @@ func TestSLUFactorParametersTakeEffect(t *testing.T) {
 		expect("first solve", 1, 1, 0)
 
 		for _, kv := range [][2]string{
-			{"refine_steps", "1"}, {"workers", "2"}, {"format", "csr"},
+			{"refine_steps", "1"}, {"workers", "2"},
 			{"tol", "1e-9"}, {"maxits", "7"}, {"solver", "gmres"},
 			// Spelled differently, same slu.Options value.
 			{"ordering", "amd"}, {"pivot_threshold", "1.0"}, {"equilibrate", "1"},

@@ -85,13 +85,6 @@ func onesFor(a *sparse.CSR) []float64 {
 // requested worker count and returns its trace.
 func solveWithWorkers(t *testing.T, c *comm.Comm, backend string, sys testSystem, params map[string]string, workers int) solveTrace {
 	t.Helper()
-	return solveConfigured(t, c, backend, sys, params, workers, "")
-}
-
-// solveConfigured runs one session solve with the requested worker
-// count and SpMV format selection and returns its trace.
-func solveConfigured(t *testing.T, c *comm.Comm, backend string, sys testSystem, params map[string]string, workers int, format string) solveTrace {
-	t.Helper()
 	a, rhs := sys(t)
 	l, err := pmat.EvenLayout(c, a.Rows)
 	if err != nil {
@@ -101,7 +94,6 @@ func solveConfigured(t *testing.T, c *comm.Comm, backend string, sys testSystem,
 	s, err := OpenSession(backend, c, SessionOptions{
 		Params:   params,
 		Workers:  workers,
-		Format:   format,
 		Recorder: rec,
 	})
 	if err != nil {
@@ -126,8 +118,8 @@ func solveConfigured(t *testing.T, c *comm.Comm, backend string, sys testSystem,
 	return tr
 }
 
-// determinismTable is the backend × operator matrix both bitwise
-// contracts run over. Beyond the model problems it pins one
+// determinismTable is the backend × operator matrix the bitwise
+// contract runs over. Beyond the model problems it pins one
 // FEM-generated and one Matrix-Market-ingested operator: determinism
 // must not depend on where the system came from.
 var determinismTable = []struct {
@@ -182,46 +174,6 @@ func TestSolveBitwiseDeterministicAcrossWorkers(t *testing.T) {
 					for i := range got.x {
 						if got.x[i] != ref.x[i] {
 							t.Fatalf("workers=%d: x[%d] = %x, workers=1 = %x", w, i, got.x[i], ref.x[i])
-						}
-					}
-				}
-			})
-		})
-	}
-}
-
-// TestSolveBitwiseDeterministicAcrossFormats extends the contract to
-// the SpMV format knob: for every backend config, Session.Solve must
-// produce byte-identical residual histories and solution vectors for
-// every format ∈ {csr, auto, msr, sell, bcsr} crossed with serial and
-// pooled execution. This is what lets the autotuner bind whatever wins
-// the probe — per rank, per matrix — without any reproducibility cost.
-func TestSolveBitwiseDeterministicAcrossFormats(t *testing.T) {
-	for _, tc := range determinismTable {
-		t.Run(tc.name, func(t *testing.T) {
-			run(t, 1, func(c *comm.Comm) {
-				ref := solveConfigured(t, c, tc.backend, tc.sys, tc.params, 1, "csr")
-				for _, format := range []string{"auto", "msr", "sell", "bcsr"} {
-					for _, w := range []int{1, 4} {
-						got := solveConfigured(t, c, tc.backend, tc.sys, tc.params, w, format)
-						if len(got.residuals) != len(ref.residuals) {
-							t.Fatalf("format=%s workers=%d: residual history has %d points, reference has %d",
-								format, w, len(got.residuals), len(ref.residuals))
-						}
-						for i := range got.residuals {
-							if math.Float64bits(got.residuals[i].Residual) != math.Float64bits(ref.residuals[i].Residual) ||
-								got.residuals[i].Iteration != ref.residuals[i].Iteration {
-								t.Fatalf("format=%s workers=%d: residual[%d] = (%d, %x), reference = (%d, %x)",
-									format, w, i,
-									got.residuals[i].Iteration, math.Float64bits(got.residuals[i].Residual),
-									ref.residuals[i].Iteration, math.Float64bits(ref.residuals[i].Residual))
-							}
-						}
-						for i := range got.x {
-							if got.x[i] != ref.x[i] {
-								t.Fatalf("format=%s workers=%d: x[%d] = %x, reference = %x",
-									format, w, i, got.x[i], ref.x[i])
-							}
 						}
 					}
 				}

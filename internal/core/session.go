@@ -35,16 +35,6 @@ type SessionOptions struct {
 	// the "workers" parameter ignore the request.
 	Workers int
 
-	// Format requests a local SpMV storage format for the backend's
-	// distributed products: "auto" (probe at setup), "csr" (the legacy
-	// default), "msr", "sell", or "bcsr". Empty defers to the
-	// LISI_FORMAT environment variable and, when that is unset too,
-	// leaves the backend on CSR. Every format is bitwise-identical to
-	// CSR (see docs/PERFORMANCE.md). An explicit Params["format"] wins
-	// over this field. Backends without the "format" parameter ignore
-	// the request.
-	Format string
-
 	// MaxAttempts bounds how many times one Solve call may run the
 	// active backend before giving up (0 and 1 both mean a single
 	// attempt). Only retryable FailReasons (see FailReason.Retryable)
@@ -183,18 +173,6 @@ func OpenSession(backend string, c *comm.Comm, opts SessionOptions) (*Session, e
 			s.opts.Params = p
 		}
 	}
-	// Same folding for the Format request (field, then LISI_FORMAT).
-	if f := resolveFormat(opts.Format); f != "" {
-		if _, dup := opts.Params["format"]; !dup {
-			p := make(map[string]string, len(opts.Params)+1)
-			for k, v := range opts.Params {
-				p[k] = v
-			}
-			p["format"] = f
-			opts.Params = p
-			s.opts.Params = p
-		}
-	}
 	keys := make([]string, 0, len(opts.Params))
 	for k := range opts.Params {
 		keys = append(keys, k)
@@ -202,10 +180,10 @@ func OpenSession(backend string, c *comm.Comm, opts SessionOptions) (*Session, e
 	sort.Strings(keys)
 	for _, k := range keys {
 		if code := solver.Set(k, opts.Params[k]); code != OK {
-			if (k == "workers" || k == "format") && code == ErrUnknownKey {
-				// The backend has no intra-rank parallelism or format
-				// selection (e.g. a registry extension): the request
-				// degrades to the legacy serial/CSR path.
+			if k == "workers" && code == ErrUnknownKey {
+				// The backend has no intra-rank parallelism (e.g. a
+				// registry extension): the request degrades to the
+				// serial path.
 				continue
 			}
 			return nil, fmt.Errorf("core: session set %s=%s: %w", k, opts.Params[k], Check(code))
@@ -628,23 +606,6 @@ func resolveWorkers(w int) int {
 		}
 	}
 	return 0
-}
-
-// resolveFormat turns the SessionOptions.Format field (or, when that is
-// empty, the LISI_FORMAT environment variable) into a format parameter
-// value; "" means "no request". Unparseable values are dropped here —
-// an explicit field typo still surfaces through Set's validation
-// because the raw field value is forwarded when non-empty.
-func resolveFormat(f string) string {
-	if f != "" {
-		return f
-	}
-	if v := os.Getenv("LISI_FORMAT"); v != "" {
-		if _, err := sparse.ParseFormatChoice(v); err == nil {
-			return v
-		}
-	}
-	return ""
 }
 
 // resourceHolder is implemented by components that own releasable

@@ -93,79 +93,6 @@ func TestSessionSolveSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestSessionSolveSteadyStateAllocsFormats re-runs the steady-state
-// allocation gate with the SpMV format knob engaged: once the first
-// Solve has probed (for auto) and bound the format kernels, the
-// per-solve SetFormat call must hit the (choice, pool) cache and later
-// solves must stay under the same budget for every backend × format.
-func TestSessionSolveSteadyStateAllocsFormats(t *testing.T) {
-	for _, tc := range []struct {
-		name      string
-		backend   string
-		gridN     int
-		symmetric bool
-		params    map[string]string
-	}{
-		{"superlu", "superlu", 12, false, map[string]string{"refine_steps": "1"}},
-		{"petsc-cg", "petsc", 12, true, map[string]string{
-			"solver": "cg", "preconditioner": "jacobi", "tol": "1e-8", "maxits": "400"}},
-		{"petsc-gmres", "petsc", 12, false, map[string]string{
-			"solver": "gmres", "preconditioner": "jacobi", "tol": "1e-8", "maxits": "400", "restart": "30"}},
-		{"trilinos-bicgstab", "trilinos", 12, false, map[string]string{
-			"solver": "bicgstab", "preconditioner": "jacobi", "tol": "1e-8"}},
-		{"mg", "mg", 15, false, map[string]string{"grid_n": "15", "tol": "1e-8"}},
-	} {
-		for _, format := range []string{"auto", "msr", "sell", "bcsr"} {
-			t.Run(tc.name+"/"+format, func(t *testing.T) {
-				run(t, 1, func(c *comm.Comm) {
-					p := mesh.PaperProblem(tc.gridN)
-					a, rhs, err := p.GenerateGlobal()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if tc.symmetric {
-						a = sparse.Laplace2D(tc.gridN, tc.gridN)
-						rhs = make([]float64, p.N())
-						for i := range rhs {
-							rhs[i] = 1
-						}
-					}
-					l, err := pmat.EvenLayout(c, p.N())
-					if err != nil {
-						t.Fatal(err)
-					}
-					s, err := OpenSession(tc.backend, c, SessionOptions{Params: tc.params, Format: format})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := s.Setup(l, a); err != nil {
-						t.Fatal(err)
-					}
-					if err := s.SetupRHS(rhs, 1); err != nil {
-						t.Fatal(err)
-					}
-					x := make([]float64, l.LocalN)
-					solve := func() {
-						for j := range x {
-							x[j] = 0
-						}
-						if _, err := s.Solve(context.Background(), x); err != nil {
-							t.Error(err)
-						}
-					}
-					solve()
-					solve()
-					runtime.GC()
-					if avg := testing.AllocsPerRun(5, solve); avg > steadyStateAllocBound {
-						t.Errorf("%s/%s: steady-state Solve allocates %.1f allocs/op, want ≤ %d",
-							tc.name, format, avg, steadyStateAllocBound)
-					}
-				})
-			})
-		}
-	}
-}
-
 // BenchmarkSolveSteadyState measures the steady-state Session.Solve —
 // operator, configured solver, workspaces, and comm pools all warm — for
 // a direct and an iterative backend. scripts/benchguard.sh gates both

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/par"
-	"repro/internal/pmat"
 	"repro/internal/sparse"
 	"repro/internal/telemetry"
 )
@@ -123,18 +122,6 @@ func (k *KSP) SetPool(p *par.Pool) {
 	if pa, ok := k.pc.(poolAware); ok {
 		pa.setPool(p)
 	}
-}
-
-// SetFormat selects the local SpMV storage format for the assembled
-// operator's distributed product (no-op for shell operators). Cached on
-// (choice, pool) inside the matrix, so calling every solve is free in
-// steady state; the bool reports whether a (re)bind happened. Call
-// after SetOperators and SetPool.
-func (k *KSP) SetFormat(fc sparse.FormatChoice) (pmat.FormatInfo, bool) {
-	if k.a != nil && k.a.pm != nil {
-		return k.a.pm.SetFormat(fc)
-	}
-	return pmat.FormatInfo{}, false
 }
 
 // New creates a KSP with PETSc-like defaults: GMRES(30) with block-ILU

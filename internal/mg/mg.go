@@ -129,37 +129,6 @@ func (s *Solver) SetPool(p *par.Pool) {
 	}
 }
 
-// SetFormat selects the local SpMV storage format for every level's
-// operator and transfer products. Each matrix decides (and, for auto,
-// probes) independently — coarse levels and the rectangular transfer
-// operators typically fall back to CSR via the probe's small-matrix
-// heuristic. The returned info is the fine-level operator's binding
-// with the probe cost summed over all levels; the bool reports whether
-// any matrix (re)bound.
-func (s *Solver) SetFormat(fc sparse.FormatChoice) (pmat.FormatInfo, bool) {
-	var fine pmat.FormatInfo
-	var probeNS int64
-	probed, changed := false, false
-	for li, lvl := range s.levels {
-		mats := []*pmat.Mat{lvl.a, lvl.restrict, lvl.prolong}
-		for mi, m := range mats {
-			if m == nil {
-				continue
-			}
-			info, ch := m.SetFormat(fc)
-			changed = changed || ch
-			probeNS += info.ProbeNS
-			probed = probed || info.Probed
-			if li == 0 && mi == 0 {
-				fine = info
-			}
-		}
-	}
-	fine.ProbeNS = probeNS
-	fine.Probed = probed
-	return fine, changed
-}
-
 // jacobiTask is one damped-Jacobi update x ← x + ω·D⁻¹(b − A·x) with the
 // residual A·x already in r; each index is written by exactly one slot.
 type jacobiTask struct {
@@ -374,6 +343,9 @@ func (s *Solver) Cycles() int { return s.cycles }
 
 // ResidualNorm returns the final residual 2-norm of the last Solve.
 func (s *Solver) ResidualNorm() float64 { return s.rnorm }
+
+// FineOperator returns the finest level's distributed operator.
+func (s *Solver) FineOperator() *pmat.Mat { return s.levels[0].a }
 
 // FineLayout returns the distribution of the finest level.
 func (s *Solver) FineLayout() *pmat.Layout { return s.levels[0].layout }

@@ -34,7 +34,9 @@ type Mat struct {
 	// interior and boundary split local by column ownership so Apply can
 	// overlap the ghost exchange with the interior product: interior
 	// holds the entries whose columns this rank owns, boundary the
-	// entries referencing ghost columns (reindexed to [0, G)).
+	// entries referencing ghost columns (reindexed to [0, G)). interior
+	// is dropped once a SELL kernel has replaced it: only rebind reads
+	// it, and splits it off local again if a pool change needs it.
 	interior *sparse.CSR
 	boundary *sparse.CSR
 
@@ -61,72 +63,68 @@ type Mat struct {
 
 	// pool is the intra-rank worker pool for the row-parallel products
 	// (nil = serial). intSpMV/bndSpMV are the persistent kernels bound
-	// to interior and boundary — in whatever storage format the
-	// "format" selection below picked — so Apply allocates nothing;
-	// unit partitioning keeps every product bitwise-identical to the
-	// serial CSR path for any format and worker count.
+	// to interior and boundary, each in the storage format the format
+	// rule picks for its block (sparse.ParSpMV.Bind), so Apply
+	// allocates nothing; unit partitioning keeps every product
+	// bitwise-identical to the serial CSR path for either format and
+	// any worker count.
 	pool    *par.Pool
 	intSpMV sparse.ParSpMV
 	bndSpMV sparse.ParSpMV
 
-	// format is the requested SpMV storage selection (zero value =
-	// legacy CSR); fmtBound records whether the kernels are currently
-	// bound for (format, pool), the cache key that keeps steady-state
-	// SetPool/SetFormat calls allocation-free no-ops. fmtInfo is the
-	// decision report for telemetry.
-	format   sparse.FormatChoice
-	fmtBound bool
-	fmtInfo  FormatInfo
+	// format is ChoiceAuto (the rule) unless a test or benchmark asked
+	// for the CSR reference. The kernels are bound on first use — the
+	// first SetPool, SetFormat or Apply — not at construction, so a
+	// matrix is converted once, for the pool it will run on, and a
+	// matrix that is only gathered (the direct solver's) never is.
+	// bound records that they match (format, pool).
+	format sparse.FormatChoice
+	bound  bool
 }
 
-// FormatInfo reports which kernels a format selection bound and what
-// the autotuning probe cost, for the sparse.format / sparse.probe_ns
-// telemetry.
+// FormatInfo reports which kernels are bound, for the sparse.format
+// telemetry label.
 type FormatInfo struct {
 	Interior sparse.Format // format bound to the interior (owned-column) block
 	Boundary sparse.Format // format bound to the ghost-column block
-	ProbeNS  int64         // wall time the probe spent (0 unless format=auto)
-	Probed   bool          // true when at least one block was probed by timing
 }
 
 // SetPool attaches an intra-rank worker pool to the row-parallel
 // products (nil restores the serial path). The pool is caller-owned:
 // the matrix never closes it. Idempotent and cheap, so components may
-// call it every solve. A pool change re-binds the format kernels: the
-// SELL chunk height and per-slot scratch are tuned to the worker
-// count.
+// call it every solve. A pool change re-binds the kernels: the SELL
+// chunk height and per-slot scratch are tuned to the worker count.
 func (m *Mat) SetPool(p *par.Pool) {
-	if m.pool == p {
-		if !m.fmtBound {
-			m.rebind()
-		}
+	if m.bound && m.pool == p {
 		return
 	}
 	m.pool = p
 	m.rebind()
 }
 
-// SetFormat selects the local SpMV storage format (local-only, no
-// collectives): sparse.ChoiceCSR keeps the legacy CSR kernels,
-// ChoiceAuto runs the sparse.ProbeFormats autotuner on the actual
-// interior and boundary blocks and binds each winner, and a forced
-// choice binds that kernel where the block's structure admits it (CSR
-// otherwise — e.g. MSR on a rectangular block). The binding is cached
-// on (choice, pool), so steady-state calls are allocation-free no-ops;
-// the returned bool reports whether a (re)bind happened. Every
-// bindable kernel is bitwise-identical to serial CSR, so ranks may
-// probe to different winners without any cross-rank agreement.
+// SetFormat is the programmatic hook of tests and benchmarks
+// (local-only, no collectives): sparse.ChoiceCSR binds the reference
+// CSR kernels, sparse.ChoiceAuto — what every matrix does on its own —
+// the format rule's. Re-applying the bound choice is an
+// allocation-free no-op; the returned bool reports whether a (re)bind
+// happened.
 func (m *Mat) SetFormat(fc sparse.FormatChoice) (FormatInfo, bool) {
-	if m.fmtBound && fc == m.format {
-		return m.fmtInfo, false
+	changed := !m.bound || fc != m.format
+	if changed {
+		m.format = fc
+		m.rebind()
 	}
-	m.format = fc
-	m.rebind()
-	return m.fmtInfo, true
+	return m.Format(), changed
 }
 
-// Format returns the current selection's binding report.
-func (m *Mat) Format() FormatInfo { return m.fmtInfo }
+// Format reports the kernels bound to the interior and boundary
+// blocks, binding them first if nothing has yet.
+func (m *Mat) Format() FormatInfo {
+	if !m.bound {
+		m.rebind()
+	}
+	return FormatInfo{Interior: m.intSpMV.Format(), Boundary: m.bndSpMV.Format()}
+}
 
 // rebind (re)binds the interior/boundary kernels for the current
 // (format, pool) pair.
@@ -135,48 +133,15 @@ func (m *Mat) rebind() {
 	if m.pool != nil {
 		workers = m.pool.Workers()
 	}
-	intChoice, bndChoice := m.format, m.format
-	m.fmtInfo = FormatInfo{}
-	if m.format == sparse.ChoiceAuto {
-		ires := sparse.ProbeFormats(m.interior, false, m.pool)
-		bres := sparse.ProbeFormats(m.boundary, true, m.pool)
-		intChoice, bndChoice = ires.Choice, bres.Choice
-		m.fmtInfo.ProbeNS = ires.TotalNS + bres.TotalNS
-		m.fmtInfo.Probed = !ires.Heuristic || !bres.Heuristic
+	if m.interior == nil {
+		m.splitInteriorBoundary()
 	}
-	m.fmtInfo.Interior = bindKernel(&m.intSpMV, m.interior, false, intChoice, workers)
-	m.fmtInfo.Boundary = bindKernel(&m.bndSpMV, m.boundary, true, bndChoice, workers)
-	m.fmtBound = true
-}
-
-// bindKernel binds one block in the chosen format, falling back to CSR
-// when the block's structure does not admit the choice, and reports
-// what was bound.
-func bindKernel(k *sparse.ParSpMV, a *sparse.CSR, add bool, fc sparse.FormatChoice, workers int) sparse.Format {
-	switch fc {
-	case sparse.ChoiceSELL:
-		k.BindSELL(sparse.SELLFromCSR(a, sparse.TunedSELLChunk(a.Rows, workers)), add, workers)
-		return sparse.FmtSELL
-	case sparse.ChoiceBCSR:
-		k.BindBCSR(sparse.BCSRFromCSR(a, 0), add)
-		return sparse.FmtBCSR
-	case sparse.ChoiceMSR:
-		if a.Rows == a.Cols {
-			if msr, split, err := sparse.MSROrderedFromCSR(a); err == nil {
-				k.BindMSROrdered(msr, split, add)
-				return sparse.FmtMSR
-			}
-		}
-	case sparse.ChoiceVBR:
-		if b, ok := sparse.UniformBlocks(a); ok {
-			if v, err := sparse.VBRFromCSR(a, sparse.EvenPartition(a.Rows, b), sparse.EvenPartition(a.Cols, b)); err == nil {
-				k.BindVBR(v, add)
-				return sparse.FmtVBR
-			}
-		}
+	m.intSpMV.Bind(m.interior, false, m.format, workers)
+	m.bndSpMV.Bind(m.boundary, true, m.format, workers)
+	if m.intSpMV.Format() == sparse.FmtSELL {
+		m.interior = nil // the SELL copy replaced it
 	}
-	k.BindCSR(a, add)
-	return sparse.FmtCSR
+	m.bound = true
 }
 
 // NewMat builds a square distributed matrix from this rank's local rows
@@ -235,10 +200,7 @@ func NewMatRect(rowL, colL *Layout, localRows *sparse.CSR) (*Mat, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pmat: NewMatRect: %v", err)
 	}
-	if err := m.splitInteriorBoundary(); err != nil {
-		return nil, fmt.Errorf("pmat: NewMatRect: %v", err)
-	}
-	m.rebind() // bind the default (CSR, serial) kernels
+	m.splitInteriorBoundary()
 
 	m.buildPlan()
 	m.sendBuf = make([][]float64, len(m.sendIdx))
@@ -253,7 +215,7 @@ func NewMatRect(rowL, colL *Layout, localRows *sparse.CSR) (*Mat, error) {
 
 // splitInteriorBoundary partitions the compacted operator by column
 // ownership, enabling communication/computation overlap in Apply.
-func (m *Mat) splitInteriorBoundary() error {
+func (m *Mat) splitInteriorBoundary() {
 	nLoc := m.C.LocalN
 	nGhost := len(m.ghostCols)
 	intCOO := sparse.NewCOO(m.L.LocalN, nLoc)
@@ -270,7 +232,6 @@ func (m *Mat) splitInteriorBoundary() error {
 	}
 	m.interior = intCOO.ToCSR()
 	m.boundary = bndCOO.ToCSR()
-	return nil
 }
 
 // buildPlan exchanges ghost requests so every rank learns which of its
@@ -343,6 +304,9 @@ func (m *Mat) Apply(y, x []float64) {
 	if len(x) != m.C.LocalN || len(y) != m.L.LocalN {
 		panic(fmt.Sprintf("pmat: Apply: local vectors must have lengths %d (in) and %d (out)", m.C.LocalN, m.L.LocalN))
 	}
+	if !m.bound {
+		m.rebind()
+	}
 	// Post all sends first; mailbox delivery is non-blocking so this
 	// cannot deadlock. Values are staged in the plan-owned per-destination
 	// buffers and shipped through the world's payload pool, so the
@@ -359,10 +323,10 @@ func (m *Mat) Apply(y, x []float64) {
 	}
 
 	// Interior product while the ghost values travel. The persistent
-	// kernel carries whatever format SetFormat bound; it is partitioned
+	// kernel carries whatever format the rule bound; it is partitioned
 	// per worker yet bitwise-identical to the serial CSR product for
-	// every format and worker count (a nil pool runs it inline), and
-	// comm stays on this goroutine either way.
+	// either format and any worker count (a nil pool runs it inline),
+	// and comm stays on this goroutine either way.
 	m.intSpMV.Apply(m.pool, y, x)
 
 	// Collect ghosts straight into their segment of the ghost buffer and

@@ -151,12 +151,6 @@ type SolveRequest struct {
 	// bitwise-identical for every worker count, so this is a pure
 	// performance knob; it is part of the session-pool key.
 	Workers int `json:"workers,omitempty"`
-	// Format selects the local SpMV storage format for the backend's
-	// distributed products: "auto" (probe at setup), "csr", "msr",
-	// "sell", or "bcsr"; empty takes the server's -format flag
-	// (normally csr). Every format is bitwise-identical to CSR, so this
-	// is a pure performance knob; it is part of the session-pool key.
-	Format string `json:"format,omitempty"`
 
 	Operator OperatorRef `json:"operator"`
 

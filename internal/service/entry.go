@@ -22,7 +22,6 @@ type entrySpec struct {
 	backend string
 	procs   int
 	workers int
-	format  string
 	n       int
 	params  map[string]string
 
@@ -190,7 +189,6 @@ func (e *entry) setupRank(c *comm.Comm) (s *core.Session, l *pmat.Layout, err er
 		SolveTimeout: e.spec.timeout,
 		Params:       e.spec.params,
 		Workers:      e.spec.workers,
-		Format:       e.spec.format,
 		MaxAttempts:  e.spec.maxAttempts,
 		RetryBackoff: e.spec.retryBackoff,
 		Failover:     e.spec.failover,

@@ -27,10 +27,6 @@ type Config struct {
 	// MaxWorkers bounds what a request may ask for.
 	DefaultWorkers int
 	MaxWorkers     int
-	// DefaultFormat is the SpMV storage format used when a request
-	// omits format ("" keeps the legacy CSR kernels; "auto" probes
-	// per pooled operator at setup).
-	DefaultFormat string
 	// MaxSessions caps the pooled sessions (each owns an SPMD world);
 	// beyond it the least-recently-used idle session is evicted, and
 	// when every session is busy new operators are shed (pool_full).
@@ -536,7 +532,6 @@ func (s *Service) buildSpec(req *SolveRequest) (entrySpec, *Error) {
 		backend:      req.Backend,
 		procs:        req.procs(s.cfg.DefaultProcs),
 		workers:      req.workers(s.cfg.DefaultWorkers),
-		format:       req.format(s.cfg.DefaultFormat),
 		params:       req.Params,
 		opID:         req.Operator.ID,
 		opVer:        req.Operator.Version,
@@ -723,11 +718,6 @@ func (s *Service) validate(req *SolveRequest) *Error {
 	if req.Workers < 0 || req.workers(s.cfg.DefaultWorkers) > s.cfg.MaxWorkers {
 		return errf(CodeBadRequest, 400, false, "workers %d outside [1,%d]", req.Workers, s.cfg.MaxWorkers)
 	}
-	if f := req.format(s.cfg.DefaultFormat); f != "" {
-		if _, err := sparse.ParseFormatChoice(f); err != nil {
-			return errf(CodeBadRequest, 400, false, "format %q: %v", f, err)
-		}
-	}
 	if req.Operator.ID == "" {
 		return errf(CodeBadRequest, 400, false, "operator.id is required")
 	}
@@ -783,15 +773,6 @@ func (r *SolveRequest) workers(def int) int {
 	return r.Workers
 }
 
-// format returns the request's effective SpMV format selection ("" =
-// the legacy CSR path).
-func (r *SolveRequest) format(def string) string {
-	if r.Format == "" {
-		return def
-	}
-	return r.Format
-}
-
 // key returns the session-pool key: everything that shapes the pooled
 // session's identity — tenant, backend, world size, operator version,
 // parameters, and the resilience policy. Memoized: the steady-state
@@ -801,7 +782,7 @@ func (r *SolveRequest) key() string {
 		return r.poolKey
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s|%s|p%d|w%d|f%s|%s@%d", r.Tenant, r.Backend, r.Procs, r.Workers, r.Format, r.Operator.ID, r.Operator.Version)
+	fmt.Fprintf(&b, "%s|%s|p%d|w%d|%s@%d", r.Tenant, r.Backend, r.Procs, r.Workers, r.Operator.ID, r.Operator.Version)
 	keys := make([]string, 0, len(r.Params))
 	for k := range r.Params {
 		keys = append(keys, k)

@@ -339,7 +339,6 @@ func TestServiceTypedValidation(t *testing.T) {
 		{"bad backend", func(r *service.SolveRequest) { r.Backend = "eigen" }, service.CodeUnknownBackend, 400},
 		{"bad failover", func(r *service.SolveRequest) { r.Failover = []string{"nope"} }, service.CodeUnknownBackend, 400},
 		{"procs too big", func(r *service.SolveRequest) { r.Procs = 512 }, service.CodeBadRequest, 400},
-		{"bad format", func(r *service.SolveRequest) { r.Format = "ellpack" }, service.CodeBadRequest, 400},
 		{"no operator id", func(r *service.SolveRequest) { r.Operator.ID = "" }, service.CodeBadRequest, 400},
 		{"operator body missing", func(r *service.SolveRequest) { r.Operator.GridN = 0 }, service.CodeOperatorMissing, 409},
 		{"nrhs too big", func(r *service.SolveRequest) { r.NRHS = 10000 }, service.CodeBadRequest, 400},
@@ -360,44 +359,6 @@ func TestServiceTypedValidation(t *testing.T) {
 				t.Fatalf("got %s/%d, want %s/%d (%v)", serr.Code, serr.HTTPStatus(), tc.code, tc.status, serr)
 			}
 		})
-	}
-}
-
-// TestServiceFormatPoolKey checks that the format knob separates pooled
-// sessions (different bound kernels must not share a session) while
-// repeats with the same format still reuse, and that the solves agree.
-func TestServiceFormatPoolKey(t *testing.T) {
-	svc := newTestService(t, service.Config{})
-	solve := func(format string) *service.SolveResponse {
-		t.Helper()
-		req := gridReq("acme", 12)
-		req.Format = format
-		req.ReturnSolution = true
-		var resp service.SolveResponse
-		if serr := svc.Solve(context.Background(), req, &resp); serr != nil {
-			t.Fatalf("format=%q: %v", format, serr)
-		}
-		if !resp.Converged {
-			t.Fatalf("format=%q did not converge", format)
-		}
-		return &resp
-	}
-	first := solve("sell")
-	again := solve("sell")
-	if !again.SessionReused {
-		t.Fatal("same-format repeat should hit the pooled session")
-	}
-	other := solve("bcsr")
-	if other.SessionReused {
-		t.Fatal("a different format must not reuse the pooled session")
-	}
-	if st := svc.Stats(); st.Counters["sessions_built"] != 2 {
-		t.Fatalf("sessions_built = %d, want 2", st.Counters["sessions_built"])
-	}
-	for i, v := range first.Solution {
-		if v != other.Solution[i] {
-			t.Fatalf("solutions diverge across formats at %d: %v vs %v", i, v, other.Solution[i])
-		}
 	}
 }
 
@@ -533,8 +494,9 @@ func TestServiceHTTP(t *testing.T) {
 		t.Fatalf("error code %q", wire.Error.Code)
 	}
 
-	// Unknown fields are rejected, not silently dropped.
-	hr, _ = post(t, map[string]any{"tenant": "wire", "backend": "petsc", "bogus_field": 1})
+	// Unknown fields are rejected, not silently dropped — the retired
+	// "format" selection included.
+	hr, _ = post(t, map[string]any{"tenant": "wire", "backend": "petsc", "format": "sell"})
 	if hr.StatusCode != 400 {
 		t.Fatalf("unknown field status %d", hr.StatusCode)
 	}
@@ -634,8 +596,9 @@ func TestServiceMatrixMarketOperator(t *testing.T) {
 	}
 }
 
-// TestServiceMatrixMarketRejections: malformed, pattern, non-square
-// and ambiguous operator bodies are typed 400s; an .mtx body colliding
+// TestServiceMatrixMarketRejections: malformed, pattern, non-square,
+// non-finite and ambiguous operator bodies are typed 400s that leave
+// nothing in the session pool; an .mtx body colliding
 // with a pooled grid operator under the same id@version is a typed 409.
 func TestServiceMatrixMarketRejections(t *testing.T) {
 	svc := newTestService(t, service.Config{})
@@ -653,6 +616,7 @@ func TestServiceMatrixMarketRejections(t *testing.T) {
 		{"pattern field", mmReq("%%MatrixMarket matrix coordinate pattern general\n2 2 2\n1 1\n2 2\n"), service.CodeBadRequest},
 		{"malformed header", mmReq("%%MatrixMarket tensor coordinate real general\n1 1 1\n1 1 1\n"), service.CodeBadRequest},
 		{"non-square", mmReq("%%MatrixMarket matrix coordinate real general\n2 3 1\n1 1 1.0\n"), service.CodeBadRequest},
+		{"non-finite entry", mmReq("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n2 2 nan\n"), service.CodeBadRequest},
 		{"exclusive with grid_n", func() *service.SolveRequest {
 			r := mmReq("%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 1.0\n")
 			r.Operator.GridN = 4
@@ -668,6 +632,9 @@ func TestServiceMatrixMarketRejections(t *testing.T) {
 			}
 			if serr.Code != tc.code || serr.HTTPStatus() != 400 {
 				t.Fatalf("got %s/%d, want %s/400 (%v)", serr.Code, serr.HTTPStatus(), tc.code, serr)
+			}
+			if st := svc.Stats(); st.Sessions != 0 {
+				t.Fatalf("rejected body left %d pooled session(s)", st.Sessions)
 			}
 		})
 	}

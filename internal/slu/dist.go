@@ -56,14 +56,6 @@ func (d *DistSolver) SetPool(p *par.Pool) {
 	}
 }
 
-// SetFormat is accepted for interface symmetry but is a no-op: the
-// direct solver gathers the matrix and factors it at construction, so
-// no distributed SpMV kernel survives to re-format. Refinement's
-// residuals use the gathered triangular factors, not a pmat product.
-func (d *DistSolver) SetFormat(fc sparse.FormatChoice) (pmat.FormatInfo, bool) {
-	return pmat.FormatInfo{}, false
-}
-
 // SetupStats is what this rank's set-ups have done since the solver was
 // built. Only rank 0 analyses and factors, so every field is zero on the
 // other ranks.

@@ -10,8 +10,8 @@ import (
 
 // kernelMatrices is the property-test corpus: random (unsymmetric and
 // diagonally dominant), banded, FEM-assembled, block-structured
-// (perfect 3×3 fill, the VBR-eligible case), a stencil, and edge
-// shapes (empty rows, rectangular, tiny). Negative zeros and denormals
+// (dense 3×3 blocks), a stencil, and edge shapes (empty rows,
+// rectangular, tiny). Negative zeros and denormals
 // ride in via the FEM case below.
 func kernelMatrices(t testing.TB) map[string]*CSR {
 	fem := NewFEM(20, 20)
@@ -29,8 +29,7 @@ func kernelMatrices(t testing.TB) map[string]*CSR {
 		}
 	}
 
-	// Block matrix with every stored 3×3 block fully dense: the
-	// UniformBlocks perfect-fill case that enrolls VBR.
+	// Block matrix with every stored 3×3 block fully dense.
 	blk := NewCOO(30, 30)
 	for bi := 0; bi < 10; bi++ {
 		for _, bj := range []int{bi - 1, bi, bi + 1} {
@@ -80,9 +79,9 @@ func bitsEqual(t *testing.T, label string, got, want []float64) {
 }
 
 // formatBindings enumerates every ParSpMV binding for one matrix that
-// must be bitwise-identical to serial CSR. VBR appears only for
-// perfect-fill matrices and MSR only for square ones — exactly the
-// gating the autotuner applies.
+// must be bitwise-identical to serial CSR: CSR itself, SELL at the
+// tuned and a small chunk height, whatever the format rule binds, and
+// order-exact MSR for square matrices.
 func formatBindings(t testing.TB, a *CSR, add bool, workers int) map[string]*ParSpMV {
 	out := map[string]*ParSpMV{}
 	bind := func(name string, f func(p *ParSpMV)) {
@@ -93,8 +92,7 @@ func formatBindings(t testing.TB, a *CSR, add bool, workers int) map[string]*Par
 	bind("csr", func(p *ParSpMV) { p.BindCSR(a, add) })
 	bind("sell", func(p *ParSpMV) { p.BindSELL(SELLFromCSR(a, TunedSELLChunk(a.Rows, workers)), add, workers) })
 	bind("sell-c4", func(p *ParSpMV) { p.BindSELL(SELLFromCSR(a, 4), add, workers) })
-	bind("bcsr", func(p *ParSpMV) { p.BindBCSR(BCSRFromCSR(a, 0), add) })
-	bind("bcsr-w16", func(p *ParSpMV) { p.BindBCSR(BCSRFromCSR(a, 16), add) })
+	bind("rule", func(p *ParSpMV) { p.Bind(a, add, ChoiceAuto, workers) })
 	if a.Rows == a.Cols {
 		m, split, err := MSROrderedFromCSR(a)
 		if err != nil {
@@ -102,18 +100,11 @@ func formatBindings(t testing.TB, a *CSR, add bool, workers int) map[string]*Par
 		}
 		bind("msr", func(p *ParSpMV) { p.BindMSROrdered(m, split, add) })
 	}
-	if b, ok := UniformBlocks(a); ok {
-		v, err := VBRFromCSR(a, EvenPartition(a.Rows, b), EvenPartition(a.Cols, b))
-		if err != nil {
-			t.Fatal(err)
-		}
-		bind("vbr", func(p *ParSpMV) { p.BindVBR(v, add) })
-	}
 	return out
 }
 
-// TestFormatsBitwiseIdenticalToCSR is the format-autotuning
-// determinism property: every format × worker count ∈ {1,2,4,7} ×
+// TestFormatsBitwiseIdenticalToCSR is the format determinism
+// property: every format × worker count ∈ {1,2,4,7} ×
 // {mul, add} reproduces the serial CSR kernel bit for bit on the whole
 // matrix corpus. Run under -race this also exercises the pooled
 // dispatch synchronization.
@@ -157,7 +148,7 @@ func TestFormatsBitwiseIdenticalToCSR(t *testing.T) {
 }
 
 // TestFormatSerialKernelsBitwise pins the serial convenience kernels
-// (SELL/BCSR MulVec and MulVecAdd without a pool) to the CSR bits too.
+// (SELL MulVec and MulVecAdd without a pool) to the CSR bits too.
 func TestFormatSerialKernelsBitwise(t *testing.T) {
 	for name, a := range kernelMatrices(t) {
 		x := RandomVector(a.Cols, 11)
@@ -168,19 +159,13 @@ func TestFormatSerialKernelsBitwise(t *testing.T) {
 		a.MulVecAdd(wantAdd, x)
 
 		s := SELLFromCSR(a, 0)
-		b := BCSRFromCSR(a, 0)
 		y := make([]float64, a.Rows)
 		s.MulVec(y, x)
 		bitsEqual(t, name+"/sell-serial", y, want)
-		b.MulVec(y, x)
-		bitsEqual(t, name+"/bcsr-serial", y, want)
 
 		copy(y, base)
 		s.MulVecAdd(y, x)
 		bitsEqual(t, name+"/sell-serial-add", y, wantAdd)
-		copy(y, base)
-		b.MulVecAdd(y, x)
-		bitsEqual(t, name+"/bcsr-serial-add", y, wantAdd)
 	}
 }
 
@@ -199,125 +184,41 @@ func TestFormatRoundTrips(t *testing.T) {
 		if s.NNZ() != a.NNZ() {
 			t.Fatalf("%s: SELL NNZ %d, want %d", name, s.NNZ(), a.NNZ())
 		}
-		b := BCSRFromCSR(a, 16)
-		if err := b.Validate(); err != nil {
-			t.Fatalf("%s: BCSR: %v", name, err)
-		}
-		if !b.ToCSR().Equal(a) {
-			t.Fatalf("%s: BCSR round-trip mismatch", name)
-		}
 	}
 }
 
-// TestUniformBlocks pins the perfect-fill detector: the block corpus
-// case is eligible, padding or ragged structure is not.
-func TestUniformBlocks(t *testing.T) {
-	ms := kernelMatrices(t)
-	if b, ok := UniformBlocks(ms["block3x3"]); !ok || b != 3 {
-		t.Fatalf("block3x3: got (%d, %v), want (3, true)", b, ok)
+// TestFormatRule pins the rule ParSpMV.Bind applies for ChoiceAuto as
+// a function of (Rows, NNZ) alone: SELL when the block stores at least
+// one entry per row on average, CSR otherwise, and CSR always for
+// ChoiceCSR.
+func TestFormatRule(t *testing.T) {
+	sparseRows := NewCOO(50, 10) // 49 entries in 50 rows: just under one per row
+	for i := 0; i < 49; i++ {
+		sparseRows.Append(i, i%10, 1)
 	}
-	if _, ok := UniformBlocks(ms["stencil"]); ok {
-		t.Fatal("stencil: 5-point Laplacian must not be block-eligible")
+	oneEach := NewCOO(50, 10) // exactly one per row
+	for i := 0; i < 50; i++ {
+		oneEach.Append(i, i%10, 1)
 	}
-	if _, ok := UniformBlocks(ms["random"]); ok {
-		t.Fatal("random: must not be block-eligible")
-	}
-	// A dense 4x4 tiles as 4 (preferred over 2).
-	dense := NewCOO(4, 4)
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 4; j++ {
-			dense.Append(i, j, float64(i*4+j+1))
-		}
-	}
-	if b, ok := UniformBlocks(dense.ToCSR()); !ok || b != 4 {
-		t.Fatalf("dense4: got (%d, %v), want (4, true)", b, ok)
-	}
-}
-
-// TestParseFormatChoice pins the parameter vocabulary: the five forced
-// spellings parse, "vbr" (auto-only) and junk do not, and String
-// round-trips.
-func TestParseFormatChoice(t *testing.T) {
-	for _, s := range []string{"auto", "csr", "msr", "sell", "bcsr"} {
-		c, err := ParseFormatChoice(s)
-		if err != nil {
-			t.Fatalf("%q: %v", s, err)
-		}
-		if c.String() != s {
-			t.Fatalf("%q: round-trips as %q", s, c.String())
-		}
-	}
-	for _, s := range []string{"vbr", "", "CSR", "ellpack"} {
-		if _, err := ParseFormatChoice(s); err == nil {
-			t.Fatalf("%q: want error", s)
-		}
-	}
-}
-
-// TestProbeFormats pins the autotuner contract: the tiny fast path
-// skips timing, a real probe times at least CSR/SELL/BCSR and returns
-// a binding that reproduces the CSR bits, and the block corpus case
-// enrolls VBR.
-func TestProbeFormats(t *testing.T) {
-	tiny := Tridiag(50, -1, 2, -1)
-	if res := ProbeFormats(tiny, false, nil); !res.Heuristic || res.Choice != ChoiceCSR || len(res.Candidates) != 0 {
-		t.Fatalf("tiny probe: %+v, want heuristic CSR", res)
-	}
-
-	a := Laplace2D(60, 60) // ~17.8k nnz, above the fast-path threshold
-	res := ProbeFormats(a, false, nil)
-	if res.Heuristic {
-		t.Fatal("probe took the fast path on a large matrix")
-	}
-	if len(res.Candidates) < 3 {
-		t.Fatalf("probe timed %d candidates, want ≥ 3", len(res.Candidates))
-	}
-	if res.Candidates[0].Format != FmtCSR {
-		t.Fatalf("first candidate %v, want CSR (fixed order)", res.Candidates[0].Format)
-	}
-	if res.TotalNS <= 0 {
-		t.Fatal("probe reported no wall time")
-	}
-	seen := map[Format]bool{}
-	for _, c := range res.Candidates {
-		if seen[c.Format] {
-			t.Fatalf("candidate %v probed twice", c.Format)
-		}
-		seen[c.Format] = true
-		if c.NS <= 0 {
-			t.Fatalf("candidate %v: non-positive median %d", c.Format, c.NS)
-		}
-	}
-	if !seen[FmtSELL] || !seen[FmtBCSR] || !seen[FmtMSR] {
-		t.Fatalf("candidate set %v missing a challenger", res.Candidates)
-	}
-	if seen[FmtVBR] {
-		t.Fatal("VBR probed on a non-block matrix")
-	}
-
-	// Perfect-fill block matrix enrolls VBR (scaled up past the
-	// fast-path threshold).
-	blk := NewCOO(2400, 2400)
-	for bi := 0; bi < 800; bi++ {
-		for _, bj := range []int{bi - 1, bi, bi + 1} {
-			if bj < 0 || bj >= 800 {
-				continue
+	for _, tc := range []struct {
+		name string
+		a    *CSR
+		want Format
+	}{
+		{"stencil", Laplace2D(12, 12), FmtSELL},
+		{"one-per-row", oneEach.ToCSR(), FmtSELL},
+		{"under-one-per-row", sparseRows.ToCSR(), FmtCSR},
+		{"no-entries", NewCOO(7, 3).ToCSR(), FmtCSR},
+		{"no-rows", NewCOO(0, 5).ToCSR(), FmtCSR},
+	} {
+		for _, add := range []bool{false, true} {
+			var k ParSpMV
+			if k.Bind(tc.a, add, ChoiceAuto, 1); k.Format() != tc.want {
+				t.Errorf("%s add=%v: rule bound %v, want %v", tc.name, add, k.Format(), tc.want)
 			}
-			for r := 0; r < 3; r++ {
-				for c := 0; c < 3; c++ {
-					blk.Append(3*bi+r, 3*bj+c, 1+float64(r*c)-0.25*float64(bi%5))
-				}
+			if k.Bind(tc.a, add, ChoiceCSR, 1); k.Format() != FmtCSR {
+				t.Errorf("%s add=%v: ChoiceCSR bound %v", tc.name, add, k.Format())
 			}
 		}
-	}
-	bres := ProbeFormats(blk.ToCSR(), false, nil)
-	found := false
-	for _, c := range bres.Candidates {
-		if c.Format == FmtVBR {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("block probe candidates %v: VBR not enrolled", bres.Candidates)
 	}
 }

@@ -59,7 +59,7 @@ func TestNewMSRValidation(t *testing.T) {
 	}
 }
 
-func TestVBRUniformBlocks(t *testing.T) {
+func TestVBREvenBlocks(t *testing.T) {
 	// 4x4 matrix from 2x2 blocks.
 	a := Laplace2D(2, 2)
 	vbr, err := VBRFromCSR(a, []int{0, 2, 4}, []int{0, 2, 4})

@@ -70,46 +70,3 @@ func FuzzSELLFromCSR(f *testing.F) {
 		fuzzBitsEqual(t, "ParSpMV/SELL", got, wantMul)
 	})
 }
-
-// FuzzBCSRFromCSR drives the CSR→cache-blocked-CSR converter with
-// arbitrary matrices and stripe widths under the same contract:
-// validation, exact round trip, and bit-identical products.
-func FuzzBCSRFromCSR(f *testing.F) {
-	f.Add([]byte{}, uint8(0))
-	f.Add([]byte{3, 3, 0, 0, 1, 0, 0, 0, 1, 1, 2, 0, 0, 0, 2, 2, 3, 0, 0, 0}, uint8(1))
-	f.Add([]byte{8, 32, 0, 31, 255, 255, 0, 1, 7, 0, 9, 9, 9, 9, 3, 17, 1, 2, 3, 4}, uint8(7))
-	f.Add([]byte{32, 32, 5, 9, 255, 1, 2, 3, 0, 9, 4, 4, 4, 4, 31, 31, 1, 0, 0, 128}, uint8(40))
-	f.Fuzz(func(t *testing.T, data []byte, stripe uint8) {
-		a := fuzzCSR(data)
-		if a == nil {
-			return
-		}
-		b := BCSRFromCSR(a, int(stripe)%40) // 0 selects the default
-		if err := b.Validate(); err != nil {
-			t.Fatalf("converted BCSR fails validation: %v", err)
-		}
-		if !b.ToCSR().Equal(a) {
-			t.Fatal("BCSR -> CSR round trip changed the matrix")
-		}
-		x := make([]float64, a.Cols)
-		for j := range x {
-			x[j] = float64(j%5) - 2.25
-		}
-		want := make([]float64, a.Rows)
-		a.MulVec(want, x)
-		got := make([]float64, a.Rows)
-		b.MulVec(got, x)
-		fuzzBitsEqual(t, "BCSR.MulVec", got, want)
-
-		a.MulVecAdd(want, x)
-		b.MulVecAdd(got, x)
-		fuzzBitsEqual(t, "BCSR.MulVecAdd", got, want)
-
-		var k ParSpMV
-		k.BindBCSR(b, true)
-		wantAdd := append([]float64(nil), want...)
-		a.MulVecAdd(wantAdd, x)
-		k.Apply(nil, got, x)
-		fuzzBitsEqual(t, "ParSpMV/BCSR-add", got, wantAdd)
-	})
-}

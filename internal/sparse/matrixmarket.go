@@ -49,6 +49,10 @@ var (
 	ErrMMSymmetry = errors.New("sparse: matrixmarket: symmetry violation")
 	// ErrMMDuplicate: a coordinate file lists the same (i,j) twice.
 	ErrMMDuplicate = errors.New("sparse: matrixmarket: duplicate entry")
+	// ErrMMNonFinite: an entry is NaN or ±Inf (strconv accepts the
+	// spellings "nan" and "inf"); no solver can use such an operator,
+	// and a pooled session would keep serving it.
+	ErrMMNonFinite = errors.New("sparse: matrixmarket: non-finite entry")
 )
 
 // Ingestion caps: a header is attacker-controlled input on the service
@@ -278,6 +282,9 @@ func readMMCoordinate(sc *bufio.Scanner, h mmHeader, line int) (*COO, error) {
 			return nil, fmt.Errorf("%w: line %d: symmetric file stores entry (%d,%d) above the diagonal",
 				ErrMMSymmetry, line, i, j)
 		}
+		if err := checkMMFinite(v, line, i, j); err != nil {
+			return nil, err
+		}
 		stored++
 		if stored > h.nnz {
 			return nil, fmt.Errorf("%w: line %d: more than the declared %d entries", ErrMMEntry, line, h.nnz)
@@ -322,6 +329,9 @@ func readMMArray(sc *bufio.Scanner, h mmHeader, line int) (*COO, error) {
 				return nil, fmt.Errorf("%w: line %d: %v", ErrMMEntry, line, err)
 			}
 			i, j := arrayPosition(got, h)
+			if err := checkMMFinite(v, line, i+1, j+1); err != nil {
+				return nil, err
+			}
 			// A dense listing stores structural zeros; keep the result
 			// genuinely sparse. (Bit comparison: only +0 is dropped,
 			// which avoids a float equality the vet floateq analyzer
@@ -360,6 +370,15 @@ func arrayPosition(k int, h mmHeader) (i, j int) {
 		k -= span
 	}
 	panic("sparse: matrixmarket: array position out of range")
+}
+
+// checkMMFinite rejects a NaN or ±Inf value for the 1-based entry
+// (i,j) read from the given line.
+func checkMMFinite(v float64, line, i, j int) error {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return fmt.Errorf("%w: line %d: entry (%d,%d) is %v", ErrMMNonFinite, line, i, j, v)
+	}
+	return nil
 }
 
 func parseMMValue(s string, integer bool) (float64, error) {

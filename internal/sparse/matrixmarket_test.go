@@ -217,6 +217,29 @@ func TestMatrixMarketTypedErrors(t *testing.T) {
 	}
 }
 
+// TestMatrixMarketNonFinite: strconv.ParseFloat accepts "nan" and
+// "inf", so every value path — coordinate, array, and the symmetric
+// forms whose entries are mirrored — must reject them with the typed
+// error, naming the line and the entry.
+func TestMatrixMarketNonFinite(t *testing.T) {
+	for _, tc := range []struct {
+		name, input, where string
+	}{
+		{"coordinate nan", "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n2 2 nan\n", "line 4: entry (2,2)"},
+		{"coordinate -inf", "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 2 -Inf\n", "line 3: entry (1,2)"},
+		{"coordinate symmetric", "%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n1 1 4\n2 1 +infinity\n", "line 4: entry (2,1)"},
+		{"array", "%%MatrixMarket matrix array real general\n2 2\n1\n2\nNaN\n4\n", "line 5: entry (1,2)"},
+		{"array symmetric", "%%MatrixMarket matrix array real symmetric\n2 2\n4\ninf\n3\n", "line 4: entry (2,1)"},
+	} {
+		_, err := ReadMatrixMarket(strings.NewReader(tc.input))
+		if !errors.Is(err, ErrMMNonFinite) {
+			t.Errorf("%s: got %v, want ErrMMNonFinite", tc.name, err)
+		} else if !strings.Contains(err.Error(), tc.where) {
+			t.Errorf("%s: error %q does not name %q", tc.name, err, tc.where)
+		}
+	}
+}
+
 // TestReadMatrixAuto: bannered files take the strict Matrix Market
 // path (including symmetric expansion); legacy banner-less coordinate
 // text still loads through ReadCOO.
@@ -274,6 +297,7 @@ func FuzzReadMatrixMarket(f *testing.F) {
 	f.Add("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 5\n1 1 3\n")
 	f.Add("%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 1.0D+00\n")
 	f.Add("% no banner\n2 2 1\n1 1 1\n")
+	f.Add("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1\n2 2 nan\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		if len(input) > 1<<16 {
 			return
@@ -286,10 +310,8 @@ func FuzzReadMatrixMarket(f *testing.F) {
 			return // keep the round-trip cheap
 		}
 		for _, v := range a.Vals {
-			if math.IsNaN(v) {
-				// NaN payload bits do not survive text round-trips
-				// canonically; skip the bitwise comparison.
-				return
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("read accepted a non-finite entry from %q", input)
 			}
 		}
 		var buf bytes.Buffer

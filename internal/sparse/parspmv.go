@@ -2,15 +2,22 @@ package sparse
 
 import "repro/internal/par"
 
+// FormatChoice selects how ParSpMV.Bind picks a kernel. It is a
+// programmatic hook for tests and benchmarks, not a user option: the
+// zero value applies the format rule.
+type FormatChoice int
+
+const (
+	ChoiceAuto FormatChoice = iota // the format rule (see ParSpMV.Bind)
+	ChoiceCSR                      // CSR kernel: the reference the bitwise tests compare against
+)
+
 // ParSpMV is a reusable worker-pool SpMV kernel bound to one sparse
-// operand — CSR, MSR (diag-first or order-exact), SELL-C-σ, cache-
-// blocked CSR, or VBR. The partition unit follows the format (rows for
-// CSR/MSR/BCSR, chunks for SELL, block rows for VBR) and every row's
-// accumulation sequence is unchanged for any worker count, so all
-// order-exact bindings are bitwise-identical to the serial CSR kernels
-// and callers may switch freely between Apply and the serial paths.
-// (BindMSR keeps the legacy diag-first MSR order and matches
-// MSR.MulVec instead.)
+// operand — CSR, order-exact MSR, or SELL-C-σ. The partition unit
+// follows the format (rows for CSR/MSR, chunks for SELL) and every
+// row's accumulation sequence is unchanged for any worker count, so
+// all bindings are bitwise-identical to the serial CSR kernels and
+// callers may switch freely between Apply and the serial paths.
 //
 // Bind at Setup time and call Apply per product: the task struct is the
 // persistent par.Task and owns all per-slot scratch, so the dispatch
@@ -19,31 +26,43 @@ type ParSpMV struct {
 	csr  *CSR
 	msr  *MSR
 	sell *SELL
-	bcsr *BCSR
-	vbr  *VBR
 
-	// msrSplit, when non-nil alongside msr, selects the order-exact MSR
-	// kernel: msrSplit[i] is the absolute Val/Ind index where row i's
-	// diagonal term belongs in ascending-column order, or -1 when the
-	// source CSR stored no diagonal entry (see MSROrderedFromCSR).
+	// msrSplit[i] is the absolute Val/Ind index where row i's diagonal
+	// term belongs in ascending-column order, or -1 when the source CSR
+	// stored no diagonal entry (see MSROrderedFromCSR).
 	msrSplit []int
 
 	add bool
 	y   []float64
 	x   []float64
 
-	// scratch backs the per-slot accumulators: slots*C lanes for SELL,
-	// the full row range for BCSR add-mode partial sums (row-partitioned,
-	// so slots write disjoint segments). Sized at bind time.
+	// scratch backs the SELL per-slot accumulators (slots*C lanes),
+	// sized at bind time.
 	scratch []float64
-	slots   int
 }
 
 func (t *ParSpMV) reset() {
-	t.csr, t.msr, t.sell, t.bcsr, t.vbr = nil, nil, nil, nil, nil
+	t.csr, t.msr, t.sell = nil, nil, nil
 	t.msrSplit = nil
 	t.scratch = nil
-	t.slots = 0
+}
+
+// Bind points the kernel at a in the format fc selects (Format reports
+// which). ChoiceAuto is the format rule: SELL-C-σ when the block
+// stores at least one entry per row on average (NNZ ≥ Rows > 0), CSR
+// otherwise. SELL's lane-wise chunks beat the CSR row loop on every
+// operator measured (docs/PERFORMANCE.md, "Format rule") except blocks
+// of mostly empty rows — a ghost-column block touched by a few
+// boundary rows — where there is nothing to fill a chunk with. The
+// rule reads only (Rows, NNZ), so the same kernels are bound on every
+// run, rank and host; both are bitwise-identical to serial CSR.
+// workers sizes the SELL chunk height and per-slot scratch.
+func (t *ParSpMV) Bind(a *CSR, add bool, fc FormatChoice, workers int) {
+	if fc == ChoiceAuto && a.Rows > 0 && a.NNZ() >= a.Rows {
+		t.BindSELL(SELLFromCSR(a, TunedSELLChunk(a.Rows, workers)), add, workers)
+		return
+	}
+	t.BindCSR(a, add)
 }
 
 // BindCSR points the kernel at a CSR operand. With add set, Apply
@@ -52,13 +71,6 @@ func (t *ParSpMV) reset() {
 func (t *ParSpMV) BindCSR(a *CSR, add bool) {
 	t.reset()
 	t.csr, t.add = a, add
-}
-
-// BindMSR points the kernel at an MSR operand (y = A·x) with the
-// legacy diag-first accumulation order of MSR.MulVec.
-func (t *ParSpMV) BindMSR(a *MSR) {
-	t.reset()
-	t.msr = a
 }
 
 // BindMSROrdered points the kernel at an MSR operand using the
@@ -78,30 +90,7 @@ func (t *ParSpMV) BindSELL(a *SELL, add bool, workers int) {
 		workers = 1
 	}
 	t.sell, t.add = a, add
-	t.slots = workers
 	t.scratch = make([]float64, workers*a.C)
-}
-
-// BindBCSR points the kernel at a cache-blocked CSR operand. Add mode
-// carries a full-length partial-sum scratch so each row still lands
-// with a single y[i] += of its complete sum.
-func (t *ParSpMV) BindBCSR(a *BCSR, add bool) {
-	t.reset()
-	t.bcsr, t.add = a, add
-	if add {
-		t.scratch = make([]float64, a.Rows)
-	}
-}
-
-// BindVBR points the kernel at a VBR operand using the order-exact
-// kernel (ascending blocks, ascending columns within each block, no
-// zero-skip). The product is bitwise-identical to the source CSR only
-// when the blocks carry no padding — the perfect-fill condition
-// UniformBlocks detects — which is the only way the autotuner enrolls
-// VBR.
-func (t *ParSpMV) BindVBR(a *VBR, add bool) {
-	t.reset()
-	t.vbr, t.add = a, add
 }
 
 // Format reports the bound operand's storage format (FmtCSR when
@@ -110,10 +99,6 @@ func (t *ParSpMV) Format() Format {
 	switch {
 	case t.sell != nil:
 		return FmtSELL
-	case t.bcsr != nil:
-		return FmtBCSR
-	case t.vbr != nil:
-		return FmtVBR
 	case t.msr != nil:
 		return FmtMSR
 	default:
@@ -150,23 +135,6 @@ func (t *ParSpMV) Apply(p *par.Pool, y, x []float64) {
 		checkDims(opX, t.sell.Cols, len(x))
 		checkDims(opY, t.sell.Rows, len(y))
 		units = t.sell.NumChunks()
-	case t.bcsr != nil:
-		opX, opY := "BCSR.MulVec x", "BCSR.MulVec y"
-		if t.add {
-			opX, opY = "BCSR.MulVecAdd x", "BCSR.MulVecAdd y"
-		}
-		checkDims(opX, t.bcsr.Cols, len(x))
-		checkDims(opY, t.bcsr.Rows, len(y))
-		units = t.bcsr.Rows
-	case t.vbr != nil:
-		rows, cols := t.vbr.Dims()
-		opX, opY := "VBR.MulVec x", "VBR.MulVec y"
-		if t.add {
-			opX, opY = "VBR.MulVecAdd x", "VBR.MulVecAdd y"
-		}
-		checkDims(opX, cols, len(x))
-		checkDims(opY, rows, len(y))
-		units = t.vbr.NumBlockRows()
 	default:
 		panic("sparse: ParSpMV.Apply before Bind")
 	}
@@ -175,10 +143,10 @@ func (t *ParSpMV) Apply(p *par.Pool, y, x []float64) {
 	t.y, t.x = nil, nil
 }
 
-// Range computes the bound product for partition units [lo, hi) — rows,
-// SELL chunks, or VBR block rows depending on the binding. It is the
-// par.Task hook; every unit writes a disjoint slice of y (and of the
-// slot scratch), so slots share nothing.
+// Range computes the bound product for partition units [lo, hi) — rows
+// or SELL chunks depending on the binding. It is the par.Task hook;
+// every unit writes a disjoint slice of y (and of the slot scratch), so
+// slots share nothing.
 func (t *ParSpMV) Range(slot, lo, hi int) {
 	x, y := t.x, t.y
 	switch {
@@ -194,15 +162,6 @@ func (t *ParSpMV) Range(slot, lo, hi int) {
 			} else {
 				y[i] = s
 			}
-		}
-	case t.msr != nil && t.msrSplit == nil:
-		a := t.msr
-		for i := lo; i < hi; i++ {
-			s := a.Val[i] * x[i]
-			for k := a.Ind[i]; k < a.Ind[i+1]; k++ {
-				s += a.Val[k] * x[a.Ind[k]]
-			}
-			y[i] = s
 		}
 	case t.msr != nil:
 		a := t.msr
@@ -232,24 +191,5 @@ func (t *ParSpMV) Range(slot, lo, hi int) {
 			r0, r1 := a.mulChunk(ch, acc, x)
 			a.scatterChunk(r0, r1, acc, y, t.add)
 		}
-	case t.bcsr != nil:
-		a := t.bcsr
-		if !t.add {
-			for i := lo; i < hi; i++ {
-				y[i] = 0
-			}
-			a.mulRows(y, x, lo, hi)
-			return
-		}
-		acc := t.scratch
-		for i := lo; i < hi; i++ {
-			acc[i] = 0
-		}
-		a.mulRows(acc, x, lo, hi)
-		for i := lo; i < hi; i++ {
-			y[i] += acc[i]
-		}
-	case t.vbr != nil:
-		t.vbr.mulBlockRows(y, x, lo, hi, t.add)
 	}
 }

@@ -22,7 +22,7 @@ func randomCSR(t *testing.T, rng *rand.Rand, rows, cols int) *sparse.CSR {
 
 // TestParSpMVBitwiseMatchesSerial pins the row-partition determinism
 // argument: pooled SpMV equals the serial kernel bit for bit, for every
-// worker count, in both the overwrite and accumulate forms and for MSR.
+// worker count, in both the overwrite and accumulate forms.
 func TestParSpMVBitwiseMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := randomCSR(t, rng, 257, 101)
@@ -57,52 +57,6 @@ func TestParSpMVBitwiseMatchesSerial(t *testing.T) {
 		for i := range got {
 			if math.Float64bits(got[i]) != math.Float64bits(wantAdd[i]) {
 				t.Fatalf("w=%d: MulVecAdd row %d differs", w, i)
-			}
-		}
-		p.Close()
-	}
-
-	// MSR: diagonal + wings.
-	n := 300
-	val := make([]float64, n+1, 3*n)
-	ind := make([]int, n+1, 3*n)
-	for i := 0; i < n; i++ {
-		val[i] = 4
-	}
-	ptr := n + 1
-	for i := 0; i < n; i++ {
-		ind[i] = ptr
-		if i > 0 {
-			val = append(val, -1)
-			ind = append(ind, i-1)
-			ptr++
-		}
-		if i < n-1 {
-			val = append(val, -1)
-			ind = append(ind, i+1)
-			ptr++
-		}
-	}
-	ind[n] = ptr
-	m, err := sparse.NewMSR(n, val, ind)
-	if err != nil {
-		t.Fatalf("NewMSR: %v", err)
-	}
-	xm := make([]float64, n)
-	for i := range xm {
-		xm[i] = rng.NormFloat64()
-	}
-	wantM := make([]float64, n)
-	m.MulVec(wantM, xm)
-	for _, w := range []int{1, 4} {
-		p := par.New(w)
-		var k sparse.ParSpMV
-		k.BindMSR(m)
-		got := make([]float64, n)
-		k.Apply(p, got, xm)
-		for i := range got {
-			if math.Float64bits(got[i]) != math.Float64bits(wantM[i]) {
-				t.Fatalf("w=%d: MSR row %d differs", w, i)
 			}
 		}
 		p.Close()

@@ -39,7 +39,6 @@ const (
 	FmtFEM                // finite-element (element-wise) assembly
 	FmtCSC                // compressed sparse column (extension)
 	FmtSELL               // SELL-C-σ sliced ELLPACK (extension; kernel-only, not a SparseStruct)
-	FmtBCSR               // cache-blocked CSR (extension; kernel-only, not a SparseStruct)
 )
 
 // String returns the format's conventional name.
@@ -59,8 +58,6 @@ func (f Format) String() string {
 		return "CSC"
 	case FmtSELL:
 		return "SELL"
-	case FmtBCSR:
-		return "BCSR"
 	}
 	return fmt.Sprintf("Format(%d)", int(f))
 }

@@ -12,7 +12,7 @@ import (
 func benchOperator(n int) *CSR { return Laplace2D(n, n) }
 
 // benchBlockMatrix builds a block-tridiagonal matrix of fully dense
-// 3×3 blocks — the perfect-fill structure that enrolls VBR.
+// 3×3 blocks.
 func benchBlockMatrix(blockRows int) *CSR {
 	coo := NewCOO(3*blockRows, 3*blockRows)
 	for bi := 0; bi < blockRows; bi++ {
@@ -30,10 +30,11 @@ func benchBlockMatrix(blockRows int) *CSR {
 	return coo.ToCSR()
 }
 
-// BenchmarkSpMVFormats times one serial product per storage format on
-// the bench matrix families. The per-format keys (and their 0-alloc
-// gates) and the auto row — the steady-state kernel the probe binds,
-// which must track the per-family winner — are pinned by
+// BenchmarkSpMVFormats is the record the format rule is judged on: one
+// product through ParSpMV per bindable kernel — CSR, SELL, order-exact
+// MSR — on the bench matrix families, and the rule row, what
+// ChoiceAuto binds, which must equal the per-family best of the three
+// within noise. The keys (and their 0-alloc gates) are pinned by
 // scripts/benchguard.sh.
 func BenchmarkSpMVFormats(b *testing.B) {
 	families := []struct {
@@ -49,101 +50,30 @@ func BenchmarkSpMVFormats(b *testing.B) {
 		a := fam.a
 		x := RandomVector(a.Cols, 1)
 		y := make([]float64, a.Rows)
-		msr, err := MSRFromCSR(a)
+		msr, split, err := MSROrderedFromCSR(a)
 		if err != nil {
 			b.Fatal(err)
 		}
-		kernels := []struct {
+		for _, tc := range []struct {
 			name string
-			m    Matrix
+			bind func(k *ParSpMV)
 		}{
-			{"CSR", a},
-			{"MSR", msr},
-			{"SELL", SELLFromCSR(a, 0)},
-			{"BCSR", BCSRFromCSR(a, 0)},
-		}
-		if blk, ok := UniformBlocks(a); ok {
-			vbr, err := VBRFromCSR(a, EvenPartition(a.Rows, blk), EvenPartition(a.Cols, blk))
-			if err != nil {
-				b.Fatal(err)
-			}
-			kernels = append(kernels, struct {
-				name string
-				m    Matrix
-			}{"VBR", vbr})
-		}
-		// The probe-bound steady-state kernel: what format=auto runs
-		// after Setup. Must never lose to CSR beyond probe noise.
-		var auto ParSpMV
-		bindProbeWinner(b, &auto, a, ProbeFormats(a, false, nil).Choice)
-		for _, tc := range kernels {
+			{"CSR", func(k *ParSpMV) { k.BindCSR(a, false) }},
+			{"SELL", func(k *ParSpMV) { k.BindSELL(SELLFromCSR(a, TunedSELLChunk(a.Rows, 1)), false, 1) }},
+			{"MSR-ordered", func(k *ParSpMV) { k.BindMSROrdered(msr, split, false) }},
+			{"rule", func(k *ParSpMV) { k.Bind(a, false, ChoiceAuto, 1) }},
+		} {
+			var k ParSpMV
+			tc.bind(&k)
 			b.Run(fam.name+"/"+tc.name, func(b *testing.B) {
 				b.ReportAllocs()
 				b.SetBytes(int64(a.NNZ() * 8))
 				for i := 0; i < b.N; i++ {
-					tc.m.MulVec(y, x)
+					k.Apply(nil, y, x)
 				}
 			})
 		}
-		b.Run(fam.name+"/auto", func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(a.NNZ() * 8))
-			for i := 0; i < b.N; i++ {
-				auto.Apply(nil, y, x)
-			}
-		})
 	}
-}
-
-// bindProbeWinner binds one probe decision for a into k, the way
-// pmat.Mat.SetFormat does for format=auto.
-func bindProbeWinner(b *testing.B, k *ParSpMV, a *CSR, choice FormatChoice) {
-	b.Helper()
-	switch choice {
-	case ChoiceSELL:
-		k.BindSELL(SELLFromCSR(a, TunedSELLChunk(a.Rows, 1)), false, 1)
-	case ChoiceBCSR:
-		k.BindBCSR(BCSRFromCSR(a, 0), false)
-	case ChoiceMSR:
-		m, split, err := MSROrderedFromCSR(a)
-		if err != nil {
-			b.Fatal(err)
-		}
-		k.BindMSROrdered(m, split, false)
-	case ChoiceVBR:
-		blk, _ := UniformBlocks(a)
-		v, err := VBRFromCSR(a, EvenPartition(a.Rows, blk), EvenPartition(a.Cols, blk))
-		if err != nil {
-			b.Fatal(err)
-		}
-		k.BindVBR(v, false)
-	default:
-		k.BindCSR(a, false)
-	}
-}
-
-// BenchmarkFormatProbe bounds the Setup-time cost of the autotuning
-// probe (conversions plus the fixed median-of-k timing reps) on the
-// stencil operator.
-func BenchmarkFormatProbe(b *testing.B) {
-	b.ReportAllocs()
-	a := benchOperator(100)
-	for i := 0; i < b.N; i++ {
-		if res := ProbeFormats(a, false, nil); res.Heuristic {
-			b.Fatal("probe took the tiny-matrix fast path")
-		}
-	}
-}
-
-func evenPartition(n, blk int) []int {
-	var p []int
-	for i := 0; i <= n; i += blk {
-		p = append(p, i)
-	}
-	if p[len(p)-1] != n {
-		p = append(p, n)
-	}
-	return p
 }
 
 func BenchmarkCOOToCSR(b *testing.B) {

@@ -102,102 +102,6 @@ func (a *VBR) MulVec(y, x []float64) {
 	}
 }
 
-// mulBlockRows is the order-exact kernel over block rows [lo, hi): each
-// scalar row accumulates across its stored blocks in ascending
-// block-column order and ascending columns within each block, with no
-// zero-skip — the serial CSR accumulation sequence whenever the blocks
-// carry no padding (the perfect-fill condition UniformBlocks detects).
-// It is the ParSpMV hook; block rows write disjoint slices of y.
-func (a *VBR) mulBlockRows(y, x []float64, lo, hi int, add bool) {
-	for I := lo; I < hi; I++ {
-		r0, r1 := a.RPntr[I], a.RPntr[I+1]
-		br := r1 - r0
-		k0, k1 := a.BPntr[I], a.BPntr[I+1]
-		for r := 0; r < br; r++ {
-			s := 0.0
-			for k := k0; k < k1; k++ {
-				J := a.BInd[k]
-				c0 := a.CPntr[J]
-				bc := a.CPntr[J+1] - c0
-				blk := a.Val[a.Indx[k]:a.Indx[k+1]]
-				for c := 0; c < bc; c++ {
-					s += blk[c*br+r] * x[c0+c]
-				}
-			}
-			if add {
-				y[r0+r] += s
-			} else {
-				y[r0+r] = s
-			}
-		}
-	}
-}
-
-// UniformBlocks looks for a square block size b (largest of the given
-// candidates, DefaultUniformBlockSizes when none) such that the matrix
-// tiles exactly into b×b blocks that are each either fully stored or
-// fully absent. Under that perfect-fill condition a VBR built on the
-// even b-partition carries no padding, so the order-exact VBR kernel
-// is bitwise-identical to CSR — the only condition under which the
-// autotuner enrolls VBR as a candidate.
-func UniformBlocks(a *CSR, sizes ...int) (int, bool) {
-	if len(sizes) == 0 {
-		sizes = DefaultUniformBlockSizes
-	}
-next:
-	for _, b := range sizes {
-		if b < 2 || a.Rows%b != 0 || a.Cols%b != 0 || a.NNZ()%(b*b) != 0 {
-			continue
-		}
-		for i := 0; i < a.Rows; i++ {
-			lo, hi := a.RowPtr[i], a.RowPtr[i+1]
-			if (hi-lo)%b != 0 {
-				continue next
-			}
-			for k := lo; k < hi; k += b {
-				// Each group of b consecutive entries must cover one
-				// full block width [J*b, (J+1)*b).
-				c := a.ColInd[k]
-				if c%b != 0 || a.ColInd[k+b-1] != c+b-1 {
-					continue next
-				}
-			}
-			// All rows of a block row must share the same block set.
-			if i%b != 0 {
-				pl, ph := a.RowPtr[i-1], a.RowPtr[i]
-				if ph-pl != hi-lo {
-					continue next
-				}
-				for k := 0; k < hi-lo; k += b {
-					if a.ColInd[pl+k] != a.ColInd[lo+k] {
-						continue next
-					}
-				}
-			}
-		}
-		return b, true
-	}
-	return 0, false
-}
-
-// DefaultUniformBlockSizes are the block sizes UniformBlocks tries, in
-// preference order.
-var DefaultUniformBlockSizes = []int{4, 3, 2}
-
-// EvenPartition returns the pointer array {0, b, 2b, …, n} cutting n
-// indices into blocks of b (the final block holds any remainder).
-func EvenPartition(n, b int) []int {
-	if b < 1 {
-		b = 1
-	}
-	p := make([]int, 0, n/b+2)
-	for i := 0; i < n; i += b {
-		p = append(p, i)
-	}
-	p = append(p, n)
-	return p
-}
-
 // ToCSR expands the blocks to scalar CSR entries, dropping exact zeros
 // introduced by block padding.
 func (a *VBR) ToCSR() *CSR {

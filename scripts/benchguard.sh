@@ -39,7 +39,7 @@ PKGS=(
   "./internal/mesh"
   "./internal/aztec"
 )
-PATTERN='^(BenchmarkCOOToCSR|BenchmarkTranspose|BenchmarkMSRConversion|BenchmarkSpMVFormats|BenchmarkFormatProbe|BenchmarkNilRecorderAdd|BenchmarkNilRecorderStartPhase|BenchmarkRecorderAdd|BenchmarkRecorderResidual|BenchmarkSessionReuseSolve|BenchmarkSolveSteadyState|BenchmarkApplyAllocs|BenchmarkServiceSolveReuse|BenchmarkApplyWorkers|BenchmarkTriSolveWorkers|BenchmarkFEMAssembly|BenchmarkReadMatrixMarket|BenchmarkMMIngestSetup|BenchmarkRefactorSamePattern|BenchmarkOrderingAlgorithms|BenchmarkILUT)$'
+PATTERN='^(BenchmarkCOOToCSR|BenchmarkTranspose|BenchmarkMSRConversion|BenchmarkSpMVFormats|BenchmarkNilRecorderAdd|BenchmarkNilRecorderStartPhase|BenchmarkRecorderAdd|BenchmarkRecorderResidual|BenchmarkSessionReuseSolve|BenchmarkSolveSteadyState|BenchmarkApplyAllocs|BenchmarkServiceSolveReuse|BenchmarkApplyWorkers|BenchmarkTriSolveWorkers|BenchmarkFEMAssembly|BenchmarkReadMatrixMarket|BenchmarkMMIngestSetup|BenchmarkRefactorSamePattern|BenchmarkOrderingAlgorithms|BenchmarkILUT)$'
 # Guarded on allocs/op alone: what these take in wall clock is the
 # end-to-end benchmark's business (benchmark/: refresh_ms, slu.ordering_ms,
 # aztec.ilut_build_ms), what they allocate is exact — a same-pattern
