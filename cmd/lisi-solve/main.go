@@ -8,9 +8,9 @@
 //
 // The matrix is a Matrix Market file (coordinate or array format,
 // real/integer field, general or symmetric storage — symmetric files
-// are expanded to the full operator) or the legacy banner-less
-// coordinate text written by sparse.WriteCOO / cmd/meshgen; the
-// right-hand side defaults to all ones when -rhs is omitted. The
+// are expanded to the full operator), which is also what cmd/meshgen
+// writes; the right-hand side defaults to all ones when -rhs is
+// omitted. The
 // global system is block-row partitioned over -procs simulated ranks
 // and pushed through the SparseSolver port.
 //
@@ -64,7 +64,7 @@ func (s setFlags) Set(v string) error {
 }
 
 func main() {
-	matrixPath := flag.String("matrix", "", "coefficient matrix file (coordinate text, required)")
+	matrixPath := flag.String("matrix", "", "coefficient matrix file (Matrix Market, required)")
 	rhsPath := flag.String("rhs", "", "right-hand side file (defaults to all ones)")
 	outPath := flag.String("out", "", "write the solution vector here (defaults to stdout summary only)")
 	solver := flag.String("solver", "petsc",
@@ -96,7 +96,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	a, err := sparse.ReadMatrixAuto(mf)
+	a, err := sparse.ReadMatrixMarket(mf)
 	mf.Close()
 	if err != nil {
 		log.Fatal(err)

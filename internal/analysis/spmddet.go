@@ -55,18 +55,19 @@ import (
 //     and stays silent (int appends are re-orderable; the committed
 //     float layout is not), as does filling dense index scratch.
 //
-// Additionally, in the Krylov backend packages (ksp, aztec) every
-// AllReduceFloat64sInPlace call must live in a `fused*` workspace
-// helper: those helpers are the audited fused-reduction inventory whose
-// rank-order fold is documented bitwise-neutral; an ad-hoc in-place
-// reduction elsewhere is where a non-neutral reassociation of the
-// fused reductions would slip in.
+// Additionally, the Krylov backend packages (ksp, aztec) make no
+// direct comm.AllReduceFloat64* call: every floating-point reduction of
+// a Krylov loop goes through pmat.Reducer, whose method set is the
+// audited reduction inventory (local halves on the pool's fixed slots,
+// rank-order fold, fused forms bitwise equal to the unfused pair). An
+// ad-hoc reduction in either package is where a second fold order would
+// slip in.
 var SpmdDet = &Analyzer{
 	Name: "spmddet",
 	Doc: "flags SPMD determinism hazards: comm calls or floating-point folds ordered by map iteration, " +
 		"goroutine-shared float accumulation without a fixed fold order, pool-task Range methods that " +
 		"fold into shared floats instead of per-worker slots, map-ordered storage-layout appends in the " +
-		"sparse converters, and in-place reductions in ksp/aztec outside the audited fused* helper inventory",
+		"sparse converters, and floating-point reductions in ksp/aztec that bypass pmat.Reducer",
 	Run: runSpmdDet,
 }
 
@@ -75,7 +76,7 @@ func runSpmdDet(pass *Pass) {
 	if i := strings.LastIndex(seg, "/"); i >= 0 {
 		seg = seg[i+1:]
 	}
-	fusedInventory := seg == "ksp" || seg == "aztec"
+	reducerInventory := seg == "ksp" || seg == "aztec"
 	layoutScope := seg == "sparse"
 	for _, f := range pass.Pkg.Files {
 		for _, d := range f.Decls {
@@ -89,8 +90,8 @@ func runSpmdDet(pass *Pass) {
 			if layoutScope {
 				spmdMapLayoutAppends(pass, body)
 			}
-			if fusedInventory {
-				spmdFusedInventory(pass, name, body)
+			if reducerInventory {
+				spmdReducerInventory(pass, body)
 			}
 		})
 	}
@@ -437,12 +438,9 @@ func spmdGoroutineAccum(pass *Pass, body *ast.BlockStmt) {
 	})
 }
 
-// spmdFusedInventory enforces the fused-reduction inventory in ksp and
-// aztec: AllReduceFloat64sInPlace only inside fused* helpers.
-func spmdFusedInventory(pass *Pass, fnName string, body *ast.BlockStmt) {
-	if strings.HasPrefix(fnName, "fused") {
-		return
-	}
+// spmdReducerInventory enforces the reduction inventory in ksp and
+// aztec: no direct comm.AllReduceFloat64* call, pmat.Reducer only.
+func spmdReducerInventory(pass *Pass, body *ast.BlockStmt) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		if _, ok := n.(*ast.FuncLit); ok {
 			return false
@@ -451,12 +449,11 @@ func spmdFusedInventory(pass *Pass, fnName string, body *ast.BlockStmt) {
 		if !ok {
 			return true
 		}
-		if commMethod(pass.Pkg.Info, call) == "AllReduceFloat64sInPlace" {
+		if m := commMethod(pass.Pkg.Info, call); strings.HasPrefix(m, "AllReduceFloat64") {
 			pass.Report(call.Pos(),
-				"in-place fused reduction outside the audited fused* helper inventory ("+fnName+"); "+
-					"docs/PERFORMANCE.md requires every fused reduction to live in a fused* workspace helper "+
-					"so its rank-order fold stays bitwise-neutral and reviewable",
-				"move the reduction into a fused* helper in workspace.go (fusing only independent same-iteration reductions), or suppress with //lisi:ignore spmddet <reason>")
+				"direct comm."+m+" in a Krylov backend package; every floating-point reduction of ksp and aztec "+
+					"goes through pmat.Reducer so one local fold and one rank-order fold serve both (docs/PERFORMANCE.md)",
+				"call the pmat.Reducer method (Dot, Norm2, NormDot, Dot2, Norm2x2, Norm2x2Dot), adding one there if a new fused shape is needed, or suppress with //lisi:ignore spmddet <reason>")
 		}
 		return true
 	})

@@ -1,26 +1,22 @@
-// Fixture for the spmddet analyzer's fused-reduction inventory check,
-// scoped to packages named ksp or aztec (this directory mirrors ksp):
-// AllReduceFloat64sInPlace may appear only inside fused* helpers, the
-// audited inventory whose rank-order fold is documented bitwise-neutral.
+// Fixture for the spmddet analyzer's reduction-inventory check, scoped
+// to packages named ksp or aztec (this directory mirrors ksp): no direct
+// comm.AllReduceFloat64* call — the Krylov packages reduce through
+// pmat.Reducer, whose method set is the audited inventory.
 package ksp
 
 import "repro/internal/comm"
 
-type workspace struct{ red []float64 }
-
-// fusedNormDot is the audited shape: an in-place reduction inside a
-// fused* helper.
-func fusedNormDot(c *comm.Comm, w *workspace) (float64, float64) {
-	c.AllReduceFloat64sInPlace(w.red, comm.OpSum)
-	return w.red[0], w.red[1]
+func adHocFused(c *comm.Comm, vals []float64) {
+	c.AllReduceFloat64sInPlace(vals, comm.OpSum) // want "direct comm.AllReduceFloat64sInPlace in a Krylov backend package"
 }
 
-func adHocReduce(c *comm.Comm, vals []float64) {
-	c.AllReduceFloat64sInPlace(vals, comm.OpSum) // want "in-place fused reduction outside the audited"
+func adHocScalar(c *comm.Comm, v float64) float64 {
+	return c.AllReduceFloat64(v, comm.OpSum) // want "direct comm.AllReduceFloat64 in a Krylov backend package"
 }
 
-// scalarReduce is legal: the scalar AllReduce folds in rank order inside
-// the comm layer; the inventory rule only covers the fused in-place form.
-func scalarReduce(c *comm.Comm, v float64) float64 {
-	return c.AllReduceFloat64(v, comm.OpSum)
+// intReduce is legal: integer reductions have no fold-order bits to
+// protect, and neither have the other collectives.
+func intReduce(c *comm.Comm, n int) int {
+	c.Barrier()
+	return c.AllReduceInt(n, comm.OpSum)
 }

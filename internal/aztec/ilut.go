@@ -27,13 +27,10 @@ type ILUT struct {
 	uVals []float64 // strict upper triangle
 	uDiag []float64
 
-	// Level-scheduled solve state (EnableLevels): both factors are
-	// row-oriented, so the level tasks run each row's exact serial
-	// gather — the parallel apply is bitwise-identical to the serial
-	// sweeps for any worker count.
-	pool       *par.Pool
-	lvlF, lvlB *par.Levels
-	fwd, bwd   ilutSweepTask
+	// tri describes the two row-oriented factors to the shared
+	// triangular-sweep kernel; pool is where its level schedule runs.
+	tri  par.RowTri
+	pool *par.Pool
 }
 
 // EnableLevels attaches an intra-rank worker pool to the triangular
@@ -41,53 +38,7 @@ type ILUT struct {
 // Idempotent; nil (or a 1-worker pool) keeps the serial sweeps.
 func (f *ILUT) EnableLevels(p *par.Pool) {
 	f.pool = p
-	if !p.Parallel() || f.lvlF != nil {
-		return
-	}
-	f.lvlF = par.LowerLevels(f.n, func(i int, visit func(j int)) {
-		for k := f.lPtr[i]; k < f.lPtr[i+1]; k++ {
-			visit(f.lCols[k])
-		}
-	})
-	f.lvlB = par.UpperLevels(f.n, func(i int, visit func(j int)) {
-		for k := f.uPtr[i]; k < f.uPtr[i+1]; k++ {
-			visit(f.uCols[k])
-		}
-	})
-	f.fwd = ilutSweepTask{f: f}
-	f.bwd = ilutSweepTask{f: f, back: true}
-}
-
-// ilutSweepTask applies one level's rows; rows of a level are
-// structurally independent and each writes only its own z slot.
-type ilutSweepTask struct {
-	f    *ILUT
-	rows []int
-	z, r []float64
-	back bool
-}
-
-func (t *ilutSweepTask) Range(_, lo, hi int) {
-	f := t.f
-	if t.back {
-		for q := lo; q < hi; q++ {
-			i := t.rows[q]
-			s := t.z[i]
-			for p := f.uPtr[i]; p < f.uPtr[i+1]; p++ {
-				s -= f.uVals[p] * t.z[f.uCols[p]]
-			}
-			t.z[i] = s / f.uDiag[i]
-		}
-		return
-	}
-	for q := lo; q < hi; q++ {
-		i := t.rows[q]
-		s := t.r[i]
-		for p := f.lPtr[i]; p < f.lPtr[i+1]; p++ {
-			s -= f.lVals[p] * t.z[f.lCols[p]]
-		}
-		t.z[i] = s
-	}
+	f.tri.Schedule(p)
 }
 
 // Failures of NewILUT, wrapped with the offending row index.
@@ -293,6 +244,11 @@ func NewILUT(a *sparse.CSR, droptol, fill float64) (*ILUT, error) {
 			marked[j] = false
 		}
 	}
+	f.tri = par.RowTri{
+		LLo: f.lPtr[:n], LHi: f.lPtr[1:], LCols: f.lCols, LVals: f.lVals,
+		ULo: f.uPtr[:n], UHi: f.uPtr[1:], UCols: f.uCols, UVals: f.uVals,
+		Diag: f.uDiag,
+	}
 	return f, nil
 }
 
@@ -350,41 +306,7 @@ func (f *ILUT) Solve(z, r []float64) {
 	if len(z) != f.n || len(r) != f.n {
 		panic(fmt.Sprintf("aztec: ILUT.Solve: vectors must have length %d", f.n))
 	}
-	if f.pool.Parallel() {
-		f.solveLevels(z, r)
-		return
-	}
-	for i := 0; i < f.n; i++ {
-		s := r[i]
-		for p := f.lPtr[i]; p < f.lPtr[i+1]; p++ {
-			s -= f.lVals[p] * z[f.lCols[p]]
-		}
-		z[i] = s
-	}
-	for i := f.n - 1; i >= 0; i-- {
-		s := z[i]
-		for p := f.uPtr[i]; p < f.uPtr[i+1]; p++ {
-			s -= f.uVals[p] * z[f.uCols[p]]
-		}
-		z[i] = s / f.uDiag[i]
-	}
-}
-
-// solveLevels runs the sweeps level by level, fanning each level's rows
-// across the pool. z and r may alias exactly as in the serial sweeps.
-func (f *ILUT) solveLevels(z, r []float64) {
-	f.fwd.z, f.fwd.r = z, r
-	for l := 0; l < f.lvlF.NumLevels(); l++ {
-		f.fwd.rows = f.lvlF.Level(l)
-		f.pool.Run(len(f.fwd.rows), &f.fwd)
-	}
-	f.fwd.z, f.fwd.r, f.fwd.rows = nil, nil, nil
-	f.bwd.z = z
-	for l := 0; l < f.lvlB.NumLevels(); l++ {
-		f.bwd.rows = f.lvlB.Level(l)
-		f.pool.Run(len(f.bwd.rows), &f.bwd)
-	}
-	f.bwd.z, f.bwd.rows = nil, nil
+	f.tri.Solve(f.pool, z, r)
 }
 
 // NNZ returns the stored entry count of both factors (plus diagonal).

@@ -166,7 +166,7 @@ func newLsPrec(rm RowMatrix, order int) (*lsPrec, error) {
 		pv: make([]float64, n), zk: make([]float64, n)}
 
 	// Estimate λmax(D⁻¹A) with a few power iterations (collective).
-	c := rm.RowMap().Comm()
+	red := pmat.NewReducer(rm.RowMap().Comm())
 	v := make([]float64, n)
 	for i := range v {
 		v[i] = 1
@@ -179,7 +179,7 @@ func newLsPrec(rm RowMatrix, order int) (*lsPrec, error) {
 		for i := range p.q {
 			p.q[i] *= inv[i]
 		}
-		nrm := pmat.Norm2(c, p.q)
+		nrm := red.Norm2(p.q)
 		if nrm == 0 {
 			break
 		}

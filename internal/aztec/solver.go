@@ -37,12 +37,14 @@ type Solver struct {
 	precOpts   []int
 	precParams []float64
 	bb         []float64
-	ws         azWorkspace
+	ws         pmat.Workspace
 
-	// pool is the intra-rank worker pool (nil = legacy serial path):
-	// local reduction halves route through its fixed-slot fold, the
-	// distributed product of a CrsMatrix row-partitions across it, and
-	// pool-aware preconditioners inherit it for level-scheduled sweeps.
+	// red performs every global reduction of the Krylov loops. pool is
+	// the intra-rank worker pool (nil = legacy serial path): red's local
+	// halves take its fixed-slot fold, the distributed product of a
+	// CrsMatrix row-partitions across it, and pool-aware preconditioners
+	// inherit it for level-scheduled sweeps.
+	red  *pmat.Reducer
 	pool *par.Pool
 }
 
@@ -51,6 +53,7 @@ type Solver struct {
 // set so the distributed product and a cached preconditioner pick it up.
 func (s *Solver) SetPool(p *par.Pool) {
 	s.pool = p
+	s.red.SetPool(p)
 	if cm, ok := s.rm.(*CrsMatrix); ok && cm != nil && cm.Dist() != nil {
 		cm.Dist().SetPool(p)
 	}
@@ -59,29 +62,11 @@ func (s *Solver) SetPool(p *par.Pool) {
 	}
 }
 
-// lDot and lNorm2 are the local halves of the global reductions: the
-// pooled fixed-slot fold when a pool is attached (bitwise-identical
-// for every worker count), exactly sparse.Dot / sparse.Norm2 without
-// one. All fused* helpers funnel through them, preserving the audited
-// rank-order fold.
-func (s *Solver) lDot(x, y []float64) float64 {
-	if s.pool != nil {
-		return s.pool.Dot(x, y)
-	}
-	return sparse.Dot(x, y)
-}
-
-func (s *Solver) lNorm2(x []float64) float64 {
-	if s.pool != nil {
-		return s.pool.Norm2(x)
-	}
-	return sparse.Norm2(x)
-}
-
 // NewSolver creates a solver with default options and parameters.
 func NewSolver(c *comm.Comm) *Solver {
 	return &Solver{
 		c:       c,
+		red:     pmat.NewReducer(c),
 		options: DefaultOptions(),
 		params:  DefaultParams(),
 		status:  make([]float64, statusSize),
@@ -381,6 +366,20 @@ func (s *Solver) finish(its int, rnorm, denom float64, why int) {
 	}
 }
 
+// test classifies a residual norm: stop with AZNormal when rnorm/denom
+// meets the tolerance, stop with AZBreakdown when rnorm is not finite (a
+// NaN compares false against every tolerance, so a poisoned recurrence
+// would otherwise run to AZMaxIter), go on otherwise.
+func (s *Solver) test(rnorm, denom float64) (why int, stop bool) {
+	switch {
+	case math.IsNaN(rnorm) || math.IsInf(rnorm, 0):
+		return AZBreakdown, true
+	case rnorm/denom <= s.params[AZTol]:
+		return AZNormal, true
+	}
+	return 0, false
+}
+
 // intsEqual / floatsEqual compare option/parameter snapshots without
 // allocating (a NaN parameter never compares equal, which only costs a
 // spurious rebuild).
@@ -422,25 +421,24 @@ func (s *Solver) localResidual(x, b, r []float64) {
 
 func (s *Solver) cg(x, b []float64) error {
 	n := len(x)
-	w := s.wsVecs(n, 4)
+	w := s.ws.Vecs(n, 4)
 	r, z, p, q := w[0], w[1], w[2], w[3]
 	s.localResidual(x, b, r)
 	s.prec.apply(z, r)
 	// One AllReduce covers the initial residual norm, the rhs norm for
 	// the convergence denominator, and the first r·z.
-	r0, bnorm, rz := s.fusedNorm2x2Dot(r, b, r, z)
+	r0, bnorm, rz := s.red.Norm2x2Dot(r, b, r, z)
 	denom := s.convDenominator(r0, bnorm)
-	tol := s.params[AZTol]
-	if r0/denom <= tol {
-		s.finish(0, r0, denom, AZNormal)
+	if why, stop := s.test(r0, denom); stop {
+		s.finish(0, r0, denom, why)
 		return nil
 	}
 	copy(p, z)
 	for it := 1; it <= s.options[AZMaxIter]; it++ {
 		s.applyA(q, p)
-		pq := pmat.Dot(s.c, p, q)
+		pq := s.red.Dot(p, q)
 		if pq <= 0 {
-			s.finish(it, pmat.Norm2(s.c, r), denom, AZBreakdown)
+			s.finish(it, s.red.Norm2(r), denom, AZBreakdown)
 			return nil
 		}
 		alpha := rz / pq
@@ -450,10 +448,10 @@ func (s *Solver) cg(x, b []float64) error {
 		// the residual norm and r·z share one AllReduce (one extra local
 		// PC apply on the final iteration, no value changes).
 		s.prec.apply(z, r)
-		rnorm, rzNew := s.fusedNormDot(r, z)
+		rnorm, rzNew := s.red.NormDot(r, z)
 		s.monitor(it, rnorm)
-		if rnorm/denom <= tol {
-			s.finish(it, rnorm, denom, AZNormal)
+		if why, stop := s.test(rnorm, denom); stop {
+			s.finish(it, rnorm, denom, why)
 			return nil
 		}
 		beta := rzNew / rz
@@ -462,19 +460,19 @@ func (s *Solver) cg(x, b []float64) error {
 			p[i] = z[i] + beta*p[i]
 		}
 	}
-	s.finish(s.options[AZMaxIter], pmat.Norm2(s.c, r), denom, AZMaxIts)
+	s.finish(s.options[AZMaxIter], s.red.Norm2(r), denom, AZMaxIts)
 	return nil
 }
 
 func (s *Solver) gmres(x, b []float64) error {
 	n := len(x)
 	m := s.options[AZKspace]
-	tol := s.params[AZTol]
 	maxIter := s.options[AZMaxIter]
 
-	ws := s.wsKrylov(n, m)
-	v, h, g, cs, sn := ws.v, ws.h, ws.g, ws.cs, ws.sn // h[i*m+j]
-	scratch := s.wsVecs(n, 2)
+	ws := &s.ws
+	ws.Krylov(n, m, false)
+	v, g, cs, sn := ws.V, ws.G, ws.CS, ws.SN
+	scratch := ws.Vecs(n, 2)
 	w, t := scratch[0], scratch[1]
 
 	r0 := -1.0
@@ -491,14 +489,14 @@ func (s *Solver) gmres(x, b []float64) error {
 			// First restart: fuse the rhs norm for the convergence
 			// denominator with the initial preconditioned residual norm.
 			var bnorm float64
-			beta, bnorm = s.fusedNorm2x2(w, b)
+			beta, bnorm = s.red.Norm2x2(w, b)
 			r0 = beta
 			denom = s.convDenominator(r0, bnorm)
 		} else {
-			beta = pmat.Norm2(s.c, w)
+			beta = s.red.Norm2(w)
 		}
-		if beta/denom <= tol {
-			s.finish(it, beta, denom, AZNormal)
+		if why, stop := s.test(beta, denom); stop {
+			s.finish(it, beta, denom, why)
 			return nil
 		}
 		if it >= maxIter {
@@ -513,16 +511,13 @@ func (s *Solver) gmres(x, b []float64) error {
 		}
 		g[0] = beta
 
-		j := 0
-		for ; j < m && it < maxIter; j++ {
+		j, stop := 0, false
+		for ; j < m && it < maxIter && !stop; j++ {
 			it++
 			s.applyA(t, v[j])
 			s.prec.apply(w, t)
-			for i := 0; i <= j; i++ {
-				h[i*m+j] = pmat.Dot(s.c, w, v[i])
-				sparse.Axpy(-h[i*m+j], v[i], w)
-			}
-			hj1 := pmat.Norm2(s.c, w)
+			h := ws.Col(j)
+			hj1 := pmat.Orthogonalize(s.red, w, v[:j+1], h)
 			if hj1 > 0 {
 				for i := range w {
 					v[j+1][i] = w[i] / hj1
@@ -536,48 +531,32 @@ func (s *Solver) gmres(x, b []float64) error {
 			}
 			// Givens updates.
 			for i := 0; i < j; i++ {
-				a0 := h[i*m+j]
-				h[i*m+j] = cs[i]*a0 + sn[i]*h[(i+1)*m+j]
-				h[(i+1)*m+j] = -sn[i]*a0 + cs[i]*h[(i+1)*m+j]
+				a0 := h[i]
+				h[i] = cs[i]*a0 + sn[i]*h[i+1]
+				h[i+1] = -sn[i]*a0 + cs[i]*h[i+1]
 			}
-			rd := math.Hypot(h[j*m+j], hj1)
+			rd := math.Hypot(h[j], hj1)
 			if rd == 0 {
 				cs[j], sn[j] = 1, 0
 			} else {
-				cs[j], sn[j] = h[j*m+j]/rd, hj1/rd
+				cs[j], sn[j] = h[j]/rd, hj1/rd
 			}
-			h[j*m+j] = rd
+			h[j] = rd
 			g[j+1] = -sn[j] * g[j]
 			g[j] = cs[j] * g[j]
 			s.monitor(it, math.Abs(g[j+1]))
-			if math.Abs(g[j+1])/denom <= tol {
-				j++
-				break
-			}
+			// The estimate only ends the cycle; the restart above tests
+			// the recomputed residual and records the outcome.
+			_, stop = s.test(math.Abs(g[j+1]), denom)
 		}
-		// Back substitution and update.
-		y := ws.y[:j]
-		for i := j - 1; i >= 0; i-- {
-			sum := g[i]
-			for k2 := i + 1; k2 < j; k2++ {
-				sum -= h[i*m+k2] * y[k2]
-			}
-			if h[i*m+i] != 0 {
-				y[i] = sum / h[i*m+i]
-			} else {
-				y[i] = 0 // singular block: skip this direction
-			}
-		}
-		for k2 := 0; k2 < j; k2++ {
-			sparse.Axpy(y[k2], v[k2], x)
-		}
+		ws.HessenbergUpdate(x, v, j)
 	}
 }
 
 func (s *Solver) cgs(x, b []float64) error {
 	// Sonneveld's conjugate gradient squared.
 	n := len(x)
-	ws := s.wsVecs(n, 9)
+	ws := s.ws.Vecs(n, 9)
 	r, rtld, p, q := ws[0], ws[1], ws[2], ws[3]
 	u, uhat, vhat, qhat, t := ws[4], ws[5], ws[6], ws[7], ws[8]
 
@@ -586,18 +565,17 @@ func (s *Solver) cgs(x, b []float64) error {
 	// One AllReduce covers the initial residual norm, the rhs norm, and
 	// the first ρ = r̃·r; the tail of each iteration fuses the residual
 	// norm with the next ρ the same way.
-	r0, bnorm, rhoNext := s.fusedNorm2x2Dot(r, b, rtld, r)
+	r0, bnorm, rhoNext := s.red.Norm2x2Dot(r, b, rtld, r)
 	denom := s.convDenominator(r0, bnorm)
-	tol := s.params[AZTol]
-	if r0/denom <= tol {
-		s.finish(0, r0, denom, AZNormal)
+	if why, stop := s.test(r0, denom); stop {
+		s.finish(0, r0, denom, why)
 		return nil
 	}
 	var rho, rhoOld float64
 	for it := 1; it <= s.options[AZMaxIter]; it++ {
 		rho = rhoNext
 		if rho == 0 {
-			s.finish(it, pmat.Norm2(s.c, r), denom, AZBreakdown)
+			s.finish(it, s.red.Norm2(r), denom, AZBreakdown)
 			return nil
 		}
 		if it == 1 {
@@ -612,9 +590,9 @@ func (s *Solver) cgs(x, b []float64) error {
 		}
 		s.prec.apply(uhat, p)
 		s.applyA(vhat, uhat)
-		sigma := pmat.Dot(s.c, rtld, vhat)
+		sigma := s.red.Dot(rtld, vhat)
 		if sigma == 0 {
-			s.finish(it, pmat.Norm2(s.c, r), denom, AZBreakdown)
+			s.finish(it, s.red.Norm2(r), denom, AZBreakdown)
 			return nil
 		}
 		alpha := rho / sigma
@@ -630,24 +608,20 @@ func (s *Solver) cgs(x, b []float64) error {
 		sparse.Axpy(-alpha, t, r)
 		rhoOld = rho
 		var rnorm float64
-		rnorm, rhoNext = s.fusedNormDot(r, rtld)
+		rnorm, rhoNext = s.red.NormDot(r, rtld)
 		s.monitor(it, rnorm)
-		if rnorm/denom <= tol {
-			s.finish(it, rnorm, denom, AZNormal)
-			return nil
-		}
-		if math.IsNaN(rnorm) || math.IsInf(rnorm, 0) {
-			s.finish(it, rnorm, denom, AZBreakdown)
+		if why, stop := s.test(rnorm, denom); stop {
+			s.finish(it, rnorm, denom, why)
 			return nil
 		}
 	}
-	s.finish(s.options[AZMaxIter], pmat.Norm2(s.c, r), denom, AZMaxIts)
+	s.finish(s.options[AZMaxIter], s.red.Norm2(r), denom, AZMaxIts)
 	return nil
 }
 
 func (s *Solver) bicgstab(x, b []float64) error {
 	n := len(x)
-	ws := s.wsVecs(n, 8)
+	ws := s.ws.Vecs(n, 8)
 	r, rtld, p, v := ws[0], ws[1], ws[2], ws[3]
 	ss, t, phat, shat := ws[4], ws[5], ws[6], ws[7]
 
@@ -656,18 +630,17 @@ func (s *Solver) bicgstab(x, b []float64) error {
 	// Fused startup: initial residual norm, rhs norm, and the first
 	// ρ = r̃·r in one AllReduce; each iteration's tail fuses the residual
 	// norm with the next ρ.
-	r0, bnorm, rhoNext := s.fusedNorm2x2Dot(r, b, rtld, r)
+	r0, bnorm, rhoNext := s.red.Norm2x2Dot(r, b, rtld, r)
 	denom := s.convDenominator(r0, bnorm)
-	tol := s.params[AZTol]
-	if r0/denom <= tol {
-		s.finish(0, r0, denom, AZNormal)
+	if why, stop := s.test(r0, denom); stop {
+		s.finish(0, r0, denom, why)
 		return nil
 	}
 	rho, alpha, omega := 1.0, 1.0, 1.0
 	for it := 1; it <= s.options[AZMaxIter]; it++ {
 		rhoNew := rhoNext
 		if rhoNew == 0 {
-			s.finish(it, pmat.Norm2(s.c, r), denom, AZBreakdown)
+			s.finish(it, s.red.Norm2(r), denom, AZBreakdown)
 			return nil
 		}
 		if it == 1 {
@@ -681,24 +654,24 @@ func (s *Solver) bicgstab(x, b []float64) error {
 		rho = rhoNew
 		s.prec.apply(phat, p)
 		s.applyA(v, phat)
-		d := pmat.Dot(s.c, rtld, v)
+		d := s.red.Dot(rtld, v)
 		if d == 0 {
-			s.finish(it, pmat.Norm2(s.c, r), denom, AZBreakdown)
+			s.finish(it, s.red.Norm2(r), denom, AZBreakdown)
 			return nil
 		}
 		alpha = rho / d
 		for i := range ss {
 			ss[i] = r[i] - alpha*v[i]
 		}
-		snorm := pmat.Norm2(s.c, ss)
-		if snorm/denom <= tol {
+		snorm := s.red.Norm2(ss)
+		if why, stop := s.test(snorm, denom); stop {
 			sparse.Axpy(alpha, phat, x)
-			s.finish(it, snorm, denom, AZNormal)
+			s.finish(it, snorm, denom, why)
 			return nil
 		}
 		s.prec.apply(shat, ss)
 		s.applyA(t, shat)
-		tt, ts := s.fusedDot2(t, t, t, ss)
+		tt, ts := s.red.Dot2(t, t, t, ss)
 		if tt == 0 {
 			s.finish(it, snorm, denom, AZBreakdown)
 			return nil
@@ -715,13 +688,13 @@ func (s *Solver) bicgstab(x, b []float64) error {
 			r[i] = ss[i] - omega*t[i]
 		}
 		var rnorm float64
-		rnorm, rhoNext = s.fusedNormDot(r, rtld)
+		rnorm, rhoNext = s.red.NormDot(r, rtld)
 		s.monitor(it, rnorm)
-		if rnorm/denom <= tol {
-			s.finish(it, rnorm, denom, AZNormal)
+		if why, stop := s.test(rnorm, denom); stop {
+			s.finish(it, rnorm, denom, why)
 			return nil
 		}
 	}
-	s.finish(s.options[AZMaxIter], pmat.Norm2(s.c, r), denom, AZMaxIts)
+	s.finish(s.options[AZMaxIter], s.red.Norm2(r), denom, AZMaxIts)
 	return nil
 }

@@ -85,7 +85,7 @@ func MMFamily(name, path string) (SweepFamily, error) {
 		return SweepFamily{}, err
 	}
 	defer f.Close()
-	a, err := sparse.ReadMatrixAuto(f)
+	a, err := sparse.ReadMatrixMarket(f)
 	if err != nil {
 		return SweepFamily{}, fmt.Errorf("bench: %s: %w", path, err)
 	}

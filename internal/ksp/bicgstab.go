@@ -16,7 +16,7 @@ import (
 // from 5-6 to 3 per iteration.
 func (k *KSP) solveBiCGStab(b, x []float64) error {
 	n := len(x)
-	w := k.wsVecs(n, 8)
+	w := k.ws.Vecs(n, 8)
 	r, rhat, p, v := w[0], w[1], w[2], w[3]
 	s, t, phat, shat := w[4], w[5], w[6], w[7]
 
@@ -25,7 +25,7 @@ func (k *KSP) solveBiCGStab(b, x []float64) error {
 		r[i] = b[i] - r[i]
 	}
 	copy(rhat, r)
-	rnorm0, rhoNext := k.fusedNormDot(r, rhat)
+	rnorm0, rhoNext := k.red.NormDot(r, rhat)
 	if k.testConvergence(0, rnorm0, rnorm0) {
 		return nil
 	}
@@ -49,7 +49,7 @@ func (k *KSP) solveBiCGStab(b, x []float64) error {
 		rho = rhoNew
 		k.pc.Apply(phat, p)
 		k.a.Apply(v, phat)
-		rv := k.dot(rhat, v)
+		rv := k.red.Dot(rhat, v)
 		if rv == 0 {
 			k.reason = DivergedBreakdown
 			k.its = it
@@ -59,7 +59,7 @@ func (k *KSP) solveBiCGStab(b, x []float64) error {
 		for i := range s {
 			s[i] = r[i] - alpha*v[i]
 		}
-		if snorm := k.norm2(s); snorm <= k.atol || snorm <= k.rtol*rnorm0 {
+		if snorm := k.red.Norm2(s); snorm <= k.atol || snorm <= k.rtol*rnorm0 {
 			// Early half-step convergence.
 			sparse.Axpy(alpha, phat, x)
 			k.testConvergence(it, snorm, rnorm0)
@@ -67,7 +67,7 @@ func (k *KSP) solveBiCGStab(b, x []float64) error {
 		}
 		k.pc.Apply(shat, s)
 		k.a.Apply(t, shat)
-		tt, ts := k.fusedDot2(t, t, t, s)
+		tt, ts := k.red.Dot2(t, t, t, s)
 		if tt == 0 {
 			k.reason = DivergedBreakdown
 			k.its = it
@@ -86,7 +86,7 @@ func (k *KSP) solveBiCGStab(b, x []float64) error {
 			r[i] = s[i] - omega*t[i]
 		}
 		var rnorm float64
-		rnorm, rhoNext = k.fusedNormDot(r, rhat)
+		rnorm, rhoNext = k.red.NormDot(r, rhat)
 		if k.testConvergence(it, rnorm, rnorm0) {
 			return nil
 		}

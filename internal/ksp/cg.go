@@ -10,7 +10,7 @@ import "repro/internal/sparse"
 // round per iteration without changing any reduction's value.
 func (k *KSP) solveCG(b, x []float64) error {
 	n := len(x)
-	w := k.wsVecs(n, 4)
+	w := k.ws.Vecs(n, 4)
 	r, z, p, q := w[0], w[1], w[2], w[3]
 
 	// r = b − A·x
@@ -19,7 +19,7 @@ func (k *KSP) solveCG(b, x []float64) error {
 		r[i] = b[i] - r[i]
 	}
 	k.pc.Apply(z, r)
-	rnorm0, rz := k.fusedNormDot(r, z)
+	rnorm0, rz := k.red.NormDot(r, z)
 	if k.testConvergence(0, rnorm0, rnorm0) {
 		return nil
 	}
@@ -27,7 +27,7 @@ func (k *KSP) solveCG(b, x []float64) error {
 
 	for it := 1; ; it++ {
 		k.a.Apply(q, p)
-		pq := k.dot(p, q)
+		pq := k.red.Dot(p, q)
 		if pq <= 0 {
 			// Operator or preconditioner is not positive definite for
 			// this Krylov space.
@@ -39,7 +39,7 @@ func (k *KSP) solveCG(b, x []float64) error {
 		sparse.Axpy(alpha, p, x)
 		sparse.Axpy(-alpha, q, r)
 		k.pc.Apply(z, r)
-		rnorm, rzNew := k.fusedNormDot(r, z)
+		rnorm, rzNew := k.red.NormDot(r, z)
 		if k.testConvergence(it, rnorm, rnorm0) {
 			return nil
 		}
@@ -55,13 +55,13 @@ func (k *KSP) solveCG(b, x []float64) error {
 // x ← x + s·M⁻¹(b − A·x).
 func (k *KSP) solveRichardson(b, x []float64) error {
 	n := len(x)
-	w := k.wsVecs(n, 2)
+	w := k.ws.Vecs(n, 2)
 	r, z := w[0], w[1]
 	k.a.Apply(r, x)
 	for i := range r {
 		r[i] = b[i] - r[i]
 	}
-	rnorm0 := k.norm2(r)
+	rnorm0 := k.red.Norm2(r)
 	if k.testConvergence(0, rnorm0, rnorm0) {
 		return nil
 	}
@@ -72,7 +72,7 @@ func (k *KSP) solveRichardson(b, x []float64) error {
 		for i := range r {
 			r[i] = b[i] - r[i]
 		}
-		if k.testConvergence(it, k.norm2(r), rnorm0) {
+		if k.testConvergence(it, k.red.Norm2(r), rnorm0) {
 			return nil
 		}
 	}

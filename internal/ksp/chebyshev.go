@@ -14,7 +14,7 @@ import (
 // smoothing and communication-avoiding settings favor it.
 func (k *KSP) solveChebyshev(b, x []float64) error {
 	n := len(x)
-	w := k.wsVecs(n, 4)
+	w := k.ws.Vecs(n, 4)
 	r, z, p, q := w[0], w[1], w[2], w[3]
 
 	emin, emax := k.chebEmin, k.chebEmax
@@ -34,7 +34,7 @@ func (k *KSP) solveChebyshev(b, x []float64) error {
 	for i := range r {
 		r[i] = b[i] - r[i]
 	}
-	rnorm0 := k.norm2(r)
+	rnorm0 := k.red.Norm2(r)
 	if k.testConvergence(0, rnorm0, rnorm0) {
 		return nil
 	}
@@ -60,7 +60,7 @@ func (k *KSP) solveChebyshev(b, x []float64) error {
 		sparse.Axpy(alpha, p, x)
 		k.a.Apply(q, p)
 		sparse.Axpy(-alpha, q, r)
-		if k.testConvergence(it, k.norm2(r), rnorm0) {
+		if k.testConvergence(it, k.red.Norm2(r), rnorm0) {
 			return nil
 		}
 	}
@@ -77,7 +77,7 @@ func (k *KSP) estimateMaxEig() (float64, error) {
 	l := k.a.Layout()
 	n := l.LocalN
 	// Workspace slots 4-6: solveChebyshev owns 0-3 for the iteration.
-	ws := k.wsVecs(n, 7)
+	ws := k.ws.Vecs(n, 7)
 	v, t, w := ws[4], ws[5], ws[6]
 	for i := range v {
 		h := uint64(l.Start+i+1) * 0x9E3779B97F4A7C15
@@ -88,7 +88,7 @@ func (k *KSP) estimateMaxEig() (float64, error) {
 	for it := 0; it < 20; it++ {
 		k.a.Apply(t, v)
 		k.pc.Apply(w, t)
-		nrm := k.norm2(w)
+		nrm := k.red.Norm2(w)
 		if nrm == 0 || math.IsNaN(nrm) {
 			break
 		}

@@ -3,40 +3,55 @@ package ksp
 import (
 	"math"
 
-	"repro/internal/sparse"
+	"repro/internal/pmat"
 )
 
-// solveGMRES is restarted, left-preconditioned GMRES(m) with modified
-// Gram–Schmidt orthogonalization and Givens-rotation least squares.
-// Convergence is tested on the preconditioned residual norm, as in
-// PETSc's default GMRES convergence test. The MGS dots are sequentially
-// dependent (each orthogonalization step reads the previous Axpy), so no
-// reductions are fused here; the win is workspace reuse across solves.
-func (k *KSP) solveGMRES(b, x []float64) error {
+// solveGMRES is restarted GMRES(m) with modified Gram–Schmidt
+// orthogonalization (pmat.Orthogonalize) and Givens-rotation least
+// squares, in two variants that differ only in where the preconditioner
+// sits and which basis updates x:
+//
+//   - flexible unset: left-preconditioned, w = M⁻¹·A·v_j, x += V·y, and
+//     convergence is tested on the preconditioned residual norm, as in
+//     PETSc's default GMRES convergence test;
+//   - flexible set (FGMRES): right-preconditioned with the directions
+//     z_j = M⁻¹·v_j stored, w = A·z_j, x += Z·y, so the preconditioner
+//     may change between iterations (e.g. an inner iterative solve) and
+//     the test sees the true residual norm.
+func (k *KSP) solveGMRES(b, x []float64, flexible bool) error {
 	n := len(x)
 	m := k.restart
 
-	ws := k.wsKrylov(n, m, false)
-	v, h, g, cs, sn := ws.v, ws.h, ws.g, ws.cs, ws.sn
-	scratch := k.wsVecs(n, 2)
+	ws := &k.ws
+	ws.Krylov(n, m, flexible)
+	v, g, cs, sn := ws.V, ws.G, ws.CS, ws.SN
+	scratch := ws.Vecs(n, 2)
 	w, t := scratch[0], scratch[1]
+	update := v // the basis that carries y into x
+	if flexible {
+		update = ws.Z
+	}
 
 	rnorm0 := -1.0
 	it := 0
 	for { // outer restart loop
-		// r = M⁻¹ (b − A x)
-		k.a.Apply(t, x)
-		for i := range t {
-			t[i] = b[i] - t[i]
+		// w = b − A·x, through M⁻¹ unless flexible.
+		r := t
+		if flexible {
+			r = w
 		}
-		k.pc.Apply(w, t)
-		beta := k.norm2(w)
+		k.a.Apply(r, x)
+		for i := range r {
+			r[i] = b[i] - r[i]
+		}
+		if !flexible {
+			k.pc.Apply(w, r)
+		}
+		beta := k.red.Norm2(w)
 		if rnorm0 < 0 {
 			rnorm0 = beta
-			if k.testConvergence(0, beta, rnorm0) {
-				return nil
-			}
-		} else if k.testConvergence(it, beta, rnorm0) {
+		}
+		if k.testConvergence(it, beta, rnorm0) {
 			return nil
 		}
 		if beta == 0 {
@@ -52,20 +67,19 @@ func (k *KSP) solveGMRES(b, x []float64) error {
 		}
 		g[0] = beta
 
-		var j int
-		for j = 0; j < m; j++ {
+		j, stop := 0, false
+		for ; j < m && !stop; j++ {
 			it++
-			// w = M⁻¹ A v_j
-			k.a.Apply(t, v[j])
-			k.pc.Apply(w, t)
-			// Modified Gram–Schmidt.
-			for i := 0; i <= j; i++ {
-				h[i][j] = k.dot(w, v[i])
-				sparse.Axpy(-h[i][j], v[i], w)
+			if flexible {
+				k.pc.Apply(ws.Z[j], v[j])
+				k.a.Apply(w, ws.Z[j])
+			} else {
+				k.a.Apply(t, v[j])
+				k.pc.Apply(w, t)
 			}
-			h[j+1][j] = k.norm2(w)
-			if h[j+1][j] > 1e-300 {
-				inv := 1 / h[j+1][j]
+			h := ws.Col(j)
+			if hj1 := pmat.Orthogonalize(k.red, w, v[:j+1], h); hj1 > 1e-300 {
+				inv := 1 / hj1
 				for i := range w {
 					v[j+1][i] = w[i] * inv
 				}
@@ -78,49 +92,23 @@ func (k *KSP) solveGMRES(b, x []float64) error {
 			}
 			// Apply existing Givens rotations to the new column.
 			for i := 0; i < j; i++ {
-				hij := h[i][j]
-				h[i][j] = cs[i]*hij + sn[i]*h[i+1][j]
-				h[i+1][j] = -sn[i]*hij + cs[i]*h[i+1][j]
+				hi := h[i]
+				h[i] = cs[i]*hi + sn[i]*h[i+1]
+				h[i+1] = -sn[i]*hi + cs[i]*h[i+1]
 			}
-			// New rotation to annihilate h[j+1][j].
-			cs[j], sn[j] = givens(h[j][j], h[j+1][j])
-			h[j][j] = cs[j]*h[j][j] + sn[j]*h[j+1][j]
-			h[j+1][j] = 0
+			// New rotation to annihilate h[j+1].
+			cs[j], sn[j] = givens(h[j], h[j+1])
+			h[j] = cs[j]*h[j] + sn[j]*h[j+1]
+			h[j+1] = 0
 			g[j+1] = -sn[j] * g[j]
 			g[j] = cs[j] * g[j]
 
-			rnorm := math.Abs(g[j+1])
-			if k.testConvergence(it, rnorm, rnorm0) {
-				k.updateSolution(x, v, h, g, j+1)
-				return nil
-			}
+			stop = k.testConvergence(it, math.Abs(g[j+1]), rnorm0)
 		}
-		k.updateSolution(x, v, h, g, j)
-	}
-}
-
-// updateSolution computes x += V_k · y where H(1:k,1:k) y = g(1:k). The
-// back-substitution buffer lives in the workspace (kk never exceeds the
-// restart length the workspace was sized for).
-func (k *KSP) updateSolution(x []float64, v [][]float64, h [][]float64, g []float64, kk int) {
-	if kk == 0 {
-		return
-	}
-	y := k.ws.y[:kk]
-	for i := kk - 1; i >= 0; i-- {
-		s := g[i]
-		for j := i + 1; j < kk; j++ {
-			s -= h[i][j] * y[j]
+		ws.HessenbergUpdate(x, update, j)
+		if stop {
+			return nil
 		}
-		if h[i][i] == 0 {
-			// Singular least-squares block: skip this direction.
-			y[i] = 0
-			continue
-		}
-		y[i] = s / h[i][i]
-	}
-	for j := 0; j < kk; j++ {
-		sparse.Axpy(y[j], v[j], x)
 	}
 }
 

@@ -10,21 +10,12 @@ import (
 
 // ILU0 holds an incomplete LU factorization with zero fill of a local
 // (serial) CSR matrix: L is unit lower triangular, U upper triangular,
-// both stored combined in a copy of A's pattern.
+// both stored combined in a copy of A's pattern. tri describes the two
+// halves of that storage to the shared triangular-sweep kernel.
 type ILU0 struct {
-	n       int
-	a       *sparse.CSR // combined L\U factors on A's pattern
-	diagPos []int       // position of the diagonal entry in each row
-
-	// Level-scheduled solve state (EnableLevels): the level sets of the
-	// two triangular sweeps — Setup-time artifacts, the factor pattern
-	// is immutable — plus the pool and persistent sweep tasks. A nil or
-	// serial pool keeps the plain sequential sweeps; the level schedule
-	// performs each row's arithmetic in the identical sequence, so both
-	// paths are bitwise-identical.
-	pool       *par.Pool
-	lvlF, lvlB *par.Levels
-	fwd, bwd   iluSweepTask
+	a    *sparse.CSR // combined L\U factors on A's pattern
+	tri  par.RowTri
+	pool *par.Pool
 }
 
 // EnableLevels attaches an intra-rank worker pool to the triangular
@@ -32,54 +23,7 @@ type ILU0 struct {
 // Idempotent; pass nil (or a 1-worker pool) to stay serial.
 func (f *ILU0) EnableLevels(p *par.Pool) {
 	f.pool = p
-	if !p.Parallel() || f.lvlF != nil {
-		return
-	}
-	f.lvlF = par.LowerLevels(f.n, func(i int, visit func(j int)) {
-		for k := f.a.RowPtr[i]; k < f.diagPos[i]; k++ {
-			visit(f.a.ColInd[k])
-		}
-	})
-	f.lvlB = par.UpperLevels(f.n, func(i int, visit func(j int)) {
-		for k := f.diagPos[i] + 1; k < f.a.RowPtr[i+1]; k++ {
-			visit(f.a.ColInd[k])
-		}
-	})
-	f.fwd = iluSweepTask{f: f}
-	f.bwd = iluSweepTask{f: f, back: true}
-}
-
-// iluSweepTask applies one level's rows of a triangular sweep. Rows of
-// one level are structurally independent, and each row accumulates into
-// a local before writing its own z slot.
-type iluSweepTask struct {
-	f    *ILU0
-	rows []int
-	z, r []float64
-	back bool
-}
-
-func (t *iluSweepTask) Range(_, lo, hi int) {
-	f := t.f
-	if t.back {
-		for q := lo; q < hi; q++ {
-			i := t.rows[q]
-			s := t.z[i]
-			for k := f.diagPos[i] + 1; k < f.a.RowPtr[i+1]; k++ {
-				s -= f.a.Vals[k] * t.z[f.a.ColInd[k]]
-			}
-			t.z[i] = s / f.a.Vals[f.diagPos[i]]
-		}
-		return
-	}
-	for q := lo; q < hi; q++ {
-		i := t.rows[q]
-		s := t.r[i]
-		for k := f.a.RowPtr[i]; k < f.diagPos[i]; k++ {
-			s -= f.a.Vals[k] * t.z[f.a.ColInd[k]]
-		}
-		t.z[i] = s
-	}
+	f.tri.Schedule(p)
 }
 
 // NewILU0 factors the local square matrix a with ILU(0). Rows must contain
@@ -135,7 +79,17 @@ func NewILU0(a *sparse.CSR) (*ILU0, error) {
 		}
 		clearPos(pos, f, lo, hi)
 	}
-	return &ILU0{n: n, a: f, diagPos: diagPos}, nil
+	// L is [RowPtr[i], diagPos[i]) and U (diagPos[i], RowPtr[i+1]) of the
+	// combined row; the sweep divides by a copy of the pivots.
+	uLo, diag := make([]int, n), make([]float64, n)
+	for i, d := range diagPos {
+		uLo[i], diag[i] = d+1, f.Vals[d]
+	}
+	return &ILU0{a: f, tri: par.RowTri{
+		LLo: f.RowPtr[:n], LHi: diagPos, LCols: f.ColInd, LVals: f.Vals,
+		ULo: uLo, UHi: f.RowPtr[1:], UCols: f.ColInd, UVals: f.Vals,
+		Diag: diag,
+	}}, nil
 }
 
 func clearPos(pos []int, f *sparse.CSR, lo, hi int) {
@@ -146,49 +100,10 @@ func clearPos(pos []int, f *sparse.CSR, lo, hi int) {
 
 // Solve computes z = (LU)⁻¹ r. z and r may alias.
 func (f *ILU0) Solve(z, r []float64) {
-	n := f.n
-	if len(z) != n || len(r) != n {
+	if n := f.a.Rows; len(z) != n || len(r) != n {
 		panic(fmt.Sprintf("ksp: ILU0.Solve: vectors must have length %d", n))
 	}
-	if f.pool.Parallel() {
-		f.solveLevels(z, r)
-		return
-	}
-	// Forward: L z = r, L unit lower.
-	for i := 0; i < n; i++ {
-		s := r[i]
-		for k := f.a.RowPtr[i]; k < f.diagPos[i]; k++ {
-			s -= f.a.Vals[k] * z[f.a.ColInd[k]]
-		}
-		z[i] = s
-	}
-	// Backward: U z = z.
-	for i := n - 1; i >= 0; i-- {
-		s := z[i]
-		for k := f.diagPos[i] + 1; k < f.a.RowPtr[i+1]; k++ {
-			s -= f.a.Vals[k] * z[f.a.ColInd[k]]
-		}
-		z[i] = s / f.a.Vals[f.diagPos[i]]
-	}
-}
-
-// solveLevels is the level-scheduled Solve: levels run in dependency
-// order, rows within a level fan out across the pool. Aliased z/r are
-// fine for the same reason as the serial sweep: row i is the only
-// reader of r[i] and the only writer of z[i].
-func (f *ILU0) solveLevels(z, r []float64) {
-	f.fwd.z, f.fwd.r = z, r
-	for l := 0; l < f.lvlF.NumLevels(); l++ {
-		f.fwd.rows = f.lvlF.Level(l)
-		f.pool.Run(len(f.fwd.rows), &f.fwd)
-	}
-	f.fwd.z, f.fwd.r, f.fwd.rows = nil, nil, nil
-	f.bwd.z = z
-	for l := 0; l < f.lvlB.NumLevels(); l++ {
-		f.bwd.rows = f.lvlB.Level(l)
-		f.pool.Run(len(f.bwd.rows), &f.bwd)
-	}
-	f.bwd.z, f.bwd.rows = nil, nil
+	f.tri.Solve(f.pool, z, r)
 }
 
 // sorSweep performs one forward Gauss–Seidel/SOR sweep on the local block:

@@ -6,7 +6,7 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/par"
-	"repro/internal/sparse"
+	"repro/internal/pmat"
 	"repro/internal/telemetry"
 )
 
@@ -74,7 +74,6 @@ type Monitor func(it int, rnorm float64)
 // the same or updated operators, matching the reuse scenarios in §5.2 of
 // the paper.
 type KSP struct {
-	c  *comm.Comm
 	a  *Mat
 	pc PC
 
@@ -94,28 +93,26 @@ type KSP struct {
 	rnorm  float64
 	reason ConvergedReason
 
-	// ws is the per-solver workspace reused across repeated solves (the
+	// red performs every global reduction of the Krylov loops; ws is
+	// the per-solver workspace reused across repeated solves (the
 	// Session steady state); pcFor/pcObj record which (operator, PC)
 	// pair the preconditioner was last set up for, so an unchanged
 	// operator skips refactorization.
-	ws    solveWorkspace
+	red   *pmat.Reducer
+	ws    pmat.Workspace
 	pcFor *Mat
 	pcObj PC
 
 	rec *telemetry.Recorder
-
-	// pool is the intra-rank worker pool (nil = legacy serial path):
-	// the local halves of all reductions route through its fixed-slot
-	// fold, and pool-aware PCs inherit it for level-scheduled sweeps.
-	pool *par.Pool
 }
 
 // SetPool attaches an intra-rank worker pool (nil restores the serial
-// path). The pool is caller-owned; call after SetOperators/SetPC so the
-// assembled operator's distributed product and a pool-aware PC inherit
-// it before SetUp. Idempotent, safe to call every solve.
+// path): the reductions' local halves take its fixed-slot fold. The
+// pool is caller-owned; call after SetOperators/SetPC so the assembled
+// operator's distributed product and a pool-aware PC inherit it before
+// SetUp. Idempotent, safe to call every solve.
 func (k *KSP) SetPool(p *par.Pool) {
-	k.pool = p
+	k.red.SetPool(p)
 	if k.a != nil && k.a.pm != nil {
 		k.a.pm.SetPool(p)
 	}
@@ -128,7 +125,7 @@ func (k *KSP) SetPool(p *par.Pool) {
 // preconditioning, rtol 1e-5, atol 1e-50, dtol 1e5, maxits 10000.
 func New(c *comm.Comm) *KSP {
 	return &KSP{
-		c:       c,
+		red:     pmat.NewReducer(c),
 		typ:     TypeGMRES,
 		rtol:    1e-5,
 		atol:    1e-50,
@@ -278,9 +275,9 @@ func (k *KSP) Solve(b, x []float64) error {
 	case TypeBiCGStab:
 		err = k.solveBiCGStab(b, x)
 	case TypeGMRES:
-		err = k.solveGMRES(b, x)
+		err = k.solveGMRES(b, x, false)
 	case TypeFGMRES:
-		err = k.solveFGMRES(b, x)
+		err = k.solveGMRES(b, x, true)
 	case TypeChebyshev:
 		err = k.solveChebyshev(b, x)
 	case TypeTFQMR:
@@ -309,6 +306,10 @@ func (k *KSP) testConvergence(it int, rnorm, rnorm0 float64) bool {
 		k.monitor(it, rnorm)
 	}
 	switch {
+	case math.IsNaN(rnorm) || math.IsInf(rnorm, 0):
+		// A NaN compares false against every tolerance below; without
+		// this case a poisoned recurrence runs to maxIts.
+		k.reason = DivergedBreakdown
 	case rnorm <= k.atol:
 		k.reason = ConvergedATol
 	case rnorm <= k.rtol*rnorm0:
@@ -321,34 +322,4 @@ func (k *KSP) testConvergence(it int, rnorm, rnorm0 float64) bool {
 		return false
 	}
 	return true
-}
-
-func (k *KSP) dot(x, y []float64) float64 {
-	return k.c.AllReduceFloat64(k.lDot(x, y), comm.OpSum)
-}
-
-func (k *KSP) norm2(x []float64) float64 {
-	local := k.lNorm2(x)
-	return math.Sqrt(k.c.AllReduceFloat64(local*local, comm.OpSum))
-}
-
-// lDot and lNorm2 are the local halves of the global reductions: with a
-// pool attached they use the fixed-slot partial fold (layout a function
-// of the vector length alone, folded in slot order — bitwise-identical
-// for every worker count), without one they are exactly sparse.Dot and
-// sparse.Norm2. Every global reduction in this package — dot, norm2,
-// and the fused* helpers — funnels through them, so the rank-order
-// fold audited in docs/PERFORMANCE.md is unchanged.
-func (k *KSP) lDot(x, y []float64) float64 {
-	if k.pool != nil {
-		return k.pool.Dot(x, y)
-	}
-	return sparse.Dot(x, y)
-}
-
-func (k *KSP) lNorm2(x []float64) float64 {
-	if k.pool != nil {
-		return k.pool.Norm2(x)
-	}
-	return sparse.Norm2(x)
 }

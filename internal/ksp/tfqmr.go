@@ -14,7 +14,7 @@ import (
 // between them, so only the workspace is hoisted — no reduction fusion.
 func (k *KSP) solveTFQMR(b, x []float64) error {
 	n := len(x)
-	ws := k.wsVecs(n, 10)
+	ws := k.ws.Vecs(n, 10)
 	scratch, r, r0, w := ws[0], ws[1], ws[2], ws[3]
 	y1, y2, d, v := ws[4], ws[5], ws[6], ws[7]
 	u1, u2 := ws[8], ws[9]
@@ -41,7 +41,7 @@ func (k *KSP) solveTFQMR(b, x []float64) error {
 	applyPA(v, y1, scratch)
 	copy(u1, v)
 
-	tau := k.norm2(r)
+	tau := k.red.Norm2(r)
 	rnorm0 := tau
 	if k.testConvergence(0, tau, rnorm0) {
 		return nil
@@ -50,7 +50,7 @@ func (k *KSP) solveTFQMR(b, x []float64) error {
 	rho := tau * tau
 
 	for it := 1; ; it++ {
-		sigma := k.dot(r0, v)
+		sigma := k.red.Dot(r0, v)
 		if sigma == 0 {
 			k.reason = DivergedBreakdown
 			k.its = it
@@ -74,7 +74,7 @@ func (k *KSP) solveTFQMR(b, x []float64) error {
 			for i := range d {
 				d[i] = y[i] + (thetaOld*thetaOld*etaOld/alpha)*d[i]
 			}
-			theta = k.norm2(w) / tau
+			theta = k.red.Norm2(w) / tau
 			c := 1 / math.Sqrt(1+theta*theta)
 			tau = tau * theta * c
 			eta = c * c * alpha
@@ -89,7 +89,7 @@ func (k *KSP) solveTFQMR(b, x []float64) error {
 			k.its = it
 			return nil
 		}
-		rhoNew := k.dot(r0, w)
+		rhoNew := k.red.Dot(r0, w)
 		beta := rhoNew / rho
 		rho = rhoNew
 		for i := range y1 {

@@ -10,8 +10,9 @@ import (
 
 // WriteLocal writes one rank's block rows and right-hand side to
 // node-local files under dir ("Mesh data files are written out on each
-// compute node locally for faster data input", §8[a]). The files are
-// named matrix.<rank> and rhs.<rank>.
+// compute node locally for faster data input", §8[a]). matrix.<rank> is
+// a Matrix Market file holding the rank's rectangular block of rows,
+// rhs.<rank> a vector file.
 func WriteLocal(dir string, rank int, a *sparse.CSR, b []float64) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("mesh: WriteLocal: %w", err)
@@ -21,7 +22,7 @@ func WriteLocal(dir string, rank int, a *sparse.CSR, b []float64) error {
 		return fmt.Errorf("mesh: WriteLocal: %w", err)
 	}
 	defer mf.Close()
-	if err := sparse.WriteCOO(mf, a); err != nil {
+	if err := sparse.WriteMatrixMarket(mf, a, sparse.MMGeneral); err != nil {
 		return fmt.Errorf("mesh: WriteLocal matrix: %w", err)
 	}
 	vf, err := os.Create(filepath.Join(dir, fmt.Sprintf("rhs.%d", rank)))
@@ -42,7 +43,7 @@ func ReadLocal(dir string, rank int) (*sparse.CSR, []float64, error) {
 		return nil, nil, fmt.Errorf("mesh: ReadLocal: %w", err)
 	}
 	defer mf.Close()
-	coo, err := sparse.ReadCOO(mf)
+	a, err := sparse.ReadMatrixMarket(mf)
 	if err != nil {
 		return nil, nil, fmt.Errorf("mesh: ReadLocal matrix: %w", err)
 	}
@@ -55,5 +56,5 @@ func ReadLocal(dir string, rank int) (*sparse.CSR, []float64, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("mesh: ReadLocal rhs: %w", err)
 	}
-	return coo.ToCSR(), b, nil
+	return a, b, nil
 }

@@ -1,12 +1,14 @@
 package mesh
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"repro/internal/comm"
 	"repro/internal/pmat"
 	"repro/internal/slu"
+	"repro/internal/sparse"
 )
 
 func TestNNZFormulaMatchesPaperSizes(t *testing.T) {
@@ -193,6 +195,14 @@ func TestFileRoundTrip(t *testing.T) {
 	}
 	if _, _, err := ReadLocal(dir, 7); err == nil {
 		t.Error("missing rank files accepted")
+	}
+	// A non-finite entry in a block-row file is a typed rejection.
+	a.Vals[3] = math.NaN()
+	if err := WriteLocal(dir, 3, a, b); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ReadLocal(dir, 3); !errors.Is(err, sparse.ErrMMNonFinite) {
+		t.Errorf("NaN in matrix.3: got %v, want ErrMMNonFinite", err)
 	}
 }
 

@@ -34,7 +34,7 @@ func (t *dotTask) Range(_, lo, hi int) {
 		if end > len(t.a) {
 			end = len(t.a)
 		}
-		t.out[s] = serialDot(t.a[start:end], t.b[start:end])
+		t.out[s] = plainDot(t.a[start:end], t.b[start:end])
 	}
 }
 
@@ -44,7 +44,7 @@ func (t *dotTask) Range(_, lo, hi int) {
 // the serial sum, bit-identical to sparse.Dot.
 func (p *Pool) Dot(a, b []float64) float64 {
 	if p == nil {
-		return serialDot(a, b)
+		return plainDot(a, b)
 	}
 	s := ReduceSlots(len(a))
 	if s == 0 {
@@ -52,7 +52,7 @@ func (p *Pool) Dot(a, b []float64) float64 {
 	}
 	if s == 1 {
 		p.inline++
-		return serialDot(a, b)
+		return plainDot(a, b)
 	}
 	parts := p.reserve(s)
 	t := &p.dot
@@ -66,9 +66,9 @@ func (p *Pool) Dot(a, b []float64) float64 {
 	return sum
 }
 
-// serialDot mirrors sparse.Dot's exact accumulation order (par cannot
+// plainDot mirrors sparse.Dot's exact accumulation order (par cannot
 // import sparse: sparse's pooled SpMV imports par).
-func serialDot(a, b []float64) float64 {
+func plainDot(a, b []float64) float64 {
 	s := 0.0
 	for i, v := range a {
 		s += v * b[i]
@@ -100,7 +100,7 @@ func (t *normTask) Range(_, lo, hi int) {
 // pool (or a single-slot vector) is bit-identical to sparse.Norm2.
 func (p *Pool) Norm2(x []float64) float64 {
 	if p == nil {
-		return serialNorm2(x)
+		return plainNorm2(x)
 	}
 	s := ReduceSlots(len(x))
 	if s == 0 {
@@ -108,7 +108,7 @@ func (p *Pool) Norm2(x []float64) float64 {
 	}
 	if s == 1 {
 		p.inline++
-		return serialNorm2(x)
+		return plainNorm2(x)
 	}
 	parts := p.reserve(2 * s)
 	t := &p.nrm
@@ -154,7 +154,7 @@ func scaledSSQ(x []float64) (scale, ssq float64) {
 	return scale, ssq
 }
 
-func serialNorm2(x []float64) float64 {
+func plainNorm2(x []float64) float64 {
 	scale, ssq := scaledSSQ(x)
 	return scale * math.Sqrt(ssq)
 }

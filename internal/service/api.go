@@ -179,7 +179,8 @@ type SolveRequest struct {
 	// binary was built with the faultinject tag; chaos testing only.
 	FaultSpec string `json:"fault_spec,omitempty"`
 
-	poolKey string // memoized pool key; recomputed for each decoded request
+	poolKey poolKey // memoized by key(); a decoded request starts unkeyed
+	keyed   bool
 }
 
 // SolveResponse is the body of a completed solve (HTTP 200). A solver

@@ -81,7 +81,7 @@ type rankResult struct {
 // the next request).
 type entry struct {
 	svc  *Service
-	key  string
+	key  poolKey
 	spec entrySpec
 
 	world    *comm.World
@@ -109,7 +109,7 @@ type entry struct {
 	torn     bool
 }
 
-func newEntry(s *Service, key string, spec entrySpec) (*entry, *Error) {
+func newEntry(s *Service, key poolKey, spec entrySpec) (*entry, *Error) {
 	w, err := comm.NewWorld(spec.procs)
 	if err != nil {
 		return nil, errf(CodeBadRequest, 400, false, "procs %d: %v", spec.procs, err)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -173,7 +174,7 @@ type Service struct {
 	cnt counters
 
 	mu      sync.Mutex
-	entries map[string]*entry
+	entries map[poolKey]*entry
 	tenants map[string]*tenantState
 
 	pending  atomic.Int64
@@ -210,7 +211,7 @@ func New(cfg Config) (*Service, error) {
 	s := &Service{
 		cfg:       cfg,
 		agg:       telemetry.NewAggregator(),
-		entries:   make(map[string]*entry),
+		entries:   make(map[poolKey]*entry),
 		tenants:   make(map[string]*tenantState),
 		accepting: true,
 	}
@@ -452,7 +453,7 @@ func (s *Service) entryFor(req *SolveRequest, t *tenantState) (*entry, bool, *Er
 // never runs on the reuse path — without this check a short RHS reaches
 // the batch copy in the dispatcher and panics. A dead entry is pruned.
 // Caller holds s.mu.
-func (s *Service) reuseLocked(key string, req *SolveRequest) (*entry, bool, *Error) {
+func (s *Service) reuseLocked(key poolKey, req *SolveRequest) (*entry, bool, *Error) {
 	e, ok := s.entries[key]
 	if !ok {
 		return nil, false, nil
@@ -497,7 +498,7 @@ func operatorConflict(req *SolveRequest, spec *entrySpec) *Error {
 // work. Caller holds s.mu.
 func (s *Service) evictIdleLocked() bool {
 	var victim *entry
-	var victimKey string
+	var victimKey poolKey
 	for k, e := range s.entries {
 		if e.pending.Load() > 0 {
 			continue
@@ -619,7 +620,7 @@ func (s *Service) solveFaulted(ctx context.Context, req *SolveRequest, resp *Sol
 	}
 	spec.hook = hook
 	s.cnt.FaultRequests.Add(1)
-	e, nerr := newEntry(s, "", spec)
+	e, nerr := newEntry(s, poolKey{}, spec)
 	if nerr != nil {
 		return nerr
 	}
@@ -672,7 +673,7 @@ func (s *Service) Drain(ctx context.Context) error {
 	for _, e := range s.entries {
 		entries = append(entries, e)
 	}
-	s.entries = make(map[string]*entry)
+	s.entries = make(map[poolKey]*entry)
 	s.mu.Unlock()
 	for _, e := range entries {
 		e.beginStop()
@@ -773,35 +774,59 @@ func (r *SolveRequest) workers(def int) int {
 	return r.Workers
 }
 
-// key returns the session-pool key: everything that shapes the pooled
-// session's identity — tenant, backend, world size, operator version,
-// parameters, and the resilience policy. Memoized: the steady-state
-// request path must not rebuild the string per solve.
-func (r *SolveRequest) key() string {
-	if r.poolKey != "" {
+// poolKey identifies a pooled session: everything that shapes its
+// identity — tenant, backend, world size, operator version, parameters
+// and the resilience policy. It is a comparable struct, not a joined
+// string, so no free-form field (a tenant or operator id containing a
+// separator, a parameter value spelling out the next parameter) can
+// run into its neighbour and make two different requests share a
+// session.
+type poolKey struct {
+	tenant, backend string
+	procs, workers  int
+	opID            string
+	opVersion       int
+	maxAttempts     int
+	// telemetry sessions carry a recorder (residual traces allocate),
+	// so they pool separately from the zero-allocation fast path.
+	telemetry bool
+	params    string // lenPrefixed (key, value) pairs in sorted key order
+	failover  string // lenPrefixed backend names in request order
+}
+
+// lenPrefixed appends each string behind its byte length, an encoding
+// no choice of contents can make ambiguous.
+func lenPrefixed(b []byte, ss ...string) []byte {
+	for _, s := range ss {
+		b = strconv.AppendInt(b, int64(len(s)), 10)
+		b = append(b, ':')
+		b = append(b, s...)
+	}
+	return b
+}
+
+// key returns the request's pool key. Memoized: the steady-state
+// request path must not rebuild it per solve.
+func (r *SolveRequest) key() poolKey {
+	if r.keyed {
 		return r.poolKey
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s|%s|p%d|w%d|%s@%d", r.Tenant, r.Backend, r.Procs, r.Workers, r.Operator.ID, r.Operator.Version)
-	keys := make([]string, 0, len(r.Params))
+	names := make([]string, 0, len(r.Params))
 	for k := range r.Params {
-		keys = append(keys, k)
+		names = append(names, k)
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Fprintf(&b, "|%s=%s", k, r.Params[k])
+	sort.Strings(names)
+	var params []byte
+	for _, k := range names {
+		params = lenPrefixed(params, k, r.Params[k])
 	}
-	fmt.Fprintf(&b, "|a%d", r.MaxAttempts)
-	for _, f := range r.Failover {
-		b.WriteString("|f:")
-		b.WriteString(f)
+	r.poolKey = poolKey{
+		tenant: r.Tenant, backend: r.Backend, procs: r.Procs, workers: r.Workers,
+		opID: r.Operator.ID, opVersion: r.Operator.Version,
+		maxAttempts: r.MaxAttempts, telemetry: r.Telemetry,
+		params: string(params), failover: string(lenPrefixed(nil, r.Failover...)),
 	}
-	if r.Telemetry {
-		// Telemetry sessions carry a recorder (residual traces allocate),
-		// so they pool separately from the zero-allocation fast path.
-		b.WriteString("|T")
-	}
-	r.poolKey = b.String()
+	r.keyed = true
 	return r.poolKey
 }
 

@@ -324,12 +324,32 @@ func TestServicePoolKeyIsolation(t *testing.T) {
 		other := whiteReq("acme", "op", 8)
 		mutate(other)
 		if base.key() == other.key() {
-			t.Errorf("mutation %d did not change the pool key %q", i, base.key())
+			t.Errorf("mutation %d did not change the pool key %+v", i, base.key())
 		}
 	}
 	same := whiteReq("acme", "op", 8)
 	if base.key() != same.key() {
-		t.Errorf("identical requests have different keys: %q vs %q", base.key(), same.key())
+		t.Errorf("identical requests have different keys: %+v vs %+v", base.key(), same.key())
+	}
+}
+
+// TestServicePoolKeyUnambiguous: free-form fields cannot run into their
+// neighbours. Both pairs produced one and the same key while it was a
+// "|"/"="-joined string, so the second request rode the first one's
+// pooled session — with parameters nobody validated, or across tenants.
+func TestServicePoolKeyUnambiguous(t *testing.T) {
+	split := whiteReq("acme", "op", 8)
+	split.Params = map[string]string{"maxits": "5", "tol": "1e-8"}
+	joined := whiteReq("acme", "op", 8)
+	joined.Params = map[string]string{"maxits": "5|tol=1e-8"}
+	if split.key() == joined.key() {
+		t.Errorf("a parameter value spelling out the next parameter shares the key %+v", split.key())
+	}
+
+	victim := whiteReq("a|petsc|p0|w0|b", "op", 8)
+	crafted := whiteReq("a", "b|petsc|p0|w0|op", 8)
+	if victim.key() == crafted.key() {
+		t.Errorf("a crafted operator id reaches another tenant's key %+v", victim.key())
 	}
 }
 

@@ -131,6 +131,8 @@ type sluSweepTask struct {
 	back bool
 }
 
+func (t *sluSweepTask) SetRows(rows []int) { t.rows = rows }
+
 func (t *sluSweepTask) Range(_, lo, hi int) {
 	ls := t.ls
 	if t.back {
@@ -161,18 +163,12 @@ func (t *sluSweepTask) Range(_, lo, hi int) {
 // lSolve / uSolve run the level schedules on the pool.
 func (ls *levelSolve) lSolve(c []float64) {
 	ls.fwd.c = c
-	for l := 0; l < ls.lvlF.NumLevels(); l++ {
-		ls.fwd.rows = ls.lvlF.Level(l)
-		ls.pool.Run(len(ls.fwd.rows), &ls.fwd)
-	}
-	ls.fwd.c, ls.fwd.rows = nil, nil
+	ls.lvlF.Sweep(ls.pool, &ls.fwd)
+	ls.fwd.c = nil
 }
 
 func (ls *levelSolve) uSolve(c []float64) {
 	ls.bwd.c = c
-	for l := 0; l < ls.lvlB.NumLevels(); l++ {
-		ls.bwd.rows = ls.lvlB.Level(l)
-		ls.pool.Run(len(ls.bwd.rows), &ls.bwd)
-	}
-	ls.bwd.c, ls.bwd.rows = nil, nil
+	ls.lvlB.Sweep(ls.pool, &ls.bwd)
+	ls.bwd.c = nil
 }

@@ -129,21 +129,6 @@ func TestFEMValidation(t *testing.T) {
 	}
 }
 
-func TestMatrixIORoundTrip(t *testing.T) {
-	a := RandomDiagDominant(12, 3, 7)
-	var buf bytes.Buffer
-	if err := WriteCOO(&buf, a); err != nil {
-		t.Fatal(err)
-	}
-	coo, err := ReadCOO(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !a.AlmostEqual(coo.ToCSR(), 0) {
-		t.Error("matrix I/O round trip changed values")
-	}
-}
-
 func TestVectorIORoundTrip(t *testing.T) {
 	x := RandomVector(37, 3)
 	x[0] = math.Pi
@@ -157,22 +142,6 @@ func TestVectorIORoundTrip(t *testing.T) {
 	}
 	if !densEqHelper(x, got, 0) {
 		t.Error("vector I/O round trip changed values")
-	}
-}
-
-func TestReadCOOErrors(t *testing.T) {
-	cases := map[string]string{
-		"empty":        "",
-		"badSize":      "a b c\n",
-		"shortTriplet": "2 2 1\n1 1\n",
-		"outOfRange":   "2 2 1\n5 1 3.0\n",
-		"countLied":    "2 2 3\n1 1 1.0\n",
-		"badValue":     "2 2 1\n1 1 zzz\n",
-	}
-	for name, in := range cases {
-		if _, err := ReadCOO(strings.NewReader(in)); err == nil {
-			t.Errorf("%s: ReadCOO accepted malformed input", name)
-		}
 	}
 }
 

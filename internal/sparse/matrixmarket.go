@@ -20,9 +20,8 @@ import (
 // codes.
 //
 // Out-of-scope constructs fail parsing rather than being silently
-// coerced: duplicate coordinate entries are an error (the legacy
-// ReadCOO path sums them; an exchange file with duplicates is almost
-// always a generator bug), and symmetric files must store exactly the
+// coerced: duplicate coordinate entries are an error (an exchange file
+// with duplicates is almost always a generator bug), and symmetric files must store exactly the
 // lower triangle as the standard requires.
 
 // Typed parse errors, matchable with errors.Is. Every parse failure
@@ -437,25 +436,23 @@ func WriteMatrixMarket(w io.Writer, m Matrix, sym MMSymmetry) error {
 	return bw.Flush()
 }
 
-// ReadMatrixAuto reads a matrix from either a strict Matrix Market
-// file (banner present — parsed by ReadMatrixMarket, so symmetric
-// storage and typed rejections apply) or the legacy banner-less
-// coordinate text accepted by ReadCOO. This is the ingestion entry
-// point for lisi-solve and corpus loading.
-func ReadMatrixAuto(r io.Reader) (*CSR, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	peek, err := br.Peek(len(mmBanner))
-	if err != nil && err != io.EOF {
-		return nil, err
+// toCOO views any storage format as coordinate triplets.
+func toCOO(m Matrix) *COO {
+	switch a := m.(type) {
+	case *COO:
+		return a
+	case *CSR:
+		return a.ToCOO()
+	case *CSC:
+		return a.ToCSR().ToCOO()
+	case *MSR:
+		return a.ToCSR().ToCOO()
+	case *VBR:
+		return a.ToCSR().ToCOO()
+	case *FEM:
+		return a.ToCOO()
 	}
-	if strings.EqualFold(string(peek), mmBanner) {
-		return ReadMatrixMarket(br)
-	}
-	coo, err := ReadCOO(br)
-	if err != nil {
-		return nil, err
-	}
-	return coo.ToCSR(), nil
+	panic(fmt.Sprintf("sparse: WriteMatrixMarket: unsupported matrix type %T", m))
 }
 
 const mmBanner = "%%MatrixMarket"

@@ -240,50 +240,6 @@ func TestMatrixMarketNonFinite(t *testing.T) {
 	}
 }
 
-// TestReadMatrixAuto: bannered files take the strict Matrix Market
-// path (including symmetric expansion); legacy banner-less coordinate
-// text still loads through ReadCOO.
-func TestReadMatrixAuto(t *testing.T) {
-	a := Laplace2D(6, 6)
-
-	var mm bytes.Buffer
-	if err := WriteMatrixMarket(&mm, a, MMSymmetric); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadMatrixAuto(bytes.NewReader(mm.Bytes()))
-	if err != nil {
-		t.Fatalf("mm: %v", err)
-	}
-	requireBitwiseEqual(t, "mm symmetric", a, got)
-
-	// WriteCOO output carries the banner, so it lands on the strict
-	// path too — and must parse identically.
-	var legacy bytes.Buffer
-	if err := WriteCOO(&legacy, a); err != nil {
-		t.Fatal(err)
-	}
-	got, err = ReadMatrixAuto(bytes.NewReader(legacy.Bytes()))
-	if err != nil {
-		t.Fatalf("writecoo: %v", err)
-	}
-	requireBitwiseEqual(t, "writecoo", a, got)
-
-	// Banner-less text: the legacy fallback.
-	bare := "% comment\n2 2 2\n1 1 4\n2 2 4\n"
-	got, err = ReadMatrixAuto(strings.NewReader(bare))
-	if err != nil {
-		t.Fatalf("bare: %v", err)
-	}
-	if got.Rows != 2 || got.NNZ() != 2 {
-		t.Fatalf("bare: got %dx%d nnz=%d", got.Rows, got.Cols, got.NNZ())
-	}
-
-	// A tiny banner-less file shorter than the peek window.
-	if _, err := ReadMatrixAuto(strings.NewReader("1 1 0\n")); err != nil {
-		t.Fatalf("short: %v", err)
-	}
-}
-
 // FuzzReadMatrixMarket drives the parser with arbitrary input and, for
 // anything that parses, checks the write/read round-trip invariant.
 func FuzzReadMatrixMarket(f *testing.F) {
