@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test check race workers vet fmt lint vet-self ignore-audit bench benchguard baseline telemetry chaos chaos-service serve-integration sweep golden fuzz clean
+.PHONY: all build test check race workers vet fmt lint vet-self ignore-audit bench benchguard bench-pairs baseline telemetry chaos chaos-service serve-integration sweep golden fuzz clean
 
 all: check
 
@@ -53,6 +53,17 @@ bench:
 
 benchguard:
 	./scripts/benchguard.sh
+
+# bench-pairs = the end-to-end benchmark alternated between a parent
+# commit and this tree: make bench-pairs PARENT=HEAD~1 WORKLOAD=stencil-gmres
+# (PAIRS defaults to 3, 10 for a headline claim; SECONDS to the
+# benchmark's own run length).
+PARENT ?= HEAD
+WORKLOAD ?= stencil-gmres
+PAIRS ?= 3
+SECONDS ?=
+bench-pairs:
+	./scripts/benchpairs.sh $(PARENT) $(WORKLOAD) $(PAIRS) $(SECONDS)
 
 baseline:
 	./scripts/benchguard.sh --update

@@ -224,6 +224,8 @@ func main() {
 			BytesRecv:          st.BytesRecv,
 			BarrierEntries:     st.BarrierEntries,
 			BarrierWaitSeconds: st.BarrierWait.Seconds(),
+			BarrierParks:       st.BarrierParks,
+			RecvParks:          st.RecvParks,
 			Collectives:        st.Collectives,
 		}
 	}

@@ -38,6 +38,8 @@ func statsToTelemetry(st comm.Stats) *telemetry.CommStats {
 		BytesRecv:          st.BytesRecv,
 		BarrierEntries:     st.BarrierEntries,
 		BarrierWaitSeconds: st.BarrierWait.Seconds(),
+		BarrierParks:       st.BarrierParks,
+		RecvParks:          st.RecvParks,
 		Collectives:        st.Collectives,
 	}
 }

@@ -1,7 +1,9 @@
 package comm
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -15,14 +17,62 @@ const (
 	awaitCtxDone
 )
 
+// yieldPolls is how many times a wait polls its wake channel, with a
+// runtime.Gosched after each miss, before it parks. Two ranks that are
+// both running meet within a microsecond or two, but parking the waiter
+// makes the peer's arrival pay a goroutine wake-up and, once the waiter's
+// P has gone idle, a futex wake-up of its thread: 72 µs from send to
+// running on the 2-vCPU reference host, paid at most of the ~10k
+// rendezvous of one GMRES(30) solve. The ski-rental rule sets the budget:
+// poll for as long as one park + wake-up costs and no wait costs more
+// than twice its optimum. A missed poll and its yield take 0.12 µs, so
+// 600 of them are that 72 µs; measured, solve time is flat from 150 polls
+// to 10000 and a third worse at 50. The yield is what makes polling safe:
+// a peer that has no P of its own (GOMAXPROCS=1, more ranks than cores)
+// gets this one, so the wait cannot livelock, and polling back to back
+// without it measured slower wherever it differed. docs/PERFORMANCE.md
+// "Rendezvous" has the tables.
+const yieldPolls = 600
+
+// pollBudget is yieldPolls; only tests change it (0 parks every wait at
+// once, the behaviour before waits polled).
+var pollBudget = yieldPolls
+
+// waitOn is the one place a rank waits for a peer: barrier.await waits
+// for its generation's token with it, mailbox.take for its hand-off. It
+// polls wake up to pollBudget times, then counts a park and blocks until
+// wake delivers, the world aborts or done fires. Abort and cancellation
+// are looked at only once parked, so they release a polling rank after
+// at most the rest of its budget.
+func waitOn[T any](wake <-chan T, abort, done <-chan struct{}, parks *atomic.Int64) (T, awaitResult) {
+	for i := 0; i < pollBudget; i++ {
+		select {
+		case v := <-wake:
+			return v, awaitOK
+		default:
+		}
+		runtime.Gosched()
+	}
+	parks.Add(1)
+	var none T
+	select {
+	case v := <-wake:
+		return v, awaitOK
+	case <-abort:
+		return none, awaitAborted
+	case <-done:
+		return none, awaitCtxDone
+	}
+}
+
 // barrier is a reusable (cyclic) barrier for a fixed number of
 // participants. Release is by tokens on one of two pre-allocated buffered
 // channels (selected by generation parity) rather than by closing and
 // re-making a gate channel per generation: the last arrival of a
 // generation deposits parties−1 tokens, each waiter consumes one, and the
-// steady-state path performs no allocation at all. Waiters select on the
-// token channel, the world's abort channel and the caller's context, so a
-// blocked rank can always be released.
+// steady-state path performs no allocation at all. Waiters wait on the
+// token channel with waitOn, which also watches the world's abort channel
+// and the caller's context, so a blocked rank can always be released.
 //
 // Parity reuse is safe: a rank cannot enter generation g+2 before every
 // rank has entered generation g+1, and a rank only enters g+1 after
@@ -45,8 +95,10 @@ func newBarrier(parties int, abortCh chan struct{}) *barrier {
 }
 
 // await blocks until all parties of the current generation have entered,
-// the world aborts, or done fires — whichever comes first.
-func (b *barrier) await(done <-chan struct{}) awaitResult {
+// the world aborts, or done fires — whichever comes first. Only an arrival
+// that has to wait reads the clock and adds to st's barrier wait; the one
+// that releases the generation returns at once.
+func (b *barrier) await(done <-chan struct{}, st *rankStats) awaitResult {
 	b.mu.Lock()
 	select {
 	case <-b.abortCh:
@@ -67,14 +119,10 @@ func (b *barrier) await(done <-chan struct{}) awaitResult {
 	}
 	t := b.tokens[b.gen%2]
 	b.mu.Unlock()
-	select {
-	case <-t:
-		return awaitOK
-	case <-b.abortCh:
-		return awaitAborted
-	case <-done:
-		return awaitCtxDone
-	}
+	start := time.Now()
+	_, res := waitOn(t, b.abortCh, done, &st.barrierParks)
+	st.barrierWaitNs.Add(int64(time.Since(start)))
+	return res
 }
 
 // Barrier blocks until every rank in the world has entered it, the world
@@ -87,10 +135,7 @@ func (c *Comm) Barrier() {
 	}
 	st := &c.w.stats[c.rank]
 	st.barriers.Add(1)
-	start := time.Now()
-	res := c.w.bar.await(c.ctxDone())
-	st.barrierWaitNs.Add(int64(time.Since(start)))
-	switch res {
+	switch c.w.bar.await(c.ctxDone(), st) {
 	case awaitAborted:
 		panic(ErrAborted)
 	case awaitCtxDone:

@@ -1,6 +1,9 @@
 package comm
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // message is one in-flight point-to-point payload.
 type message struct {
@@ -10,8 +13,8 @@ type message struct {
 }
 
 // recvWaiter is one blocked receive's registration: its match pattern and
-// a capacity-1 handoff channel. Records are pooled per mailbox, so the
-// steady-state blocking path allocates nothing.
+// a capacity-1 handoff channel. Records are recycled through the mailbox's
+// free list, so the steady-state blocking path allocates nothing.
 type recvWaiter struct {
 	src, tag int
 	ch       chan message
@@ -26,12 +29,14 @@ type recvWaiter struct {
 // mutex, which rules out lost wakeups; the handoff itself never blocks
 // because a waiter removed from the list receives exactly one message.
 // Unlike the classic close-and-remake broadcast gate, neither delivery nor
-// a blocked receive allocates in steady state.
+// a blocked receive allocates in steady state: idle waiter records sit in
+// free, a plain list under the same mutex (a sync.Pool's per-P slots miss
+// whenever a polling rank resumes on another P, and again after each GC).
 type mailbox struct {
 	mu      sync.Mutex
 	queue   []message
 	waiters []*recvWaiter
-	wpool   sync.Pool
+	free    []*recvWaiter
 	abortCh chan struct{}
 }
 
@@ -64,11 +69,13 @@ func (m *mailbox) put(msg message) {
 // take blocks until a message matching (src, tag) is available and removes
 // it from the queue. Matching is FIFO among matching messages, which gives
 // MPI's non-overtaking guarantee per (src, tag) pair; concurrent waiters
-// are served in registration order. The wait ends early when the world
+// are served in registration order. A take that finds no queued match
+// waits on its hand-off channel with waitOn, counting a park on parks when
+// the poll budget runs out. The wait ends early when the world
 // aborts or done fires — the waiter record is then abandoned rather than
 // recycled, since a racing put may still hand it a message (the world is
 // dead either way, so the message is deliberately dropped).
-func (m *mailbox) take(src, tag int, done <-chan struct{}) (message, awaitResult) {
+func (m *mailbox) take(src, tag int, done <-chan struct{}, parks *atomic.Int64) (message, awaitResult) {
 	m.mu.Lock()
 	select {
 	case <-m.abortCh:
@@ -85,22 +92,22 @@ func (m *mailbox) take(src, tag int, done <-chan struct{}) (message, awaitResult
 			return msg, awaitOK
 		}
 	}
-	w, _ := m.wpool.Get().(*recvWaiter)
-	if w == nil {
+	var w *recvWaiter
+	if n := len(m.free); n > 0 {
+		w, m.free = m.free[n-1], m.free[:n-1]
+	} else {
 		w = &recvWaiter{ch: make(chan message, 1)}
 	}
 	w.src, w.tag = src, tag
 	m.waiters = append(m.waiters, w)
 	m.mu.Unlock()
-	select {
-	case msg := <-w.ch:
-		m.wpool.Put(w) // only a normal completion recycles the record
-		return msg, awaitOK
-	case <-m.abortCh:
-		return message{}, awaitAborted
-	case <-done:
-		return message{}, awaitCtxDone
+	msg, res := waitOn(w.ch, m.abortCh, done, parks)
+	if res == awaitOK {
+		m.mu.Lock()
+		m.free = append(m.free, w) // only a normal completion recycles the record
+		m.mu.Unlock()
 	}
+	return msg, res
 }
 
 // send delivers a payload to dest. The payload must already be an owned
@@ -130,14 +137,14 @@ func (c *Comm) recv(src, tag int) (any, int) {
 	if fr := c.w.fault; fr != nil {
 		c.faultPoint(fr, FaultRecv, src, tag)
 	}
-	msg, res := c.w.mail[c.rank].take(src, tag, c.ctxDone())
+	st := &c.w.stats[c.rank]
+	msg, res := c.w.mail[c.rank].take(src, tag, c.ctxDone(), &st.recvParks)
 	switch res {
 	case awaitAborted:
 		panic(ErrAborted)
 	case awaitCtxDone:
 		c.cancelled()
 	}
-	st := &c.w.stats[c.rank]
 	st.recvs.Add(1)
 	st.bytesRecv.Add(payloadBytes(msg.data))
 	return msg.data, msg.src

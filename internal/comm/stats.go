@@ -16,6 +16,8 @@ type rankStats struct {
 	bytesRecv     atomic.Int64
 	barriers      atomic.Int64
 	barrierWaitNs atomic.Int64
+	barrierParks  atomic.Int64
+	recvParks     atomic.Int64
 	collectives   atomic.Int64
 	poolAllocs    atomic.Int64
 	poolRecycled  atomic.Int64
@@ -30,7 +32,9 @@ type Stats struct {
 	BytesSent      int64         // payload bytes sent (typed payloads only)
 	BytesRecv      int64         // payload bytes received
 	BarrierEntries int64         // barrier entries (incl. collective-internal)
-	BarrierWait    time.Duration // time blocked waiting in barriers
+	BarrierWait    time.Duration // time waiting in barriers (the releasing arrival adds none)
+	BarrierParks   int64         // barrier waits that outlived the poll budget and blocked
+	RecvParks      int64         // receive waits that outlived the poll budget and blocked
 	Collectives    int64         // collective operations entered
 	PoolAllocs     int64         // pooled sends that had to allocate a fresh buffer
 	PoolRecycled   int64         // received pooled buffers returned to the pool
@@ -45,6 +49,8 @@ func (s Stats) Add(o Stats) Stats {
 		BytesRecv:      s.BytesRecv + o.BytesRecv,
 		BarrierEntries: s.BarrierEntries + o.BarrierEntries,
 		BarrierWait:    s.BarrierWait + o.BarrierWait,
+		BarrierParks:   s.BarrierParks + o.BarrierParks,
+		RecvParks:      s.RecvParks + o.RecvParks,
 		Collectives:    s.Collectives + o.Collectives,
 		PoolAllocs:     s.PoolAllocs + o.PoolAllocs,
 		PoolRecycled:   s.PoolRecycled + o.PoolRecycled,
@@ -61,6 +67,8 @@ func (s Stats) Sub(o Stats) Stats {
 		BytesRecv:      s.BytesRecv - o.BytesRecv,
 		BarrierEntries: s.BarrierEntries - o.BarrierEntries,
 		BarrierWait:    s.BarrierWait - o.BarrierWait,
+		BarrierParks:   s.BarrierParks - o.BarrierParks,
+		RecvParks:      s.RecvParks - o.RecvParks,
 		Collectives:    s.Collectives - o.Collectives,
 		PoolAllocs:     s.PoolAllocs - o.PoolAllocs,
 		PoolRecycled:   s.PoolRecycled - o.PoolRecycled,
@@ -75,6 +83,8 @@ func (r *rankStats) snapshot() Stats {
 		BytesRecv:      r.bytesRecv.Load(),
 		BarrierEntries: r.barriers.Load(),
 		BarrierWait:    time.Duration(r.barrierWaitNs.Load()),
+		BarrierParks:   r.barrierParks.Load(),
+		RecvParks:      r.recvParks.Load(),
 		Collectives:    r.collectives.Load(),
 		PoolAllocs:     r.poolAllocs.Load(),
 		PoolRecycled:   r.poolRecycled.Load(),
@@ -108,6 +118,8 @@ func (w *World) ResetStats() {
 		s.bytesRecv.Store(0)
 		s.barriers.Store(0)
 		s.barrierWaitNs.Store(0)
+		s.barrierParks.Store(0)
+		s.recvParks.Store(0)
 		s.collectives.Store(0)
 		s.poolAllocs.Store(0)
 		s.poolRecycled.Store(0)

@@ -40,16 +40,18 @@ func TestStatsP2P(t *testing.T) {
 
 // TestStatsCollectivesAndBarriers checks collective and barrier
 // accounting: one AllReduce is one collective and two barrier entries
-// per rank.
+// per rank. Parks are pinned where they are exact: a 1-rank world never
+// waits (no park, and no clock read either), and a zero poll budget parks
+// every arrival but the one that releases its generation.
 func TestStatsCollectivesAndBarriers(t *testing.T) {
 	const P = 4
-	w, _ := NewWorld(P)
-	err := w.Run(func(c *Comm) {
+	region := func(c *Comm) {
 		c.Barrier()
 		c.AllReduceFloat64(float64(c.Rank()), OpSum)
 		c.AllGatherInt(c.Rank())
-	})
-	if err != nil {
+	}
+	w, _ := NewWorld(P)
+	if err := w.Run(region); err != nil {
 		t.Fatal(err)
 	}
 	for r := 0; r < P; r++ {
@@ -67,6 +69,26 @@ func TestStatsCollectivesAndBarriers(t *testing.T) {
 	}
 	if total.BarrierWait < 0 {
 		t.Fatalf("negative barrier wait %v", total.BarrierWait)
+	}
+	if total.BarrierParks > 5*(P-1) || total.RecvParks != 0 {
+		t.Fatalf("parks out of range (at most %d waiters can block): %+v", 5*(P-1), total)
+	}
+
+	solo, _ := NewWorld(1)
+	if err := solo.Run(region); err != nil {
+		t.Fatal(err)
+	}
+	if s := solo.Stats(); s.BarrierEntries != 5 || s.BarrierParks != 0 || s.BarrierWait != 0 {
+		t.Fatalf("1-rank world: %+v, want 5 entries, no parks, zero wait", s)
+	}
+
+	defer SetPollBudget(0)()
+	w.ResetStats()
+	if err := w.Run(region); err != nil {
+		t.Fatal(err)
+	}
+	if s := w.Stats(); s.BarrierEntries != 5*P || s.BarrierParks != 5*(P-1) {
+		t.Fatalf("poll budget 0: %d parks in %d entries, want %d", s.BarrierParks, s.BarrierEntries, 5*(P-1))
 	}
 }
 
@@ -100,8 +122,8 @@ func TestStatsResetAndWindows(t *testing.T) {
 
 // TestStatsAddSub checks the snapshot arithmetic helpers.
 func TestStatsAddSub(t *testing.T) {
-	a := Stats{Sends: 3, Recvs: 2, BytesSent: 100, BytesRecv: 80, BarrierEntries: 5, BarrierWait: 2 * time.Second, Collectives: 4}
-	b := Stats{Sends: 1, Recvs: 1, BytesSent: 60, BytesRecv: 50, BarrierEntries: 2, BarrierWait: time.Second, Collectives: 3}
+	a := Stats{Sends: 3, Recvs: 2, BytesSent: 100, BytesRecv: 80, BarrierEntries: 5, BarrierWait: 2 * time.Second, BarrierParks: 3, RecvParks: 2, Collectives: 4}
+	b := Stats{Sends: 1, Recvs: 1, BytesSent: 60, BytesRecv: 50, BarrierEntries: 2, BarrierWait: time.Second, BarrierParks: 1, RecvParks: 1, Collectives: 3}
 	if got := a.Sub(b).Add(b); got != a {
 		t.Fatalf("Add(Sub) not identity: %+v != %+v", got, a)
 	}

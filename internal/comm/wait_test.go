@@ -1,0 +1,295 @@
+package comm
+
+import (
+	"context"
+	"errors"
+	"runtime"
+	"sync/atomic"
+	"testing"
+	"time"
+)
+
+// pollPhase times one exhausted polling phase at the current budget: a
+// wake channel that never delivers and a done channel that is already
+// closed, so waitOn returns the moment it stops polling.
+func pollPhase() time.Duration {
+	never := make(chan struct{})
+	closed := make(chan struct{})
+	close(closed)
+	var parks atomic.Int64
+	start := time.Now()
+	waitOn(never, nil, closed, &parks)
+	return time.Since(start)
+}
+
+// stretchPollPhase raises the budget until one polling phase lasts at
+// least d on this machine (with or without -race), so a test can land an
+// event inside it. It returns the restore call.
+func stretchPollPhase(t *testing.T, d time.Duration) (restore func()) {
+	t.Helper()
+	restore = SetPollBudget(pollBudget)
+	for pollPhase() < d {
+		if pollBudget > 1<<28 {
+			restore()
+			t.Fatalf("polling phase still under %v at budget %d", d, pollBudget)
+		}
+		pollBudget *= 2
+	}
+	return restore
+}
+
+// waitParks is the number of waits rank has parked in, of either kind.
+func waitParks(w *World, rank int) int64 {
+	s := w.RankStats(rank)
+	return s.BarrierParks + s.RecvParks
+}
+
+// TestWaitOn pins the helper's own contract: a ready wake is taken
+// without parking, an unready one is counted as exactly one park whatever
+// ends it, and a zero budget goes straight to the park.
+func TestWaitOn(t *testing.T) {
+	closed := make(chan struct{})
+	close(closed)
+	never := make(chan struct{})
+	for _, budget := range []int{0, 1, yieldPolls} {
+		restore := SetPollBudget(budget)
+		var parks atomic.Int64
+		ready := make(chan int, 1)
+		ready <- 7
+		wantParks := int64(0)
+		if budget == 0 {
+			wantParks = 1 // nothing polls, so even a ready wake is taken parked
+		}
+		if v, res := waitOn(ready, never, nil, &parks); v != 7 || res != awaitOK || parks.Load() != wantParks {
+			t.Errorf("budget %d, ready wake: got (%d, %v, parks %d), want (7, ok, %d)", budget, v, res, parks.Load(), wantParks)
+		}
+		parks.Store(0)
+		if _, res := waitOn(ready, closed, nil, &parks); res != awaitAborted || parks.Load() != 1 {
+			t.Errorf("budget %d, abort: got (%v, parks %d), want (aborted, 1)", budget, res, parks.Load())
+		}
+		parks.Store(0)
+		if _, res := waitOn(ready, never, closed, &parks); res != awaitCtxDone || parks.Load() != 1 {
+			t.Errorf("budget %d, done: got (%v, parks %d), want (ctx done, 1)", budget, res, parks.Load())
+		}
+		parks.Store(0)
+		late := make(chan int)
+		go func() {
+			time.Sleep(5 * time.Millisecond) // far beyond any budget above
+			late <- 9
+		}()
+		if v, res := waitOn(late, never, nil, &parks); v != 9 || res != awaitOK || parks.Load() != 1 {
+			t.Errorf("budget %d, late wake: got (%d, %v, parks %d), want (9, ok, 1)", budget, v, res, parks.Load())
+		}
+		restore()
+	}
+}
+
+// TestReleaseWhilePollingAndParked: abort, cancel and deadline each
+// release a rank whose peer never arrives — once with the event landing
+// while the rank is still in its polling phase (the budget is stretched
+// to 20 ms so the event can be placed there), once after it has parked
+// (default budget, the event waits for the park count) — for Barrier,
+// AllReduceFloat64 and Recv, and the release comes within 50 ms of the
+// event. Polling looks at nothing but the wake channel, so the first
+// half is what bounds a budget that never ends.
+func TestReleaseWhilePollingAndParked(t *testing.T) {
+	const (
+		polling = 20 * time.Millisecond
+		bound   = 50 * time.Millisecond
+	)
+	ops := []struct {
+		name string
+		do   func(c *Comm)
+	}{
+		{"barrier", func(c *Comm) { c.Barrier() }},
+		{"allreduce", func(c *Comm) { c.AllReduceFloat64(1, OpSum) }},
+		{"recv", func(c *Comm) { c.RecvFloat64s(1, 7) }},
+	}
+	type armed struct {
+		ctx  context.Context  // bound to the waiting rank; nil for none
+		fire func() time.Time // makes the event happen, returns when it was due
+		want error            // what Run must report (nil for a bare abort)
+	}
+	events := []struct {
+		name string
+		arm  func(w *World, parked bool) (armed, context.CancelFunc)
+	}{
+		{"abort", func(w *World, _ bool) (armed, context.CancelFunc) {
+			return armed{fire: func() time.Time {
+				at := time.Now()
+				w.Abort()
+				return at
+			}}, func() {}
+		}},
+		{"cancel", func(_ *World, _ bool) (armed, context.CancelFunc) {
+			ctx, cancel := context.WithCancel(context.Background())
+			return armed{ctx: ctx, want: context.Canceled, fire: func() time.Time {
+				at := time.Now()
+				cancel()
+				return at
+			}}, cancel
+		}},
+		{"deadline", func(_ *World, parked bool) (armed, context.CancelFunc) {
+			// Early in the stretched polling phase, or well after the
+			// default one has ended.
+			after := polling / 10
+			if parked {
+				after = polling
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), after)
+			due, _ := ctx.Deadline()
+			return armed{ctx: ctx, want: context.DeadlineExceeded, fire: func() time.Time { return due }}, cancel
+		}},
+	}
+	for _, op := range ops {
+		for _, ev := range events {
+			for _, parked := range []bool{false, true} {
+				phase := "polling"
+				if parked {
+					phase = "parked"
+				}
+				t.Run(op.name+"/"+ev.name+"/"+phase, func(t *testing.T) {
+					if !parked {
+						defer stretchPollPhase(t, polling)()
+					}
+					w, _ := NewWorld(2)
+					a, cancel := ev.arm(w, parked)
+					defer cancel()
+					entering := make(chan struct{})
+					done := make(chan error, 1)
+					go func() {
+						done <- w.Run(func(c *Comm) {
+							if c.Rank() != 0 {
+								return // never joins
+							}
+							if a.ctx != nil {
+								c = c.WithContext(a.ctx)
+							}
+							close(entering)
+							op.do(c)
+						})
+					}()
+					<-entering
+					if parked {
+						for limit := time.Now().Add(10 * time.Second); waitParks(w, 0) == 0; {
+							if time.Now().After(limit) {
+								t.Fatal("rank never parked")
+							}
+							time.Sleep(50 * time.Microsecond)
+						}
+					} else if ev.name != "deadline" && waitParks(w, 0) != 0 {
+						t.Fatalf("rank parked before the event could land in its %v polling phase", polling)
+					}
+					due := a.fire()
+					select {
+					case err := <-done:
+						if late := time.Since(due); late > bound {
+							t.Errorf("released %v after the event, want under %v", late, bound)
+						}
+						if a.want == nil && err != nil || a.want != nil && !errors.Is(err, a.want) {
+							t.Errorf("Run error = %v, want %v", err, a.want)
+						}
+						if got := waitParks(w, 0); got != 1 {
+							t.Errorf("rank 0 parked %d times, want 1 (an unmet wait always ends parked)", got)
+						}
+					case <-time.After(10 * time.Second):
+						t.Fatal("rank not released")
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestFaultDelayBeyondBudget: a barrier delay far longer than the whole
+// polling budget makes the punctual rank park, and the collectives still
+// return the right values.
+func TestFaultDelayBeyondBudget(t *testing.T) {
+	const rounds = 10
+	w, _ := NewWorld(2)
+	w.SetFaultHook(hookFunc(func(rank int, kind FaultKind, _, _ int) FaultDecision {
+		if rank == 1 && kind == FaultBarrier {
+			return FaultDecision{Op: FaultDelay, Delay: 5 * time.Millisecond}
+		}
+		return FaultDecision{}
+	}))
+	err := runWithDeadline(t, w, 30*time.Second, func(c *Comm) {
+		for round := 0; round < rounds; round++ {
+			want := float64(2*round + 1)
+			if got := c.AllReduceFloat64(float64(round+c.Rank()), OpSum); got != want {
+				t.Errorf("round %d rank %d: sum = %v, want %v", round, c.Rank(), got, want)
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Its peer is 5 ms late to every one of them; "most" leaves room for
+	// a host that stalls rank 0 for as long.
+	if s := w.RankStats(0); s.BarrierEntries != 2*rounds || s.BarrierParks < rounds {
+		t.Errorf("rank 0 parked in %d of %d barriers, want most", s.BarrierParks, s.BarrierEntries)
+	}
+}
+
+// barrierLoop times n barriers on a fresh world of the given size.
+func barrierLoop(t *testing.T, ranks, n int) time.Duration {
+	t.Helper()
+	w, _ := NewWorld(ranks)
+	start := time.Now()
+	if err := runWithDeadline(t, w, 60*time.Second, func(c *Comm) {
+		for i := 0; i < n; i++ {
+			c.Barrier()
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return time.Since(start)
+}
+
+// TestBarrierLiveWhenShortOfPs: 10k barriers between 2 ranks finish on
+// one P within a small factor of their two-P time, and so do 8 ranks on
+// two Ps — the yield phase hands the P to the peer being waited for.
+func TestBarrierLiveWhenShortOfPs(t *testing.T) {
+	const n = 10000
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	two := barrierLoop(t, 2, n)
+	eightOnTwo := barrierLoop(t, 8, n)
+	runtime.GOMAXPROCS(1)
+	one := barrierLoop(t, 2, n)
+	t.Logf("%d barriers: 2 ranks/2 Ps %v, 2 ranks/1 P %v, 8 ranks/2 Ps %v", n, two, one, eightOnTwo)
+	if limit := LiveLimit(two); one > limit {
+		t.Errorf("2 ranks on 1 P took %v, limit %v (2 Ps: %v)", one, limit, two)
+	}
+	if limit := LiveLimit(4 * two); eightOnTwo > limit {
+		t.Errorf("8 ranks on 2 Ps took %v, limit %v (2 ranks: %v)", eightOnTwo, limit, two)
+	}
+}
+
+// TestRecvParks pins the receive-side park counter where it is exact: a
+// receive that finds its message queued does not wait, and one that
+// blocks for a late send is one park.
+func TestRecvParks(t *testing.T) {
+	w, _ := NewWorld(2)
+	if err := w.Run(func(c *Comm) {
+		if c.Rank() == 0 {
+			c.SendFloat64s(1, 1, []float64{1})
+			c.Barrier()
+			for w.RankStats(1).RecvParks == 0 {
+				runtime.Gosched()
+			}
+			c.SendFloat64s(1, 2, []float64{2})
+		} else {
+			c.Barrier()
+			c.RecvFloat64s(0, 1) // queued before the barrier: no wait
+			if got := c.Stats().RecvParks; got != 0 {
+				t.Errorf("receive of a queued message parked %d times", got)
+			}
+			c.RecvFloat64s(0, 2) // sent only once this receive has parked
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := w.RankStats(1).RecvParks; got != 1 {
+		t.Errorf("rank 1 RecvParks = %d, want 1", got)
+	}
+}

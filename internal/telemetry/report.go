@@ -23,6 +23,8 @@ type CommStats struct {
 	BytesRecv          int64   `json:"bytes_recv"`
 	BarrierEntries     int64   `json:"barrier_entries"`
 	BarrierWaitSeconds float64 `json:"barrier_wait_seconds"`
+	BarrierParks       int64   `json:"barrier_parks"` // barrier waits that blocked; entries − parks were met polling
+	RecvParks          int64   `json:"recv_parks"`    // receive waits that blocked
 	Collectives        int64   `json:"collectives"`
 }
 
@@ -36,6 +38,8 @@ func (s CommStats) Sub(o CommStats) CommStats {
 		BytesRecv:          s.BytesRecv - o.BytesRecv,
 		BarrierEntries:     s.BarrierEntries - o.BarrierEntries,
 		BarrierWaitSeconds: s.BarrierWaitSeconds - o.BarrierWaitSeconds,
+		BarrierParks:       s.BarrierParks - o.BarrierParks,
+		RecvParks:          s.RecvParks - o.RecvParks,
 		Collectives:        s.Collectives - o.Collectives,
 	}
 }
@@ -49,6 +53,8 @@ func (s CommStats) Add(o CommStats) CommStats {
 		BytesRecv:          s.BytesRecv + o.BytesRecv,
 		BarrierEntries:     s.BarrierEntries + o.BarrierEntries,
 		BarrierWaitSeconds: s.BarrierWaitSeconds + o.BarrierWaitSeconds,
+		BarrierParks:       s.BarrierParks + o.BarrierParks,
+		RecvParks:          s.RecvParks + o.RecvParks,
 		Collectives:        s.Collectives + o.Collectives,
 	}
 }
@@ -161,8 +167,8 @@ func FormatReport(rep *SolveReport) string {
 	}
 	if rep.Comm != nil {
 		c := rep.Comm
-		fmt.Fprintf(&b, "  comm  sends=%d recvs=%d bytes_sent=%d bytes_recv=%d barriers=%d barrier_wait=%.4fs collectives=%d\n",
-			c.Sends, c.Recvs, c.BytesSent, c.BytesRecv, c.BarrierEntries, c.BarrierWaitSeconds, c.Collectives)
+		fmt.Fprintf(&b, "  comm  sends=%d recvs=%d bytes_sent=%d bytes_recv=%d barriers=%d barrier_wait=%.4fs barrier_parks=%d recv_parks=%d collectives=%d\n",
+			c.Sends, c.Recvs, c.BytesSent, c.BytesRecv, c.BarrierEntries, c.BarrierWaitSeconds, c.BarrierParks, c.RecvParks, c.Collectives)
 	}
 	return b.String()
 }

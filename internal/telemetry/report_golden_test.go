@@ -44,6 +44,8 @@ func goldenReport() *SolveReport {
 			BytesRecv:          46080,
 			BarrierEntries:     220,
 			BarrierWaitSeconds: 0.0125,
+			BarrierParks:       14,
+			RecvParks:          3,
 			Collectives:        108,
 		},
 		ResidualTrace: []ResidualPoint{

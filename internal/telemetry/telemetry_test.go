@@ -175,8 +175,8 @@ func TestAggregator(t *testing.T) {
 }
 
 func TestCommStatsArithmetic(t *testing.T) {
-	a := CommStats{Sends: 5, Recvs: 4, BytesSent: 100, BarrierEntries: 7, BarrierWaitSeconds: 2, Collectives: 3}
-	b := CommStats{Sends: 2, Recvs: 1, BytesSent: 40, BarrierEntries: 3, BarrierWaitSeconds: 0.5, Collectives: 1}
+	a := CommStats{Sends: 5, Recvs: 4, BytesSent: 100, BarrierEntries: 7, BarrierWaitSeconds: 2, BarrierParks: 4, RecvParks: 2, Collectives: 3}
+	b := CommStats{Sends: 2, Recvs: 1, BytesSent: 40, BarrierEntries: 3, BarrierWaitSeconds: 0.5, BarrierParks: 1, RecvParks: 1, Collectives: 1}
 	d := a.Sub(b)
 	if d.Sends != 3 || d.BytesSent != 60 || d.BarrierWaitSeconds != 1.5 {
 		t.Fatalf("Sub wrong: %+v", d)

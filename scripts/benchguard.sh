@@ -38,15 +38,18 @@ PKGS=(
   "./internal/slu"
   "./internal/mesh"
   "./internal/aztec"
+  "./internal/comm"
 )
-PATTERN='^(BenchmarkCOOToCSR|BenchmarkTranspose|BenchmarkMSRConversion|BenchmarkSpMVFormats|BenchmarkNilRecorderAdd|BenchmarkNilRecorderStartPhase|BenchmarkRecorderAdd|BenchmarkRecorderResidual|BenchmarkSessionReuseSolve|BenchmarkSolveSteadyState|BenchmarkApplyAllocs|BenchmarkServiceSolveReuse|BenchmarkApplyWorkers|BenchmarkTriSolveWorkers|BenchmarkFEMAssembly|BenchmarkReadMatrixMarket|BenchmarkMMIngestSetup|BenchmarkRefactorSamePattern|BenchmarkOrderingAlgorithms|BenchmarkILUT)$'
+PATTERN='^(BenchmarkCOOToCSR|BenchmarkTranspose|BenchmarkMSRConversion|BenchmarkSpMVFormats|BenchmarkNilRecorderAdd|BenchmarkNilRecorderStartPhase|BenchmarkRecorderAdd|BenchmarkRecorderResidual|BenchmarkSessionReuseSolve|BenchmarkSolveSteadyState|BenchmarkApplyAllocs|BenchmarkServiceSolveReuse|BenchmarkApplyWorkers|BenchmarkTriSolveWorkers|BenchmarkFEMAssembly|BenchmarkReadMatrixMarket|BenchmarkMMIngestSetup|BenchmarkRefactorSamePattern|BenchmarkOrderingAlgorithms|BenchmarkILUT|BenchmarkBarrier|BenchmarkAllReduceFloat64|BenchmarkPingPong)$'
 # Guarded on allocs/op alone: what these take in wall clock is the
 # end-to-end benchmark's business (benchmark/: refresh_ms, slu.ordering_ms,
 # aztec.ilut_build_ms), what they allocate is exact — a same-pattern
 # refactor reuses all its storage, an ordering allocates a fixed handful
 # of O(n)/O(nnz) slices, an ILUT build a fixed handful of O(n)/O(Σ budget)
-# slices rather than one object per eliminated column.
-ALLOCS_ONLY='^(BenchmarkRefactorSamePattern|BenchmarkOrderingAlgorithms|BenchmarkILUT)(/|$)'
+# slices rather than one object per eliminated column; a barrier or an
+# allreduce nothing at all however the ranks end up waiting for each other
+# (polling or parked), a ping-pong its two payload copies per message.
+ALLOCS_ONLY='^(BenchmarkRefactorSamePattern|BenchmarkOrderingAlgorithms|BenchmarkILUT|BenchmarkBarrier|BenchmarkAllReduceFloat64|BenchmarkPingPong)(/|$)'
 
 OUT="$(mktemp)"
 trap 'rm -f "$OUT"' EXIT
