@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test check race workers vet fmt lint vet-self ignore-audit bench benchguard bench-pairs baseline telemetry chaos chaos-service serve-integration sweep golden fuzz clean
+.PHONY: all build test check race workers vet fmt lint vet-self ignore-audit usage bench benchguard bench-pairs baseline telemetry chaos chaos-service serve-integration sweep golden fuzz clean
 
 all: check
 
@@ -41,6 +41,12 @@ vet-self:
 # anything (full suite, opt-in checks on; exit 1 when any are stale).
 ignore-audit:
 	$(GO) run ./cmd/lisi-vet -ignore-audit ./...
+
+# usage = the usage record (ROADMAP item 13): the functions under
+# internal/ that no door reaches — upper-layer tests, examples, binaries
+# and the benchmark smoke — with their line counts. Informational.
+usage:
+	./scripts/usage.sh
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \

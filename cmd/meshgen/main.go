@@ -37,7 +37,7 @@ func writeCorpus(dir string) error {
 	}
 	fixtures := []struct {
 		name string
-		m    sparse.Matrix
+		m    *sparse.CSR
 		sym  sparse.MMSymmetry
 	}{
 		{"lap49_sym.mtx", sparse.Laplace2D(7, 7), sparse.MMSymmetric},
@@ -59,8 +59,7 @@ func writeCorpus(dir string) error {
 		if err := f.Close(); err != nil {
 			return err
 		}
-		rows, cols := fx.m.Dims()
-		fmt.Printf("wrote %s: %dx%d %s\n", filepath.Join(dir, fx.name), rows, cols, fx.sym)
+		fmt.Printf("wrote %s: %dx%d %s\n", filepath.Join(dir, fx.name), fx.m.Rows, fx.m.Cols, fx.sym)
 	}
 	return nil
 }

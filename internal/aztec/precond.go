@@ -17,7 +17,7 @@ type preconditioner interface {
 
 // newPreconditioner builds the preconditioner selected by options.
 // Preconditioners other than AZNone require row access (a RowMatrix).
-func newPreconditioner(op Operator, rm RowMatrix, options []int, params []float64) (preconditioner, error) {
+func newPreconditioner(rm RowMatrix, options []int, params []float64) (preconditioner, error) {
 	switch options[AZPrecond] {
 	case AZNone:
 		return identityPrec{}, nil

@@ -22,7 +22,7 @@ func residualAfterPrec(t *testing.T, c *comm.Comm, global *sparse.CSR, prec, pol
 	params := DefaultParams()
 	params[AZDrop] = drop
 	params[AZIlutFill] = fill
-	p, err := newPreconditioner(crs, crs, opts, params)
+	p, err := newPreconditioner(crs, opts, params)
 	if err != nil {
 		t.Fatalf("newPreconditioner(%d): %v", prec, err)
 	}
@@ -116,7 +116,7 @@ func TestPreconditionerZeroDiagonalRejected(t *testing.T) {
 		for _, prec := range []int{AZJacobi, AZNeumann, AZLs, AZSymGS} {
 			opts := DefaultOptions()
 			opts[AZPrecond] = prec
-			if _, err := newPreconditioner(crs, crs, opts, DefaultParams()); err == nil {
+			if _, err := newPreconditioner(crs, opts, DefaultParams()); err == nil {
 				t.Errorf("preconditioner %d accepted zero diagonal", prec)
 			}
 		}
@@ -221,8 +221,8 @@ func TestOverlapValidation(t *testing.T) {
 		s := NewSolver(c)
 		s.SetUserMatrix(crs)
 		s.Options()[AZOverlap] = -1
-		x := make([]float64, crs.NumMyRows())
-		b := make([]float64, crs.NumMyRows())
+		x := make([]float64, crs.RowMap().NumMyElements())
+		b := make([]float64, crs.RowMap().NumMyElements())
 		if err := s.Solve(x, b); err == nil {
 			t.Error("negative overlap accepted")
 		}
@@ -239,7 +239,7 @@ func TestAZOutputMonitoring(t *testing.T) {
 		crs := buildCrs(c, global)
 		s := NewSolver(c)
 		s.SetUserMatrix(crs)
-		s.SetOutput(&buf) // only rank 0 writes
+		s.out = &buf // only rank 0 writes
 		s.Options()[AZOutput] = 2
 		s.Options()[AZSolver] = AZCG
 		s.Options()[AZPrecond] = AZNone

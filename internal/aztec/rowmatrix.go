@@ -24,8 +24,6 @@ type Operator interface {
 // unpreconditioned.
 type RowMatrix interface {
 	Operator
-	// NumMyRows returns the local row count.
-	NumMyRows() int
 	// ExtractGlobalRowCopy returns copies of the column indices (global)
 	// and values of one owned global row.
 	ExtractGlobalRowCopy(globalRow int) (indices []int, values []float64, err error)
@@ -130,22 +128,8 @@ func (a *CrsMatrix) stagedCSR(cols int) *sparse.CSR {
 	return &sparse.CSR{Rows: n, Cols: cols, RowPtr: rp, ColInd: ci, Vals: v}
 }
 
-// Filled reports whether FillComplete has been called.
-func (a *CrsMatrix) Filled() bool { return a.filled }
-
 // RowMap returns the row distribution.
 func (a *CrsMatrix) RowMap() *Map { return a.rowMap }
-
-// NumMyRows returns the local row count.
-func (a *CrsMatrix) NumMyRows() int { return a.rowMap.NumMyElements() }
-
-// NumGlobalNonzeros returns the global entry count (collective).
-func (a *CrsMatrix) NumGlobalNonzeros() (int, error) {
-	if !a.filled {
-		return 0, fmt.Errorf("aztec: NumGlobalNonzeros before FillComplete")
-	}
-	return a.dist.GlobalNNZ(), nil
-}
 
 // Apply computes y = A·x (collective).
 func (a *CrsMatrix) Apply(y, x []float64) error {
@@ -228,9 +212,6 @@ func genericDiagBlock(m RowMatrix) (*sparse.CSR, error) {
 		if err != nil {
 			return nil, err
 		}
-		if !sort.IntsAreSorted(cols) {
-			sort.Sort(&colValSorter{cols, vals})
-		}
 		for k, j := range cols {
 			if j >= lo && j < lo+n {
 				coo.Append(lr, j-lo, vals[k])
@@ -238,16 +219,4 @@ func genericDiagBlock(m RowMatrix) (*sparse.CSR, error) {
 		}
 	}
 	return coo.ToCSR(), nil
-}
-
-type colValSorter struct {
-	cols []int
-	vals []float64
-}
-
-func (s *colValSorter) Len() int           { return len(s.cols) }
-func (s *colValSorter) Less(i, j int) bool { return s.cols[i] < s.cols[j] }
-func (s *colValSorter) Swap(i, j int) {
-	s.cols[i], s.cols[j] = s.cols[j], s.cols[i]
-	s.vals[i], s.vals[j] = s.vals[j], s.vals[i]
 }

@@ -73,10 +73,6 @@ func NewSolver(c *comm.Comm) *Solver {
 	}
 }
 
-// SetOutput redirects AZOutput iteration monitoring (default
-// os.Stdout; only rank 0 prints, as AztecOO does).
-func (s *Solver) SetOutput(w io.Writer) { s.out = w }
-
 // SetRecorder attaches a telemetry recorder: preconditioner
 // construction is timed into PhasePrecond, the iteration loop into
 // PhaseIterate, and per-iteration residuals feed the trace. Nil (the
@@ -112,24 +108,6 @@ func (s *Solver) SetUserOperator(op Operator) {
 	s.op = op
 	s.rm = nil
 	s.prec = nil // new operator: drop the cached preconditioner
-}
-
-// SetOption sets one slot of the options array.
-func (s *Solver) SetOption(idx, value int) error {
-	if idx < 0 || idx >= optionsSize {
-		return fmt.Errorf("aztec: option index %d out of range", idx)
-	}
-	s.options[idx] = value
-	return nil
-}
-
-// SetParam sets one slot of the parameters array.
-func (s *Solver) SetParam(idx int, value float64) error {
-	if idx < 0 || idx >= paramsSize {
-		return fmt.Errorf("aztec: param index %d out of range", idx)
-	}
-	s.params[idx] = value
-	return nil
 }
 
 // Options returns the live options array (mutable, Aztec style).
@@ -240,10 +218,10 @@ func (s *Solver) Solve(x, b []float64) error {
 
 func (s *Solver) buildPreconditioner() (preconditioner, error) {
 	if s.scale == nil {
-		return newPreconditioner(s.op, s.rm, s.options, s.params)
+		return newPreconditioner(s.rm, s.options, s.params)
 	}
 	// Preconditioner must see the scaled matrix.
-	return newPreconditioner(&scaledOp{s.op, s.scale}, &scaledRowMatrix{s.rm, s.scale}, s.options, s.params)
+	return newPreconditioner(&scaledRowMatrix{s.rm, s.scale}, s.options, s.params)
 }
 
 // applyA computes y = A·x with row scaling folded in.
@@ -297,31 +275,13 @@ func rowSumScale(rm RowMatrix) ([]float64, error) {
 	return scale, nil
 }
 
-// scaledOp wraps an operator with row scaling.
-type scaledOp struct {
-	op    Operator
-	scale []float64
-}
-
-func (s *scaledOp) RowMap() *Map { return s.op.RowMap() }
-func (s *scaledOp) Apply(y, x []float64) error {
-	if err := s.op.Apply(y, x); err != nil {
-		return err
-	}
-	for i := range y {
-		y[i] *= s.scale[i]
-	}
-	return nil
-}
-
 // scaledRowMatrix wraps a RowMatrix with row scaling.
 type scaledRowMatrix struct {
 	rm    RowMatrix
 	scale []float64
 }
 
-func (s *scaledRowMatrix) RowMap() *Map   { return s.rm.RowMap() }
-func (s *scaledRowMatrix) NumMyRows() int { return s.rm.NumMyRows() }
+func (s *scaledRowMatrix) RowMap() *Map { return s.rm.RowMap() }
 func (s *scaledRowMatrix) Apply(y, x []float64) error {
 	if err := s.rm.Apply(y, x); err != nil {
 		return err

@@ -13,21 +13,6 @@ const (
 	OpMin
 )
 
-// String returns the operator's name.
-func (op Op) String() string {
-	switch op {
-	case OpSum:
-		return "sum"
-	case OpProd:
-		return "prod"
-	case OpMax:
-		return "max"
-	case OpMin:
-		return "min"
-	}
-	return fmt.Sprintf("Op(%d)", int(op))
-}
-
 func (op Op) foldFloat64(a, b float64) float64 {
 	switch op {
 	case OpSum:
@@ -68,52 +53,39 @@ func (op Op) foldInt(a, b int) int {
 	panic("comm: unknown reduction op")
 }
 
-// exchange implements the shared-slot collective pattern: every rank posts
-// its contribution, a barrier makes all contributions visible, every rank
-// snapshots all slots, and a second barrier protects the slots from being
-// overwritten by a subsequent collective before all ranks have read them.
-func (c *Comm) exchange(x any) []any {
-	c.w.stats[c.rank].collectives.Add(1)
-	c.w.coll[c.rank] = x
-	c.Barrier()
-	out := make([]any, c.w.size)
-	copy(out, c.w.coll)
-	c.Barrier()
-	return out
-}
+// Every collective below follows one shared-slot pattern: each rank posts
+// its contribution into its typed slot, a barrier makes all contributions
+// visible, every rank reads the slots it needs, and a second barrier
+// protects the slots from being overwritten by the next collective before
+// all ranks have read them.
 
-// AllGatherFloat64s gathers each rank's slice; element i of the result is a
-// copy of rank i's contribution. Contributions may have different lengths.
-func (c *Comm) AllGatherFloat64s(x []float64) [][]float64 {
-	all := c.exchange(x)
-	out := make([][]float64, len(all))
-	for i, a := range all {
-		src := a.([]float64)
-		out[i] = make([]float64, len(src))
-		copy(out[i], src)
-	}
-	return out
-}
-
-// AllGatherInts gathers each rank's []int contribution.
+// AllGatherInts gathers each rank's []int contribution; element i of the
+// result is a copy of rank i's. Contributions may have different lengths.
 func (c *Comm) AllGatherInts(x []int) [][]int {
-	all := c.exchange(x)
-	out := make([][]int, len(all))
-	for i, a := range all {
-		src := a.([]int)
-		out[i] = make([]int, len(src))
-		copy(out[i], src)
+	w := c.w
+	w.stats[c.rank].collectives.Add(1)
+	w.slots[c.rank].is = x
+	c.Barrier()
+	out := make([][]int, w.size)
+	for r := range out {
+		out[r] = append([]int(nil), w.slots[r].is...)
 	}
+	c.Barrier()
+	w.slots[c.rank].is = nil
 	return out
 }
 
 // AllGatherInt gathers one int from every rank.
 func (c *Comm) AllGatherInt(x int) []int {
-	all := c.exchange(x)
-	out := make([]int, len(all))
-	for i, a := range all {
-		out[i] = a.(int)
+	w := c.w
+	w.stats[c.rank].collectives.Add(1)
+	w.slots[c.rank].i = x
+	c.Barrier()
+	out := make([]int, w.size)
+	for r := range out {
+		out[r] = w.slots[r].i
 	}
+	c.Barrier()
 	return out
 }
 
@@ -206,10 +178,10 @@ func (c *Comm) AllReduceInt(x int, op Op) int {
 
 // AllReduceFloat64sInPlace element-wise reduces equal-length vectors
 // across ranks, overwriting x with the result on every rank. The fold is
-// performed in rank order (same order as AllReduceFloat64s and, element
-// by element, the same float operation order as a sequence of scalar
-// AllReduceFloat64 calls — so fusing independent scalar reductions into
-// one short vector is bitwise-neutral). x is posted to peers until the
+// performed in rank order (element by element, the same float operation
+// order as a sequence of scalar AllReduceFloat64 calls — so fusing
+// independent scalar reductions into one short vector is
+// bitwise-neutral). x is posted to peers until the
 // closing barrier, then overwritten from rank-private scratch; nothing
 // allocates in steady state.
 func (c *Comm) AllReduceFloat64sInPlace(x []float64, op Op) {
@@ -238,36 +210,21 @@ func (c *Comm) AllReduceFloat64sInPlace(x []float64, op Op) {
 	w.slots[c.rank].fs = nil
 }
 
-// AllReduceFloat64s element-wise reduces equal-length vectors across ranks.
-func (c *Comm) AllReduceFloat64s(x []float64, op Op) []float64 {
-	all := c.exchange(x)
-	first := all[0].([]float64)
-	acc := make([]float64, len(first))
-	copy(acc, first)
-	for r := 1; r < len(all); r++ {
-		v := all[r].([]float64)
-		if len(v) != len(acc) {
-			panic(fmt.Sprintf("comm: AllReduceFloat64s length mismatch: rank 0 has %d, rank %d has %d", len(acc), r, len(v)))
-		}
-		for i := range acc {
-			acc[i] = op.foldFloat64(acc[i], v[i])
-		}
-	}
-	return acc
-}
-
 // BcastFloat64s broadcasts root's slice; every rank (including root)
 // receives a private copy. Non-root ranks may pass nil.
 func (c *Comm) BcastFloat64s(root int, x []float64) []float64 {
 	c.checkPeer(root)
-	var contrib any
+	w := c.w
+	w.stats[c.rank].collectives.Add(1)
 	if c.rank == root {
-		contrib = x
+		w.slots[c.rank].fs = x
 	}
-	all := c.exchange(contrib)
-	src := all[root].([]float64)
-	out := make([]float64, len(src))
-	copy(out, src)
+	c.Barrier()
+	out := append([]float64(nil), w.slots[root].fs...)
+	c.Barrier()
+	if c.rank == root {
+		w.slots[c.rank].fs = nil
+	}
 	return out
 }
 
@@ -295,48 +252,31 @@ func (c *Comm) BcastFloat64sInto(root int, buf []float64) {
 	}
 }
 
-// BcastInts broadcasts root's []int.
-func (c *Comm) BcastInts(root int, x []int) []int {
-	c.checkPeer(root)
-	var contrib any
-	if c.rank == root {
-		contrib = x
-	}
-	all := c.exchange(contrib)
-	src := all[root].([]int)
-	out := make([]int, len(src))
-	copy(out, src)
-	return out
-}
-
 // BcastInt broadcasts one int from root.
 func (c *Comm) BcastInt(root int, x int) int {
 	c.checkPeer(root)
-	all := c.exchange(x)
-	return all[root].(int)
+	w := c.w
+	w.stats[c.rank].collectives.Add(1)
+	if c.rank == root {
+		w.slots[c.rank].i = x
+	}
+	c.Barrier()
+	out := w.slots[root].i
+	c.Barrier()
+	return out
 }
 
 // BcastString broadcasts a string from root.
 func (c *Comm) BcastString(root int, s string) string {
 	c.checkPeer(root)
-	all := c.exchange(s)
-	return all[root].(string)
-}
-
-// GatherFloat64s gathers each rank's slice at root. Root receives one copy
-// per rank (indexed by rank); other ranks receive nil.
-func (c *Comm) GatherFloat64s(root int, x []float64) [][]float64 {
-	c.checkPeer(root)
-	all := c.exchange(x)
-	if c.rank != root {
-		return nil
+	w := c.w
+	w.stats[c.rank].collectives.Add(1)
+	if c.rank == root {
+		w.slots[c.rank].s = s
 	}
-	out := make([][]float64, len(all))
-	for i, a := range all {
-		src := a.([]float64)
-		out[i] = make([]float64, len(src))
-		copy(out[i], src)
-	}
+	c.Barrier()
+	out := w.slots[root].s
+	c.Barrier()
 	return out
 }
 
@@ -378,16 +318,11 @@ func (c *Comm) GatherVFloat64sInto(root int, dst, x []float64) []float64 {
 	return dst
 }
 
-// ScatterVFloat64s distributes parts[i] from root to rank i. Non-root
-// ranks pass nil parts. Each rank receives a private copy of its part.
-func (c *Comm) ScatterVFloat64s(root int, parts [][]float64) []float64 {
-	return c.ScatterVFloat64sInto(root, parts, nil)
-}
-
-// ScatterVFloat64sInto is ScatterVFloat64s writing this rank's part into
-// dst (grown only when too small) and returning it. Allocation-free at
-// steady-state capacity. Root's parts are read by peers only inside the
-// call; the caller keeps ownership afterwards.
+// ScatterVFloat64sInto distributes parts[i] from root to rank i, writing
+// this rank's part into dst (grown only when too small) and returning it.
+// Non-root ranks pass nil parts. Allocation-free at steady-state
+// capacity. Root's parts are read by peers only inside the call; the
+// caller keeps ownership afterwards.
 func (c *Comm) ScatterVFloat64sInto(root int, parts [][]float64, dst []float64) []float64 {
 	c.checkPeer(root)
 	w := c.w
@@ -410,45 +345,4 @@ func (c *Comm) ScatterVFloat64sInto(root int, parts [][]float64, dst []float64) 
 		w.slots[c.rank].fss = nil
 	}
 	return dst
-}
-
-// ExScanInt returns the exclusive prefix sum of x over ranks: rank r gets
-// sum of contributions from ranks 0..r-1 (0 on rank 0).
-func (c *Comm) ExScanInt(x int) int {
-	all := c.AllGatherInt(x)
-	acc := 0
-	for r := 0; r < c.rank; r++ {
-		acc += all[r]
-	}
-	return acc
-}
-
-// ReduceFloat64 combines one float64 per rank with op at root only;
-// other ranks receive 0 (as MPI_Reduce leaves their buffers undefined,
-// here defined as zero for safety).
-func (c *Comm) ReduceFloat64(root int, x float64, op Op) float64 {
-	c.checkPeer(root)
-	all := c.exchange(x)
-	if c.rank != root {
-		return 0
-	}
-	acc := all[0].(float64)
-	for _, a := range all[1:] {
-		acc = op.foldFloat64(acc, a.(float64))
-	}
-	return acc
-}
-
-// ReduceInt combines one int per rank with op at root only.
-func (c *Comm) ReduceInt(root int, x int, op Op) int {
-	c.checkPeer(root)
-	all := c.exchange(x)
-	if c.rank != root {
-		return 0
-	}
-	acc := all[0].(int)
-	for _, a := range all[1:] {
-		acc = op.foldInt(acc, a.(int))
-	}
-	return acc
 }

@@ -9,10 +9,15 @@
 // operations follow the MPI contract — every rank of a World must call the
 // same sequence of collectives, each with compatible arguments.
 //
-// The package is intentionally shaped like a small MPI subset (ranks, tags,
-// Send/Recv, Barrier, Bcast, Reduce, AllReduce, Gather, AllGather, Scatter)
-// so that the solver substrates built on top of it exercise the same code
-// paths a cluster implementation would.
+// The package is intentionally shaped like a small MPI subset — ranks, tags,
+// Send/Recv of []float64 and []int (plain, pooled and into a caller's
+// buffer), Barrier, Split, and the collectives a solver above it calls:
+// AllReduce (float64, int, []float64 in place), AllGather (int, []int, and
+// the concatenating V forms), Bcast (int, string, []float64, and into a
+// buffer), GatherV and ScatterV — so that the solver substrates built on
+// top of it exercise the same code paths a cluster implementation would.
+// Every collective posts through one mechanism, the typed per-rank slots
+// between two barriers.
 //
 // # Cancellation
 //
@@ -46,8 +51,7 @@ type World struct {
 	size  int
 	mail  []*mailbox
 	bar   *barrier
-	coll  []any      // per-rank exchange slots for boxed collectives
-	slots []collSlot // per-rank typed slots for allocation-free collectives
+	slots []collSlot // per-rank typed posting slots for the collectives
 	red   [][]float64
 	stats []rankStats
 	abort chan struct{}
@@ -85,7 +89,6 @@ func NewWorld(size int) (*World, error) {
 	w := &World{
 		size:  size,
 		mail:  make([]*mailbox, size),
-		coll:  make([]any, size),
 		slots: make([]collSlot, size),
 		red:   make([][]float64, size),
 		stats: make([]rankStats, size),
@@ -98,16 +101,14 @@ func NewWorld(size int) (*World, error) {
 	return w, nil
 }
 
-// Size returns the number of ranks in the world.
-func (w *World) Size() int { return w.size }
-
-// collSlot is one rank's typed posting slot for the allocation-free
-// collectives: scalar and slice contributions are posted into the typed
-// field instead of being boxed through the legacy []any exchange. Padded
-// so adjacent ranks' slots do not share a cache line.
+// collSlot is one rank's typed posting slot for the collectives: scalar,
+// string and slice contributions are posted into the typed field, so
+// nothing is boxed. Padded so adjacent ranks' slots do not share a cache
+// line.
 type collSlot struct {
 	f   float64
 	i   int
+	s   string
 	fs  []float64
 	is  []int
 	fss [][]float64

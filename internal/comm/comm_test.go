@@ -136,17 +136,6 @@ func TestAnySourceAnyTag(t *testing.T) {
 	})
 }
 
-func TestSendRecvExchange(t *testing.T) {
-	run(t, 2, func(c *Comm) {
-		other := 1 - c.Rank()
-		mine := []float64{float64(c.Rank() + 1)}
-		got := c.SendRecvFloat64s(other, 3, mine, other)
-		if got[0] != float64(other+1) {
-			t.Errorf("rank %d: exchange got %v", c.Rank(), got)
-		}
-	})
-}
-
 func TestBarrierOrdering(t *testing.T) {
 	const rounds = 20
 	for _, p := range []int{2, 5} {
@@ -179,22 +168,22 @@ func TestAllGatherInt(t *testing.T) {
 
 func TestAllGatherVariableLengths(t *testing.T) {
 	run(t, 4, func(c *Comm) {
-		mine := make([]float64, c.Rank()) // rank r contributes r elements
+		mine := make([]int, c.Rank()) // rank r contributes r elements
 		for i := range mine {
-			mine[i] = float64(c.Rank())
+			mine[i] = c.Rank()
 		}
-		parts := c.AllGatherFloat64s(mine)
+		parts := c.AllGatherInts(mine)
 		for r, p := range parts {
 			if len(p) != r {
 				t.Errorf("part %d has len %d, want %d", r, len(p), r)
 			}
 			for _, v := range p {
-				if v != float64(r) {
+				if v != r {
 					t.Errorf("part %d contains %v", r, v)
 				}
 			}
 		}
-		flat := c.AllGatherVFloat64s(mine)
+		flat := c.AllGatherVFloat64s(make([]float64, c.Rank()))
 		if len(flat) != 0+1+2+3 {
 			t.Errorf("flat len = %d, want 6", len(flat))
 		}
@@ -222,11 +211,11 @@ func TestAllReduce(t *testing.T) {
 func TestAllReduceVector(t *testing.T) {
 	run(t, 3, func(c *Comm) {
 		x := []float64{float64(c.Rank()), 1, -float64(c.Rank())}
-		got := c.AllReduceFloat64s(x, OpSum)
+		c.AllReduceFloat64sInPlace(x, OpSum)
 		want := []float64{3, 3, -3}
 		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("got[%d] = %v, want %v", i, got[i], want[i])
+			if x[i] != want[i] {
+				t.Errorf("got[%d] = %v, want %v", i, x[i], want[i])
 			}
 		}
 	})
@@ -258,20 +247,6 @@ func TestBcast(t *testing.T) {
 func TestGatherAndScatter(t *testing.T) {
 	run(t, 4, func(c *Comm) {
 		mine := []float64{float64(c.Rank() * 10)}
-		parts := c.GatherFloat64s(1, mine)
-		if c.Rank() == 1 {
-			if len(parts) != 4 {
-				t.Fatalf("gather returned %d parts", len(parts))
-			}
-			for r, p := range parts {
-				if p[0] != float64(r*10) {
-					t.Errorf("part %d = %v", r, p)
-				}
-			}
-		} else if parts != nil {
-			t.Errorf("non-root rank %d received gather parts", c.Rank())
-		}
-
 		flat := c.GatherVFloat64s(0, mine)
 		if c.Rank() == 0 {
 			want := []float64{0, 10, 20, 30}
@@ -286,7 +261,7 @@ func TestGatherAndScatter(t *testing.T) {
 		if c.Rank() == 0 {
 			outParts = [][]float64{{0}, {1, 1}, {2, 2, 2}, {3}}
 		}
-		got := c.ScatterVFloat64s(0, outParts)
+		got := c.ScatterVFloat64sInto(0, outParts, nil)
 		wantLen := map[int]int{0: 1, 1: 2, 2: 3, 3: 1}[c.Rank()]
 		if len(got) != wantLen {
 			t.Fatalf("rank %d: scatter len %d, want %d", c.Rank(), len(got), wantLen)
@@ -295,19 +270,6 @@ func TestGatherAndScatter(t *testing.T) {
 			if v != float64(c.Rank()) {
 				t.Errorf("rank %d: scatter got %v", c.Rank(), got)
 			}
-		}
-	})
-}
-
-func TestExScanInt(t *testing.T) {
-	run(t, 5, func(c *Comm) {
-		got := c.ExScanInt(c.Rank() + 1)
-		want := 0
-		for r := 0; r < c.Rank(); r++ {
-			want += r + 1
-		}
-		if got != want {
-			t.Errorf("rank %d: exscan = %d, want %d", c.Rank(), got, want)
 		}
 	})
 }
@@ -435,42 +397,4 @@ func TestQuickPermutationRouting(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
-}
-
-// Property: ExScan of all-ones equals the rank id.
-func TestQuickExScanOnes(t *testing.T) {
-	f := func(psize uint8) bool {
-		p := int(psize)%8 + 1
-		w, err := NewWorld(p)
-		if err != nil {
-			return false
-		}
-		ok := true
-		err = w.Run(func(c *Comm) {
-			if c.ExScanInt(1) != c.Rank() {
-				ok = false
-			}
-		})
-		return err == nil && ok
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestReduceToRoot(t *testing.T) {
-	run(t, 4, func(c *Comm) {
-		got := c.ReduceFloat64(2, float64(c.Rank()+1), OpSum)
-		if c.Rank() == 2 {
-			if got != 10 {
-				t.Errorf("root sum = %v", got)
-			}
-		} else if got != 0 {
-			t.Errorf("non-root received %v", got)
-		}
-		gi := c.ReduceInt(0, c.Rank(), OpMax)
-		if c.Rank() == 0 && gi != 3 {
-			t.Errorf("root max = %d", gi)
-		}
-	})
 }

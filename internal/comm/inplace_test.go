@@ -24,7 +24,7 @@ func TestSendFloat64sPooledRoundTrip(t *testing.T) {
 				t.Errorf("rank %d iter %d: received %v", c.Rank(), iter, dst)
 			}
 		}
-		st := c.Stats()
+		st := c.w.stats[c.rank].snapshot()
 		if st.PoolRecycled == 0 {
 			t.Errorf("rank %d: PoolRecycled = 0, want > 0 after pooled round trips", c.Rank())
 		}
@@ -75,7 +75,15 @@ func TestAllReduceFloat64sInPlaceMatchesCopying(t *testing.T) {
 	for _, p := range []int{1, 2, 5} {
 		run(t, p, func(c *Comm) {
 			x := []float64{float64(c.Rank() + 1), 0.5 * float64(c.Rank()), -3}
-			ref := c.AllReduceFloat64s(x, OpSum)
+			// The reference is the rank-order fold written out: rank 0's
+			// contribution, then each higher rank's added to it in turn.
+			all := c.AllGatherVFloat64s(x)
+			ref := append([]float64(nil), all[:len(x)]...)
+			for r := 1; r < p; r++ {
+				for i := range ref {
+					ref[i] += all[r*len(x)+i]
+				}
+			}
 			c.AllReduceFloat64sInPlace(x, OpSum)
 			for i := range x {
 				if x[i] != ref[i] {

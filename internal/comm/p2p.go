@@ -232,27 +232,3 @@ func (c *Comm) RecvInts(src, tag int) ([]int, int) {
 	}
 	return x, from
 }
-
-// SendString sends a string to dest with the given tag.
-func (c *Comm) SendString(dest, tag int, s string) {
-	c.send(dest, tag, s)
-}
-
-// RecvString receives a string matching (src, tag) and the source rank.
-func (c *Comm) RecvString(src, tag int) (string, int) {
-	data, from := c.recv(src, tag)
-	s, ok := data.(string)
-	if !ok {
-		panic("comm: RecvString matched a message whose payload is not string")
-	}
-	return s, from
-}
-
-// SendRecvFloat64s performs a simultaneous send to dest and receive from
-// src on the same tag, as in MPI_Sendrecv. It is deadlock-free even when
-// dest == src == a neighbor performing the mirror call.
-func (c *Comm) SendRecvFloat64s(dest, tag int, x []float64, src int) []float64 {
-	c.SendFloat64s(dest, tag, x)
-	y, _ := c.RecvFloat64s(src, tag)
-	return y
-}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/ksp"
 	"repro/internal/mesh"
 	"repro/internal/pmat"
+	"repro/internal/telemetry"
 )
 
 // stencilGMRES solves the paper's stencil on a 32×32 grid with GMRES(30) +
@@ -57,10 +58,14 @@ func stencilGMRES(t *testing.T, ranks int) (its int, hash uint64, stats comm.Sta
 				h *= 1099511628211
 			}
 		}
-		k.SetMonitor(func(_ int, rnorm float64) { mix(rnorm) })
+		rec := telemetry.New()
+		k.SetRecorder(rec)
 		x := make([]float64, l.LocalN)
 		if err := k.Solve(b, x); err != nil {
 			panic(err)
+		}
+		for _, p := range rec.Snapshot().Residuals {
+			mix(p.Residual)
 		}
 		for _, v := range x {
 			mix(v)

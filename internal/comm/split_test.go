@@ -90,62 +90,3 @@ func TestQuickSplitPartition(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestIRecvOverlapsWork(t *testing.T) {
-	run(t, 2, func(c *Comm) {
-		if c.Rank() == 0 {
-			req := c.IRecvFloat64s(1, 3)
-			// Do "work" while the message is in flight.
-			sum := 0.0
-			for i := 0; i < 1000; i++ {
-				sum += float64(i)
-			}
-			data, src := req.Wait()
-			if src != 1 || len(data) != 2 || data[0] != 7 {
-				t.Errorf("IRecv got %v from %d", data, src)
-			}
-			_ = sum
-		} else {
-			c.SendFloat64s(0, 3, []float64{7, 8})
-		}
-	})
-}
-
-func TestIRecvTest(t *testing.T) {
-	run(t, 2, func(c *Comm) {
-		if c.Rank() == 0 {
-			req := c.IRecvFloat64s(1, 1)
-			// Not completed before the sender acts (barrier orders it).
-			c.Barrier() // sender sends after this barrier
-			data, _ := req.Wait()
-			if !req.Test() {
-				t.Error("Test() false after Wait()")
-			}
-			if data[0] != 5 {
-				t.Errorf("payload %v", data)
-			}
-		} else {
-			c.Barrier()
-			c.SendFloat64s(0, 1, []float64{5})
-		}
-	})
-}
-
-func TestIRecvOnAbortedWorld(t *testing.T) {
-	w := mustWorld(t, 2)
-	err := w.Run(func(c *Comm) {
-		if c.Rank() == 0 {
-			req := c.IRecvFloat64s(1, 0) // never satisfied
-			c.Barrier()                  // aborted by rank 1's panic
-			data, src := req.Wait()
-			if data != nil || src != -1 {
-				t.Errorf("aborted IRecv returned %v, %d", data, src)
-			}
-		} else {
-			panic("boom")
-		}
-	})
-	if err == nil {
-		t.Fatal("expected error from panicking rank")
-	}
-}

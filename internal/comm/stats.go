@@ -91,11 +91,6 @@ func (r *rankStats) snapshot() Stats {
 	}
 }
 
-// RankStats returns a snapshot of one rank's counters.
-func (w *World) RankStats(rank int) Stats {
-	return w.stats[rank].snapshot()
-}
-
 // Stats returns the world total: the element-wise sum of every rank's
 // counters. Safe to call concurrently with a Run region; the snapshot
 // is then approximate (each counter individually consistent).
@@ -105,30 +100,6 @@ func (w *World) Stats() Stats {
 		total = total.Add(w.stats[r].snapshot())
 	}
 	return total
-}
-
-// ResetStats zeroes every rank's counters (between measurement windows;
-// not concurrently with a Run region if exact attribution matters).
-func (w *World) ResetStats() {
-	for r := range w.stats {
-		s := &w.stats[r]
-		s.sends.Store(0)
-		s.recvs.Store(0)
-		s.bytesSent.Store(0)
-		s.bytesRecv.Store(0)
-		s.barriers.Store(0)
-		s.barrierWaitNs.Store(0)
-		s.barrierParks.Store(0)
-		s.recvParks.Store(0)
-		s.collectives.Store(0)
-		s.poolAllocs.Store(0)
-		s.poolRecycled.Store(0)
-	}
-}
-
-// Stats returns a snapshot of this rank's own counters.
-func (c *Comm) Stats() Stats {
-	return c.w.stats[c.rank].snapshot()
 }
 
 // payloadBytes sizes the typed payloads the p2p layer carries; unknown
@@ -142,8 +113,6 @@ func payloadBytes(data any) int64 {
 		return int64(8 * len(v.f))
 	case []int:
 		return int64(8 * len(v))
-	case string:
-		return int64(len(v))
 	}
 	return 0
 }

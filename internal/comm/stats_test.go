@@ -12,28 +12,26 @@ func TestStatsP2P(t *testing.T) {
 		if c.Rank() == 0 {
 			c.SendFloat64s(1, 5, []float64{1, 2, 3}) // 24 bytes
 			c.SendInts(1, 6, []int{1, 2})            // 16 bytes
-			c.SendString(1, 7, "hello")              // 5 bytes
 		} else {
 			c.RecvFloat64s(0, 5)
 			c.RecvInts(0, 6)
-			c.RecvString(0, 7)
 		}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r0, r1 := w.RankStats(0), w.RankStats(1)
-	if r0.Sends != 3 || r0.BytesSent != 45 {
-		t.Fatalf("rank 0 sends=%d bytes=%d, want 3/45", r0.Sends, r0.BytesSent)
+	r0, r1 := w.stats[0].snapshot(), w.stats[1].snapshot()
+	if r0.Sends != 2 || r0.BytesSent != 40 {
+		t.Fatalf("rank 0 sends=%d bytes=%d, want 2/40", r0.Sends, r0.BytesSent)
 	}
-	if r1.Recvs != 3 || r1.BytesRecv != 45 {
-		t.Fatalf("rank 1 recvs=%d bytes=%d, want 3/45", r1.Recvs, r1.BytesRecv)
+	if r1.Recvs != 2 || r1.BytesRecv != 40 {
+		t.Fatalf("rank 1 recvs=%d bytes=%d, want 2/40", r1.Recvs, r1.BytesRecv)
 	}
 	if r0.Recvs != 0 || r1.Sends != 0 {
 		t.Fatalf("unexpected reverse traffic: %+v %+v", r0, r1)
 	}
 	total := w.Stats()
-	if total.Sends != 3 || total.Recvs != 3 || total.BytesSent != 45 || total.BytesRecv != 45 {
+	if total.Sends != 2 || total.Recvs != 2 || total.BytesSent != 40 || total.BytesRecv != 40 {
 		t.Fatalf("world totals wrong: %+v", total)
 	}
 }
@@ -55,7 +53,7 @@ func TestStatsCollectivesAndBarriers(t *testing.T) {
 		t.Fatal(err)
 	}
 	for r := 0; r < P; r++ {
-		s := w.RankStats(r)
+		s := w.stats[r].snapshot()
 		if s.Collectives != 2 {
 			t.Fatalf("rank %d collectives=%d, want 2", r, s.Collectives)
 		}
@@ -83,16 +81,17 @@ func TestStatsCollectivesAndBarriers(t *testing.T) {
 	}
 
 	defer SetPollBudget(0)()
-	w.ResetStats()
+	before := w.Stats()
 	if err := w.Run(region); err != nil {
 		t.Fatal(err)
 	}
-	if s := w.Stats(); s.BarrierEntries != 5*P || s.BarrierParks != 5*(P-1) {
+	if s := w.Stats().Sub(before); s.BarrierEntries != 5*P || s.BarrierParks != 5*(P-1) {
 		t.Fatalf("poll budget 0: %d parks in %d entries, want %d", s.BarrierParks, s.BarrierEntries, 5*(P-1))
 	}
 }
 
-// TestStatsResetAndWindows checks ResetStats and Sub-based windowing.
+// TestStatsResetAndWindows checks Sub-based windowing: what a solve is
+// charged is the difference of two snapshots, no counter is ever reset.
 func TestStatsResetAndWindows(t *testing.T) {
 	w, _ := NewWorld(2)
 	run := func() {
@@ -114,10 +113,6 @@ func TestStatsResetAndWindows(t *testing.T) {
 	if window.Sends != 1 || window.Recvs != 1 || window.BarrierEntries != 2 {
 		t.Fatalf("window stats wrong: %+v", window)
 	}
-	w.ResetStats()
-	if got := w.Stats(); got != (Stats{}) {
-		t.Fatalf("stats after reset not zero: %+v", got)
-	}
 }
 
 // TestStatsAddSub checks the snapshot arithmetic helpers.
@@ -129,13 +124,13 @@ func TestStatsAddSub(t *testing.T) {
 	}
 }
 
-// TestCommStatsPerRank checks the rank-local view from inside a region.
+// TestCommStatsPerRank checks that the counters are kept per rank: from
+// inside a region each rank has counted its own collective and no more.
 func TestCommStatsPerRank(t *testing.T) {
 	w, _ := NewWorld(3)
 	err := w.Run(func(c *Comm) {
 		c.AllGatherInt(c.Rank())
-		s := c.Stats()
-		if s.Collectives != 1 {
+		if s := c.w.stats[c.rank].snapshot(); s.Collectives != 1 {
 			panic("rank-local collectives count wrong")
 		}
 	})

@@ -40,7 +40,7 @@ func stretchPollPhase(t *testing.T, d time.Duration) (restore func()) {
 
 // waitParks is the number of waits rank has parked in, of either kind.
 func waitParks(w *World, rank int) int64 {
-	s := w.RankStats(rank)
+	s := w.stats[rank].snapshot()
 	return s.BarrierParks + s.RecvParks
 }
 
@@ -226,7 +226,7 @@ func TestFaultDelayBeyondBudget(t *testing.T) {
 	}
 	// Its peer is 5 ms late to every one of them; "most" leaves room for
 	// a host that stalls rank 0 for as long.
-	if s := w.RankStats(0); s.BarrierEntries != 2*rounds || s.BarrierParks < rounds {
+	if s := w.stats[0].snapshot(); s.BarrierEntries != 2*rounds || s.BarrierParks < rounds {
 		t.Errorf("rank 0 parked in %d of %d barriers, want most", s.BarrierParks, s.BarrierEntries)
 	}
 }
@@ -274,14 +274,14 @@ func TestRecvParks(t *testing.T) {
 		if c.Rank() == 0 {
 			c.SendFloat64s(1, 1, []float64{1})
 			c.Barrier()
-			for w.RankStats(1).RecvParks == 0 {
+			for w.stats[1].snapshot().RecvParks == 0 {
 				runtime.Gosched()
 			}
 			c.SendFloat64s(1, 2, []float64{2})
 		} else {
 			c.Barrier()
 			c.RecvFloat64s(0, 1) // queued before the barrier: no wait
-			if got := c.Stats().RecvParks; got != 0 {
+			if got := c.w.stats[c.rank].snapshot().RecvParks; got != 0 {
 				t.Errorf("receive of a queued message parked %d times", got)
 			}
 			c.RecvFloat64s(0, 2) // sent only once this receive has parked
@@ -289,7 +289,7 @@ func TestRecvParks(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if got := w.RankStats(1).RecvParks; got != 1 {
+	if got := w.stats[1].snapshot().RecvParks; got != 1 {
 		t.Errorf("rank 1 RecvParks = %d, want 1", got)
 	}
 }

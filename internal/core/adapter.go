@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -392,9 +393,17 @@ func (b *baseAdapter) SetupRHS(rightHandSide []float64, numLocalRow, nRhs int) i
 	if nRhs < 1 || numLocalRow != b.localRows || len(rightHandSide) < numLocalRow*nRhs {
 		return ErrBadArg
 	}
+	// A NaN or ±Inf right-hand side has no solution to converge to; a
+	// direct backend would hand back a non-finite x as converged. Rejected
+	// before the copy, so the previously staged rhs stays whole.
+	need := numLocalRow * nRhs
+	for _, v := range rightHandSide[:need] {
+		if !(math.Abs(v) <= math.MaxFloat64) {
+			return ErrBadArg
+		}
+	}
 	// Reuse the staging buffer's capacity so re-staging a same-sized rhs
 	// (the steady-state time-stepping pattern, §5.2c) does not allocate.
-	need := numLocalRow * nRhs
 	if cap(b.rhs) < need {
 		b.rhs = make([]float64, need)
 	}

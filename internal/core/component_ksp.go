@@ -106,56 +106,44 @@ func (kc *KSPComponent) GetAll() string {
 	})
 }
 
+// kspOption is the translation table (paper §6.5) from the LISI parameter
+// vocabulary onto ksp's option database: the option each key sets and,
+// where the values are names, their translation too. checkKSPParam has
+// validated every stored value against the same vocabulary.
+var kspOption = map[string]struct {
+	option string
+	values map[string]string
+}{
+	"solver":         {"ksp_type", kspSolverNames},
+	"preconditioner": {"pc_type", kspPCNames},
+	"tol":            {"ksp_rtol", nil},
+	"atol":           {"ksp_atol", nil},
+	"maxits":         {"ksp_max_it", nil},
+	"restart":        {"ksp_gmres_restart", nil},
+	"damping":        {"ksp_richardson_scale", nil},
+}
+
 // configure builds a KSP from the parameter store.
 func (kc *KSPComponent) configure() (*ksp.KSP, error) {
 	k := ksp.New(kc.c)
-	if v, ok := kc.params["solver"]; ok {
-		if err := k.SetType(kspSolverNames[v]); err != nil {
+	for key, to := range kspOption {
+		value, ok := kc.params[key]
+		if !ok {
+			continue
+		}
+		if to.values != nil {
+			value = to.values[value]
+		}
+		if err := k.SetOption(to.option, value); err != nil {
 			return nil, err
 		}
-	}
-	pcType := ksp.PCBJacobi
-	if v, ok := kc.params["preconditioner"]; ok {
-		pcType = kspPCNames[v]
 	}
 	if kc.mf != nil {
 		// Matrix-free: no assembled diagonal block exists. Use the
 		// application's preconditioner callback when offered, else none.
-		if v, ok := kc.params["matfree_pc"]; ok {
-			if use, _ := strconv.ParseBool(v); use {
-				k.SetPC(&matrixFreePC{mf: kc.mf})
-				pcType = ""
-			}
-		}
-		if pcType != "" {
-			if err := k.SetPCType(ksp.PCNone); err != nil {
-				return nil, err
-			}
-		}
-	} else if err := k.SetPCType(pcType); err != nil {
-		return nil, err
-	}
-	rtol, atol := -1.0, -1.0
-	maxits := -1
-	if v, ok := kc.params["tol"]; ok {
-		rtol, _ = strconv.ParseFloat(v, 64)
-	}
-	if v, ok := kc.params["atol"]; ok {
-		atol, _ = strconv.ParseFloat(v, 64)
-	}
-	if v, ok := kc.params["maxits"]; ok {
-		maxits, _ = strconv.Atoi(v)
-	}
-	k.SetTolerances(rtol, atol, -1, maxits)
-	if v, ok := kc.params["restart"]; ok {
-		m, _ := strconv.Atoi(v)
-		if err := k.SetRestart(m); err != nil {
-			return nil, err
-		}
-	}
-	if v, ok := kc.params["damping"]; ok {
-		s, _ := strconv.ParseFloat(v, 64)
-		if err := k.SetDamping(s); err != nil {
+		if use, _ := strconv.ParseBool(kc.params["matfree_pc"]); use {
+			k.SetPC(&matrixFreePC{mf: kc.mf})
+		} else if err := k.SetOption("pc_type", ksp.PCNone); err != nil {
 			return nil, err
 		}
 	}
@@ -168,7 +156,6 @@ type matrixFreePC struct {
 	mf MatrixFree
 }
 
-func (p *matrixFreePC) Type() string         { return "matrix-free" }
 func (p *matrixFreePC) SetUp(*ksp.Mat) error { return nil }
 func (p *matrixFreePC) Apply(z, r []float64) {
 	if code := p.mf.MatMult(IDPreconditioner, r, z, len(r)); code != OK {

@@ -157,9 +157,6 @@ func New(spec Spec, worldSize int) *Injector {
 	return in
 }
 
-// Spec returns the schedule this injector runs.
-func (in *Injector) Spec() Spec { return in.spec }
-
 // Fault implements comm.FaultHook.
 func (in *Injector) Fault(rank int, kind comm.FaultKind, peer, tag int) comm.FaultDecision {
 	st := &in.ranks[rank]
@@ -204,11 +201,6 @@ func jitter(rng *rand.Rand, max time.Duration) time.Duration {
 	}
 	return time.Duration(rng.Int63n(int64(max))) + 1
 }
-
-// Events returns how many communication events rank has been consulted
-// on. Call only after the Run region completed (the counters are
-// rank-private while it is live).
-func (in *Injector) Events(rank int) int64 { return in.ranks[rank].events }
 
 // Counts returns the total injections performed, by op, across all
 // ranks, rendered as a deterministic "op=n,..." string for logs. Call

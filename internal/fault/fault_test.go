@@ -120,8 +120,8 @@ func TestInjectorAfterArmsLate(t *testing.T) {
 	if d := in.Fault(0, comm.FaultSend, 0, 0); d.Op != comm.FaultDelay {
 		t.Fatalf("event past After with pdelay=1 not delayed: %+v", d)
 	}
-	if in.Events(0) != 11 {
-		t.Errorf("Events(0) = %d, want 11", in.Events(0))
+	if got := in.ranks[0].events; got != 11 {
+		t.Errorf("rank 0 was consulted on %d events, want 11", got)
 	}
 }
 

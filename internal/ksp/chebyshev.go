@@ -7,26 +7,22 @@ import (
 )
 
 // solveChebyshev is the Chebyshev semi-iteration on the preconditioned
-// operator M⁻¹A, using eigenvalue bounds [emin, emax]. When the bounds
-// were not set, emax is estimated by a short power iteration and
-// emin = emax/30, PETSc's default heuristic. Chebyshev needs no inner
-// products besides the convergence test, which is why multigrid
-// smoothing and communication-avoiding settings favor it.
+// operator M⁻¹A, using eigenvalue bounds [emin, emax]: emax is estimated
+// by a short power iteration and emin = emax/30, PETSc's default
+// heuristic. Chebyshev needs no inner products besides the convergence
+// test, which is why multigrid smoothing and communication-avoiding
+// settings favor it.
 func (k *KSP) solveChebyshev(b, x []float64) error {
 	n := len(x)
 	w := k.ws.Vecs(n, 4)
 	r, z, p, q := w[0], w[1], w[2], w[3]
 
-	emin, emax := k.chebEmin, k.chebEmax
-	if emax <= 0 {
-		var err error
-		emax, err = k.estimateMaxEig()
-		if err != nil {
-			return err
-		}
-		emax *= 1.1
-		emin = emax / 30
+	emax, err := k.estimateMaxEig()
+	if err != nil {
+		return err
 	}
+	emax *= 1.1
+	emin := emax / 30
 	theta := (emax + emin) / 2
 	delta := (emax - emin) / 2
 

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/sparse"
+	"repro/internal/telemetry"
 )
 
 // gmresCase is one (operator, method, preconditioner, ranks) cell of
@@ -82,11 +83,15 @@ func gmresHistory(t *testing.T, gc gmresCase) (its int, hash uint64, final float
 				h *= 1099511628211
 			}
 		}
-		k.SetMonitor(func(_ int, rnorm float64) { mix(rnorm) })
+		rec := telemetry.New()
+		k.SetRecorder(rec)
 		l := a.Layout()
 		x := make([]float64, l.LocalN)
 		if err := k.Solve(bGlobal[l.Start:l.Start+l.LocalN], x); err != nil {
 			t.Errorf("%s: %v", gc.name, err)
+		}
+		for _, p := range rec.Snapshot().Residuals {
+			mix(p.Residual)
 		}
 		for _, v := range x {
 			mix(v)

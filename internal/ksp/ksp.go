@@ -64,10 +64,6 @@ const (
 	TypeChebyshev  = "chebyshev"
 )
 
-// Monitor is called once per iteration with the iteration number and the
-// current (preconditioned, method-dependent) residual norm.
-type Monitor func(it int, rnorm float64)
-
 // KSP is a Krylov solver context. Create with New, configure with the
 // Set* methods, then call Solve; results are queried with Iterations,
 // ResidualNorm and Reason. A KSP may be reused for repeated solves with
@@ -84,10 +80,7 @@ type KSP struct {
 	maxIts       int
 	restart      int
 	damping      float64 // richardson
-	chebEmin     float64 // chebyshev eigenvalue bounds (0 = estimate)
-	chebEmax     float64
 	guessNonzero bool
-	monitor      Monitor
 
 	its    int
 	rnorm  float64
@@ -150,9 +143,6 @@ func (k *KSP) SetType(t string) error {
 	return fmt.Errorf("ksp: unknown KSP type %q", t)
 }
 
-// Type returns the selected Krylov method.
-func (k *KSP) Type() string { return k.typ }
-
 // SetTolerances sets the convergence controls; non-positive arguments
 // keep the current value (as PETSC_DEFAULT does).
 func (k *KSP) SetTolerances(rtol, atol, dtol float64, maxIts int) {
@@ -179,16 +169,6 @@ func (k *KSP) SetRestart(m int) error {
 	return nil
 }
 
-// SetChebyshevBounds sets the eigenvalue interval for Chebyshev
-// iteration; pass (0,0) to restore automatic estimation.
-func (k *KSP) SetChebyshevBounds(emin, emax float64) error {
-	if emax < 0 || emin < 0 || (emax > 0 && emin >= emax) {
-		return fmt.Errorf("ksp: invalid Chebyshev bounds [%g,%g]", emin, emax)
-	}
-	k.chebEmin, k.chebEmax = emin, emax
-	return nil
-}
-
 // SetDamping sets the Richardson damping factor.
 func (k *KSP) SetDamping(s float64) error {
 	if s <= 0 {
@@ -210,13 +190,6 @@ func (k *KSP) SetPCType(t string) error {
 	k.pc = pc
 	return nil
 }
-
-// SetInitialGuessNonzero controls whether Solve starts from the incoming
-// x (true) or from zero (false, the default).
-func (k *KSP) SetInitialGuessNonzero(nz bool) { k.guessNonzero = nz }
-
-// SetMonitor installs a per-iteration callback (nil to remove).
-func (k *KSP) SetMonitor(m Monitor) { k.monitor = m }
 
 // SetRecorder attaches a telemetry recorder: preconditioner setup is
 // timed into PhasePrecond, the Krylov loop into PhaseIterate, and every
@@ -302,9 +275,6 @@ func (k *KSP) testConvergence(it int, rnorm, rnorm0 float64) bool {
 	k.its = it
 	k.rnorm = rnorm
 	k.rec.Residual(it, rnorm)
-	if k.monitor != nil {
-		k.monitor(it, rnorm)
-	}
 	switch {
 	case math.IsNaN(rnorm) || math.IsInf(rnorm, 0):
 		// A NaN compares false against every tolerance below; without

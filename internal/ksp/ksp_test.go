@@ -8,6 +8,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/pmat"
 	"repro/internal/sparse"
+	"repro/internal/telemetry"
 )
 
 func run(t *testing.T, p int, fn func(c *comm.Comm)) {
@@ -48,15 +49,15 @@ func solveAndCheck(t *testing.T, c *comm.Comm, global *sparse.CSR, k *KSP, a *Ma
 	copy(b, bGlobal[l.Start:l.Start+l.LocalN])
 	x := make([]float64, l.LocalN)
 	if err := k.Solve(b, x); err != nil {
-		t.Fatalf("%s/%s on %d ranks: %v", k.Type(), k.pc.Type(), c.Size(), err)
+		t.Fatalf("%s/%T on %d ranks: %v", k.typ, k.pc, c.Size(), err)
 	}
 	if !k.Reason().Converged() {
-		t.Fatalf("%s: reason %v", k.Type(), k.Reason())
+		t.Fatalf("%s: reason %v", k.typ, k.Reason())
 	}
 	res := a.Assembled().Residual(b, x)
 	bnorm := pmat.Norm2(c, b)
 	if res > tol*bnorm {
-		t.Errorf("%s/%s on %d ranks: relative residual %.3e > %.1e", k.Type(), k.pc.Type(), c.Size(), res/bnorm, tol)
+		t.Errorf("%s/%T on %d ranks: relative residual %.3e > %.1e", k.typ, k.pc, c.Size(), res/bnorm, tol)
 	}
 }
 
@@ -165,10 +166,6 @@ func TestShellMatrixMatchesAssembled(t *testing.T) {
 		shell := NewShellMat(assembled.Layout(), func(y, x []float64) {
 			assembled.Assembled().Apply(y, x)
 		})
-		if shell.Type() != "shell" || assembled.Type() != "aij" {
-			t.Errorf("Type() mismatch")
-		}
-
 		solve := func(a *Mat) []float64 {
 			k := New(c)
 			k.SetOperators(a)
@@ -323,6 +320,8 @@ func TestILU0Errors(t *testing.T) {
 	}
 }
 
+// TestMonitorCalled: the per-iteration monitor is the telemetry residual
+// trace — one point per convergence test, the initial residual included.
 func TestMonitorCalled(t *testing.T) {
 	global := sparse.Laplace2D(4, 4)
 	run(t, 1, func(c *comm.Comm) {
@@ -331,16 +330,8 @@ func TestMonitorCalled(t *testing.T) {
 		k.SetOperators(a)
 		k.SetType(TypeCG)
 		k.SetPCType(PCNone)
-		var calls int
-		var lastNorm float64 = math.Inf(1)
-		monotone := true
-		k.SetMonitor(func(it int, rnorm float64) {
-			calls++
-			if rnorm > lastNorm*10 {
-				monotone = false
-			}
-			lastNorm = rnorm
-		})
+		rec := telemetry.New()
+		k.SetRecorder(rec)
 		l := a.Layout()
 		b := make([]float64, l.LocalN)
 		for i := range b {
@@ -350,14 +341,14 @@ func TestMonitorCalled(t *testing.T) {
 		if err := k.Solve(b, x); err != nil {
 			t.Fatal(err)
 		}
-		if calls == 0 {
-			t.Error("monitor never called")
+		trace := rec.Snapshot().Residuals
+		if len(trace) != k.Iterations()+1 {
+			t.Errorf("%d residual points for %d iterations", len(trace), k.Iterations())
 		}
-		if calls != k.Iterations()+1 {
-			t.Errorf("monitor called %d times for %d iterations", calls, k.Iterations())
-		}
-		if !monotone {
-			t.Error("CG residuals exploded")
+		for i := 1; i < len(trace); i++ {
+			if trace[i].Residual > trace[i-1].Residual*10 {
+				t.Error("CG residuals exploded")
+			}
 		}
 	})
 }
@@ -376,7 +367,9 @@ func TestInitialGuessNonzero(t *testing.T) {
 		k.SetType(TypeCG)
 		k.SetPCType(PCNone)
 		k.SetTolerances(1e-12, 0, 0, 1000)
-		k.SetInitialGuessNonzero(true)
+		if err := k.SetOption("ksp_initial_guess_nonzero", "true"); err != nil {
+			t.Fatal(err)
+		}
 		// Start exactly at the solution: zero iterations needed.
 		x := make([]float64, n)
 		copy(x, xstar)
@@ -408,18 +401,14 @@ func TestOptionsRoundTrip(t *testing.T) {
 				t.Fatalf("SetOption(%s,%s): %v", key, v, err)
 			}
 		}
-		got := k.Options()
-		if got["ksp_type"] != "cg" || got["pc_type"] != "jacobi" {
-			t.Errorf("types not round-tripped: %v", got)
+		if _, jacobi := k.pc.(*pcJacobi); k.typ != TypeCG || !jacobi {
+			t.Errorf("types not set: %s/%T", k.typ, k.pc)
 		}
-		if got["ksp_max_it"] != "123" || got["ksp_gmres_restart"] != "17" {
-			t.Errorf("ints not round-tripped: %v", got)
+		if k.rtol != 1e-9 || k.atol != 1e-30 || k.dtol != 1e5 || k.damping != 0.5 {
+			t.Errorf("floats not set: %g %g %g %g", k.rtol, k.atol, k.dtol, k.damping)
 		}
-		if got["ksp_initial_guess_nonzero"] != "true" {
-			t.Errorf("bool not round-tripped: %v", got)
-		}
-		if !strings.Contains(k.OptionsString(), "ksp_type=cg") {
-			t.Error("OptionsString missing entries")
+		if k.maxIts != 123 || k.restart != 17 || !k.guessNonzero {
+			t.Errorf("ints/bool not set: %d %d %v", k.maxIts, k.restart, k.guessNonzero)
 		}
 		for _, bad := range [][2]string{
 			{"ksp_rtol", "x"}, {"ksp_rtol", "-1"}, {"ksp_max_it", "0"},
@@ -539,32 +528,6 @@ func (p *variablePC) Apply(z, r []float64) {
 			z[i] += 0.8 * (r[i] - t[i]) / d[i]
 		}
 	}
-}
-
-func TestChebyshevBounds(t *testing.T) {
-	global := sparse.Laplace2D(6, 6)
-	run(t, 1, func(c *comm.Comm) {
-		a := distMat(c, global)
-		k := New(c)
-		k.SetOperators(a)
-		if err := k.SetType(TypeChebyshev); err != nil {
-			t.Fatal(err)
-		}
-		k.SetPCType(PCNone)
-		// Laplace2D eigenvalues lie in (0, 8).
-		if err := k.SetChebyshevBounds(0.1, 8.1); err != nil {
-			t.Fatal(err)
-		}
-		k.SetTolerances(1e-9, 0, 0, 20000)
-		solveAndCheck(t, c, global, k, a, 1e-6)
-		// Invalid bounds rejected.
-		if err := k.SetChebyshevBounds(5, 2); err == nil {
-			t.Error("inverted bounds accepted")
-		}
-		if err := k.SetChebyshevBounds(-1, 2); err == nil {
-			t.Error("negative bound accepted")
-		}
-	})
 }
 
 func TestDivergenceToleranceDetected(t *testing.T) {

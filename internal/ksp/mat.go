@@ -28,18 +28,17 @@ type Mat struct {
 	layout *pmat.Layout
 	pm     *pmat.Mat // nil for shell matrices
 	apply  func(y, x []float64)
-	name   string
 }
 
 // NewMat wraps an assembled distributed matrix.
 func NewMat(m *pmat.Mat) *Mat {
-	return &Mat{layout: m.L, pm: m, apply: m.Apply, name: "aij"}
+	return &Mat{layout: m.L, pm: m, apply: m.Apply}
 }
 
 // NewShellMat creates a matrix-free operator: apply must compute y = A·x
 // on each rank's conformal blocks (and may communicate internally).
 func NewShellMat(l *pmat.Layout, apply func(y, x []float64)) *Mat {
-	return &Mat{layout: l, apply: apply, name: "shell"}
+	return &Mat{layout: l, apply: apply}
 }
 
 // Layout returns the row/vector distribution of the operator.
@@ -51,9 +50,6 @@ func (a *Mat) Apply(y, x []float64) { a.apply(y, x) }
 // Assembled returns the underlying distributed matrix, or nil for shell
 // operators.
 func (a *Mat) Assembled() *pmat.Mat { return a.pm }
-
-// Type returns "aij" for assembled and "shell" for matrix-free operators.
-func (a *Mat) Type() string { return a.name }
 
 // Diagonal returns the local diagonal, or an error for shell operators
 // (which cannot produce one — the same restriction PETSc applies unless

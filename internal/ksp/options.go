@@ -2,13 +2,12 @@ package ksp
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
-	"strings"
 )
 
 // SetOption configures the solver through PETSc-style string options, the
-// mechanism the LISI adapter's generic Set* methods translate into.
+// option database the LISI adapter translates its parameter vocabulary
+// into (core.KSPComponent.configure).
 // Recognized keys: ksp_type, pc_type, ksp_rtol, ksp_atol, ksp_dtol,
 // ksp_max_it, ksp_gmres_restart, ksp_richardson_scale,
 // ksp_initial_guess_nonzero.
@@ -64,39 +63,4 @@ func (k *KSP) SetOption(key, value string) error {
 		return fmt.Errorf("ksp: unknown option %q", key)
 	}
 	return nil
-}
-
-// Options returns the current configuration as a key=value map, the data
-// behind LISI's GetAll (paper §7.2).
-func (k *KSP) Options() map[string]string {
-	pcType := PCNone
-	if k.pc != nil {
-		pcType = k.pc.Type()
-	}
-	return map[string]string{
-		"ksp_type":                  k.typ,
-		"pc_type":                   pcType,
-		"ksp_rtol":                  strconv.FormatFloat(k.rtol, 'g', -1, 64),
-		"ksp_atol":                  strconv.FormatFloat(k.atol, 'g', -1, 64),
-		"ksp_dtol":                  strconv.FormatFloat(k.dtol, 'g', -1, 64),
-		"ksp_max_it":                strconv.Itoa(k.maxIts),
-		"ksp_gmres_restart":         strconv.Itoa(k.restart),
-		"ksp_richardson_scale":      strconv.FormatFloat(k.damping, 'g', -1, 64),
-		"ksp_initial_guess_nonzero": strconv.FormatBool(k.guessNonzero),
-	}
-}
-
-// OptionsString renders Options deterministically as "k=v" lines.
-func (k *KSP) OptionsString() string {
-	opts := k.Options()
-	keys := make([]string, 0, len(opts))
-	for key := range opts {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for _, key := range keys {
-		fmt.Fprintf(&b, "%s=%s\n", key, opts[key])
-	}
-	return b.String()
 }

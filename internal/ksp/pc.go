@@ -11,8 +11,6 @@ import (
 // SetUp is called once per operator (and again after the operator's
 // values change).
 type PC interface {
-	// Type returns the preconditioner's registered name.
-	Type() string
 	// SetUp prepares the preconditioner for the given operator.
 	SetUp(a *Mat) error
 	// Apply computes z = M⁻¹ r; z and r have the local vector length
@@ -43,7 +41,7 @@ func NewPC(typ string) (PC, error) {
 	case PCSOR:
 		return &pcSOR{sweeps: 1, omega: 1.0, symmetric: false}, nil
 	case PCSSOR:
-		return &pcSOR{sweeps: 1, omega: 1.0, symmetric: true, name: PCSSOR}, nil
+		return &pcSOR{sweeps: 1, omega: 1.0, symmetric: true}, nil
 	}
 	return nil, fmt.Errorf("ksp: unknown preconditioner type %q", typ)
 }
@@ -51,7 +49,6 @@ func NewPC(typ string) (PC, error) {
 // pcNone is the identity preconditioner.
 type pcNone struct{}
 
-func (*pcNone) Type() string       { return PCNone }
 func (*pcNone) SetUp(a *Mat) error { return nil }
 func (*pcNone) Apply(z, r []float64) {
 	copy(z, r)
@@ -61,8 +58,6 @@ func (*pcNone) Apply(z, r []float64) {
 type pcJacobi struct {
 	invDiag []float64
 }
-
-func (*pcJacobi) Type() string { return PCJacobi }
 
 func (p *pcJacobi) SetUp(a *Mat) error {
 	d, err := a.Diagonal()
@@ -101,8 +96,6 @@ type pcBlockILU struct {
 	pool *par.Pool
 }
 
-func (p *pcBlockILU) Type() string { return p.name }
-
 func (p *pcBlockILU) setPool(pl *par.Pool) {
 	p.pool = pl
 	if p.f != nil {
@@ -131,18 +124,10 @@ func (p *pcBlockILU) Apply(z, r []float64) {
 // pcSOR applies local (processor-block) SOR or symmetric SOR sweeps to
 // the homogeneous-initial-guess correction equation.
 type pcSOR struct {
-	name      string
 	sweeps    int
 	omega     float64
 	symmetric bool
 	localCSR  *sparse.CSR
-}
-
-func (p *pcSOR) Type() string {
-	if p.name != "" {
-		return p.name
-	}
-	return PCSOR
 }
 
 func (p *pcSOR) SetUp(a *Mat) error {

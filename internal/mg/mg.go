@@ -347,9 +347,6 @@ func (s *Solver) ResidualNorm() float64 { return s.rnorm }
 // FineOperator returns the finest level's distributed operator.
 func (s *Solver) FineOperator() *pmat.Mat { return s.levels[0].a }
 
-// FineLayout returns the distribution of the finest level.
-func (s *Solver) FineLayout() *pmat.Layout { return s.levels[0].layout }
-
 // Solve runs V-cycles on A·x = b until the relative residual falls under
 // Tol (collective). b and x are the finest level's local blocks; x is
 // used as the initial guess.

@@ -66,7 +66,7 @@ func TestVCycleSolvesPaperProblem(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			l := s.FineLayout()
+			l := s.FineOperator().L
 			b := make([]float64, l.LocalN)
 			copy(b, bG[l.Start:l.Start+l.LocalN])
 			x := make([]float64, l.LocalN)
@@ -97,7 +97,7 @@ func TestNearGridIndependentConvergence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			l := s.FineLayout()
+			l := s.FineOperator().L
 			_, b, err := p.GenerateLocal(l)
 			if err != nil {
 				t.Fatal(err)
@@ -187,7 +187,7 @@ func TestCoarseFailurePropagates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		l := s.FineLayout()
+		l := s.FineOperator().L
 		_, b, _ := p.GenerateLocal(l)
 		x := make([]float64, l.LocalN)
 		if err := s.Solve(b, x); err == nil {
@@ -210,7 +210,7 @@ func TestCyclesBeatSmootherAlone(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		l := s.FineLayout()
+		l := s.FineOperator().L
 		aLoc, b, _ := p.GenerateLocal(l)
 		x := make([]float64, l.LocalN)
 		if err := s.Solve(b, x); err != nil {
@@ -259,7 +259,7 @@ func TestGalerkinHierarchyConverges(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		l := s.FineLayout()
+		l := s.FineOperator().L
 		b := make([]float64, l.LocalN)
 		copy(b, bG[l.Start:l.Start+l.LocalN])
 		x := make([]float64, l.LocalN)
@@ -290,7 +290,7 @@ func TestGalerkinAndGeometricBothWork(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			l := s.FineLayout()
+			l := s.FineOperator().L
 			_, b, _ := p.GenerateLocal(l)
 			x := make([]float64, l.LocalN)
 			if err := s.Solve(b, x); err != nil {
@@ -313,7 +313,7 @@ func TestWCycleConverges(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			l := s.FineLayout()
+			l := s.FineOperator().L
 			_, b, _ := p.GenerateLocal(l)
 			x := make([]float64, l.LocalN)
 			if err := s.Solve(b, x); err != nil {

@@ -87,22 +87,6 @@ func (l *Layout) Owns(i int) bool {
 	return i >= l.Start && i < l.Start+l.LocalN
 }
 
-// ToLocal converts a global row index owned by this rank to a local index.
-func (l *Layout) ToLocal(i int) int {
-	if !l.Owns(i) {
-		panic(fmt.Sprintf("pmat: ToLocal: row %d not owned by rank %d", i, l.c.Rank()))
-	}
-	return i - l.Start
-}
-
-// ToGlobal converts a local row index to its global index.
-func (l *Layout) ToGlobal(i int) int {
-	if i < 0 || i >= l.LocalN {
-		panic(fmt.Sprintf("pmat: ToGlobal: local index %d outside [0,%d)", i, l.LocalN))
-	}
-	return l.Start + i
-}
-
 // Conformal reports whether two layouts describe the same partition.
 func (l *Layout) Conformal(o *Layout) bool {
 	if l.N != o.N || len(l.Starts) != len(o.Starts) {

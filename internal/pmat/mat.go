@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/comm"
 	"repro/internal/par"
 	"repro/internal/sparse"
 )
@@ -278,17 +277,6 @@ func (m *Mat) buildPlan() {
 			pos += cnt
 		}
 	}
-}
-
-// Dims returns the global dimensions.
-func (m *Mat) Dims() (int, int) { return m.L.N, m.C.N }
-
-// LocalNNZ returns the number of stored entries on this rank.
-func (m *Mat) LocalNNZ() int { return m.local.NNZ() }
-
-// GlobalNNZ returns the total number of stored entries (collective).
-func (m *Mat) GlobalNNZ() int {
-	return m.L.c.AllReduceInt(m.local.NNZ(), comm.OpSum)
 }
 
 // NumGhosts returns the number of off-process columns this rank needs.

@@ -24,12 +24,6 @@ func Norm2(c *comm.Comm, x []float64) float64 {
 	return math.Sqrt(c.AllReduceFloat64(local*local, comm.OpSum))
 }
 
-// NormInf returns the global max-norm of a distributed vector
-// (collective).
-func NormInf(c *comm.Comm, x []float64) float64 {
-	return c.AllReduceFloat64(sparse.NormInf(x), comm.OpMax)
-}
-
 // Gather collects a distributed vector onto root in global row order;
 // other ranks receive nil (collective).
 func Gather(l *Layout, root int, x []float64) []float64 {
@@ -52,17 +46,4 @@ func AllGather(l *Layout, x []float64) []float64 {
 // allocate (collective).
 func AllGatherInto(l *Layout, dst, x []float64) []float64 {
 	return l.c.AllGatherVFloat64sInto(dst, x)
-}
-
-// Scatter distributes a global vector held at root according to the
-// layout; every rank receives its local block (collective).
-func Scatter(l *Layout, root int, global []float64) []float64 {
-	var parts [][]float64
-	if l.c.Rank() == root {
-		parts = make([][]float64, l.c.Size())
-		for r := 0; r < l.c.Size(); r++ {
-			parts[r] = global[l.Starts[r]:l.Starts[r+1]]
-		}
-	}
-	return l.c.ScatterVFloat64s(root, parts)
 }

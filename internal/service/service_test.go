@@ -550,49 +550,61 @@ func mmBody(t *testing.T, a *sparse.CSR, sym sparse.MMSymmetry) string {
 }
 
 // TestServiceMatrixMarketOperator: a request may carry the operator as
-// a verbatim .mtx body. Symmetric storage is expanded server-side, the
-// solve converges against the expanded operator, and later requests
-// ride the pooled session without resending the file.
+// a verbatim .mtx body, in coordinate or in dense array format.
+// Symmetric storage is expanded server-side, the solve converges against
+// the expanded operator, and later requests ride the pooled session
+// without resending the file.
 func TestServiceMatrixMarketOperator(t *testing.T) {
-	a := sparse.Laplace2D(7, 7)
+	lap := sparse.Laplace2D(7, 7)
+	cases := []struct {
+		name string
+		a    *sparse.CSR
+		body string
+	}{
+		{"coordinate-symmetric", lap, mmBody(t, lap, sparse.MMSymmetric)},
+		// Column-major, each column from the diagonal down.
+		{"array-symmetric", sparse.Tridiag(3, -1, 4, -1),
+			"%%MatrixMarket matrix array real symmetric\n3 3\n4\n-1\n0\n4\n-1\n4\n"},
+	}
 	svc := newTestService(t, service.Config{})
-	req := &service.SolveRequest{
-		Tenant:  "acme",
-		Backend: "petsc",
-		Params:  gmresParams(),
-		Procs:   2,
-		Operator: service.OperatorRef{
-			ID: "mtx", Version: 1,
-			MatrixMarket: mmBody(t, a, sparse.MMSymmetric),
-		},
-		ReturnSolution: true,
-	}
-	var resp service.SolveResponse
-	if serr := svc.Solve(context.Background(), req, &resp); serr != nil {
-		t.Fatal(serr)
-	}
-	if !resp.Converged {
-		t.Fatalf("not converged: %+v", resp)
-	}
-	b := make([]float64, a.Rows)
-	for i := range b {
-		b[i] = 1
-	}
-	r := a.Residual(b, resp.Solution)
-	if rel := sparse.Norm2(r) / sparse.Norm2(b); rel > 1e-6 {
-		t.Fatalf("relative residual %.3e against the expanded operator", rel)
-	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			req := &service.SolveRequest{
+				Tenant:         "acme",
+				Backend:        "petsc",
+				Params:         gmresParams(),
+				Procs:          2,
+				Operator:       service.OperatorRef{ID: tc.name, Version: 1, MatrixMarket: tc.body},
+				ReturnSolution: true,
+			}
+			var resp service.SolveResponse
+			if serr := svc.Solve(context.Background(), req, &resp); serr != nil {
+				t.Fatal(serr)
+			}
+			if !resp.Converged {
+				t.Fatalf("not converged: %+v", resp)
+			}
+			b := make([]float64, tc.a.Rows)
+			for i := range b {
+				b[i] = 1
+			}
+			r := tc.a.Residual(b, resp.Solution)
+			if rel := sparse.Norm2(r) / sparse.Norm2(b); rel > 1e-6 {
+				t.Fatalf("relative residual %.3e against the expanded operator", rel)
+			}
 
-	thin := &service.SolveRequest{
-		Tenant: "acme", Backend: "petsc", Params: gmresParams(), Procs: 2,
-		Operator: service.OperatorRef{ID: "mtx", Version: 1},
-	}
-	var resp2 service.SolveResponse
-	if serr := svc.Solve(context.Background(), thin, &resp2); serr != nil {
-		t.Fatal(serr)
-	}
-	if !resp2.SessionReused || !resp2.Converged {
-		t.Fatalf("thin request: reused=%v converged=%v", resp2.SessionReused, resp2.Converged)
+			thin := &service.SolveRequest{
+				Tenant: "acme", Backend: "petsc", Params: gmresParams(), Procs: 2,
+				Operator: service.OperatorRef{ID: tc.name, Version: 1},
+			}
+			var resp2 service.SolveResponse
+			if serr := svc.Solve(context.Background(), thin, &resp2); serr != nil {
+				t.Fatal(serr)
+			}
+			if !resp2.SessionReused || !resp2.Converged {
+				t.Fatalf("thin request: reused=%v converged=%v", resp2.SessionReused, resp2.Converged)
+			}
+		})
 	}
 }
 

@@ -166,10 +166,6 @@ func (d *DistSolver) refactorRoot(a *sparse.CSR, opts Options) error {
 	return nil
 }
 
-// Factorization exposes the LU factors (nil on ranks other than 0, and
-// after a failed Refactor).
-func (d *DistSolver) Factorization() *LU { return d.f }
-
 // FillRatio reports nnz(L+U)/nnz(A) (collective); 0 while a failed
 // Refactor has left the solver without a factor.
 func (d *DistSolver) FillRatio() float64 {
@@ -246,27 +242,10 @@ func (d *DistSolver) rootSolveInto(xLocal, bLocal []float64, steps int) (float64
 	return d.stat[1], nil
 }
 
-// SolveRefined solves like Solve and then applies steps of iterative
-// refinement (steps may be 0), returning this rank's solution block and
-// the global ∞-norm of the final residual (collective).
-func (d *DistSolver) SolveRefined(bLocal []float64, steps int) ([]float64, float64, error) {
-	l := d.layout
-	if len(bLocal) != l.LocalN {
-		return nil, 0, fmt.Errorf("slu: DistSolver.SolveRefined: local rhs has length %d, want %d", len(bLocal), l.LocalN)
-	}
-	if steps < 0 {
-		return nil, 0, fmt.Errorf("slu: DistSolver.SolveRefined: negative step count %d", steps)
-	}
-	x := make([]float64, l.LocalN)
-	res, err := d.rootSolveInto(x, bLocal, steps)
-	if err != nil {
-		return nil, 0, err
-	}
-	return x, res, nil
-}
-
-// SolveRefinedInto is SolveRefined writing this rank's solution block
-// into the caller-provided xLocal; repeated calls do not allocate.
+// SolveRefinedInto solves like Solve, then applies steps of iterative
+// refinement (steps may be 0), writing this rank's solution block into the
+// caller-provided xLocal and returning the global ∞-norm of the final
+// residual (collective). Repeated calls do not allocate.
 func (d *DistSolver) SolveRefinedInto(xLocal, bLocal []float64, steps int) (float64, error) {
 	l := d.layout
 	if len(bLocal) != l.LocalN || len(xLocal) != l.LocalN {

@@ -56,9 +56,6 @@ type LU struct {
 	ls *levelSolve
 }
 
-// N returns the order of the factored matrix.
-func (f *LU) N() int { return f.n }
-
 // NNZ returns the stored entries in L and U combined.
 func (f *LU) NNZ() int { return len(f.lVals) + len(f.uVals) }
 
@@ -78,9 +75,8 @@ func checkFactorArgs(a *sparse.CSR, opts Options) error {
 
 // Factor computes the sparse LU factorization of a square CSR matrix
 // using the left-looking Gilbert–Peierls algorithm with threshold partial
-// pivoting: Analyze followed by one numeric phase. Callers that factor a
-// sequence of matrices with one pattern keep the Symbolic and call its
-// Factor instead.
+// pivoting: Analyze followed by one numeric phase. DistSolver.Refactor
+// keeps the Symbolic across a sequence of matrices with one pattern.
 func Factor(a *sparse.CSR, opts Options) (*LU, error) {
 	if err := checkFactorArgs(a, opts); err != nil {
 		return nil, err
@@ -88,21 +84,6 @@ func Factor(a *sparse.CSR, opts Options) (*LU, error) {
 	s, err := Analyze(a, opts.ColPerm)
 	if err != nil {
 		return nil, err
-	}
-	return s.factorFresh(a, opts)
-}
-
-// Factor runs the numeric phase for a matrix with the analysed pattern
-// and ordering: equilibration, threshold partial pivoting and the L/U
-// structure all depend on the values, so they are redone; the column
-// permutation and the column access structure are not. The result is
-// bit-for-bit what the package-level Factor returns for (a, opts).
-func (s *Symbolic) Factor(a *sparse.CSR, opts Options) (*LU, error) {
-	if err := checkFactorArgs(a, opts); err != nil {
-		return nil, err
-	}
-	if !s.matches(a, opts.ColPerm) {
-		return nil, fmt.Errorf("slu: Symbolic.Factor: pattern or ordering differs from the analysed one")
 	}
 	return s.factorFresh(a, opts)
 }

@@ -77,7 +77,7 @@ func TestSymbolicFactorEqualsFactor(t *testing.T) {
 				// cold Factor; the later rounds start from capacity hints.
 				for round := int64(0); round < 3; round++ {
 					b := perturbed(a, 100+round)
-					got, err := sym.Factor(b, opts)
+					got, err := sym.factorFresh(b, opts)
 					if err != nil {
 						t.Fatalf("%s/%v: %v", name, ord, err)
 					}
@@ -98,21 +98,17 @@ func TestSymbolicFactorRejectsOtherPatterns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := DefaultOptions()
-	if _, err := sym.Factor(sparse.Laplace2D(4, 5), opts); err == nil {
+	if !sym.matches(a, OrderMinDegree) {
+		t.Error("the analysed pattern and ordering rejected")
+	}
+	if sym.matches(sparse.Laplace2D(4, 5), OrderMinDegree) {
 		t.Error("different pattern of the same order accepted")
 	}
-	if _, err := sym.Factor(sparse.Laplace2D(5, 5), opts); err == nil {
+	if sym.matches(sparse.Laplace2D(5, 5), OrderMinDegree) {
 		t.Error("different dimension accepted")
 	}
-	opts.ColPerm = OrderRCM
-	if _, err := sym.Factor(a, opts); err == nil {
+	if sym.matches(a, OrderRCM) {
 		t.Error("different ordering accepted")
-	}
-	opts = DefaultOptions()
-	opts.PivotThreshold = 0
-	if _, err := sym.Factor(a, opts); err == nil {
-		t.Error("zero pivot threshold accepted")
 	}
 }
 
@@ -208,7 +204,7 @@ func requireSolvesLikeCold(t *testing.T, what string, c *comm.Comm, d *DistSolve
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameLU(t, what, d.Factorization(), cold.Factorization())
+	requireSameLU(t, what, d.f, cold.f)
 	b := sparse.RandomVector(a.Rows, 77)
 	x, y := make([]float64, a.Rows), make([]float64, a.Rows)
 	if _, err := d.SolveRefinedInto(x, b, 1); err != nil {
@@ -337,7 +333,7 @@ func TestRefactorFailureLeavesNoFactor(t *testing.T) {
 			if err == nil || !strings.HasSuffix(err.Error(), wantErr.Error()) {
 				t.Fatalf("Refactor error %q does not carry Factor's %q", err, wantErr)
 			}
-			if d.Factorization() != nil {
+			if d.f != nil {
 				t.Error("failed Refactor left a factor reachable")
 			}
 			x := make([]float64, good.Rows)
@@ -397,7 +393,7 @@ func TestRefactorRebuildsLevelMirrors(t *testing.T) {
 		if err := d.Refactor(mustMat(t, c, b), DefaultOptions()); err != nil {
 			t.Fatal(err)
 		}
-		if ls := d.Factorization().ls; ls == nil || !ls.pool.Parallel() {
+		if ls := d.f.ls; ls == nil || !ls.pool.Parallel() {
 			t.Fatal("pool not carried across the refactor")
 		}
 		requireSolvesLikeCold(t, "pooled after refactor", c, d, b, DefaultOptions())

@@ -148,28 +148,6 @@ func TestSolveTranspose(t *testing.T) {
 	}
 }
 
-func TestSolveMulti(t *testing.T) {
-	a := sparse.Laplace2D(5, 5)
-	f, err := Factor(a, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	bs := [][]float64{
-		sparse.RandomVector(25, 1),
-		sparse.RandomVector(25, 2),
-		sparse.RandomVector(25, 3),
-	}
-	xs, err := f.SolveMulti(bs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range bs {
-		if r := residualInf(a, bs[i], xs[i]); r > 1e-9 {
-			t.Errorf("rhs %d: residual %g", i, r)
-		}
-	}
-}
-
 func TestSolveLengthValidation(t *testing.T) {
 	f, _ := Factor(sparse.Identity(4), DefaultOptions())
 	if _, err := f.Solve([]float64{1}); err == nil {
@@ -355,9 +333,9 @@ func TestDistSolver(t *testing.T) {
 			if d.FillRatio() <= 0 {
 				t.Error("fill ratio not positive")
 			}
-			if c.Rank() == 0 && d.Factorization().N() != n {
+			if c.Rank() == 0 && d.f.n != n {
 				t.Error("factorization order wrong")
-			} else if c.Rank() != 0 && d.Factorization() != nil {
+			} else if c.Rank() != 0 && d.f != nil {
 				t.Error("non-root rank holds factors")
 			}
 			// Wrong local length.

@@ -80,19 +80,6 @@ func (f *LU) SolveTranspose(b []float64) ([]float64, error) {
 	return x, nil
 }
 
-// SolveMulti solves for several right-hand sides (columns of bs).
-func (f *LU) SolveMulti(bs [][]float64) ([][]float64, error) {
-	xs := make([][]float64, len(bs))
-	for i, b := range bs {
-		x, err := f.Solve(b)
-		if err != nil {
-			return nil, err
-		}
-		xs[i] = x
-	}
-	return xs, nil
-}
-
 // lSolve solves L·w = c in place (column-oriented, unit diagonal first).
 func (f *LU) lSolve(c []float64) {
 	if f.ls != nil && f.ls.pool.Parallel() {

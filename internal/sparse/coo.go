@@ -32,12 +32,6 @@ func NewCOOFromArrays(rows, cols int, ri, ci []int, v []float64) (*COO, error) {
 	return &COO{Rows: rows, Cols: cols, Row: ri, Col: ci, Val: v}, nil
 }
 
-// Dims returns (rows, cols).
-func (c *COO) Dims() (int, int) { return c.Rows, c.Cols }
-
-// NNZ returns the number of stored triplets (duplicates counted).
-func (c *COO) NNZ() int { return len(c.Val) }
-
 // Append adds one entry. Out-of-range indices panic: assembly code is
 // expected to be correct by construction.
 func (c *COO) Append(i, j int, v float64) {
@@ -47,18 +41,6 @@ func (c *COO) Append(i, j int, v float64) {
 	c.Row = append(c.Row, i)
 	c.Col = append(c.Col, j)
 	c.Val = append(c.Val, v)
-}
-
-// MulVec computes y = A*x (duplicates contribute additively).
-func (c *COO) MulVec(y, x []float64) {
-	checkDims("COO.MulVec x", c.Cols, len(x))
-	checkDims("COO.MulVec y", c.Rows, len(y))
-	for i := range y {
-		y[i] = 0
-	}
-	for k, v := range c.Val {
-		y[c.Row[k]] += v * x[c.Col[k]]
-	}
 }
 
 // ToCSR converts to CSR, summing duplicates and sorting column indices

@@ -48,9 +48,6 @@ func NewCSR(rows, cols int, rowPtr, colInd []int, vals []float64) (*CSR, error) 
 	return &CSR{Rows: rows, Cols: cols, RowPtr: rowPtr, ColInd: colInd, Vals: vals}, nil
 }
 
-// Dims returns (rows, cols).
-func (a *CSR) Dims() (int, int) { return a.Rows, a.Cols }
-
 // NNZ returns the number of stored entries.
 func (a *CSR) NNZ() int { return len(a.Vals) }
 
@@ -159,11 +156,6 @@ func (a *CSR) Transpose() *CSR {
 	return &CSR{Rows: a.Cols, Cols: a.Rows, RowPtr: rp, ColInd: ci, Vals: v}
 }
 
-// NormFrob returns the Frobenius norm.
-func (a *CSR) NormFrob() float64 {
-	return Norm2(a.Vals)
-}
-
 // NormInf returns the infinity (max absolute row sum) norm.
 func (a *CSR) NormInf() float64 {
 	m := 0.0
@@ -177,15 +169,6 @@ func (a *CSR) NormInf() float64 {
 		}
 	}
 	return m
-}
-
-// NormOne returns the one (max absolute column sum) norm.
-func (a *CSR) NormOne() float64 {
-	col := make([]float64, a.Cols)
-	for k, j := range a.ColInd {
-		col[j] += math.Abs(a.Vals[k])
-	}
-	return NormInf(col)
 }
 
 // RowView returns the column indices and values of row i, aliasing the
@@ -248,12 +231,6 @@ func (a *CSR) ToCOO() *COO {
 		}
 	}
 	return c
-}
-
-// ToCSC converts to compressed-sparse-column format.
-func (a *CSR) ToCSC() *CSC {
-	t := a.Transpose()
-	return &CSC{Rows: a.Rows, Cols: a.Cols, ColPtr: t.RowPtr, RowInd: t.ColInd, Vals: t.Vals}
 }
 
 // Equal reports whether two matrices have identical dimensions, patterns

@@ -76,7 +76,9 @@ func FuzzCSRFromTriplets(f *testing.F) {
 		}
 		yCOO := make([]float64, rows)
 		yCSR := make([]float64, rows)
-		coo.MulVec(yCOO, x)
+		for k, v := range coo.Val {
+			yCOO[coo.Row[k]] += v * x[coo.Col[k]]
+		}
 		a.MulVec(yCSR, x)
 		for i := range yCOO {
 			diff := math.Abs(yCOO[i] - yCSR[i])

@@ -399,9 +399,9 @@ func parseMMValue(s string, integer bool) (float64, error) {
 // With MMSymmetric the matrix must be square and bitwise symmetric;
 // only the lower triangle is stored. Values print with %.17g so every
 // finite float64 round-trips exactly.
-func WriteMatrixMarket(w io.Writer, m Matrix, sym MMSymmetry) error {
-	rows, cols := m.Dims()
-	coo := toCOO(m)
+func WriteMatrixMarket(w io.Writer, m *CSR, sym MMSymmetry) error {
+	rows, cols := m.Rows, m.Cols
+	coo := m.ToCOO()
 	row, col, val := coo.Row, coo.Col, coo.Val
 	if sym == MMSymmetric {
 		if rows != cols {
@@ -434,25 +434,6 @@ func WriteMatrixMarket(w io.Writer, m Matrix, sym MMSymmetry) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// toCOO views any storage format as coordinate triplets.
-func toCOO(m Matrix) *COO {
-	switch a := m.(type) {
-	case *COO:
-		return a
-	case *CSR:
-		return a.ToCOO()
-	case *CSC:
-		return a.ToCSR().ToCOO()
-	case *MSR:
-		return a.ToCSR().ToCOO()
-	case *VBR:
-		return a.ToCSR().ToCOO()
-	case *FEM:
-		return a.ToCOO()
-	}
-	panic(fmt.Sprintf("sparse: WriteMatrixMarket: unsupported matrix type %T", m))
 }
 
 const mmBanner = "%%MatrixMarket"

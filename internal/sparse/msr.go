@@ -18,79 +18,6 @@ type MSR struct {
 	Ind []int
 }
 
-// NewMSR validates raw MSR arrays and wraps them without copying.
-func NewMSR(n int, val []float64, ind []int) (*MSR, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("sparse: NewMSR: negative order %d", n)
-	}
-	if len(val) != len(ind) {
-		return nil, fmt.Errorf("sparse: NewMSR: val length %d != ind length %d", len(val), len(ind))
-	}
-	if len(val) < n+1 {
-		return nil, fmt.Errorf("sparse: NewMSR: arrays too short (%d) for order %d", len(val), n)
-	}
-	if ind[0] != n+1 {
-		return nil, fmt.Errorf("sparse: NewMSR: ind[0] = %d, want %d", ind[0], n+1)
-	}
-	for i := 0; i < n; i++ {
-		if ind[i] > ind[i+1] {
-			return nil, fmt.Errorf("sparse: NewMSR: row pointers not monotone at row %d", i)
-		}
-	}
-	if ind[n] != len(val) {
-		return nil, fmt.Errorf("sparse: NewMSR: ind[n] = %d, want total length %d", ind[n], len(val))
-	}
-	for k := n + 1; k < len(ind); k++ {
-		if ind[k] < 0 || ind[k] >= n {
-			return nil, fmt.Errorf("sparse: NewMSR: column index %d out of range", ind[k])
-		}
-	}
-	return &MSR{N: n, Val: val, Ind: ind}, nil
-}
-
-// Dims returns (n, n).
-func (a *MSR) Dims() (int, int) { return a.N, a.N }
-
-// NNZ counts stored entries: all off-diagonals plus nonzero diagonals.
-// (Zero diagonal slots are structural in MSR and not counted.)
-func (a *MSR) NNZ() int {
-	nnz := len(a.Val) - a.N - 1
-	for i := 0; i < a.N; i++ {
-		if a.Val[i] != 0 {
-			nnz++
-		}
-	}
-	return nnz
-}
-
-// MulVec computes y = A*x.
-func (a *MSR) MulVec(y, x []float64) {
-	checkDims("MSR.MulVec x", a.N, len(x))
-	checkDims("MSR.MulVec y", a.N, len(y))
-	for i := 0; i < a.N; i++ {
-		s := a.Val[i] * x[i]
-		for k := a.Ind[i]; k < a.Ind[i+1]; k++ {
-			s += a.Val[k] * x[a.Ind[k]]
-		}
-		y[i] = s
-	}
-}
-
-// ToCSR converts to CSR (diagonal entries that are exactly zero are
-// dropped, as they carry no information outside the MSR layout).
-func (a *MSR) ToCSR() *CSR {
-	coo := NewCOO(a.N, a.N)
-	for i := 0; i < a.N; i++ {
-		if a.Val[i] != 0 {
-			coo.Append(i, i, a.Val[i])
-		}
-		for k := a.Ind[i]; k < a.Ind[i+1]; k++ {
-			coo.Append(i, a.Ind[k], a.Val[k])
-		}
-	}
-	return coo.ToCSR()
-}
-
 // MSRFromCSR converts a square CSR matrix to MSR format.
 func MSRFromCSR(a *CSR) (*MSR, error) {
 	if a.Rows != a.Cols {

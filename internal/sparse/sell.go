@@ -39,12 +39,6 @@ type SELL struct {
 	ChunkPtr []int
 	ColInd   []int
 	Vals     []float64
-
-	// acc is the per-chunk accumulator scratch for the serial kernels
-	// (len C). The serial MulVec/MulVecAdd are therefore not safe for
-	// concurrent use on a shared receiver; the pooled path in ParSpMV
-	// carries per-slot scratch instead.
-	acc []float64
 }
 
 // DefaultSELLChunk is the default chunk height: long enough that the
@@ -145,20 +139,7 @@ func SELLFromCSR(a *CSR, chunk int) *SELL {
 	if !identity {
 		s.Perm = perm
 	}
-	s.acc = make([]float64, c)
 	return s
-}
-
-// Dims returns the global (rows, cols).
-func (s *SELL) Dims() (int, int) { return s.Rows, s.Cols }
-
-// NNZ returns the number of stored (non-padding) entries.
-func (s *SELL) NNZ() int {
-	nnz := 0
-	for _, l := range s.Lens {
-		nnz += l
-	}
-	return nnz
 }
 
 // NumChunks returns the number of row chunks.
@@ -291,30 +272,6 @@ func (s *SELL) scatterChunk(r0, r1 int, acc, y []float64, add bool) {
 		for l, p := 0, r0; p < r1; l, p = l+1, p+1 {
 			y[s.Perm[p]] = acc[l]
 		}
-	}
-}
-
-// MulVec computes y = A*x, bitwise-identical to CSR.MulVec on the
-// matrix this SELL was converted from. Not safe for concurrent calls
-// on one receiver (chunk scratch is receiver-owned); use ParSpMV for
-// the pooled path.
-func (s *SELL) MulVec(y, x []float64) {
-	checkDims("SELL.MulVec x", s.Cols, len(x))
-	checkDims("SELL.MulVec y", s.Rows, len(y))
-	for ch := 0; ch < s.NumChunks(); ch++ {
-		r0, r1 := s.mulChunk(ch, s.acc, x)
-		s.scatterChunk(r0, r1, s.acc, y, false)
-	}
-}
-
-// MulVecAdd computes y += A*x (same bitwise contract as MulVec,
-// mirroring CSR.MulVecAdd's per-row y[i] += sum).
-func (s *SELL) MulVecAdd(y, x []float64) {
-	checkDims("SELL.MulVecAdd x", s.Cols, len(x))
-	checkDims("SELL.MulVecAdd y", s.Rows, len(y))
-	for ch := 0; ch < s.NumChunks(); ch++ {
-		r0, r1 := s.mulChunk(ch, s.acc, x)
-		s.scatterChunk(r0, r1, s.acc, y, true)
 	}
 }
 

@@ -1,8 +1,11 @@
 // Package sparse provides the serial sparse-matrix substrate used by every
-// solver package in this repository: the storage formats named by the LISI
-// SparseStruct enum (CSR, COO, MSR, VBR, FEM) plus CSC, conversions between
-// them, sparse kernels (matrix–vector products, triangular utilities,
-// norms), simple generators, and a plain-text exchange format.
+// solver package in this repository: CSR, the format every solver works
+// on, with its kernels (matrix–vector products, norms, products of
+// matrices); the formats a LISI SetupMatrix call can hand in and their
+// conversion to CSR (COO triplets, which FEM assembly also goes through,
+// and VBR; MSR arrays are unpacked by the adapter itself); the SELL-C-σ
+// and order-exact MSR kernels ParSpMV can bind; simple generators; and
+// the Matrix Market and plain-text vector exchange formats.
 //
 // The formats deliberately mirror the classic SPARSKIT definitions the
 // CCA-LISI paper refers to, because the LISI SetupMatrix adapter's job is
@@ -15,30 +18,15 @@ import (
 	"math"
 )
 
-// Matrix is the minimal read-only interface shared by all assembled
-// formats.
-type Matrix interface {
-	// Dims returns the number of rows and columns.
-	Dims() (rows, cols int)
-	// NNZ returns the number of stored entries.
-	NNZ() int
-	// MulVec computes y = A*x. len(x) must equal cols and len(y) rows.
-	MulVec(y, x []float64)
-}
-
-// Format identifies one of the supported sparse storage schemes. The
-// values correspond to the LISI SparseStruct enum.
+// Format names the storage scheme a ParSpMV kernel is bound to (the
+// sparse.format telemetry label).
 type Format int
 
-// Supported formats.
+// Bindable formats.
 const (
 	FmtCSR  Format = iota // compressed sparse row
-	FmtCOO                // coordinate (triplet)
-	FmtMSR                // modified sparse row
-	FmtVBR                // variable block row
-	FmtFEM                // finite-element (element-wise) assembly
-	FmtCSC                // compressed sparse column (extension)
-	FmtSELL               // SELL-C-σ sliced ELLPACK (extension; kernel-only, not a SparseStruct)
+	FmtMSR                // modified sparse row, order-exact kernel
+	FmtSELL               // SELL-C-σ sliced ELLPACK
 )
 
 // String returns the format's conventional name.
@@ -46,16 +34,8 @@ func (f Format) String() string {
 	switch f {
 	case FmtCSR:
 		return "CSR"
-	case FmtCOO:
-		return "COO"
 	case FmtMSR:
 		return "MSR"
-	case FmtVBR:
-		return "VBR"
-	case FmtFEM:
-		return "FEM"
-	case FmtCSC:
-		return "CSC"
 	case FmtSELL:
 		return "SELL"
 	}
@@ -125,10 +105,4 @@ func Scale(alpha float64, x []float64) {
 	for i := range x {
 		x[i] *= alpha
 	}
-}
-
-// Copy copies src into dst (equal lengths required) .
-func Copy(dst, src []float64) {
-	checkDims("Copy", len(dst), len(src))
-	copy(dst, src)
 }

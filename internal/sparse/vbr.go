@@ -26,12 +26,6 @@ func (a *VBR) Dims() (int, int) {
 	return a.RPntr[len(a.RPntr)-1], a.CPntr[len(a.CPntr)-1]
 }
 
-// NNZ returns the number of stored (block-padded) entries.
-func (a *VBR) NNZ() int { return len(a.Val) }
-
-// NumBlockRows returns the number of block rows.
-func (a *VBR) NumBlockRows() int { return len(a.RPntr) - 1 }
-
 // Validate checks structural consistency.
 func (a *VBR) Validate() error {
 	nbr := len(a.RPntr) - 1
@@ -69,37 +63,6 @@ func (a *VBR) Validate() error {
 		return fmt.Errorf("sparse: VBR: Indx[end] = %d, want %d", a.Indx[nblk], len(a.Val))
 	}
 	return nil
-}
-
-// MulVec computes y = A*x.
-func (a *VBR) MulVec(y, x []float64) {
-	rows, cols := a.Dims()
-	checkDims("VBR.MulVec x", cols, len(x))
-	checkDims("VBR.MulVec y", rows, len(y))
-	for i := range y {
-		y[i] = 0
-	}
-	nbr := len(a.RPntr) - 1
-	for I := 0; I < nbr; I++ {
-		r0, r1 := a.RPntr[I], a.RPntr[I+1]
-		br := r1 - r0
-		for k := a.BPntr[I]; k < a.BPntr[I+1]; k++ {
-			J := a.BInd[k]
-			c0, c1 := a.CPntr[J], a.CPntr[J+1]
-			blk := a.Val[a.Indx[k]:a.Indx[k+1]]
-			// column-major block: blk[r + c*br]
-			for c := 0; c < c1-c0; c++ {
-				xc := x[c0+c]
-				if xc == 0 {
-					continue
-				}
-				col := blk[c*br : (c+1)*br]
-				for r := 0; r < br; r++ {
-					y[r0+r] += col[r] * xc
-				}
-			}
-		}
-	}
 }
 
 // ToCSR expands the blocks to scalar CSR entries, dropping exact zeros

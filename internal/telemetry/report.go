@@ -2,10 +2,7 @@ package telemetry
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
-	"sort"
-	"strings"
 )
 
 // SchemaSolveReport identifies the SolveReport JSON schema version;
@@ -26,22 +23,6 @@ type CommStats struct {
 	BarrierParks       int64   `json:"barrier_parks"` // barrier waits that blocked; entries − parks were met polling
 	RecvParks          int64   `json:"recv_parks"`    // receive waits that blocked
 	Collectives        int64   `json:"collectives"`
-}
-
-// Sub returns the element-wise difference s − o, attributing a window
-// of activity between two snapshots.
-func (s CommStats) Sub(o CommStats) CommStats {
-	return CommStats{
-		Sends:              s.Sends - o.Sends,
-		Recvs:              s.Recvs - o.Recvs,
-		BytesSent:          s.BytesSent - o.BytesSent,
-		BytesRecv:          s.BytesRecv - o.BytesRecv,
-		BarrierEntries:     s.BarrierEntries - o.BarrierEntries,
-		BarrierWaitSeconds: s.BarrierWaitSeconds - o.BarrierWaitSeconds,
-		BarrierParks:       s.BarrierParks - o.BarrierParks,
-		RecvParks:          s.RecvParks - o.RecvParks,
-		Collectives:        s.Collectives - o.Collectives,
-	}
 }
 
 // Add returns the element-wise sum s + o.
@@ -107,34 +88,6 @@ func (r *Recorder) Report(solver string) *SolveReport {
 	return rep
 }
 
-// PhaseSum returns the total attributed seconds across all phases,
-// folded in sorted phase-name order so the sum is bit-identical across
-// runs (map iteration order is randomized per process).
-func (rep *SolveReport) PhaseSum() float64 {
-	names := make([]string, 0, len(rep.Phases))
-	for name := range rep.Phases {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	total := 0.0
-	for _, name := range names {
-		total += rep.Phases[name]
-	}
-	return total
-}
-
-// Unattributed returns wall time not covered by any phase (mesh/problem
-// generation, framework assembly, measurement scaffolding). Negative
-// values are clamped to zero: phases on different ranks may legitimately
-// overlap and sum past one rank's wall clock.
-func (rep *SolveReport) Unattributed() float64 {
-	u := rep.WallSeconds - rep.PhaseSum()
-	if u < 0 {
-		return 0
-	}
-	return u
-}
-
 // WriteJSON writes v as deterministic, indented JSON followed by a
 // newline — the on-disk format of every telemetry artifact
 // (encoding/json sorts map keys, so the output is diff-stable).
@@ -142,33 +95,4 @@ func WriteJSON(w io.Writer, v any) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(v)
-}
-
-// FormatReport renders a report as aligned human-readable text for
-// terminal display.
-func FormatReport(rep *SolveReport) string {
-	var b strings.Builder
-	path := rep.Path
-	if path == "" {
-		path = "-"
-	}
-	fmt.Fprintf(&b, "solver=%s path=%s procs=%d iterations=%d residual=%.3e converged=%v wall=%.4fs\n",
-		rep.Solver, path, rep.Procs, rep.Iterations, rep.FinalResidual, rep.Converged, rep.WallSeconds)
-	phases := make([]string, 0, len(rep.Phases))
-	for p := range rep.Phases {
-		phases = append(phases, p)
-	}
-	sort.Strings(phases)
-	for _, p := range phases {
-		fmt.Fprintf(&b, "  phase %-14s %10.6fs\n", p, rep.Phases[p])
-	}
-	if u := rep.Unattributed(); len(rep.Phases) > 0 {
-		fmt.Fprintf(&b, "  phase %-14s %10.6fs\n", "(unattributed)", u)
-	}
-	if rep.Comm != nil {
-		c := rep.Comm
-		fmt.Fprintf(&b, "  comm  sends=%d recvs=%d bytes_sent=%d bytes_recv=%d barriers=%d barrier_wait=%.4fs barrier_parks=%d recv_parks=%d collectives=%d\n",
-			c.Sends, c.Recvs, c.BytesSent, c.BytesRecv, c.BarrierEntries, c.BarrierWaitSeconds, c.BarrierParks, c.RecvParks, c.Collectives)
-	}
-	return b.String()
 }

@@ -13,7 +13,6 @@
 package telemetry
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -236,15 +235,4 @@ func (r *Recorder) Reset() {
 	r.labels = nil
 	r.dropped = 0
 	r.mu.Unlock()
-}
-
-// CounterNames returns the sorted names of all counters (for
-// deterministic rendering).
-func (s Snapshot) CounterNames() []string {
-	names := make([]string, 0, len(s.Counters))
-	for n := range s.Counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
