@@ -116,7 +116,8 @@ fuzz:
 	for t in FuzzPartition FuzzGenerateRows; do \
 		$(GO) test -run='^$$' -fuzz="^$$t\$$" -fuzztime=$(FUZZTIME) ./internal/mesh || exit 1; done
 	$(GO) test -run='^$$' -fuzz='^FuzzLevels$$' -fuzztime=$(FUZZTIME) ./internal/par
-	$(GO) test -run='^$$' -fuzz='^FuzzMinDegreeMatchesReference$$' -fuzztime=$(FUZZTIME) ./internal/slu
+	for t in FuzzMinDegreeMatchesReference FuzzStaticRefactorMatchesFresh; do \
+		$(GO) test -run='^$$' -fuzz="^$$t\$$" -fuzztime=$(FUZZTIME) ./internal/slu || exit 1; done
 	$(GO) test -run='^$$' -fuzz='^FuzzILUTMatchesReference$$' -fuzztime=$(FUZZTIME) ./internal/aztec
 
 clean:

@@ -83,8 +83,10 @@ func (sc *SLUComponent) GetAll() string {
 		"matrix_free":    "false",
 		"factorizations": strconv.Itoa(sc.factorizations),
 		// Rank 0 analyses and factors; other ranks report 0 here.
-		"analyses":        strconv.Itoa(sc.seen.Analyses),
-		"symbolic_reuses": strconv.Itoa(sc.seen.SymbolicReuses),
+		"analyses":          strconv.Itoa(sc.seen.Analyses),
+		"symbolic_reuses":   strconv.Itoa(sc.seen.SymbolicReuses),
+		"static_refactors":  strconv.Itoa(sc.seen.StaticRefactors),
+		"rowperm_fallbacks": strconv.Itoa(sc.seen.RowPermFallbacks),
 	}
 	for k := range sc.params {
 		if ignoredIterativeKeys[k] {
@@ -141,8 +143,9 @@ func (sc *SLUComponent) Solve(solution []float64, status []float64, numLocalRow,
 			return ErrBadArg
 		}
 		// A live solver refactors: same pattern and ordering take the
-		// numeric phase only (§5.2d), anything else is re-analysed inside,
-		// and the L/U storage is refilled either way.
+		// numeric phase only (§5.2d) — over the recorded row permutation
+		// and L/U structure while every pivot validates — anything else
+		// is re-analysed inside, and the L/U storage is refilled either way.
 		if sc.dist == nil {
 			sc.dist, err = slu.NewDistSolver(pm, opts)
 		} else {
@@ -181,7 +184,8 @@ func (sc *SLUComponent) Solve(solution []float64, status []float64, numLocalRow,
 }
 
 // recordSetup feeds the recorder what the set-up just run did on this
-// rank: analysed or reused, and the ordering/numeric split of its
+// rank: analysed or reused, replayed the factor's structure or fell back
+// to the full numeric pass, and the ordering/numeric split of its
 // PhaseSetup time.
 func (sc *SLUComponent) recordSetup() {
 	if sc.dist == nil {
@@ -192,6 +196,8 @@ func (sc *SLUComponent) recordSetup() {
 	sc.seen = st
 	sc.rec.Add("slu.analyses", int64(d.Analyses))
 	sc.rec.Add("slu.symbolic_reuses", int64(d.SymbolicReuses))
+	sc.rec.Add("slu.static_refactors", int64(d.StaticRefactors))
+	sc.rec.Add("slu.rowperm_fallbacks", int64(d.RowPermFallbacks))
 	sc.rec.Add("slu.ordering_ns", d.OrderingNs)
 	sc.rec.Add("slu.numeric_ns", d.NumericNs)
 }

@@ -28,25 +28,50 @@ func scaledValues(a *sparse.CSR, round int) *sparse.CSR {
 	return b
 }
 
+// smallDiagonals returns a with the same pattern and every fifth
+// diagonal entry shrunk below any pivot threshold — values whose row
+// permutation differs from a's.
+func smallDiagonals(a *sparse.CSR) *sparse.CSR {
+	b := a.Clone()
+	for i := 0; i < b.Rows; i += 5 {
+		for k := b.RowPtr[i]; k < b.RowPtr[i+1]; k++ {
+			if b.ColInd[k] == i {
+				b.Vals[k] *= 1e-3
+			}
+		}
+	}
+	return b
+}
+
 // sluCounts reads factorizations / analyses / symbolic_reuses out of a
 // superlu component's GetAll (collective: GetAll broadcasts fill_ratio).
 func sluCounts(t *testing.T, solver SparseSolver) (factorizations, analyses, reuses int) {
 	t.Helper()
 	all := solver.GetAll()
-	get := func(key string) int {
-		for _, line := range strings.Split(all, "\n") {
-			if rest, ok := strings.CutPrefix(line, key+"="); ok {
-				v, err := strconv.Atoi(rest)
-				if err != nil {
-					t.Fatalf("GetAll line %q: %v", line, err)
-				}
-				return v
+	return sluCount(t, all, "factorizations"), sluCount(t, all, "analyses"), sluCount(t, all, "symbolic_reuses")
+}
+
+// sluCount reads one integer key out of a GetAll listing.
+func sluCount(t *testing.T, all, key string) int {
+	t.Helper()
+	for _, line := range strings.Split(all, "\n") {
+		if rest, ok := strings.CutPrefix(line, key+"="); ok {
+			v, err := strconv.Atoi(rest)
+			if err != nil {
+				t.Fatalf("GetAll line %q: %v", line, err)
 			}
+			return v
 		}
-		t.Fatalf("GetAll lacks %q:\n%s", key, all)
-		return 0
 	}
-	return get("factorizations"), get("analyses"), get("symbolic_reuses")
+	t.Fatalf("GetAll lacks %q:\n%s", key, all)
+	return 0
+}
+
+// sluReplays reads static_refactors / rowperm_fallbacks the same way.
+func sluReplays(t *testing.T, solver SparseSolver) (static, fallbacks int) {
+	t.Helper()
+	all := solver.GetAll()
+	return sluCount(t, all, "static_refactors"), sluCount(t, all, "rowperm_fallbacks")
 }
 
 func bitsOf(x []float64) []uint64 {
@@ -158,9 +183,10 @@ func TestSLUFactorParametersTakeEffect(t *testing.T) {
 }
 
 // TestSLUFailedRefreshRecovers: a refresh the direct solver cannot
-// factor ends in a typed failure, is not counted as a factorisation, and
-// the next good refresh refactors on the stored analysis and matches a
-// fresh component bit for bit.
+// factor — here a replay of the live factor that meets a zero pivot —
+// ends in the typed failure a cold factorisation of that matrix ends in,
+// is not counted as a factorisation, and the next good refresh refactors
+// on the stored analysis and matches a fresh component bit for bit.
 func TestSLUFailedRefreshRecovers(t *testing.T) {
 	a := sparse.RandomDiagDominant(30, 4, 6)
 	b := sparse.RandomVector(30, 2)
@@ -191,6 +217,11 @@ func TestSLUFailedRefreshRecovers(t *testing.T) {
 		if f, _, _ := sluCounts(t, s); f != 1 {
 			t.Fatalf("failed refreshes counted: factorizations = %d, want 1", f)
 		}
+		// The first attempt replayed the live factor until the zero pivot
+		// failed its validation; the second found no factor to replay.
+		if static, fallbacks := sluReplays(t, s); static != 0 || fallbacks != 1 {
+			t.Fatalf("failed refreshes: %d replayed, %d fell back, want 0 and 1", static, fallbacks)
+		}
 
 		good := scaledValues(a, 1)
 		mustOK(t, s.SetupMatrix(good.Vals, good.RowPtr, good.ColInd, CSR, len(a.RowPtr), a.NNZ()), "good matrix")
@@ -202,6 +233,18 @@ func TestSLUFailedRefreshRecovers(t *testing.T) {
 		y := make([]float64, a.Rows)
 		mustOK(t, fresh.Solve(y, make([]float64, StatusLen), a.Rows, StatusLen), "fresh solve")
 		requireSameBits(t, "after failed refresh", x, y)
+
+		// The recovery refilled the withdrawn storage from scratch; the
+		// refresh after it replays that factor.
+		good = scaledValues(a, 2)
+		mustOK(t, s.SetupMatrix(good.Vals, good.RowPtr, good.ColInd, CSR, len(a.RowPtr), a.NNZ()), "next matrix")
+		mustOK(t, s.Solve(x, status, a.Rows, StatusLen), "solve after recovery")
+		if static, fallbacks := sluReplays(t, s); static != 1 || fallbacks != 1 {
+			t.Fatalf("after recovery: %d replayed, %d fell back, want 1 and 1", static, fallbacks)
+		}
+		fresh = stagedSLU(t, c, good, b, params)
+		mustOK(t, fresh.Solve(y, make([]float64, StatusLen), a.Rows, StatusLen), "fresh solve")
+		requireSameBits(t, "replay after recovery", x, y)
 	})
 }
 
@@ -209,6 +252,8 @@ func TestSLUFailedRefreshRecovers(t *testing.T) {
 // new values on the same pattern (the numeric-only path) must give the
 // bits a fresh session gives for those values, for every rank and worker
 // count, and count one factorisation and one symbolic reuse per refresh.
+// Three rounds keep the pivots and replay the factor's structure; then the
+// pivots move, and move back with the original values — two fallbacks.
 func TestSessionRefreshSamePatternBitwise(t *testing.T) {
 	a0, rhs, err := mesh.PaperProblem(14).GenerateGlobal()
 	if err != nil {
@@ -243,8 +288,10 @@ func TestSessionRefreshSamePatternBitwise(t *testing.T) {
 				if _, err := live.Solve(context.Background(), x); err != nil {
 					t.Fatal(err)
 				}
-				for round := 1; round <= 3; round++ {
-					a := scaledValues(a0, round)
+				rounds := []*sparse.CSR{
+					scaledValues(a0, 1), scaledValues(a0, 2), scaledValues(a0, 3), smallDiagonals(a0), a0}
+				for i, a := range rounds {
+					round := i + 1
 					if err := live.Setup(l, local(a)); err != nil {
 						t.Fatal(err)
 					}
@@ -269,12 +316,14 @@ func TestSessionRefreshSamePatternBitwise(t *testing.T) {
 					requireSameBits(t, "refresh vs fresh session", x, y)
 				}
 				_, analyses, reuses := sluCounts(t, live.Solver())
-				if c.Rank() == 0 && (analyses != 1 || reuses != 3) {
-					t.Errorf("ranks=%d workers=%d: %d analyses / %d reuses on the root, want 1 / 3",
-						ranks, workers, analyses, reuses)
+				static, fallbacks := sluReplays(t, live.Solver())
+				if c.Rank() == 0 && (analyses != 1 || reuses != 5 || static != 3 || fallbacks != 2) {
+					t.Errorf("ranks=%d workers=%d: %d analyses / %d reuses (%d replayed, %d fell back) on the root, want 1 / 5 (3, 2)",
+						ranks, workers, analyses, reuses, static, fallbacks)
 				}
-				if c.Rank() != 0 && (analyses != 0 || reuses != 0) {
-					t.Errorf("rank %d reports set-up decisions it did not take: %d / %d", c.Rank(), analyses, reuses)
+				if c.Rank() != 0 && (analyses != 0 || reuses != 0 || static != 0 || fallbacks != 0) {
+					t.Errorf("rank %d reports set-up decisions it did not take: %d / %d (%d, %d)",
+						c.Rank(), analyses, reuses, static, fallbacks)
 				}
 			})
 		}
@@ -423,6 +472,9 @@ func TestSLUSetupTelemetry(t *testing.T) {
 		}
 		if an, re := rec.Counter("slu.analyses"), rec.Counter("slu.symbolic_reuses"); an != 1 || re != 2 {
 			t.Errorf("slu.analyses = %d, slu.symbolic_reuses = %d, want 1 and 2", an, re)
+		}
+		if st, fb := rec.Counter("slu.static_refactors"), rec.Counter("slu.rowperm_fallbacks"); st != 2 || fb != 0 {
+			t.Errorf("slu.static_refactors = %d, slu.rowperm_fallbacks = %d, want 2 and 0", st, fb)
 		}
 		ord, num := rec.Counter("slu.ordering_ns"), rec.Counter("slu.numeric_ns")
 		setup := int64(rec.PhaseSeconds(telemetry.PhaseSetup) * 1e9)

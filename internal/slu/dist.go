@@ -60,19 +60,27 @@ func (d *DistSolver) SetPool(p *par.Pool) {
 // built. Only rank 0 analyses and factors, so every field is zero on the
 // other ranks.
 type SetupStats struct {
-	Analyses       int   // set-ups that ordered and analysed the pattern
-	SymbolicReuses int   // set-ups that found the stored analysis valid
-	OrderingNs     int64 // time in Analyze
-	NumericNs      int64 // time in the numeric phase
+	Analyses       int // set-ups that ordered and analysed the pattern
+	SymbolicReuses int // set-ups that found the stored analysis valid
+	// Of the reuses, those that found a finished factor to replay: the
+	// recorded row permutation and L/U structure validated in every
+	// column, or a validation failed and the full pass ran after all. The
+	// rest (a reuse after a failed Refactor) had nothing to replay.
+	StaticRefactors  int
+	RowPermFallbacks int
+	OrderingNs       int64 // time in Analyze
+	NumericNs        int64 // time in the numeric phase
 }
 
 // Sub returns s − o, the set-up work done between two readings.
 func (s SetupStats) Sub(o SetupStats) SetupStats {
 	return SetupStats{
-		Analyses:       s.Analyses - o.Analyses,
-		SymbolicReuses: s.SymbolicReuses - o.SymbolicReuses,
-		OrderingNs:     s.OrderingNs - o.OrderingNs,
-		NumericNs:      s.NumericNs - o.NumericNs,
+		Analyses:         s.Analyses - o.Analyses,
+		SymbolicReuses:   s.SymbolicReuses - o.SymbolicReuses,
+		StaticRefactors:  s.StaticRefactors - o.StaticRefactors,
+		RowPermFallbacks: s.RowPermFallbacks - o.RowPermFallbacks,
+		OrderingNs:       s.OrderingNs - o.OrderingNs,
+		NumericNs:        s.NumericNs - o.NumericNs,
 	}
 }
 
@@ -94,9 +102,11 @@ func NewDistSolver(m *pmat.Mat, opts Options) (*DistSolver, error) {
 // Refactor replaces the factored matrix by m (collective; every rank
 // receives the same outcome). Rank 0 keeps the symbolic analysis of the
 // last pattern it factored: when m's gathered pattern and opts.ColPerm
-// equal the stored ones entry for entry, only the numeric phase runs;
-// otherwise the pattern is analysed afresh. Either way the previous
-// factor's arrays are refilled rather than reallocated. After an error
+// equal the stored ones entry for entry, only the numeric phase runs —
+// replaying the previous factor's row permutation and L/U structure for
+// as long as every pivot validates (Symbolic.replay); otherwise the
+// pattern is analysed afresh. Either way the previous factor's arrays are
+// refilled rather than reallocated. After an error
 // the solver holds no factor — solves fail with a typed error — until a
 // later Refactor succeeds.
 func (d *DistSolver) Refactor(m *pmat.Mat, opts Options) error {
@@ -157,8 +167,14 @@ func (d *DistSolver) refactorRoot(a *sparse.CSR, opts Options) error {
 		d.stats.OrderingNs += int64(time.Since(start))
 		start = time.Now()
 	}
-	err := d.sym.factorInto(f, a, opts)
+	pass, err := d.sym.factorInto(f, a, opts)
 	d.stats.NumericNs += int64(time.Since(start))
+	switch pass {
+	case passReplayed:
+		d.stats.StaticRefactors++
+	case passFellBack:
+		d.stats.RowPermFallbacks++
+	}
 	if err != nil {
 		return err
 	}

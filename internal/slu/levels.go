@@ -21,8 +21,9 @@ import "repro/internal/par"
 //     row-gather iterates each mirror row descending, divides by the
 //     mirrored diagonal, and skips exact zeros identically.
 //
-// Mirrors and level sets are Setup-time artifacts (the factor structure
-// is immutable); the per-solve dispatch path allocates nothing.
+// Mirrors and level sets are Setup-time artifacts: built once per factor
+// structure, their values rewritten in place when a refresh replays that
+// structure (fill). The per-solve dispatch path allocates nothing.
 type levelSolve struct {
 	pool *par.Pool
 
@@ -34,6 +35,7 @@ type levelSolve struct {
 	urPtr, urCols []int
 	urVals        []float64
 	uDiag         []float64
+	next          []int // fill's per-row cursor
 
 	lvlF, lvlB *par.Levels
 	fwd, bwd   sluSweepTask
@@ -61,51 +63,26 @@ func newLevelSolve(f *LU) *levelSolve {
 	ls := &levelSolve{}
 
 	ls.lrPtr = make([]int, n+1)
+	ls.urPtr = make([]int, n+1)
 	for k := 0; k < n; k++ {
 		for p := f.lPtr[k] + 1; p < f.lPtr[k+1]; p++ {
 			ls.lrPtr[f.lRows[p]+1]++
 		}
-	}
-	for i := 0; i < n; i++ {
-		ls.lrPtr[i+1] += ls.lrPtr[i]
-	}
-	ls.lrCols = make([]int, ls.lrPtr[n])
-	ls.lrVals = make([]float64, ls.lrPtr[n])
-	next := make([]int, n)
-	copy(next, ls.lrPtr[:n])
-	for k := 0; k < n; k++ { // ascending k => ascending columns per row
-		for p := f.lPtr[k] + 1; p < f.lPtr[k+1]; p++ {
-			i := f.lRows[p]
-			ls.lrCols[next[i]] = k
-			ls.lrVals[next[i]] = f.lVals[p]
-			next[i]++
-		}
-	}
-
-	ls.urPtr = make([]int, n+1)
-	ls.uDiag = make([]float64, n)
-	for k := 0; k < n; k++ {
-		dp := f.uPtr[k+1] - 1
-		ls.uDiag[k] = f.uVals[dp]
-		for p := f.uPtr[k]; p < dp; p++ {
+		for p := f.uPtr[k]; p < f.uPtr[k+1]-1; p++ {
 			ls.urPtr[f.uRows[p]+1]++
 		}
 	}
 	for i := 0; i < n; i++ {
+		ls.lrPtr[i+1] += ls.lrPtr[i]
 		ls.urPtr[i+1] += ls.urPtr[i]
 	}
+	ls.lrCols = make([]int, ls.lrPtr[n])
+	ls.lrVals = make([]float64, ls.lrPtr[n])
 	ls.urCols = make([]int, ls.urPtr[n])
 	ls.urVals = make([]float64, ls.urPtr[n])
-	copy(next, ls.urPtr[:n])
-	for k := 0; k < n; k++ {
-		dp := f.uPtr[k+1] - 1
-		for p := f.uPtr[k]; p < dp; p++ {
-			i := f.uRows[p]
-			ls.urCols[next[i]] = k
-			ls.urVals[next[i]] = f.uVals[p]
-			next[i]++
-		}
-	}
+	ls.uDiag = make([]float64, n)
+	ls.next = make([]int, n)
+	ls.fill(f)
 
 	ls.lvlF = par.LowerLevels(n, func(i int, visit func(j int)) {
 		for p := ls.lrPtr[i]; p < ls.lrPtr[i+1]; p++ {
@@ -120,6 +97,34 @@ func newLevelSolve(f *LU) *levelSolve {
 	ls.fwd = sluSweepTask{ls: ls}
 	ls.bwd = sluSweepTask{ls: ls, back: true}
 	return ls
+}
+
+// fill transposes f's entries into the mirrors. f must have the structure
+// the row pointers were counted from — the factor ls was built for, or a
+// replay of it, which moves values only: the level sets stay valid and
+// nothing is allocated.
+func (ls *levelSolve) fill(f *LU) {
+	n, next := f.n, ls.next
+	copy(next, ls.lrPtr[:n])
+	for k := 0; k < n; k++ { // ascending k => ascending columns per row
+		for p := f.lPtr[k] + 1; p < f.lPtr[k+1]; p++ {
+			i := f.lRows[p]
+			ls.lrCols[next[i]] = k
+			ls.lrVals[next[i]] = f.lVals[p]
+			next[i]++
+		}
+	}
+	copy(next, ls.urPtr[:n])
+	for k := 0; k < n; k++ {
+		dp := f.uPtr[k+1] - 1
+		ls.uDiag[k] = f.uVals[dp]
+		for p := f.uPtr[k]; p < dp; p++ {
+			i := f.uRows[p]
+			ls.urCols[next[i]] = k
+			ls.urVals[next[i]] = f.uVals[p]
+			next[i]++
+		}
+	}
 }
 
 // sluSweepTask gathers one level's rows; each row reads only entries

@@ -47,6 +47,17 @@ type LU struct {
 
 	anorm float64 // 1-norm of the (scaled) matrix, for RCond
 
+	// What a same-pattern refresh replays (Symbolic.replay) beside the
+	// arrays above. zRows[zPtr[k]:zPtr[k+1]] are the factor rows column k
+	// reached, left unpivoted and dropped from L because their value was
+	// exactly zero. pivAt[k] counts the stored sub-diagonal rows of L(:,k)
+	// the pivot search met before the pivot row, which win a tie with it.
+	// sym is the analysis whose numeric phase completed this factor:
+	// cleared before a pass writes to f, set only when one finishes.
+	zPtr, zRows []int
+	pivAt       []int
+	sym         *Symbolic
+
 	// Lazily allocated scratch so repeated SolveInto/Refine calls do not
 	// allocate (steady-state reuse; see docs/PERFORMANCE.md).
 	workC, workR, workDx []float64
@@ -91,33 +102,79 @@ func Factor(a *sparse.CSR, opts Options) (*LU, error) {
 // factorFresh runs the numeric phase into a new LU.
 func (s *Symbolic) factorFresh(a *sparse.CSR, opts Options) (*LU, error) {
 	f := new(LU)
-	if err := s.factorInto(f, a, opts); err != nil {
+	if _, err := s.factorInto(f, a, opts); err != nil {
 		return nil, err
 	}
 	return f, nil
 }
 
+// numericPass says which way a numeric phase went.
+type numericPass int
+
+const (
+	passFull     numericPass = iota // f held no factor of this analysis
+	passReplayed                    // the recorded structure validated in every column
+	passFellBack                    // a validation failed; the full pass ran after all
+)
+
 // factorInto is the numeric phase, writing into f and reusing whatever
 // backing arrays f already owns (a refresh refills the previous factor's
 // storage; a fresh LU is sized from the last run's hints). The caller has
-// checked the arguments and that s matches a. On error f is half-written
-// and must be discarded or refilled.
-func (s *Symbolic) factorInto(f *LU, a *sparse.CSR, opts Options) error {
+// checked the arguments and that s matches a. When f is a finished factor
+// of this same analysis the recorded row permutation and L/U structure are
+// replayed and validated (replay); anything else, and a replay that
+// fails a validation, takes the full pass. On error f is half-written and
+// must be discarded or refilled.
+func (s *Symbolic) factorInto(f *LU, a *sparse.CSR, opts Options) (numericPass, error) {
 	n := s.n
 	if len(f.workC) != n {
 		f.workC, f.workR, f.workDx = nil, nil, nil
 	}
+	recorded := f.sym == s
+	f.sym = nil
 	f.n = n
 	f.colPerm = s.colPerm
 
 	if err := s.scatter(f, a, opts.Equilibrate); err != nil {
-		return err
+		return passFull, err
 	}
+	pass := passFull
+	if recorded {
+		if s.replay(f, opts.PivotThreshold) {
+			if f.ls != nil {
+				f.ls.fill(f)
+			}
+			f.sym = s
+			return passReplayed, nil
+		}
+		pass = passFellBack
+	}
+	if err := s.fullPass(f, opts.PivotThreshold); err != nil {
+		return pass, err
+	}
+	// The row-major mirrors describe the previous factor: rebuild them for
+	// the pool the caller attached.
+	if ls := f.ls; ls != nil {
+		f.ls = nil
+		f.EnableLevels(ls.pool)
+	}
+	f.sym = s
+	return pass, nil
+}
+
+// fullPass is the left-looking Gilbert–Peierls loop over the values
+// scatter left in s.vals: the one path that discovers the row permutation
+// and the structure of L and U, and records them for replay.
+func (s *Symbolic) fullPass(f *LU, threshold float64) error {
+	n := s.n
 	q, colPtr, rowInd, vals := s.colPerm, s.colPtr, s.rowInd, s.vals
 
 	lPtr := slices.Grow(f.lPtr[:0], n+1)[:n+1]
 	uPtr := slices.Grow(f.uPtr[:0], n+1)[:n+1]
-	lPtr[0], uPtr[0] = 0, 0
+	zPtr := slices.Grow(f.zPtr[:0], n+1)[:n+1]
+	pivAt := slices.Grow(f.pivAt[:0], n)[:n]
+	lPtr[0], uPtr[0], zPtr[0] = 0, 0, 0
+	zRows := f.zRows[:0]
 	lRows := slices.Grow(f.lRows[:0], s.lCap)
 	lVals := slices.Grow(f.lVals[:0], s.lCap)
 	uRows := slices.Grow(f.uRows[:0], s.uCap)
@@ -221,7 +278,7 @@ func (s *Symbolic) factorInto(f *LU, a *sparse.CSR, opts Options) error {
 		if pivRow < 0 || maxAbs == 0 {
 			return fmt.Errorf("slu: matrix is singular at column %d (no usable pivot)", k)
 		}
-		if diagRow >= 0 && math.Abs(x[diagRow]) >= opts.PivotThreshold*maxAbs {
+		if diagRow >= 0 && math.Abs(x[diagRow]) >= threshold*maxAbs {
 			pivRow = diagRow // prefer the diagonal under the threshold rule
 		}
 		pivot := x[pivRow]
@@ -241,12 +298,21 @@ func (s *Symbolic) factorInto(f *LU, a *sparse.CSR, opts Options) error {
 		lRows = append(lRows, pivRow)
 		lVals = append(lVals, 1.0)
 		for _, i := range pattern {
-			if pinv[i] < 0 && x[i] != 0 {
+			if pinv[i] >= 0 {
+				if i == pivRow {
+					pivAt[k] = len(lRows) - lPtr[k] - 1
+				}
+				continue
+			}
+			if x[i] != 0 {
 				lRows = append(lRows, i)
 				lVals = append(lVals, x[i]/pivot)
+			} else {
+				zRows = append(zRows, i)
 			}
 		}
 		lPtr[k+1] = len(lRows)
+		zPtr[k+1] = len(zRows)
 
 		for _, i := range pattern {
 			marked[i] = false
@@ -255,21 +321,127 @@ func (s *Symbolic) factorInto(f *LU, a *sparse.CSR, opts Options) error {
 	}
 
 	// Renumber L's stored rows into factor coordinates so the triangular
-	// solves are plain loops.
+	// solves — and a replay — are plain loops.
 	for p := range lRows {
 		lRows[p] = pinv[lRows[p]]
 	}
+	for p := range zRows {
+		zRows[p] = pinv[zRows[p]]
+	}
 	f.lPtr, f.lRows, f.lVals = lPtr, lRows, lVals
 	f.uPtr, f.uRows, f.uVals = uPtr, uRows, uVals
+	f.zPtr, f.zRows, f.pivAt = zPtr, zRows, pivAt
 	f.rowPerm = pinv
 	s.pattern, s.stack, s.pstack = pattern, stack, pstack
 	s.lCap, s.uCap = len(lRows), len(uRows)
-
-	// The row-major mirrors describe the previous factor: rebuild them for
-	// the pool the caller attached.
-	if ls := f.ls; ls != nil {
-		f.ls = nil
-		f.EnableLevels(ls.pool)
-	}
 	return nil
+}
+
+// replay is the numeric phase over the structure f already holds: in
+// factor coordinates, column k scatters A(:,q[k]) through the recorded row
+// permutation, applies the updates of the recorded U(:,k) rows in their
+// stored — topological — order and overwrites the stored values. There is
+// no reach, no mark and no pivot search; instead every column is checked
+// against what fullPass would decide from the same x:
+//
+//   - the recorded pivot is the row the threshold rule picks. A diagonal
+//     pivot needs |x_k| ≥ u·max|candidates|; an off-diagonal one must be
+//     the largest candidate, strictly larger than those the search met
+//     first (pivAt: the first of several equal maxima wins), with the
+//     diagonal short of the threshold;
+//   - every row stored in L(:,k) is still non-zero and every recorded
+//     dropped row is still exactly zero, so L keeps its structure.
+//
+// The reach of column k is a function of A's pattern and of L(:,0..k-1)
+// and the permutation so far; if columns 0..k-1 validated, those are what
+// fullPass would have built, so its pattern for column k is the recorded
+// one in the recorded order, x receives the same operations in the same
+// order, and a validated column k extends the claim. A replay that returns
+// true has therefore written fullPass's bits. Every comparison is written
+// so that a NaN fails it. On false f is half-overwritten and s.x dirty;
+// fullPass assumes neither.
+func (s *Symbolic) replay(f *LU, threshold float64) bool {
+	q, colPtr, rowInd, vals := s.colPerm, s.colPtr, s.rowInd, s.vals
+	lPtr, lRows, lVals := f.lPtr, f.lRows, f.lVals
+	uPtr, uRows, uVals := f.uPtr, f.uRows, f.uVals
+	zPtr, zRows, pivAt := f.zPtr, f.zRows, f.pivAt
+	pinv := f.rowPerm
+	x := s.x // zero outside the column being worked on
+	clear(x)
+
+	for k := 0; k < s.n; k++ {
+		col := q[k]
+		for p := colPtr[col]; p < colPtr[col+1]; p++ {
+			x[pinv[rowInd[p]]] = vals[p]
+		}
+
+		// Sparse lower triangular solve. Row j is final when its turn
+		// comes (every column updating it came earlier), so U(j,k) is
+		// stored and x[j] released on the spot.
+		diag := uPtr[k+1] - 1
+		for p := uPtr[k]; p < diag; p++ {
+			j := uRows[p]
+			xj := x[j]
+			uVals[p] = xj
+			x[j] = 0
+			if xj == 0 {
+				continue
+			}
+			rows := lRows[lPtr[j]+1 : lPtr[j+1]]
+			lv := lVals[lPtr[j]+1 : lPtr[j+1]]
+			for t, i := range rows {
+				x[i] -= lv[t] * xj
+			}
+		}
+
+		// The unpivoted rows of the pattern are k, L(:,k) and the dropped
+		// rows: validate them against the pivot rule.
+		below := lRows[lPtr[k]+1 : lPtr[k+1]]
+		pivot := x[k]
+		ak := math.Abs(pivot)
+		earlier := largest(x, below[:pivAt[k]])
+		later := largest(x, below[pivAt[k]:])
+		if earlier < 0 || later < 0 {
+			return false
+		}
+		for _, i := range zRows[zPtr[k]:zPtr[k+1]] {
+			if x[i] != 0 {
+				return false
+			}
+			x[i] = 0 // a negative zero is still a value
+		}
+		if d := pinv[col]; d == k {
+			if !(ak > 0 && ak >= threshold*max(earlier, later)) {
+				return false
+			}
+		} else if !(ak > earlier && ak >= later) || (d > k && !(math.Abs(x[d]) < threshold*ak)) {
+			// x[d] is the diagonal's value if it is a candidate and zero
+			// if column k never reached it.
+			return false
+		}
+
+		uVals[diag] = pivot
+		x[k] = 0
+		lv := lVals[lPtr[k]+1 : lPtr[k+1]]
+		for t, i := range below {
+			lv[t] = x[i] / pivot
+			x[i] = 0
+		}
+	}
+	return true
+}
+
+// largest returns max |x[i]| over rows, or -1 when an x[i] is zero or NaN.
+func largest(x []float64, rows []int) float64 {
+	m := 0.0
+	for _, i := range rows {
+		av := math.Abs(x[i])
+		if !(av > 0) {
+			return -1
+		}
+		if av > m {
+			m = av
+		}
+	}
+	return m
 }

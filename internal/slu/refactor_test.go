@@ -1,6 +1,7 @@
 package slu
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"strings"
@@ -34,6 +35,9 @@ func requireSameLU(t *testing.T, what string, got, want *LU) {
 		{"uPtr", slices.Equal(got.uPtr, want.uPtr)},
 		{"uRows", slices.Equal(got.uRows, want.uRows)},
 		{"uVals", slices.Equal(bits(got.uVals), bits(want.uVals))},
+		{"zPtr", slices.Equal(got.zPtr, want.zPtr)},
+		{"zRows", slices.Equal(got.zRows, want.zRows)},
+		{"pivAt", slices.Equal(got.pivAt, want.pivAt)},
 		{"rowPerm", slices.Equal(got.rowPerm, want.rowPerm)},
 		{"colPerm", slices.Equal(got.colPerm, want.colPerm)},
 		{"dr", slices.Equal(bits(got.dr), bits(want.dr))},
@@ -196,6 +200,16 @@ func mustMat(t *testing.T, c *comm.Comm, a *sparse.CSR) *pmat.Mat {
 	return m
 }
 
+// requireDecisions compares the counted set-up decisions (not the times).
+func requireDecisions(t *testing.T, what string, d *DistSolver, want SetupStats) {
+	t.Helper()
+	got := d.SetupStats()
+	got.OrderingNs, got.NumericNs = 0, 0
+	if got != want {
+		t.Fatalf("%s: set-up decisions %+v, want %+v", what, got, want)
+	}
+}
+
 // requireSolvesLikeCold checks d against a solver built cold on a: same
 // factor, same solution bits.
 func requireSolvesLikeCold(t *testing.T, what string, c *comm.Comm, d *DistSolver, a *sparse.CSR, opts Options) {
@@ -231,11 +245,7 @@ func TestRefactorReusesAndInvalidates(t *testing.T) {
 		want := SetupStats{Analyses: 1}
 		check := func(what string, a *sparse.CSR, opts Options) {
 			t.Helper()
-			got := d.SetupStats()
-			if got.Analyses != want.Analyses || got.SymbolicReuses != want.SymbolicReuses {
-				t.Fatalf("%s: %d analyses / %d reuses, want %d / %d", what,
-					got.Analyses, got.SymbolicReuses, want.Analyses, want.SymbolicReuses)
-			}
+			requireDecisions(t, what, d, want)
 			requireSolvesLikeCold(t, what, c, d, a, opts)
 		}
 		check("cold", a, opts)
@@ -246,15 +256,25 @@ func TestRefactorReusesAndInvalidates(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		// Values moved by half their size on a matrix with no dominant
+		// diagonal: the analysis holds, the recorded pivots do not.
 		b := perturbed(a, 5)
 		refactor(b, opts)
 		want.SymbolicReuses++
+		want.RowPermFallbacks++
 		check("same pattern, new values", b, opts)
+
+		twice := scaled(b, 2)
+		refactor(twice, opts)
+		want.SymbolicReuses++
+		want.StaticRefactors++
+		check("same pattern, same pivots", twice, opts)
 
 		noEquil := opts
 		noEquil.Equilibrate = false
 		refactor(b, noEquil)
 		want.SymbolicReuses++
+		want.RowPermFallbacks++
 		check("equilibrate off: numeric only", b, noEquil)
 
 		rcm := opts
@@ -329,6 +349,7 @@ func TestRefactorFailureLeavesNoFactor(t *testing.T) {
 			if wantErr == nil {
 				t.Fatal("singular test matrix factored")
 			}
+			storage := d.f
 			err = d.Refactor(mustMat(t, c, zeroCol), opts)
 			if err == nil || !strings.HasSuffix(err.Error(), wantErr.Error()) {
 				t.Fatalf("Refactor error %q does not carry Factor's %q", err, wantErr)
@@ -348,10 +369,29 @@ func TestRefactorFailureLeavesNoFactor(t *testing.T) {
 			if err := d.Refactor(mustMat(t, c, next), opts); err != nil {
 				t.Fatalf("Refactor after a failure: %v", err)
 			}
-			if st := d.SetupStats(); st.Analyses != 1 || st.SymbolicReuses != 2 {
-				t.Errorf("equil=%v: %+v, want 1 analysis and 2 reuses", equil, st)
+			if d.f != storage {
+				t.Error("the recovery did not refill the withdrawn factor's storage")
 			}
+			// The failed refresh had a factor to replay: without equilibration
+			// the replay met the zero pivot and the full pass worded the
+			// error; with it the zero-column check came before either. The
+			// recovery had no factor, so it is a reuse that replayed nothing.
+			want := SetupStats{Analyses: 1, SymbolicReuses: 2}
+			if !equil {
+				want.RowPermFallbacks = 1
+			}
+			requireDecisions(t, fmt.Sprintf("equil=%v", equil), d, want)
 			requireSolvesLikeCold(t, "after failure", c, d, next, opts)
+
+			// The refilled storage is a factor like any other: it replays.
+			again := scaled(next, 2)
+			if err := d.Refactor(mustMat(t, c, again), opts); err != nil {
+				t.Fatal(err)
+			}
+			want.SymbolicReuses++
+			want.StaticRefactors++
+			requireDecisions(t, fmt.Sprintf("equil=%v, after recovery", equil), d, want)
+			requireSolvesLikeCold(t, "replay after recovery", c, d, again, opts)
 			p.Close()
 		}
 
@@ -378,25 +418,47 @@ func TestRefactorFailureLeavesNoFactor(t *testing.T) {
 // TestRefactorRebuildsLevelMirrors: the row-major mirrors of a pooled
 // factor describe the old values and structure; after a refactor the
 // pooled solve must agree bit for bit with a serial solve of the new
-// factor.
+// factor. A replayed refresh keeps the structure, so it rewrites the
+// mirrors' values under the same level sets; a fallback builds new ones.
 func TestRefactorRebuildsLevelMirrors(t *testing.T) {
 	onOneRank(t, func(c *comm.Comm) {
+		// Unequilibrated, so that doubling the matrix doubles U — and the
+		// mirrors must follow — while every pivot decision stays.
 		a := sparse.RandomUnsymmetric(120, 5, 8)
-		d, err := NewDistSolver(mustMat(t, c, a), DefaultOptions())
+		opts := DefaultOptions()
+		opts.Equilibrate = false
+		d, err := NewDistSolver(mustMat(t, c, a), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		p := par.New(2)
 		defer p.Close()
 		d.SetPool(p)
-		b := perturbed(a, 4)
-		if err := d.Refactor(mustMat(t, c, b), DefaultOptions()); err != nil {
-			t.Fatal(err)
+		for _, step := range []struct {
+			what   string
+			a      *sparse.CSR
+			replay bool
+		}{
+			{"replayed refresh", scaled(a, 2), true},
+			{"fallback refresh", perturbed(a, 4), false},
+			{"replay after the fallback", scaled(perturbed(a, 4), 0.5), true},
+		} {
+			before, replays := d.f.ls, d.SetupStats().StaticRefactors
+			if err := d.Refactor(mustMat(t, c, step.a), opts); err != nil {
+				t.Fatal(err)
+			}
+			if got := d.SetupStats().StaticRefactors > replays; got != step.replay {
+				t.Fatalf("%s: replayed = %v", step.what, got)
+			}
+			ls := d.f.ls
+			if ls == nil || !ls.pool.Parallel() {
+				t.Fatalf("%s: pool not carried across the refactor", step.what)
+			}
+			if kept := ls == before && ls.lvlF == before.lvlF && ls.lvlB == before.lvlB; kept != step.replay {
+				t.Fatalf("%s: level sets kept = %v", step.what, kept)
+			}
+			requireSolvesLikeCold(t, step.what, c, d, step.a, opts)
 		}
-		if ls := d.f.ls; ls == nil || !ls.pool.Parallel() {
-			t.Fatal("pool not carried across the refactor")
-		}
-		requireSolvesLikeCold(t, "pooled after refactor", c, d, b, DefaultOptions())
 	})
 }
 

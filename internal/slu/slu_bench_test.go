@@ -99,7 +99,7 @@ func BenchmarkRefactorSamePattern(b *testing.B) {
 		b.Fatal(err)
 	}
 	f := new(LU)
-	if err := sym.factorInto(f, a, opts); err != nil {
+	if _, err := sym.factorInto(f, a, opts); err != nil {
 		b.Fatal(err)
 	}
 	fresh := a.Clone()
@@ -113,9 +113,49 @@ func BenchmarkRefactorSamePattern(b *testing.B) {
 		if !sym.matches(fresh, opts.ColPerm) {
 			b.Fatal("pattern moved")
 		}
-		if err := sym.factorInto(f, fresh, opts); err != nil {
+		if _, err := sym.factorInto(f, fresh, opts); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkRefactorPivotsMove is the refresh the replay cannot serve: two
+// value sets on the stencil's pattern whose row permutations differ,
+// alternating, so every iteration validates the recorded pivots, fails and
+// falls back to the full pass — into the same storage, which by the second
+// round has seen both structures. scripts/benchguard.sh gates ::allocs
+// at zero.
+func BenchmarkRefactorPivotsMove(b *testing.B) {
+	a, _, err := mesh.PaperProblem(100).GenerateGlobal()
+	if err != nil {
+		b.Fatal(err)
+	}
+	moved := a.Clone()
+	for i := 0; i < moved.Rows; i += 1000 { // a diagonal too small for the threshold
+		moved.Vals[entryIndex(b, moved, i, i)] *= 1e-3
+	}
+	sets := [2]*sparse.CSR{a, moved}
+	opts := DefaultOptions()
+	sym, err := Analyze(a, opts.ColPerm)
+	if err != nil {
+		b.Fatal(err)
+	}
+	f := new(LU)
+	refresh := func(i int, want numericPass) {
+		pass, err := sym.factorInto(f, sets[i%2], opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if pass != want {
+			b.Fatalf("numeric pass %d, want %d", pass, want)
+		}
+	}
+	refresh(0, passFull)
+	refresh(1, passFellBack)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		refresh(i, passFellBack)
 	}
 }
 

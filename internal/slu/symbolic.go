@@ -14,10 +14,13 @@ import (
 // (RowPtr, ColInd, Ordering) alone, so reusing it for new values on an
 // identical pattern cannot change a bit of the factors. Row pivoting and
 // the structure of L and U depend on the values (threshold partial
-// pivoting, exact-zero filtering) and are redone by every Factor.
+// pivoting, exact-zero filtering); they are recorded in the LU a numeric
+// phase finishes, and the next phase into that LU replays them for as
+// long as the new values validate every decision (replay), rediscovering
+// them (fullPass) from the first one that does not.
 //
 // A Symbolic also owns the numeric phase's scratch, so one Symbolic must
-// not run two Factor calls at once.
+// not run two numeric phases at once.
 type Symbolic struct {
 	n        int
 	ordering Ordering
