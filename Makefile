@@ -38,7 +38,7 @@ vet-self:
 	$(GO) run ./cmd/lisi-vet ./internal/analysis ./cmd/lisi-vet
 
 # ignore-audit = report //lisi:ignore comments that no longer suppress
-# anything (full suite, opt-in checks on; exit 1 when any are stale).
+# anything (full suite; exit 1 when any are stale).
 ignore-audit:
 	$(GO) run ./cmd/lisi-vet -ignore-audit ./...
 

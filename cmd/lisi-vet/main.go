@@ -2,10 +2,8 @@
 // (internal/analysis) over the module: domain invariants generic `go vet`
 // cannot check, such as collective symmetry over ranks (including
 // collectives reached through helper calls), blocking comm calls under
-// held mutexes, LISI port-contract violations, pooled-buffer ownership,
-// SPMD determinism hazards, floating-point equality in the numeric
-// kernels and telemetry.Recorder constructions bypassing the nil-safe
-// constructor.
+// held mutexes, LISI port-contract violations, context plumbing into comm,
+// pooled-buffer ownership and SPMD determinism hazards.
 //
 // Usage:
 //
@@ -21,9 +19,8 @@
 // -json emits every diagnostic — suppressed ones included, marked — as a
 // JSON array, which CI turns into GitHub annotations. -ignore-audit
 // instead lists //lisi:ignore comments that no longer suppress anything;
-// it always runs the full suite with every opt-in check enabled, so a
-// suppression is only called stale when no configuration of the suite
-// still needs it.
+// it always runs the full suite, since under a partial one an ignore
+// naturally looks unused.
 package main
 
 import (
@@ -64,14 +61,12 @@ func toJSON(diags []analysis.Diagnostic) []jsonDiag {
 
 func main() {
 	var (
-		list        = flag.Bool("list", false, "list the analyzers and exit")
-		floatEqZero = flag.Bool("floateq-zero", false,
-			"opt in to flagging float ==/!= against the literal constant 0 (default: allowed as sentinel tests)")
+		list    = flag.Bool("list", false, "list the analyzers and exit")
 		only    = flag.String("only", "", "run a single analyzer by name instead of the full suite")
 		jsonOut = flag.Bool("json", false,
 			"emit diagnostics as a JSON array (file/line/col/analyzer/message/suppressed), suppressed findings included")
 		ignoreAudit = flag.Bool("ignore-audit", false,
-			"report //lisi:ignore comments that no longer suppress anything (always runs the full suite with opt-in checks on; -only and -floateq-zero are ignored)")
+			"report //lisi:ignore comments that no longer suppress anything (always runs the full suite; -only is ignored)")
 	)
 	flag.Parse()
 
@@ -83,7 +78,6 @@ func main() {
 	}
 
 	suite := analysis.Analyzers()
-	opts := analysis.Options{FloatEqZero: *floatEqZero}
 	if *only != "" && !*ignoreAudit {
 		a := analysis.ByName(*only)
 		if a == nil {
@@ -91,12 +85,6 @@ func main() {
 			os.Exit(2)
 		}
 		suite = []*analysis.Analyzer{a}
-	}
-	if *ignoreAudit {
-		// Staleness is judged against the superset of diagnostics: every
-		// analyzer, opt-in checks on. An ignore some configuration still
-		// needs is never reported.
-		opts = analysis.Options{FloatEqZero: true}
 	}
 
 	patterns := flag.Args()
@@ -117,7 +105,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	res := analysis.RunDetailed(suite, pkgs, opts)
+	res := analysis.RunDetailed(suite, pkgs)
 
 	if *ignoreAudit {
 		emit(res.Stale, *jsonOut)

@@ -38,15 +38,6 @@ type Analyzer struct {
 	Run func(pass *Pass)
 }
 
-// Options carries driver-level knobs that alter analyzer behaviour.
-type Options struct {
-	// FloatEqZero opts in to flagging float ==/!= comparisons whose other
-	// operand is the literal constant zero. By default exact-zero sentinel
-	// tests (breakdown and sparsity guards, idiomatic in the numeric
-	// kernels) are allowed.
-	FloatEqZero bool
-}
-
 // Pass hands one package to an analyzer together with the shared type
 // information, the cross-package interprocedural index, and a sink for
 // diagnostics.
@@ -54,7 +45,6 @@ type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
 	Pkg      *Package
-	Opts     Options
 	// Prog spans every package of this Run invocation: analyzers use it
 	// to resolve call edges and read per-function summaries
 	// (interproc.go).
@@ -103,10 +93,7 @@ func Analyzers() []*Analyzer {
 		CollectiveSym,
 		BlockingUnderLock,
 		PortContract,
-		FloatEq,
-		TelemetryRecorder,
 		CtxComm,
-		HotAlloc,
 		BufOwn,
 		SpmdDet,
 	}
@@ -126,16 +113,16 @@ func ByName(name string) *Analyzer {
 // drops suppressed diagnostics, and returns the rest sorted by file,
 // line, column and analyzer name — a total order, so output is
 // deterministic across runs and machines.
-func RunAnalyzers(pkgs []*Package, opts Options) []Diagnostic {
-	return Run(Analyzers(), pkgs, opts)
+func RunAnalyzers(pkgs []*Package) []Diagnostic {
+	return Run(Analyzers(), pkgs)
 }
 
 // Run applies the given analyzers to the given packages and returns the
 // surviving diagnostics in deterministic order. Malformed suppression
 // comments (missing analyzer name or reason) are themselves reported.
-func Run(analyzers []*Analyzer, pkgs []*Package, opts Options) []Diagnostic {
+func Run(analyzers []*Analyzer, pkgs []*Package) []Diagnostic {
 	var diags []Diagnostic
-	for _, d := range RunDetailed(analyzers, pkgs, opts).Diags {
+	for _, d := range RunDetailed(analyzers, pkgs).Diags {
 		if !d.Suppressed {
 			diags = append(diags, d)
 		}
@@ -157,14 +144,14 @@ type Result struct {
 // RunDetailed is Run keeping the suppressed diagnostics (marked) and
 // reporting stale suppression comments, for the -json output and the
 // -ignore-audit mode of the driver.
-func RunDetailed(analyzers []*Analyzer, pkgs []*Package, opts Options) Result {
+func RunDetailed(analyzers []*Analyzer, pkgs []*Package) Result {
 	prog := NewProgram(pkgs)
 	var res Result
 	for _, pkg := range pkgs {
 		ig := newIgnoreIndex(pkg.Fset, pkg.Files)
 		var pkgDiags []Diagnostic
 		for _, a := range analyzers {
-			pass := &Pass{Analyzer: a, Fset: pkg.Fset, Pkg: pkg, Opts: opts, Prog: prog, diags: &pkgDiags}
+			pass := &Pass{Analyzer: a, Fset: pkg.Fset, Pkg: pkg, Prog: prog, diags: &pkgDiags}
 			a.Run(pass)
 		}
 		for _, d := range pkgDiags {

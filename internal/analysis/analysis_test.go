@@ -74,7 +74,7 @@ func loadWants(t *testing.T, root, dir string) map[lineKey][]*regexp.Regexp {
 // diagnostics against the fixtures' want comments: every want must be
 // matched by a diagnostic on its line and every diagnostic must be
 // expected by a want.
-func runFixture(t *testing.T, name string, opts analysis.Options, dirs ...string) {
+func runFixture(t *testing.T, name string, dirs ...string) {
 	t.Helper()
 	loader, err := sharedLoader()
 	if err != nil {
@@ -88,7 +88,7 @@ func runFixture(t *testing.T, name string, opts analysis.Options, dirs ...string
 	if a == nil {
 		t.Fatalf("no analyzer named %q", name)
 	}
-	diags := analysis.Run([]*analysis.Analyzer{a}, pkgs, opts)
+	diags := analysis.Run([]*analysis.Analyzer{a}, pkgs)
 
 	wants := make(map[lineKey][]*regexp.Regexp)
 	for _, dir := range dirs {
@@ -127,51 +127,31 @@ func runFixture(t *testing.T, name string, opts analysis.Options, dirs ...string
 const fixtureRoot = "internal/analysis/testdata/src"
 
 func TestCollectiveSymFixture(t *testing.T) {
-	runFixture(t, "collectivesym", analysis.Options{}, fixtureRoot+"/collectivesym")
+	runFixture(t, "collectivesym", fixtureRoot+"/collectivesym")
 }
 
 func TestBlockingUnderLockFixture(t *testing.T) {
-	runFixture(t, "blockingunderlock", analysis.Options{}, fixtureRoot+"/blockingunderlock")
+	runFixture(t, "blockingunderlock", fixtureRoot+"/blockingunderlock")
 }
 
 func TestPortContractFixture(t *testing.T) {
-	runFixture(t, "portcontract", analysis.Options{},
+	runFixture(t, "portcontract",
 		fixtureRoot+"/portcontract", fixtureRoot+"/portcontract/service")
 }
 
-func TestFloatEqFixture(t *testing.T) {
-	runFixture(t, "floateq", analysis.Options{},
-		fixtureRoot+"/floateq/sparse", fixtureRoot+"/floateq/outofscope")
-}
-
-func TestFloatEqZeroOptIn(t *testing.T) {
-	runFixture(t, "floateq", analysis.Options{FloatEqZero: true},
-		fixtureRoot+"/floateq/zero/pmat")
-}
-
-func TestTelemetryRecorderFixture(t *testing.T) {
-	runFixture(t, "telemetryrecorder", analysis.Options{}, fixtureRoot+"/telemetryrecorder")
-}
-
 func TestCtxCommFixture(t *testing.T) {
-	runFixture(t, "ctxcomm", analysis.Options{},
+	runFixture(t, "ctxcomm",
 		fixtureRoot+"/ctxcomm/ksp", fixtureRoot+"/ctxcomm/service",
 		fixtureRoot+"/ctxcomm/outofscope")
 }
 
-func TestHotAllocFixture(t *testing.T) {
-	runFixture(t, "hotalloc", analysis.Options{},
-		fixtureRoot+"/hotalloc/ksp", fixtureRoot+"/hotalloc/sparse",
-		fixtureRoot+"/hotalloc/outofscope")
-}
-
 func TestBufOwnFixture(t *testing.T) {
-	runFixture(t, "bufown", analysis.Options{},
+	runFixture(t, "bufown",
 		fixtureRoot+"/bufown", fixtureRoot+"/bufown/comm", fixtureRoot+"/bufown/staging")
 }
 
 func TestSpmdDetFixture(t *testing.T) {
-	runFixture(t, "spmddet", analysis.Options{},
+	runFixture(t, "spmddet",
 		fixtureRoot+"/spmddet", fixtureRoot+"/spmddet/ksp",
 		fixtureRoot+"/spmddet/sparse")
 }
@@ -181,7 +161,7 @@ func TestSpmdDetFixture(t *testing.T) {
 // called unconditionally stay silent, and panic/t.Fatal-style no-return
 // branches count as divergence.
 func TestCollectiveSymInterprocFixture(t *testing.T) {
-	runFixture(t, "collectivesym", analysis.Options{}, fixtureRoot+"/collectivesym/interproc")
+	runFixture(t, "collectivesym", fixtureRoot+"/collectivesym/interproc")
 }
 
 // TestMalformedSuppression: ignores without a reason or naming an unknown
@@ -195,7 +175,7 @@ func TestMalformedSuppression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags := analysis.Run(analysis.Analyzers(), pkgs, analysis.Options{})
+	diags := analysis.Run(analysis.Analyzers(), pkgs)
 	var msgs []string
 	for _, d := range diags {
 		if d.Analyzer != "lisi-vet" {
@@ -222,7 +202,7 @@ func TestFullSuiteCatchesRankGatedBarrier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags := analysis.RunAnalyzers(pkgs, analysis.Options{})
+	diags := analysis.RunAnalyzers(pkgs)
 	for _, d := range diags {
 		if d.Analyzer == "collectivesym" && strings.Contains(d.Message, "Comm.Barrier") {
 			return
@@ -243,7 +223,7 @@ func TestFullSuiteCatchesInflightAlias(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags := analysis.RunAnalyzers(pkgs, analysis.Options{})
+	diags := analysis.RunAnalyzers(pkgs)
 	for _, d := range diags {
 		if d.Analyzer == "bufown" && strings.Contains(d.Message, "in-flight") {
 			return
@@ -263,7 +243,7 @@ func TestIgnoreAudit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := analysis.RunDetailed(analysis.Analyzers(), pkgs, analysis.Options{FloatEqZero: true})
+	res := analysis.RunDetailed(analysis.Analyzers(), pkgs)
 	if len(res.Stale) != 1 {
 		t.Fatalf("want exactly 1 stale suppression, got %d: %v", len(res.Stale), res.Stale)
 	}
@@ -292,12 +272,12 @@ func TestDeterministicOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	pkgs, err := loader.Load(fixtureRoot+"/collectivesym", fixtureRoot+"/portcontract",
-		fixtureRoot+"/floateq/sparse")
+		fixtureRoot+"/blockingunderlock")
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := analysis.RunAnalyzers(pkgs, analysis.Options{})
-	second := analysis.RunAnalyzers(pkgs, analysis.Options{})
+	first := analysis.RunAnalyzers(pkgs)
+	second := analysis.RunAnalyzers(pkgs)
 	if !reflect.DeepEqual(first, second) {
 		t.Fatalf("two runs differ:\n%v\nvs\n%v", first, second)
 	}
@@ -339,7 +319,7 @@ func TestRepoClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags := analysis.RunAnalyzers(pkgs, analysis.Options{})
+	diags := analysis.RunAnalyzers(pkgs)
 	for _, d := range diags {
 		t.Errorf("%s", d.String())
 	}

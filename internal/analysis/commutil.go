@@ -7,15 +7,11 @@ import (
 )
 
 // Shared recognizers for the repository's domain types. All analyzers key
-// off the *type-checked* identity of internal/comm and internal/telemetry,
-// not off spelling, so aliasing the import or shadowing a name cannot dodge
+// off the *type-checked* identity of internal/comm, not off spelling, so aliasing the import or shadowing a name cannot dodge
 // a check.
 
 // commPkgSuffix matches the import path of the SPMD runtime package.
 const commPkgSuffix = "internal/comm"
-
-// telemetryPkgSuffix matches the import path of the telemetry package.
-const telemetryPkgSuffix = "internal/telemetry"
 
 // collectivePrefixes are the method-name families on *comm.Comm whose MPI
 // contract requires every rank of the world to participate. Split is a
@@ -127,4 +123,28 @@ func exprString(e ast.Expr) string {
 		return e.Value
 	}
 	return "?"
+}
+
+// calleeName returns the bare name of call's callee ("" for indirect
+// calls through non-identifier expressions).
+func calleeName(call *ast.CallExpr) string {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.SelectorExpr:
+		return fun.Sel.Name
+	case *ast.Ident:
+		return fun.Name
+	}
+	return ""
+}
+
+// isBuiltinCall reports whether call invokes the named predeclared
+// builtin (resolved through the type info, so a shadowing local `make`
+// does not count).
+func isBuiltinCall(info *types.Info, call *ast.CallExpr, name string) bool {
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok || id.Name != name {
+		return false
+	}
+	_, ok = info.Uses[id].(*types.Builtin)
+	return ok
 }

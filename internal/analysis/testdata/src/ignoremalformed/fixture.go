@@ -3,7 +3,7 @@
 package ignoremalformed
 
 func missingReason() {
-	//lisi:ignore floateq
+	//lisi:ignore collectivesym
 	_ = 1
 }
 

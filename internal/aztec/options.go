@@ -9,16 +9,14 @@ import "fmt"
 
 // Indices into the options array.
 const (
-	AZSolver         = iota // Krylov method (AZCG, AZGMRES, ...)
-	AZPrecond               // preconditioner (AZNone, AZJacobi, ...)
-	AZConv                  // convergence criterion (AZr0, AZrhs, AZAnorm)
-	AZMaxIter               // maximum iterations
-	AZKspace                // GMRES restart length
-	AZPolyOrd               // polynomial order / relaxation sweeps
-	AZScaling               // row scaling (AZNoScaling, AZRowSum)
-	AZSubdomainSolve        // inner solve for AZDomDecomp (AZIlut)
-	AZOverlap               // subdomain overlap depth for AZDomDecomp
-	AZOutput                // print residual every AZOutput iterations (0 = silent)
+	AZSolver  = iota // Krylov method (AZCG, AZGMRES, ...)
+	AZPrecond        // preconditioner (AZNone, AZJacobi, ...)
+	AZConv           // convergence criterion (AZr0, AZrhs, AZAnorm)
+	AZMaxIter        // maximum iterations
+	AZKspace         // GMRES restart length
+	AZPolyOrd        // polynomial order / relaxation sweeps
+	AZScaling        // row scaling (AZNoScaling, AZRowSum)
+	AZOverlap        // subdomain overlap depth for AZDomDecomp
 	optionsSize
 )
 
@@ -27,7 +25,6 @@ const (
 	AZTol      = iota // convergence tolerance
 	AZDrop            // ILUT drop tolerance
 	AZIlutFill        // ILUT fill ratio
-	AZOmega           // relaxation factor
 	paramsSize
 )
 
@@ -62,11 +59,6 @@ const (
 	AZRowSum
 )
 
-// Subdomain solves for AZDomDecomp.
-const (
-	AZIlut = iota
-)
-
 // Status array indices (AztecOO's status vector).
 const (
 	AZIts     = iota // iterations performed
@@ -95,18 +87,16 @@ func DefaultOptions() []int {
 	o[AZKspace] = 30
 	o[AZPolyOrd] = 3
 	o[AZScaling] = AZNoScaling
-	o[AZSubdomainSolve] = AZIlut
 	return o
 }
 
 // DefaultParams returns the default parameter array: tol 1e-6, ILUT drop
-// 0, fill 1.0, omega 1.0.
+// 0, fill 1.0.
 func DefaultParams() []float64 {
 	p := make([]float64, paramsSize)
 	p[AZTol] = 1e-6
 	p[AZDrop] = 0
 	p[AZIlutFill] = 1.0
-	p[AZOmega] = 1.0
 	return p
 }
 
@@ -137,9 +127,6 @@ func validateOptions(o []int, p []float64) error {
 	}
 	if o[AZOverlap] < 0 {
 		return fmt.Errorf("aztec: overlap must be non-negative, got %d", o[AZOverlap])
-	}
-	if o[AZOutput] < 0 {
-		return fmt.Errorf("aztec: output interval must be non-negative, got %d", o[AZOutput])
 	}
 	if p[AZTol] <= 0 {
 		return fmt.Errorf("aztec: tolerance must be positive, got %g", p[AZTol])

@@ -2,7 +2,6 @@ package aztec
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/comm"
@@ -228,38 +227,5 @@ func TestOverlapValidation(t *testing.T) {
 		}
 	}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestAZOutputMonitoring(t *testing.T) {
-	global := sparse.Laplace2D(6, 6)
-	w, _ := comm.NewWorld(2)
-	var buf strings.Builder
-	if err := w.Run(func(c *comm.Comm) {
-		crs := buildCrs(c, global)
-		s := NewSolver(c)
-		s.SetUserMatrix(crs)
-		s.out = &buf // only rank 0 writes
-		s.Options()[AZOutput] = 2
-		s.Options()[AZSolver] = AZCG
-		s.Options()[AZPrecond] = AZNone
-		l := crs.RowMap().Layout()
-		b := make([]float64, l.LocalN)
-		for i := range b {
-			b[i] = 1
-		}
-		x := make([]float64, l.LocalN)
-		if err := s.Iterate(x, b, 1000, 1e-8); err != nil {
-			t.Fatal(err)
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "iter:") || !strings.Contains(out, "residual") {
-		t.Errorf("monitor output missing:\n%s", out)
-	}
-	if strings.Count(out, "iter:") < 2 {
-		t.Errorf("expected multiple monitor lines:\n%s", out)
 	}
 }

@@ -3,9 +3,8 @@ package aztec
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math"
-	"os"
+	"slices"
 
 	"repro/internal/comm"
 	"repro/internal/par"
@@ -27,7 +26,6 @@ type Solver struct {
 
 	prec  preconditioner
 	scale []float64 // row scaling (nil when disabled)
-	out   io.Writer // destination for AZOutput monitoring (default stdout)
 	rec   *telemetry.Recorder
 
 	// Steady-state reuse: the preconditioner (and row scaling) are cached
@@ -78,21 +76,6 @@ func NewSolver(c *comm.Comm) *Solver {
 // PhaseIterate, and per-iteration residuals feed the trace. Nil (the
 // default) disables instrumentation.
 func (s *Solver) SetRecorder(r *telemetry.Recorder) { s.rec = r }
-
-// monitor records the residual in the telemetry trace and prints it
-// every options[AZOutput] iterations on rank 0.
-func (s *Solver) monitor(it int, rnorm float64) {
-	s.rec.Residual(it, rnorm)
-	interval := s.options[AZOutput]
-	if interval == 0 || s.c.Rank() != 0 || it%interval != 0 {
-		return
-	}
-	w := s.out
-	if w == nil {
-		w = os.Stdout
-	}
-	fmt.Fprintf(w, "\t\titer: %5d\t\tresidual = %e\n", it, rnorm)
-}
 
 // SetUserMatrix supplies an assembled (or row-accessible) matrix; all
 // preconditioners become available.
@@ -149,8 +132,10 @@ func (s *Solver) Solve(x, b []float64) error {
 
 	// Row scaling ((S·A)x = S·b) and the preconditioner are rebuilt only
 	// when the operator was re-set (prec dropped) or when the option or
-	// parameter arrays differ from the snapshot they were last built for.
-	if s.prec == nil || !intsEqual(s.precOpts, s.options) || !floatsEqual(s.precParams, s.params) {
+	// parameter arrays differ from the snapshot they were last built for
+	// (a NaN parameter never compares equal, which only costs a spurious
+	// rebuild).
+	if s.prec == nil || !slices.Equal(s.precOpts, s.options) || !slices.Equal(s.precParams, s.params) {
 		if s.options[AZScaling] == AZRowSum {
 			if s.rm == nil {
 				return fmt.Errorf("aztec: AZRowSum scaling requires a RowMatrix")
@@ -340,34 +325,6 @@ func (s *Solver) test(rnorm, denom float64) (why int, stop bool) {
 	return 0, false
 }
 
-// intsEqual / floatsEqual compare option/parameter snapshots without
-// allocating (a NaN parameter never compares equal, which only costs a
-// spurious rebuild).
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func floatsEqual(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		//lisi:ignore floateq exact snapshot identity is the point; a NaN param only costs a spurious rebuild
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // ---- Krylov methods (left-preconditioned, aztec-style bookkeeping) ----
 
 // localResidual computes r = b − A·x without any reduction (the norm is
@@ -409,7 +366,7 @@ func (s *Solver) cg(x, b []float64) error {
 		// PC apply on the final iteration, no value changes).
 		s.prec.apply(z, r)
 		rnorm, rzNew := s.red.NormDot(r, z)
-		s.monitor(it, rnorm)
+		s.rec.Residual(it, rnorm)
 		if why, stop := s.test(rnorm, denom); stop {
 			s.finish(it, rnorm, denom, why)
 			return nil
@@ -504,7 +461,7 @@ func (s *Solver) gmres(x, b []float64) error {
 			h[j] = rd
 			g[j+1] = -sn[j] * g[j]
 			g[j] = cs[j] * g[j]
-			s.monitor(it, math.Abs(g[j+1]))
+			s.rec.Residual(it, math.Abs(g[j+1]))
 			// The estimate only ends the cycle; the restart above tests
 			// the recomputed residual and records the outcome.
 			_, stop = s.test(math.Abs(g[j+1]), denom)
@@ -569,7 +526,7 @@ func (s *Solver) cgs(x, b []float64) error {
 		rhoOld = rho
 		var rnorm float64
 		rnorm, rhoNext = s.red.NormDot(r, rtld)
-		s.monitor(it, rnorm)
+		s.rec.Residual(it, rnorm)
 		if why, stop := s.test(rnorm, denom); stop {
 			s.finish(it, rnorm, denom, why)
 			return nil
@@ -649,7 +606,7 @@ func (s *Solver) bicgstab(x, b []float64) error {
 		}
 		var rnorm float64
 		rnorm, rhoNext = s.red.NormDot(r, rtld)
-		s.monitor(it, rnorm)
+		s.rec.Residual(it, rnorm)
 		if why, stop := s.test(rnorm, denom); stop {
 			s.finish(it, rnorm, denom, why)
 			return nil

@@ -22,8 +22,11 @@ const steadyStateAllocBound = 10
 // session's first Solve has built the operator, the configured solver,
 // its workspaces, and the comm pools, every later Solve against the
 // staged system stays under steadyStateAllocBound allocations — for
-// every registered backend. A single-rank world makes the process-global
-// malloc counter deterministic; the multi-rank path is exercised by
+// every registered backend, every accepted solver value, each apply-loop
+// preconditioner, row scaling, a worker pool and Galerkin coarsening. It
+// is the measured gate on the iteration loops of ksp, aztec and mg. A
+// single-rank world makes the process-global malloc counter
+// deterministic; the multi-rank path is exercised by
 // TestApplyAllocsMultiRank (pmat) and the comm in-place tests.
 func TestSessionSolveSteadyStateAllocs(t *testing.T) {
 	for _, tc := range []struct {
@@ -31,16 +34,42 @@ func TestSessionSolveSteadyStateAllocs(t *testing.T) {
 		backend   string
 		gridN     int
 		symmetric bool // use an SPD Laplacian (CG requires it; the mesh operator is negative definite)
+		workers   int
 		params    map[string]string
 	}{
-		{"superlu", "superlu", 12, false, map[string]string{"refine_steps": "1"}},
-		{"petsc-cg", "petsc", 12, true, map[string]string{
+		{"superlu", "superlu", 12, false, 0, map[string]string{"refine_steps": "1"}},
+		{"petsc-cg", "petsc", 12, true, 0, map[string]string{
 			"solver": "cg", "preconditioner": "jacobi", "tol": "1e-8", "maxits": "400"}},
-		{"petsc-gmres", "petsc", 12, false, map[string]string{
+		{"petsc-gmres", "petsc", 12, false, 0, map[string]string{
 			"solver": "gmres", "preconditioner": "jacobi", "tol": "1e-8", "maxits": "400", "restart": "30"}},
-		{"trilinos-bicgstab", "trilinos", 12, false, map[string]string{
+		{"petsc-fgmres-ilu", "petsc", 12, false, 0, map[string]string{
+			"solver": "fgmres", "preconditioner": "ilu", "tol": "1e-8", "maxits": "400"}},
+		{"petsc-bicgstab-sor", "petsc", 12, false, 0, map[string]string{
+			"solver": "bicgstab", "preconditioner": "sor", "tol": "1e-8", "maxits": "400"}},
+		{"petsc-tfqmr-ssor", "petsc", 12, false, 0, map[string]string{
+			"solver": "tfqmr", "preconditioner": "ssor", "tol": "1e-8", "maxits": "400"}},
+		{"petsc-richardson-bjacobi", "petsc", 12, true, 0, map[string]string{
+			"solver": "richardson", "preconditioner": "bjacobi", "tol": "1e-8", "maxits": "2000"}},
+		{"petsc-chebyshev", "petsc", 12, true, 0, map[string]string{
+			"solver": "chebyshev", "preconditioner": "jacobi", "tol": "1e-8", "maxits": "2000"}},
+		{"petsc-gmres-ilu-w2", "petsc", 12, false, 2, map[string]string{
+			"solver": "gmres", "preconditioner": "ilu", "tol": "1e-8", "maxits": "400"}},
+		{"trilinos-bicgstab", "trilinos", 12, false, 0, map[string]string{
 			"solver": "bicgstab", "preconditioner": "jacobi", "tol": "1e-8"}},
-		{"mg", "mg", 15, false, map[string]string{"grid_n": "15", "tol": "1e-8"}},
+		{"trilinos-cg-symgs", "trilinos", 12, true, 0, map[string]string{
+			"solver": "cg", "preconditioner": "symgs", "tol": "1e-8"}},
+		{"trilinos-gmres-ilut", "trilinos", 12, false, 0, map[string]string{
+			"solver": "gmres", "preconditioner": "ilut", "tol": "1e-8"}},
+		{"trilinos-cgs-neumann", "trilinos", 12, false, 0, map[string]string{
+			"solver": "cgs", "preconditioner": "neumann", "tol": "1e-8"}},
+		{"trilinos-bicgstab-ls", "trilinos", 12, false, 0, map[string]string{
+			"solver": "bicgstab", "preconditioner": "ls", "tol": "1e-8"}},
+		{"trilinos-gmres-rowsum", "trilinos", 12, false, 0, map[string]string{
+			"solver": "gmres", "preconditioner": "jacobi", "scaling": "rowsum", "tol": "1e-8"}},
+		{"trilinos-gmres-ilut-w2", "trilinos", 12, false, 2, map[string]string{
+			"solver": "gmres", "preconditioner": "ilut", "tol": "1e-8"}},
+		{"mg", "mg", 15, false, 0, map[string]string{"grid_n": "15", "tol": "1e-8"}},
+		{"mg-galerkin", "mg", 15, false, 0, map[string]string{"grid_n": "15", "tol": "1e-8", "galerkin": "true"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			run(t, 1, func(c *comm.Comm) {
@@ -60,10 +89,11 @@ func TestSessionSolveSteadyStateAllocs(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				s, err := OpenSession(tc.backend, c, SessionOptions{Params: tc.params})
+				s, err := OpenSession(tc.backend, c, SessionOptions{Params: tc.params, Workers: tc.workers})
 				if err != nil {
 					t.Fatal(err)
 				}
+				defer s.Close()
 				if err := s.Setup(l, a); err != nil {
 					t.Fatal(err)
 				}

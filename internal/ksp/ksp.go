@@ -73,14 +73,13 @@ type KSP struct {
 	a  *Mat
 	pc PC
 
-	typ          string
-	rtol         float64
-	atol         float64
-	dtol         float64
-	maxIts       int
-	restart      int
-	damping      float64 // richardson
-	guessNonzero bool
+	typ     string
+	rtol    float64
+	atol    float64
+	dtol    float64
+	maxIts  int
+	restart int
+	damping float64 // richardson
 
 	its    int
 	rnorm  float64
@@ -232,10 +231,8 @@ func (k *KSP) Solve(b, x []float64) error {
 		}
 		k.pcFor, k.pcObj = k.a, k.pc
 	}
-	if !k.guessNonzero {
-		for i := range x {
-			x[i] = 0
-		}
+	for i := range x {
+		x[i] = 0
 	}
 	k.its = 0
 	k.reason = DivergedNull

@@ -353,48 +353,17 @@ func TestMonitorCalled(t *testing.T) {
 	})
 }
 
-func TestInitialGuessNonzero(t *testing.T) {
-	global := sparse.Laplace2D(5, 5)
-	run(t, 1, func(c *comm.Comm) {
-		a := distMat(c, global)
-		n := global.Rows
-		xstar := sparse.RandomVector(n, 3)
-		b := make([]float64, n)
-		global.MulVec(b, xstar)
-
-		k := New(c)
-		k.SetOperators(a)
-		k.SetType(TypeCG)
-		k.SetPCType(PCNone)
-		k.SetTolerances(1e-12, 0, 0, 1000)
-		if err := k.SetOption("ksp_initial_guess_nonzero", "true"); err != nil {
-			t.Fatal(err)
-		}
-		// Start exactly at the solution: zero iterations needed.
-		x := make([]float64, n)
-		copy(x, xstar)
-		if err := k.Solve(b, x); err != nil {
-			t.Fatal(err)
-		}
-		if k.Iterations() != 0 {
-			t.Errorf("warm start took %d iterations", k.Iterations())
-		}
-	})
-}
-
 func TestOptionsRoundTrip(t *testing.T) {
 	run(t, 1, func(c *comm.Comm) {
 		k := New(c)
 		set := map[string]string{
-			"ksp_type":                  "cg",
-			"pc_type":                   "jacobi",
-			"ksp_rtol":                  "1e-09",
-			"ksp_atol":                  "1e-30",
-			"ksp_dtol":                  "100000",
-			"ksp_max_it":                "123",
-			"ksp_gmres_restart":         "17",
-			"ksp_richardson_scale":      "0.5",
-			"ksp_initial_guess_nonzero": "true",
+			"ksp_type":             "cg",
+			"pc_type":              "jacobi",
+			"ksp_rtol":             "1e-09",
+			"ksp_atol":             "1e-30",
+			"ksp_max_it":           "123",
+			"ksp_gmres_restart":    "17",
+			"ksp_richardson_scale": "0.5",
 		}
 		for key, v := range set {
 			if err := k.SetOption(key, v); err != nil {
@@ -404,17 +373,18 @@ func TestOptionsRoundTrip(t *testing.T) {
 		if _, jacobi := k.pc.(*pcJacobi); k.typ != TypeCG || !jacobi {
 			t.Errorf("types not set: %s/%T", k.typ, k.pc)
 		}
-		if k.rtol != 1e-9 || k.atol != 1e-30 || k.dtol != 1e5 || k.damping != 0.5 {
-			t.Errorf("floats not set: %g %g %g %g", k.rtol, k.atol, k.dtol, k.damping)
+		if k.rtol != 1e-9 || k.atol != 1e-30 || k.damping != 0.5 {
+			t.Errorf("floats not set: %g %g %g", k.rtol, k.atol, k.damping)
 		}
-		if k.maxIts != 123 || k.restart != 17 || !k.guessNonzero {
-			t.Errorf("ints/bool not set: %d %d %v", k.maxIts, k.restart, k.guessNonzero)
+		if k.maxIts != 123 || k.restart != 17 {
+			t.Errorf("ints not set: %d %d", k.maxIts, k.restart)
 		}
 		for _, bad := range [][2]string{
 			{"ksp_rtol", "x"}, {"ksp_rtol", "-1"}, {"ksp_max_it", "0"},
-			{"unknown_key", "1"}, {"ksp_initial_guess_nonzero", "maybe"},
+			{"unknown_key", "1"}, {"ksp_dtol", "100000"},
+			{"ksp_initial_guess_nonzero", "true"},
 			{"ksp_gmres_restart", "zero"}, {"ksp_richardson_scale", "bad"},
-			{"ksp_atol", "nope"}, {"ksp_dtol", "nope"},
+			{"ksp_atol", "nope"},
 		} {
 			if err := k.SetOption(bad[0], bad[1]); err == nil {
 				t.Errorf("SetOption(%s,%s) accepted", bad[0], bad[1])

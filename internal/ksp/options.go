@@ -8,9 +8,8 @@ import (
 // SetOption configures the solver through PETSc-style string options, the
 // option database the LISI adapter translates its parameter vocabulary
 // into (core.KSPComponent.configure).
-// Recognized keys: ksp_type, pc_type, ksp_rtol, ksp_atol, ksp_dtol,
-// ksp_max_it, ksp_gmres_restart, ksp_richardson_scale,
-// ksp_initial_guess_nonzero.
+// Recognized keys: ksp_type, pc_type, ksp_rtol, ksp_atol, ksp_max_it,
+// ksp_gmres_restart, ksp_richardson_scale.
 func (k *KSP) SetOption(key, value string) error {
 	switch key {
 	case "ksp_type":
@@ -29,12 +28,6 @@ func (k *KSP) SetOption(key, value string) error {
 			return fmt.Errorf("ksp: option %s: bad value %q", key, value)
 		}
 		k.atol = v
-	case "ksp_dtol":
-		v, err := strconv.ParseFloat(value, 64)
-		if err != nil || v <= 0 {
-			return fmt.Errorf("ksp: option %s: bad value %q", key, value)
-		}
-		k.dtol = v
 	case "ksp_max_it":
 		v, err := strconv.Atoi(value)
 		if err != nil || v <= 0 {
@@ -53,12 +46,6 @@ func (k *KSP) SetOption(key, value string) error {
 			return fmt.Errorf("ksp: option %s: bad value %q", key, value)
 		}
 		return k.SetDamping(v)
-	case "ksp_initial_guess_nonzero":
-		v, err := strconv.ParseBool(value)
-		if err != nil {
-			return fmt.Errorf("ksp: option %s: bad value %q", key, value)
-		}
-		k.guessNonzero = v
 	default:
 		return fmt.Errorf("ksp: unknown option %q", key)
 	}

@@ -234,7 +234,8 @@ func (a *CSR) ToCOO() *COO {
 }
 
 // Equal reports whether two matrices have identical dimensions, patterns
-// and values (exact comparison).
+// and values. The comparison is exact on purpose: format round-trips must
+// not alter a single value; AlmostEqual is the tolerance variant.
 func (a *CSR) Equal(b *CSR) bool {
 	if a.Rows != b.Rows || a.Cols != b.Cols || a.NNZ() != b.NNZ() {
 		return false
@@ -245,7 +246,6 @@ func (a *CSR) Equal(b *CSR) bool {
 		}
 	}
 	for k := range a.ColInd {
-		//lisi:ignore floateq Equal is documented bit-exact (format round-trips must not alter values); AlmostEqual is the tolerance variant
 		if a.ColInd[k] != b.ColInd[k] || a.Vals[k] != b.Vals[k] {
 			return false
 		}

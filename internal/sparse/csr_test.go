@@ -240,6 +240,40 @@ func TestCOOToCSRAscendingRowsPassThrough(t *testing.T) {
 	}
 }
 
+// TestConverterAllocsConstant is the measured gate on the Setup-time
+// converters: each sizes its output up front, so its allocation count
+// must not grow with the operator.
+func TestConverterAllocsConstant(t *testing.T) {
+	var ops []*CSR
+	coos := make(map[*CSR]*COO)
+	for _, side := range []int{10, 40, 160} { // n = 100, 1,600, 25,600
+		a := Laplace2D(side, side)
+		ops = append(ops, a)
+		coos[a] = a.ToCOO()
+	}
+	var k ParSpMV
+	converters := []struct {
+		name string
+		run  func(a *CSR)
+	}{
+		{"COO.ToCSR", func(a *CSR) { coos[a].ToCSR() }},
+		{"SELLFromCSR", func(a *CSR) { SELLFromCSR(a, 0) }},
+		{"MSRFromCSR", func(a *CSR) { MSRFromCSR(a) }},
+		{"MSROrderedFromCSR", func(a *CSR) { MSROrderedFromCSR(a) }},
+		{"ParSpMV.Bind w=1", func(a *CSR) { k.Bind(a, false, ChoiceAuto, 1) }},
+		{"ParSpMV.Bind w=2", func(a *CSR) { k.Bind(a, false, ChoiceAuto, 2) }},
+	}
+	for _, c := range converters {
+		var counts []float64
+		for _, a := range ops {
+			counts = append(counts, testing.AllocsPerRun(3, func() { c.run(a) }))
+		}
+		if counts[1] != counts[0] || counts[2] != counts[0] {
+			t.Errorf("%s allocates %v objects at n = 100 / 1,600 / 25,600, want one constant", c.name, counts)
+		}
+	}
+}
+
 func TestCOOValidation(t *testing.T) {
 	if _, err := NewCOOFromArrays(2, 2, []int{0}, []int{0, 1}, []float64{1, 2}); err == nil {
 		t.Error("length mismatch accepted")

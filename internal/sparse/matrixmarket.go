@@ -332,9 +332,8 @@ func readMMArray(sc *bufio.Scanner, h mmHeader, line int) (*COO, error) {
 				return nil, err
 			}
 			// A dense listing stores structural zeros; keep the result
-			// genuinely sparse. (Bit comparison: only +0 is dropped,
-			// which avoids a float equality the vet floateq analyzer
-			// would flag.)
+			// genuinely sparse. (Bit comparison: only +0 is dropped; an
+			// explicit -0 is kept.)
 			if math.Float64bits(v) != 0 {
 				coo.Append(i, j, v)
 				if h.symmetric && i != j {

@@ -1,8 +1,9 @@
 package sparse
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // SELL is the SELL-C-σ (sliced ELLPACK with row sorting) format. Rows
@@ -66,7 +67,8 @@ func TunedSELLChunk(rows, workers int) int {
 // height C (≤ 0 selects DefaultSELLChunk); the sorting window σ is
 // fixed at 8 chunks, a multiple of C so windows never straddle a chunk
 // boundary. The conversion preallocates every array from a first
-// counting pass; it performs no per-row growth.
+// counting pass, so its allocation count is constant in the matrix size
+// (TestConverterAllocsConstant).
 func SELLFromCSR(a *CSR, chunk int) *SELL {
 	c := chunk
 	if c <= 0 {
@@ -87,9 +89,8 @@ func SELLFromCSR(a *CSR, chunk int) *SELL {
 		if w1 > n {
 			w1 = n
 		}
-		win := perm[w0:w1]
-		sort.SliceStable(win, func(i, j int) bool {
-			return a.RowPtr[win[i]+1]-a.RowPtr[win[i]] > a.RowPtr[win[j]+1]-a.RowPtr[win[j]]
+		slices.SortStableFunc(perm[w0:w1], func(i, j int) int {
+			return cmp.Compare(a.RowPtr[j+1]-a.RowPtr[j], a.RowPtr[i+1]-a.RowPtr[i])
 		})
 	}
 	identity := true
