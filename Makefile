@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test check race workers vet fmt lint vet-self ignore-audit usage bench benchguard bench-pairs baseline telemetry chaos chaos-service serve-integration sweep golden fuzz clean
+.PHONY: all build test check race workers vet fmt lint usage bench benchguard bench-pairs baseline telemetry chaos chaos-service serve-integration sweep golden fuzz clean
 
 all: check
 
@@ -13,7 +13,7 @@ test:
 	$(GO) test ./...
 
 # check = everything CI's build-test + lint jobs run.
-check: build vet fmt lint vet-self test race
+check: build vet fmt lint test race
 
 race:
 	$(GO) test -race ./internal/comm/... ./internal/pmat/... ./internal/core/... ./internal/telemetry/... ./internal/bench/... ./internal/service/... ./internal/par/... ./internal/slu/... ./internal/ksp/... ./internal/aztec/...
@@ -27,20 +27,11 @@ vet:
 	$(GO) vet ./...
 
 # lint = the SPMD-aware static analysis suite (docs/ANALYSIS.md). Output is
-# deterministic (sorted by file:line:column), exit is nonzero on findings.
+# deterministic (sorted by file:line:column), exit is nonzero on findings,
+# stale //lisi:ignore comments included. `make test` runs the same check
+# as internal/analysis's TestRepoClean.
 lint:
 	$(GO) run ./cmd/lisi-vet ./...
-
-# vet-self = the analyzers and their driver pass their own suite (the
-# bufown recycle rules apply to any /comm package, the engine must keep
-# its own collectives symmetric, and so on).
-vet-self:
-	$(GO) run ./cmd/lisi-vet ./internal/analysis ./cmd/lisi-vet
-
-# ignore-audit = report //lisi:ignore comments that no longer suppress
-# anything (full suite; exit 1 when any are stale).
-ignore-audit:
-	$(GO) run ./cmd/lisi-vet -ignore-audit ./...
 
 # usage = the usage record (ROADMAP item 13): the functions under
 # internal/ that no door reaches — upper-layer tests, examples, binaries

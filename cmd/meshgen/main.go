@@ -113,7 +113,6 @@ func main() {
 		// The rank guards above end in log.Fatal, which kills the whole OS
 		// process hosting every in-process rank — no rank is left waiting
 		// in the collective.
-		//lisi:ignore collectivesym log.Fatal aborts the entire in-process world, not one rank
 		nnzTotal := c.AllReduceInt(a.NNZ(), comm.OpSum)
 		if c.Rank() == 0 {
 			fmt.Printf("wrote %d file pairs under %s: N=%d, nnz=%d (rows split %v)\n",

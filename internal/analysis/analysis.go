@@ -1,22 +1,19 @@
 // Package analysis is lisi-vet's engine: a small, dependency-free
 // static-analysis framework (in the spirit of golang.org/x/tools/go/analysis,
-// rebuilt on the standard library alone) plus the SPMD-aware analyzers that
-// guard the invariants generic `go vet` cannot see.
-//
-// The invariants come straight from the runtime model of this repository:
-// internal/comm reproduces MPI's collective contract — every rank of a World
-// must execute the same sequence of collectives — so a collective reachable
-// only under a rank-dependent branch deadlocks the world (the bug class the
-// PR 1 Split abort fix handled at runtime). The analyzers move that class of
-// error, and a few neighbouring contract violations of the LISI port layer,
-// from hang-at-runtime to fail-at-lint.
+// rebuilt on the standard library alone) plus the analyzers that guard the
+// invariants neither generic `go vet` nor any test catches: dropped LISI
+// failure results, root contexts in the cancellation-scoped packages, a
+// pooled staging buffer leaked by its owner, and ordering hazards against
+// the bitwise-determinism contract. docs/ANALYSIS.md's seed table is the
+// evidence for each one; a check whose bug a test already catches does not
+// belong here.
 //
 // Each Analyzer inspects one type-checked package at a time through a Pass
 // and reports Diagnostics. Diagnostics can be suppressed at the call site
-// with a `//lisi:ignore <analyzer> <reason>` comment (see ignore.go). The
-// cmd/lisi-vet driver loads packages, runs every analyzer, filters
-// suppressed findings and prints the rest sorted by position so output is
-// deterministic.
+// with a `//lisi:ignore <analyzer> <reason>` comment (see ignore.go); a
+// suppression that silences nothing is a finding of its own. The
+// cmd/lisi-vet driver loads packages, runs every analyzer and prints what
+// Run returns, sorted by position so output is deterministic.
 package analysis
 
 import (
@@ -38,17 +35,12 @@ type Analyzer struct {
 	Run func(pass *Pass)
 }
 
-// Pass hands one package to an analyzer together with the shared type
-// information, the cross-package interprocedural index, and a sink for
-// diagnostics.
+// Pass hands one package to an analyzer together with its type
+// information and a sink for diagnostics.
 type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
 	Pkg      *Package
-	// Prog spans every package of this Run invocation: analyzers use it
-	// to resolve call edges and read per-function summaries
-	// (interproc.go).
-	Prog *Program
 
 	diags *[]Diagnostic
 }
@@ -72,10 +64,6 @@ type Diagnostic struct {
 	Analyzer string
 	Message  string
 	Hint     string
-	// Suppressed marks a finding silenced by a //lisi:ignore comment.
-	// Run drops suppressed findings; RunDetailed keeps them (marked) so
-	// the -json output and the suppression audit can see them.
-	Suppressed bool
 }
 
 // String renders the diagnostic in the driver's output format.
@@ -90,8 +78,6 @@ func (d Diagnostic) String() string {
 // Analyzers returns the full lisi-vet suite in a fixed order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		CollectiveSym,
-		BlockingUnderLock,
 		PortContract,
 		CtxComm,
 		BufOwn,
@@ -99,71 +85,33 @@ func Analyzers() []*Analyzer {
 	}
 }
 
-// ByName returns the analyzer with the given name, or nil.
-func ByName(name string) *Analyzer {
-	for _, a := range Analyzers() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
-}
-
-// RunAnalyzers applies every analyzer in the suite to every package,
-// drops suppressed diagnostics, and returns the rest sorted by file,
-// line, column and analyzer name — a total order, so output is
-// deterministic across runs and machines.
-func RunAnalyzers(pkgs []*Package) []Diagnostic {
-	return Run(Analyzers(), pkgs)
-}
-
-// Run applies the given analyzers to the given packages and returns the
-// surviving diagnostics in deterministic order. Malformed suppression
-// comments (missing analyzer name or reason) are themselves reported.
+// Run applies the analyzers to the packages and returns every finding no
+// //lisi:ignore comment silences, plus one for each malformed suppression
+// and one for each suppression that names an analyzer that ran and
+// silenced nothing. The order is file, line, column, analyzer — a total
+// order, so output is deterministic across runs and machines.
 func Run(analyzers []*Analyzer, pkgs []*Package) []Diagnostic {
-	var diags []Diagnostic
-	for _, d := range RunDetailed(analyzers, pkgs).Diags {
-		if !d.Suppressed {
-			diags = append(diags, d)
-		}
+	ran := make(map[string]bool, len(analyzers))
+	for _, a := range analyzers {
+		ran[a.Name] = true
 	}
-	return diags
-}
-
-// Result is the full outcome of a RunDetailed invocation.
-type Result struct {
-	// Diags holds every diagnostic, suppressed ones included (marked),
-	// in the deterministic file/line/column/analyzer order.
-	Diags []Diagnostic
-	// Stale lists well-formed //lisi:ignore comments that suppressed
-	// nothing in this run — candidates for removal. Meaningful only
-	// when the run covered the full analyzer suite.
-	Stale []Diagnostic
-}
-
-// RunDetailed is Run keeping the suppressed diagnostics (marked) and
-// reporting stale suppression comments, for the -json output and the
-// -ignore-audit mode of the driver.
-func RunDetailed(analyzers []*Analyzer, pkgs []*Package) Result {
-	prog := NewProgram(pkgs)
-	var res Result
+	var diags []Diagnostic
 	for _, pkg := range pkgs {
 		ig := newIgnoreIndex(pkg.Fset, pkg.Files)
 		var pkgDiags []Diagnostic
 		for _, a := range analyzers {
-			pass := &Pass{Analyzer: a, Fset: pkg.Fset, Pkg: pkg, Prog: prog, diags: &pkgDiags}
-			a.Run(pass)
+			a.Run(&Pass{Analyzer: a, Fset: pkg.Fset, Pkg: pkg, diags: &pkgDiags})
 		}
 		for _, d := range pkgDiags {
-			d.Suppressed = ig.suppresses(d)
-			res.Diags = append(res.Diags, d)
+			if !ig.suppresses(d) {
+				diags = append(diags, d)
+			}
 		}
-		res.Diags = append(res.Diags, ig.malformed...)
-		res.Stale = append(res.Stale, ig.stale()...)
+		diags = append(diags, ig.malformed...)
+		diags = append(diags, ig.stale(ran)...)
 	}
-	sortDiags(res.Diags)
-	sortDiags(res.Stale)
-	return res
+	sortDiags(diags)
+	return diags
 }
 
 func sortDiags(diags []Diagnostic) {

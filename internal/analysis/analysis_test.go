@@ -84,7 +84,12 @@ func runFixture(t *testing.T, name string, dirs ...string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := analysis.ByName(name)
+	var a *analysis.Analyzer
+	for _, x := range analysis.Analyzers() {
+		if x.Name == name {
+			a = x
+		}
+	}
 	if a == nil {
 		t.Fatalf("no analyzer named %q", name)
 	}
@@ -126,17 +131,8 @@ func runFixture(t *testing.T, name string, dirs ...string) {
 
 const fixtureRoot = "internal/analysis/testdata/src"
 
-func TestCollectiveSymFixture(t *testing.T) {
-	runFixture(t, "collectivesym", fixtureRoot+"/collectivesym")
-}
-
-func TestBlockingUnderLockFixture(t *testing.T) {
-	runFixture(t, "blockingunderlock", fixtureRoot+"/blockingunderlock")
-}
-
 func TestPortContractFixture(t *testing.T) {
-	runFixture(t, "portcontract",
-		fixtureRoot+"/portcontract", fixtureRoot+"/portcontract/service")
+	runFixture(t, "portcontract", fixtureRoot+"/portcontract")
 }
 
 func TestCtxCommFixture(t *testing.T) {
@@ -146,22 +142,11 @@ func TestCtxCommFixture(t *testing.T) {
 }
 
 func TestBufOwnFixture(t *testing.T) {
-	runFixture(t, "bufown",
-		fixtureRoot+"/bufown", fixtureRoot+"/bufown/comm", fixtureRoot+"/bufown/staging")
+	runFixture(t, "bufown", fixtureRoot+"/bufown/staging")
 }
 
 func TestSpmdDetFixture(t *testing.T) {
-	runFixture(t, "spmddet",
-		fixtureRoot+"/spmddet", fixtureRoot+"/spmddet/ksp",
-		fixtureRoot+"/spmddet/sparse")
-}
-
-// TestCollectiveSymInterprocFixture exercises the interprocedural cases:
-// helper-wrapped collectives behind rank gates fire, the same helpers
-// called unconditionally stay silent, and panic/t.Fatal-style no-return
-// branches count as divergence.
-func TestCollectiveSymInterprocFixture(t *testing.T) {
-	runFixture(t, "collectivesym", fixtureRoot+"/collectivesym/interproc")
+	runFixture(t, "spmddet", fixtureRoot+"/spmddet", fixtureRoot+"/spmddet/ksp")
 }
 
 // TestMalformedSuppression: ignores without a reason or naming an unknown
@@ -190,50 +175,9 @@ func TestMalformedSuppression(t *testing.T) {
 	}
 }
 
-// TestFullSuiteCatchesRankGatedBarrier mirrors CI's negative control: the
-// complete suite over the collectivesym fixture must produce findings,
-// among them a collectivesym diagnostic for the rank-gated Barrier.
-func TestFullSuiteCatchesRankGatedBarrier(t *testing.T) {
-	loader, err := sharedLoader()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := loader.Load(fixtureRoot + "/collectivesym")
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags := analysis.RunAnalyzers(pkgs)
-	for _, d := range diags {
-		if d.Analyzer == "collectivesym" && strings.Contains(d.Message, "Comm.Barrier") {
-			return
-		}
-	}
-	t.Fatalf("full suite missed the rank-gated Barrier; got %d diagnostics", len(diags))
-}
-
-// TestFullSuiteCatchesInflightAlias mirrors CI's bufown negative control:
-// the complete suite over the bufown fixture must produce a bufown
-// diagnostic for the buffer aliased while posted to an in-flight send.
-func TestFullSuiteCatchesInflightAlias(t *testing.T) {
-	loader, err := sharedLoader()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := loader.Load(fixtureRoot + "/bufown")
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags := analysis.RunAnalyzers(pkgs)
-	for _, d := range diags {
-		if d.Analyzer == "bufown" && strings.Contains(d.Message, "in-flight") {
-			return
-		}
-	}
-	t.Fatalf("full suite missed the in-flight buffer alias; got %d diagnostics", len(diags))
-}
-
-// TestIgnoreAudit: RunDetailed keeps suppressed diagnostics (marked) and
-// reports exactly the suppressions that silenced nothing.
+// TestIgnoreAudit: a suppression that silenced nothing in a run of its
+// analyzer is a finding of that run; the one in active use is not, and
+// neither is the finding it silences.
 func TestIgnoreAudit(t *testing.T) {
 	loader, err := sharedLoader()
 	if err != nil {
@@ -243,24 +187,13 @@ func TestIgnoreAudit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := analysis.RunDetailed(analysis.Analyzers(), pkgs)
-	if len(res.Stale) != 1 {
-		t.Fatalf("want exactly 1 stale suppression, got %d: %v", len(res.Stale), res.Stale)
+	diags := analysis.Run(analysis.Analyzers(), pkgs)
+	if len(diags) != 1 || diags[0].Analyzer != "lisi-vet" ||
+		!strings.Contains(diags[0].Message, "stale suppression: no spmddet diagnostic fires") {
+		t.Fatalf("want exactly the stale spmddet suppression, got %v", diags)
 	}
-	if !strings.Contains(res.Stale[0].Message, "no collectivesym diagnostic fires") {
-		t.Errorf("stale message = %q", res.Stale[0].Message)
-	}
-	var suppressed, active int
-	for _, d := range res.Diags {
-		if d.Suppressed {
-			suppressed++
-		} else {
-			active++
-		}
-	}
-	if suppressed != 1 || active != 0 {
-		t.Fatalf("want 1 suppressed and 0 active diagnostics, got %d suppressed, %d active: %v",
-			suppressed, active, res.Diags)
+	if diags := analysis.Run(nil, pkgs); len(diags) != 0 {
+		t.Errorf("a run without spmddet reported its suppressions: %v", diags)
 	}
 }
 
@@ -271,13 +204,13 @@ func TestDeterministicOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs, err := loader.Load(fixtureRoot+"/collectivesym", fixtureRoot+"/portcontract",
-		fixtureRoot+"/blockingunderlock")
+	pkgs, err := loader.Load(fixtureRoot+"/portcontract", fixtureRoot+"/ctxcomm/ksp",
+		fixtureRoot+"/spmddet")
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := analysis.RunAnalyzers(pkgs)
-	second := analysis.RunAnalyzers(pkgs)
+	first := analysis.Run(analysis.Analyzers(), pkgs)
+	second := analysis.Run(analysis.Analyzers(), pkgs)
 	if !reflect.DeepEqual(first, second) {
 		t.Fatalf("two runs differ:\n%v\nvs\n%v", first, second)
 	}
@@ -305,11 +238,11 @@ func TestDeterministicOrder(t *testing.T) {
 	}
 }
 
-// TestRepoClean asserts the shipping tree holds zero findings — the same
-// gate CI's lint job enforces via cmd/lisi-vet.
+// TestRepoClean asserts the shipping tree holds zero findings, stale
+// suppressions included — the lisi-vet gate of every `go test ./...`.
 func TestRepoClean(t *testing.T) {
 	if testing.Short() {
-		t.Skip("repo-wide type-check is slow; covered by CI lint job")
+		t.Skip("repo-wide type-check is slow; go test without -short runs it")
 	}
 	loader, err := sharedLoader()
 	if err != nil {
@@ -319,8 +252,7 @@ func TestRepoClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags := analysis.RunAnalyzers(pkgs)
-	for _, d := range diags {
+	for _, d := range analysis.Run(analysis.Analyzers(), pkgs) {
 		t.Errorf("%s", d.String())
 	}
 }

@@ -2,288 +2,28 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 )
 
-// BufOwn enforces the pooled-buffer ownership contract of
-// docs/PERFORMANCE.md across the comm layer's clients and the comm
-// runtime itself. Three checks, mapped to the ownership rules:
-//
-//  1. In-flight aliasing (rules 1, 3, 4): a buffer handed to a comm
-//     payload call launched asynchronously (`go c.SendFloat64sPooled(…)`,
-//     `go c.AllReduceFloat64sInPlace(…)`, a goroutine literal capturing
-//     the buffer, or a helper that transitively posts the parameter —
-//     summaries look through module-local calls) is in flight for the
-//     rest of the function. Writing such a buffer races with the
-//     runtime's staging copy; for the mutating *Into/*InPlace/Recv
-//     family even reads race, because the runtime writes the buffer
-//     back. The scan is a linear source-order approximation per
-//     function, like blockingunderlock's lock tracking.
-//
-//  2. Recycle discipline (rule 2), comm runtime only: after putBuf(pb)
-//     returns a pooled payload to the world's pool, pb is pool
-//     property — recycling it again (double-recycle) or touching pb
-//     (use-after-recycle, e.g. returning pb.f) hands two owners the
-//     same backing array. Applies to packages whose import path ends
-//     in /comm, which covers the runtime and its fixtures; `make
-//     vet-self` keeps the runtime honest.
-//
-//  3. Ownership boundary (rule 5): a method that stages a receiver
-//     field into SendFloat64sPooled owns that staging buffer privately
-//     and forever; another method of the same type returning the field
-//     leaks it across the ownership boundary — the caller may retain
-//     or mutate it while later sends stage into it.
+// BufOwn enforces the ownership boundary of the pooled-buffer contract in
+// docs/PERFORMANCE.md (rule 5): a method that stages a receiver field
+// into SendFloat64sPooled owns that staging buffer privately and
+// forever; another method of the same type returning the field leaks it
+// across the ownership boundary — the caller may retain or mutate it
+// while later sends stage into it. No test sees the leak until a caller
+// misuses the buffer (docs/ANALYSIS.md's seed table); the in-flight and
+// recycle rules of the same contract are caught by -race and the
+// bitwise tests instead.
 var BufOwn = &Analyzer{
 	Name: "bufown",
-	Doc: "enforces the pooled-buffer ownership contract (docs/PERFORMANCE.md): no aliasing of buffers " +
-		"posted to in-flight async comm calls, no double-recycle or use-after-recycle of pooled payloads " +
-		"in the comm runtime, no returning plan-owned pooled staging buffers across ownership boundaries",
-	Run: runBufOwn,
+	Doc: "enforces the pooled-buffer ownership boundary (docs/PERFORMANCE.md rule 5): no returning " +
+		"plan-owned pooled staging buffers from a method of the type that stages them",
+	Run: bufownStagingBoundary,
 }
 
-func runBufOwn(pass *Pass) {
-	for _, f := range pass.Pkg.Files {
-		funcsOf(f, func(name string, body *ast.BlockStmt) {
-			bufownInflight(pass, body)
-		})
-	}
-	if seg := pass.Pkg.Path; seg == "comm" || strings.HasSuffix(seg, "/comm") {
-		for _, f := range pass.Pkg.Files {
-			funcsOf(f, func(name string, body *ast.BlockStmt) {
-				bufownRecycle(pass, body)
-			})
-		}
-	}
-	bufownStagingBoundary(pass)
-}
-
-// inflightPost is one buffer posted to an asynchronous comm payload call.
-type inflightPost struct {
-	key     string    // exprString of the posted buffer
-	call    string    // the comm call (or helper) holding it
-	mutates bool      // the call writes the buffer
-	end     token.Pos // the go statement's end: uses past this race
-}
-
-// payloadUse describes one slice argument of a call that the comm layer
-// will read (or write) as a message payload.
-type payloadUse struct {
-	arg     ast.Expr
-	call    string
-	mutates bool
-}
-
-// payloadsOf returns the payload buffers a call posts: the slice
-// arguments of a direct comm blocking call, or the arguments a
-// module-local callee transitively hands to the comm layer (via its
-// summary).
-func payloadsOf(pass *Pass, call *ast.CallExpr) []payloadUse {
-	info := pass.Pkg.Info
-	var out []payloadUse
-	if name, ok := isBlockingCommCall(info, call); ok {
-		mut := commCallMutatesPayload(name)
-		for _, arg := range call.Args {
-			if isSliceExpr(info, arg) {
-				out = append(out, payloadUse{arg: arg, call: "Comm." + name, mutates: mut})
-			}
-		}
-		return out
-	}
-	if pass.Prog == nil {
-		return nil
-	}
-	sum := pass.Prog.SummaryOf(info, call)
-	if len(sum.Payload) == 0 {
-		return nil
-	}
-	for j, arg := range call.Args {
-		pp, ok := sum.Payload[j]
-		if !ok || len(pp.Calls) == 0 {
-			continue
-		}
-		out = append(out, payloadUse{arg: arg, call: exprString(call.Fun) + " (→ " + pp.Calls[0] + ")", mutates: pp.Mutates})
-	}
-	return out
-}
-
-// bufownInflight implements check 1 for one function body.
-func bufownInflight(pass *Pass, body *ast.BlockStmt) {
-	var posts []inflightPost
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		g, ok := n.(*ast.GoStmt)
-		if !ok {
-			return true
-		}
-		if lit, ok := ast.Unparen(g.Call.Fun).(*ast.FuncLit); ok {
-			// `go func() { c.SendFloat64sPooled(…, buf) }()`: captured
-			// buffers (declared outside the literal) are in flight.
-			ast.Inspect(lit.Body, func(m ast.Node) bool {
-				call, ok := m.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				for _, pu := range payloadsOf(pass, call) {
-					obj := rootObject(pass.Pkg.Info, pu.arg)
-					if obj == nil || (obj.Pos() >= lit.Pos() && obj.Pos() <= lit.End()) {
-						continue // literal-local buffer: not shared
-					}
-					posts = append(posts, inflightPost{
-						key: exprString(pu.arg), call: pu.call, mutates: pu.mutates, end: g.End(),
-					})
-				}
-				return true
-			})
-			return true
-		}
-		for _, pu := range payloadsOf(pass, g.Call) {
-			posts = append(posts, inflightPost{
-				key: exprString(pu.arg), call: pu.call, mutates: pu.mutates, end: g.End(),
-			})
-		}
-		return true
-	})
-	if len(posts) == 0 {
-		return
-	}
-	reported := make(map[string]bool)
-	report := func(pos token.Pos, p inflightPost, how string) {
-		key := p.key + ":" + itoa(pass.Fset.Position(pos).Line)
-		if reported[key] {
-			return
-		}
-		reported[key] = true
-		pass.Report(pos,
-			how+" of "+p.key+" while it is posted to in-flight "+p.call+" races with the runtime's use of the buffer",
-			"wait for the asynchronous call to complete before touching "+p.key+", give the call its own buffer, or suppress with //lisi:ignore bufown <reason>")
-	}
-	for _, p := range posts {
-		p := p
-		ast.Inspect(body, func(n ast.Node) bool {
-			switch s := n.(type) {
-			case *ast.AssignStmt:
-				for _, lhs := range s.Lhs {
-					if lhs.Pos() > p.end && rootedMatch(lhs, p.key) {
-						report(lhs.Pos(), p, "write")
-					}
-				}
-			case *ast.IncDecStmt:
-				if s.Pos() > p.end && rootedMatch(s.X, p.key) {
-					report(s.Pos(), p, "write")
-				}
-			case *ast.CallExpr:
-				if n.Pos() <= p.end {
-					return true
-				}
-				if isBuiltinCall(pass.Pkg.Info, s, "copy") && len(s.Args) > 0 && rootedMatch(s.Args[0], p.key) {
-					report(s.Args[0].Pos(), p, "write")
-				}
-				for _, pu := range payloadsOf(pass, s) {
-					if pu.mutates && rootedMatch(pu.arg, p.key) {
-						report(pu.arg.Pos(), p, "write")
-					}
-				}
-			case ast.Expr:
-				// For mutating posts even a read races: the collective
-				// writes the buffer back while the reader looks at it.
-				if p.mutates && n.Pos() > p.end && exprString(s) == p.key {
-					report(n.Pos(), p, "use")
-				}
-			}
-			return true
-		})
-	}
-}
-
-// rootedMatch reports whether e, or the expression it indexes/slices
-// into, renders exactly as key (`buf[0]` matches key `buf`; `o.sendBuf`
-// matches key `o.sendBuf`).
-func rootedMatch(e ast.Expr, key string) bool {
-	for {
-		if exprString(e) == key {
-			return true
-		}
-		switch x := e.(type) {
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.SliceExpr:
-			e = x.X
-		default:
-			return false
-		}
-	}
-}
-
-// bufownRecycle implements check 2 for one function body of the comm
-// runtime: linear source-order tracking of putBuf'd payloads.
-func bufownRecycle(pass *Pass, body *ast.BlockStmt) {
-	info := pass.Pkg.Info
-	type recycleEvent struct {
-		obj  types.Object
-		name string
-		end  token.Pos
-	}
-	var recycled []recycleEvent
-	// inRecycleCall spans every putBuf argument list, so the
-	// use-after-recycle scan below does not re-report the argument of a
-	// call already flagged as a double recycle.
-	type posRange struct{ lo, hi token.Pos }
-	var inRecycleCall []posRange
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok || calleeName(call) != "putBuf" || len(call.Args) == 0 {
-			return true
-		}
-		inRecycleCall = append(inRecycleCall, posRange{lo: call.Pos(), hi: call.End()})
-		// putBuf's first payload-typed argument is the recycled buffer
-		// (the world method takes (pb, stats); a fixture may differ).
-		obj := rootObject(info, call.Args[0])
-		if obj == nil {
-			return true
-		}
-		for _, r := range recycled {
-			if r.obj == obj {
-				pass.Report(call.Pos(),
-					"pooled payload "+obj.Name()+" is recycled twice (putBuf); the pool would hand the same backing array to two owners",
-					"recycle exactly once on each path, or suppress with //lisi:ignore bufown <reason>")
-				return true
-			}
-		}
-		recycled = append(recycled, recycleEvent{obj: obj, name: obj.Name(), end: call.End()})
-		return true
-	})
-	if len(recycled) == 0 {
-		return
-	}
-	for _, r := range recycled {
-		r := r
-		ast.Inspect(body, func(n ast.Node) bool {
-			id, ok := n.(*ast.Ident)
-			if !ok || id.Pos() <= r.end || info.Uses[id] != r.obj {
-				return true
-			}
-			for _, rng := range inRecycleCall {
-				if id.Pos() >= rng.lo && id.Pos() < rng.hi {
-					return true
-				}
-			}
-			pass.Report(id.Pos(),
-				"pooled payload "+r.name+" is used after being recycled (putBuf); the pool may already have handed its backing array to another sender",
-				"read everything you need from the buffer before recycling it, or suppress with //lisi:ignore bufown <reason>")
-			return false
-		})
-	}
-}
-
-// bufownStagingBoundary implements check 3: receiver fields staged into
-// pooled sends anywhere in the type's methods must not be returned by
-// any method of that type.
+// bufownStagingBoundary reports receiver fields staged into pooled sends
+// anywhere in the type's methods and returned by any method of that type.
 func bufownStagingBoundary(pass *Pass) {
 	info := pass.Pkg.Info
 	// Pass A: fields of each receiver type posted to SendFloat64sPooled.
@@ -422,6 +162,28 @@ func receiverField(info *types.Info, e ast.Expr, recv types.Object) string {
 			return ""
 		default:
 			return ""
+		}
+	}
+}
+
+// rootObject unwraps index/slice/paren expressions and returns the
+// object of the root identifier, or nil.
+func rootObject(info *types.Info, e ast.Expr) types.Object {
+	for {
+		switch x := e.(type) {
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.SliceExpr:
+			e = x.X
+		case *ast.Ident:
+			if obj := info.Uses[x]; obj != nil {
+				return obj
+			}
+			return info.Defs[x]
+		default:
+			return nil
 		}
 	}
 }

@@ -12,16 +12,16 @@ import (
 //
 // and silence that analyzer's diagnostics on the same line, or — when the
 // comment stands alone — on the next source line. The reason is mandatory:
-// an ignore that does not say why it is safe is reported as a finding of
-// its own, so the suppression inventory stays auditable. <analyzer> may be
-// a suite analyzer name or "all".
+// an ignore that does not say why it is safe, names no suite analyzer, or
+// silences nothing in a run of its analyzer is reported as a finding of
+// its own, so the suppression inventory stays auditable.
 const ignorePrefix = "lisi:ignore"
 
-// ignoreEntry is one well-formed suppression comment, tracked so the
-// audit mode can report comments that no longer suppress anything.
+// ignoreEntry is one well-formed suppression comment, tracked so a run
+// can report comments that no longer suppress anything.
 type ignoreEntry struct {
 	pos  token.Position // position of the comment itself
-	name string         // analyzer name or "all"
+	name string         // analyzer name
 	used bool           // set when a diagnostic matched this entry
 }
 
@@ -55,12 +55,12 @@ func newIgnoreIndex(fset *token.FileSet, files []*ast.File) *ignoreIndex {
 					continue
 				}
 				name := fields[0]
-				if name != "all" && ByName(name) == nil {
+				if !knownAnalyzer(name) {
 					ix.malformed = append(ix.malformed, Diagnostic{
 						Pos:      pos,
 						Analyzer: "lisi-vet",
 						Message:  "suppression names unknown analyzer " + name,
-						Hint:     "use one of the lisi-vet analyzer names or \"all\"",
+						Hint:     "use one of the analyzer names lisi-vet -list prints",
 					})
 					continue
 				}
@@ -85,14 +85,14 @@ func newIgnoreIndex(fset *token.FileSet, files []*ast.File) *ignoreIndex {
 	return ix
 }
 
-// stale returns one diagnostic per entry that suppressed nothing.
-// Callers must have fed every diagnostic of the run through suppresses
-// first, and are expected to have run the full analyzer suite — with a
-// partial suite an ignore naturally looks unused.
-func (ix *ignoreIndex) stale() []Diagnostic {
+// stale returns one diagnostic per entry that names an analyzer that ran
+// and suppressed nothing. Callers must have fed every diagnostic of the
+// run through suppresses first; an entry for an analyzer that did not run
+// could not have been used, so it is not reported.
+func (ix *ignoreIndex) stale(ran map[string]bool) []Diagnostic {
 	var out []Diagnostic
 	for _, e := range ix.entries {
-		if e.used {
+		if e.used || !ran[e.name] {
 			continue
 		}
 		out = append(out, Diagnostic{
@@ -103,6 +103,16 @@ func (ix *ignoreIndex) stale() []Diagnostic {
 		})
 	}
 	return out
+}
+
+// knownAnalyzer reports whether name is one of the suite's analyzers.
+func knownAnalyzer(name string) bool {
+	for _, a := range Analyzers() {
+		if a.Name == name {
+			return true
+		}
+	}
+	return false
 }
 
 func lineKey(file string, line int) string {
@@ -125,20 +135,12 @@ func itoa(n int) string {
 }
 
 // suppresses reports whether d is silenced by an ignore comment, and
-// marks the matching entry used for the stale audit.
+// marks the matching entry used for the stale check.
 func (ix *ignoreIndex) suppresses(d Diagnostic) bool {
-	set := ix.byLine[lineKey(d.Pos.Filename, d.Pos.Line)]
-	if set == nil {
+	e := ix.byLine[lineKey(d.Pos.Filename, d.Pos.Line)][d.Analyzer]
+	if e == nil {
 		return false
 	}
-	hit := false
-	if e := set[d.Analyzer]; e != nil {
-		e.used = true
-		hit = true
-	}
-	if e := set["all"]; e != nil {
-		e.used = true
-		hit = true
-	}
-	return hit
+	e.used = true
+	return true
 }

@@ -82,9 +82,6 @@ func modulePath(gomod string) (string, error) {
 	return "", fmt.Errorf("analysis: no module directive in %s", gomod)
 }
 
-// Fset returns the loader's shared file set.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 // Load expands the given patterns (a directory, an import path below the
 // module, or either with a trailing /... wildcard) and returns the matched
 // packages, type-checked, sorted by import path. Directories named testdata

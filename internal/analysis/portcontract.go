@@ -11,28 +11,18 @@ import (
 // The SIDL-derived interface reports failure through int status codes and
 // the native solvers through error returns; both are trivial to drop on
 // the floor in Go, and a dropped ErrBadState/ErrSolveFailed turns a
-// mis-sequenced port conversation into silently wrong numbers. Three
-// checks:
+// mis-sequenced port conversation into silently wrong numbers — on the
+// failure paths no test takes (docs/ANALYSIS.md's seed table). Two checks:
 //
 //  1. a call to a SparseSolver method whose int status result is discarded
 //     (expression statement, `go`/`defer`, or assigned to `_`),
 //  2. a discarded `error` from the solver driver entry points
 //     (Solve, SolveProblem, SolveRefined, SetupMatrix*, SetupRHS*),
-//  3. a Solve on a SparseSolver obtained *in the same function* with no
-//     preceding SetupMatrix*/SetupRHS call on that receiver — the §5.2
-//     call-order contract (Initialize → setters → SetupMatrix* → SetupRHS
-//     → Solve). Solvers received as parameters or fields are assumed set
-//     up by the caller and are not checked,
-//  4. a core.Session.Solve whose SolveResult is assigned to the blank
-//     identifier: the result carries the typed FailReason (and the
-//     Aborted/failover classification) that the resilience layer keys
-//     on — `_, err :=` throws away the only way to tell a breakdown
-//     from an injected-fault abort.
+//     including `x, _ :=` swallowing the error.
 var PortContract = &Analyzer{
 	Name: "portcontract",
-	Doc: "flags ignored status/error results of LISI port and solver driver calls, Solve calls " +
-		"on a locally obtained SparseSolver that skip SetupMatrix*/SetupRHS, and discarded " +
-		"Session.Solve results (typed FailReason thrown away)",
+	Doc: "flags ignored status codes of LISI port calls and ignored errors of solver driver calls " +
+		"(Solve, SolveProblem, SolveRefined, SetupMatrix*, SetupRHS*)",
 	Run: runPortContract,
 }
 
@@ -49,9 +39,8 @@ func isPortEntryName(name string) bool {
 func runPortContract(pass *Pass) {
 	iface := sparseSolverIface(pass.Pkg.Types)
 	for _, f := range pass.Pkg.Files {
-		funcsOf(f, func(name string, body *ast.BlockStmt) {
+		funcsOf(f, func(body *ast.BlockStmt) {
 			checkDiscarded(pass, iface, body)
-			checkSolveDominated(pass, iface, body)
 		})
 	}
 }
@@ -86,15 +75,6 @@ func checkDiscarded(pass *Pass, iface *types.Interface, body *ast.BlockStmt) {
 			if allBlank(n.Lhs) {
 				reportDiscardedCall(pass, iface, call, "assigned to _")
 				return true
-			}
-			if name, ok := sessionSolveCall(info, call); ok && len(n.Lhs) == 2 {
-				if id, ok := n.Lhs[0].(*ast.Ident); ok && id.Name == "_" {
-					pass.Report(call.Pos(),
-						"SolveResult of "+name+" assigned to _; the typed FailReason (breakdown vs divergence vs "+
-							"injected-fault abort) and the retry/failover classification are discarded",
-						"keep the result and inspect res.FailReason/res.Aborted (or suppress with //lisi:ignore portcontract <reason>)")
-					return true
-				}
 			}
 			if name, ok := portEntryErrorCall(info, call); ok && len(n.Lhs) > 1 {
 				if id, ok := n.Lhs[len(n.Lhs)-1].(*ast.Ident); ok && id.Name == "_" {
@@ -179,92 +159,6 @@ func portEntryErrorCall(info *types.Info, call *ast.CallExpr) (string, bool) {
 		return "", false
 	}
 	return exprString(sel.X) + "." + sel.Sel.Name, true
-}
-
-// sessionSolveCall reports whether call is core.Session.Solve (the
-// service-level entry whose first result carries the typed FailReason),
-// returning a printable name.
-func sessionSolveCall(info *types.Info, call *ast.CallExpr) (string, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Solve" {
-		return "", false
-	}
-	tv, ok := info.Types[sel.X]
-	if !ok || !isCoreSession(tv.Type) {
-		return "", false
-	}
-	return exprString(sel.X) + ".Solve", true
-}
-
-// isCoreSession matches core.Session and *core.Session.
-func isCoreSession(t types.Type) bool {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := n.Obj()
-	return obj.Name() == "Session" && obj.Pkg() != nil && strings.HasSuffix(obj.Pkg().Path(), "internal/core")
-}
-
-// checkSolveDominated flags X.Solve(...) on a SparseSolver X obtained in
-// this function when no SetupMatrix*/SetupRHS call on X appears earlier in
-// source order.
-func checkSolveDominated(pass *Pass, iface *types.Interface, body *ast.BlockStmt) {
-	if iface == nil {
-		return
-	}
-	info := pass.Pkg.Info
-	setup := make(map[string]bool) // receivers with a setup call seen so far
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		tv, ok := info.Types[sel.X]
-		if !ok || !implementsIface(tv.Type, iface) {
-			return true
-		}
-		recv := exprString(sel.X)
-		switch {
-		case hasAnyPrefix(sel.Sel.Name, errorEntryPrefixes):
-			setup[recv] = true
-		case sel.Sel.Name == "Solve":
-			if !setup[recv] && localOrigin(info, sel.X, body) {
-				pass.Report(call.Pos(),
-					recv+".Solve without a prior SetupMatrix*/SetupRHS on "+recv+" in this function; "+
-						"the port contract (§5.2) is Initialize → setters → SetupMatrix* → SetupRHS → Solve",
-					"stage the system through SetupMatrix*/SetupRHS before Solve (or suppress with //lisi:ignore portcontract <reason> if setup happens elsewhere)")
-			}
-		}
-		return true
-	})
-}
-
-// localOrigin reports whether the root identifier of e names a variable
-// declared inside body (not a parameter, field or package-level variable):
-// only then is this function responsible for the full port conversation.
-func localOrigin(info *types.Info, e ast.Expr, body *ast.BlockStmt) bool {
-	for {
-		switch x := e.(type) {
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.Ident:
-			obj := info.Uses[x]
-			if obj == nil {
-				obj = info.Defs[x]
-			}
-			return obj != nil && obj.Pos() >= body.Pos() && obj.Pos() < body.End()
-		default:
-			return false
-		}
-	}
 }
 
 // sparseSolverIface locates core.SparseSolver in the package under

@@ -3,7 +3,7 @@
 package ignoremalformed
 
 func missingReason() {
-	//lisi:ignore collectivesym
+	//lisi:ignore portcontract
 	_ = 1
 }
 

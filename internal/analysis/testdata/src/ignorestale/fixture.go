@@ -1,18 +1,22 @@
-// Fixture for the -ignore-audit mode: the first suppression silences a
-// live finding and must not be reported; the second suppresses nothing
-// and must be flagged as stale.
+// Fixture for stale suppressions: the first silences a live finding and
+// must not be reported; the second silences nothing and is a finding of
+// its own.
 package ignorestale
 
-import "repro/internal/comm"
-
-func gated(c *comm.Comm) {
-	if c.Rank() == 0 {
-		//lisi:ignore collectivesym fixture: suppression in active use
-		c.Barrier()
+func folded(weights map[string]float64) float64 {
+	total := 0.0
+	for _, w := range weights {
+		//lisi:ignore spmddet fixture: suppression in active use
+		total += w
 	}
+	return total
 }
 
-func clean(c *comm.Comm) {
-	//lisi:ignore collectivesym nothing fires on the next line
-	c.Barrier()
+func counted(counts map[string]int) int {
+	n := 0
+	for _, v := range counts {
+		//lisi:ignore spmddet nothing fires on the next line
+		n += v
+	}
+	return n
 }

@@ -1,17 +1,8 @@
-// Fixture for the portcontract analyzer: discarded LISI status codes,
-// discarded solver errors, and Solve calls that skip the §5.2 setup
-// sequence on a locally obtained port must be flagged.
+// Fixture for the portcontract analyzer: discarded LISI status codes and
+// discarded solver errors must be flagged.
 package portcontract
 
-import (
-	"repro/internal/comm"
-	"repro/internal/core"
-)
-
-// fake implements core.SparseSolver through embedding, as a test double.
-type fake struct{ core.SparseSolver }
-
-func newFake() core.SparseSolver { return &fake{} }
+import "repro/internal/core"
 
 func droppedStatus(s core.SparseSolver, b []float64) {
 	s.SetupRHS(b, len(b), 1) // want "LISI status code of s.SetupRHS discarded"
@@ -38,36 +29,6 @@ func blankError(n *native, b []float64) []float64 {
 	return x
 }
 
-func undominatedSolve(c *comm.Comm, x, st []float64) {
-	s := newFake()
-	if code := s.Initialize(c); code != core.OK {
-		return
-	}
-	if code := s.Solve(x, st, len(x), len(st)); code != core.OK { // want "s.Solve without a prior SetupMatrix"
-		return
-	}
-}
-
-// dominatedSolve follows the contract: SetupMatrix*/SetupRHS before Solve.
-func dominatedSolve(x, st, vals, b []float64, rows, cols []int) {
-	s := newFake()
-	if code := s.SetupMatrixCOO(vals, rows, cols, len(vals)); code != core.OK {
-		return
-	}
-	if code := s.SetupRHS(b, len(b), 1); code != core.OK {
-		return
-	}
-	if code := s.Solve(x, st, len(x), len(st)); code != core.OK {
-		return
-	}
-}
-
-// parameterSolve is set up by the caller; parameters are out of scope for
-// the dominance check.
-func parameterSolve(s core.SparseSolver, x, st []float64) int {
-	return s.Solve(x, st, len(x), len(st))
-}
-
 // handledStatus consumes every status code; nothing to flag.
 func handledStatus(s core.SparseSolver, b []float64) error {
 	if code := s.SetupRHS(b, len(b), 1); code != core.OK {
@@ -79,28 +40,4 @@ func handledStatus(s core.SparseSolver, b []float64) error {
 func suppressed(s core.SparseSolver, b []float64) {
 	//lisi:ignore portcontract fixture: exercising the suppression path
 	s.SetupRHS(b, len(b), 1)
-}
-
-// blankSessionResult throws away the SolveResult — and with it the
-// typed FailReason the resilience layer reports — keeping only the
-// error. The analyzer must flag the blank first result.
-func blankSessionResult(s *core.Session, x []float64) error {
-	_, err := s.Solve(nil, x) // want "SolveResult of s.Solve assigned to _"
-	return err
-}
-
-// keptSessionResult inspects the typed result; nothing to flag.
-func keptSessionResult(s *core.Session, x []float64) core.FailReason {
-	res, err := s.Solve(nil, x)
-	if err != nil {
-		return res.FailReason
-	}
-	return core.FailNone
-}
-
-// suppressedSessionResult documents why the result is dropped.
-func suppressedSessionResult(s *core.Session, x []float64) error {
-	//lisi:ignore portcontract fixture: exercising the suppression path
-	_, err := s.Solve(nil, x)
-	return err
 }

@@ -1,8 +1,6 @@
 // Fixture for the spmddet analyzer: comm calls and floating-point folds
-// ordered by map iteration, goroutine-shared float accumulation, and
-// pool-task Range methods folding into shared floats must be flagged;
-// the sorted-keys idiom, integer folds, key collection and the
-// per-slot partials idiom must not.
+// ordered by map iteration must be flagged; the sorted-keys idiom,
+// integer folds and key collection must not.
 package spmddet
 
 import (
@@ -14,25 +12,6 @@ import (
 func mapOrderSend(c *comm.Comm, byPeer map[int][]float64) {
 	for peer, data := range byPeer {
 		c.SendFloat64sPooled(peer, 0, data) // want "comm call Comm.SendFloat64sPooled is issued in map iteration order"
-	}
-}
-
-// sendTo is the helper the interprocedural case looks through.
-func sendTo(c *comm.Comm, peer int, data []float64) {
-	c.SendFloat64sPooled(peer, 0, data)
-}
-
-func mapOrderHelper(c *comm.Comm, byPeer map[int][]float64) {
-	for peer, data := range byPeer {
-		sendTo(c, peer, data) // want "call to sendTo inside a map range transitively performs comm"
-	}
-}
-
-// sliceOrderHelper is the legal interprocedural shape: the same helper,
-// iterated in deterministic slice order.
-func sliceOrderHelper(c *comm.Comm, peers []int, data []float64) {
-	for _, p := range peers {
-		sendTo(c, p, data)
 	}
 }
 
@@ -85,113 +64,4 @@ func loopLocalFold(rows map[int][]float64) map[int]float64 {
 		out[k] = s
 	}
 	return out
-}
-
-func goroutineSharedFold(parts [][]float64) float64 {
-	var sum float64
-	done := make(chan struct{})
-	for _, p := range parts {
-		p := p
-		go func() {
-			for _, v := range p {
-				sum += v // want "goroutine accumulates into shared float sum"
-			}
-			done <- struct{}{}
-		}()
-	}
-	for range parts {
-		<-done
-	}
-	return sum
-}
-
-// goroutinePerSlot is the supported idiom: each goroutine owns one slot,
-// the fold over slots happens in index order after the join.
-func goroutinePerSlot(parts [][]float64) float64 {
-	partials := make([]float64, len(parts))
-	done := make(chan struct{})
-	for i, p := range parts {
-		i, p := i, p
-		go func() {
-			for _, v := range p {
-				partials[i] += v
-			}
-			done <- struct{}{}
-		}()
-	}
-	for range parts {
-		<-done
-	}
-	total := 0.0
-	for _, v := range partials {
-		total += v
-	}
-	return total
-}
-
-// poolFoldTask is the unordered pool fold: every worker's Range call
-// accumulates into one shared receiver field, so partials fold in
-// worker completion order.
-type poolFoldTask struct {
-	vals []float64
-	sum  float64
-}
-
-func (t *poolFoldTask) Range(slot, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		t.sum += t.vals[i] // want "pool task Range accumulates into shared float t.sum"
-	}
-}
-
-var poolGrandTotal float64
-
-// globalFoldTask folds into a package-level float from inside Range —
-// the same hazard through a captured global, in spelled-out form.
-type globalFoldTask struct{ vals []float64 }
-
-func (t *globalFoldTask) Range(_, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		poolGrandTotal = poolGrandTotal + t.vals[i] // want "pool task Range accumulates into shared float poolGrandTotal"
-	}
-}
-
-// slotFoldTask is the sanctioned par slot-partial idiom: each worker
-// accumulates into a body-local and writes only its own slot; the
-// caller folds the slots in slot order after Run returns.
-type slotFoldTask struct {
-	vals     []float64
-	partials []float64
-}
-
-func (t *slotFoldTask) Range(slot, lo, hi int) {
-	s := 0.0
-	for i := lo; i < hi; i++ {
-		s += t.vals[i]
-	}
-	t.partials[slot] += s
-}
-
-// rowOwnerTask is the row-parallel kernel shape: a body-local
-// accumulator per row, written to a row this worker owns.
-type rowOwnerTask struct {
-	rows [][]float64
-	out  []float64
-}
-
-func (t *rowOwnerTask) Range(_, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		s := 0.0
-		for _, v := range t.rows[i] {
-			s += v
-		}
-		t.out[i] = s
-	}
-}
-
-// notATask has a Range method without the par.Task (slot, lo, hi int)
-// shape; it runs on one goroutine, so field accumulation is fine.
-type notATask struct{ sum float64 }
-
-func (t *notATask) Range(lo, hi int) {
-	t.sum += float64(hi - lo)
 }

@@ -119,19 +119,41 @@ type Measurement struct {
 // simulated processors. Cancelling ctx unblocks every rank and returns
 // the cancellation cause.
 func RunCCA(ctx context.Context, p int, solver Solver, gridN int, params map[string]string) (Measurement, error) {
+	res, wall, _, err := runCCA(ctx, p, solver, mesh.PaperProblem(gridN), params, nil)
+	m := Measurement{Seconds: wall}
+	if res != nil {
+		m.Iterations = res.Iterations
+	}
+	return m, err
+}
+
+// RunNonCCA executes the identical solve with direct native-package
+// calls (mesh generation included, exactly as in the CCA path).
+func RunNonCCA(ctx context.Context, p int, solver Solver, gridN int, params map[string]string) (Measurement, error) {
+	iters, wall, _, err := runNative(ctx, p, solver, mesh.PaperProblem(gridN), params, nil)
+	return Measurement{Seconds: wall, Iterations: iters}, err
+}
+
+// runCCA is the one CCA assembly: on every rank a framework, a driver
+// component and the solver component connected through the SparseSolver
+// port, then one SolveProblem timed between two barriers. rec rides on
+// rank 0's driver (nil for the timed Figure 5 / Table 1 runs). It returns
+// rank 0's driver result (nil when the solve failed) and wall time, and
+// the world for its comm totals; the world is nil when it never ran.
+func runCCA(ctx context.Context, p int, solver Solver, problem mesh.Problem, params map[string]string, rec *telemetry.Recorder) (*core.Result, float64, *comm.World, error) {
 	class, err := solver.class()
 	if err != nil {
-		return Measurement{}, err
+		return nil, 0, nil, err
 	}
-	problem := mesh.PaperProblem(gridN)
 	w, err := newWorld(p)
 	if err != nil {
-		return Measurement{}, err
+		return nil, 0, nil, err
 	}
 	// Collect garbage left by the previous measurement so its cost is not
 	// billed to this one (both paths allocate heavily).
 	runtime.GC()
-	var m Measurement
+	var res *core.Result
+	var wall float64
 	var solveErr error
 	err = w.RunContext(ctx, func(c *comm.Comm) {
 		fw := cca.NewFramework(c)
@@ -149,58 +171,59 @@ func RunCCA(ctx context.Context, p int, solver Solver, gridN int, params map[str
 		}
 		comp, _ := fw.Instance("driver")
 		driver := comp.(*core.DriverComponent)
+		if c.Rank() == 0 {
+			driver.SetRecorder(rec)
+		}
 
 		c.Barrier()
 		start := time.Now()
-		res, err := driver.SolveProblem(problem, core.CSR, params)
+		r, err := driver.SolveProblem(problem, core.CSR, params)
 		c.Barrier()
 		if c.Rank() == 0 {
-			m.Seconds = time.Since(start).Seconds()
-			if err != nil {
-				solveErr = err
-				return
-			}
-			m.Iterations = res.Iterations
+			wall = time.Since(start).Seconds()
+			res, solveErr = r, err
 		}
 	})
 	if err != nil {
-		return Measurement{}, err
+		return nil, 0, nil, err
 	}
-	return m, solveErr
+	return res, wall, w, solveErr
 }
 
-// RunNonCCA executes the identical solve with direct native-package
-// calls (mesh generation included, exactly as in the CCA path).
-func RunNonCCA(ctx context.Context, p int, solver Solver, gridN int, params map[string]string) (Measurement, error) {
+// runNative is the one NonCCA run: the native solve of nativeSolveRec
+// timed between two barriers on every rank, with rec (nil for the timed
+// runs) on rank 0. It returns rank 0's iteration count and wall time, and
+// the world for its comm totals; the world is nil when it never ran.
+func runNative(ctx context.Context, p int, solver Solver, problem mesh.Problem, params map[string]string, rec *telemetry.Recorder) (int, float64, *comm.World, error) {
 	if _, err := solver.class(); err != nil {
-		return Measurement{}, err
+		return 0, 0, nil, err
 	}
-	problem := mesh.PaperProblem(gridN)
 	w, err := newWorld(p)
 	if err != nil {
-		return Measurement{}, err
+		return 0, 0, nil, err
 	}
 	runtime.GC()
-	var m Measurement
+	var iters int
+	var wall float64
 	var solveErr error
 	err = w.RunContext(ctx, func(c *comm.Comm) {
+		var r *telemetry.Recorder
+		if c.Rank() == 0 {
+			r = rec
+		}
 		c.Barrier()
 		start := time.Now()
-		iters, err := nativeSolveRec(c, solver, problem, params, nil)
+		it, err := nativeSolveRec(c, solver, problem, params, r)
 		c.Barrier()
 		if c.Rank() == 0 {
-			m.Seconds = time.Since(start).Seconds()
-			if err != nil {
-				solveErr = err
-				return
-			}
-			m.Iterations = iters
+			wall = time.Since(start).Seconds()
+			iters, solveErr = it, err
 		}
 	})
 	if err != nil {
-		return Measurement{}, err
+		return 0, 0, nil, err
 	}
-	return m, solveErr
+	return iters, wall, w, solveErr
 }
 
 // nativeSolveRec is the hand-coded application a developer would write

@@ -3,13 +3,9 @@ package bench
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"strings"
-	"time"
 
-	"repro/internal/cca"
 	"repro/internal/comm"
-	"repro/internal/core"
 	"repro/internal/mesh"
 	"repro/internal/telemetry"
 )
@@ -59,119 +55,42 @@ func finishReport(r *telemetry.SolveReport, solver Solver, path string, p int, p
 // carries the port-overhead, setup, precond and iterate phases plus the
 // residual trace; comm totals are summed over all ranks after the run.
 func RunCCAReport(ctx context.Context, p int, solver Solver, gridN int, params map[string]string) (*telemetry.SolveReport, error) {
-	class, err := solver.class()
-	if err != nil {
-		return nil, err
-	}
 	problem := mesh.PaperProblem(gridN)
-	w, err := newWorld(p)
+	rec := telemetry.New()
+	res, wall, w, err := runCCA(ctx, p, solver, problem, params, rec)
 	if err != nil {
 		return nil, err
 	}
-	runtime.GC()
-	var rep *telemetry.SolveReport
-	var solveErr error
-	err = w.RunContext(ctx, func(c *comm.Comm) {
-		fw := cca.NewFramework(c)
-		if err := fw.CreateInstance("driver", core.ClassDriver); err != nil {
-			solveErr = err
-			return
-		}
-		if err := fw.CreateInstance("solver", class); err != nil {
-			solveErr = err
-			return
-		}
-		if err := fw.Connect("driver", "solver", "solver", core.PortSparseSolver); err != nil {
-			solveErr = err
-			return
-		}
-		comp, _ := fw.Instance("driver")
-		driver := comp.(*core.DriverComponent)
-
-		var rec *telemetry.Recorder
-		if c.Rank() == 0 {
-			rec = telemetry.New()
-		}
-		driver.SetRecorder(rec)
-
-		c.Barrier()
-		start := time.Now()
-		res, err := driver.SolveProblem(problem, core.CSR, params)
-		c.Barrier()
-		if c.Rank() == 0 {
-			wall := time.Since(start).Seconds()
-			if err != nil {
-				solveErr = err
-				return
-			}
-			r := rec.Report(string(solver))
-			finishReport(r, solver, "cca", p, problem)
-			r.Iterations = res.Iterations
-			r.FinalResidual = res.Residual
-			r.Converged = res.Converged
-			r.WallSeconds = wall
-			rep = r
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	if solveErr != nil {
-		return nil, solveErr
-	}
-	rep.Comm = statsToTelemetry(w.Stats())
-	return rep, nil
+	r := rec.Report(string(solver))
+	finishReport(r, solver, "cca", p, problem)
+	r.Iterations = res.Iterations
+	r.FinalResidual = res.Residual
+	r.Converged = res.Converged
+	r.WallSeconds = wall
+	r.Comm = statsToTelemetry(w.Stats())
+	return r, nil
 }
 
 // RunNonCCAReport executes the identical solve through direct native
 // calls with the same instrumentation, producing the baseline report the
 // CCA run is compared against.
 func RunNonCCAReport(ctx context.Context, p int, solver Solver, gridN int, params map[string]string) (*telemetry.SolveReport, error) {
-	if _, err := solver.class(); err != nil {
-		return nil, err
-	}
 	problem := mesh.PaperProblem(gridN)
-	w, err := newWorld(p)
+	rec := telemetry.New()
+	iters, wall, w, err := runNative(ctx, p, solver, problem, params, rec)
 	if err != nil {
 		return nil, err
 	}
-	runtime.GC()
-	var rep *telemetry.SolveReport
-	var solveErr error
-	err = w.RunContext(ctx, func(c *comm.Comm) {
-		var rec *telemetry.Recorder
-		if c.Rank() == 0 {
-			rec = telemetry.New()
-		}
-		c.Barrier()
-		start := time.Now()
-		iters, err := nativeSolveRec(c, solver, problem, params, rec)
-		c.Barrier()
-		if c.Rank() == 0 {
-			wall := time.Since(start).Seconds()
-			if err != nil {
-				solveErr = err
-				return
-			}
-			r := rec.Report(string(solver))
-			finishReport(r, solver, "noncca", p, problem)
-			r.Iterations = iters
-			r.Converged = true
-			r.WallSeconds = wall
-			if tr := r.ResidualTrace; len(tr) > 0 {
-				r.FinalResidual = tr[len(tr)-1].Residual
-			}
-			rep = r
-		}
-	})
-	if err != nil {
-		return nil, err
+	r := rec.Report(string(solver))
+	finishReport(r, solver, "noncca", p, problem)
+	r.Iterations = iters
+	r.Converged = true
+	r.WallSeconds = wall
+	if tr := r.ResidualTrace; len(tr) > 0 {
+		r.FinalResidual = tr[len(tr)-1].Residual
 	}
-	if solveErr != nil {
-		return nil, solveErr
-	}
-	rep.Comm = statsToTelemetry(w.Stats())
-	return rep, nil
+	r.Comm = statsToTelemetry(w.Stats())
+	return r, nil
 }
 
 // Attribution is one solver's CCA-vs-NonCCA overhead decomposition: the

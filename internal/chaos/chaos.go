@@ -188,7 +188,6 @@ func Run(cfg Config) (Result, error) {
 				e.setupErr = err
 				return
 			}
-			//lisi:ignore collectivesym Solve errors are collectively identical, every rank takes the same branch
 			e.residual = m.Residual(b, x)
 		}
 	})

@@ -217,7 +217,9 @@ func (b *baseAdapter) SetupMatrix(values []float64, rows, cols []int, ds SparseS
 // local-CSR staging form. This is precisely the adapter work the paper
 // assigns to the interface implementation ("it works as an adapter to
 // convert the input data format to the libraries' internal data
-// structure").
+// structure"). A NaN or ±Inf entry is ErrBadArg: every format's loop
+// reads each value once, and a rejection there leaves the previously
+// staged matrix whole.
 func (b *baseAdapter) SetupMatrixOffset(values []float64, rows, cols []int, ds SparseStruct, rowsLength, nnz, offset int) int {
 	defer b.rec.StartPhase(telemetry.PhasePortOverhead)()
 	b.rec.Add("lisi.setup_matrix_calls", 1)
@@ -243,7 +245,7 @@ func (b *baseAdapter) SetupMatrixOffset(values []float64, rows, cols []int, ds S
 			gi := rows[k] - offset
 			gj := cols[k] - offset
 			li := gi - b.startRow
-			if li < 0 || li >= b.localRows || gj < 0 || gj >= b.globalCols {
+			if li < 0 || li >= b.localRows || gj < 0 || gj >= b.globalCols || !finite(values[k]) {
 				return ErrBadArg
 			}
 			local.Append(li, gj, values[k])
@@ -265,7 +267,7 @@ func (b *baseAdapter) SetupMatrixOffset(values []float64, rows, cols []int, ds S
 			}
 			for k := lo; k < hi; k++ {
 				gj := cols[k] - offset
-				if gj < 0 || gj >= b.globalCols {
+				if gj < 0 || gj >= b.globalCols || !finite(values[k]) {
 					return ErrBadArg
 				}
 				local.Append(li, gj, values[k])
@@ -286,6 +288,9 @@ func (b *baseAdapter) SetupMatrixOffset(values []float64, rows, cols []int, ds S
 			return ErrBadArg
 		}
 		for li := 0; li < b.localRows; li++ {
+			if !finite(values[li]) {
+				return ErrBadArg
+			}
 			if values[li] != 0 {
 				local.Append(li, b.startRow+li, values[li])
 			}
@@ -295,7 +300,7 @@ func (b *baseAdapter) SetupMatrixOffset(values []float64, rows, cols []int, ds S
 			}
 			for k := lo; k < hi; k++ {
 				gj := rows[k] - offset
-				if gj < 0 || gj >= b.globalCols {
+				if gj < 0 || gj >= b.globalCols || !finite(values[k]) {
 					return ErrBadArg
 				}
 				local.Append(li, gj, values[k])
@@ -330,6 +335,11 @@ func (b *baseAdapter) SetupMatrixVBR(rpntr, cpntr, bpntr, bind, indx []int, valu
 	rows, cols := v.Dims()
 	if rows != b.localRows || cols != b.globalCols {
 		return ErrBadArg
+	}
+	for _, x := range values {
+		if !finite(x) {
+			return ErrBadArg
+		}
 	}
 	b.localA = v.ToCSR()
 	b.matVer++
@@ -370,7 +380,11 @@ func (b *baseAdapter) SetupMatrixFEM(nodesPerElem int, nodes []int, elemMats []f
 				if gj < 0 || gj >= b.globalCols {
 					return ErrBadArg
 				}
-				if v := mat[r*ke+c]; v != 0 {
+				v := mat[r*ke+c]
+				if !finite(v) {
+					return ErrBadArg
+				}
+				if v != 0 {
 					local.Append(li, gj, v)
 				}
 			}
@@ -398,7 +412,7 @@ func (b *baseAdapter) SetupRHS(rightHandSide []float64, numLocalRow, nRhs int) i
 	// before the copy, so the previously staged rhs stays whole.
 	need := numLocalRow * nRhs
 	for _, v := range rightHandSide[:need] {
-		if !(math.Abs(v) <= math.MaxFloat64) {
+		if !finite(v) {
 			return ErrBadArg
 		}
 	}
@@ -412,6 +426,10 @@ func (b *baseAdapter) SetupRHS(rightHandSide []float64, numLocalRow, nRhs int) i
 	b.nRhs = nRhs
 	return OK
 }
+
+// finite is the staging doors' one non-finite test: NaN fails the
+// comparison and ±Inf exceeds MaxFloat64.
+func finite(v float64) bool { return math.Abs(v) <= math.MaxFloat64 }
 
 // ---- generic parameters (§6.5) ----
 

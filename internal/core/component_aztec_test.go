@@ -15,7 +15,9 @@ import (
 // TestTrilinosNonFiniteOperatorTypedFailure: a NaN or Inf operator entry
 // reaching the ILUT set-up ends in a typed, non-aborting failure and
 // leaves no NaN in the solution — not a "converged" solve through a NaN
-// preconditioner. A zero row is typed singular through the same door.
+// preconditioner. A zero row is typed singular the same way. The doors
+// refuse a non-finite entry, so the poison is planted in the staged rows
+// past them.
 func TestTrilinosNonFiniteOperatorTypedFailure(t *testing.T) {
 	p := mesh.PaperProblem(9)
 	cases := []struct {
@@ -42,7 +44,6 @@ func TestTrilinosNonFiniteOperatorTypedFailure(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				tc.poison(a.Vals, a.RowPtr[40], a.RowPtr[41])
 				s, err := OpenSession("trilinos", c, SessionOptions{Params: map[string]string{
 					"solver": "cg", "tol": "1e-10", "maxits": "200",
 				}})
@@ -53,6 +54,8 @@ func TestTrilinosNonFiniteOperatorTypedFailure(t *testing.T) {
 				if err := s.Setup(l, a); err != nil {
 					t.Fatal(err)
 				}
+				staged := stagedRows(s)
+				tc.poison(staged.Vals, staged.RowPtr[40], staged.RowPtr[41])
 				if err := s.SetupRHS(b, 1); err != nil {
 					t.Fatal(err)
 				}

@@ -32,8 +32,8 @@ package par
 // methods run concurrently on pool workers and must not communicate,
 // must not write state shared with other slots, and must not fold
 // floating-point values into shared accumulators — accumulate into a
-// per-slot partial and fold after Run returns (the spmddet analyzer
-// enforces this shape on any Range(int, int, int) method).
+// per-slot partial and fold after Run returns (a shared fold fails
+// TestReductionsBitwiseAcrossWorkers and -race).
 type Task interface {
 	Range(slot, lo, hi int)
 }

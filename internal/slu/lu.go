@@ -45,8 +45,6 @@ type LU struct {
 	colPerm []int     // q: factor column -> original column
 	dr, dc  []float64 // equilibration scalings (nil when disabled)
 
-	anorm float64 // 1-norm of the (scaled) matrix, for RCond
-
 	// What a same-pattern refresh replays (Symbolic.replay) beside the
 	// arrays above. zRows[zPtr[k]:zPtr[k+1]] are the factor rows column k
 	// reached, left unpivoted and dropped from L because their value was

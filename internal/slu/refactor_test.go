@@ -42,7 +42,6 @@ func requireSameLU(t *testing.T, what string, got, want *LU) {
 		{"colPerm", slices.Equal(got.colPerm, want.colPerm)},
 		{"dr", slices.Equal(bits(got.dr), bits(want.dr))},
 		{"dc", slices.Equal(bits(got.dc), bits(want.dc))},
-		{"anorm", math.Float64bits(got.anorm) == math.Float64bits(want.anorm)},
 	} {
 		if !c.same {
 			t.Fatalf("%s: %s differs from the from-scratch factor", what, c.name)

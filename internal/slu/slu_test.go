@@ -129,32 +129,10 @@ func TestPivotingRescuesZeroDiagonal(t *testing.T) {
 	}
 }
 
-func TestSolveTranspose(t *testing.T) {
-	a := sparse.RandomUnsymmetric(35, 4, 5)
-	f, err := Factor(a, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	xstar := sparse.RandomVector(35, 6)
-	b := make([]float64, 35)
-	a.MulVecTrans(b, xstar) // b = Aᵀ x*
-	x, err := f.SolveTranspose(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	at := a.Transpose()
-	if r := residualInf(at, b, x); r > 1e-8 {
-		t.Errorf("transpose residual %g", r)
-	}
-}
-
 func TestSolveLengthValidation(t *testing.T) {
 	f, _ := Factor(sparse.Identity(4), DefaultOptions())
 	if _, err := f.Solve([]float64{1}); err == nil {
 		t.Error("short rhs accepted")
-	}
-	if _, err := f.SolveTranspose([]float64{1}); err == nil {
-		t.Error("short transpose rhs accepted")
 	}
 }
 
@@ -185,27 +163,6 @@ func TestIterativeRefinement(t *testing.T) {
 	// Dimension mismatch.
 	if _, err := f.Refine(sparse.Identity(3), b, x, 1); err == nil {
 		t.Error("mismatched Refine accepted")
-	}
-}
-
-func TestRCond(t *testing.T) {
-	// Identity: rcond ~ 1.
-	f, _ := Factor(sparse.Identity(20), Options{ColPerm: OrderNatural, PivotThreshold: 1})
-	if rc := f.RCond(); rc < 0.5 || rc > 1.5 {
-		t.Errorf("identity rcond = %g, want ≈1", rc)
-	}
-	// Graded matrix: small rcond.
-	coo := sparse.NewCOO(20, 20)
-	for i := 0; i < 20; i++ {
-		coo.Append(i, i, math.Pow(10, -float64(i)/2))
-	}
-	g, _ := Factor(coo.ToCSR(), Options{ColPerm: OrderNatural, PivotThreshold: 1})
-	if rc := g.RCond(); rc > 1e-6 {
-		t.Errorf("graded rcond = %g, want tiny", rc)
-	}
-	id := f.RCond()
-	if id <= g.RCond() {
-		t.Errorf("rcond ordering wrong: identity %g <= graded %g", id, g.RCond())
 	}
 }
 

@@ -102,11 +102,11 @@ func (s *Symbolic) matches(a *sparse.CSR, o Ordering) bool {
 }
 
 // scatter writes a's values, equilibrated when asked, into s.vals in
-// column order through the position map, and records the scalings and
-// the 1-norm of the scaled matrix in f. The scalings bring the largest
-// entry of every row and column of dr·A·dc to about 1, as SuperLU's
-// sgsequ does; each value sees the two multiplies an in-place row scale
-// followed by a column scale would give it.
+// column order through the position map, and records the scalings in f.
+// The scalings bring the largest entry of every row and column of
+// dr·A·dc to about 1, as SuperLU's sgsequ does; each value sees the two
+// multiplies an in-place row scale followed by a column scale would give
+// it.
 func (s *Symbolic) scatter(f *LU, a *sparse.CSR, equilibrate bool) error {
 	n, vals, pos := s.n, s.vals, s.pos
 	if !equilibrate {
@@ -149,17 +149,6 @@ func (s *Symbolic) scatter(f *LU, a *sparse.CSR, equilibrate bool) error {
 			}
 		}
 		f.dr, f.dc = dr, dc
-	}
-	// Column sums accumulate in row-major order, as CSR.NormOne's do.
-	f.anorm = 0
-	for j := 0; j < n; j++ {
-		sum := 0.0
-		for _, v := range vals[s.colPtr[j]:s.colPtr[j+1]] {
-			sum += math.Abs(v)
-		}
-		if sum > f.anorm {
-			f.anorm = sum
-		}
 	}
 	return nil
 }

@@ -88,24 +88,6 @@ func (a *CSR) MulVecAdd(y, x []float64) {
 	}
 }
 
-// MulVecTrans computes y = Aᵀ*x.
-func (a *CSR) MulVecTrans(y, x []float64) {
-	checkDims("CSR.MulVecTrans x", a.Rows, len(x))
-	checkDims("CSR.MulVecTrans y", a.Cols, len(y))
-	for i := range y {
-		y[i] = 0
-	}
-	for i := 0; i < a.Rows; i++ {
-		xi := x[i]
-		if xi == 0 {
-			continue
-		}
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			y[a.ColInd[k]] += a.Vals[k] * xi
-		}
-	}
-}
-
 // At returns A[i,j] using binary search within the row (0 if not stored).
 func (a *CSR) At(i, j int) float64 {
 	lo, hi := a.RowPtr[i], a.RowPtr[i+1]

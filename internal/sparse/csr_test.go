@@ -90,11 +90,6 @@ func TestCSRBasicOps(t *testing.T) {
 	if y[0] != 5 || y[1] != 6 {
 		t.Errorf("MulVec = %v", y)
 	}
-	yt := make([]float64, 3)
-	a.MulVecTrans(yt, []float64{1, 1})
-	if yt[0] != 2 || yt[1] != 3 || yt[2] != 1 {
-		t.Errorf("MulVecTrans = %v", yt)
-	}
 	if a.At(0, 2) != 1 || a.At(0, 1) != 0 || a.At(1, 1) != 3 {
 		t.Errorf("At lookup failed")
 	}
@@ -376,7 +371,7 @@ func irregularPartition(n int) []int {
 	return p
 }
 
-// Property: MulVecTrans(A) equals MulVec(Transpose(A)).
+// Property: MulVec(Transpose(A)) equals Aᵀ·x summed by definition.
 func TestQuickTransposeConsistent(t *testing.T) {
 	f := func(seed int64) bool {
 		rows := int(seed%6+6)%6 + 3
@@ -384,7 +379,11 @@ func TestQuickTransposeConsistent(t *testing.T) {
 		a := randomCOO(rows, cols, rows*3, seed).ToCSR()
 		x := RandomVector(rows, seed+1)
 		y1 := make([]float64, cols)
-		a.MulVecTrans(y1, x)
+		for i := 0; i < rows; i++ {
+			for j := 0; j < cols; j++ {
+				y1[j] += a.At(i, j) * x[i]
+			}
+		}
 		y2 := make([]float64, cols)
 		a.Transpose().MulVec(y2, x)
 		return densEqHelper(y1, y2, 1e-13)
