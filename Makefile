@@ -106,7 +106,8 @@ fuzz:
 		$(GO) test -run='^$$' -fuzz="^$$t\$$" -fuzztime=$(FUZZTIME) ./internal/sparse || exit 1; done
 	for t in FuzzPartition FuzzGenerateRows; do \
 		$(GO) test -run='^$$' -fuzz="^$$t\$$" -fuzztime=$(FUZZTIME) ./internal/mesh || exit 1; done
-	$(GO) test -run='^$$' -fuzz='^FuzzLevels$$' -fuzztime=$(FUZZTIME) ./internal/par
+	for t in FuzzLevels FuzzGaussSeidelMatchesReference; do \
+		$(GO) test -run='^$$' -fuzz="^$$t\$$" -fuzztime=$(FUZZTIME) ./internal/par || exit 1; done
 	for t in FuzzMinDegreeMatchesReference FuzzStaticRefactorMatchesFresh; do \
 		$(GO) test -run='^$$' -fuzz="^$$t\$$" -fuzztime=$(FUZZTIME) ./internal/slu || exit 1; done
 	$(GO) test -run='^$$' -fuzz='^FuzzILUTMatchesReference$$' -fuzztime=$(FUZZTIME) ./internal/aztec

@@ -26,7 +26,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"os/signal"
 	"sort"
@@ -64,45 +64,62 @@ func (s setFlags) Set(v string) error {
 }
 
 func main() {
-	matrixPath := flag.String("matrix", "", "coefficient matrix file (Matrix Market, required)")
-	rhsPath := flag.String("rhs", "", "right-hand side file (defaults to all ones)")
-	outPath := flag.String("out", "", "write the solution vector here (defaults to stdout summary only)")
-	solver := flag.String("solver", "petsc",
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command: it parses args, solves, writes the summary
+// to stdout and diagnostics to stderr, and returns the exit status: 0
+// solved, 1 failed, 2 bad flags, 124/125/130 a cancelled solve.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("lisi-solve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	matrixPath := fs.String("matrix", "", "coefficient matrix file (Matrix Market, required)")
+	rhsPath := fs.String("rhs", "", "right-hand side file (defaults to all ones)")
+	outPath := fs.String("out", "", "write the solution vector here (defaults to stdout summary only)")
+	solver := fs.String("solver", "petsc",
 		fmt.Sprintf("solver backend: one of %s", strings.Join(core.Names(), ", ")))
-	procs := flag.Int("procs", 2, "simulated processor count")
-	workers := flag.Int("workers", 1, "intra-rank worker-pool size for the backend's kernels (results are bitwise-identical for any count)")
-	timeout := flag.Duration("timeout", 0, "per-solve deadline (0 = none); expiry exits with status 124")
+	procs := fs.Int("procs", 2, "simulated processor count")
+	workers := fs.Int("workers", 1, "intra-rank worker-pool size for the backend's kernels (results are bitwise-identical for any count)")
+	timeout := fs.Duration("timeout", 0, "per-solve deadline (0 = none); expiry exits with status 124")
 	params := setFlags{}
-	flag.Var(params, "set", "LISI parameter key=value (repeatable)")
-	telemetryOut := flag.String("telemetry", "", "write the instrumented solve report to this JSON file")
-	expvarAddr := flag.String("expvar", "", "serve telemetry at this address under /debug/vars until interrupted (e.g. :8080)")
-	faultSpec := flag.String("fault-spec", "",
+	fs.Var(params, "set", "LISI parameter key=value (repeatable)")
+	telemetryOut := fs.String("telemetry", "", "write the instrumented solve report to this JSON file")
+	expvarAddr := fs.String("expvar", "", "serve telemetry at this address under /debug/vars until interrupted (e.g. :8080)")
+	faultSpec := fs.String("fault-spec", "",
 		"deterministic fault-injection schedule (e.g. from a chaos test log: seed=42,pdelay=0.05,maxdelay=500µs,...)")
-	failover := flag.String("failover", "", "comma-separated backends to fail over to on a method-specific failure")
-	maxAttempts := flag.Int("max-attempts", 1, "retry a retryable failure up to this many backend runs")
-	flag.Parse()
+	failover := fs.String("failover", "", "comma-separated backends to fail over to on a method-specific failure")
+	maxAttempts := fs.Int("max-attempts", 1, "retry a retryable failure up to this many backend runs")
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "lisi-solve:", err)
+		return 1
+	}
 
 	if *matrixPath == "" {
-		fmt.Fprintln(os.Stderr, "-matrix is required")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "-matrix is required")
+		return 2
 	}
 	if _, ok := core.Lookup(*solver); !ok {
-		fmt.Fprintf(os.Stderr, "unknown solver %q (registered: %s)\n",
+		fmt.Fprintf(stderr, "unknown solver %q (registered: %s)\n",
 			*solver, strings.Join(core.Names(), ", "))
-		os.Exit(2)
+		return 2
 	}
 
 	mf, err := os.Open(*matrixPath)
 	if err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
 	a, err := sparse.ReadMatrixMarket(mf)
 	mf.Close()
 	if err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
 	if a.Rows != a.Cols {
-		log.Fatalf("matrix is %dx%d; LISI systems are square", a.Rows, a.Cols)
+		return fail(fmt.Errorf("matrix is %dx%d; LISI systems are square", a.Rows, a.Cols))
 	}
 	n := a.Rows
 
@@ -113,31 +130,31 @@ func main() {
 	if *rhsPath != "" {
 		vf, err := os.Open(*rhsPath)
 		if err != nil {
-			log.Fatal(err)
+			return fail(err)
 		}
 		b, err = sparse.ReadVector(vf)
 		vf.Close()
 		if err != nil {
-			log.Fatal(err)
+			return fail(err)
 		}
 		if len(b) != n {
-			log.Fatalf("rhs has %d entries for a %dx%d matrix", len(b), n, n)
+			return fail(fmt.Errorf("rhs has %d entries for a %dx%d matrix", len(b), n, n))
 		}
 	}
 
 	world, err := comm.NewWorld(*procs)
 	if err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
 	var injector *fault.Injector
 	if *faultSpec != "" {
 		spec, err := fault.ParseSpec(*faultSpec)
 		if err != nil {
-			log.Fatal(err)
+			return fail(err)
 		}
 		injector = fault.New(spec, *procs)
 		world.SetFaultHook(injector)
-		fmt.Fprintf(os.Stderr, "fault injection armed: %s\n", spec)
+		fmt.Fprintf(stderr, "fault injection armed: %s\n", spec)
 	}
 	var failoverChain []string
 	if *failover != "" {
@@ -149,6 +166,8 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
+	// A rank that cannot go on poisons the world with its error: every
+	// other rank unblocks, and RunContext returns the error (exit 1).
 	var xGlobal []float64
 	var result core.SolveResult
 	var report *telemetry.SolveReport
@@ -156,7 +175,8 @@ func main() {
 	runErr := world.RunContext(ctx, func(c *comm.Comm) {
 		l, err := pmat.EvenLayout(c, n)
 		if err != nil {
-			log.Fatal(err)
+			world.AbortCause(err)
+			return
 		}
 		localA := a.SubMatrix(l.Start, l.Start+l.LocalN)
 		localB := b[l.Start : l.Start+l.LocalN]
@@ -174,14 +194,17 @@ func main() {
 			MaxAttempts:  *maxAttempts,
 		})
 		if err != nil {
-			log.Fatal(err)
+			world.AbortCause(err)
+			return
 		}
 		defer s.Close()
 		if err := s.Setup(l, localA); err != nil {
-			log.Fatal(err)
+			world.AbortCause(err)
+			return
 		}
 		if err := s.SetupRHS(localB, 1); err != nil {
-			log.Fatal(err)
+			world.AbortCause(err)
+			return
 		}
 		x := make([]float64, l.LocalN)
 		res, err := s.Solve(c.Context(), x)
@@ -199,12 +222,14 @@ func main() {
 			return // world is poisoned; no residual/gather possible
 		}
 		if err != nil {
-			log.Fatal(err)
+			world.AbortCause(err)
+			return
 		}
 
 		m, err := pmat.NewMat(l, localA)
 		if err != nil {
-			log.Fatal(err)
+			world.AbortCause(err)
+			return
 		}
 		res2 := m.Residual(localB, x)
 		full := pmat.Gather(l, 0, x)
@@ -231,36 +256,41 @@ func main() {
 	}
 
 	if injector != nil {
-		fmt.Fprintf(os.Stderr, "fault injections performed: %s\n", injector.Counts())
+		fmt.Fprintf(stderr, "fault injections performed: %s\n", injector.Counts())
 	}
 	if runErr != nil {
-		exitAborted(runErr, report, *telemetryOut)
+		return exitAborted(runErr, report, *telemetryOut, stderr)
 	}
 
 	backend := *solver
 	if result.Backend != "" {
 		backend = result.Backend
 	}
-	fmt.Printf("solved %dx%d system (nnz=%d) with %s on %d ranks: iterations=%d residual=%.3e\n",
+	fmt.Fprintf(stdout, "solved %dx%d system (nnz=%d) with %s on %d ranks: iterations=%d residual=%.3e\n",
 		n, n, a.NNZ(), backend, *procs, result.Iterations, result.Residual)
 	if result.Attempts > 1 || (result.Backend != "" && result.Backend != *solver) {
-		fmt.Printf("resilience: %d attempts, final backend %s, fail reason %s\n",
+		fmt.Fprintf(stdout, "resilience: %d attempts, final backend %s, fail reason %s\n",
 			result.Attempts, backend, result.FailReason)
 	}
 	if *outPath != "" {
 		f, err := os.Create(*outPath)
 		if err != nil {
-			log.Fatal(err)
+			return fail(err)
 		}
-		defer f.Close()
-		if err := sparse.WriteVector(f, xGlobal); err != nil {
-			log.Fatal(err)
+		err = sparse.WriteVector(f, xGlobal)
+		if cerr := f.Close(); err == nil {
+			err = cerr
 		}
-		fmt.Printf("solution written to %s\n", *outPath)
+		if err != nil {
+			return fail(err)
+		}
+		fmt.Fprintf(stdout, "solution written to %s\n", *outPath)
 	}
 
 	if *telemetryOut != "" && report != nil {
-		writeReport(*telemetryOut, report)
+		if err := writeReport(*telemetryOut, report, stderr); err != nil {
+			return fail(err)
+		}
 	}
 
 	if *expvarAddr != "" && report != nil {
@@ -269,21 +299,22 @@ func main() {
 		telemetry.Publish("lisi", agg)
 		ln, err := telemetry.ServeExpvar(*expvarAddr)
 		if err != nil {
-			log.Fatal(err)
+			return fail(err)
 		}
-		fmt.Printf("telemetry served at http://%s/debug/vars (interrupt to stop)\n", ln.Addr())
+		fmt.Fprintf(stdout, "telemetry served at http://%s/debug/vars (interrupt to stop)\n", ln.Addr())
 		sig := make(chan os.Signal, 1)
 		signal.Notify(sig, os.Interrupt)
 		<-sig
 		ln.Close()
 	}
+	return 0
 }
 
 // exitAborted reports a cancelled or failed Run region: cancellation
-// prints the partial telemetry and exits with the distinct status for a
+// prints the partial telemetry and returns the distinct status for a
 // deadline (124), an interrupt (130) or an injected fault (125); any
-// other error is fatal.
-func exitAborted(runErr error, report *telemetry.SolveReport, telemetryOut string) {
+// other error is a failure (1).
+func exitAborted(runErr error, report *telemetry.SolveReport, telemetryOut string, stderr io.Writer) int {
 	var status int
 	var reason string
 	switch {
@@ -294,38 +325,44 @@ func exitAborted(runErr error, report *telemetry.SolveReport, telemetryOut strin
 	case errors.Is(runErr, context.Canceled):
 		status, reason = exitInterrupt, "interrupted"
 	default:
-		log.Fatal(runErr)
+		fmt.Fprintln(stderr, "lisi-solve:", runErr)
+		return 1
 	}
-	fmt.Fprintf(os.Stderr, "solve aborted: %s\n", reason)
+	fmt.Fprintf(stderr, "solve aborted: %s\n", reason)
 	if report != nil {
-		fmt.Fprintf(os.Stderr, "partial telemetry (%.3fs wall):\n", report.WallSeconds)
+		fmt.Fprintf(stderr, "partial telemetry (%.3fs wall):\n", report.WallSeconds)
 		keys := make([]string, 0, len(report.Phases))
 		for p := range report.Phases {
 			keys = append(keys, p)
 		}
 		sort.Strings(keys)
 		for _, p := range keys {
-			fmt.Fprintf(os.Stderr, "  phase %-14s %.4fs\n", p, report.Phases[p])
+			fmt.Fprintf(stderr, "  phase %-14s %.4fs\n", p, report.Phases[p])
 		}
 		for k, v := range report.Labels {
-			fmt.Fprintf(os.Stderr, "  label %s=%s\n", k, v)
+			fmt.Fprintf(stderr, "  label %s=%s\n", k, v)
 		}
 		if telemetryOut != "" {
-			writeReport(telemetryOut, report)
+			if err := writeReport(telemetryOut, report, stderr); err != nil {
+				fmt.Fprintln(stderr, "lisi-solve:", err)
+			}
 		}
 	}
-	os.Exit(status)
+	return status
 }
 
-func writeReport(path string, report *telemetry.SolveReport) {
+func writeReport(path string, report *telemetry.SolveReport, stderr io.Writer) error {
 	f, err := os.Create(path)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	if err := telemetry.WriteJSON(f, report); err != nil {
-		f.Close()
-		log.Fatal(err)
+	err = telemetry.WriteJSON(f, report)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	f.Close()
-	fmt.Fprintf(os.Stderr, "telemetry report written to %s\n", path)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stderr, "telemetry report written to %s\n", path)
+	return nil
 }

@@ -1,0 +1,52 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestExitCodes pins lisi-solve's contract: 0 solved, 1 a failure (a
+// Matrix Market file holding a NaN, or a rank that cannot set up), 2 bad
+// flags, 124 a solve past its -timeout.
+func TestExitCodes(t *testing.T) {
+	const lap49 = "../../testdata/corpus/lap49_sym.mtx"
+	nan := filepath.Join(t.TempDir(), "nan.mtx")
+	mm := "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n2 2 NaN\n"
+	if err := os.WriteFile(nan, []byte(mm), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		args   []string
+		code   int
+		stdout string // substring stdout must contain ("" = must be empty)
+		stderr string // substring stderr must contain
+	}{
+		{"solved", []string{"-matrix", lap49}, 0, "solved 49x49 system", ""},
+		{"non-finite entry", []string{"-matrix", nan}, 1, "", "non-finite entry"},
+		{"rank fails", []string{"-matrix", lap49, "-set", "preconditioner=bogus"}, 1, "", "preconditioner=bogus"},
+		{"missing -matrix", nil, 2, "", "-matrix is required"},
+		{"unknown -solver", []string{"-matrix", lap49, "-solver", "nosuch"}, 2, "", `unknown solver "nosuch"`},
+		{"unknown flag", []string{"-nosuch"}, 2, "", "flag provided but not defined: -nosuch"},
+		{"timeout", []string{"-matrix", lap49, "-timeout", "1ns"}, 124, "", "solve aborted: deadline exceeded"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if code := run(tc.args, &stdout, &stderr); code != tc.code {
+				t.Fatalf("exit %d, want %d\nstdout:\n%s\nstderr:\n%s", code, tc.code, &stdout, &stderr)
+			}
+			if tc.stdout == "" && stdout.Len() > 0 {
+				t.Errorf("stdout not empty:\n%s", &stdout)
+			}
+			if !strings.Contains(stdout.String(), tc.stdout) {
+				t.Errorf("stdout lacks %q:\n%s", tc.stdout, &stdout)
+			}
+			if !strings.Contains(stderr.String(), tc.stderr) {
+				t.Errorf("stderr lacks %q:\n%s", tc.stderr, &stderr)
+			}
+		})
+	}
+}

@@ -136,9 +136,7 @@ func TestPortContractFixture(t *testing.T) {
 }
 
 func TestCtxCommFixture(t *testing.T) {
-	runFixture(t, "ctxcomm",
-		fixtureRoot+"/ctxcomm/ksp", fixtureRoot+"/ctxcomm/service",
-		fixtureRoot+"/ctxcomm/outofscope")
+	runFixture(t, "ctxcomm", fixtureRoot+"/ctxcomm/service", fixtureRoot+"/ctxcomm/outofscope")
 }
 
 func TestBufOwnFixture(t *testing.T) {
@@ -204,7 +202,7 @@ func TestDeterministicOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs, err := loader.Load(fixtureRoot+"/portcontract", fixtureRoot+"/ctxcomm/ksp",
+	pkgs, err := loader.Load(fixtureRoot+"/portcontract", fixtureRoot+"/ctxcomm/service",
 		fixtureRoot+"/spmddet")
 	if err != nil {
 		t.Fatal(err)

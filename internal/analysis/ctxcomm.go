@@ -9,38 +9,32 @@ import (
 // CtxComm flags context.Background() / context.TODO() passed to the
 // context-taking comm and core APIs (Comm.WithContext, World.RunContext,
 // core.Session.Solve, and any future internal/comm or internal/core
-// function with a context.Context parameter) from inside the
-// cancellation-scoped packages: the solver backends (ksp, aztec, slu,
-// mg) and the service front end. A backend or request handler that
-// mints a fresh root context instead of threading the caller's one
-// detaches its blocking calls from the session's (or the HTTP
-// request's) cancellation scope: a -timeout, SIGINT, or dropped client
-// connection then cannot unblock the ranks sitting inside that call,
-// which is exactly the deadlock the context plumbing exists to prevent.
-// Backends receive their context through the communicator the adapter
-// binds (Comm.Context()); service handlers thread the request context
-// into Session.Solve. The rare legitimate root context is suppressed
-// per site with `//lisi:ignore ctxcomm <reason>`.
+// function with a context.Context parameter) from inside the service
+// front end. A request handler that mints a fresh root context instead
+// of threading the request's one detaches its solve from the request's
+// cancellation scope: a -timeout, SIGTERM drain, or dropped client
+// connection then cannot unblock the ranks sitting inside that call.
+// The solver backends are out of scope: core.Session.solveRecover's
+// context watcher poisons the world on cancellation, so a communicator
+// a backend rebinds is released anyway. The rare legitimate root
+// context is suppressed per site with `//lisi:ignore ctxcomm <reason>`.
 var CtxComm = &Analyzer{
 	Name: "ctxcomm",
 	Doc: "flags context.Background()/context.TODO() passed to context-taking internal/comm and " +
-		"internal/core APIs from inside solver backends and the service layer; thread the " +
-		"caller's context (Comm.Context(), the request context) instead",
+		"internal/core APIs from inside the service layer; thread the request context instead",
 	Run: runCtxComm,
 }
 
-// ctxCommPackages are the final import-path segments of the packages the
-// check applies to: the solver backends plus the service front end.
-var ctxCommPackages = map[string]bool{
-	"ksp": true, "aztec": true, "slu": true, "mg": true, "service": true,
-}
+// ctxCommPackage is the final import-path segment of the package the
+// check applies to.
+const ctxCommPackage = "service"
 
 func runCtxComm(pass *Pass) {
 	seg := pass.Pkg.Path
 	if i := strings.LastIndex(seg, "/"); i >= 0 {
 		seg = seg[i+1:]
 	}
-	if !ctxCommPackages[seg] {
+	if seg != ctxCommPackage {
 		return
 	}
 	info := pass.Pkg.Info

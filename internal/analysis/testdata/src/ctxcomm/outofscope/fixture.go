@@ -1,6 +1,6 @@
 // Fixture for the ctxcomm analyzer's scoping: this package path does
-// not end in a solver backend segment, so nothing here is flagged —
-// application drivers and cmds legitimately start from a root context.
+// not end in "service", so nothing here is flagged — application
+// drivers, cmds and the solver backends may start from a root context.
 package outofscope
 
 import (

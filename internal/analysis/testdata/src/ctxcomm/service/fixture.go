@@ -26,6 +26,10 @@ func rootIntoComm(c *comm.Comm) *comm.Comm {
 	return c.WithContext(context.Background()) // want "context\\.Background\\(\\) passed to comm\\.WithContext"
 }
 
+func runContextTODO(w *comm.World) error {
+	return w.RunContext((context.TODO()), func(c *comm.Comm) {}) // want "context\\.TODO\\(\\) passed to comm\\.RunContext"
+}
+
 // threadedRequestContext is the supported idiom: the handler's request
 // context flows into the solve unchanged (or derived, never re-minted).
 func threadedRequestContext(ctx context.Context, s *core.Session, x []float64) error {

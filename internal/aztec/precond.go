@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/par"
 	"repro/internal/pmat"
-	"repro/internal/sparse"
 )
 
 // preconditioner applies z = M⁻¹·r on local blocks. Implementations may
@@ -238,11 +237,10 @@ func (p *lsPrec) apply(z, r []float64) {
 	}
 }
 
-// symGSPrec performs k symmetric Gauss–Seidel sweeps on the local
-// diagonal block.
+// symGSPrec performs k symmetric Gauss–Seidel sweeps (forward then
+// backward) on the local diagonal block, from a zero initial guess.
 type symGSPrec struct {
-	blk    *sparse.CSR
-	diag   []float64
+	tri    *par.RowTri
 	sweeps int
 }
 
@@ -251,42 +249,18 @@ func newSymGSPrec(rm RowMatrix, sweeps int) (*symGSPrec, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := blk.Diagonal()
-	for i, v := range d {
-		if v == 0 {
-			return nil, fmt.Errorf("aztec: AZSymGS: zero diagonal at local row %d", i)
-		}
+	tri, bad := par.SplitAtDiagonal(blk.RowPtr, blk.ColInd, blk.Vals)
+	if tri == nil {
+		return nil, fmt.Errorf("aztec: AZSymGS: zero diagonal at local row %d", bad)
 	}
-	if sweeps < 1 {
-		sweeps = 1
-	}
-	return &symGSPrec{blk: blk, diag: d, sweeps: sweeps}, nil
+	return &symGSPrec{tri: tri, sweeps: max(sweeps, 1)}, nil
 }
 
 func (p *symGSPrec) apply(z, r []float64) {
-	for i := range z {
-		z[i] = 0
-	}
-	a := p.blk
+	clear(z)
 	for s := 0; s < p.sweeps; s++ {
-		for i := 0; i < a.Rows; i++ {
-			sum := r[i]
-			for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-				if j := a.ColInd[k]; j != i {
-					sum -= a.Vals[k] * z[j]
-				}
-			}
-			z[i] = sum / p.diag[i]
-		}
-		for i := a.Rows - 1; i >= 0; i-- {
-			sum := r[i]
-			for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-				if j := a.ColInd[k]; j != i {
-					sum -= a.Vals[k] * z[j]
-				}
-			}
-			z[i] = sum / p.diag[i]
-		}
+		p.tri.GaussSeidel(z, r, false)
+		p.tri.GaussSeidel(z, r, true)
 	}
 }
 

@@ -44,6 +44,8 @@ type Solver struct {
 	// inherit it for level-scheduled sweeps.
 	red  *pmat.Reducer
 	pool *par.Pool
+
+	denom float64 // GMRES: the convergence denominator of the current solve
 }
 
 // SetPool attaches an intra-rank worker pool (nil restores the serial
@@ -382,92 +384,48 @@ func (s *Solver) cg(x, b []float64) error {
 }
 
 func (s *Solver) gmres(x, b []float64) error {
-	n := len(x)
-	m := s.options[AZKspace]
-	maxIter := s.options[AZMaxIter]
-
-	ws := &s.ws
-	ws.Krylov(n, m, false)
-	v, g, cs, sn := ws.V, ws.G, ws.CS, ws.SN
-	scratch := ws.Vecs(n, 2)
+	scratch := s.ws.Vecs(len(x), 2)
 	w, t := scratch[0], scratch[1]
-
-	r0 := -1.0
-	var denom float64
 	it := 0
 	for {
-		s.applyA(t, x)
-		for i := range t {
-			t[i] = b[i] - t[i]
-		}
+		s.localResidual(x, b, t)
 		s.prec.apply(w, t)
 		var beta float64
-		if r0 < 0 {
+		if it == 0 {
 			// First restart: fuse the rhs norm for the convergence
 			// denominator with the initial preconditioned residual norm.
 			var bnorm float64
 			beta, bnorm = s.red.Norm2x2(w, b)
-			r0 = beta
-			denom = s.convDenominator(r0, bnorm)
+			s.denom = s.convDenominator(beta, bnorm)
 		} else {
 			beta = s.red.Norm2(w)
 		}
-		if why, stop := s.test(beta, denom); stop {
-			s.finish(it, beta, denom, why)
+		if why, stop := s.test(beta, s.denom); stop {
+			s.finish(it, beta, s.denom, why)
 			return nil
 		}
-		if it >= maxIter {
-			s.finish(it, beta, denom, AZMaxIts)
+		if it >= s.options[AZMaxIter] {
+			s.finish(it, beta, s.denom, AZMaxIts)
 			return nil
 		}
-		for i := range w {
-			v[0][i] = w[i] / beta
-		}
-		for i := range g {
-			g[i] = 0
-		}
-		g[0] = beta
-
-		j, stop := 0, false
-		for ; j < m && it < maxIter && !stop; j++ {
-			it++
-			s.applyA(t, v[j])
-			s.prec.apply(w, t)
-			h := ws.Col(j)
-			hj1 := pmat.Orthogonalize(s.red, w, v[:j+1], h)
-			if hj1 > 0 {
-				for i := range w {
-					v[j+1][i] = w[i] / hj1
-				}
-			} else {
-				// Breakdown: deterministic zero direction instead of
-				// whatever a previous restart or solve left here.
-				for i := range v[j+1] {
-					v[j+1][i] = 0
-				}
-			}
-			// Givens updates.
-			for i := 0; i < j; i++ {
-				a0 := h[i]
-				h[i] = cs[i]*a0 + sn[i]*h[i+1]
-				h[i+1] = -sn[i]*a0 + cs[i]*h[i+1]
-			}
-			rd := math.Hypot(h[j], hj1)
-			if rd == 0 {
-				cs[j], sn[j] = 1, 0
-			} else {
-				cs[j], sn[j] = h[j]/rd, hj1/rd
-			}
-			h[j] = rd
-			g[j+1] = -sn[j] * g[j]
-			g[j] = cs[j] * g[j]
-			s.rec.Residual(it, math.Abs(g[j+1]))
-			// The estimate only ends the cycle; the restart above tests
-			// the recomputed residual and records the outcome.
-			_, stop = s.test(math.Abs(g[j+1]), denom)
-		}
-		ws.HessenbergUpdate(x, v, j)
+		it, _ = s.ws.GMRESCycle(s.red, (*gmresSystem)(s), x, w, t, beta, s.options[AZKspace], it, false)
 	}
+}
+
+// gmresSystem is the Solver as the shared GMRES cycle sees it.
+type gmresSystem Solver
+
+func (s *gmresSystem) Direction(w, t, v, _ []float64) {
+	(*Solver)(s).applyA(t, v)
+	s.prec.apply(w, t)
+}
+
+// Stop ends the cycle on the estimate or at AZMaxIter; the restart
+// then tests the recomputed residual and records the outcome.
+func (s *gmresSystem) Stop(it int, est float64) bool {
+	s.rec.Residual(it, est)
+	_, stop := (*Solver)(s).test(est, s.denom)
+	return stop || it >= s.options[AZMaxIter]
 }
 
 func (s *Solver) cgs(x, b []float64) error {

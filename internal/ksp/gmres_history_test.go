@@ -49,10 +49,21 @@ func gmresCases() []gmresCase {
 	return cs
 }
 
-// gmresHistory solves the case and returns rank 0's iteration count, an
-// FNV-1a hash over the bits of every monitored residual norm and of the
-// rank-0 solution block, and the final residual norm.
+// gmresHistory is solveHistory for a case that must converge.
 func gmresHistory(t *testing.T, gc gmresCase) (its int, hash uint64, final float64) {
+	t.Helper()
+	its, hash, final, err := solveHistory(t, gc)
+	if err != nil {
+		t.Errorf("%s: %v", gc.name, err)
+	}
+	return its, hash, final
+}
+
+// solveHistory solves the case (any method, not only GMRES) and returns
+// rank 0's iteration count, an FNV-1a hash over the bits of every
+// monitored residual norm and of the rank-0 solution block, the final
+// residual norm, and rank 0's solve error.
+func solveHistory(t *testing.T, gc gmresCase) (its int, hash uint64, final float64, solveErr error) {
 	t.Helper()
 	global := gc.global()
 	n := global.Rows
@@ -87,9 +98,7 @@ func gmresHistory(t *testing.T, gc gmresCase) (its int, hash uint64, final float
 		k.SetRecorder(rec)
 		l := a.Layout()
 		x := make([]float64, l.LocalN)
-		if err := k.Solve(bGlobal[l.Start:l.Start+l.LocalN], x); err != nil {
-			t.Errorf("%s: %v", gc.name, err)
-		}
+		err := k.Solve(bGlobal[l.Start:l.Start+l.LocalN], x)
 		for _, p := range rec.Snapshot().Residuals {
 			mix(p.Residual)
 		}
@@ -97,10 +106,10 @@ func gmresHistory(t *testing.T, gc gmresCase) (its int, hash uint64, final float
 			mix(v)
 		}
 		if c.Rank() == 0 {
-			its, hash, final = k.Iterations(), h, k.ResidualNorm()
+			its, hash, final, solveErr = k.Iterations(), h, k.ResidualNorm(), err
 		}
 	})
-	return its, hash, final
+	return its, hash, final, solveErr
 }
 
 // TestGMRESHistoriesMatchParent pins the merged GMRES/FGMRES cycle to
@@ -141,6 +150,41 @@ func TestGMRESHistoriesMatchParent(t *testing.T) {
 		if its != w.its || hash != w.hash || math.Float64bits(final) != w.final {
 			t.Errorf("%s: got {%d, %#x, %#x}, parent recorded {%d, %#x, %#x}",
 				gc.name, its, hash, math.Float64bits(final), w.its, w.hash, w.final)
+		}
+	}
+}
+
+// TestSORHistoriesMatchParent pins cg, bicgstab and gmres under sor and
+// ssor through the same harness. The literals were recorded while the
+// two preconditioners still ran their own (1−ω)·x + ω·s/d row loops;
+// they must not move now that both are par.RowTri.GaussSeidel sweeps.
+// CG under the non-symmetric sor runs to maxIts, so that row pins a
+// 2000-step divergent history.
+func TestSORHistoriesMatchParent(t *testing.T) {
+	want := map[string]struct {
+		its         int
+		hash, final uint64
+	}{
+		"cg/sor/p2":     {2000, 0x27aefbdac648388c, 0x3fc6d1bd58b96b2c},
+		"cg/ssor/p2":    {19, 0x86f86b142808bab9, 0x3df5251801dbf275},
+		"bcgs/sor/p2":   {17, 0x17ea51a693cec416, 0x3e1b61fb1480c10a},
+		"bcgs/ssor/p2":  {12, 0xf9369586f909207b, 0x3e176b57acdd34a4},
+		"gmres/sor/p2":  {24, 0x68a13a17b3d589bc, 0x3dfddbd5596ad864},
+		"gmres/ssor/p2": {19, 0x47f85ca2e54e4088, 0x3dd5ca48b0048058},
+	}
+	lap8 := func() *sparse.CSR { return sparse.Laplace2D(8, 8) }
+	for _, method := range []string{TypeCG, TypeBiCGStab, TypeGMRES} {
+		for _, pc := range []string{PCSOR, PCSSOR} {
+			gc := gmresCase{method + "/" + pc + "/p2", lap8, method, pc, 2, 30, 1e-10, 2000}
+			w, ok := want[gc.name]
+			its, hash, final, err := solveHistory(t, gc)
+			if diverged := method == TypeCG && pc == PCSOR; (err != nil) != diverged {
+				t.Errorf("%s: error %v", gc.name, err)
+			}
+			if !ok || its != w.its || hash != w.hash || math.Float64bits(final) != w.final {
+				t.Errorf("%q: {%d, %#x, %#x}, recorded {%d, %#x, %#x}",
+					gc.name, its, hash, math.Float64bits(final), w.its, w.hash, w.final)
+			}
 		}
 	}
 }

@@ -14,7 +14,7 @@ import (
 // halves of that storage to the shared triangular-sweep kernel.
 type ILU0 struct {
 	a    *sparse.CSR // combined L\U factors on A's pattern
-	tri  par.RowTri
+	tri  *par.RowTri
 	pool *par.Pool
 }
 
@@ -79,17 +79,12 @@ func NewILU0(a *sparse.CSR) (*ILU0, error) {
 		}
 		clearPos(pos, f, lo, hi)
 	}
-	// L is [RowPtr[i], diagPos[i]) and U (diagPos[i], RowPtr[i+1]) of the
-	// combined row; the sweep divides by a copy of the pivots.
-	uLo, diag := make([]int, n), make([]float64, n)
-	for i, d := range diagPos {
-		uLo[i], diag[i] = d+1, f.Vals[d]
-	}
-	return &ILU0{a: f, tri: par.RowTri{
-		LLo: f.RowPtr[:n], LHi: diagPos, LCols: f.ColInd, LVals: f.Vals,
-		ULo: uLo, UHi: f.RowPtr[1:], UCols: f.ColInd, UVals: f.Vals,
-		Diag: diag,
-	}}, nil
+	// L is the strict lower part of each combined row, U the rest right
+	// of the pivot; the sweep divides by a copy of the pivots. Every
+	// pivot is stored and was checked nonzero above, so the split
+	// rejects no row.
+	tri, _ := par.SplitAtDiagonal(f.RowPtr, f.ColInd, f.Vals)
+	return &ILU0{a: f, tri: tri}, nil
 }
 
 func clearPos(pos []int, f *sparse.CSR, lo, hi int) {
@@ -104,47 +99,4 @@ func (f *ILU0) Solve(z, r []float64) {
 		panic(fmt.Sprintf("ksp: ILU0.Solve: vectors must have length %d", n))
 	}
 	f.tri.Solve(f.pool, z, r)
-}
-
-// sorSweep performs one forward Gauss–Seidel/SOR sweep on the local block:
-// x ← x + ω·D⁻¹(b − A·x) applied row-sequentially.
-func sorSweep(a *sparse.CSR, x, b []float64, omega float64) error {
-	for i := 0; i < a.Rows; i++ {
-		s := b[i]
-		var diag float64
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			j := a.ColInd[k]
-			if j == i {
-				diag = a.Vals[k]
-				continue
-			}
-			s -= a.Vals[k] * x[j]
-		}
-		if diag == 0 {
-			return fmt.Errorf("ksp: SOR: zero diagonal at local row %d", i)
-		}
-		x[i] = (1-omega)*x[i] + omega*s/diag
-	}
-	return nil
-}
-
-// sorSweepBackward is the reverse-order sweep used by symmetric SOR.
-func sorSweepBackward(a *sparse.CSR, x, b []float64, omega float64) error {
-	for i := a.Rows - 1; i >= 0; i-- {
-		s := b[i]
-		var diag float64
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			j := a.ColInd[k]
-			if j == i {
-				diag = a.Vals[k]
-				continue
-			}
-			s -= a.Vals[k] * x[j]
-		}
-		if diag == 0 {
-			return fmt.Errorf("ksp: SOR: zero diagonal at local row %d", i)
-		}
-		x[i] = (1-omega)*x[i] + omega*s/diag
-	}
-	return nil
 }

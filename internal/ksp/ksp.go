@@ -83,6 +83,7 @@ type KSP struct {
 
 	its    int
 	rnorm  float64
+	rnorm0 float64 // GMRES: the first restart's residual norm, the rtol/dtol reference
 	reason ConvergedReason
 
 	// red performs every global reduction of the Krylov loops; ws is

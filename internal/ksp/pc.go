@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/par"
-	"repro/internal/sparse"
 )
 
 // PC is a preconditioner: Apply computes z = M⁻¹·r on the local blocks.
@@ -39,9 +38,9 @@ func NewPC(typ string) (PC, error) {
 	case PCBJacobi, PCILU:
 		return &pcBlockILU{name: typ}, nil
 	case PCSOR:
-		return &pcSOR{sweeps: 1, omega: 1.0, symmetric: false}, nil
+		return &pcSOR{}, nil
 	case PCSSOR:
-		return &pcSOR{sweeps: 1, omega: 1.0, symmetric: true}, nil
+		return &pcSOR{symmetric: true}, nil
 	}
 	return nil, fmt.Errorf("ksp: unknown preconditioner type %q", typ)
 }
@@ -121,13 +120,12 @@ func (p *pcBlockILU) Apply(z, r []float64) {
 	p.f.Solve(z, r)
 }
 
-// pcSOR applies local (processor-block) SOR or symmetric SOR sweeps to
-// the homogeneous-initial-guess correction equation.
+// pcSOR is SOR (one forward Gauss–Seidel sweep, ω = 1) or, symmetric,
+// SSOR (forward then backward) on the local diagonal block, from a zero
+// initial guess.
 type pcSOR struct {
-	sweeps    int
-	omega     float64
 	symmetric bool
-	localCSR  *sparse.CSR
+	tri       *par.RowTri
 }
 
 func (p *pcSOR) SetUp(a *Mat) error {
@@ -135,29 +133,18 @@ func (p *pcSOR) SetUp(a *Mat) error {
 	if err != nil {
 		return fmt.Errorf("ksp: sor: %w", err)
 	}
-	// Validate the diagonal once during setup.
-	d := blk.Diagonal()
-	for i, v := range d {
-		if v == 0 {
-			return fmt.Errorf("ksp: sor: zero diagonal at local row %d", i)
-		}
+	tri, bad := par.SplitAtDiagonal(blk.RowPtr, blk.ColInd, blk.Vals)
+	if tri == nil {
+		return fmt.Errorf("ksp: sor: zero diagonal at local row %d", bad)
 	}
-	p.localCSR = blk
+	p.tri = tri
 	return nil
 }
 
 func (p *pcSOR) Apply(z, r []float64) {
-	for i := range z {
-		z[i] = 0
-	}
-	for s := 0; s < p.sweeps; s++ {
-		if err := sorSweep(p.localCSR, z, r, p.omega); err != nil {
-			panic(err) // diagonal was validated in SetUp
-		}
-		if p.symmetric {
-			if err := sorSweepBackward(p.localCSR, z, r, p.omega); err != nil {
-				panic(err)
-			}
-		}
+	clear(z)
+	p.tri.GaussSeidel(z, r, false)
+	if p.symmetric {
+		p.tri.GaussSeidel(z, r, true)
 	}
 }

@@ -105,8 +105,59 @@ func (s *triSweep) Range(_, lo, hi int) {
 	}
 }
 
+// SplitAtDiagonal describes the square CSR matrix (rowPtr, cols, vals),
+// each row's columns ascending, as a RowTri over its own arrays: L and
+// U its strict triangles, Diag a copy of its diagonal. That is the
+// matrix GaussSeidel sweeps. It returns the first row whose diagonal is
+// absent or zero, or −1.
+func SplitAtDiagonal(rowPtr, cols []int, vals []float64) (*RowTri, int) {
+	n := len(rowPtr) - 1
+	lHi, uLo, diag := make([]int, n), make([]int, n), make([]float64, n)
+	for i := 0; i < n; i++ {
+		k := rowPtr[i]
+		for k < rowPtr[i+1] && cols[k] < i {
+			k++
+		}
+		if k == rowPtr[i+1] || cols[k] != i || vals[k] == 0 {
+			return nil, i
+		}
+		lHi[i], uLo[i], diag[i] = k, k+1, vals[k]
+	}
+	return &RowTri{
+		LLo: rowPtr[:n], LHi: lHi, LCols: cols, LVals: vals,
+		ULo: uLo, UHi: rowPtr[1:], UCols: cols, UVals: vals,
+		Diag: diag,
+	}, -1
+}
+
+// GaussSeidel is one Gauss–Seidel sweep of A = L + D + U (as built by
+// SplitAtDiagonal) on A·z = r, rows ascending or, with back set,
+// descending. Row i is
+//
+//	z[i] = (r[i] − Σ L[i,j]·z[j] − Σ U[i,j]·z[j]) / Diag[i]
+//
+// subtracting in storage order, lower half first: for sorted columns
+// that is A's row in storage order with the diagonal skipped. The
+// quotient is stored as is, so a row whose sum is −0 leaves −0 (the
+// relaxed form (1−ω)·z[i] + ω·s/d at ω = 1 would leave +0 there). The
+// sweep is serial: each row reads the z[j] the rows before it in the
+// sweep just wrote.
+func (t *RowTri) GaussSeidel(z, r []float64, back bool) {
+	n := len(t.Diag)
+	for q := 0; q < n; q++ {
+		i := q
+		if back {
+			i = n - 1 - q
+		}
+		a, b := t.LLo[i], t.LHi[i]
+		s := gatherSub(r[i], t.LCols[a:b], t.LVals[a:b], z)
+		a, b = t.ULo[i], t.UHi[i]
+		z[i] = gatherSub(s, t.UCols[a:b], t.UVals[a:b], z) / t.Diag[i]
+	}
+}
+
 // gatherSub returns acc − Σ vals[k]·z[cols[k]], subtracting in storage
-// order: the row body of both sweeps.
+// order: the row body of every sweep.
 func gatherSub(acc float64, cols []int, vals, z []float64) float64 {
 	vals = vals[:len(cols)]
 	for k, c := range cols {

@@ -1,6 +1,10 @@
 package pmat
 
-import "repro/internal/sparse"
+import (
+	"math"
+
+	"repro/internal/sparse"
+)
 
 // Workspace is the per-solver scratch a Krylov package reuses across
 // repeated solves. Vectors are keyed by the local problem size and the
@@ -13,12 +17,12 @@ type Workspace struct {
 
 	basisN, basisM int // dimensions the Krylov arrays are sized for
 
-	V [][]float64 // Krylov basis, m+1 vectors
-	Z [][]float64 // flexible (FGMRES) directions, m vectors; built lazily
-	// H is the (m+1)×m Hessenberg stored by columns, so the column an
-	// Arnoldi step fills is the contiguous slice Col(j).
-	H            []float64
-	G, CS, SN, Y []float64 // least-squares rhs, Givens pairs, back-substitution
+	v [][]float64 // Krylov basis, m+1 vectors
+	z [][]float64 // flexible (FGMRES) directions, m vectors; built lazily
+	// h is the (m+1)×m Hessenberg stored by columns, so the column an
+	// Arnoldi step fills is the contiguous slice col(j).
+	h            []float64
+	g, cs, sn, y []float64 // least-squares rhs, Givens pairs, back-substitution
 }
 
 // Vecs returns count persistent length-n scratch vectors. Contents are
@@ -34,22 +38,22 @@ func (ws *Workspace) Vecs(n, count int) [][]float64 {
 	return ws.vecs[:count]
 }
 
-// Krylov sizes the restarted-GMRES arrays for local size n and restart
-// m; with flexible set the stored preconditioned directions Z are built
+// krylov sizes the restarted-GMRES arrays for local size n and restart
+// m; with flexible set the stored preconditioned directions z are built
 // too.
-func (ws *Workspace) Krylov(n, m int, flexible bool) {
+func (ws *Workspace) krylov(n, m int, flexible bool) {
 	if ws.basisN != n || ws.basisM != m {
-		ws.V = makeVecs(m+1, n)
-		ws.Z = nil
-		ws.H = make([]float64, (m+1)*m)
-		ws.G = make([]float64, m+1)
-		ws.CS = make([]float64, m)
-		ws.SN = make([]float64, m)
-		ws.Y = make([]float64, m)
+		ws.v = makeVecs(m+1, n)
+		ws.z = nil
+		ws.h = make([]float64, (m+1)*m)
+		ws.g = make([]float64, m+1)
+		ws.cs = make([]float64, m)
+		ws.sn = make([]float64, m)
+		ws.y = make([]float64, m)
 		ws.basisN, ws.basisM = n, m
 	}
-	if flexible && ws.Z == nil {
-		ws.Z = makeVecs(m, n)
+	if flexible && ws.z == nil {
+		ws.z = makeVecs(m, n)
 	}
 }
 
@@ -61,18 +65,107 @@ func makeVecs(count, n int) [][]float64 {
 	return v
 }
 
-// Col returns column j of the Hessenberg (m+1 entries).
-func (ws *Workspace) Col(j int) []float64 {
+// col returns column j of the Hessenberg (m+1 entries).
+func (ws *Workspace) col(j int) []float64 {
 	ld := ws.basisM + 1
-	return ws.H[j*ld : (j+1)*ld]
+	return ws.h[j*ld : (j+1)*ld]
 }
 
-// Orthogonalize is one Arnoldi step by modified Gram–Schmidt: w is
+// GMRESSystem is what a Krylov package hands GMRESCycle: its operator
+// with the preconditioner where it sits, and its stop test.
+type GMRESSystem interface {
+	// Direction writes the step's new direction for basis vector v into
+	// w: M⁻¹·A·v with t as scratch, or, when z is non-nil (flexible),
+	// z = M⁻¹·v and then w = A·z.
+	Direction(w, t, v, z []float64)
+	// Stop reports whether the cycle ends after iteration it, whose
+	// least-squares residual estimate is est.
+	Stop(it int, est float64) bool
+}
+
+// GMRESCycle is one cycle of restarted GMRES(m) with modified
+// Gram–Schmidt and Givens-rotation least squares. w holds the start
+// residual, beta = ‖w‖ > 0, and t is scratch of the same length. Each
+// step runs sys.Direction, orthogonalize, normalises the new basis
+// vector by w·(1/h) (a zero vector when h ≤ 1e-300, a breakdown),
+// rotates the new Hessenberg column by the earlier rotations, makes the
+// next rotation with givens and hands |g[j+1]| to sys.Stop. After m
+// steps or a stop, x gains the least-squares update from the basis, or
+// with flexible set from the stored directions z_j = M⁻¹·v_j. it counts
+// iterations across cycles; GMRESCycle returns it advanced and whether
+// sys.Stop ended the cycle.
+func (ws *Workspace) GMRESCycle(red *Reducer, sys GMRESSystem, x, w, t []float64, beta float64, m, it int, flexible bool) (int, bool) {
+	ws.krylov(len(x), m, flexible)
+	v, g, cs, sn := ws.v, ws.g, ws.cs, ws.sn
+	update := v
+	if flexible {
+		update = ws.z
+	}
+	inv := 1 / beta
+	for i := range w {
+		v[0][i] = w[i] * inv
+	}
+	clear(g)
+	g[0] = beta
+
+	j, stop := 0, false
+	for ; j < m && !stop; j++ {
+		it++
+		var z []float64
+		if flexible {
+			z = ws.z[j]
+		}
+		sys.Direction(w, t, v[j], z)
+		h := ws.col(j)
+		if hj1 := orthogonalize(red, w, v[:j+1], h); hj1 > 1e-300 {
+			inv := 1 / hj1
+			for i := range w {
+				v[j+1][i] = w[i] * inv
+			}
+		} else {
+			// Breakdown: leave a deterministic zero direction rather
+			// than whatever a previous restart or solve left behind.
+			clear(v[j+1])
+		}
+		for i := 0; i < j; i++ {
+			hi := h[i]
+			h[i] = cs[i]*hi + sn[i]*h[i+1]
+			h[i+1] = -sn[i]*hi + cs[i]*h[i+1]
+		}
+		cs[j], sn[j] = givens(h[j], h[j+1])
+		h[j] = cs[j]*h[j] + sn[j]*h[j+1]
+		h[j+1] = 0
+		g[j+1] = -sn[j] * g[j]
+		g[j] = cs[j] * g[j]
+		stop = sys.Stop(it, math.Abs(g[j+1]))
+	}
+	ws.hessenbergUpdate(x, update, j)
+	return it, stop
+}
+
+// givens returns the rotation (c, s) with c·a + s·b = r, −s·a + c·b = 0.
+func givens(a, b float64) (c, s float64) {
+	if b == 0 {
+		return 1, 0
+	}
+	if math.Abs(b) > math.Abs(a) {
+		tau := a / b
+		s = 1 / math.Sqrt(1+tau*tau)
+		c = s * tau
+		return c, s
+	}
+	tau := b / a
+	c = 1 / math.Sqrt(1+tau*tau)
+	s = c * tau
+	return c, s
+}
+
+// orthogonalize is one Arnoldi step by modified Gram–Schmidt: w is
 // orthogonalized against basis in order, the coefficients land in
 // hcol[:len(basis)] and the norm of what is left in hcol[len(basis)],
 // which is also returned. Each dot reads the previous Axpy, so nothing
 // is fused: len(basis)+1 collective rounds.
-func Orthogonalize(red *Reducer, w []float64, basis [][]float64, hcol []float64) float64 {
+func orthogonalize(red *Reducer, w []float64, basis [][]float64, hcol []float64) float64 {
 	for i, v := range basis {
 		hcol[i] = red.Dot(w, v)
 		sparse.Axpy(-hcol[i], v, w)
@@ -82,17 +175,17 @@ func Orthogonalize(red *Reducer, w []float64, basis [][]float64, hcol []float64)
 	return norm
 }
 
-// HessenbergUpdate solves the kk×kk triangular system left in the
-// rotated Hessenberg, H(0:kk,0:kk)·y = G(0:kk), and adds basis·y to x.
+// hessenbergUpdate solves the kk×kk triangular system left in the
+// rotated Hessenberg, H(0:kk,0:kk)·y = g(0:kk), and adds basis·y to x.
 // A zero pivot (singular least-squares block) skips that direction.
-func (ws *Workspace) HessenbergUpdate(x []float64, basis [][]float64, kk int) {
-	y := ws.Y[:kk]
+func (ws *Workspace) hessenbergUpdate(x []float64, basis [][]float64, kk int) {
+	y := ws.y[:kk]
 	for i := kk - 1; i >= 0; i-- {
-		s := ws.G[i]
+		s := ws.g[i]
 		for j := i + 1; j < kk; j++ {
-			s -= ws.Col(j)[i] * y[j]
+			s -= ws.col(j)[i] * y[j]
 		}
-		if d := ws.Col(i)[i]; d != 0 {
+		if d := ws.col(i)[i]; d != 0 {
 			y[i] = s / d
 		} else {
 			y[i] = 0
