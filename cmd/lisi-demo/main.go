@@ -16,7 +16,7 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -28,22 +28,41 @@ import (
 )
 
 func main() {
-	procs := flag.Int("procs", 4, "simulated processor count")
-	grid := flag.Int("grid", 100, "grid size n (problem has n^2 unknowns)")
-	solver := flag.String("solver", "all",
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command: it parses args, solves, reports to stdout
+// and diagnostics to stderr, and returns the exit status: 0 solved, 1
+// failed, 2 bad flags or an unusable -solver/-grid pair.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("lisi-demo", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	procs := fs.Int("procs", 4, "simulated processor count")
+	grid := fs.Int("grid", 100, "grid size n (problem has n^2 unknowns)")
+	solver := fs.String("solver", "all",
 		fmt.Sprintf("one of %s, or all", strings.Join(core.Names(), ", ")))
-	tol := flag.Float64("tol", 1e-8, "iterative tolerance")
-	script := flag.String("script", "", "assemble components from a Ccaffeine-style script instead of -solver")
-	backends := flag.Bool("backends", false, "print the registered backend table (Markdown) and exit")
-	flag.Parse()
+	tol := fs.Float64("tol", 1e-8, "iterative tolerance")
+	script := fs.String("script", "", "assemble components from a Ccaffeine-style script instead of -solver")
+	backends := fs.Bool("backends", false, "print the registered backend table (Markdown) and exit")
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "lisi-demo:", err)
+		return 1
+	}
 
 	if *backends {
-		fmt.Print(core.BackendTableMarkdown())
-		return
+		fmt.Fprint(stdout, core.BackendTableMarkdown())
+		return 0
 	}
 	if *script != "" {
-		runScripted(*script, *procs, *grid, *tol)
-		return
+		if err := runScripted(*script, *procs, *grid, *tol, stdout); err != nil {
+			return fail(err)
+		}
+		return 0
 	}
 
 	var names []string
@@ -57,56 +76,80 @@ func main() {
 	} else if _, ok := core.Lookup(*solver); ok {
 		names = []string{*solver}
 	} else {
-		fmt.Fprintf(os.Stderr, "unknown solver %q (registered: %s)\n",
+		fmt.Fprintf(stderr, "unknown solver %q (registered: %s)\n",
 			*solver, strings.Join(core.Names(), ", "))
-		os.Exit(2)
+		return 2
 	}
 	if contains(names, "mg") && *grid%2 == 0 {
-		fmt.Fprintln(os.Stderr, "the mg component needs an odd grid (ideally 2^k-1)")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "the mg component needs an odd grid (ideally 2^k-1)")
+		return 2
 	}
 
 	problem := mesh.PaperProblem(*grid)
 	world, err := comm.NewWorld(*procs)
 	if err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
+	// A rank that cannot go on poisons the world with its error: every
+	// other rank unblocks, and Run returns the error (exit 1).
 	err = world.Run(func(c *comm.Comm) {
-		fw := cca.NewFramework(c)
-		must(fw.CreateInstance("driver", core.ClassDriver))
-		for _, n := range names {
-			info, _ := core.Lookup(n)
-			must(fw.CreateInstance(n, info.Class))
-		}
-		comp, err := fw.Instance("driver")
-		must(err)
-		driver := comp.(*core.DriverComponent)
-		if c.Rank() == 0 {
-			fmt.Printf("LISI demo: %dx%d grid (N=%d, nnz=%d) on %d ranks\n",
-				*grid, *grid, problem.N(), problem.NNZ(), *procs)
-			fmt.Printf("registered solver components: %v\n\n", cca.RegisteredClasses())
-		}
-		for _, n := range names {
-			params := paramsFor(n, *grid, *tol)
-			must(fw.Connect("driver", "solver", n, core.PortSparseSolver))
-			if c.Rank() == 0 {
-				fmt.Printf("wiring: %v\n", fw.Connections())
-			}
-			c.Barrier()
-			start := time.Now()
-			res, err := driver.SolveProblem(problem, core.CSR, params)
-			c.Barrier()
-			must(err)
-			must(fw.Disconnect("driver", "solver"))
-			if c.Rank() == 0 {
-				fmt.Printf("%-10s %8.3fs  iterations=%-5d residual=%.2e converged=%v\n\n",
-					n, time.Since(start).Seconds(), res.Iterations, res.Residual, res.Converged)
-			}
+		if err := solveEach(c, problem, names, *grid, *procs, *tol, stdout); err != nil {
+			world.AbortCause(err)
 		}
 	})
 	if err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
+	return 0
+}
+
+// solveEach is one rank's demo: it wires the driver to each named solver
+// component in turn and solves the model problem through the port.
+func solveEach(c *comm.Comm, problem mesh.Problem, names []string, grid, procs int, tol float64, stdout io.Writer) error {
+	fw := cca.NewFramework(c)
+	if err := fw.CreateInstance("driver", core.ClassDriver); err != nil {
+		return err
+	}
+	for _, n := range names {
+		info, _ := core.Lookup(n)
+		if err := fw.CreateInstance(n, info.Class); err != nil {
+			return err
+		}
+	}
+	comp, err := fw.Instance("driver")
+	if err != nil {
+		return err
+	}
+	driver := comp.(*core.DriverComponent)
+	if c.Rank() == 0 {
+		fmt.Fprintf(stdout, "LISI demo: %dx%d grid (N=%d, nnz=%d) on %d ranks\n",
+			grid, grid, problem.N(), problem.NNZ(), procs)
+		fmt.Fprintf(stdout, "registered solver components: %v\n\n", cca.RegisteredClasses())
+	}
+	for _, n := range names {
+		params := paramsFor(n, grid, tol)
+		if err := fw.Connect("driver", "solver", n, core.PortSparseSolver); err != nil {
+			return err
+		}
+		if c.Rank() == 0 {
+			fmt.Fprintf(stdout, "wiring: %v\n", fw.Connections())
+		}
+		c.Barrier()
+		start := time.Now()
+		res, err := driver.SolveProblem(problem, core.CSR, params)
+		c.Barrier()
+		if err != nil {
+			return err
+		}
+		if err := fw.Disconnect("driver", "solver"); err != nil {
+			return err
+		}
+		if c.Rank() == 0 {
+			fmt.Fprintf(stdout, "%-10s %8.3fs  iterations=%-5d residual=%.2e converged=%v\n\n",
+				n, time.Since(start).Seconds(), res.Iterations, res.Residual, res.Converged)
+		}
+	}
+	return nil
 }
 
 func paramsFor(name string, grid int, tol float64) map[string]string {
@@ -134,57 +177,56 @@ func contains(xs []string, s string) bool {
 	return false
 }
 
-func must(err error) {
-	if err != nil {
-		log.Fatal(err)
-	}
-}
-
 // runScripted assembles the components from a script file on every
 // rank's framework and drives one solve through whatever the script
 // connected.
-func runScripted(path string, procs, grid int, tol float64) {
+func runScripted(path string, procs, grid int, tol float64, stdout io.Writer) error {
 	text, err := os.ReadFile(path)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	problem := mesh.PaperProblem(grid)
 	world, err := comm.NewWorld(procs)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	err = world.Run(func(c *comm.Comm) {
-		fw := cca.NewFramework(c)
-		if err := fw.ExecuteScript(strings.NewReader(string(text))); err != nil {
-			log.Fatal(err)
-		}
-		comp, err := fw.Instance("driver")
-		if err != nil {
-			log.Fatalf("script must instantiate a %q component: %v", "driver", err)
-		}
-		driver, ok := comp.(*core.DriverComponent)
-		if !ok {
-			log.Fatalf("instance %q is not a lisi.driver", "driver")
-		}
-		if c.Rank() == 0 {
-			fmt.Printf("scripted assembly:\n")
-			for _, conn := range fw.Connections() {
-				fmt.Printf("  %s\n", conn)
-			}
-		}
-		c.Barrier()
-		start := time.Now()
-		res, err := driver.SolveProblem(problem, core.CSR, map[string]string{"tol": fmt.Sprint(tol)})
-		c.Barrier()
-		if err != nil {
-			log.Fatal(err)
-		}
-		if c.Rank() == 0 {
-			fmt.Printf("solved %dx%d grid in %.3fs: iterations=%d residual=%.2e\n",
-				grid, grid, time.Since(start).Seconds(), res.Iterations, res.Residual)
+	return world.Run(func(c *comm.Comm) {
+		if err := solveScripted(c, string(text), problem, grid, tol, stdout); err != nil {
+			world.AbortCause(err)
 		}
 	})
-	if err != nil {
-		log.Fatal(err)
+}
+
+// solveScripted is one rank's scripted run.
+func solveScripted(c *comm.Comm, text string, problem mesh.Problem, grid int, tol float64, stdout io.Writer) error {
+	fw := cca.NewFramework(c)
+	if err := fw.ExecuteScript(strings.NewReader(text)); err != nil {
+		return err
 	}
+	comp, err := fw.Instance("driver")
+	if err != nil {
+		return fmt.Errorf("script must instantiate a %q component: %v", "driver", err)
+	}
+	driver, ok := comp.(*core.DriverComponent)
+	if !ok {
+		return fmt.Errorf("instance %q is not a lisi.driver", "driver")
+	}
+	if c.Rank() == 0 {
+		fmt.Fprintf(stdout, "scripted assembly:\n")
+		for _, conn := range fw.Connections() {
+			fmt.Fprintf(stdout, "  %s\n", conn)
+		}
+	}
+	c.Barrier()
+	start := time.Now()
+	res, err := driver.SolveProblem(problem, core.CSR, map[string]string{"tol": fmt.Sprint(tol)})
+	c.Barrier()
+	if err != nil {
+		return err
+	}
+	if c.Rank() == 0 {
+		fmt.Fprintf(stdout, "solved %dx%d grid in %.3fs: iterations=%d residual=%.2e\n",
+			grid, grid, time.Since(start).Seconds(), res.Iterations, res.Residual)
+	}
+	return nil
 }

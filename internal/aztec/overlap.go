@@ -144,14 +144,21 @@ func newOverlapSchwarz(rm RowMatrix, overlap int, drop, fill float64) (*overlapS
 	}
 
 	// Assemble the extended block with columns truncated to [lo2, hi2)
-	// (Dirichlet cut at the subdomain boundary).
-	ext := sparse.NewCOO(hi2-lo2, hi2-lo2)
+	// (Dirichlet cut at the subdomain boundary), row by row straight into
+	// CSR. The rows come from a RowMatrix, so they are normalised once at
+	// the end; a CrsMatrix's are canonical already and pass through.
+	nExt := hi2 - lo2
+	rp := make([]int, nExt+1)
+	var ci []int
+	var ev []float64
 	addRow := func(g int, cols []int, vals []float64) {
 		for k, j := range cols {
 			if j >= lo2 && j < hi2 {
-				ext.Append(g-lo2, j-lo2, vals[k])
+				ci = append(ci, j-lo2)
+				ev = append(ev, vals[k])
 			}
 		}
+		rp[g-lo2+1] = len(ci)
 	}
 	for g := lo2; g < hi2; g++ {
 		if l.Owns(g) {
@@ -168,7 +175,7 @@ func newOverlapSchwarz(rm RowMatrix, overlap int, drop, fill float64) (*overlapS
 		}
 		addRow(g, row.cols, row.vals)
 	}
-	f, err := NewILUT(ext.ToCSR(), drop, fill)
+	f, err := NewILUT(sparse.Canonical(nExt, nExt, rp, ci, ev), drop, fill)
 	if err != nil {
 		return nil, fmt.Errorf("aztec: overlap subdomain factorization: %w", err)
 	}

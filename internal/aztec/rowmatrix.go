@@ -2,7 +2,6 @@ package aztec
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/pmat"
 	"repro/internal/sparse"
@@ -41,7 +40,6 @@ type CrsMatrix struct {
 	stageVals [][]float64
 	filled    bool
 	dist      *pmat.Mat
-	localCSR  *sparse.CSR // local rows with global column ids
 }
 
 // NewCrsMatrix creates an empty matrix over the given row map.
@@ -79,45 +77,18 @@ func (a *CrsMatrix) InsertGlobalValues(globalRow int, cols []int, vals []float64
 }
 
 // FillComplete freezes the pattern, merges duplicates, and builds the
-// distributed communication plan (collective).
+// distributed communication plan (collective). The staged rows are
+// concatenated and normalised (sparse.Canonical): rows inserted in
+// strictly ascending column order pass through as they are.
 func (a *CrsMatrix) FillComplete() error {
 	if a.filled {
 		return fmt.Errorf("aztec: FillComplete called twice")
 	}
 	l := a.rowMap.Layout()
-	a.localCSR = a.stagedCSR(l.N)
-	dist, err := pmat.NewMat(l, a.localCSR)
-	if err != nil {
-		return fmt.Errorf("aztec: FillComplete: %w", err)
-	}
-	a.dist = dist
-	a.filled = true
-	a.stageCols, a.stageVals = nil, nil
-	return nil
-}
-
-// stagedCSR freezes the staged rows into a CSR with sorted, duplicate-free
-// rows. Rows staged in strictly ascending column order — what a caller
-// copying rows out of a CSR inserts — are already that and are
-// concatenated; anything else goes through COO for the sort and merge.
-func (a *CrsMatrix) stagedCSR(cols int) *sparse.CSR {
 	n := len(a.stageCols)
 	rp := make([]int, n+1)
-	ascending := true
 	for lr, row := range a.stageCols {
 		rp[lr+1] = rp[lr] + len(row)
-		for k := 1; k < len(row) && ascending; k++ {
-			ascending = row[k-1] < row[k]
-		}
-	}
-	if !ascending {
-		coo := sparse.NewCOO(n, cols)
-		for lr := range a.stageCols {
-			for k, j := range a.stageCols[lr] {
-				coo.Append(lr, j, a.stageVals[lr][k])
-			}
-		}
-		return coo.ToCSR()
 	}
 	ci := make([]int, rp[n])
 	v := make([]float64, rp[n])
@@ -125,7 +96,14 @@ func (a *CrsMatrix) stagedCSR(cols int) *sparse.CSR {
 		copy(ci[rp[lr]:], a.stageCols[lr])
 		copy(v[rp[lr]:], a.stageVals[lr])
 	}
-	return &sparse.CSR{Rows: n, Cols: cols, RowPtr: rp, ColInd: ci, Vals: v}
+	dist, err := pmat.NewMat(l, sparse.Canonical(n, l.N, rp, ci, v))
+	if err != nil {
+		return fmt.Errorf("aztec: FillComplete: %w", err)
+	}
+	a.dist = dist
+	a.filled = true
+	a.stageCols, a.stageVals = nil, nil
+	return nil
 }
 
 // RowMap returns the row distribution.
@@ -149,12 +127,7 @@ func (a *CrsMatrix) ExtractGlobalRowCopy(globalRow int) ([]int, []float64, error
 	if !a.rowMap.MyGID(globalRow) {
 		return nil, nil, fmt.Errorf("aztec: ExtractGlobalRowCopy: row %d not owned", globalRow)
 	}
-	lr := globalRow - a.rowMap.MinMyGID()
-	cols, vals := a.localCSR.RowView(lr)
-	ci := make([]int, len(cols))
-	copy(ci, cols)
-	v := make([]float64, len(vals))
-	copy(v, vals)
+	ci, v := a.dist.RowGlobal(globalRow - a.rowMap.MinMyGID())
 	return ci, v, nil
 }
 
@@ -171,38 +144,19 @@ func (a *CrsMatrix) ExtractDiagonalCopy() ([]float64, error) {
 func (a *CrsMatrix) Dist() *pmat.Mat { return a.dist }
 
 // rowMatrixDiagBlock extracts the local diagonal block of a RowMatrix. A
-// filled CrsMatrix is cut straight out of its local CSR; anything else is
+// filled CrsMatrix is cut out of its distributed matrix; anything else is
 // read through the public row-access interface, so user-defined
 // RowMatrix implementations can be preconditioned too.
 func rowMatrixDiagBlock(m RowMatrix) (*sparse.CSR, error) {
 	if crs, ok := m.(*CrsMatrix); ok && crs.filled {
-		return crs.diagBlock(), nil
+		return crs.dist.DiagBlock(), nil
 	}
 	return genericDiagBlock(m)
 }
 
-// diagBlock copies the columns [lo, lo+n) of every local row, shifted to
-// local numbering. The rows of localCSR are sorted, so each row's share
-// is one contiguous run.
-func (a *CrsMatrix) diagBlock() *sparse.CSR {
-	lo, n := a.rowMap.MinMyGID(), a.rowMap.NumMyElements()
-	src := a.localCSR
-	rp := make([]int, n+1)
-	ci := make([]int, 0, src.NNZ())
-	v := make([]float64, 0, src.NNZ())
-	for lr := 0; lr < n; lr++ {
-		cols, vals := src.RowView(lr)
-		b := sort.SearchInts(cols, lo)
-		e := b + sort.SearchInts(cols[b:], lo+n)
-		for _, j := range cols[b:e] {
-			ci = append(ci, j-lo)
-		}
-		v = append(v, vals[b:e]...)
-		rp[lr+1] = len(ci)
-	}
-	return &sparse.CSR{Rows: n, Cols: n, RowPtr: rp, ColInd: ci, Vals: v}
-}
-
+// genericDiagBlock reads the block through ExtractGlobalRowCopy; a user
+// RowMatrix's rows are outside input, in any order, so they go through
+// COO.
 func genericDiagBlock(m RowMatrix) (*sparse.CSR, error) {
 	rm := m.RowMap()
 	lo, n := rm.MinMyGID(), rm.NumMyElements()

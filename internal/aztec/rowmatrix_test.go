@@ -23,8 +23,9 @@ func rowMatrixOperators(t *testing.T) map[string]*sparse.CSR {
 	}
 }
 
-// cooOfStaged is FillComplete's generic route written out: every staged
-// entry through COO, sorted and merged by ToCSR.
+// cooOfStaged is the COO route FillComplete used to take for rows that
+// were not ascending: every staged entry through COO, sorted and merged
+// by ToCSR.
 func cooOfStaged(rows, cols int, stageCols [][]int, stageVals [][]float64) *sparse.CSR {
 	coo := sparse.NewCOO(rows, cols)
 	for lr := range stageCols {
@@ -35,8 +36,8 @@ func cooOfStaged(rows, cols int, stageCols [][]int, stageVals [][]float64) *spar
 	return coo.ToCSR()
 }
 
-// TestFillCompleteDirectMatchesCOO: rows staged in ascending order are
-// frozen without the COO round trip and give the matrix COO would have.
+// TestFillCompleteDirectMatchesCOO: FillComplete's concatenate-and-
+// normalise path gives the matrix the COO route would have.
 func TestFillCompleteDirectMatchesCOO(t *testing.T) {
 	for name, global := range rowMatrixOperators(t) {
 		for ranks := 1; ranks <= 3; ranks++ {
@@ -59,7 +60,7 @@ func TestFillCompleteDirectMatchesCOO(t *testing.T) {
 				if err := a.FillComplete(); err != nil {
 					t.Fatal(err)
 				}
-				if !a.localCSR.Equal(want) {
+				if !a.dist.LocalRowsGlobal().Equal(want) {
 					t.Errorf("%s on %d ranks: direct CSR differs from the COO route", name, ranks)
 				}
 			})
@@ -69,7 +70,7 @@ func TestFillCompleteDirectMatchesCOO(t *testing.T) {
 
 // TestFillCompleteFallsBackWhenNotAscending: a row staged out of order,
 // in two calls, or with a repeated column must still come out sorted and
-// merged — one such row sends the whole matrix down the COO route.
+// merged, and the well-formed rows around it unchanged.
 func TestFillCompleteFallsBackWhenNotAscending(t *testing.T) {
 	global := sparse.Laplace2D(6, 4)
 	shapes := map[string]func(a *CrsMatrix, g int, cols []int, vals []float64) error{
@@ -124,7 +125,7 @@ func TestFillCompleteFallsBackWhenNotAscending(t *testing.T) {
 					t.Fatal(err)
 				}
 				lo, n := m.MinMyGID(), m.NumMyElements()
-				if !a.localCSR.Equal(global.SubMatrix(lo, lo+n)) {
+				if !a.dist.LocalRowsGlobal().Equal(global.SubMatrix(lo, lo+n)) {
 					t.Errorf("%s on %d ranks: local CSR is not the sorted, merged rows", name, ranks)
 				}
 			})
@@ -137,7 +138,8 @@ func TestFillCompleteFallsBackWhenNotAscending(t *testing.T) {
 type hiddenCrs struct{ RowMatrix }
 
 // TestDiagBlockFastPathMatchesGeneric: cutting the diagonal block out of
-// the local CSR equals reading it row by row through the interface.
+// the distributed matrix equals reading it row by row through the
+// interface.
 func TestDiagBlockFastPathMatchesGeneric(t *testing.T) {
 	for name, global := range rowMatrixOperators(t) {
 		for ranks := 1; ranks <= 3; ranks++ {
@@ -175,7 +177,7 @@ func TestDiagBlockFastPathMatchesGeneric(t *testing.T) {
 			})
 		}
 	}
-	// An unfilled matrix has no local CSR to cut; the error comes from
+	// An unfilled matrix has nothing to cut; the error comes from
 	// the row-access route as before.
 	run(t, 1, func(c *comm.Comm) {
 		m, err := evenMap(c, 4)

@@ -235,12 +235,13 @@ func (b *baseAdapter) SetupMatrixOffset(values []float64, rows, cols []int, ds S
 	if b.localNNZ >= 0 && nnz != b.localNNZ {
 		return ErrBadArg
 	}
-	local := sparse.NewCOO(b.localRows, b.globalCols)
+	var a *sparse.CSR
 	switch ds {
 	case COO:
 		if len(values) < nnz || len(rows) < nnz || cols == nil || len(cols) < nnz {
 			return ErrBadArg
 		}
+		local := sparse.NewCOO(b.localRows, b.globalCols)
 		for k := 0; k < nnz; k++ {
 			gi := rows[k] - offset
 			gj := cols[k] - offset
@@ -250,6 +251,7 @@ func (b *baseAdapter) SetupMatrixOffset(values []float64, rows, cols []int, ds S
 			}
 			local.Append(li, gj, values[k])
 		}
+		a = local.ToCSR()
 	case CSR:
 		if rowsLength != b.localRows+1 || len(rows) < rowsLength {
 			return ErrBadArg
@@ -260,6 +262,8 @@ func (b *baseAdapter) SetupMatrixOffset(values []float64, rows, cols []int, ds S
 		if rows[0]-offset != 0 || rows[b.localRows]-offset != nnz {
 			return ErrBadArg
 		}
+		rp := make([]int, b.localRows+1)
+		ci := make([]int, nnz)
 		for li := 0; li < b.localRows; li++ {
 			lo, hi := rows[li]-offset, rows[li+1]-offset
 			if lo > hi || hi > nnz {
@@ -270,14 +274,18 @@ func (b *baseAdapter) SetupMatrixOffset(values []float64, rows, cols []int, ds S
 				if gj < 0 || gj >= b.globalCols || !finite(values[k]) {
 					return ErrBadArg
 				}
-				local.Append(li, gj, values[k])
+				ci[k] = gj
 			}
+			rp[li+1] = hi
 		}
+		a = sparse.Canonical(b.localRows, b.globalCols, rp, ci, append([]float64(nil), values[:nnz]...))
 	case MSR:
 		// values/rows are the combined MSR arrays: values[0:localRows]
 		// is the diagonal, rows[i] points at row i's off-diagonals, and
 		// rows[k] for k ≥ localRows+1 holds global column indices.
-		// cols is ignored (the SIDL signature forces three arrays).
+		// cols is ignored (the SIDL signature forces three arrays). Each
+		// row is its nonzero diagonal followed by its off-diagonals,
+		// and fewer than len(values) entries in all.
 		if rowsLength != len(rows) || len(values) != len(rows) {
 			return ErrBadArg
 		}
@@ -287,12 +295,16 @@ func (b *baseAdapter) SetupMatrixOffset(values []float64, rows, cols []int, ds S
 		if rows[0]-offset != b.localRows+1 {
 			return ErrBadArg
 		}
+		rp := make([]int, b.localRows+1)
+		ci := make([]int, 0, len(values))
+		v := make([]float64, 0, len(values))
 		for li := 0; li < b.localRows; li++ {
 			if !finite(values[li]) {
 				return ErrBadArg
 			}
 			if values[li] != 0 {
-				local.Append(li, b.startRow+li, values[li])
+				ci = append(ci, b.startRow+li)
+				v = append(v, values[li])
 			}
 			lo, hi := rows[li]-offset, rows[li+1]-offset
 			if lo > hi || hi > len(values) {
@@ -303,9 +315,12 @@ func (b *baseAdapter) SetupMatrixOffset(values []float64, rows, cols []int, ds S
 				if gj < 0 || gj >= b.globalCols || !finite(values[k]) {
 					return ErrBadArg
 				}
-				local.Append(li, gj, values[k])
+				ci = append(ci, gj)
+				v = append(v, values[k])
 			}
+			rp[li+1] = len(ci)
 		}
+		a = sparse.Canonical(b.localRows, b.globalCols, rp, ci, v)
 	case VBR, FEM:
 		// The three-array SIDL signature cannot carry these formats; the
 		// dedicated extension methods must be used instead.
@@ -313,7 +328,7 @@ func (b *baseAdapter) SetupMatrixOffset(values []float64, rows, cols []int, ds S
 	default:
 		return ErrBadArg
 	}
-	b.localA = local.ToCSR()
+	b.localA = a
 	b.matVer++
 	return OK
 }

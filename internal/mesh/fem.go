@@ -3,6 +3,7 @@ package mesh
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/pmat"
 	"repro/internal/sparse"
@@ -202,9 +203,12 @@ func (p FEMProblem) GenerateRows(r0, r1 int) (*sparse.CSR, []float64, error) {
 	if r0 < 0 || r1 < r0 || r1 > n {
 		return nil, nil, fmt.Errorf("mesh: row range [%d,%d) outside [0,%d)", r0, r1, n)
 	}
-	coo := sparse.NewCOO(r1-r0, n)
-	b := make([]float64, r1-r0)
-	acc := &rowAccumulator{}
+	rows := r1 - r0
+	rp := make([]int, rows+1)
+	ci := make([]int, 0, femRowMax*rows)
+	v := make([]float64, 0, femRowMax*rows)
+	b := make([]float64, rows)
+	acc := &rowAccumulator{cols: make([]int, 0, femRowMax), vals: make([]float64, 0, femRowMax)}
 	for r := r0; r < r1; r++ {
 		// Invert the interior row-major index.
 		ix := r%(p.Nx-1) + 1
@@ -226,20 +230,25 @@ func (p FEMProblem) GenerateRows(r0, r1 int) (*sparse.CSR, []float64, error) {
 				}
 			}
 		}
-		for k, col := range acc.cols {
-			coo.Append(lr, col, acc.vals[k])
-		}
+		ci = append(ci, acc.cols...)
+		v = append(v, acc.vals...)
+		rp[lr+1] = len(ci)
 	}
-	return coo.ToCSR(), b, nil
+	return &sparse.CSR{Rows: rows, Cols: n, RowPtr: rp, ColInd: ci, Vals: v}, b, nil
 }
 
-// rowAccumulator sums one row's element contributions per column, in
-// first-encounter order. Summing here — rather than appending raw
-// duplicates and letting COO.ToCSR merge them — fixes the addition
-// order of each (i,j) to the element visit order, which is identical
-// to (j,i)'s because shared cells enumerate in the same lexicographic
-// order from either endpoint. That makes the assembled operator
-// bitwise symmetric, not just symmetric up to rounding.
+// femRowMax bounds a row's entries: the Kuhn split links a node to the
+// 14 lattice neighbours whose offset has every component in {0, 1} or
+// every component in {0, −1}, and to itself.
+const femRowMax = 15
+
+// rowAccumulator sums one row's element contributions per column and
+// keeps the row sorted by column. Summing here — rather than emitting
+// raw duplicates for a normaliser to merge — fixes the addition order of
+// each (i,j) to the element visit order, which is identical to (j,i)'s
+// because shared cells enumerate in the same lexicographic order from
+// either endpoint. That makes the assembled operator bitwise symmetric,
+// not just symmetric up to rounding.
 type rowAccumulator struct {
 	cols []int
 	vals []float64
@@ -251,16 +260,18 @@ func (a *rowAccumulator) reset() {
 }
 
 func (a *rowAccumulator) add(col int, v float64) {
-	// A row touches at most 27 lattice neighbors; linear search wins
-	// over any map and keeps encounter order deterministic.
-	for k, c := range a.cols {
-		if c == col {
-			a.vals[k] += v
-			return
-		}
+	// A row has at most femRowMax entries; a linear scan finds the
+	// column's place.
+	k := 0
+	for k < len(a.cols) && a.cols[k] < col {
+		k++
 	}
-	a.cols = append(a.cols, col)
-	a.vals = append(a.vals, v)
+	if k < len(a.cols) && a.cols[k] == col {
+		a.vals[k] += v
+		return
+	}
+	a.cols = slices.Insert(a.cols, k, col)
+	a.vals = slices.Insert(a.vals, k, v)
 }
 
 // assembleCellRow adds cell (cx,cy,cz)'s contributions to the row of

@@ -109,37 +109,49 @@ func (p Problem) GenerateRows(r0, r1 int) (*sparse.CSR, []float64, error) {
 	east := cx - cc
 	west := cx + cc
 
-	coo := sparse.NewCOO(r1-r0, n)
-	b := make([]float64, r1-r0)
+	// Each row is written in ascending column order (south, west,
+	// centre, east, north), so the CSR is canonical as it is built.
+	// Boundary neighbours lift into b in the order west, east, south,
+	// north.
+	rows := r1 - r0
+	rp := make([]int, rows+1)
+	ci := make([]int, 0, 5*rows)
+	v := make([]float64, 0, 5*rows)
+	b := make([]float64, rows)
 	for r := r0; r < r1; r++ {
 		i := r % p.Nx
 		j := r / p.Nx
 		x, y := p.coords(i, j)
 		lr := r - r0
 		b[lr] = p.F(x, y)
-		coo.Append(lr, r, center)
-		if i > 0 {
-			coo.Append(lr, p.index(i-1, j), west)
-		} else {
+		if i == 0 {
 			b[lr] -= west * p.G(0, y)
 		}
-		if i < p.Nx-1 {
-			coo.Append(lr, p.index(i+1, j), east)
-		} else {
+		if i == p.Nx-1 {
 			b[lr] -= east * p.G(1, y)
 		}
-		if j > 0 {
-			coo.Append(lr, p.index(i, j-1), cy)
-		} else {
+		if j == 0 {
 			b[lr] -= cy * p.G(x, 0)
 		}
-		if j < p.Ny-1 {
-			coo.Append(lr, p.index(i, j+1), cy)
-		} else {
+		if j == p.Ny-1 {
 			b[lr] -= cy * p.G(x, 1)
 		}
+		if j > 0 {
+			ci, v = append(ci, p.index(i, j-1)), append(v, cy)
+		}
+		if i > 0 {
+			ci, v = append(ci, p.index(i-1, j)), append(v, west)
+		}
+		ci, v = append(ci, r), append(v, center)
+		if i < p.Nx-1 {
+			ci, v = append(ci, p.index(i+1, j)), append(v, east)
+		}
+		if j < p.Ny-1 {
+			ci, v = append(ci, p.index(i, j+1)), append(v, cy)
+		}
+		rp[lr+1] = len(ci)
 	}
-	return coo.ToCSR(), b, nil
+	return &sparse.CSR{Rows: rows, Cols: n, RowPtr: rp, ColInd: ci, Vals: v}, b, nil
 }
 
 // GenerateLocal builds this rank's conformal block rows for the given

@@ -2,6 +2,7 @@ package pmat
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/par"
@@ -33,9 +34,10 @@ type Mat struct {
 	// interior and boundary split local by column ownership so Apply can
 	// overlap the ghost exchange with the interior product: interior
 	// holds the entries whose columns this rank owns, boundary the
-	// entries referencing ghost columns (reindexed to [0, G)). interior
-	// is dropped once a SELL kernel has replaced it: only rebind reads
-	// it, and splits it off local again if a pool change needs it.
+	// entries referencing ghost columns (reindexed to [0, G)). Both are
+	// split off local on first bind, not at construction. interior is
+	// dropped once a SELL kernel has replaced it: only rebind reads it,
+	// and splits it off local again if a pool change needs it.
 	interior *sparse.CSR
 	boundary *sparse.CSR
 
@@ -133,7 +135,7 @@ func (m *Mat) rebind() {
 		workers = m.pool.Workers()
 	}
 	if m.interior == nil {
-		m.splitInteriorBoundary()
+		m.interior, m.boundary = m.split()
 	}
 	m.intSpMV.Bind(m.interior, false, m.format, workers)
 	m.bndSpMV.Bind(m.boundary, true, m.format, workers)
@@ -154,7 +156,9 @@ func NewMat(l *Layout, localRows *sparse.CSR) (*Mat, error) {
 // NewMatRect builds a rectangular distributed matrix whose rows follow
 // rowL and whose input vectors follow colL (collective). localRows must
 // have Rows == rowL.LocalN and Cols == colL.N, with global column
-// indices.
+// indices, and be canonical (every row's columns strictly ascending):
+// the interior/boundary split and the diagonal block are order-preserving
+// filters of these rows.
 func NewMatRect(rowL, colL *Layout, localRows *sparse.CSR) (*Mat, error) {
 	if localRows.Rows != rowL.LocalN {
 		return nil, fmt.Errorf("pmat: NewMatRect: local matrix has %d rows, layout owns %d", localRows.Rows, rowL.LocalN)
@@ -164,24 +168,16 @@ func NewMatRect(rowL, colL *Layout, localRows *sparse.CSR) (*Mat, error) {
 	}
 	m := &Mat{L: rowL, C: colL}
 
-	// Collect ghost columns.
-	ghost := make(map[int]bool)
+	// Collect the ghost columns, sorted and distinct.
 	for _, j := range localRows.ColInd {
 		if !colL.Owns(j) {
-			ghost[j] = true
+			m.ghostCols = append(m.ghostCols, j)
 		}
 	}
-	m.ghostCols = make([]int, 0, len(ghost))
-	for j := range ghost {
-		m.ghostCols = append(m.ghostCols, j)
-	}
 	sort.Ints(m.ghostCols)
+	m.ghostCols = slices.Compact(m.ghostCols)
 
 	// Compact the column space: owned -> [0,LocalN), ghosts follow.
-	ghostSlot := make(map[int]int, len(m.ghostCols))
-	for s, j := range m.ghostCols {
-		ghostSlot[j] = colL.LocalN + s
-	}
 	rp := make([]int, len(localRows.RowPtr))
 	copy(rp, localRows.RowPtr)
 	ci := make([]int, len(localRows.ColInd))
@@ -191,7 +187,7 @@ func NewMatRect(rowL, colL *Layout, localRows *sparse.CSR) (*Mat, error) {
 		if colL.Owns(j) {
 			ci[k] = j - colL.Start
 		} else {
-			ci[k] = ghostSlot[j]
+			ci[k] = colL.LocalN + sort.SearchInts(m.ghostCols, j)
 		}
 	}
 	var err error
@@ -199,7 +195,15 @@ func NewMatRect(rowL, colL *Layout, localRows *sparse.CSR) (*Mat, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pmat: NewMatRect: %v", err)
 	}
-	m.splitInteriorBoundary()
+	// The structure is valid now (it is localRows'); check the order.
+	for i := 0; i < localRows.Rows; i++ {
+		cols, _ := localRows.RowView(i)
+		for k := 1; k < len(cols); k++ {
+			if cols[k-1] >= cols[k] {
+				return nil, fmt.Errorf("pmat: NewMatRect: row %d columns not strictly ascending (%d then %d)", i, cols[k-1], cols[k])
+			}
+		}
+	}
 
 	m.buildPlan()
 	m.sendBuf = make([][]float64, len(m.sendIdx))
@@ -212,25 +216,12 @@ func NewMatRect(rowL, colL *Layout, localRows *sparse.CSR) (*Mat, error) {
 	return m, nil
 }
 
-// splitInteriorBoundary partitions the compacted operator by column
-// ownership, enabling communication/computation overlap in Apply.
-func (m *Mat) splitInteriorBoundary() {
-	nLoc := m.C.LocalN
-	nGhost := len(m.ghostCols)
-	intCOO := sparse.NewCOO(m.L.LocalN, nLoc)
-	bndCOO := sparse.NewCOO(m.L.LocalN, nGhost)
-	for i := 0; i < m.L.LocalN; i++ {
-		cols, vals := m.local.RowView(i)
-		for k, j := range cols {
-			if j < nLoc {
-				intCOO.Append(i, j, vals[k])
-			} else {
-				bndCOO.Append(i, j-nLoc, vals[k])
-			}
-		}
-	}
-	m.interior = intCOO.ToCSR()
-	m.boundary = bndCOO.ToCSR()
+// split partitions the compacted operator by column ownership: the
+// owned columns [0, LocalN) are the interior block, the ghost columns
+// the boundary block, re-indexed to [0, G). Ghost slots follow global
+// column order, so both halves of a canonical row stay ascending.
+func (m *Mat) split() (interior, boundary *sparse.CSR) {
+	return m.local.SplitCols(0, m.C.LocalN)
 }
 
 // buildPlan exchanges ghost requests so every rank learns which of its
@@ -341,16 +332,8 @@ func (m *Mat) DiagBlock() *sparse.CSR {
 	if m.L != m.C {
 		panic("pmat: DiagBlock requires a square matrix")
 	}
-	coo := sparse.NewCOO(m.L.LocalN, m.L.LocalN)
-	for i := 0; i < m.L.LocalN; i++ {
-		cols, vals := m.local.RowView(i)
-		for k, j := range cols {
-			if j < m.L.LocalN {
-				coo.Append(i, j, vals[k])
-			}
-		}
-	}
-	return coo.ToCSR()
+	blk, _ := m.split()
+	return blk
 }
 
 // Diagonal returns the local portion of the global main diagonal.
@@ -371,48 +354,63 @@ func (m *Mat) Diagonal() []float64 {
 	return d
 }
 
+// globalCol maps a compacted column back to its global index, the
+// inverse of the compaction done at construction. It is monotone within
+// the owned and within the ghost columns, and compaction kept every
+// entry in place, so a row read back through it is the canonical row
+// that went in.
+func (m *Mat) globalCol(j int) int {
+	if j < m.C.LocalN {
+		return j + m.C.Start
+	}
+	return m.ghostCols[j-m.C.LocalN]
+}
+
+// RowGlobal returns copies of local row i's global column indices and
+// values.
+func (m *Mat) RowGlobal(i int) ([]int, []float64) {
+	cols, vals := m.local.RowView(i)
+	ci := make([]int, len(cols))
+	for k, j := range cols {
+		ci[k] = m.globalCol(j)
+	}
+	return ci, append([]float64(nil), vals...)
+}
+
 // LocalRowsGlobal reconstructs this rank's rows with global column
-// indices (the inverse of the compaction done at construction).
+// indices.
 func (m *Mat) LocalRowsGlobal() *sparse.CSR {
-	rp := make([]int, len(m.local.RowPtr))
-	copy(rp, m.local.RowPtr)
+	rp := append([]int(nil), m.local.RowPtr...)
 	ci := make([]int, len(m.local.ColInd))
-	v := make([]float64, len(m.local.Vals))
-	copy(v, m.local.Vals)
 	for k, j := range m.local.ColInd {
-		if j < m.C.LocalN {
-			ci[k] = j + m.C.Start
-		} else {
-			ci[k] = m.ghostCols[j-m.C.LocalN]
-		}
+		ci[k] = m.globalCol(j)
 	}
-	out, err := sparse.NewCSR(m.L.LocalN, m.C.N, rp, ci, v)
-	if err != nil {
-		panic(fmt.Sprintf("pmat: LocalRowsGlobal: %v", err))
-	}
-	return out
+	v := append([]float64(nil), m.local.Vals...)
+	return &sparse.CSR{Rows: m.L.LocalN, Cols: m.C.N, RowPtr: rp, ColInd: ci, Vals: v}
 }
 
 // GatherGlobal assembles the full matrix on every rank (collective). This
 // is the substitution path used by the direct-solver package, standing in
-// for a distributed factorization; it is documented in DESIGN.md.
+// for a distributed factorization; it is documented in DESIGN.md. Block
+// rows are contiguous in rank order, so the global CSR is the rank-order
+// concatenation of every rank's row lengths, columns and values.
 func (m *Mat) GatherGlobal() *sparse.CSR {
 	l := m.L
 	loc := m.LocalRowsGlobal()
-	coo := loc.ToCOO()
-	// Shift local row indices to global.
-	rowsG := make([]int, len(coo.Row))
-	for k, i := range coo.Row {
-		rowsG[k] = i + l.Start
+	lens := make([]int, loc.Rows)
+	for i := range lens {
+		lens[i] = loc.RowPtr[i+1] - loc.RowPtr[i]
 	}
-	allRows := l.c.AllGatherVInts(rowsG)
-	allCols := l.c.AllGatherVInts(coo.Col)
-	allVals := l.c.AllGatherVFloat64s(coo.Val)
-	g, err := sparse.NewCOOFromArrays(l.N, m.C.N, allRows, allCols, allVals)
-	if err != nil {
-		panic(fmt.Sprintf("pmat: GatherGlobal: %v", err))
+	allLens := l.c.AllGatherVInts(lens)
+	rp := make([]int, l.N+1)
+	for i, n := range allLens {
+		rp[i+1] = rp[i] + n
 	}
-	return g.ToCSR()
+	return &sparse.CSR{
+		Rows: l.N, Cols: m.C.N, RowPtr: rp,
+		ColInd: l.c.AllGatherVInts(loc.ColInd),
+		Vals:   l.c.AllGatherVFloat64s(loc.Vals),
+	}
 }
 
 // Residual computes the global 2-norm of b − A·x (collective). The

@@ -114,6 +114,10 @@ func newEntry(s *Service, key poolKey, spec entrySpec) (*entry, *Error) {
 	if err != nil {
 		return nil, errf(CodeBadRequest, 400, false, "procs %d: %v", spec.procs, err)
 	}
+	starts, err := mesh.PartitionRows(spec.n, spec.procs)
+	if err != nil {
+		return nil, errf(CodeBadRequest, 400, false, "%v", err)
+	}
 	if spec.hook != nil {
 		// Arm before Run starts — SetFaultHook's contract.
 		w.SetFaultHook(spec.hook)
@@ -128,7 +132,7 @@ func newEntry(s *Service, key poolKey, spec entrySpec) (*entry, *Error) {
 		results:  make(chan rankResult, spec.procs),
 		runDone:  make(chan struct{}),
 		stopCh:   make(chan struct{}),
-		starts:   evenStarts(spec.n, spec.procs),
+		starts:   starts,
 		rankX:    make([][]float64, spec.procs),
 		members:  make([]*job, 0, 8),
 	}
@@ -606,19 +610,4 @@ func mergedContext(members []*job) (context.Context, context.CancelFunc) {
 		}
 		cancel()
 	}
-}
-
-// evenStarts replicates pmat.EvenLayout's block-row partition of n rows
-// over procs ranks: starts[r] is rank r's first global row, with the
-// remainder rows going to the low ranks.
-func evenStarts(n, procs int) []int {
-	starts := make([]int, procs+1)
-	q, rem := n/procs, n%procs
-	for r := 0; r < procs; r++ {
-		starts[r+1] = starts[r] + q
-		if r < rem {
-			starts[r+1]++
-		}
-	}
-	return starts
 }

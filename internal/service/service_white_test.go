@@ -388,25 +388,6 @@ func TestMergedContextAllMembersCancel(t *testing.T) {
 	}
 }
 
-func TestEvenStartsMatchesLayout(t *testing.T) {
-	for _, tc := range []struct{ n, p int }{{10, 1}, {10, 3}, {64, 4}, {7, 7}, {100, 8}} {
-		starts := evenStarts(tc.n, tc.p)
-		if starts[tc.p] != tc.n {
-			t.Fatalf("evenStarts(%d,%d) ends at %d", tc.n, tc.p, starts[tc.p])
-		}
-		q, rem := tc.n/tc.p, tc.n%tc.p
-		for r := 0; r < tc.p; r++ {
-			want := q
-			if r < rem {
-				want++
-			}
-			if got := starts[r+1] - starts[r]; got != want {
-				t.Fatalf("evenStarts(%d,%d) rank %d has %d rows, want %d", tc.n, tc.p, r, got, want)
-			}
-		}
-	}
-}
-
 func TestConfigDefaults(t *testing.T) {
 	cfg := Config{}.withDefaults()
 	for name, v := range map[string]int{

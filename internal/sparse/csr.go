@@ -7,9 +7,12 @@ import (
 )
 
 // CSR is a compressed-sparse-row matrix: for row i the column indices are
-// ColInd[RowPtr[i]:RowPtr[i+1]] with matching Vals. Column indices within a
-// row are kept sorted and duplicate-free by all constructors in this
-// package.
+// ColInd[RowPtr[i]:RowPtr[i+1]] with matching Vals. A CSR is canonical
+// when every row's columns are strictly ascending (sorted and
+// duplicate-free). NewCSR checks structure only — dimensions, row
+// pointers, column range. Canonical establishes canonical form once,
+// where outside rows enter (COO.ToCSR ends in it); pmat.NewMatRect
+// checks it; and every later reshape (SplitCols) preserves it.
 type CSR struct {
 	Rows, Cols int
 	RowPtr     []int // length Rows+1
@@ -46,6 +49,90 @@ func NewCSR(rows, cols int, rowPtr, colInd []int, vals []float64) (*CSR, error) 
 		}
 	}
 	return &CSR{Rows: rows, Cols: cols, RowPtr: rowPtr, ColInd: colInd, Vals: vals}, nil
+}
+
+// Canonical brings CSR arrays to canonical form in place and wraps them:
+// a strictly ascending row is moved down unchanged, any other is sorted
+// and its duplicates summed (from a snapshot, since writes may move left
+// past unread entries). Column ranges are not checked. sort.Slice is
+// unstable, so the order in which three or more duplicates of one entry
+// are added — and the last bit of their sum — is whatever it makes of it.
+func Canonical(rows, cols int, rowPtr, colInd []int, vals []float64) *CSR {
+	var scratchIdx, order []int
+	var scratchVal []float64
+	w, lo := 0, 0
+	for i := 0; i < rows; i++ {
+		hi := rowPtr[i+1]
+		ascending := true
+		for k := lo + 1; k < hi && ascending; k++ {
+			ascending = colInd[k-1] < colInd[k]
+		}
+		if ascending {
+			copy(colInd[w:], colInd[lo:hi])
+			copy(vals[w:], vals[lo:hi])
+			w += hi - lo
+		} else {
+			scratchIdx = append(scratchIdx[:0], colInd[lo:hi]...)
+			scratchVal = append(scratchVal[:0], vals[lo:hi]...)
+			order = order[:0]
+			for k := range scratchIdx {
+				order = append(order, k)
+			}
+			sort.Slice(order, func(a, b int) bool { return scratchIdx[order[a]] < scratchIdx[order[b]] })
+			prev := -1
+			for _, k := range order {
+				j := scratchIdx[k]
+				if j == prev {
+					vals[w-1] += scratchVal[k]
+					continue
+				}
+				colInd[w] = j
+				vals[w] = scratchVal[k]
+				prev = j
+				w++
+			}
+		}
+		rowPtr[i+1] = w
+		lo = hi
+	}
+	return &CSR{Rows: rows, Cols: cols, RowPtr: rowPtr, ColInd: colInd[:w], Vals: vals[:w]}
+}
+
+// SplitCols splits a by column in two passes (count, then fill): in
+// holds the entries in columns [lo, hi), re-indexed from 0; out holds
+// the rest, columns at or past hi shifted down by hi−lo. Both maps are
+// monotone and rows keep their order, so canonical in, canonical out.
+func (a *CSR) SplitCols(lo, hi int) (in, out *CSR) {
+	width := hi - lo
+	inPtr := make([]int, a.Rows+1)
+	outPtr := make([]int, a.Rows+1)
+	for i := 0; i < a.Rows; i++ {
+		n := 0
+		for _, j := range a.ColInd[a.RowPtr[i]:a.RowPtr[i+1]] {
+			if j >= lo && j < hi {
+				n++
+			}
+		}
+		inPtr[i+1] = inPtr[i] + n
+		outPtr[i+1] = outPtr[i] + a.RowPtr[i+1] - a.RowPtr[i] - n
+	}
+	nIn, nOut := inPtr[a.Rows], outPtr[a.Rows]
+	in = &CSR{Rows: a.Rows, Cols: width, RowPtr: inPtr, ColInd: make([]int, nIn), Vals: make([]float64, nIn)}
+	out = &CSR{Rows: a.Rows, Cols: a.Cols - width, RowPtr: outPtr, ColInd: make([]int, nOut), Vals: make([]float64, nOut)}
+	p, q := 0, 0
+	for k, j := range a.ColInd[:a.RowPtr[a.Rows]] {
+		switch {
+		case j >= hi:
+			j -= width
+		case j >= lo:
+			in.ColInd[p], in.Vals[p] = j-lo, a.Vals[k]
+			p++
+			continue
+		}
+		out.ColInd[q], out.Vals[q] = j, a.Vals[k]
+		q++
+	}
+	return in, out
 }
 
 // NNZ returns the number of stored entries.
@@ -96,20 +183,6 @@ func (a *CSR) At(i, j int) float64 {
 		return a.Vals[k]
 	}
 	return 0
-}
-
-// Diagonal extracts the main diagonal into a new slice of length
-// min(rows, cols); entries absent from the pattern are zero.
-func (a *CSR) Diagonal() []float64 {
-	n := a.Rows
-	if a.Cols < n {
-		n = a.Cols
-	}
-	d := make([]float64, n)
-	for i := 0; i < n; i++ {
-		d[i] = a.At(i, i)
-	}
-	return d
 }
 
 // Transpose returns Aᵀ as a new CSR.

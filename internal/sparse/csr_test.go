@@ -93,10 +93,6 @@ func TestCSRBasicOps(t *testing.T) {
 	if a.At(0, 2) != 1 || a.At(0, 1) != 0 || a.At(1, 1) != 3 {
 		t.Errorf("At lookup failed")
 	}
-	d := a.Diagonal()
-	if len(d) != 2 || d[0] != 2 || d[1] != 3 {
-		t.Errorf("Diagonal = %v", d)
-	}
 	if a.NormInf() != 3 {
 		t.Errorf("NormInf = %v", a.NormInf())
 	}
@@ -269,13 +265,19 @@ func TestConverterAllocsConstant(t *testing.T) {
 	}
 }
 
+// TestSplitCols: the split keeps every row's order, re-indexes the
+// columns in [lo, hi) from 0, and closes the gap in the rest.
+func TestSplitCols(t *testing.T) {
+	a := &CSR{Rows: 2, Cols: 6, RowPtr: []int{0, 4, 6}, ColInd: []int{0, 2, 3, 5, 1, 4}, Vals: []float64{1, 2, 3, 4, 5, 6}}
+	in, out := a.SplitCols(2, 4)
+	wantIn := &CSR{Rows: 2, Cols: 2, RowPtr: []int{0, 2, 2}, ColInd: []int{0, 1}, Vals: []float64{2, 3}}
+	wantOut := &CSR{Rows: 2, Cols: 4, RowPtr: []int{0, 2, 4}, ColInd: []int{0, 3, 1, 2}, Vals: []float64{1, 4, 5, 6}}
+	if !in.Equal(wantIn) || !out.Equal(wantOut) {
+		t.Errorf("SplitCols(2, 4) = %+v | %+v, want %+v | %+v", in, out, wantIn, wantOut)
+	}
+}
+
 func TestCOOValidation(t *testing.T) {
-	if _, err := NewCOOFromArrays(2, 2, []int{0}, []int{0, 1}, []float64{1, 2}); err == nil {
-		t.Error("length mismatch accepted")
-	}
-	if _, err := NewCOOFromArrays(2, 2, []int{5}, []int{0}, []float64{1}); err == nil {
-		t.Error("out-of-range row accepted")
-	}
 	defer func() {
 		if recover() == nil {
 			t.Error("Append out of range did not panic")
