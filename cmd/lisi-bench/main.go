@@ -23,8 +23,8 @@
 // runs.
 //
 // -timeout bounds the whole campaign; on expiry (exit status 124) or
-// SIGINT (exit status 130) every in-flight rank unblocks through the
-// comm layer's cancel propagation and the partial results collected so
+// SIGINT (exit status 130) the world of every in-flight measurement is
+// aborted, so its ranks unblock, and the partial results collected so
 // far are printed before exiting with the distinct status.
 package main
 
@@ -34,6 +34,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strconv"
@@ -57,58 +58,81 @@ const (
 )
 
 func main() {
-	experiment := flag.String("experiment", "all", "which experiment to run: table1, fig5, or all")
-	runs := flag.Int("runs", 3, "repetitions per measurement (mean is reported; the paper used 10)")
-	procs := flag.Int("procs", 8, "processor count for Table 1")
-	quick := flag.Bool("quick", false, "use reduced problem sizes for a fast smoke run")
-	grid := flag.Int("grid", 0, "override Figure 5 grid size n (0 = paper's n=200, nnz=199200)")
-	stat := flag.String("stat", "median", "aggregate repeated runs with \"median\" (robust) or \"mean\" (as the paper)")
-	timeout := flag.Duration("timeout", 0, "overall campaign deadline (0 = none); expiry exits with status 124")
-	workers := flag.Int("workers", 1, "intra-rank worker-pool size for the CCA measurements (results are bitwise-identical for any count)")
-	telemetryOut := flag.String("telemetry", "", "write instrumented per-phase solve reports to this JSON file")
-	faultSpec := flag.String("fault-spec", "",
+	// SIGINT cancels the campaign context; the harness returns whatever it
+	// completed so far plus the cancellation cause.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
+}
+
+// run is the whole command under ctx: it parses args, runs the chosen
+// campaign, writes tables to stdout and diagnostics to stderr, and
+// returns the exit status: 0 done, 1 failed, 2 bad flags, 3 a sweep cell
+// that did not converge, 124/130 a cancelled campaign. It leaves the
+// bench package's aggregation and fault-injection settings as it found
+// them.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("lisi-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	experiment := fs.String("experiment", "all", "which experiment to run: table1, fig5, or all")
+	runs := fs.Int("runs", 3, "repetitions per measurement (mean is reported; the paper used 10)")
+	procs := fs.Int("procs", 8, "processor count for Table 1")
+	quick := fs.Bool("quick", false, "use reduced problem sizes for a fast smoke run")
+	grid := fs.Int("grid", 0, "override Figure 5 grid size n (0 = paper's n=200, nnz=199200)")
+	stat := fs.String("stat", "median", "aggregate repeated runs with \"median\" (robust) or \"mean\" (as the paper)")
+	timeout := fs.Duration("timeout", 0, "overall campaign deadline (0 = none); expiry exits with status 124")
+	workers := fs.Int("workers", 1, "intra-rank worker-pool size for the CCA measurements (results are bitwise-identical for any count)")
+	telemetryOut := fs.String("telemetry", "", "write instrumented per-phase solve reports to this JSON file")
+	faultSpec := fs.String("fault-spec", "",
 		"arm this deterministic fault-injection schedule on every measurement world "+
 			"(measures resilience overhead; timings are NOT comparable to fault-free runs)")
-	sweep := flag.Bool("sweep", false, "run the workload-corpus accuracy/efficiency sweep instead of the paper experiments")
-	corpus := flag.String("corpus", "testdata/corpus", "corpus directory of .mtx files for -sweep")
-	sweepOut := flag.String("sweep-out", "", "write the sweep JSON report here")
-	sweepMD := flag.String("sweep-md", "", "write the sweep Markdown report here")
-	sweepTol := flag.Float64("sweep-tol", 1e-8, "convergence tolerance for every sweep cell")
-	sweepMaxIts := flag.Int("sweep-maxits", 2000, "iteration cap for every sweep cell")
-	flag.Parse()
+	sweep := fs.Bool("sweep", false, "run the workload-corpus accuracy/efficiency sweep instead of the paper experiments")
+	corpus := fs.String("corpus", "testdata/corpus", "corpus directory of .mtx files for -sweep")
+	sweepOut := fs.String("sweep-out", "", "write the sweep JSON report here")
+	sweepMD := fs.String("sweep-md", "", "write the sweep Markdown report here")
+	sweepTol := fs.Float64("sweep-tol", 1e-8, "convergence tolerance for every sweep cell")
+	sweepMaxIts := fs.Int("sweep-maxits", 2000, "iteration cap for every sweep cell")
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 
 	experimentSet := false
-	flag.Visit(func(f *flag.Flag) {
+	fs.Visit(func(f *flag.Flag) {
 		if f.Name == "experiment" {
 			experimentSet = true
 		}
 	})
 
+	defer func(median bool) { bench.UseMedian = median }(bench.UseMedian)
 	switch *stat {
 	case "median":
 		bench.UseMedian = true
 	case "mean":
 		bench.UseMedian = false
 	default:
-		fmt.Fprintf(os.Stderr, "unknown stat %q (want mean or median)\n", *stat)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "unknown stat %q (want mean or median)\n", *stat)
+		return 2
 	}
 
 	switch *experiment {
 	case "table1", "fig5", "all":
 	default:
-		fmt.Fprintf(os.Stderr, "unknown experiment %q (want table1, fig5, or all)\n", *experiment)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "unknown experiment %q (want table1, fig5, or all)\n", *experiment)
+		return 2
 	}
 
 	if *faultSpec != "" {
 		spec, err := fault.ParseSpec(*faultSpec)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, err)
+			return 2
 		}
 		bench.SetFaultInjector(func(size int) comm.FaultHook { return fault.New(spec, size) })
-		fmt.Fprintf(os.Stderr, "fault injection armed on every measurement world: %s\n", spec)
+		defer bench.SetFaultInjector(nil)
+		fmt.Fprintf(stderr, "fault injection armed on every measurement world: %s\n", spec)
 	}
 
 	params := bench.DefaultParams()
@@ -119,10 +143,6 @@ func main() {
 		params["workers"] = strconv.Itoa(*workers)
 	}
 
-	// SIGINT and -timeout both cancel the campaign context; the harness
-	// returns whatever it completed so far plus the cancellation cause.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
 	if *timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
@@ -130,8 +150,7 @@ func main() {
 	}
 
 	if *sweep {
-		runSweep(ctx, *corpus, *procs, *workers, *sweepTol, *sweepMaxIts, *sweepOut, *sweepMD)
-		return
+		return runSweep(ctx, stdout, stderr, *corpus, *procs, *workers, *sweepTol, *sweepMaxIts, *sweepOut, *sweepMD)
 	}
 
 	if *telemetryOut != "" {
@@ -144,36 +163,29 @@ func main() {
 		if *procs != 8 { // non-default: the user chose a count
 			telProcs = *procs
 		}
-		fmt.Printf("== Telemetry: instrumented CCA vs NonCCA, grid %dx%d, %d procs, best of %d run(s) ==\n",
+		fmt.Fprintf(stdout, "== Telemetry: instrumented CCA vs NonCCA, grid %dx%d, %d procs, best of %d run(s) ==\n",
 			n, n, telProcs, telRuns)
 		agg := telemetry.NewAggregator()
 		atts, err := bench.CollectAttribution(ctx, agg, telProcs, n, telRuns, params)
 		if err != nil && !cancelled(err) {
-			fmt.Fprintf(os.Stderr, "telemetry: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "telemetry: %v\n", err)
+			return 1
 		}
 		if len(atts) > 0 {
-			fmt.Println(bench.FormatAttribution(atts))
+			fmt.Fprintln(stdout, bench.FormatAttribution(atts))
 		}
 		if agg.Len() > 0 {
-			f, ferr := os.Create(*telemetryOut)
-			if ferr != nil {
-				fmt.Fprintf(os.Stderr, "telemetry: %v\n", ferr)
-				os.Exit(1)
+			if err := writeFile(*telemetryOut, agg.Emit); err != nil {
+				fmt.Fprintf(stderr, "telemetry: %v\n", err)
+				return 1
 			}
-			if ferr := agg.Emit(f); ferr != nil {
-				f.Close()
-				fmt.Fprintf(os.Stderr, "telemetry: %v\n", ferr)
-				os.Exit(1)
-			}
-			f.Close()
-			fmt.Printf("telemetry reports written to %s\n", *telemetryOut)
+			fmt.Fprintf(stdout, "telemetry reports written to %s\n", *telemetryOut)
 		}
 		if err != nil {
-			exitCancelled(err, len(atts))
+			return exitCancelled(stderr, err, len(atts))
 		}
 		if !experimentSet {
-			return
+			return 0
 		}
 	}
 
@@ -182,16 +194,16 @@ func main() {
 		if *quick {
 			nnzs = []int{12300, 49600}
 		}
-		fmt.Printf("== Table 1: PETSc-role component, %d processors, %d run(s) averaged ==\n", *procs, *runs)
+		fmt.Fprintf(stdout, "== Table 1: PETSc-role component, %d processors, %d run(s) averaged ==\n", *procs, *runs)
 		rows, err := bench.Table1(ctx, nnzs, *procs, *runs, params)
 		if err != nil && !cancelled(err) {
-			fmt.Fprintf(os.Stderr, "table1: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "table1: %v\n", err)
+			return 1
 		}
 		bench.SortRows(rows)
-		fmt.Println(bench.FormatTable1(rows))
+		fmt.Fprintln(stdout, bench.FormatTable1(rows))
 		if err != nil {
-			exitCancelled(err, len(rows))
+			return exitCancelled(stderr, err, len(rows))
 		}
 	}
 
@@ -204,30 +216,30 @@ func main() {
 			n = 60
 		}
 		p := mesh.PaperProblem(n)
-		fmt.Printf("== Figure 5: grid %dx%d (nnz=%d), %d run(s) averaged ==\n", n, n, p.NNZ(), *runs)
+		fmt.Fprintf(stdout, "== Figure 5: grid %dx%d (nnz=%d), %d run(s) averaged ==\n", n, n, p.NNZ(), *runs)
 		for _, s := range bench.Solvers() {
 			pts, err := bench.Figure5(ctx, s, n, bench.PaperProcs(), *runs, params)
 			if err != nil && !cancelled(err) {
-				fmt.Fprintf(os.Stderr, "figure5 %s: %v\n", s, err)
-				os.Exit(1)
+				fmt.Fprintf(stderr, "figure5 %s: %v\n", s, err)
+				return 1
 			}
-			fmt.Println(bench.FormatFigure5(s, pts))
+			fmt.Fprintln(stdout, bench.FormatFigure5(s, pts))
 			if err != nil {
-				exitCancelled(err, len(pts))
+				return exitCancelled(stderr, err, len(pts))
 			}
 		}
 	}
+	return 0
 }
 
-// runSweep executes the workload-corpus sweep and exits the process
-// with the appropriate status: 0 when every cell converged, 3 when any
-// cell failed (after the complete table and reports are out), 124/130
-// on cancellation.
-func runSweep(ctx context.Context, corpusDir string, procs, workers int, tol float64, maxIts int, outJSON, outMD string) {
+// runSweep executes the workload-corpus sweep and returns the exit
+// status: 0 when every cell converged, 3 when any cell failed (after the
+// complete table and reports are out), 124/130 on cancellation.
+func runSweep(ctx context.Context, stdout, stderr io.Writer, corpusDir string, procs, workers int, tol float64, maxIts int, outJSON, outMD string) int {
 	families, err := bench.CorpusFamilies(corpusDir)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "sweep: %v\n", err)
+		return 1
 	}
 	cfg := bench.DefaultSweepConfig()
 	cfg.Tol = tol
@@ -236,57 +248,60 @@ func runSweep(ctx context.Context, corpusDir string, procs, workers int, tol flo
 		cfg.Procs = procs
 	}
 	cfg.Workers = workers
-	fmt.Printf("== Workload sweep: %d families, procs=%d, workers=%d, tol=%g, maxits=%d ==\n",
+	fmt.Fprintf(stdout, "== Workload sweep: %d families, procs=%d, workers=%d, tol=%g, maxits=%d ==\n",
 		len(families), cfg.Procs, cfg.Workers, cfg.Tol, cfg.MaxIts)
 	report, runErr := bench.RunSweep(ctx, families, cfg)
 
 	// The table and reports are emitted unconditionally — a failing
 	// sweep must never truncate its own evidence.
-	fmt.Println(bench.FormatSweepMarkdown(report))
+	fmt.Fprintln(stdout, bench.FormatSweepMarkdown(report))
 	if outJSON != "" {
-		writeSweepFile(outJSON, func(f *os.File) error {
-			enc := json.NewEncoder(f)
+		if err := writeFile(outJSON, func(w io.Writer) error {
+			enc := json.NewEncoder(w)
 			enc.SetIndent("", "  ")
 			return enc.Encode(report)
-		})
-		fmt.Fprintf(os.Stderr, "sweep JSON report written to %s\n", outJSON)
+		}); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
+		}
+		fmt.Fprintf(stderr, "sweep JSON report written to %s\n", outJSON)
 	}
 	if outMD != "" {
-		writeSweepFile(outMD, func(f *os.File) error {
-			_, err := f.WriteString(bench.FormatSweepMarkdown(report))
+		if err := writeFile(outMD, func(w io.Writer) error {
+			_, err := io.WriteString(w, bench.FormatSweepMarkdown(report))
 			return err
-		})
-		fmt.Fprintf(os.Stderr, "sweep Markdown report written to %s\n", outMD)
+		}); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
+		}
+		fmt.Fprintf(stderr, "sweep Markdown report written to %s\n", outMD)
 	}
 	if runErr != nil {
 		if cancelled(runErr) {
-			exitCancelled(runErr, len(report.Cells))
+			return exitCancelled(stderr, runErr, len(report.Cells))
 		}
-		fmt.Fprintf(os.Stderr, "sweep: %v\n", runErr)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "sweep: %v\n", runErr)
+		return 1
 	}
 	if failed := report.Failed(); len(failed) > 0 {
-		fmt.Fprintf(os.Stderr, "sweep: %d of %d cell(s) failed to converge: %s\n",
+		fmt.Fprintf(stderr, "sweep: %d of %d cell(s) failed to converge: %s\n",
 			len(failed), len(report.Cells), strings.Join(failed, ", "))
-		os.Exit(exitSweepFailed)
+		return exitSweepFailed
 	}
+	return 0
 }
 
-func writeSweepFile(path string, write func(*os.File) error) {
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
-	if err := write(f); err != nil {
-		f.Close()
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	return err
 }
 
 func cancelled(err error) bool {
@@ -294,8 +309,8 @@ func cancelled(err error) bool {
 }
 
 // exitCancelled reports a deadline/interrupt after the partial results
-// already printed, and exits with the distinct status.
-func exitCancelled(err error, partial int) {
+// already printed, and returns the distinct status.
+func exitCancelled(stderr io.Writer, err error, partial int) int {
 	var status int
 	var reason string
 	switch {
@@ -304,9 +319,9 @@ func exitCancelled(err error, partial int) {
 	case errors.Is(err, context.Canceled):
 		status, reason = exitInterrupt, "interrupted"
 	default:
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
-	fmt.Fprintf(os.Stderr, "benchmark aborted: %s (%d partial result(s) printed above)\n", reason, partial)
-	os.Exit(status)
+	fmt.Fprintf(stderr, "benchmark aborted: %s (%d partial result(s) printed above)\n", reason, partial)
+	return status
 }

@@ -13,6 +13,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -25,34 +26,50 @@ import (
 )
 
 func main() {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
+}
+
+// run is the whole command: it parses args, serves until ctx ends, then
+// drains, and returns the exit status: 0 drained cleanly, 1 a server
+// that could not start or a drain that had to be forced, 2 bad flags.
+// The listen address is announced on stdout, diagnostics go to stderr.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("lisi-serve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		addr       = flag.String("addr", ":8080", "HTTP listen address (use :0 for an ephemeral port)")
-		procs      = flag.Int("procs", 1, "default SPMD world size for requests that omit procs")
-		maxProcs   = flag.Int("max-procs", 8, "largest world size a request may ask for")
-		workers    = flag.Int("workers", 1, "default intra-rank worker-pool size for requests that omit workers")
-		maxWorkers = flag.Int("max-workers", 16, "largest intra-rank worker count a request may ask for")
-		sessions   = flag.Int("max-sessions", 64, "pooled session cap (LRU-evicted beyond it)")
-		queue      = flag.Int("queue-depth", 32, "per-session queue depth before queue_full shedding")
-		pending    = flag.Int("max-pending", 1024, "server-wide pending request cap before overloaded shedding")
-		tenantCap  = flag.Int("tenant-max-pending", 128, "per-tenant pending request quota")
-		batchRHS   = flag.Int("max-batch-rhs", 8, "max combined right-hand sides per coalesced solve (1 disables batching)")
-		maxNRHS    = flag.Int("max-nrhs", 16, "max right-hand sides in one request")
-		maxN       = flag.Int("max-unknowns", 1<<21, "max global system dimension")
-		maxBody    = flag.Int64("max-body-bytes", 64<<20, "max request body size")
-		solveTO    = flag.Duration("solve-timeout", time.Minute, "per-solve deadline (0 disables)")
-		backoff    = flag.Duration("retry-backoff", 0, "initial backoff between solve retries")
-		drainTO    = flag.Duration("drain-timeout", time.Minute, "max wait for in-flight solves on shutdown")
-		enableFI   = flag.Bool("enable-fault-injection", false,
+		addr       = fs.String("addr", ":8080", "HTTP listen address (use :0 for an ephemeral port)")
+		procs      = fs.Int("procs", 1, "default SPMD world size for requests that omit procs")
+		maxProcs   = fs.Int("max-procs", 8, "largest world size a request may ask for")
+		workers    = fs.Int("workers", 1, "default intra-rank worker-pool size for requests that omit workers")
+		maxWorkers = fs.Int("max-workers", 16, "largest intra-rank worker count a request may ask for")
+		sessions   = fs.Int("max-sessions", 64, "pooled session cap (LRU-evicted beyond it)")
+		queue      = fs.Int("queue-depth", 32, "per-session queue depth before queue_full shedding")
+		pending    = fs.Int("max-pending", 1024, "server-wide pending request cap before overloaded shedding")
+		tenantCap  = fs.Int("tenant-max-pending", 128, "per-tenant pending request quota")
+		batchRHS   = fs.Int("max-batch-rhs", 8, "max combined right-hand sides per coalesced solve (1 disables batching)")
+		maxNRHS    = fs.Int("max-nrhs", 16, "max right-hand sides in one request")
+		maxN       = fs.Int("max-unknowns", 1<<21, "max global system dimension")
+		maxBody    = fs.Int64("max-body-bytes", 64<<20, "max request body size")
+		solveTO    = fs.Duration("solve-timeout", time.Minute, "per-solve deadline (0 disables)")
+		backoff    = fs.Duration("retry-backoff", 0, "initial backoff between solve retries")
+		drainTO    = fs.Duration("drain-timeout", time.Minute, "max wait for in-flight solves on shutdown")
+		enableFI   = fs.Bool("enable-fault-injection", false,
 			"honor fault specs in requests and -fault-spec (requires a -tags faultinject build; chaos testing only)")
-		faultSpec = flag.String("fault-spec", "", "server-level fault schedule armed on every pooled session (fault.ParseSpec syntax)")
+		faultSpec = fs.String("fault-spec", "", "server-level fault schedule armed on every pooled session (fault.ParseSpec syntax)")
 	)
-	flag.Parse()
-	log.SetFlags(0)
-	log.SetPrefix("lisi-serve: ")
-	if flag.NArg() > 0 {
-		log.Printf("unexpected arguments: %v", flag.Args())
-		flag.Usage()
-		os.Exit(2)
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	logger := log.New(stderr, "lisi-serve: ", 0)
+	if fs.NArg() > 0 {
+		logger.Printf("unexpected arguments: %v", fs.Args())
+		fs.Usage()
+		return 2
 	}
 
 	svc, err := service.New(service.Config{
@@ -75,27 +92,30 @@ func main() {
 		FaultSpec:            *faultSpec,
 	})
 	if err != nil {
-		log.Fatal(err)
+		logger.Print(err)
+		return 1
 	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		log.Fatal(err)
+		svc.Close()
+		logger.Print(err)
+		return 1
 	}
 	// Announced on stdout (not the log) so harnesses can parse the
 	// ephemeral port from -addr :0.
-	fmt.Printf("lisi-serve listening on %s\n", ln.Addr())
+	fmt.Fprintf(stdout, "lisi-serve listening on %s\n", ln.Addr())
 	srv := &http.Server{Handler: svc.Handler()}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	select {
-	case sig := <-sigCh:
-		log.Printf("received %s; draining (timeout %s)", sig, *drainTO)
+	case <-ctx.Done():
+		logger.Printf("shutting down; draining (timeout %s)", *drainTO)
 	case err := <-serveErr:
-		log.Fatalf("serve: %v", err)
+		svc.Close()
+		logger.Printf("serve: %v", err)
+		return 1
 	}
 
 	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTO)
@@ -105,8 +125,9 @@ func main() {
 	defer cancel2()
 	_ = srv.Shutdown(shutCtx)
 	if forced != nil {
-		log.Printf("drain forced after %s: %v", *drainTO, forced)
-		os.Exit(1)
+		logger.Printf("drain forced after %s: %v", *drainTO, forced)
+		return 1
 	}
-	log.Printf("drained cleanly")
+	logger.Printf("drained cleanly")
+	return 0
 }

@@ -161,8 +161,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		failoverChain = strings.Split(*failover, ",")
 	}
 
-	// SIGINT cancels the session context; every blocked rank unblocks
-	// through the comm layer's cancel propagation.
+	// SIGINT cancels the session context; RunContext's watcher then
+	// aborts the world, so every blocked rank unblocks.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
@@ -207,7 +207,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return
 		}
 		x := make([]float64, l.LocalN)
-		res, err := s.Solve(c.Context(), x)
+		res, err := s.Solve(ctx, x)
 		if c.Rank() == 0 {
 			result = res
 			report = rec.Report(*solver)

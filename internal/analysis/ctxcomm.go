@@ -7,17 +7,18 @@ import (
 )
 
 // CtxComm flags context.Background() / context.TODO() passed to the
-// context-taking comm and core APIs (Comm.WithContext, World.RunContext,
+// context-taking comm and core APIs (World.RunContext, World.AbortOn,
 // core.Session.Solve, and any future internal/comm or internal/core
 // function with a context.Context parameter) from inside the service
 // front end. A request handler that mints a fresh root context instead
 // of threading the request's one detaches its solve from the request's
 // cancellation scope: a -timeout, SIGTERM drain, or dropped client
 // connection then cannot unblock the ranks sitting inside that call.
-// The solver backends are out of scope: core.Session.solveRecover's
-// context watcher poisons the world on cancellation, so a communicator
-// a backend rebinds is released anyway. The rare legitimate root
-// context is suppressed per site with `//lisi:ignore ctxcomm <reason>`.
+// The solver backends are out of scope: a communicator carries no
+// context, and core.Session.solveRecover's World.AbortOn watcher poisons
+// the world on cancellation whatever a backend does. The rare legitimate
+// root context is suppressed per site with `//lisi:ignore ctxcomm
+// <reason>`.
 var CtxComm = &Analyzer{
 	Name: "ctxcomm",
 	Doc: "flags context.Background()/context.TODO() passed to context-taking internal/comm and " +
@@ -55,7 +56,7 @@ func runCtxComm(pass *Pass) {
 				if root := rootContextName(info, call.Args[i]); root != "" {
 					pass.Report(call.Args[i].Pos(),
 						"context."+root+"() passed to "+pkg+"."+name+" detaches it from the caller's cancellation scope",
-						"thread the caller's context through (e.g. Comm.Context() or the request context) instead of a root context")
+						"thread the caller's context (e.g. the request context) through instead of a root context")
 				}
 			}
 			return true

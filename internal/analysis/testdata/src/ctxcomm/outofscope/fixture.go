@@ -14,7 +14,3 @@ func driverEntry(w *comm.World) error {
 		c.Barrier()
 	})
 }
-
-func rebind(c *comm.Comm) *comm.Comm {
-	return c.WithContext(context.TODO())
-}

@@ -22,10 +22,6 @@ func handlerMintsTODO(s *core.Session, x []float64) error {
 	return err
 }
 
-func rootIntoComm(c *comm.Comm) *comm.Comm {
-	return c.WithContext(context.Background()) // want "context\\.Background\\(\\) passed to comm\\.WithContext"
-}
-
 func runContextTODO(w *comm.World) error {
 	return w.RunContext((context.TODO()), func(c *comm.Comm) {}) // want "context\\.TODO\\(\\) passed to comm\\.RunContext"
 }

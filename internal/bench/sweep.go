@@ -106,8 +106,12 @@ func MMFamily(name, path string) (SweepFamily, error) {
 }
 
 // CorpusFamilies builds the canonical sweep input: the stencil and FEM
-// generator families plus every .mtx file in dir (sorted by name).
+// generator families plus every .mtx file in dir (sorted by name). A dir
+// that cannot be read is an error, not an empty corpus.
 func CorpusFamilies(dir string) ([]SweepFamily, error) {
+	if _, err := os.ReadDir(dir); err != nil {
+		return nil, err
+	}
 	stencil, err := StencilFamily(9)
 	if err != nil {
 		return nil, err
@@ -372,7 +376,7 @@ func runSweepCell(ctx context.Context, fam SweepFamily, backend string, method s
 			return
 		}
 		x := make([]float64, l.LocalN)
-		res, solveErr := s.Solve(c.Context(), x)
+		res, solveErr := s.Solve(ctx, x)
 		wall := time.Since(start)
 		if res.Aborted {
 			if c.Rank() == 0 {

@@ -74,74 +74,6 @@ func TestAbortReleasesRecv(t *testing.T) {
 	}
 }
 
-// TestAbortReleasesSplitSubWorld is the regression test for the abort
-// path across Split: ranks blocked in a *sub-communicator* barrier must
-// be released when a rank of the parent world panics. Before sub-worlds
-// were registered in the parent's abort domain this deadlocked — the
-// parent abort never reached the sub-world's barrier.
-func TestAbortReleasesSplitSubWorld(t *testing.T) {
-	w, _ := NewWorld(4)
-	err := runWithDeadline(t, w, 10*time.Second, func(c *Comm) {
-		// Ranks 0..2 form one sub-communicator; rank 3 is alone.
-		color := 0
-		if c.Rank() == 3 {
-			color = 1
-		}
-		sub := c.Split(color, 0)
-		if c.Rank() == 3 {
-			panic("rank 3 failed after split")
-		}
-		// All of ranks 0..2 enter a sub-world barrier that completes, then
-		// block in a collective needing a participant count the panicking
-		// rank can never influence — they must be released by the abort
-		// cascading from the parent world.
-		sub.Barrier()
-		for {
-			// Keep the sub-communicator busy until the abort lands.
-			sub.AllReduceInt(c.Rank(), OpSum)
-		}
-	})
-	if err == nil || !strings.Contains(err.Error(), "rank 3") {
-		t.Fatalf("Run error = %v, want the rank 3 panic", err)
-	}
-}
-
-// TestAbortReleasesNestedSplit: abort must cascade through sub-worlds of
-// sub-worlds.
-func TestAbortReleasesNestedSplit(t *testing.T) {
-	w, _ := NewWorld(4)
-	err := runWithDeadline(t, w, 10*time.Second, func(c *Comm) {
-		sub := c.Split(c.Rank()/2, 0) // two sub-worlds of two
-		subsub := sub.Split(0, 0)     // each splits again (same color)
-		if c.Rank() == 0 {
-			panic("rank 0 failed below two splits")
-		}
-		subsub.Barrier()
-		for {
-			subsub.AllReduceInt(1, OpSum)
-		}
-	})
-	if err == nil || !strings.Contains(err.Error(), "rank 0") {
-		t.Fatalf("Run error = %v, want the rank 0 panic", err)
-	}
-}
-
-// TestSplitAfterAbortPoisonsChild: a sub-world attached to an already
-// aborted parent must itself be poisoned.
-func TestSplitAfterAbortPoisonsChild(t *testing.T) {
-	parent, _ := NewWorld(1)
-	child, _ := NewWorld(1)
-	parent.Abort()
-	parent.addChild(child)
-	defer func() {
-		if p := recover(); p != ErrAborted {
-			t.Fatalf("recovered %v, want ErrAborted", p)
-		}
-	}()
-	(&Comm{w: child, rank: 0}).Barrier()
-	t.Fatal("barrier on poisoned child world did not panic")
-}
-
 // runCtxWithDeadline mirrors runWithDeadline for RunContext regions.
 func runCtxWithDeadline(t *testing.T, w *World, d time.Duration, ctx context.Context, fn func(c *Comm)) error {
 	t.Helper()
@@ -215,33 +147,6 @@ func TestCancelUnblocksRecv(t *testing.T) {
 	}
 }
 
-// TestSplitPropagatesCancellation: only rank 0 binds the context, and it
-// observes the deadline inside a *sub-communicator* barrier. The
-// cancellation must travel to the root of the Split tree and poison the
-// parent world, releasing ranks 1..3 blocked in a plain parent barrier —
-// the cooperative cancel-propagation path of the tentpole.
-func TestSplitPropagatesCancellation(t *testing.T) {
-	w, _ := NewWorld(4)
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	err := runWithDeadline(t, w, 10*time.Second, func(c *Comm) {
-		// Ranks 0,1 share a sub-world; ranks 2,3 another.
-		sub := c.Split(c.Rank()/2, 0)
-		switch c.Rank() {
-		case 0:
-			// Bound context; blocks forever because rank 1 skips the
-			// sub-world barrier.
-			sub.WithContext(ctx).Barrier()
-		default:
-			// Plain, uncancellable parent barrier that rank 0 never joins.
-			c.Barrier()
-		}
-	})
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("Run error = %v, want context.DeadlineExceeded via sub-world cancel", err)
-	}
-}
-
 // TestRunContextPreCancelled: a context that is already dead must fail the
 // region promptly on the first communication attempt.
 func TestRunContextPreCancelled(t *testing.T) {
@@ -253,23 +158,6 @@ func TestRunContextPreCancelled(t *testing.T) {
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunContext error = %v, want context.Canceled", err)
-	}
-}
-
-// TestWithContextInheritedBySplit: the sub-communicator returned by Split
-// must carry the caller's context without an explicit rebind.
-func TestWithContextInheritedBySplit(t *testing.T) {
-	w, _ := NewWorld(2)
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	err := runWithDeadline(t, w, 10*time.Second, func(c *Comm) {
-		sub := c.WithContext(ctx).Split(0, 0)
-		if sub.Rank() == 0 {
-			sub.RecvInts(1, 9) // peer never sends; inherited ctx must fire
-		}
-	})
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("Run error = %v, want context.DeadlineExceeded from inherited ctx", err)
 	}
 }
 

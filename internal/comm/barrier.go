@@ -7,14 +7,13 @@ import (
 	"time"
 )
 
-// awaitResult reports how a blocking wait ended: normally, killed by a
-// world abort, or killed by the caller's context.
+// awaitResult reports how a blocking wait ended: woken, or killed by a
+// world abort.
 type awaitResult int
 
 const (
 	awaitOK awaitResult = iota
 	awaitAborted
-	awaitCtxDone
 )
 
 // yieldPolls is how many times a wait polls its wake channel, with a
@@ -41,10 +40,9 @@ var pollBudget = yieldPolls
 // waitOn is the one place a rank waits for a peer: barrier.await waits
 // for its generation's token with it, mailbox.take for its hand-off. It
 // polls wake up to pollBudget times, then counts a park and blocks until
-// wake delivers, the world aborts or done fires. Abort and cancellation
-// are looked at only once parked, so they release a polling rank after
-// at most the rest of its budget.
-func waitOn[T any](wake <-chan T, abort, done <-chan struct{}, parks *atomic.Int64) (T, awaitResult) {
+// wake delivers or the world aborts. Abort is looked at only once parked,
+// so it releases a polling rank after at most the rest of its budget.
+func waitOn[T any](wake <-chan T, abort <-chan struct{}, parks *atomic.Int64) (T, awaitResult) {
 	for i := 0; i < pollBudget; i++ {
 		select {
 		case v := <-wake:
@@ -60,8 +58,6 @@ func waitOn[T any](wake <-chan T, abort, done <-chan struct{}, parks *atomic.Int
 		return v, awaitOK
 	case <-abort:
 		return none, awaitAborted
-	case <-done:
-		return none, awaitCtxDone
 	}
 }
 
@@ -71,8 +67,8 @@ func waitOn[T any](wake <-chan T, abort, done <-chan struct{}, parks *atomic.Int
 // re-making a gate channel per generation: the last arrival of a
 // generation deposits parties−1 tokens, each waiter consumes one, and the
 // steady-state path performs no allocation at all. Waiters wait on the
-// token channel with waitOn, which also watches the world's abort channel
-// and the caller's context, so a blocked rank can always be released.
+// token channel with waitOn, which also watches the world's abort channel,
+// so a blocked rank can always be released.
 //
 // Parity reuse is safe: a rank cannot enter generation g+2 before every
 // rank has entered generation g+1, and a rank only enters g+1 after
@@ -94,11 +90,11 @@ func newBarrier(parties int, abortCh chan struct{}) *barrier {
 	return b
 }
 
-// await blocks until all parties of the current generation have entered,
-// the world aborts, or done fires — whichever comes first. Only an arrival
-// that has to wait reads the clock and adds to st's barrier wait; the one
-// that releases the generation returns at once.
-func (b *barrier) await(done <-chan struct{}, st *rankStats) awaitResult {
+// await blocks until all parties of the current generation have entered
+// or the world aborts, whichever comes first. Only an arrival that has to
+// wait reads the clock and adds to st's barrier wait; the one that
+// releases the generation returns at once.
+func (b *barrier) await(st *rankStats) awaitResult {
 	b.mu.Lock()
 	select {
 	case <-b.abortCh:
@@ -120,25 +116,20 @@ func (b *barrier) await(done <-chan struct{}, st *rankStats) awaitResult {
 	t := b.tokens[b.gen%2]
 	b.mu.Unlock()
 	start := time.Now()
-	_, res := waitOn(t, b.abortCh, done, &st.barrierParks)
+	_, res := waitOn(t, b.abortCh, &st.barrierParks)
 	st.barrierWaitNs.Add(int64(time.Since(start)))
 	return res
 }
 
-// Barrier blocks until every rank in the world has entered it, the world
-// is aborted, or the Comm's bound context is cancelled (which aborts the
-// world — see the package comment on cancellation).
+// Barrier blocks until every rank in the world has entered it or the
+// world is aborted (see the package comment on cancellation).
 func (c *Comm) Barrier() {
-	c.checkCtx()
 	if fr := c.w.fault; fr != nil {
 		c.faultPoint(fr, FaultBarrier, -1, -1)
 	}
 	st := &c.w.stats[c.rank]
 	st.barriers.Add(1)
-	switch c.w.bar.await(c.ctxDone(), st) {
-	case awaitAborted:
+	if c.w.bar.await(st) == awaitAborted {
 		panic(ErrAborted)
-	case awaitCtxDone:
-		c.cancelled()
 	}
 }

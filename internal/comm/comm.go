@@ -11,7 +11,7 @@
 //
 // The package is intentionally shaped like a small MPI subset — ranks, tags,
 // Send/Recv of []float64 and []int (plain, pooled and into a caller's
-// buffer), Barrier, Split, and the collectives a solver above it calls:
+// buffer), Barrier, and the collectives a solver above it calls:
 // AllReduce (float64, int, []float64 in place), AllGather (int, []int, and
 // the concatenating V forms), Bcast (int, string, []float64, and into a
 // buffer), GatherV and ScatterV — so that the solver substrates built on
@@ -21,16 +21,15 @@
 //
 // # Cancellation
 //
-// Every blocking operation honors the context bound to its Comm (see
-// WithContext and RunContext). When that context is cancelled or its
-// deadline passes while a rank is blocked — or about to block — the rank
-// cancels the whole communicator tree (root world and every Split-derived
-// sub-world) and panics with ErrAborted, exactly as if Abort had been
-// called. This mirrors MPI_Abort semantics: cancellation is cooperative
-// but world-fatal, so one rank's deadline can never leave its peers
-// deadlocked in a barrier or collective the cancelled rank will never
-// join. Run and RunContext recover the resulting panics and report the
-// recorded cancellation cause.
+// A world stops one way: it is aborted. Abort (or AbortCause, which also
+// records why) poisons the world, and every rank blocked in — or about to
+// enter — a communication call panics with ErrAborted; Run recovers those
+// panics and reports the recorded cause. A context reaches the world only
+// through AbortOn, a watcher that calls AbortCause with context.Cause(ctx)
+// when ctx ends; RunContext is AbortOn around Run. This mirrors MPI_Abort
+// semantics: cancellation is world-fatal, so one rank's deadline can never
+// leave its peers deadlocked in a barrier or collective the cancelled rank
+// will never join.
 package comm
 
 import (
@@ -66,18 +65,10 @@ type World struct {
 	// (nil in production: the fast paths pay one nil check).
 	fault *faultRuntime
 
-	// causeMu guards cause, the first cancellation error recorded before
-	// the abort machinery fired (nil for a plain Abort).
+	// causeMu guards cause, the first error recorded by AbortCause (nil
+	// for a plain Abort).
 	causeMu sync.Mutex
 	cause   error
-
-	// Sub-worlds created by Split register here so an abort of this
-	// world releases ranks blocked inside sub-communicator calls too;
-	// parent points the other way so a cancellation observed inside a
-	// sub-world poisons the whole communicator tree from the root down.
-	childMu  sync.Mutex
-	children []*World
-	parent   *World
 }
 
 // NewWorld creates a world with the given number of ranks. size must be
@@ -154,144 +145,74 @@ func (w *World) redScratch(rank, n int) []float64 {
 }
 
 // Abort poisons the world: every blocked or future communication call
-// panics with ErrAborted — in this world and, recursively, in every
-// sub-world Split derived from it, so no rank stays blocked in a
-// sub-communicator barrier or collective slot. Run recovers those
-// panics. Abort is safe to call multiple times and from any goroutine.
+// panics with ErrAborted. Run recovers those panics. Abort is safe to
+// call multiple times and from any goroutine.
 func (w *World) Abort() {
-	w.once.Do(func() {
-		close(w.abort)
-		w.childMu.Lock()
-		children := append([]*World(nil), w.children...)
-		w.childMu.Unlock()
-		for _, child := range children {
-			child.Abort()
-		}
-	})
+	w.once.Do(func() { close(w.abort) })
 }
 
 // AbortCause poisons the world exactly like Abort and records cause as
-// the reason (the first recorded cause wins; Cause returns it). It is
-// the external-watcher counterpart of a bound context expiring: callers
-// that observe a deadline or cancellation outside a communication call
-// use it so blocked ranks unblock with the real cause instead of a bare
+// the reason (the first recorded cause wins; Cause returns it), so
+// blocked ranks unblock and Run reports the real cause instead of a bare
 // ErrAborted. Safe to call multiple times and from any goroutine.
-func (w *World) AbortCause(cause error) { w.cancel(cause) }
-
-// cancel records cause as the reason this communicator tree died and
-// aborts it. The poison is applied from the root of the Split tree so a
-// deadline observed inside a sub-world releases ranks blocked in parent
-// (or sibling) communicators too — without this, one rank's cancellation
-// inside a sub-world would deadlock peers waiting in the parent world.
-func (w *World) cancel(cause error) {
-	root := w
-	for {
-		root.childMu.Lock()
-		p := root.parent
-		root.childMu.Unlock()
-		if p == nil {
-			break
-		}
-		root = p
-	}
-	root.cancelDown(cause)
-}
-
-// cancelDown records cause on w and every descendant, then aborts w
-// (Abort cascades to the descendants again; it is idempotent).
-func (w *World) cancelDown(cause error) {
+func (w *World) AbortCause(cause error) {
 	w.causeMu.Lock()
 	if w.cause == nil && cause != nil {
 		w.cause = cause
 	}
 	w.causeMu.Unlock()
-	w.childMu.Lock()
-	children := append([]*World(nil), w.children...)
-	w.childMu.Unlock()
-	for _, child := range children {
-		child.cancelDown(cause)
-	}
 	w.Abort()
 }
 
-// Cause returns the context error that cancelled this world, or nil if
-// the world is alive or was aborted without a recorded cause.
+// Cause returns the error that poisoned this world, or nil if the world
+// is alive or was aborted without a recorded cause.
 func (w *World) Cause() error {
 	w.causeMu.Lock()
 	defer w.causeMu.Unlock()
 	return w.cause
 }
 
-// aborted reports whether Abort has run (or begun).
-func (w *World) aborted() bool {
-	select {
-	case <-w.abort:
-		return true
-	default:
-		return false
+// AbortOn is the one way a context reaches the world: once ctx ends, the
+// world is poisoned with context.Cause(ctx) (AbortCause), so every rank
+// blocked in a communication call unblocks. A context that is already
+// dead poisons the world at once. The returned stop detaches the watcher
+// and reports the recorded cause when the watcher fired (nil otherwise);
+// call it once the guarded work is over. A context that can never end
+// costs nothing: no watcher, no allocation.
+func (w *World) AbortOn(ctx context.Context) (stop func() error) {
+	if ctx == nil || ctx.Done() == nil {
+		return watchNothing
+	}
+	if ctx.Err() != nil {
+		w.AbortCause(context.Cause(ctx))
+		return w.Cause
+	}
+	detach := context.AfterFunc(ctx, func() { w.AbortCause(context.Cause(ctx)) })
+	return func() error {
+		if detach() {
+			return nil
+		}
+		// The watcher has started; record its cause before reporting it.
+		w.AbortCause(context.Cause(ctx))
+		return w.Cause()
 	}
 }
 
-// addChild links a Split-derived sub-world into this world's abort
-// domain. When the parent is already aborted the child is poisoned
-// immediately, closing the race between Split and a concurrent Abort.
-func (w *World) addChild(child *World) {
-	child.childMu.Lock()
-	child.parent = w
-	child.childMu.Unlock()
-	w.childMu.Lock()
-	w.children = append(w.children, child)
-	aborted := w.aborted()
-	w.childMu.Unlock()
-	if aborted {
-		child.Abort()
-	}
-}
+// watchNothing is AbortOn's stop for a context that can never end.
+var watchNothing = func() error { return nil }
 
 // ErrAborted is the panic value raised in ranks blocked on communication
 // when the world is aborted (typically because another rank panicked or a
-// bound context was cancelled).
+// watched context ended).
 var ErrAborted = fmt.Errorf("comm: world aborted")
 
 // Run executes fn once per rank, concurrently, and waits for all ranks to
 // finish. If any rank panics, the world is aborted so the remaining ranks
 // cannot deadlock, and Run returns an error describing the first panic.
-// If the region was instead killed by a cancelled context (see WithContext),
-// Run returns an error wrapping the recorded cause. A World may host many
-// consecutive Run regions, but not concurrent ones.
+// If the region was instead killed by AbortCause (a cancelled context, an
+// injected crash), Run returns an error wrapping the recorded cause. A
+// World may host many consecutive Run regions, but not concurrent ones.
 func (w *World) Run(fn func(c *Comm)) error {
-	return w.run(nil, fn)
-}
-
-// RunContext executes fn once per rank like Run, with ctx bound to every
-// rank's Comm: blocking communication unblocks promptly when ctx is
-// cancelled or its deadline passes, and a single watcher goroutine (which
-// never outlives the call) covers ranks that are between communication
-// calls when the context dies. When the region is cancelled, RunContext
-// returns an error satisfying errors.Is against ctx.Err().
-func (w *World) RunContext(ctx context.Context, fn func(c *Comm)) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	var watcherDone chan struct{}
-	if ctx.Done() != nil {
-		watcherDone = make(chan struct{})
-		go func() {
-			select {
-			case <-ctx.Done():
-				w.cancel(ctx.Err())
-			case <-watcherDone:
-			}
-		}()
-	}
-	err := w.run(ctx, fn)
-	if watcherDone != nil {
-		close(watcherDone)
-	}
-	return err
-}
-
-func (w *World) run(ctx context.Context, fn func(c *Comm)) error {
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var firstErr error
@@ -309,7 +230,7 @@ func (w *World) run(ctx context.Context, fn func(c *Comm)) error {
 					w.Abort()
 				}
 			}()
-			fn(&Comm{w: w, rank: rank, ctx: ctx})
+			fn(&Comm{w: w, rank: rank})
 		}(r)
 	}
 	wg.Wait()
@@ -322,10 +243,27 @@ func (w *World) run(ctx context.Context, fn func(c *Comm)) error {
 		return firstErr
 	}
 	if cause := w.Cause(); cause != nil {
-		return fmt.Errorf("comm: run cancelled: %w", cause)
+		return errCancelled(cause)
 	}
 	return nil
 }
+
+// RunContext is AbortOn(ctx) around Run: when ctx is cancelled or its
+// deadline passes, the world is poisoned and every blocked rank unblocks.
+// Whenever the world ended poisoned with a cause, RunContext returns an
+// error satisfying errors.Is against it (context.Canceled,
+// context.DeadlineExceeded, ...).
+func (w *World) RunContext(ctx context.Context, fn func(c *Comm)) error {
+	stop := w.AbortOn(ctx)
+	err := w.Run(fn)
+	if cause := stop(); err == nil && cause != nil {
+		return errCancelled(cause)
+	}
+	return err
+}
+
+// errCancelled is what a region that ended poisoned with cause reports.
+func errCancelled(cause error) error { return fmt.Errorf("comm: run cancelled: %w", cause) }
 
 // Comm is one rank's handle on its World. All communication methods are
 // invoked on a Comm and are only valid inside the Run region that created
@@ -333,7 +271,6 @@ func (w *World) run(ctx context.Context, fn func(c *Comm)) error {
 type Comm struct {
 	w    *World
 	rank int
-	ctx  context.Context // nil means no cancellation scope
 }
 
 // Rank returns this rank's id in [0, Size).
@@ -344,56 +281,6 @@ func (c *Comm) Size() int { return c.w.size }
 
 // World returns the underlying world.
 func (c *Comm) World() *World { return c.w }
-
-// WithContext returns a copy of c whose blocking operations additionally
-// unblock (by cancelling the world and panicking with ErrAborted) when
-// ctx is cancelled or its deadline passes. The original Comm is not
-// modified; Split inherits the context into the sub-communicator handle.
-func (c *Comm) WithContext(ctx context.Context) *Comm {
-	return &Comm{w: c.w, rank: c.rank, ctx: ctx}
-}
-
-// Context returns the context bound to this Comm, or context.Background()
-// when none is bound.
-func (c *Comm) Context() context.Context {
-	if c.ctx == nil {
-		return context.Background()
-	}
-	return c.ctx
-}
-
-// ctxDone returns the bound context's done channel (nil when no context
-// is bound or the context can never be cancelled; a nil channel blocks
-// forever in select, so the uncancellable path costs nothing).
-func (c *Comm) ctxDone() <-chan struct{} {
-	if c.ctx == nil {
-		return nil
-	}
-	return c.ctx.Done()
-}
-
-// checkCtx fails fast when the bound context is already dead: it cancels
-// the communicator tree and panics with ErrAborted.
-func (c *Comm) checkCtx() {
-	if c.ctx == nil {
-		return
-	}
-	if err := c.ctx.Err(); err != nil {
-		c.w.cancel(err)
-		panic(ErrAborted)
-	}
-}
-
-// cancelled handles a ctx.Done observed mid-block: record the cause,
-// poison the tree, raise the abort panic.
-func (c *Comm) cancelled() {
-	err := c.ctx.Err()
-	if err == nil {
-		err = context.Canceled
-	}
-	c.w.cancel(err)
-	panic(ErrAborted)
-}
 
 func (c *Comm) checkPeer(peer int) {
 	if peer < 0 || peer >= c.w.size {

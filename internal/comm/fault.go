@@ -50,8 +50,7 @@ const (
 	// FaultNone performs the operation normally.
 	FaultNone FaultOp = iota
 	// FaultDelay sleeps Delay before the operation (a slow link). The
-	// sleep is interruptible: a world abort or context cancellation
-	// ends it immediately.
+	// sleep is interruptible: a world abort ends it immediately.
 	FaultDelay
 	// FaultDropRedeliver (send path only; elsewhere it degrades to
 	// FaultDelay) emulates a dropped-and-retransmitted packet: the
@@ -66,10 +65,10 @@ const (
 	// injectors and schedules tell a long rank pause from per-message
 	// jitter.
 	FaultStall
-	// FaultCrash kills the rank: the world is cancelled with Cause
+	// FaultCrash kills the rank: the world is poisoned with Cause
 	// (default ErrInjectedFault) and the rank panics with ErrAborted,
-	// exactly as a real context cancellation would — peers unblock,
-	// the world is poisoned, Run reports the cause.
+	// exactly as a cancelled context would — peers unblock, Run
+	// reports the cause.
 	FaultCrash
 )
 
@@ -95,8 +94,8 @@ func (o FaultOp) String() string {
 type FaultDecision struct {
 	Op    FaultOp
 	Delay time.Duration
-	// Cause is recorded as the world's cancellation cause on
-	// FaultCrash; nil defaults to ErrInjectedFault.
+	// Cause is recorded as the world's abort cause on FaultCrash; nil
+	// defaults to ErrInjectedFault.
 	Cause error
 }
 
@@ -143,7 +142,7 @@ func (w *World) SetFaultHook(h FaultHook) {
 }
 
 // faultSleep blocks for d, ending early on world abort (panics with
-// ErrAborted) or context cancellation (cancels the tree and panics).
+// ErrAborted).
 func (c *Comm) faultSleep(d time.Duration) {
 	if d <= 0 {
 		return
@@ -154,19 +153,17 @@ func (c *Comm) faultSleep(d time.Duration) {
 	case <-t.C:
 	case <-c.w.abort:
 		panic(ErrAborted)
-	case <-c.ctxDone():
-		c.cancelled()
 	}
 }
 
-// faultCrash poisons the communicator tree with the decision's cause
-// and raises the abort panic on the calling rank.
+// faultCrash poisons the world with the decision's cause and raises the
+// abort panic on the calling rank.
 func (c *Comm) faultCrash(d FaultDecision) {
 	cause := d.Cause
 	if cause == nil {
 		cause = ErrInjectedFault
 	}
-	c.w.cancel(cause)
+	c.w.AbortCause(cause)
 	panic(ErrAborted)
 }
 
@@ -205,8 +202,6 @@ func (c *Comm) awaitRedelivery(fr *faultRuntime, dest int) {
 		fr.pending[c.rank][dest] = nil
 	case <-c.w.abort:
 		panic(ErrAborted)
-	case <-c.ctxDone():
-		c.cancelled()
 	}
 }
 

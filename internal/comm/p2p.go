@@ -71,11 +71,11 @@ func (m *mailbox) put(msg message) {
 // MPI's non-overtaking guarantee per (src, tag) pair; concurrent waiters
 // are served in registration order. A take that finds no queued match
 // waits on its hand-off channel with waitOn, counting a park on parks when
-// the poll budget runs out. The wait ends early when the world
-// aborts or done fires — the waiter record is then abandoned rather than
-// recycled, since a racing put may still hand it a message (the world is
-// dead either way, so the message is deliberately dropped).
-func (m *mailbox) take(src, tag int, done <-chan struct{}, parks *atomic.Int64) (message, awaitResult) {
+// the poll budget runs out. The wait ends early when the world aborts —
+// the waiter record is then abandoned rather than recycled, since a
+// racing put may still hand it a message (the world is dead either way,
+// so the message is deliberately dropped).
+func (m *mailbox) take(src, tag int, parks *atomic.Int64) (message, awaitResult) {
 	m.mu.Lock()
 	select {
 	case <-m.abortCh:
@@ -101,7 +101,7 @@ func (m *mailbox) take(src, tag int, done <-chan struct{}, parks *atomic.Int64) 
 	w.src, w.tag = src, tag
 	m.waiters = append(m.waiters, w)
 	m.mu.Unlock()
-	msg, res := waitOn(w.ch, m.abortCh, done, parks)
+	msg, res := waitOn(w.ch, m.abortCh, parks)
 	if res == awaitOK {
 		m.mu.Lock()
 		m.free = append(m.free, w) // only a normal completion recycles the record
@@ -114,7 +114,6 @@ func (m *mailbox) take(src, tag int, done <-chan struct{}, parks *atomic.Int64) 
 // copy; the typed wrappers below take care of copying.
 func (c *Comm) send(dest, tag int, data any) {
 	c.checkPeer(dest)
-	c.checkCtx()
 	st := &c.w.stats[c.rank]
 	st.sends.Add(1)
 	st.bytesSent.Add(payloadBytes(data))
@@ -133,17 +132,13 @@ func (c *Comm) recv(src, tag int) (any, int) {
 	if src != AnySource {
 		c.checkPeer(src)
 	}
-	c.checkCtx()
 	if fr := c.w.fault; fr != nil {
 		c.faultPoint(fr, FaultRecv, src, tag)
 	}
 	st := &c.w.stats[c.rank]
-	msg, res := c.w.mail[c.rank].take(src, tag, c.ctxDone(), &st.recvParks)
-	switch res {
-	case awaitAborted:
+	msg, res := c.w.mail[c.rank].take(src, tag, &st.recvParks)
+	if res == awaitAborted {
 		panic(ErrAborted)
-	case awaitCtxDone:
-		c.cancelled()
 	}
 	st.recvs.Add(1)
 	st.bytesRecv.Add(payloadBytes(msg.data))

@@ -10,7 +10,7 @@ import (
 )
 
 // pollPhase times one exhausted polling phase at the current budget: a
-// wake channel that never delivers and a done channel that is already
+// wake channel that never delivers and an abort channel that is already
 // closed, so waitOn returns the moment it stops polling.
 func pollPhase() time.Duration {
 	never := make(chan struct{})
@@ -18,7 +18,7 @@ func pollPhase() time.Duration {
 	close(closed)
 	var parks atomic.Int64
 	start := time.Now()
-	waitOn(never, nil, closed, &parks)
+	waitOn(never, closed, &parks)
 	return time.Since(start)
 }
 
@@ -60,16 +60,12 @@ func TestWaitOn(t *testing.T) {
 		if budget == 0 {
 			wantParks = 1 // nothing polls, so even a ready wake is taken parked
 		}
-		if v, res := waitOn(ready, never, nil, &parks); v != 7 || res != awaitOK || parks.Load() != wantParks {
+		if v, res := waitOn(ready, never, &parks); v != 7 || res != awaitOK || parks.Load() != wantParks {
 			t.Errorf("budget %d, ready wake: got (%d, %v, parks %d), want (7, ok, %d)", budget, v, res, parks.Load(), wantParks)
 		}
 		parks.Store(0)
-		if _, res := waitOn(ready, closed, nil, &parks); res != awaitAborted || parks.Load() != 1 {
+		if _, res := waitOn(ready, closed, &parks); res != awaitAborted || parks.Load() != 1 {
 			t.Errorf("budget %d, abort: got (%v, parks %d), want (aborted, 1)", budget, res, parks.Load())
-		}
-		parks.Store(0)
-		if _, res := waitOn(ready, never, closed, &parks); res != awaitCtxDone || parks.Load() != 1 {
-			t.Errorf("budget %d, done: got (%v, parks %d), want (ctx done, 1)", budget, res, parks.Load())
 		}
 		parks.Store(0)
 		late := make(chan int)
@@ -77,7 +73,7 @@ func TestWaitOn(t *testing.T) {
 			time.Sleep(5 * time.Millisecond) // far beyond any budget above
 			late <- 9
 		}()
-		if v, res := waitOn(late, never, nil, &parks); v != 9 || res != awaitOK || parks.Load() != 1 {
+		if v, res := waitOn(late, never, &parks); v != 9 || res != awaitOK || parks.Load() != 1 {
 			t.Errorf("budget %d, late wake: got (%d, %v, parks %d), want (9, ok, 1)", budget, v, res, parks.Load())
 		}
 		restore()
@@ -90,8 +86,9 @@ func TestWaitOn(t *testing.T) {
 // to 20 ms so the event can be placed there), once after it has parked
 // (default budget, the event waits for the park count) — for Barrier,
 // AllReduceFloat64 and Recv, and the release comes within 50 ms of the
-// event. Polling looks at nothing but the wake channel, so the first
-// half is what bounds a budget that never ends.
+// event. Cancel and deadline reach the world through RunContext's
+// watcher, as every context does. Polling looks at nothing but the wake
+// channel, so the first half is what bounds a budget that never ends.
 func TestReleaseWhilePollingAndParked(t *testing.T) {
 	const (
 		polling = 20 * time.Millisecond
@@ -106,7 +103,7 @@ func TestReleaseWhilePollingAndParked(t *testing.T) {
 		{"recv", func(c *Comm) { c.RecvFloat64s(1, 7) }},
 	}
 	type armed struct {
-		ctx  context.Context  // bound to the waiting rank; nil for none
+		ctx  context.Context  // the region's context
 		fire func() time.Time // makes the event happen, returns when it was due
 		want error            // what Run must report (nil for a bare abort)
 	}
@@ -158,12 +155,9 @@ func TestReleaseWhilePollingAndParked(t *testing.T) {
 					entering := make(chan struct{})
 					done := make(chan error, 1)
 					go func() {
-						done <- w.Run(func(c *Comm) {
+						done <- w.RunContext(a.ctx, func(c *Comm) {
 							if c.Rank() != 0 {
 								return // never joins
-							}
-							if a.ctx != nil {
-								c = c.WithContext(a.ctx)
 							}
 							close(entering)
 							op.do(c)

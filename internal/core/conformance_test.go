@@ -224,8 +224,7 @@ func (o *flakyOp) MatMult(id ID, x, y []float64, length int) int {
 }
 
 // TestSessionDoorRows gives the Session doors no other upper-layer test
-// opens their row: SetMatrixFree and a retry that waits out a RetryBackoff
-// (SetTimeout's row is in TestSplitSessionCancelReleasesSibling).
+// opens their row: SetMatrixFree and a retry that waits out a RetryBackoff.
 func TestSessionDoorRows(t *testing.T) {
 	a, _ := lap49.sys(t)
 	xstar, b := manufactured(a)

@@ -92,12 +92,11 @@ type SolveResult struct {
 // matVer mechanism, so a second Solve against an unchanged matrix skips
 // refactorization/operator rebuild.
 type Session struct {
-	info    BackendInfo
-	solver  SparseSolver
-	c       *comm.Comm
-	rec     *telemetry.Recorder
-	timeout time.Duration
-	opts    SessionOptions
+	info   BackendInfo
+	solver SparseSolver
+	c      *comm.Comm
+	rec    *telemetry.Recorder
+	opts   SessionOptions
 
 	layout    *pmat.Layout
 	nRhs      int
@@ -141,12 +140,11 @@ func OpenSession(backend string, c *comm.Comm, opts SessionOptions) (*Session, e
 	}
 	info, _ := Lookup(backend)
 	s := &Session{
-		info:    info,
-		solver:  solver,
-		c:       c,
-		rec:     opts.Recorder,
-		timeout: opts.SolveTimeout,
-		opts:    opts,
+		info:   info,
+		solver: solver,
+		c:      c,
+		rec:    opts.Recorder,
+		opts:   opts,
 	}
 	for _, name := range opts.Failover {
 		if _, ok := Lookup(name); !ok {
@@ -199,9 +197,6 @@ func (s *Session) Backend() BackendInfo { return s.info }
 // Solver exposes the underlying component for interface extensions the
 // Session does not wrap (VBR/FEM staging, typed parameter setters).
 func (s *Session) Solver() SparseSolver { return s.solver }
-
-// SetTimeout replaces the per-solve deadline; zero disables it.
-func (s *Session) SetTimeout(d time.Duration) { s.timeout = d }
 
 // Set applies one LISI parameter.
 func (s *Session) Set(key, value string) error {
@@ -337,9 +332,9 @@ func (s *Session) Solve(ctx context.Context, x []float64) (SolveResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if s.timeout > 0 {
+	if s.opts.SolveTimeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.timeout)
+		ctx, cancel = context.WithTimeout(ctx, s.opts.SolveTimeout)
 		defer cancel()
 	}
 	s.solves++
@@ -433,13 +428,7 @@ func (s *Session) solveOnce(ctx context.Context, x []float64) (SolveResult, erro
 		if rh, ok := s.solver.(resourceHolder); ok {
 			rh.releaseResources()
 		}
-		reason := "canceled"
-		switch {
-		case errors.Is(abortCause, comm.ErrInjectedFault):
-			reason = "fault_injected"
-		case errors.Is(abortCause, context.DeadlineExceeded):
-			reason = "deadline_exceeded"
-		}
+		reason := AbortReason(abortCause)
 		s.rec.AddPhase(telemetry.PhaseAborted, time.Since(start))
 		s.rec.Add("lisi.solves_aborted", 1)
 		s.rec.SetLabel("abort_reason", reason)
@@ -533,58 +522,57 @@ func (s *Session) failoverTo(name string) error {
 	return nil
 }
 
-// solveRecover runs the backend's Solve under a context watcher,
-// converting the comm layer's abort panic into a cancellation cause.
-// Any other panic propagates unchanged.
+// solveRecover runs the backend's Solve under World.AbortOn(ctx),
+// converting the comm layer's abort panic into the world's recorded
+// cause. Any other panic propagates unchanged. A context that is already
+// dead poisons the world without entering the backend.
 //
-// The watcher (context.AfterFunc poisoning the world with the context's
-// cause) deliberately replaces the earlier design of rebinding a
+// The watcher deliberately replaces the earlier design of rebinding a
 // context-carrying communicator into the component per solve: that
 // rebind bumped the distribution version — forcing a layout rebuild
 // every cancellable solve — and, worse, the component's version-keyed
 // operator cache kept the layout (and its bound communicator) from the
 // solve that built it, so a pooled session's second cancellable solve
 // aborted on the previous call's expired context. With the watcher the
-// component only ever sees the session's context-free communicator, so
-// every cache stays warm and nothing can capture a dead context.
+// component only ever sees the session's communicator, which carries no
+// context, so every cache stays warm and nothing can capture a dead one.
 func (s *Session) solveRecover(ctx context.Context, x, status []float64) (code int, abortCause error) {
+	w := s.c.World()
+	stop := w.AbortOn(ctx)
 	defer func() {
+		// A watcher that fired after the backend's last communication
+		// call still poisoned the world: reporting success would hand
+		// out a live-looking session with a dead world.
+		abortCause = stop()
 		if p := recover(); p != nil {
 			if p != comm.ErrAborted {
 				panic(p)
 			}
-			abortCause = s.c.World().Cause()
-			if abortCause == nil {
+			if abortCause = w.Cause(); abortCause == nil {
 				abortCause = comm.ErrAborted
 			}
 		}
 	}()
-	if ctx.Done() == nil {
-		// The context can never be cancelled (context.Background and
-		// friends), so watching it buys nothing; this is the
-		// zero-allocation steady-state path.
-		return s.solver.Solve(x, status, s.layout.LocalN, StatusLen), nil
+	if ctx.Err() != nil {
+		return 0, nil // AbortOn poisoned the world; stop reports the cause
 	}
-	if err := ctx.Err(); err != nil {
-		// Dead before the solve started: poison the world exactly as a
-		// mid-solve expiry would so peer ranks unblock with the cause.
-		s.c.World().AbortCause(context.Cause(ctx))
-		return 0, context.Cause(ctx)
+	return s.solver.Solve(x, status, s.layout.LocalN, StatusLen), nil
+}
+
+// AbortReason names what killed a world, from the cause it recorded:
+// "fault_injected", "deadline_exceeded", "canceled" (any other cause,
+// comm.ErrAborted included), or "aborted" when none was recorded.
+func AbortReason(cause error) string {
+	switch {
+	case cause == nil:
+		return "aborted"
+	case errors.Is(cause, comm.ErrInjectedFault):
+		return "fault_injected"
+	case errors.Is(cause, context.DeadlineExceeded):
+		return "deadline_exceeded"
+	default:
+		return "canceled"
 	}
-	stop := context.AfterFunc(ctx, func() {
-		s.c.World().AbortCause(context.Cause(ctx))
-	})
-	code = s.solver.Solve(x, status, s.layout.LocalN, StatusLen)
-	if !stop() {
-		// The watcher started between the backend's last communication
-		// call and here; the world is (or is about to be) poisoned, so
-		// reporting success would hand out a live-looking session with a
-		// dead world. AbortCause is idempotent — this just guarantees the
-		// cause is recorded before we return it.
-		s.c.World().AbortCause(context.Cause(ctx))
-		return code, context.Cause(ctx)
-	}
-	return code, nil
 }
 
 // Stats returns how many solves this session ran and how many aborted.

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"runtime"
@@ -319,7 +320,7 @@ func TestSessionCancelViaRunContext(t *testing.T) {
 			return
 		}
 		x := make([]float64, l.LocalN)
-		res, _ := s.Solve(c.Context(), x)
+		res, _ := s.Solve(ctx, x)
 		aborted[c.Rank()] = res.Aborted
 	})
 	if !errors.Is(runErr, context.Canceled) {
@@ -328,6 +329,25 @@ func TestSessionCancelViaRunContext(t *testing.T) {
 	for r, ab := range aborted {
 		if !ab {
 			t.Errorf("rank %d: solve not reported aborted", r)
+		}
+	}
+}
+
+// TestAbortReason pins the one cause → abort_reason mapping that Session
+// results, telemetry labels and the service's wire errors all share.
+func TestAbortReason(t *testing.T) {
+	for _, tc := range []struct {
+		cause error
+		want  string
+	}{
+		{nil, "aborted"},
+		{comm.ErrAborted, "canceled"},
+		{fmt.Errorf("rank 1: %w", comm.ErrInjectedFault), "fault_injected"},
+		{context.DeadlineExceeded, "deadline_exceeded"},
+		{context.Canceled, "canceled"},
+	} {
+		if got := AbortReason(tc.cause); got != tc.want {
+			t.Errorf("AbortReason(%v) = %q, want %q", tc.cause, got, tc.want)
 		}
 	}
 }

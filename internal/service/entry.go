@@ -512,7 +512,7 @@ func (e *entry) assemble(off, nRhs int) []float64 {
 func (e *entry) abortError(res core.SolveResult, haveRes bool) *Error {
 	reason := res.AbortReason
 	if !haveRes || reason == "" {
-		reason = abortReasonFromCause(e.world.Cause())
+		reason = core.AbortReason(e.world.Cause())
 	}
 	status := 503
 	switch reason {
@@ -532,19 +532,6 @@ func (e *entry) abortError(res core.SolveResult, haveRes bool) *Error {
 		terr.FailReason = core.FailAborted.String()
 	}
 	return terr
-}
-
-func abortReasonFromCause(cause error) string {
-	switch {
-	case cause == nil:
-		return "aborted"
-	case errors.Is(cause, comm.ErrInjectedFault):
-		return "fault_injected"
-	case errors.Is(cause, context.DeadlineExceeded):
-		return "deadline_exceeded"
-	default:
-		return "canceled"
-	}
 }
 
 // teardown marks the entry dead, releases the ranks, and fails
