@@ -54,7 +54,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		maxN       = fs.Int("max-unknowns", 1<<21, "max global system dimension")
 		maxBody    = fs.Int64("max-body-bytes", 64<<20, "max request body size")
 		solveTO    = fs.Duration("solve-timeout", time.Minute, "per-solve deadline (0 disables)")
-		backoff    = fs.Duration("retry-backoff", 0, "initial backoff between solve retries")
 		drainTO    = fs.Duration("drain-timeout", time.Minute, "max wait for in-flight solves on shutdown")
 		enableFI   = fs.Bool("enable-fault-injection", false,
 			"honor fault specs in requests and -fault-spec (requires a -tags faultinject build; chaos testing only)")
@@ -86,7 +85,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		MaxUnknowns:          *maxN,
 		MaxBodyBytes:         *maxBody,
 		SolveTimeout:         *solveTO,
-		RetryBackoff:         *backoff,
 		DrainTimeout:         *drainTO,
 		EnableFaultInjection: *enableFI,
 		FaultSpec:            *faultSpec,

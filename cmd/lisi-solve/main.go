@@ -88,7 +88,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	faultSpec := fs.String("fault-spec", "",
 		"deterministic fault-injection schedule (e.g. from a chaos test log: seed=42,pdelay=0.05,maxdelay=500µs,...)")
 	failover := fs.String("failover", "", "comma-separated backends to fail over to on a method-specific failure")
-	maxAttempts := fs.Int("max-attempts", 1, "retry a retryable failure up to this many backend runs")
 	if err := fs.Parse(args); err == flag.ErrHelp {
 		return 0
 	} else if err != nil {
@@ -191,7 +190,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Params:       params,
 			Workers:      *workers,
 			Failover:     failoverChain,
-			MaxAttempts:  *maxAttempts,
 		})
 		if err != nil {
 			world.AbortCause(err)

@@ -59,9 +59,6 @@ type Config struct {
 	Params map[string]string
 	// Failover is the session's failover chain (may be empty).
 	Failover []string
-	// MaxAttempts / RetryBackoff feed SessionOptions.
-	MaxAttempts  int
-	RetryBackoff time.Duration
 	// Spec is the fault schedule. The zero spec injects nothing.
 	Spec fault.Spec
 	// Deadline bounds the whole run (default 60s): a schedule that
@@ -157,10 +154,8 @@ func Run(cfg Config) (Result, error) {
 			return
 		}
 		s, err := core.OpenSession(cfg.Backend, c, core.SessionOptions{
-			Params:       cfg.Params,
-			Failover:     cfg.Failover,
-			MaxAttempts:  cfg.MaxAttempts,
-			RetryBackoff: cfg.RetryBackoff,
+			Params:   cfg.Params,
+			Failover: cfg.Failover,
 		})
 		if err != nil {
 			e.setupErr = err
@@ -179,8 +174,8 @@ func Run(cfg Config) (Result, error) {
 		if e.err == nil {
 			// Verify the answer against the staged operator — a chaos
 			// run may end "converged" only with a true solution. Safe to
-			// gate the collective Residual on e.err: Solve's retry and
-			// failover decisions derive from a collectively identical
+			// gate the collective Residual on e.err: Solve's failover
+			// decisions derive from a collectively identical
 			// FailReason (see core/session.go), so every rank returns the
 			// same error disposition and takes the same branch here.
 			m, err := pmat.NewMat(l, a)

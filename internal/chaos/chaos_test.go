@@ -170,9 +170,8 @@ func TestChaosReplayIdentical(t *testing.T) {
 }
 
 // TestChaosForcedFailover pins the resilience path end to end: petsc
-// capped at one iteration fails with FailMaxIterations, the session
-// retries it (MaxAttempts=2), then fails over to superlu which solves
-// the system.
+// capped at one iteration fails with FailMaxIterations, then the session
+// fails over to superlu which solves the system.
 func TestChaosForcedFailover(t *testing.T) {
 	cfg := chaos.Config{
 		Backend: "petsc",
@@ -182,9 +181,8 @@ func TestChaosForcedFailover(t *testing.T) {
 			"solver": "gmres", "preconditioner": "none",
 			"tol": "1e-12", "maxits": "1",
 		},
-		Failover:    []string{"superlu"},
-		MaxAttempts: 2,
-		Deadline:    60 * time.Second,
+		Failover: []string{"superlu"},
+		Deadline: 60 * time.Second,
 	}
 	res := runChaos(t, cfg)
 	if res.Outcome != chaos.OutcomeFailover {
@@ -193,8 +191,8 @@ func TestChaosForcedFailover(t *testing.T) {
 	if res.Solve.Backend != "superlu" {
 		t.Errorf("final backend = %q, want superlu", res.Solve.Backend)
 	}
-	if res.Solve.Attempts != 3 {
-		t.Errorf("attempts = %d, want 3 (two capped petsc runs + one superlu run)", res.Solve.Attempts)
+	if res.Solve.Attempts != 2 {
+		t.Errorf("attempts = %d, want 2 (one capped petsc run + one superlu run)", res.Solve.Attempts)
 	}
 	if res.Residual < 0 || res.Residual > 1e-6 {
 		t.Errorf("failover result residual = %g", res.Residual)

@@ -40,19 +40,27 @@ var pollBudget = yieldPolls
 // waitOn is the one place a rank waits for a peer: barrier.await waits
 // for its generation's token with it, mailbox.take for its hand-off. It
 // polls wake up to pollBudget times, then counts a park and blocks until
-// wake delivers or the world aborts. Abort is looked at only once parked,
-// so it releases a polling rank after at most the rest of its budget.
+// wake delivers or the world aborts. Every missed poll also looks at
+// abort, so an abort releases a polling rank at its next poll. That look
+// is its own single-case select: a non-blocking receive from an open,
+// empty channel reads it without taking its lock, where a two-case
+// select would lock wake and the abort channel every rank shares.
 func waitOn[T any](wake <-chan T, abort <-chan struct{}, parks *atomic.Int64) (T, awaitResult) {
+	var none T
 	for i := 0; i < pollBudget; i++ {
 		select {
 		case v := <-wake:
 			return v, awaitOK
 		default:
 		}
+		select {
+		case <-abort:
+			return none, awaitAborted
+		default:
+		}
 		runtime.Gosched()
 	}
 	parks.Add(1)
-	var none T
 	select {
 	case v := <-wake:
 		return v, awaitOK

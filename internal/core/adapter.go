@@ -621,6 +621,41 @@ func (b *baseAdapter) solvePrep(solution, status []float64, numLocalRow int) int
 	return OK
 }
 
+// rhsSolver is a component's backend run for one right-hand side: x is
+// zero on entry, and a failure comes back classified (reason !=
+// FailNone) with the backend's own iteration count and residual
+// estimate. The component itself implements it, so passing it to
+// solveEach allocates nothing, where a closure would.
+type rhsSolver interface {
+	solveOne(x, b []float64) (its int, est float64, reason FailReason)
+}
+
+// solveEach is the one solve loop every component ends its Solve with:
+// each staged right-hand side is solved into its block of solution
+// from x = 0 — the rule that makes a failed solve repeat to the bit —
+// and the first failure is written to status and stops the loop. On
+// success status carries the total iteration count and the last
+// right-hand side's estimate.
+func (b *baseAdapter) solveEach(one rhsSolver, solution, status []float64, n, statusLength int) int {
+	total, est := 0, 0.0
+	for r := 0; r < b.nRhs; r++ {
+		x := solution[r*n : (r+1)*n]
+		for i := range x {
+			x[i] = 0
+		}
+		its, e, reason := one.solveOne(x, b.rhs[r*n:(r+1)*n])
+		if reason != FailNone {
+			writeStatus(status, statusLength, its, e, false, b.factorizations, reason)
+			return ErrSolveFailed
+		}
+		total += its
+		est = e
+	}
+	b.recordPoolStats()
+	writeStatus(status, statusLength, total, est, true, b.factorizations, FailNone)
+	return OK
+}
+
 // writeStatus fills the inout status array respecting statusLength.
 func writeStatus(status []float64, statusLength int, its int, rnorm float64, converged bool, factorizations int, reason FailReason) {
 	vals := [StatusLen]float64{float64(its), rnorm, 0, float64(factorizations), float64(reason)}

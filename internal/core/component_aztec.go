@@ -238,25 +238,15 @@ func (ac *AztecComponent) Solve(solution []float64, status []float64, numLocalRo
 		ac.recordFormat(ac.crs.Dist())
 	}
 
-	totalIts := 0
-	lastNorm := 0.0
-	for r := 0; r < ac.nRhs; r++ {
-		b := ac.rhs[r*numLocalRow : (r+1)*numLocalRow]
-		x := solution[r*numLocalRow : (r+1)*numLocalRow]
-		for i := range x {
-			x[i] = 0
-		}
-		if err := s.Solve(x, b); err != nil {
-			writeStatus(status, statusLength, s.NumIters(), s.Status()[aztec.AZr], false, ac.factorizations,
-				classifyAztecFailure(s, err))
-			return ErrSolveFailed
-		}
-		totalIts += s.NumIters()
-		lastNorm = s.Status()[aztec.AZr]
+	return ac.solveEach(ac, solution, status, numLocalRow, statusLength)
+}
+
+// solveOne runs the configured Aztec solver on one right-hand side.
+func (ac *AztecComponent) solveOne(x, b []float64) (int, float64, FailReason) {
+	if err := ac.s.Solve(x, b); err != nil {
+		return ac.s.NumIters(), ac.s.Status()[aztec.AZr], classifyAztecFailure(ac.s, err)
 	}
-	ac.recordPoolStats()
-	writeStatus(status, statusLength, totalIts, lastNorm, true, ac.factorizations, FailNone)
-	return OK
+	return ac.s.NumIters(), ac.s.Status()[aztec.AZr], FailNone
 }
 
 // classifyAztecFailure normalizes aztec's status[AZWhy] termination

@@ -212,22 +212,15 @@ func (kc *KSPComponent) Solve(solution []float64, status []float64, numLocalRow,
 		kc.recordFormat(pm)
 	}
 
-	totalIts := 0
-	lastNorm := 0.0
-	for r := 0; r < kc.nRhs; r++ {
-		b := kc.rhs[r*numLocalRow : (r+1)*numLocalRow]
-		x := solution[r*numLocalRow : (r+1)*numLocalRow]
-		if err := k.Solve(b, x); err != nil {
-			writeStatus(status, statusLength, k.Iterations(), k.ResidualNorm(), false, kc.factorizations,
-				kc.classifyFailure(err))
-			return ErrSolveFailed
-		}
-		totalIts += k.Iterations()
-		lastNorm = k.ResidualNorm()
+	return kc.solveEach(kc, solution, status, numLocalRow, statusLength)
+}
+
+// solveOne runs the configured KSP on one right-hand side.
+func (kc *KSPComponent) solveOne(x, b []float64) (int, float64, FailReason) {
+	if err := kc.k.Solve(b, x); err != nil {
+		return kc.k.Iterations(), kc.k.ResidualNorm(), kc.classifyFailure(err)
 	}
-	kc.recordPoolStats()
-	writeStatus(status, statusLength, totalIts, lastNorm, true, kc.factorizations, FailNone)
-	return OK
+	return kc.k.Iterations(), kc.k.ResidualNorm(), FailNone
 }
 
 // classifyFailure normalizes ksp's PETSc-style ConvergedReason codes

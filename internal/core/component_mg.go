@@ -216,27 +216,14 @@ func (mc *MGComponent) Solve(solution []float64, status []float64, numLocalRow, 
 	mc.solver.SetPool(mc.workerPool())
 	mc.recordFormat(mc.solver.FineOperator())
 
-	totalCycles := 0
-	lastNorm := 0.0
-	for r := 0; r < mc.nRhs; r++ {
-		b := mc.rhs[r*numLocalRow : (r+1)*numLocalRow]
-		x := solution[r*numLocalRow : (r+1)*numLocalRow]
-		for i := range x {
-			x[i] = 0
-		}
-		if err := mc.solver.Solve(b, x); err != nil {
-			// mg reports "diverged at cycle N" or "no convergence in N
-			// cycles"; classifySolveError maps both.
-			writeStatus(status, statusLength, mc.solver.Cycles(), mc.solver.ResidualNorm(), false,
-				mc.factorizations, classifySolveError(err))
-			return ErrSolveFailed
-		}
-		totalCycles += mc.solver.Cycles()
-		lastNorm = mc.solver.ResidualNorm()
-	}
-	mc.recordPoolStats()
-	writeStatus(status, statusLength, totalCycles, lastNorm, true, mc.factorizations, FailNone)
-	return OK
+	return mc.solveEach(mc, solution, status, numLocalRow, statusLength)
+}
+
+// solveOne runs V-cycles on one right-hand side. mg reports "diverged at
+// cycle N" or "no convergence in N cycles"; classifySolveError maps both.
+func (mc *MGComponent) solveOne(x, b []float64) (int, float64, FailReason) {
+	err := mc.solver.Solve(b, x)
+	return mc.solver.Cycles(), mc.solver.ResidualNorm(), classifySolveError(err)
 }
 
 func init() {

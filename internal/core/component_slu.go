@@ -26,6 +26,8 @@ type SLUComponent struct {
 	// seen is dist's set-up record as of the last (re)build, kept so the
 	// next one's share can be added to the recorder.
 	seen slu.SetupStats
+
+	refineSteps int // the "refine_steps" parameter, read once per Solve
 }
 
 var _ SparseSolver = (*SLUComponent)(nil)
@@ -164,23 +166,22 @@ func (sc *SLUComponent) Solve(solution []float64, status []float64, numLocalRow,
 	sc.dist.SetRecorder(sc.rec)
 	sc.dist.SetPool(sc.workerPool())
 
-	refineSteps := 0
+	sc.refineSteps = 0
 	if v, ok := sc.params["refine_steps"]; ok {
-		refineSteps, _ = strconv.Atoi(v)
+		sc.refineSteps, _ = strconv.Atoi(v)
 	}
-	lastRes := 0.0
-	for r := 0; r < sc.nRhs; r++ {
-		b := sc.rhs[r*numLocalRow : (r+1)*numLocalRow]
-		res, err := sc.dist.SolveRefinedInto(solution[r*numLocalRow:(r+1)*numLocalRow], b, refineSteps)
-		if err != nil {
-			writeStatus(status, statusLength, 0, 0, false, sc.factorizations, classifySolveError(err))
-			return ErrSolveFailed
-		}
-		lastRes = res
+	return sc.solveEach(sc, solution, status, numLocalRow, statusLength)
+}
+
+// solveOne runs the triangular solves and refinement on one right-hand
+// side. A direct solve reports no iterations, and a failed one no
+// residual.
+func (sc *SLUComponent) solveOne(x, b []float64) (int, float64, FailReason) {
+	res, err := sc.dist.SolveRefinedInto(x, b, sc.refineSteps)
+	if err != nil {
+		return 0, 0, classifySolveError(err)
 	}
-	sc.recordPoolStats()
-	writeStatus(status, statusLength, 0, lastRes, true, sc.factorizations, FailNone)
-	return OK
+	return 0, res, FailNone
 }
 
 // recordSetup feeds the recorder what the set-up just run did on this

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/comm"
 	"repro/internal/pmat"
@@ -210,8 +209,9 @@ func TestDoorConformance(t *testing.T) {
 }
 
 // flakyOp is a matrix-free identity whose first product poisons the
-// iteration with a NaN: the first attempt ends in a retryable breakdown,
-// the second solves.
+// iteration with a NaN: it gives different answers for the same input,
+// which breaks the determinism contract. The first solve ends in a
+// typed breakdown, the second solves.
 type flakyOp struct{ calls int }
 
 func (o *flakyOp) MatMult(id ID, x, y []float64, length int) int {
@@ -224,7 +224,8 @@ func (o *flakyOp) MatMult(id ID, x, y []float64, length int) int {
 }
 
 // TestSessionDoorRows gives the Session doors no other upper-layer test
-// opens their row: SetMatrixFree and a retry that waits out a RetryBackoff.
+// opens their row: SetMatrixFree and a caller's own second Solve after a
+// typed failure.
 func TestSessionDoorRows(t *testing.T) {
 	a, _ := lap49.sys(t)
 	xstar, b := manufactured(a)
@@ -247,14 +248,13 @@ func TestSessionDoorRows(t *testing.T) {
 		})
 	})
 
-	t.Run("RetryBackoff", func(t *testing.T) {
+	t.Run("CallerRetry", func(t *testing.T) {
 		run(t, 1, func(c *comm.Comm) {
 			l, err := pmat.EvenLayout(c, 8)
 			if err != nil {
 				t.Fatal(err)
 			}
-			const backoff = 20 * time.Millisecond
-			s, err := OpenSession("petsc", c, SessionOptions{Params: params, MaxAttempts: 2, RetryBackoff: backoff})
+			s, err := OpenSession("petsc", c, SessionOptions{Params: params})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -267,20 +267,22 @@ func TestSessionDoorRows(t *testing.T) {
 				t.Fatal(err)
 			}
 			x := make([]float64, 8)
-			// Cancellable, so the backoff waits in sleepCtx's select.
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			start := time.Now()
-			res, err := s.Solve(ctx, x)
-			if err != nil || !res.Converged || res.Attempts != 2 {
-				t.Fatalf("converged=%v attempts=%d fail=%v err=%v, want the second attempt to solve", res.Converged, res.Attempts, res.FailReason, err)
+			res, err := s.Solve(context.Background(), x)
+			if err == nil || res.FailReason != FailBreakdown || res.Aborted || res.Attempts != 1 {
+				t.Errorf("first solve: fail=%v aborted=%v attempts=%d err=%v, want one run ending in a typed breakdown",
+					res.FailReason, res.Aborted, res.Attempts, err)
+				return
 			}
-			if waited := time.Since(start); waited < backoff {
-				t.Errorf("retried after %v, before the %v backoff", waited, backoff)
+			// The operator broke the determinism contract, not the
+			// session: the caller may run the same solve again.
+			res, err = s.Solve(context.Background(), x)
+			if err != nil || !res.Converged {
+				t.Errorf("second solve: converged=%v fail=%v err=%v, want it to solve", res.Converged, res.FailReason, err)
+				return
 			}
 			for i, v := range x {
 				if math.Abs(v-rhs[i]) > 1e-12 {
-					t.Fatalf("x[%d] = %v, want %v", i, v, rhs[i])
+					t.Errorf("x[%d] = %v, want %v", i, v, rhs[i])
 				}
 			}
 		})

@@ -13,18 +13,19 @@ import (
 // ksp's ConvergedReason codes, aztec's status[AZWhy], slu's singularity
 // errors, mg's cycle divergence — into this one enum and reports it in
 // status[StatusFailReason], so the Session layer can decide uniformly
-// whether to retry, back off, or fail over to another registry backend
-// (the PETSc-reason-code model of PAPERS.md applied across the whole
-// registry).
+// whether to fail over to another registry backend (the
+// PETSc-reason-code model of PAPERS.md applied across the whole
+// registry). Every backend starts from x = 0, so the same backend on
+// the same system fails the same way again: a reason says what a
+// different method might do, never what a rerun would.
 type FailReason int
 
 const (
 	// FailNone: the solve did not fail.
 	FailNone FailReason = iota
 	// FailMaxIterations: the iteration budget ran out before the
-	// tolerance was met. More iterations (a retry continues from the
-	// current iterate on backends that honor initial guesses) or a
-	// different method may converge.
+	// tolerance was met. A larger budget or a different method may
+	// converge.
 	FailMaxIterations
 	// FailBreakdown: a Krylov breakdown (zero inner product, indefinite
 	// preconditioner application) stopped the method. Method-specific:
@@ -34,7 +35,7 @@ const (
 	FailDivergence
 	// FailSingular: the matrix (or a preconditioner factor) is
 	// structurally or numerically singular — zero pivots, empty
-	// columns. Retrying the same method is pointless.
+	// columns.
 	FailSingular
 	// FailUnsupported: the component cannot solve this problem shape at
 	// all (e.g. geometric mg staged with a non-model operator).
@@ -63,19 +64,6 @@ func (r FailReason) String() string {
 		return "aborted"
 	}
 	return fmt.Sprintf("FailReason(%d)", int(r))
-}
-
-// Retryable reports whether re-running the same backend could plausibly
-// succeed: iteration exhaustion continues from the current iterate on
-// backends that honor initial guesses, and breakdowns can resolve from
-// a different starting point. Singular systems, unsupported shapes and
-// aborts never benefit from a retry.
-func (r FailReason) Retryable() bool {
-	switch r {
-	case FailMaxIterations, FailBreakdown, FailDivergence:
-		return true
-	}
-	return false
 }
 
 // FailoverEligible reports whether a different backend might succeed

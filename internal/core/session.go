@@ -35,14 +35,6 @@ type SessionOptions struct {
 	// the "workers" parameter ignore the request.
 	Workers int
 
-	// MaxAttempts bounds how many times one Solve call may run the
-	// active backend before giving up (0 and 1 both mean a single
-	// attempt). Only retryable FailReasons (see FailReason.Retryable)
-	// are retried; each retry is counted in lisi.solve_retries.
-	MaxAttempts int
-	// RetryBackoff is the wait before the second attempt, doubling on
-	// every further one. The wait honors the solve context.
-	RetryBackoff time.Duration
 	// Failover names registry backends to try, in order, when the
 	// active backend fails with a method-specific FailReason (never on
 	// a cancellation or injected-fault abort — the world is poisoned
@@ -54,7 +46,7 @@ type SessionOptions struct {
 }
 
 // SolveResult is the decoded Status array of one Solve, plus the
-// retry/failover and cancellation outcome.
+// failover and cancellation outcome.
 type SolveResult struct {
 	Iterations     int
 	Residual       float64
@@ -62,10 +54,10 @@ type SolveResult struct {
 	Factorizations int
 
 	// FailReason is the normalized failure classification (FailNone on
-	// success) — the typed code the retry and failover policies key on.
+	// success) — the typed code the failover policy keys on.
 	FailReason FailReason
-	// Attempts counts backend runs this Solve performed across retries
-	// and failover switches (1 for an undisturbed solve).
+	// Attempts counts the backend runs this Solve performed: 1, plus one
+	// per failover switch.
 	Attempts int
 	// Backend is the registry name of the backend that produced this
 	// result; it differs from the session's opening backend after a
@@ -315,13 +307,13 @@ func (s *Session) SetupRHS(b []float64, nRhs int) error {
 // also recorded in telemetry as PhaseAborted with an "abort_reason"
 // label.
 //
-// When SessionOptions.MaxAttempts allows, retryable failures
-// (FailReason.Retryable) are re-run on the same backend with
-// exponential backoff; when a Failover chain is configured,
-// method-specific failures then walk the chain, re-staging the system
-// into each replacement backend in turn. Both policies are SPMD
-// deterministic: every rank takes the same retry/failover decisions
-// because they derive from the collectively identical FailReason.
+// Each backend runs once: every backend starts from x = 0, so running a
+// failed backend again repeats its failure to the bit. A typed failure
+// leaves the session usable. When a Failover chain is configured,
+// failover-eligible failures walk the chain, re-staging the system into
+// each replacement backend in turn. The walk is SPMD deterministic:
+// every rank takes the same decisions because they derive from the
+// collectively identical FailReason.
 func (s *Session) Solve(ctx context.Context, x []float64) (SolveResult, error) {
 	if err := s.usable(); err != nil {
 		return SolveResult{}, err
@@ -339,11 +331,11 @@ func (s *Session) Solve(ctx context.Context, x []float64) (SolveResult, error) {
 	}
 	s.solves++
 
-	res, err := s.solveAttempts(ctx, x)
+	res, err := s.solveOnce(ctx, x)
+	res.Attempts, res.Backend = 1, s.info.Name
 	if err == nil || res.Aborted || !res.FailReason.FailoverEligible() || len(s.opts.Failover) == 0 {
 		return res, err
 	}
-	totalAttempts := res.Attempts
 	for _, name := range s.opts.Failover {
 		if name == s.info.Name {
 			continue
@@ -355,59 +347,14 @@ func (s *Session) Solve(ctx context.Context, x []float64) (SolveResult, error) {
 		}
 		s.failovers++
 		s.rec.Add("lisi.solve_failovers", 1)
-		res2, err2 := s.solveAttempts(ctx, x)
-		totalAttempts += res2.Attempts
-		res2.Attempts = totalAttempts
-		res, err = res2, err2
-		if err2 == nil || res2.Aborted {
+		attempts := res.Attempts + 1
+		res, err = s.solveOnce(ctx, x)
+		res.Attempts, res.Backend = attempts, s.info.Name
+		if err == nil || res.Aborted {
 			return res, err
 		}
 	}
 	return res, err
-}
-
-// solveAttempts runs the active backend up to MaxAttempts times,
-// retrying only transient (retryable) failures with doubling backoff.
-func (s *Session) solveAttempts(ctx context.Context, x []float64) (SolveResult, error) {
-	maxAttempts := s.opts.MaxAttempts
-	if maxAttempts < 1 {
-		maxAttempts = 1
-	}
-	backoff := s.opts.RetryBackoff
-	var res SolveResult
-	var err error
-	for attempt := 1; ; attempt++ {
-		res, err = s.solveOnce(ctx, x)
-		res.Attempts = attempt
-		res.Backend = s.info.Name
-		if err == nil || res.Aborted || attempt >= maxAttempts || !res.FailReason.Retryable() {
-			return res, err
-		}
-		s.rec.Add("lisi.solve_retries", 1)
-		if backoff > 0 {
-			if serr := sleepCtx(ctx, backoff); serr != nil {
-				return res, err
-			}
-			backoff *= 2
-		}
-	}
-}
-
-// sleepCtx waits d, returning early with the context's error if it is
-// cancelled first.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if ctx.Done() == nil {
-		time.Sleep(d)
-		return nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return context.Cause(ctx)
-	}
 }
 
 // solveOnce performs exactly one backend run and decodes its status.

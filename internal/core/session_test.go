@@ -14,6 +14,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/mesh"
 	"repro/internal/pmat"
+	"repro/internal/sparse"
 	"repro/internal/telemetry"
 )
 
@@ -438,5 +439,80 @@ func BenchmarkSessionReuseSolve(b *testing.B) {
 				b.Fatal(runErr)
 			}
 		})
+	}
+}
+
+// emptyColumnSystem is a 40-row diagonally dominant system with every
+// entry of column 5 removed: structurally singular, so superlu's factor
+// fails on any ordering.
+func emptyColumnSystem(t *testing.T) (*sparse.CSR, []float64) {
+	t.Helper()
+	a := sparse.RandomDiagDominant(40, 4, 15)
+	coo := sparse.NewCOO(a.Rows, a.Cols)
+	for i := 0; i < a.Rows; i++ {
+		cols, vals := a.RowView(i)
+		for k, j := range cols {
+			if j != 5 {
+				coo.Append(i, j, vals[k])
+			}
+		}
+	}
+	s := coo.ToCSR()
+	return s, onesFor(s)
+}
+
+// TestSessionFailedSolveReproduces pins why Session runs a backend once
+// per Solve: every backend starts from x = 0, so a failed solve is a pure
+// function of the staged system. A second Solve on the same session, into
+// the x the first one left, repeats the first one's FailReason, iteration
+// count, residual and x to the bit, and a typed failure leaves the
+// session usable.
+func TestSessionFailedSolveReproduces(t *testing.T) {
+	cases := []struct {
+		name, backend string
+		params        map[string]string
+		sys           testSystem
+		want          FailReason
+	}{
+		{"petsc/gmres+ilu", "petsc", map[string]string{"solver": "gmres", "preconditioner": "ilu", "maxits": "3"}, paperSystem(20), FailMaxIterations},
+		{"petsc/cg+jacobi", "petsc", map[string]string{"solver": "cg", "preconditioner": "jacobi", "maxits": "3"}, paperSystem(20), FailBreakdown},
+		{"trilinos/gmres+jacobi", "trilinos", map[string]string{"solver": "gmres", "preconditioner": "jacobi", "maxits": "3"}, paperSystem(20), FailMaxIterations},
+		{"trilinos/bicgstab+domdecomp", "trilinos", map[string]string{"solver": "bicgstab", "preconditioner": "domdecomp", "maxits": "3"}, paperSystem(20), FailMaxIterations},
+		{"mg/cycles=1", "mg", map[string]string{"grid_n": "15", "cycles": "1"}, paperSystem(15), FailMaxIterations},
+		// Equilibration would stop first, at the zero column scale.
+		{"superlu/empty-column", "superlu", map[string]string{"equilibrate": "false"}, emptyColumnSystem, FailSingular},
+	}
+	for _, tc := range cases {
+		for _, p := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/p=%d", tc.name, p), func(t *testing.T) {
+				a, b := tc.sys(t)
+				run(t, p, func(c *comm.Comm) {
+					s, l := openOn(t, c, tc.backend, SessionOptions{Params: tc.params}, a, b)
+					defer s.Close()
+					x := make([]float64, l.LocalN)
+					first, err := s.Solve(context.Background(), x)
+					if err == nil || first.FailReason != tc.want || first.Aborted || first.Attempts != 1 {
+						t.Errorf("first solve: fail=%v aborted=%v attempts=%d err=%v, want one run ending in %v",
+							first.FailReason, first.Aborted, first.Attempts, err, tc.want)
+						return
+					}
+					firstX := append([]float64(nil), x...)
+					second, err := s.Solve(context.Background(), x)
+					if err == nil || second.FailReason != first.FailReason || second.Iterations != first.Iterations ||
+						math.Float64bits(second.Residual) != math.Float64bits(first.Residual) || second.Attempts != 1 {
+						t.Errorf("second solve: %+v (err %v), want a repeat of %+v", second, err, first)
+					}
+					for i := range x {
+						if math.Float64bits(x[i]) != math.Float64bits(firstX[i]) {
+							t.Errorf("second solve: x[%d] = %v, want %v (bitwise)", i, x[i], firstX[i])
+							break
+						}
+					}
+					if err := s.usable(); err != nil {
+						t.Errorf("session after two typed failures: %v", err)
+					}
+				})
+			})
+		}
 	}
 }

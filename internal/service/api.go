@@ -165,12 +165,10 @@ type SolveRequest struct {
 	// response and records it in the aggregate expvar sink.
 	Telemetry bool `json:"telemetry,omitempty"`
 
-	// MaxAttempts and Failover configure the pooled session's
-	// resilience policy (core.SessionOptions); they are part of the
-	// pool key, so requests with different policies use different
-	// sessions.
-	MaxAttempts int      `json:"max_attempts,omitempty"`
-	Failover    []string `json:"failover,omitempty"`
+	// Failover is the pooled session's failover chain
+	// (core.SessionOptions); it is part of the pool key, so requests
+	// with different chains use different sessions.
+	Failover []string `json:"failover,omitempty"`
 
 	// FaultSpec injects a deterministic fault schedule
 	// (fault.ParseSpec syntax; also settable via the X-Lisi-Fault-Spec

@@ -31,12 +31,10 @@ type entrySpec struct {
 	opID  string
 	opVer int
 
-	telemetry    bool
-	hook         comm.FaultHook
-	timeout      time.Duration
-	maxAttempts  int
-	retryBackoff time.Duration
-	failover     []string
+	telemetry bool
+	hook      comm.FaultHook
+	timeout   time.Duration
+	failover  []string
 }
 
 // job is one admitted request travelling from its handler to the
@@ -193,8 +191,6 @@ func (e *entry) setupRank(c *comm.Comm) (s *core.Session, l *pmat.Layout, err er
 		SolveTimeout: e.spec.timeout,
 		Params:       e.spec.params,
 		Workers:      e.spec.workers,
-		MaxAttempts:  e.spec.maxAttempts,
-		RetryBackoff: e.spec.retryBackoff,
 		Failover:     e.spec.failover,
 	})
 	if err != nil {

@@ -52,9 +52,6 @@ type Config struct {
 	// SolveTimeout is the pooled sessions' per-solve deadline
 	// (core.SessionOptions.SolveTimeout); 0 disables it.
 	SolveTimeout time.Duration
-	// RetryBackoff feeds the session retry policy when a request sets
-	// max_attempts > 1.
-	RetryBackoff time.Duration
 	// DrainTimeout bounds Drain before in-flight worlds are aborted
 	// (used by cmd/lisi-serve's signal handler).
 	DrainTimeout time.Duration
@@ -529,18 +526,16 @@ func (s *Service) dropEntry(e *entry) {
 // validate multi-megabyte operator bodies, so it runs outside s.mu.
 func (s *Service) buildSpec(req *SolveRequest) (entrySpec, *Error) {
 	spec := entrySpec{
-		tenant:       req.Tenant,
-		backend:      req.Backend,
-		procs:        req.procs(s.cfg.DefaultProcs),
-		workers:      req.workers(s.cfg.DefaultWorkers),
-		params:       req.Params,
-		opID:         req.Operator.ID,
-		opVer:        req.Operator.Version,
-		telemetry:    req.Telemetry,
-		timeout:      s.cfg.SolveTimeout,
-		maxAttempts:  req.MaxAttempts,
-		retryBackoff: s.cfg.RetryBackoff,
-		failover:     req.Failover,
+		tenant:    req.Tenant,
+		backend:   req.Backend,
+		procs:     req.procs(s.cfg.DefaultProcs),
+		workers:   req.workers(s.cfg.DefaultWorkers),
+		params:    req.Params,
+		opID:      req.Operator.ID,
+		opVer:     req.Operator.Version,
+		telemetry: req.Telemetry,
+		timeout:   s.cfg.SolveTimeout,
+		failover:  req.Failover,
 	}
 	switch {
 	case req.Operator.GridN > 0:
@@ -734,9 +729,6 @@ func (s *Service) validate(req *SolveRequest) *Error {
 	if req.NRHS < 0 || req.nrhs() > s.cfg.MaxNRHS {
 		return errf(CodeBadRequest, 400, false, "nrhs %d outside [1,%d]", req.NRHS, s.cfg.MaxNRHS)
 	}
-	if req.MaxAttempts < 0 || req.MaxAttempts > 10 {
-		return errf(CodeBadRequest, 400, false, "max_attempts %d outside [0,10]", req.MaxAttempts)
-	}
 	n := 0
 	switch {
 	case req.Operator.GridN > 0:
@@ -776,7 +768,7 @@ func (r *SolveRequest) workers(def int) int {
 
 // poolKey identifies a pooled session: everything that shapes its
 // identity — tenant, backend, world size, operator version, parameters
-// and the resilience policy. It is a comparable struct, not a joined
+// and the failover chain. It is a comparable struct, not a joined
 // string, so no free-form field (a tenant or operator id containing a
 // separator, a parameter value spelling out the next parameter) can
 // run into its neighbour and make two different requests share a
@@ -786,7 +778,6 @@ type poolKey struct {
 	procs, workers  int
 	opID            string
 	opVersion       int
-	maxAttempts     int
 	// telemetry sessions carry a recorder (residual traces allocate),
 	// so they pool separately from the zero-allocation fast path.
 	telemetry bool
@@ -823,8 +814,8 @@ func (r *SolveRequest) key() poolKey {
 	r.poolKey = poolKey{
 		tenant: r.Tenant, backend: r.Backend, procs: r.Procs, workers: r.Workers,
 		opID: r.Operator.ID, opVersion: r.Operator.Version,
-		maxAttempts: r.MaxAttempts, telemetry: r.Telemetry,
-		params: string(params), failover: string(lenPrefixed(nil, r.Failover...)),
+		telemetry: r.Telemetry,
+		params:    string(params), failover: string(lenPrefixed(nil, r.Failover...)),
 	}
 	r.keyed = true
 	return r.poolKey

@@ -495,10 +495,13 @@ func TestServiceHTTP(t *testing.T) {
 	}
 
 	// Unknown fields are rejected, not silently dropped — the retired
-	// "format" selection included.
-	hr, _ = post(t, map[string]any{"tenant": "wire", "backend": "petsc", "format": "sell"})
-	if hr.StatusCode != 400 {
-		t.Fatalf("unknown field status %d", hr.StatusCode)
+	// "format" selection and "max_attempts" retry count included.
+	for field, value := range map[string]any{"format": "sell", "max_attempts": 2} {
+		hr, body = post(t, map[string]any{"tenant": "wire", "backend": "petsc",
+			"operator": map[string]any{"id": "g", "grid_n": 4}, field: value})
+		if hr.StatusCode != 400 || !bytes.Contains(body, []byte("unknown field")) {
+			t.Fatalf("unknown field %q: status %d: %s", field, hr.StatusCode, body)
+		}
 	}
 
 	for _, ep := range []string{"/v1/healthz", "/v1/stats", "/v1/backends", "/debug/vars"} {

@@ -317,7 +317,6 @@ func TestServicePoolKeyIsolation(t *testing.T) {
 		func(r *SolveRequest) { r.Procs = 2 },
 		func(r *SolveRequest) { r.Operator.Version = 2 },
 		func(r *SolveRequest) { r.Params["tol"] = "1e-6" },
-		func(r *SolveRequest) { r.MaxAttempts = 3 },
 		func(r *SolveRequest) { r.Failover = []string{"superlu"} },
 		func(r *SolveRequest) { r.Telemetry = true },
 	} {
