@@ -1,9 +1,9 @@
 // Command lisi-serve runs the solver-as-a-service front end: an HTTP
 // server over the LISI registry/Session layer with pooled per-operator
-// sessions, admission control, per-tenant quotas, multi-RHS batching,
-// and graceful drain on SIGTERM/SIGINT (in-flight solves finish under
-// their timeout, new requests are shed with typed 503s, then exit 0).
-// See docs/SERVICE.md for the API.
+// sessions (one solve round per request), admission control, per-tenant
+// quotas, and graceful drain on SIGTERM/SIGINT (in-flight solves finish
+// under their timeout, new requests are shed with typed 503s, then exit
+// 0). See docs/SERVICE.md for the API.
 //
 // The listen address is announced on stdout as
 // "lisi-serve listening on <addr>" so harnesses can use -addr :0.
@@ -49,7 +49,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		queue      = fs.Int("queue-depth", 32, "per-session queue depth before queue_full shedding")
 		pending    = fs.Int("max-pending", 1024, "server-wide pending request cap before overloaded shedding")
 		tenantCap  = fs.Int("tenant-max-pending", 128, "per-tenant pending request quota")
-		batchRHS   = fs.Int("max-batch-rhs", 8, "max combined right-hand sides per coalesced solve (1 disables batching)")
 		maxNRHS    = fs.Int("max-nrhs", 16, "max right-hand sides in one request")
 		maxN       = fs.Int("max-unknowns", 1<<21, "max global system dimension")
 		maxBody    = fs.Int64("max-body-bytes", 64<<20, "max request body size")
@@ -80,7 +79,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		QueueDepth:           *queue,
 		MaxPending:           *pending,
 		TenantMaxPending:     *tenantCap,
-		MaxBatchRHS:          *batchRHS,
 		MaxNRHS:              *maxNRHS,
 		MaxUnknowns:          *maxN,
 		MaxBodyBytes:         *maxBody,

@@ -24,7 +24,7 @@ func TestSetupMatrixCSRAllocsConstant(t *testing.T) {
 			mustOK(t, s.SetStartRow(0), "SetStartRow")
 			mustOK(t, s.SetLocalRows(n), "SetLocalRows")
 			mustOK(t, s.SetGlobalCols(n), "SetGlobalCols")
-			counts = append(counts, testing.AllocsPerRun(3, func() {
+			counts = append(counts, leastAllocs(3, func() {
 				mustOK(t, s.SetupMatrix(a.Vals, a.RowPtr, a.ColInd, CSR, n+1, a.NNZ()), "SetupMatrix")
 			}))
 		}
@@ -33,3 +33,18 @@ func TestSetupMatrixCSRAllocsConstant(t *testing.T) {
 		}
 	})
 }
+
+// leastAllocs is the least of three testing.AllocsPerRun(runs, f)
+// counts. AllocsPerRun counts every goroutine's mallocs, so a stray
+// allocation elsewhere in the test binary only ever adds to one count,
+// while an allocation f itself makes shows in every one.
+func leastAllocs(runs int, f func()) float64 {
+	least := testing.AllocsPerRun(runs, f)
+	for i := 1; i < allocSamples; i++ {
+		least = min(least, testing.AllocsPerRun(runs, f))
+	}
+	return least
+}
+
+// allocSamples is how many counts leastAllocs takes.
+const allocSamples = 3

@@ -201,12 +201,11 @@ type SolveResponse struct {
 	// session: no operator staging, no refactorization — the
 	// zero-allocation steady-state path.
 	SessionReused bool `json:"session_reused"`
-	// Batched/BatchNRHS report server-side coalescing: this solve was
-	// merged with queued requests sharing the operator into one
-	// multi-RHS backend run of BatchNRHS right-hand sides (the
-	// iteration/residual fields then describe the merged run).
+	// Batched is always false: every request is its own solve round, so
+	// the iteration and residual fields always describe this request's
+	// run. The field stays only because the benchmark module still reads
+	// it; omitempty keeps it off the wire.
 	Batched    bool    `json:"batched,omitempty"`
-	BatchNRHS  int     `json:"batch_nrhs,omitempty"`
 	NRHS       int     `json:"nrhs"`
 	SolveWallS float64 `json:"solve_wall_s"`
 

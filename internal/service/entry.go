@@ -54,13 +54,11 @@ type job struct {
 // jobResult is the dispatcher's reply to one job. err is exclusive
 // with the rest.
 type jobResult struct {
-	res       core.SolveResult
-	err       *Error
-	wall      time.Duration
-	batched   int
-	batchNRhs int
-	solution  []float64
-	report    *telemetry.SolveReport
+	res      core.SolveResult
+	err      *Error
+	wall     time.Duration
+	solution []float64
+	report   *telemetry.SolveReport
 }
 
 // rankResult is one rank's outcome for the setup phase or one solve.
@@ -98,13 +96,10 @@ type entry struct {
 	dead    atomic.Bool
 	lastUse time.Time // guarded by svc.mu
 
-	// Dispatcher-owned batching state, reused across rounds. Replied
-	// members are nil'd in place; torn records that teardown ran.
-	members  []*job
-	carry    *job
-	batchRhs []float64
-	wire     job
-	torn     bool
+	// Dispatcher-owned: cur is the job being served, cleared before its
+	// reply; torn records that teardown ran.
+	cur  *job
+	torn bool
 }
 
 func newEntry(s *Service, key poolKey, spec entrySpec) (*entry, *Error) {
@@ -132,7 +127,6 @@ func newEntry(s *Service, key poolKey, spec entrySpec) (*entry, *Error) {
 		stopCh:   make(chan struct{}),
 		starts:   starts,
 		rankX:    make([][]float64, spec.procs),
-		members:  make([]*job, 0, 8),
 	}
 	if spec.telemetry {
 		e.rec = telemetry.New()
@@ -252,27 +246,25 @@ func (e *entry) rankLoop(c *comm.Comm) {
 }
 
 // dispatch is the entry's single dispatcher: collect the setup
-// outcome, then serve (batched) jobs until stopped or poisoned.
+// outcome, then serve jobs one solve round each until stopped or
+// poisoned.
 func (e *entry) dispatch() {
 	defer func() {
 		p := recover()
 		if p == nil {
 			return
 		}
-		// Defense in depth: a dispatcher panic (e.g. malformed job state
-		// reaching the batch copy) must take down the entry, not the
-		// server. Poison the world so any in-flight rank collectives
-		// unwind, fail the current round's un-replied members (replied
-		// slots are nil), and tear down the rest of the queue.
+		// Defense in depth: a dispatcher panic (e.g. malformed job state)
+		// must take down the entry, not the server. Poison the world so
+		// any in-flight rank collectives unwind, fail the current job
+		// unless it was already replied to (its slot is then nil), and
+		// tear down the rest of the queue.
 		e.world.Abort()
 		terr := errf(CodeSessionAborted, 503, true,
 			"internal dispatcher failure: %v; the pooled session was torn down", p)
-		for i, m := range e.members {
-			if m == nil {
-				continue
-			}
-			e.members[i] = nil
-			m.done <- jobResult{err: terr}
+		if j := e.cur; j != nil {
+			e.cur = nil
+			j.done <- jobResult{err: terr}
 		}
 		e.teardown(terr)
 	}()
@@ -288,17 +280,12 @@ func (e *entry) dispatch() {
 		case <-e.stopCh:
 		}
 	}
-	for {
-		j := e.nextJob()
-		if j == nil {
-			e.teardown(nil)
-			return
-		}
-		if !e.runBatch(e.gather(j)) {
-			e.teardown(nil)
-			return
+	for j := e.nextJob(); j != nil; j = e.nextJob() {
+		if !e.run(j) {
+			break
 		}
 	}
+	e.teardown(nil)
 }
 
 // collectSetup waits for every rank's setup result.
@@ -328,10 +315,6 @@ func (e *entry) collectSetup() *Error {
 // nextJob returns the next job to serve, or nil when the entry should
 // stop. After beginStop the remaining queue is still drained and served.
 func (e *entry) nextJob() *job {
-	if j := e.carry; j != nil {
-		e.carry = nil
-		return j
-	}
 	select {
 	case j := <-e.jobs:
 		return j
@@ -347,62 +330,13 @@ func (e *entry) nextJob() *job {
 	}
 }
 
-// gather coalesces queued jobs with the first into one batch, up to
-// MaxBatchRHS combined right-hand sides. Jobs on one entry share the
-// operator and parameters by construction (the pool key), so merging
-// them amortizes one Setup/SetupRHS round across all members. A job
-// that would overflow the cap is carried into the next round.
-func (e *entry) gather(first *job) []*job {
-	members := append(e.members[:0], first)
-	total := first.nRhs
-	for total < e.svc.cfg.MaxBatchRHS {
-		select {
-		case j := <-e.jobs:
-			if total+j.nRhs > e.svc.cfg.MaxBatchRHS {
-				e.carry = j
-				e.members = members
-				return members
-			}
-			members = append(members, j)
-			total += j.nRhs
-		default:
-			e.members = members
-			return members
-		}
-	}
-	e.members = members
-	return members
-}
-
-// runBatch runs one coalesced solve round. It returns false when the
-// world was poisoned and the entry must be torn down.
-func (e *entry) runBatch(members []*job) bool {
+// run serves one job as one solve round: every rank solves the job's
+// right-hand sides, and the job gets one reply carrying its own result.
+// It returns false when the world was poisoned and the entry must be
+// torn down.
+func (e *entry) run(j *job) bool {
 	procs := e.spec.procs
-	n := e.spec.n
-	total := 0
-	for _, m := range members {
-		total += m.nRhs
-	}
-
-	wire := members[0]
-	var cancelMerged context.CancelFunc
-	if len(members) > 1 {
-		e.svc.cnt.Batches.Add(1)
-		need := n * total
-		if cap(e.batchRhs) < need {
-			e.batchRhs = make([]float64, need)
-		}
-		e.batchRhs = e.batchRhs[:need]
-		off := 0
-		for _, m := range members {
-			copy(e.batchRhs[off:off+n*m.nRhs], m.rhs[:n*m.nRhs])
-			off += n * m.nRhs
-		}
-		ctx, cancel := mergedContext(members)
-		cancelMerged = cancel
-		e.wire = job{ctx: ctx, n: n, nRhs: total, rhs: e.batchRhs}
-		wire = &e.wire
-	}
+	e.cur = j
 	if e.rec != nil {
 		// Telemetry entries report per round; ranks are idle here, so
 		// the reset cannot race their recordings.
@@ -411,12 +345,12 @@ func (e *entry) runBatch(members []*job) bool {
 
 	start := time.Now()
 	for r := 0; r < procs; r++ {
-		e.rankJobs[r] <- wire
+		e.rankJobs[r] <- j
 	}
 	var res core.SolveResult
 	haveRes := false
 	var stageErr error
-	aborted, alive := false, true
+	aborted := false
 	for i := 0; i < procs; i++ {
 		select {
 		case r := <-e.results:
@@ -431,74 +365,58 @@ func (e *entry) runBatch(members []*job) bool {
 				stageErr = r.err
 			}
 		case <-e.runDone:
-			aborted, alive = true, false
+			aborted = true
 			i = procs
 		}
 	}
 	wall := time.Since(start)
-	if cancelMerged != nil {
-		cancelMerged()
-	}
 
-	if aborted || !alive {
+	var jr jobResult
+	switch {
+	case aborted:
 		e.svc.cnt.SessionsPoisoned.Add(1)
-		terr := e.abortError(res, haveRes)
-		for i, m := range members {
-			members[i] = nil
-			m.done <- jobResult{err: terr}
+		jr.err = e.abortError(res, haveRes)
+	case stageErr != nil:
+		// The staged system is intact; the entry stays usable.
+		jr.err = errf(CodeSetupFailed, 500, true, "right-hand-side staging failed: %v", stageErr)
+	default:
+		jr = jobResult{res: res, wall: wall}
+		if e.rec != nil {
+			rep := e.rec.Report(res.Backend)
+			rep.Procs = procs
+			rep.GlobalRows = e.spec.n
+			rep.Iterations = res.Iterations
+			rep.FinalResidual = res.Residual
+			rep.Converged = res.Converged
+			rep.WallSeconds = wall.Seconds()
+			e.svc.agg.Record(rep)
+			jr.report = rep
 		}
-		return false
-	}
-	if stageErr != nil {
-		terr := errf(CodeSetupFailed, 500, true, "right-hand-side staging failed: %v", stageErr)
-		for i, m := range members {
-			members[i] = nil
-			m.done <- jobResult{err: terr}
+		if j.wantSolution {
+			jr.solution = e.assemble(j.nRhs)
 		}
-		return true // the staged system is intact; the entry stays usable
 	}
-
-	var rep *telemetry.SolveReport
-	if e.rec != nil {
-		rep = e.rec.Report(res.Backend)
-		rep.Procs = procs
-		rep.GlobalRows = n
-		rep.Iterations = res.Iterations
-		rep.FinalResidual = res.Residual
-		rep.Converged = res.Converged
-		rep.WallSeconds = wall.Seconds()
-		e.svc.agg.Record(rep)
-	}
-	off := 0
-	for i, m := range members {
-		jr := jobResult{res: res, wall: wall, batched: len(members), batchNRhs: total, report: rep}
-		if m.wantSolution {
-			jr.solution = e.assemble(off, m.nRhs)
-		}
-		// The reply hands the job back to its handler, which may recycle
-		// it immediately — no field of m may be touched after the send.
-		// The slot is cleared first so the dispatcher's panic recovery
-		// never replies twice to (or touches a recycled) member.
-		step := m.nRhs
-		members[i] = nil
-		m.done <- jr
-		off += step
-	}
-	return true
+	// The reply hands the job back to its handler, which may recycle it
+	// immediately — no field of j may be touched after the send. The slot
+	// is cleared first so the dispatcher's panic recovery never replies
+	// twice to (or touches a recycled) job.
+	e.cur = nil
+	j.done <- jr
+	return !aborted
 }
 
-// assemble gathers the global solution for one member's right-hand
-// sides (batch columns [off, off+nRhs)) from the per-rank buffers.
-// Called only after every rank's result arrived, which orders the
-// buffer writes before these reads.
-func (e *entry) assemble(off, nRhs int) []float64 {
+// assemble gathers the global solution for the served job's nRhs
+// right-hand sides from the per-rank buffers. Called only after every
+// rank's result arrived, which orders the buffer writes before these
+// reads.
+func (e *entry) assemble(nRhs int) []float64 {
 	n := e.spec.n
 	sol := make([]float64, n*nRhs)
 	for r := 0; r < e.spec.procs; r++ {
-		localN := e.starts[r+1] - e.starts[r]
+		lo, localN := e.starts[r], e.starts[r+1]-e.starts[r]
 		x := e.rankX[r]
 		for k := 0; k < nRhs; k++ {
-			copy(sol[k*n+e.starts[r]:k*n+e.starts[r]+localN], x[(off+k)*localN:(off+k+1)*localN])
+			copy(sol[k*n+lo:k*n+lo+localN], x[k*localN:(k+1)*localN])
 		}
 	}
 	return sol
@@ -548,10 +466,6 @@ func (e *entry) teardown(terr *Error) {
 		terr = errf(CodeSessionAborted, 503, true,
 			"pooled session was torn down before this request was served; retrying rebuilds it")
 	}
-	if j := e.carry; j != nil {
-		e.carry = nil
-		j.done <- jobResult{err: terr}
-	}
 	for {
 		select {
 		case j := <-e.jobs:
@@ -559,38 +473,5 @@ func (e *entry) teardown(terr *Error) {
 		default:
 			return
 		}
-	}
-}
-
-// mergedContext derives a context for a coalesced solve that cancels
-// only when every member's context has cancelled: one caller hanging
-// up must not abort the batchmates' solve (a world abort would poison
-// the pooled entry for all of them).
-func mergedContext(members []*job) (context.Context, context.CancelFunc) {
-	for _, m := range members {
-		if m.ctx == nil || m.ctx.Done() == nil {
-			// This member can never hang up, so the merged context must
-			// never cancel — counting only the cancellable members would
-			// abort (and poison) the solve out from under it. This also
-			// keeps the session's background-context fast path.
-			return context.Background(), func() {}
-		}
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	var remaining atomic.Int64
-	remaining.Store(int64(len(members)))
-	stops := make([]func() bool, 0, len(members))
-	for _, m := range members {
-		stops = append(stops, context.AfterFunc(m.ctx, func() {
-			if remaining.Add(-1) == 0 {
-				cancel()
-			}
-		}))
-	}
-	return ctx, func() {
-		for _, stop := range stops {
-			stop()
-		}
-		cancel()
 	}
 }

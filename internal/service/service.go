@@ -40,9 +40,6 @@ type Config struct {
 	// (tenant_quota_exceeded, 429).
 	MaxPending       int
 	TenantMaxPending int
-	// MaxBatchRHS caps the combined right-hand-side count of one
-	// coalesced multi-RHS solve; 1 disables server-side batching.
-	MaxBatchRHS int
 	// MaxNRHS bounds one request's nrhs; MaxUnknowns bounds the global
 	// system dimension.
 	MaxNRHS     int
@@ -81,7 +78,6 @@ func (c Config) withDefaults() Config {
 	def(&c.QueueDepth, 32)
 	def(&c.MaxPending, 1024)
 	def(&c.TenantMaxPending, 128)
-	def(&c.MaxBatchRHS, 8)
 	def(&c.MaxNRHS, 16)
 	def(&c.MaxUnknowns, 1<<21)
 	if c.MaxBodyBytes <= 0 {
@@ -113,8 +109,6 @@ type counters struct {
 	SessionsBuilt    atomic.Int64
 	SessionsEvicted  atomic.Int64
 	SessionsPoisoned atomic.Int64
-	Batches          atomic.Int64
-	BatchedRequests  atomic.Int64
 	FaultRequests    atomic.Int64
 }
 
@@ -132,8 +126,6 @@ func (c *counters) snapshot() map[string]int64 {
 		"sessions_built":    c.SessionsBuilt.Load(),
 		"sessions_evicted":  c.SessionsEvicted.Load(),
 		"sessions_poisoned": c.SessionsPoisoned.Load(),
-		"batches":           c.Batches.Load(),
-		"batched_requests":  c.BatchedRequests.Load(),
 		"fault_requests":    c.FaultRequests.Load(),
 	}
 }
@@ -188,7 +180,8 @@ type Service struct {
 	jobs sync.Pool // *job, recycled across requests
 
 	// dispatchGate, when non-nil, holds every session dispatcher before
-	// its first job — a test hook making batch coalescing deterministic.
+	// its first job — a test hook that lets tests fill queues
+	// deterministically.
 	dispatchGate chan struct{}
 }
 
@@ -380,11 +373,6 @@ func (s *Service) finishJob(req *SolveRequest, resp *SolveResponse, r *jobResult
 	resp.FailReason = res.FailReason.String()
 	resp.Attempts = res.Attempts
 	resp.NRHS = req.nrhs()
-	resp.Batched = r.batched > 1
-	if resp.Batched {
-		resp.BatchNRHS = r.batchNRhs
-		s.cnt.BatchedRequests.Add(1)
-	}
 	resp.SolveWallS = r.wall.Seconds()
 	resp.Solution = r.solution
 	resp.Report = r.report
@@ -448,7 +436,7 @@ func (s *Service) entryFor(req *SolveRequest, t *tenantState) (*entry, bool, *Er
 // it. The RHS length check matters here: validate cannot size-check a
 // request that omits the operator body (n is unknown), and buildSpec
 // never runs on the reuse path — without this check a short RHS reaches
-// the batch copy in the dispatcher and panics. A dead entry is pruned.
+// rankLoop's per-rank copy and panics a rank. A dead entry is pruned.
 // Caller holds s.mu.
 func (s *Service) reuseLocked(key poolKey, req *SolveRequest) (*entry, bool, *Error) {
 	e, ok := s.entries[key]

@@ -370,8 +370,8 @@ func TestServiceReuseRejectsBadRHSLength(t *testing.T) {
 		t.Fatalf("seed solve: %v", serr)
 	}
 	// A reuse request may omit the operator body, so validate cannot
-	// size-check its RHS — the pool lookup must. This used to reach the
-	// dispatcher's batch copy and panic on the short slice.
+	// size-check its RHS — the pool lookup must. Without it the short
+	// slice reaches rankLoop's per-rank copy and panics a rank.
 	bad := &service.SolveRequest{
 		Tenant:   "acme",
 		Backend:  "petsc",

@@ -1,9 +1,10 @@
-// White-box tests: shedding and batching need the dispatcher held at a
+// White-box tests: shedding and queueing need the dispatcher held at a
 // deterministic point (dispatchGate), which only this package can reach.
 package service
 
 import (
 	"context"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -66,16 +67,32 @@ func queuedJobs(svc *Service) int {
 	return n
 }
 
-func TestServiceBatchCoalescing(t *testing.T) {
+// TestServiceQueuedRequestsSolveAlone: requests queued behind a busy
+// session are each served as their own solve round. Every reply carries
+// its own solution and the same iterations and residual, to the bit, as
+// its right-hand side sent alone to a fresh service.
+func TestServiceQueuedRequestsSolveAlone(t *testing.T) {
 	const gridN = 8
 	n := gridN * gridN
-	svc, gate := gatedService(t, Config{MaxBatchRHS: 8})
+	svc, gate := gatedService(t, Config{})
 
 	const k = 3
 	type result struct {
 		resp SolveResponse
 		err  *Error
-		rhs  []float64
+	}
+	rhs := make([][]float64, k)
+	for i := range rhs {
+		rhs[i] = make([]float64, n)
+		for j := range rhs[i] {
+			rhs[i][j] = float64((j*(i+2))%5 + 1)
+		}
+	}
+	req := func(i int) *SolveRequest {
+		r := whiteReq("acme", "op", gridN)
+		r.RHS = rhs[i]
+		r.ReturnSolution = true
+		return r
 	}
 	results := make([]result, k)
 	var wg sync.WaitGroup
@@ -83,15 +100,7 @@ func TestServiceBatchCoalescing(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			rhs := make([]float64, n)
-			for j := range rhs {
-				rhs[j] = float64(i + 1)
-			}
-			req := whiteReq("acme", "op", gridN)
-			req.RHS = rhs
-			req.ReturnSolution = true
-			results[i].rhs = rhs
-			results[i].err = svc.Solve(context.Background(), req, &results[i].resp)
+			results[i].err = svc.Solve(context.Background(), req(i), &results[i].resp)
 		}(i)
 	}
 	waitFor(t, "all jobs queued", func() bool { return queuedJobs(svc) == k })
@@ -104,29 +113,39 @@ func TestServiceBatchCoalescing(t *testing.T) {
 	}
 	for i, r := range results {
 		if r.err != nil {
-			t.Fatalf("member %d: %v", i, r.err)
+			t.Fatalf("request %d: %v", i, r.err)
 		}
-		if !r.resp.Batched || r.resp.BatchNRHS != k {
-			t.Fatalf("member %d: batched=%v batch_nrhs=%d, want true/%d", i, r.resp.Batched, r.resp.BatchNRHS, k)
+		if r.resp.Batched {
+			t.Fatalf("request %d: batched=true, want false", i)
 		}
 		if !r.resp.Converged {
-			t.Fatalf("member %d not converged", i)
+			t.Fatalf("request %d not converged", i)
 		}
-		res := a.Residual(r.rhs, r.resp.Solution)
-		if rel := sparse.Norm2(res) / sparse.Norm2(r.rhs); rel > 1e-6 {
-			t.Fatalf("member %d: relative residual %.3e", i, rel)
+		res := a.Residual(rhs[i], r.resp.Solution)
+		if rel := sparse.Norm2(res) / sparse.Norm2(rhs[i]); rel > 1e-6 {
+			t.Fatalf("request %d: relative residual %.3e", i, rel)
 		}
-	}
-	if got := svc.cnt.Batches.Load(); got != 1 {
-		t.Fatalf("batches = %d, want 1 (one coalesced round)", got)
-	}
-	if got := svc.cnt.BatchedRequests.Load(); got != k {
-		t.Fatalf("batched_requests = %d, want %d", got, k)
+
+		alone, err := New(Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want SolveResponse
+		serr := alone.Solve(context.Background(), req(i), &want)
+		_ = alone.Close()
+		if serr != nil {
+			t.Fatalf("request %d alone: %v", i, serr)
+		}
+		if r.resp.Iterations != want.Iterations ||
+			math.Float64bits(r.resp.Residual) != math.Float64bits(want.Residual) {
+			t.Errorf("request %d: iterations %d residual %v queued, %d %v alone",
+				i, r.resp.Iterations, r.resp.Residual, want.Iterations, want.Residual)
+		}
 	}
 }
 
 func TestServiceQueueFullShedding(t *testing.T) {
-	svc, gate := gatedService(t, Config{QueueDepth: 2, MaxBatchRHS: 1})
+	svc, gate := gatedService(t, Config{QueueDepth: 2})
 	var wg sync.WaitGroup
 	errs := make([]*Error, 2)
 	for i := 0; i < 2; i++ {
@@ -352,48 +371,13 @@ func TestServicePoolKeyUnambiguous(t *testing.T) {
 	}
 }
 
-func TestMergedContextUncancellableMember(t *testing.T) {
-	ctx1, cancel1 := context.WithCancel(context.Background())
-	defer cancel1()
-	merged, stop := mergedContext([]*job{{ctx: ctx1}, {ctx: context.Background()}})
-	defer stop()
-	if merged.Done() != nil {
-		t.Fatal("a batch with an uncancellable member must get an uncancellable merged context")
-	}
-	cancel1()
-	select {
-	case <-merged.Done():
-		t.Fatal("merged context cancelled while an uncancellable member was still in flight")
-	case <-time.After(50 * time.Millisecond):
-	}
-}
-
-func TestMergedContextAllMembersCancel(t *testing.T) {
-	ctx1, cancel1 := context.WithCancel(context.Background())
-	ctx2, cancel2 := context.WithCancel(context.Background())
-	merged, stop := mergedContext([]*job{{ctx: ctx1}, {ctx: ctx2}})
-	defer stop()
-	cancel1()
-	select {
-	case <-merged.Done():
-		t.Fatal("merged context cancelled before every member hung up")
-	case <-time.After(50 * time.Millisecond):
-	}
-	cancel2()
-	select {
-	case <-merged.Done():
-	case <-time.After(5 * time.Second):
-		t.Fatal("merged context did not cancel after every member hung up")
-	}
-}
-
 func TestConfigDefaults(t *testing.T) {
 	cfg := Config{}.withDefaults()
 	for name, v := range map[string]int{
 		"DefaultProcs": cfg.DefaultProcs, "MaxProcs": cfg.MaxProcs,
 		"MaxSessions": cfg.MaxSessions, "QueueDepth": cfg.QueueDepth,
 		"MaxPending": cfg.MaxPending, "TenantMaxPending": cfg.TenantMaxPending,
-		"MaxBatchRHS": cfg.MaxBatchRHS, "MaxNRHS": cfg.MaxNRHS, "MaxUnknowns": cfg.MaxUnknowns,
+		"MaxNRHS": cfg.MaxNRHS, "MaxUnknowns": cfg.MaxUnknowns,
 	} {
 		if v <= 0 {
 			t.Errorf("%s defaulted to %d", name, v)
