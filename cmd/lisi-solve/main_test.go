@@ -10,7 +10,8 @@ import (
 
 // TestExitCodes pins lisi-solve's contract: 0 solved, 1 a failure (a
 // Matrix Market file holding a NaN, or a rank that cannot set up), 2 bad
-// flags, 124 a solve past its -timeout.
+// flags, 124 a solve past its -timeout, 125 a rank killed by a
+// -fault-spec crash.
 func TestExitCodes(t *testing.T) {
 	const lap49 = "../../testdata/corpus/lap49_sym.mtx"
 	nan := filepath.Join(t.TempDir(), "nan.mtx")
@@ -32,6 +33,7 @@ func TestExitCodes(t *testing.T) {
 		{"unknown -solver", []string{"-matrix", lap49, "-solver", "nosuch"}, 2, "", `unknown solver "nosuch"`},
 		{"unknown flag", []string{"-nosuch"}, 2, "", "flag provided but not defined: -nosuch"},
 		{"timeout", []string{"-matrix", lap49, "-timeout", "1ns"}, 124, "", "solve aborted: deadline exceeded"},
+		{"injected crash", []string{"-matrix", lap49, "-procs", "2", "-fault-spec", "seed=1,pcrash=1"}, 125, "", "solve aborted:"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer

@@ -5,8 +5,10 @@ import (
 	"testing"
 
 	"repro/internal/comm"
+	"repro/internal/par"
 	"repro/internal/pmat"
 	"repro/internal/sparse"
+	"repro/internal/telemetry"
 )
 
 func run(t *testing.T, p int, fn func(c *comm.Comm)) {
@@ -325,31 +327,111 @@ func TestSolverValidation(t *testing.T) {
 	})
 }
 
+// TestMaxItersReported pins every exit of the CG and BiCGSTAB loops,
+// one row each: iterations, AZWhy, the bits of AZr and AZScaledR (a NaN
+// as 0x7ff8000000000000 whatever its sign and payload), and hashes of
+// the recorder's residual trace and of x. The literals were recorded at
+// 5532273, while aztec still ran its own two loops. The pooled rows
+// attach a 2-worker pool to a 2,500-row block, so every reduction folds
+// two of par's 2,048-entry slots.
 func TestMaxItersReported(t *testing.T) {
-	global := sparse.Laplace2D(10, 10)
-	run(t, 1, func(c *comm.Comm) {
-		a := buildCrs(c, global)
-		s := NewSolver(c)
-		s.SetUserMatrix(a)
-		s.Options()[AZSolver] = AZCG
-		s.Options()[AZPrecond] = AZNone
-		l := a.RowMap().Layout()
-		b := make([]float64, l.LocalN)
-		for i := range b {
-			b[i] = 1
+	scaled := func(f float64) func(*sparse.CSR) []float64 {
+		return func(a *sparse.CSR) []float64 {
+			b := make([]float64, a.Rows)
+			for i := range b {
+				b[i] = f
+			}
+			return b
 		}
-		x := make([]float64, l.LocalN)
-		err := s.Iterate(x, b, 2, 1e-14)
-		if err == nil {
-			t.Fatal("expected max-iterations failure")
+	}
+	manufactured := func(a *sparse.CSR) []float64 {
+		b := make([]float64, a.Rows)
+		a.MulVec(b, sparse.RandomVector(a.Rows, 99))
+		return b
+	}
+	lap := func(n int) func() *sparse.CSR { return func() *sparse.CSR { return sparse.Laplace2D(n, n) } }
+	skew2 := func() *sparse.CSR {
+		// r·A·r = 0 for every r: CG's p·q and BiCGSTAB's r̂·v are zero.
+		coo := sparse.NewCOO(2, 2)
+		coo.Append(0, 1, 1)
+		coo.Append(1, 0, -1)
+		return coo.ToCSR()
+	}
+	ident := func() *sparse.CSR { return sparse.Identity(16) }
+	bits := func(v float64) uint64 {
+		if math.IsNaN(v) {
+			return 0x7ff8000000000000
 		}
-		if int(s.Status()[AZWhy]) != AZMaxIts {
-			t.Errorf("why = %v, want AZMaxIts", s.Status()[AZWhy])
+		return math.Float64bits(v)
+	}
+	fnv := func(vs []float64) uint64 {
+		h := uint64(14695981039346656037)
+		for _, v := range vs {
+			b := math.Float64bits(v)
+			for sh := 0; sh < 64; sh += 8 {
+				h ^= (b >> sh) & 0xff
+				h *= 1099511628211
+			}
 		}
-		if s.NumIters() != 2 {
-			t.Errorf("iterations = %d, want 2", s.NumIters())
-		}
-	})
+		return h
+	}
+	type want struct {
+		its, why    int
+		r, scaled   uint64 // bits of AZr and AZScaledR
+		trace, xsum uint64
+	}
+	for _, tc := range []struct {
+		name            string
+		global          func() *sparse.CSR
+		rhs             func(*sparse.CSR) []float64
+		solver, precond int
+		tol             float64
+		maxIter         int
+		workers         int // 0: no pool
+		want            want
+	}{
+		{"cg/converged", lap(6), manufactured, AZCG, AZJacobi, 1e-10, 2000, 0, want{13, AZNormal, 0x3de51ad8ae857506, 0x3da6c69ca1aee804, 0xc1bf0640dc0c66e0, 0xbc0738b45fdbc1b5}},
+		{"cg/max-its", lap(10), scaled(1), AZCG, AZNone, 1e-14, 2, 0, want{2, AZMaxIts, 0x4025dfc7a438fc8e, 0x3ff17fd2e9c73072, 0xb6da2508e818de77, 0x35a901cc5b36902d}},
+		{"cg/breakdown", skew2, scaled(1), AZCG, AZNone, 1e-10, 2000, 0, want{1, AZBreakdown, 0x3ff6a09e667f3bcd, 0x3ff0000000000000, 0xcbf29ce484222325, 0x88201fb960ff6465}},
+		{"cg/non-finite", lap(6), scaled(1e300), AZCG, AZNone, 1e-10, 2000, 0, want{0, AZBreakdown, 0x7ff0000000000000, 0x7ff8000000000000, 0xcbf29ce484222325, 0x66e368127e9e89a5}},
+		{"cg/pooled", lap(50), manufactured, AZCG, AZJacobi, 1e-10, 2000, 2, want{96, AZNormal, 0x3e44264d475b73f9, 0x3dd408936875fa2b, 0xa92149e359ec278d, 0xbc57d2f25e46f8d1}},
+		{"bicgstab/converged", lap(6), manufactured, AZBiCGStab, AZJacobi, 1e-10, 2000, 0, want{9, AZNormal, 0x3e0b049475d73492, 0x3dcd28319e30af69, 0xd65cb98542178786, 0x65c076f7094cd425}},
+		{"bicgstab/max-its", lap(10), scaled(1), AZBiCGStab, AZNone, 1e-14, 2, 0, want{2, AZMaxIts, 0x4012b9fd555fe98a, 0x3fddf66222330f43, 0xff9ac0126ab0e2c6, 0xab2870c918d04465}},
+		{"bicgstab/breakdown", skew2, scaled(1), AZBiCGStab, AZNone, 1e-10, 2000, 0, want{1, AZBreakdown, 0x3ff6a09e667f3bcd, 0x3ff0000000000000, 0xcbf29ce484222325, 0x88201fb960ff6465}},
+		{"bicgstab/half-step", ident, manufactured, AZBiCGStab, AZNone, 1e-10, 2000, 0, want{1, AZNormal, 0x0, 0x0, 0xcbf29ce484222325, 0x43411cb02aa2b404}},
+		{"bicgstab/non-finite", lap(6), scaled(1e300), AZBiCGStab, AZNone, 1e-10, 2000, 0, want{0, AZBreakdown, 0x7ff0000000000000, 0x7ff8000000000000, 0xcbf29ce484222325, 0x66e368127e9e89a5}},
+		{"bicgstab/pooled", lap(50), manufactured, AZBiCGStab, AZJacobi, 1e-10, 2000, 2, want{72, AZNormal, 0x3e469c95e30fc684, 0x3dd67b3a2e0b5d28, 0xf1f35e03239ece1, 0x94c5b9a91bddc329}},
+	} {
+		global := tc.global()
+		b := tc.rhs(global)
+		run(t, 1, func(c *comm.Comm) {
+			s := NewSolver(c)
+			s.SetUserMatrix(buildCrs(c, global))
+			s.Options()[AZSolver] = tc.solver
+			s.Options()[AZPrecond] = tc.precond
+			if tc.workers > 0 {
+				pool := par.New(tc.workers)
+				defer pool.Close()
+				s.SetPool(pool)
+			}
+			rec := telemetry.New()
+			s.SetRecorder(rec)
+			x := make([]float64, len(b))
+			err := s.Iterate(x, b, tc.maxIter, tc.tol)
+			if normal := int(s.Status()[AZWhy]) == AZNormal; normal != (err == nil) {
+				t.Errorf("%s: why %v with error %v", tc.name, s.Status()[AZWhy], err)
+			}
+			var trace []float64
+			for _, p := range rec.Snapshot().Residuals {
+				trace = append(trace, p.Residual)
+			}
+			st := s.Status()
+			got := want{s.NumIters(), int(st[AZWhy]), bits(st[AZr]), bits(st[AZScaledR]), fnv(trace), fnv(x)}
+			if got != tc.want {
+				t.Errorf("%s: got %#v, recorded %#v", tc.name, got, tc.want)
+			}
+		})
+	}
 }
 
 func TestILUTExactWithZeroDrop(t *testing.T) {

@@ -45,7 +45,7 @@ type Solver struct {
 	red  *pmat.Reducer
 	pool *par.Pool
 
-	denom float64 // GMRES: the convergence denominator of the current solve
+	denom float64 // the convergence denominator of the current solve
 }
 
 // SetPool attaches an intra-rank worker pool (nil restores the serial
@@ -184,13 +184,13 @@ func (s *Solver) Solve(x, b []float64) error {
 	defer s.rec.StartPhase(telemetry.PhaseIterate)()
 	switch s.options[AZSolver] {
 	case AZCG:
-		err = s.cg(x, bb)
+		s.ws.CG(s.red, (*krylovSystem)(s), x, bb)
 	case AZGMRES:
 		err = s.gmres(x, bb)
 	case AZCGS:
 		err = s.cgs(x, bb)
 	case AZBiCGStab:
-		err = s.bicgstab(x, bb)
+		s.ws.BiCGSTAB(s.red, (*krylovSystem)(s), x, bb)
 	default:
 		return fmt.Errorf("aztec: unknown solver %d", s.options[AZSolver])
 	}
@@ -302,12 +302,12 @@ func (s *scaledRowMatrix) ExtractDiagonalCopy() ([]float64, error) {
 }
 
 // finish records the outcome in the status array.
-func (s *Solver) finish(its int, rnorm, denom float64, why int) {
+func (s *Solver) finish(its int, rnorm float64, why int) {
 	s.status[AZIts] = float64(its)
 	s.status[AZWhy] = float64(why)
 	s.status[AZr] = rnorm
-	if denom > 0 {
-		s.status[AZScaledR] = rnorm / denom
+	if s.denom > 0 {
+		s.status[AZScaledR] = rnorm / s.denom
 	} else {
 		s.status[AZScaledR] = rnorm
 	}
@@ -317,14 +317,24 @@ func (s *Solver) finish(its int, rnorm, denom float64, why int) {
 // meets the tolerance, stop with AZBreakdown when rnorm is not finite (a
 // NaN compares false against every tolerance, so a poisoned recurrence
 // would otherwise run to AZMaxIter), go on otherwise.
-func (s *Solver) test(rnorm, denom float64) (why int, stop bool) {
+func (s *Solver) test(rnorm float64) (why int, stop bool) {
 	switch {
 	case math.IsNaN(rnorm) || math.IsInf(rnorm, 0):
 		return AZBreakdown, true
-	case rnorm/denom <= s.params[AZTol]:
+	case rnorm/s.denom <= s.params[AZTol]:
 		return AZNormal, true
 	}
 	return 0, false
+}
+
+// stopped reports whether test stops on rnorm, and if so records
+// iteration it's outcome.
+func (s *Solver) stopped(it int, rnorm float64) bool {
+	why, stop := s.test(rnorm)
+	if stop {
+		s.finish(it, rnorm, why)
+	}
+	return stop
 }
 
 // ---- Krylov methods (left-preconditioned, aztec-style bookkeeping) ----
@@ -336,51 +346,6 @@ func (s *Solver) localResidual(x, b, r []float64) {
 	for i := range r {
 		r[i] = b[i] - r[i]
 	}
-}
-
-func (s *Solver) cg(x, b []float64) error {
-	n := len(x)
-	w := s.ws.Vecs(n, 4)
-	r, z, p, q := w[0], w[1], w[2], w[3]
-	s.localResidual(x, b, r)
-	s.prec.apply(z, r)
-	// One AllReduce covers the initial residual norm, the rhs norm for
-	// the convergence denominator, and the first r·z.
-	r0, bnorm, rz := s.red.Norm2x2Dot(r, b, r, z)
-	denom := s.convDenominator(r0, bnorm)
-	if why, stop := s.test(r0, denom); stop {
-		s.finish(0, r0, denom, why)
-		return nil
-	}
-	copy(p, z)
-	for it := 1; it <= s.options[AZMaxIter]; it++ {
-		s.applyA(q, p)
-		pq := s.red.Dot(p, q)
-		if pq <= 0 {
-			s.finish(it, s.red.Norm2(r), denom, AZBreakdown)
-			return nil
-		}
-		alpha := rz / pq
-		sparse.Axpy(alpha, p, x)
-		sparse.Axpy(-alpha, q, r)
-		// The preconditioner is applied before the convergence test so
-		// the residual norm and r·z share one AllReduce (one extra local
-		// PC apply on the final iteration, no value changes).
-		s.prec.apply(z, r)
-		rnorm, rzNew := s.red.NormDot(r, z)
-		s.rec.Residual(it, rnorm)
-		if why, stop := s.test(rnorm, denom); stop {
-			s.finish(it, rnorm, denom, why)
-			return nil
-		}
-		beta := rzNew / rz
-		rz = rzNew
-		for i := range p {
-			p[i] = z[i] + beta*p[i]
-		}
-	}
-	s.finish(s.options[AZMaxIter], s.red.Norm2(r), denom, AZMaxIts)
-	return nil
 }
 
 func (s *Solver) gmres(x, b []float64) error {
@@ -400,12 +365,11 @@ func (s *Solver) gmres(x, b []float64) error {
 		} else {
 			beta = s.red.Norm2(w)
 		}
-		if why, stop := s.test(beta, s.denom); stop {
-			s.finish(it, beta, s.denom, why)
+		if s.stopped(it, beta) {
 			return nil
 		}
 		if it >= s.options[AZMaxIter] {
-			s.finish(it, beta, s.denom, AZMaxIts)
+			s.finish(it, beta, AZMaxIts)
 			return nil
 		}
 		it, _ = s.ws.GMRESCycle(s.red, (*gmresSystem)(s), x, w, t, beta, s.options[AZKspace], it, false)
@@ -424,8 +388,44 @@ func (s *gmresSystem) Direction(w, t, v, _ []float64) {
 // then tests the recomputed residual and records the outcome.
 func (s *gmresSystem) Stop(it int, est float64) bool {
 	s.rec.Residual(it, est)
-	_, stop := (*Solver)(s).test(est, s.denom)
+	_, stop := (*Solver)(s).test(est)
 	return stop || it >= s.options[AZMaxIter]
+}
+
+// krylovSystem is the Solver as the shared CG and BiCGSTAB loops see
+// it. Every exit lands in the status array through finish.
+type krylovSystem Solver
+
+func (s *krylovSystem) Apply(y, x []float64)        { (*Solver)(s).applyA(y, x) }
+func (s *krylovSystem) Precondition(z, r []float64) { s.prec.apply(z, r) }
+
+// Start builds the convergence denominator from ‖r₀‖ and ‖b‖.
+func (s *krylovSystem) Start(rnorm, bnorm float64) bool {
+	s.denom = (*Solver)(s).convDenominator(rnorm, bnorm)
+	return (*Solver)(s).stopped(0, rnorm)
+}
+
+// Stop records the residual, then ends on the test or at AZMaxIter.
+func (s *krylovSystem) Stop(it int, rnorm float64) bool {
+	s.rec.Residual(it, rnorm)
+	if (*Solver)(s).stopped(it, rnorm) {
+		return true
+	}
+	if it < s.options[AZMaxIter] {
+		return false
+	}
+	(*Solver)(s).finish(it, rnorm, AZMaxIts)
+	return true
+}
+
+func (s *krylovSystem) HalfStop(it int, snorm float64) bool {
+	return (*Solver)(s).stopped(it, snorm)
+}
+
+func (s *krylovSystem) SmallOmega(omega float64) bool { return omega == 0 }
+
+func (s *krylovSystem) Breakdown(it int, rnorm float64, _ bool) {
+	(*Solver)(s).finish(it, rnorm, AZBreakdown)
 }
 
 func (s *Solver) cgs(x, b []float64) error {
@@ -441,16 +441,15 @@ func (s *Solver) cgs(x, b []float64) error {
 	// the first ρ = r̃·r; the tail of each iteration fuses the residual
 	// norm with the next ρ the same way.
 	r0, bnorm, rhoNext := s.red.Norm2x2Dot(r, b, rtld, r)
-	denom := s.convDenominator(r0, bnorm)
-	if why, stop := s.test(r0, denom); stop {
-		s.finish(0, r0, denom, why)
+	s.denom = s.convDenominator(r0, bnorm)
+	if s.stopped(0, r0) {
 		return nil
 	}
 	var rho, rhoOld float64
 	for it := 1; it <= s.options[AZMaxIter]; it++ {
 		rho = rhoNext
 		if rho == 0 {
-			s.finish(it, s.red.Norm2(r), denom, AZBreakdown)
+			s.finish(it, s.red.Norm2(r), AZBreakdown)
 			return nil
 		}
 		if it == 1 {
@@ -467,7 +466,7 @@ func (s *Solver) cgs(x, b []float64) error {
 		s.applyA(vhat, uhat)
 		sigma := s.red.Dot(rtld, vhat)
 		if sigma == 0 {
-			s.finish(it, s.red.Norm2(r), denom, AZBreakdown)
+			s.finish(it, s.red.Norm2(r), AZBreakdown)
 			return nil
 		}
 		alpha := rho / sigma
@@ -485,91 +484,10 @@ func (s *Solver) cgs(x, b []float64) error {
 		var rnorm float64
 		rnorm, rhoNext = s.red.NormDot(r, rtld)
 		s.rec.Residual(it, rnorm)
-		if why, stop := s.test(rnorm, denom); stop {
-			s.finish(it, rnorm, denom, why)
+		if s.stopped(it, rnorm) {
 			return nil
 		}
 	}
-	s.finish(s.options[AZMaxIter], s.red.Norm2(r), denom, AZMaxIts)
-	return nil
-}
-
-func (s *Solver) bicgstab(x, b []float64) error {
-	n := len(x)
-	ws := s.ws.Vecs(n, 8)
-	r, rtld, p, v := ws[0], ws[1], ws[2], ws[3]
-	ss, t, phat, shat := ws[4], ws[5], ws[6], ws[7]
-
-	s.localResidual(x, b, r)
-	copy(rtld, r)
-	// Fused startup: initial residual norm, rhs norm, and the first
-	// ρ = r̃·r in one AllReduce; each iteration's tail fuses the residual
-	// norm with the next ρ.
-	r0, bnorm, rhoNext := s.red.Norm2x2Dot(r, b, rtld, r)
-	denom := s.convDenominator(r0, bnorm)
-	if why, stop := s.test(r0, denom); stop {
-		s.finish(0, r0, denom, why)
-		return nil
-	}
-	rho, alpha, omega := 1.0, 1.0, 1.0
-	for it := 1; it <= s.options[AZMaxIter]; it++ {
-		rhoNew := rhoNext
-		if rhoNew == 0 {
-			s.finish(it, s.red.Norm2(r), denom, AZBreakdown)
-			return nil
-		}
-		if it == 1 {
-			copy(p, r)
-		} else {
-			beta := (rhoNew / rho) * (alpha / omega)
-			for i := range p {
-				p[i] = r[i] + beta*(p[i]-omega*v[i])
-			}
-		}
-		rho = rhoNew
-		s.prec.apply(phat, p)
-		s.applyA(v, phat)
-		d := s.red.Dot(rtld, v)
-		if d == 0 {
-			s.finish(it, s.red.Norm2(r), denom, AZBreakdown)
-			return nil
-		}
-		alpha = rho / d
-		for i := range ss {
-			ss[i] = r[i] - alpha*v[i]
-		}
-		snorm := s.red.Norm2(ss)
-		if why, stop := s.test(snorm, denom); stop {
-			sparse.Axpy(alpha, phat, x)
-			s.finish(it, snorm, denom, why)
-			return nil
-		}
-		s.prec.apply(shat, ss)
-		s.applyA(t, shat)
-		tt, ts := s.red.Dot2(t, t, t, ss)
-		if tt == 0 {
-			s.finish(it, snorm, denom, AZBreakdown)
-			return nil
-		}
-		omega = ts / tt
-		if omega == 0 {
-			s.finish(it, snorm, denom, AZBreakdown)
-			return nil
-		}
-		for i := range x {
-			x[i] += alpha*phat[i] + omega*shat[i]
-		}
-		for i := range r {
-			r[i] = ss[i] - omega*t[i]
-		}
-		var rnorm float64
-		rnorm, rhoNext = s.red.NormDot(r, rtld)
-		s.rec.Residual(it, rnorm)
-		if why, stop := s.test(rnorm, denom); stop {
-			s.finish(it, rnorm, denom, why)
-			return nil
-		}
-	}
-	s.finish(s.options[AZMaxIter], s.red.Norm2(r), denom, AZMaxIts)
+	s.finish(s.options[AZMaxIter], s.red.Norm2(r), AZMaxIts)
 	return nil
 }

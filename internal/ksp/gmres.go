@@ -41,26 +41,9 @@ func (k *KSP) solveGMRES(b, x []float64, flexible bool) error {
 			return nil
 		}
 		var stop bool
-		it, stop = k.ws.GMRESCycle(k.red, (*gmresSystem)(k), x, w, t, beta, k.restart, it, flexible)
+		it, stop = k.ws.GMRESCycle(k.red, (*krylovSystem)(k), x, w, t, beta, k.restart, it, flexible)
 		if stop {
 			return nil
 		}
 	}
-}
-
-// gmresSystem is the KSP as the shared GMRES cycle sees it.
-type gmresSystem KSP
-
-func (k *gmresSystem) Direction(w, t, v, z []float64) {
-	if z != nil {
-		k.pc.Apply(z, v)
-		k.a.Apply(w, z)
-		return
-	}
-	k.a.Apply(t, v)
-	k.pc.Apply(w, t)
-}
-
-func (k *gmresSystem) Stop(it int, est float64) bool {
-	return (*KSP)(k).testConvergence(it, est, k.rnorm0)
 }

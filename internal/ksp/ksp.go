@@ -83,7 +83,7 @@ type KSP struct {
 
 	its    int
 	rnorm  float64
-	rnorm0 float64 // GMRES: the first restart's residual norm, the rtol/dtol reference
+	rnorm0 float64 // ‖r₀‖ (GMRES: of the first restart), the rtol/dtol reference
 	reason ConvergedReason
 
 	// red performs every global reduction of the Krylov loops; ws is
@@ -242,9 +242,9 @@ func (k *KSP) Solve(b, x []float64) error {
 	var err error
 	switch k.typ {
 	case TypeCG:
-		err = k.solveCG(b, x)
+		k.ws.CG(k.red, (*krylovSystem)(k), x, b)
 	case TypeBiCGStab:
-		err = k.solveBiCGStab(b, x)
+		k.ws.BiCGSTAB(k.red, (*krylovSystem)(k), x, b)
 	case TypeGMRES:
 		err = k.solveGMRES(b, x, false)
 	case TypeFGMRES:
@@ -290,4 +290,52 @@ func (k *KSP) testConvergence(it int, rnorm, rnorm0 float64) bool {
 		return false
 	}
 	return true
+}
+
+// krylovSystem is the KSP as the shared Krylov loops see it: the
+// GMRES cycle (pmat.GMRESSystem) and CG/BiCGSTAB (pmat.KrylovSystem).
+// Every stop goes through testConvergence against rnorm0.
+type krylovSystem KSP
+
+func (k *krylovSystem) Direction(w, t, v, z []float64) {
+	if z != nil {
+		k.pc.Apply(z, v)
+		k.a.Apply(w, z)
+		return
+	}
+	k.a.Apply(t, v)
+	k.pc.Apply(w, t)
+}
+
+func (k *krylovSystem) Apply(y, x []float64)        { k.a.Apply(y, x) }
+func (k *krylovSystem) Precondition(z, r []float64) { k.pc.Apply(z, r) }
+
+// Start takes ‖r₀‖ as the rtol/dtol reference; ‖b‖ plays no part.
+func (k *krylovSystem) Start(rnorm, _ float64) bool {
+	k.rnorm0 = rnorm
+	return (*KSP)(k).testConvergence(0, rnorm, rnorm)
+}
+
+func (k *krylovSystem) Stop(it int, rnorm float64) bool {
+	return (*KSP)(k).testConvergence(it, rnorm, k.rnorm0)
+}
+
+// HalfStop ends BiCGSTAB on atol or rtol only; testConvergence then
+// records the step.
+func (k *krylovSystem) HalfStop(it int, snorm float64) bool {
+	if snorm <= k.atol || snorm <= k.rtol*k.rnorm0 {
+		(*KSP)(k).testConvergence(it, snorm, k.rnorm0)
+		return true
+	}
+	return false
+}
+
+func (k *krylovSystem) SmallOmega(omega float64) bool { return math.Abs(omega) < 1e-300 }
+
+// Breakdown leaves rnorm at the last tested norm.
+func (k *krylovSystem) Breakdown(it int, _ float64, indefinite bool) {
+	k.reason, k.its = DivergedBreakdown, it
+	if indefinite {
+		k.reason = DivergedIndefinitePC
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/comm"
+	"repro/internal/par"
 	"repro/internal/pmat"
 	"repro/internal/sparse"
 	"repro/internal/telemetry"
@@ -235,32 +236,117 @@ func TestSolveErrors(t *testing.T) {
 	})
 }
 
+// skew2 is the 2×2 skew-symmetric [0 1; −1 0]: r·A·r = 0 for every r,
+// so CG's first p·q and BiCGSTAB's first r̂·v are exactly zero.
+func skew2() *sparse.CSR {
+	coo := sparse.NewCOO(2, 2)
+	coo.Append(0, 1, 1)
+	coo.Append(1, 0, -1)
+	return coo.ToCSR()
+}
+
+// fnvBits is FNV-1a over the bits of vs.
+func fnvBits(vs []float64) uint64 {
+	h := uint64(14695981039346656037)
+	for _, v := range vs {
+		b := math.Float64bits(v)
+		for s := 0; s < 64; s += 8 {
+			h ^= (b >> s) & 0xff
+			h *= 1099511628211
+		}
+	}
+	return h
+}
+
+// TestMaxIterationsDiverges pins every exit of the CG and BiCGSTAB
+// loops, one row each: iterations, reason, the bits of ResidualNorm,
+// and hashes of the recorder's residual trace and of x. The literals
+// were recorded at 5532273, while ksp still ran its own two loops. The
+// pooled rows attach a 2-worker pool to a 2,500-row block, so every
+// reduction folds two of par's 2,048-entry slots.
 func TestMaxIterationsDiverges(t *testing.T) {
-	global := sparse.Laplace2D(12, 12)
-	run(t, 1, func(c *comm.Comm) {
-		a := distMat(c, global)
-		k := New(c)
-		k.SetOperators(a)
-		k.SetType(TypeCG)
-		k.SetPCType(PCNone)
-		k.SetTolerances(1e-14, 1e-300, 0, 3) // hopeless budget
-		l := a.Layout()
-		b := make([]float64, l.LocalN)
-		for i := range b {
-			b[i] = 1
+	scaled := func(f float64) func(*sparse.CSR) []float64 {
+		return func(a *sparse.CSR) []float64 {
+			b := make([]float64, a.Rows)
+			for i := range b {
+				b[i] = f
+			}
+			return b
 		}
-		x := make([]float64, l.LocalN)
-		err := k.Solve(b, x)
-		if err == nil {
-			t.Fatal("expected divergence error")
-		}
-		if k.Reason() != DivergedMaxIts {
-			t.Errorf("reason = %v, want DivergedMaxIts", k.Reason())
-		}
-		if !strings.Contains(err.Error(), "diverged") {
-			t.Errorf("error %q does not mention divergence", err)
-		}
-	})
+	}
+	manufactured := func(a *sparse.CSR) []float64 {
+		b := make([]float64, a.Rows)
+		a.MulVec(b, sparse.RandomVector(a.Rows, 99))
+		return b
+	}
+	lap := func(n int) func() *sparse.CSR { return func() *sparse.CSR { return sparse.Laplace2D(n, n) } }
+	ident := func() *sparse.CSR { return sparse.Identity(16) }
+	type want struct {
+		its         int
+		reason      ConvergedReason
+		rnorm       uint64 // bits of ResidualNorm
+		trace, xsum uint64
+	}
+	for _, tc := range []struct {
+		name    string
+		global  func() *sparse.CSR
+		rhs     func(*sparse.CSR) []float64
+		method  string
+		pc      string
+		rtol    float64
+		maxIts  int
+		workers int // 0: no pool
+		want    want
+	}{
+		{"cg/converged", lap(6), manufactured, TypeCG, PCJacobi, 1e-10, 2000, 0, want{19, ConvergedRTol, 0x3c895dfaba6e49ca, 0x1819dae2810fb3f8, 0x2a82b70102e26656}},
+		{"cg/max-its", lap(12), scaled(1), TypeCG, PCNone, 1e-14, 3, 0, want{3, DivergedMaxIts, 0x402b1871f3093a8a, 0x846faf6003f730c, 0x954e9269793231b5}},
+		{"cg/indefinite", skew2, scaled(1), TypeCG, PCNone, 1e-10, 2000, 0, want{1, DivergedIndefinitePC, 0x3ff6a09e667f3bcd, 0x9a5b8318b7fef7a9, 0x88201fb960ff6465}},
+		{"cg/non-finite", lap(6), scaled(1e300), TypeCG, PCNone, 1e-10, 2000, 0, want{0, DivergedBreakdown, 0x7ff0000000000000, 0xaab1293229b9b0f8, 0x66e368127e9e89a5}},
+		{"cg/pooled", lap(50), manufactured, TypeCG, PCJacobi, 1e-10, 2000, 2, want{164, ConvergedRTol, 0x3e4abeea84ede2c1, 0x45fd62b3b1f80ce4, 0xd7b51cc27507380}},
+		{"bcgs/converged", lap(6), manufactured, TypeBiCGStab, PCJacobi, 1e-10, 2000, 0, want{16, ConvergedRTol, 0x3e1045e2ab99ca5e, 0xac2c104250e6c005, 0xb3088013b4a140d}},
+		{"bcgs/max-its", lap(12), scaled(1), TypeBiCGStab, PCNone, 1e-14, 3, 0, want{3, DivergedMaxIts, 0x4012f71fcf222914, 0x2eaf755a47e22760, 0x8b622665b6d20b87}},
+		{"bcgs/breakdown", skew2, scaled(1), TypeBiCGStab, PCNone, 1e-10, 2000, 0, want{1, DivergedBreakdown, 0x3ff6a09e667f3bcd, 0x9a5b8318b7fef7a9, 0x88201fb960ff6465}},
+		{"bcgs/half-step", ident, manufactured, TypeBiCGStab, PCNone, 1e-10, 2000, 0, want{1, ConvergedATol, 0x0, 0x8a02afae18ffa6c8, 0x43411cb02aa2b404}},
+		{"bcgs/non-finite", lap(6), scaled(1e300), TypeBiCGStab, PCNone, 1e-10, 2000, 0, want{0, DivergedBreakdown, 0x7ff0000000000000, 0xaab1293229b9b0f8, 0x66e368127e9e89a5}},
+		{"bcgs/pooled", lap(50), manufactured, TypeBiCGStab, PCJacobi, 1e-10, 2000, 2, want{123, ConvergedRTol, 0x3e46a47719fea180, 0x86f7e1ab88266988, 0xf520f73db72170d9}},
+	} {
+		global := tc.global()
+		bGlobal := tc.rhs(global)
+		run(t, 1, func(c *comm.Comm) {
+			a := distMat(c, global)
+			k := New(c)
+			k.SetOperators(a)
+			if err := k.SetType(tc.method); err != nil {
+				t.Fatal(err)
+			}
+			if err := k.SetPCType(tc.pc); err != nil {
+				t.Fatal(err)
+			}
+			if tc.workers > 0 {
+				pool := par.New(tc.workers)
+				defer pool.Close()
+				k.SetPool(pool)
+			}
+			k.SetTolerances(tc.rtol, 1e-300, 0, tc.maxIts)
+			rec := telemetry.New()
+			k.SetRecorder(rec)
+			x := make([]float64, len(bGlobal))
+			err := k.Solve(bGlobal, x)
+			if converged := k.Reason().Converged(); converged != (err == nil) {
+				t.Errorf("%s: reason %v with error %v", tc.name, k.Reason(), err)
+			} else if err != nil && !strings.Contains(err.Error(), "diverged") {
+				t.Errorf("%s: error %q does not mention divergence", tc.name, err)
+			}
+			var trace []float64
+			for _, p := range rec.Snapshot().Residuals {
+				trace = append(trace, p.Residual)
+			}
+			got := want{k.Iterations(), k.Reason(), math.Float64bits(k.ResidualNorm()), fnvBits(trace), fnvBits(x)}
+			if got != tc.want {
+				t.Errorf("%s: got %#v, recorded %#v", tc.name, got, tc.want)
+			}
+		})
+	}
 }
 
 func TestJacobiZeroDiagonalFails(t *testing.T) {

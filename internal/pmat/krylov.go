@@ -143,6 +143,150 @@ func (ws *Workspace) GMRESCycle(red *Reducer, sys GMRESSystem, x, w, t []float64
 	return it, stop
 }
 
+// KrylovSystem is what a Krylov package hands CG and BiCGSTAB: its
+// operator and preconditioner, and the policy that decides and records
+// every exit. The loops own every reduction; the policy sees norms.
+type KrylovSystem interface {
+	Apply(y, x []float64)        // y = A·x
+	Precondition(z, r []float64) // z = M⁻¹·r
+	// Start reports whether the solve ends at iteration 0, given ‖r₀‖
+	// and ‖b‖.
+	Start(rnorm, bnorm float64) bool
+	// Stop reports whether the solve ends after iteration it, whose
+	// residual norm is rnorm; the iteration budget is the policy's.
+	Stop(it int, rnorm float64) bool
+	// HalfStop reports whether BiCGSTAB ends at the half step of
+	// iteration it, where x += α·M⁻¹p leaves the residual s.
+	HalfStop(it int, snorm float64) bool
+	// SmallOmega reports whether BiCGSTAB's ω is too small to go on.
+	SmallOmega(omega float64) bool
+	// Breakdown records that iteration it broke down. rnorm is the last
+	// residual norm the loop computed; indefinite marks CG's p·q ≤ 0.
+	Breakdown(it int, rnorm float64, indefinite bool)
+}
+
+// residual writes r = b − A·x.
+func residual(sys KrylovSystem, r, x, b []float64) {
+	sys.Apply(r, x)
+	for i := range r {
+		r[i] = b[i] - r[i]
+	}
+}
+
+// CG is preconditioned conjugate gradients (SPD operator, SPD
+// preconditioner), tested on the true residual norm. ‖r₀‖, ‖b‖ and the
+// first r·z share one AllReduce. Each iteration applies the
+// preconditioner before its test, so ‖r‖ and r·z share one too: one
+// extra local apply on the last iteration, a collective round fewer on
+// every other.
+func (ws *Workspace) CG(red *Reducer, sys KrylovSystem, x, b []float64) {
+	w := ws.Vecs(len(x), 4)
+	r, z, p, q := w[0], w[1], w[2], w[3]
+	residual(sys, r, x, b)
+	sys.Precondition(z, r)
+	rnorm, bnorm, rz := red.Norm2x2Dot(r, b, r, z)
+	if sys.Start(rnorm, bnorm) {
+		return
+	}
+	copy(p, z)
+	for it := 1; ; it++ {
+		sys.Apply(q, p)
+		pq := red.Dot(p, q)
+		if pq <= 0 {
+			// A or M⁻¹ is not positive definite on this Krylov space.
+			sys.Breakdown(it, rnorm, true)
+			return
+		}
+		alpha := rz / pq
+		sparse.Axpy(alpha, p, x)
+		sparse.Axpy(-alpha, q, r)
+		sys.Precondition(z, r)
+		var rzNew float64
+		rnorm, rzNew = red.NormDot(r, z)
+		if sys.Stop(it, rnorm) {
+			return
+		}
+		beta := rzNew / rz
+		rz = rzNew
+		for i := range p {
+			p[i] = z[i] + beta*p[i]
+		}
+	}
+}
+
+// BiCGSTAB is van der Vorst's stabilized bi-conjugate gradients with
+// the preconditioner applied inside the update directions (PETSc's bcgs
+// formulation), tested on the true residual norm. ‖r₀‖, ‖b‖ and the
+// first ρ = r̂·r share one AllReduce, (t·t, t·s) share one, and each
+// iteration's ‖r‖ shares one with the next ρ: three collective rounds
+// per iteration.
+func (ws *Workspace) BiCGSTAB(red *Reducer, sys KrylovSystem, x, b []float64) {
+	w := ws.Vecs(len(x), 8)
+	r, rhat, p, v := w[0], w[1], w[2], w[3]
+	s, t, phat, shat := w[4], w[5], w[6], w[7]
+	residual(sys, r, x, b)
+	copy(rhat, r)
+	rnorm, bnorm, rhoNext := red.Norm2x2Dot(r, b, rhat, r)
+	if sys.Start(rnorm, bnorm) {
+		return
+	}
+	rho, alpha, omega := 1.0, 1.0, 1.0
+	for it := 1; ; it++ {
+		rhoNew := rhoNext
+		if rhoNew == 0 {
+			sys.Breakdown(it, rnorm, false)
+			return
+		}
+		if it == 1 {
+			copy(p, r)
+		} else {
+			beta := (rhoNew / rho) * (alpha / omega)
+			for i := range p {
+				p[i] = r[i] + beta*(p[i]-omega*v[i])
+			}
+		}
+		rho = rhoNew
+		sys.Precondition(phat, p)
+		sys.Apply(v, phat)
+		rv := red.Dot(rhat, v)
+		if rv == 0 {
+			sys.Breakdown(it, rnorm, false)
+			return
+		}
+		alpha = rho / rv
+		for i := range s {
+			s[i] = r[i] - alpha*v[i]
+		}
+		snorm := red.Norm2(s)
+		if sys.HalfStop(it, snorm) {
+			sparse.Axpy(alpha, phat, x)
+			return
+		}
+		sys.Precondition(shat, s)
+		sys.Apply(t, shat)
+		tt, ts := red.Dot2(t, t, t, s)
+		if tt == 0 {
+			sys.Breakdown(it, snorm, false)
+			return
+		}
+		omega = ts / tt
+		if sys.SmallOmega(omega) {
+			sys.Breakdown(it, snorm, false)
+			return
+		}
+		for i := range x {
+			x[i] += alpha*phat[i] + omega*shat[i]
+		}
+		for i := range r {
+			r[i] = s[i] - omega*t[i]
+		}
+		rnorm, rhoNext = red.NormDot(r, rhat)
+		if sys.Stop(it, rnorm) {
+			return
+		}
+	}
+}
+
 // givens returns the rotation (c, s) with c·a + s·b = r, −s·a + c·b = 0.
 func givens(a, b float64) (c, s float64) {
 	if b == 0 {

@@ -94,7 +94,8 @@ type entry struct {
 
 	pending atomic.Int64
 	dead    atomic.Bool
-	lastUse time.Time // guarded by svc.mu
+	termErr atomic.Pointer[Error] // what teardown replied to the queue
+	lastUse time.Time             // guarded by svc.mu
 
 	// Dispatcher-owned: cur is the job being served, cleared before its
 	// reply; torn records that teardown ran.
@@ -374,6 +375,9 @@ func (e *entry) run(j *job) bool {
 	var jr jobResult
 	switch {
 	case aborted:
+		// Dead before the reply: a retry that follows it must build a
+		// fresh session, not queue on this one.
+		e.dead.Store(true)
 		e.svc.cnt.SessionsPoisoned.Add(1)
 		jr.err = e.abortError(res, haveRes)
 	case stageErr != nil:
@@ -459,19 +463,19 @@ func (e *entry) teardown(terr *Error) {
 	e.torn = true
 	e.dead.Store(true)
 	e.svc.dropEntry(e)
-	for _, ch := range e.rankJobs {
-		close(ch)
-	}
 	if terr == nil {
 		terr = errf(CodeSessionAborted, 503, true,
 			"pooled session was torn down before this request was served; retrying rebuilds it")
 	}
-	for {
-		select {
-		case j := <-e.jobs:
-			j.done <- jobResult{err: terr}
-		default:
-			return
-		}
+	e.termErr.Store(terr)
+	// Reply before releasing the ranks: runDone closes only after they
+	// return, so a handler that sees runDone and no reply knows none is
+	// coming. The dispatcher is the queue's only receiver, so len is
+	// exact.
+	for len(e.jobs) > 0 {
+		(<-e.jobs).done <- jobResult{err: terr}
+	}
+	for _, ch := range e.rankJobs {
+		close(ch)
 	}
 }

@@ -334,14 +334,19 @@ func (s *Service) dispatchJob(ctx context.Context, e *entry, req *SolveRequest, 
 	select {
 	case r = <-j.done:
 	case <-e.runDone:
-		// The session's world died before serving the job; the
-		// dispatcher may still have replied in the same instant.
+		// The session's world died; the dispatcher may still have
+		// replied in the same instant. Without a reply the job is not
+		// recycled. Teardown replies to the queue before it releases the
+		// ranks, so once it ran no reply is coming: the job was queued
+		// after, and gets what the queue got (a setup failure, say).
 		select {
 		case r = <-j.done:
 		default:
-			s.cnt.SolveAborted.Add(1)
-			return errf(CodeSessionAborted, 503, true,
-				"pooled session died before this request was served; retry rebuilds it")
+			if r.err = e.termErr.Load(); r.err == nil {
+				r.err = errf(CodeSessionAborted, 503, true,
+					"pooled session died before this request was served; retry rebuilds it")
+			}
+			return s.finishJob(req, resp, &r, t)
 		}
 	case <-ctx.Done():
 		// The caller is gone. The job still completes (or dies with the
@@ -641,13 +646,14 @@ func (s *Service) Drain(ctx context.Context) error {
 			aborting = append(aborting, e)
 		}
 		s.mu.Unlock()
-		// Stop first so dispatchers exit their wait loops, then poison
-		// the worlds so in-flight collectives unwind; stranded requests
-		// get typed solve_aborted/session_aborted replies, which is what
-		// lets wg drain.
+		// Poison the worlds so in-flight collectives unwind, then stop
+		// so dispatchers exit their wait loops. In that order a job a
+		// dispatcher serves after the stop meets a dead world too, so
+		// every stranded request gets a typed solve_aborted or
+		// session_aborted reply, which is what lets wg drain.
 		for _, e := range aborting {
-			e.beginStop()
 			e.world.Abort()
+			e.beginStop()
 		}
 		<-done
 	}

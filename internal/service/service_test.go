@@ -269,21 +269,29 @@ func TestServiceSolveTimeoutAbortsAndRebuilds(t *testing.T) {
 		t.Fatalf("fail_reason=%s retryable=%v", serr.FailReason, serr.Retryable)
 	}
 
-	// The poisoned session is rebuilt transparently by the next request.
-	good := gridReq("acme", 16)
+	// The next request on the same pool key rebuilds the poisoned
+	// session. Its right-hand side is all zeros, so the solve stops at
+	// iteration 0 on the absolute tolerance and the 50 ms deadline
+	// bounds only the rebuild, never an iteration count.
+	a, _, err := mesh.PaperProblem(16).GenerateGlobal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.RHS = make([]float64, a.Rows)
 	var resp2 service.SolveResponse
-	if serr := svc.Solve(context.Background(), good, &resp2); serr != nil {
+	if serr := svc.Solve(context.Background(), req, &resp2); serr != nil {
 		t.Fatalf("rebuild solve: %v", serr)
 	}
 	if resp2.SessionReused {
 		t.Fatal("rebuilt session must not report reuse")
 	}
-	if !resp2.Converged {
-		t.Fatal("rebuilt session did not converge")
+	if !resp2.Converged || resp2.Iterations != 0 {
+		t.Fatalf("rebuilt session: converged=%v after %d iterations, want true after 0", resp2.Converged, resp2.Iterations)
 	}
 	st := svc.Stats()
-	if st.Counters["sessions_poisoned"] != 1 {
-		t.Fatalf("sessions_poisoned = %d, want 1", st.Counters["sessions_poisoned"])
+	if st.Counters["sessions_poisoned"] != 1 || st.Counters["sessions_built"] != 2 || st.Sessions != 1 {
+		t.Fatalf("sessions_poisoned=%d sessions_built=%d pooled=%d, want 1, 2, 1",
+			st.Counters["sessions_poisoned"], st.Counters["sessions_built"], st.Sessions)
 	}
 }
 
