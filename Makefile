@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test check race workers vet fmt lint usage bench benchguard bench-pairs baseline telemetry chaos chaos-service serve-integration sweep golden fuzz clean
+.PHONY: all build test check race workers vet fmt usage bench benchguard bench-pairs baseline telemetry chaos chaos-service serve-integration sweep golden fuzz clean
 
 all: check
 
@@ -13,7 +13,7 @@ test:
 	$(GO) test ./...
 
 # check = everything CI's build-test + lint jobs run.
-check: build vet fmt lint test race
+check: build vet fmt test race
 
 race:
 	$(GO) test -race ./internal/comm/... ./internal/pmat/... ./internal/core/... ./internal/telemetry/... ./internal/bench/... ./internal/service/... ./internal/par/... ./internal/slu/... ./internal/ksp/... ./internal/aztec/...
@@ -25,13 +25,6 @@ workers:
 
 vet:
 	$(GO) vet ./...
-
-# lint = the SPMD-aware static analysis suite (docs/ANALYSIS.md). Output is
-# deterministic (sorted by file:line:column), exit is nonzero on findings,
-# stale //lisi:ignore comments included. `make test` runs the same check
-# as internal/analysis's TestRepoClean.
-lint:
-	$(GO) run ./cmd/lisi-vet ./...
 
 # usage = the usage record (ROADMAP item 13): the functions under
 # internal/ that no door reaches — upper-layer tests, examples, binaries

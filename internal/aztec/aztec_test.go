@@ -243,6 +243,33 @@ func TestRowSumScaling(t *testing.T) {
 	})
 }
 
+// TestRowSumScaleFoldOrder pins AZRowSum's fold order: the row 1, 1,
+// 1e16 sums to 1e16+2 left to right but to 1e16 in any order that adds
+// 1e16 before the second 1, so a fold in map order gives row 0 a
+// different scale factor on some call.
+func TestRowSumScaleFoldOrder(t *testing.T) {
+	coo := sparse.NewCOO(3, 3)
+	coo.Append(0, 0, 1)
+	coo.Append(0, 1, 1)
+	coo.Append(0, 2, 1e16)
+	coo.Append(1, 1, 1)
+	coo.Append(2, 2, 1)
+	global := coo.ToCSR()
+	want := 1 / (1e16 + 2.0)
+	run(t, 1, func(c *comm.Comm) {
+		a := buildCrs(c, global)
+		for call := 0; call < 100; call++ {
+			scale, err := rowSumScale(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(scale[0]) != math.Float64bits(want) {
+				t.Fatalf("call %d: row 0 scale %x, want %x (1/(1e16+2))", call, math.Float64bits(scale[0]), math.Float64bits(want))
+			}
+		}
+	})
+}
+
 func TestConvergenceCriteria(t *testing.T) {
 	global := sparse.Laplace2D(5, 5)
 	for _, conv := range []int{AZr0, AZrhs, AZAnorm} {
@@ -327,13 +354,28 @@ func TestSolverValidation(t *testing.T) {
 	})
 }
 
+// fnvBits is FNV-1a over the bits of vs.
+func fnvBits(vs []float64) uint64 {
+	h := uint64(14695981039346656037)
+	for _, v := range vs {
+		b := math.Float64bits(v)
+		for sh := 0; sh < 64; sh += 8 {
+			h ^= (b >> sh) & 0xff
+			h *= 1099511628211
+		}
+	}
+	return h
+}
+
 // TestMaxItersReported pins every exit of the CG and BiCGSTAB loops,
-// one row each: iterations, AZWhy, the bits of AZr and AZScaledR (a NaN
-// as 0x7ff8000000000000 whatever its sign and payload), and hashes of
-// the recorder's residual trace and of x. The literals were recorded at
-// 5532273, while aztec still ran its own two loops. The pooled rows
-// attach a 2-worker pool to a 2,500-row block, so every reduction folds
-// two of par's 2,048-entry slots.
+// one row each, and GMRES and CGS on a pooled row: iterations, AZWhy,
+// the bits of AZr and AZScaledR (a NaN as 0x7ff8000000000000 whatever
+// its sign and payload), and hashes of the recorder's residual trace
+// and of x. The CG and BiCGSTAB literals were recorded at 5532273,
+// while aztec still ran its own two loops, the GMRES and CGS rows at
+// ccb097c. The pooled rows attach a 2-worker pool to a 2,500-row block,
+// so every reduction folds two of par's 2,048-entry slots: a reduction
+// that bypasses the pool's fold moves their bits.
 func TestMaxItersReported(t *testing.T) {
 	scaled := func(f float64) func(*sparse.CSR) []float64 {
 		return func(a *sparse.CSR) []float64 {
@@ -364,17 +406,6 @@ func TestMaxItersReported(t *testing.T) {
 		}
 		return math.Float64bits(v)
 	}
-	fnv := func(vs []float64) uint64 {
-		h := uint64(14695981039346656037)
-		for _, v := range vs {
-			b := math.Float64bits(v)
-			for sh := 0; sh < 64; sh += 8 {
-				h ^= (b >> sh) & 0xff
-				h *= 1099511628211
-			}
-		}
-		return h
-	}
 	type want struct {
 		its, why    int
 		r, scaled   uint64 // bits of AZr and AZScaledR
@@ -401,6 +432,8 @@ func TestMaxItersReported(t *testing.T) {
 		{"bicgstab/half-step", ident, manufactured, AZBiCGStab, AZNone, 1e-10, 2000, 0, want{1, AZNormal, 0x0, 0x0, 0xcbf29ce484222325, 0x43411cb02aa2b404}},
 		{"bicgstab/non-finite", lap(6), scaled(1e300), AZBiCGStab, AZNone, 1e-10, 2000, 0, want{0, AZBreakdown, 0x7ff0000000000000, 0x7ff8000000000000, 0xcbf29ce484222325, 0x66e368127e9e89a5}},
 		{"bicgstab/pooled", lap(50), manufactured, AZBiCGStab, AZJacobi, 1e-10, 2000, 2, want{72, AZNormal, 0x3e469c95e30fc684, 0x3dd67b3a2e0b5d28, 0xf1f35e03239ece1, 0x94c5b9a91bddc329}},
+		{"gmres/pooled", lap(50), manufactured, AZGMRES, AZJacobi, 1e-10, 2000, 2, want{174, AZNormal, 0x3e2990a803574b53, 0x3ddb15ca8d1e94e7, 0xf08d87c99934d817, 0x93d67df3f111f27a}},
+		{"cgs/pooled", lap(50), manufactured, AZCGS, AZJacobi, 1e-10, 2000, 2, want{65, AZNormal, 0x3e48e5f408a1d808, 0x3dd8c138c0ca7067, 0x22830db70f5f8a7b, 0xdce0c6f0c7165a6}},
 	} {
 		global := tc.global()
 		b := tc.rhs(global)
@@ -426,7 +459,7 @@ func TestMaxItersReported(t *testing.T) {
 				trace = append(trace, p.Residual)
 			}
 			st := s.Status()
-			got := want{s.NumIters(), int(st[AZWhy]), bits(st[AZr]), bits(st[AZScaledR]), fnv(trace), fnv(x)}
+			got := want{s.NumIters(), int(st[AZWhy]), bits(st[AZr]), bits(st[AZScaledR]), fnvBits(trace), fnvBits(x)}
 			if got != tc.want {
 				t.Errorf("%s: got %#v, recorded %#v", tc.name, got, tc.want)
 			}

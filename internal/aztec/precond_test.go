@@ -212,6 +212,51 @@ func TestOverlapReducesIterations(t *testing.T) {
 	}
 }
 
+// TestOverlapSchwarzBorrowsAcrossPeers: with 8 ranks of 6–7 rows and
+// overlap 14, a rank borrows from two or three peers on each side, and
+// each peer's residual segment must land at its own rows of the
+// extended block. The iteration count and the bits of x were recorded
+// at ccb097c; every repeat must give them again.
+func TestOverlapSchwarzBorrowsAcrossPeers(t *testing.T) {
+	const wantIts, wantX = 10, uint64(0x94befa59197df343)
+	global := sparse.Laplace2D(7, 7)
+	for repeat := 0; repeat < 5; repeat++ {
+		w, _ := comm.NewWorld(8)
+		xs := make([][]float64, 8)
+		its := 0
+		if err := w.Run(func(c *comm.Comm) {
+			crs := buildCrs(c, global)
+			s := NewSolver(c)
+			s.SetUserMatrix(crs)
+			s.Options()[AZSolver] = AZGMRES
+			s.Options()[AZPrecond] = AZDomDecomp
+			s.Options()[AZOverlap] = 14
+			l := crs.RowMap().Layout()
+			b := make([]float64, l.LocalN)
+			for i := range b {
+				b[i] = 1
+			}
+			x := make([]float64, l.LocalN)
+			if err := s.Iterate(x, b, 3000, 1e-10); err != nil {
+				t.Error(err)
+			}
+			xs[c.Rank()] = x
+			if c.Rank() == 0 {
+				its = s.NumIters()
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		var x []float64
+		for _, xr := range xs {
+			x = append(x, xr...)
+		}
+		if h := fnvBits(x); its != wantIts || h != wantX {
+			t.Fatalf("repeat %d: %d iterations, x hash %#x; recorded %d, %#x", repeat, its, h, wantIts, wantX)
+		}
+	}
+}
+
 func TestOverlapValidation(t *testing.T) {
 	global := sparse.Identity(8)
 	w, _ := comm.NewWorld(2)

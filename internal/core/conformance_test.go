@@ -248,6 +248,26 @@ func TestSessionDoorRows(t *testing.T) {
 		})
 	})
 
+	// On the 2×2 skew-symmetric [0 1; −1 0], p·Ap = 0 at the first step:
+	// a Krylov breakdown the port reports typed, for both CG loops' hosts.
+	t.Run("CGBreakdown", func(t *testing.T) {
+		coo := sparse.NewCOO(2, 2)
+		coo.Append(0, 1, 1)
+		coo.Append(1, 0, -1)
+		skew := coo.ToCSR()
+		for _, backend := range []string{"petsc", "trilinos"} {
+			run(t, 1, func(c *comm.Comm) {
+				s, l := openOn(t, c, backend, SessionOptions{Params: params}, skew, []float64{1, 1})
+				defer s.Close()
+				res, err := s.Solve(context.Background(), make([]float64, l.LocalN))
+				if err == nil || res.FailReason != FailBreakdown || res.Aborted || res.Iterations != 1 {
+					t.Errorf("%s: fail=%v aborted=%v its=%d err=%v, want a typed breakdown at iteration 1",
+						backend, res.FailReason, res.Aborted, res.Iterations, err)
+				}
+			})
+		}
+	})
+
 	t.Run("CallerRetry", func(t *testing.T) {
 		run(t, 1, func(c *comm.Comm) {
 			l, err := pmat.EvenLayout(c, 8)

@@ -126,6 +126,31 @@ func TestIterationCountsReported(t *testing.T) {
 	})
 }
 
+// TestDriverRejectsBadParameter: a parameter the connected component
+// refuses ends SolveProblem with the refusal, never a solve on the
+// default it would have replaced.
+func TestDriverRejectsBadParameter(t *testing.T) {
+	p := mesh.PaperProblem(6)
+	for _, tc := range []struct {
+		class, key, value, want string
+	}{
+		{ClassKSPSolver, "frobnicate", "1", Check(ErrUnknownKey).Error()},
+		{ClassKSPSolver, "tol", "abc", Check(ErrBadArg).Error()},
+		{ClassAztecSolver, "frobnicate", "1", Check(ErrUnknownKey).Error()},
+		{ClassAztecSolver, "tol", "abc", Check(ErrBadArg).Error()},
+		{ClassSLUSolver, "frobnicate", "1", Check(ErrUnknownKey).Error()},
+		{ClassSLUSolver, "ordering", "abc", Check(ErrBadArg).Error()},
+	} {
+		run(t, 1, func(c *comm.Comm) {
+			_, driver := wire(t, c, tc.class)
+			res, err := driver.SolveProblem(p, CSR, map[string]string{tc.key: tc.value})
+			if err == nil || !strings.Contains(err.Error(), tc.want) || res != nil {
+				t.Errorf("%s %s=%s: result %t, error %v; want no result and %q", tc.class, tc.key, tc.value, res != nil, err, tc.want)
+			}
+		})
+	}
+}
+
 func TestCOOPathMatchesCSRPath(t *testing.T) {
 	p := mesh.PaperProblem(8)
 	ref := referenceSolution(t, p)

@@ -259,11 +259,13 @@ func fnvBits(vs []float64) uint64 {
 }
 
 // TestMaxIterationsDiverges pins every exit of the CG and BiCGSTAB
-// loops, one row each: iterations, reason, the bits of ResidualNorm,
-// and hashes of the recorder's residual trace and of x. The literals
-// were recorded at 5532273, while ksp still ran its own two loops. The
-// pooled rows attach a 2-worker pool to a 2,500-row block, so every
-// reduction folds two of par's 2,048-entry slots.
+// loops, one row each, and every other method on a pooled row:
+// iterations, reason, the bits of ResidualNorm, and hashes of the
+// recorder's residual trace and of x. The CG and BiCGSTAB literals were
+// recorded at 5532273, while ksp still ran its own two loops, the other
+// pooled rows at ccb097c. The pooled rows attach a 2-worker pool to a
+// 2,500-row block, so every reduction folds two of par's 2,048-entry
+// slots: a reduction that bypasses the pool's fold moves their bits.
 func TestMaxIterationsDiverges(t *testing.T) {
 	scaled := func(f float64) func(*sparse.CSR) []float64 {
 		return func(a *sparse.CSR) []float64 {
@@ -309,6 +311,11 @@ func TestMaxIterationsDiverges(t *testing.T) {
 		{"bcgs/half-step", ident, manufactured, TypeBiCGStab, PCNone, 1e-10, 2000, 0, want{1, ConvergedATol, 0x0, 0x8a02afae18ffa6c8, 0x43411cb02aa2b404}},
 		{"bcgs/non-finite", lap(6), scaled(1e300), TypeBiCGStab, PCNone, 1e-10, 2000, 0, want{0, DivergedBreakdown, 0x7ff0000000000000, 0xaab1293229b9b0f8, 0x66e368127e9e89a5}},
 		{"bcgs/pooled", lap(50), manufactured, TypeBiCGStab, PCJacobi, 1e-10, 2000, 2, want{123, ConvergedRTol, 0x3e46a47719fea180, 0x86f7e1ab88266988, 0xf520f73db72170d9}},
+		{"gmres/pooled", lap(50), manufactured, TypeGMRES, PCJacobi, 1e-10, 2000, 2, want{329, ConvergedRTol, 0x3e2aff574b3ad70f, 0x7256887e7cfe3d90, 0xf8abb484aca92c5f}},
+		{"fgmres/pooled", lap(50), manufactured, TypeFGMRES, PCJacobi, 1e-10, 2000, 2, want{329, ConvergedRTol, 0x3e4aff574b3ad70f, 0x4207e83aabcd37dd, 0xf8abb484aca92c5f}},
+		{"tfqmr/pooled", lap(50), manufactured, TypeTFQMR, PCJacobi, 1e-10, 2000, 2, want{120, ConvergedRTol, 0x3e2ab70774135b53, 0x1ae7f4c34e11d3c8, 0xd423eaa3d5f8cd53}},
+		{"chebyshev/pooled", lap(50), manufactured, TypeChebyshev, PCJacobi, 1e-10, 2000, 2, want{2000, DivergedMaxIts, 0x3e82917109d07f11, 0xbddab860da8873ba, 0x82bdd78398f4c077}},
+		{"richardson/pooled", lap(50), manufactured, TypeRichardson, PCJacobi, 1e-10, 2000, 2, want{2000, DivergedMaxIts, 0x3fc4596cf608cbcf, 0x4ca118a7cfb0083b, 0x86b4c03d21812a08}},
 	} {
 		global := tc.global()
 		bGlobal := tc.rhs(global)

@@ -10,9 +10,10 @@ import (
 
 // Reducer performs the global reductions of a Krylov loop. Its method
 // set is the whole reduction inventory of the ksp and aztec packages
-// and of the loops they share in this one (the spmddet analyzer rejects
-// a direct comm.AllReduceFloat64* call in ksp or aztec), so the
-// numerics policy of docs/PERFORMANCE.md is audited in one place:
+// and of the loops they share in this one (each method's pooled row in
+// their exit tables fails on a direct comm.AllReduceFloat64 of a serial
+// dot), so the numerics policy of docs/PERFORMANCE.md is audited in one
+// place:
 //
 //   - a local contribution is the pool's fixed-slot fold when a pool is
 //     attached (slot layout a function of the vector length alone, so

@@ -24,7 +24,8 @@ import (
 // Code, never on Message; the HTTP status is derived from the code
 // (429 for per-tenant pressure, 503 for server-wide shedding).
 const (
-	// CodeBadRequest: malformed body, dimensions, or argument ranges.
+	// CodeBadRequest: malformed body, dimensions, or argument ranges,
+	// or a right-hand side the backend refuses to stage (a NaN or ±Inf).
 	CodeBadRequest = "bad_request"
 	// CodeUnknownBackend: backend (or failover) name not in the registry.
 	CodeUnknownBackend = "unknown_backend"

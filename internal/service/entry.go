@@ -225,12 +225,14 @@ func (e *entry) rankLoop(c *comm.Comm) {
 		for k := 0; k < j.nRhs; k++ {
 			copy(rhs[k*localN:(k+1)*localN], j.rhs[k*j.n+l.Start:k*j.n+l.Start+localN])
 		}
-		if serr := s.SetupRHS(rhs, j.nRhs); serr != nil {
-			// Staging errors are rank-uniform (bad state, dead session):
-			// every rank takes this branch together, so nobody enters
-			// Solve's collectives short-handed.
-			e.results <- rankResult{rank: rank, err: serr}
-			continue
+		stageErr := s.SetupRHS(rhs, j.nRhs)
+		if stageErr != nil {
+			// A refusal can be this rank's alone (a NaN in its rows), so
+			// the rank stages zeros and still joins Solve's collectives;
+			// its reply is the refusal. A dead session refuses on every
+			// rank, and Solve refuses it too, before any collective.
+			clear(rhs)
+			s.SetupRHS(rhs, j.nRhs)
 		}
 		x := e.rankX[rank]
 		if cap(x) < need {
@@ -242,6 +244,9 @@ func (e *entry) rankLoop(c *comm.Comm) {
 		}
 		e.rankX[rank] = x
 		res, serr := s.Solve(j.ctx, x)
+		if stageErr != nil && !res.Aborted {
+			res, serr = core.SolveResult{}, stageErr
+		}
 		e.results <- rankResult{rank: rank, res: res, err: serr}
 	}
 }
@@ -381,8 +386,10 @@ func (e *entry) run(j *job) bool {
 		e.svc.cnt.SessionsPoisoned.Add(1)
 		jr.err = e.abortError(res, haveRes)
 	case stageErr != nil:
-		// The staged system is intact; the entry stays usable.
-		jr.err = errf(CodeSetupFailed, 500, true, "right-hand-side staging failed: %v", stageErr)
+		// After a set-up that succeeded, the only refusal left is a bad
+		// argument (a non-finite rhs): the caller's fault. The staged
+		// operator is intact; the entry stays usable.
+		jr.err = errf(CodeBadRequest, 400, false, "right-hand side refused: %v", stageErr)
 	default:
 		jr = jobResult{res: res, wall: wall}
 		if e.rec != nil {

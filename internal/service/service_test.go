@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -399,6 +400,63 @@ func TestServiceReuseRejectsBadRHSLength(t *testing.T) {
 	}
 	if !resp2.SessionReused || !resp2.Converged {
 		t.Fatalf("pooled session should have survived the rejection: %+v", resp2)
+	}
+}
+
+// TestServiceRefusedRHSIsBadRequest: a right-hand side the backend
+// refuses to stage (a NaN, which only the Go API can send: JSON has no
+// NaN) is the caller's fault, a typed 400, never a solve against the
+// previously staged right-hand side. The pooled session survives it: the
+// next request reuses it and gets the bits a fresh service gives.
+func TestServiceRefusedRHSIsBadRequest(t *testing.T) {
+	const gridN = 8
+	rhs := func(seed float64) []float64 {
+		b := make([]float64, gridN*gridN)
+		for i := range b {
+			b[i] = seed + float64(i%7)
+		}
+		return b
+	}
+	for _, procs := range []int{1, 2} {
+		req := func(b []float64) *service.SolveRequest {
+			r := gridReq("acme", gridN)
+			r.Procs, r.RHS, r.ReturnSolution = procs, b, true
+			return r
+		}
+		var solo service.SolveResponse
+		if serr := newTestService(t, service.Config{}).Solve(context.Background(), req(rhs(2)), &solo); serr != nil {
+			t.Fatalf("procs %d: solo solve: %v", procs, serr)
+		}
+
+		svc := newTestService(t, service.Config{})
+		var resp service.SolveResponse
+		if serr := svc.Solve(context.Background(), req(rhs(1)), &resp); serr != nil {
+			t.Fatalf("procs %d: warm-up solve: %v", procs, serr)
+		}
+		bad := rhs(2)
+		bad[len(bad)-1] = math.NaN() // the last rank's rows only
+		var badResp service.SolveResponse
+		serr := svc.Solve(context.Background(), req(bad), &badResp)
+		if serr == nil || serr.Code != service.CodeBadRequest || serr.HTTPStatus() != 400 || serr.Retryable {
+			t.Fatalf("procs %d: NaN rhs: got %v (converged %t), want non-retryable %s/400", procs, serr, badResp.Converged, service.CodeBadRequest)
+		}
+
+		var after service.SolveResponse
+		if serr := svc.Solve(context.Background(), req(rhs(2)), &after); serr != nil {
+			t.Fatalf("procs %d: solve after the refused rhs: %v", procs, serr)
+		}
+		if !after.SessionReused || after.Iterations != solo.Iterations || len(after.Solution) != len(solo.Solution) {
+			t.Fatalf("procs %d: after the refusal: reused %t, %d iterations, %d values; want the pooled session, %d iterations, %d values",
+				procs, after.SessionReused, after.Iterations, len(after.Solution), solo.Iterations, len(solo.Solution))
+		}
+		for i, v := range after.Solution {
+			if math.Float64bits(v) != math.Float64bits(solo.Solution[i]) {
+				t.Fatalf("procs %d: x[%d] = %x after the refusal, %x solo", procs, i, math.Float64bits(v), math.Float64bits(solo.Solution[i]))
+			}
+		}
+		if st := svc.Stats(); st.Counters["sessions_built"] != 1 {
+			t.Fatalf("procs %d: sessions_built = %d, want 1", procs, st.Counters["sessions_built"])
+		}
 	}
 }
 
