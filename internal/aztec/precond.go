@@ -49,10 +49,11 @@ type jacobiPrec struct {
 	steps   int
 	rm      RowMatrix
 	scratch []float64
-	zPrev   []float64
 }
 
-func newJacobiPrec(rm RowMatrix, steps int) (*jacobiPrec, error) {
+// invDiagonal returns the reciprocals of rm's local diagonal; a zero
+// entry is an error naming the preconditioner that needs them.
+func invDiagonal(rm RowMatrix, name string) ([]float64, error) {
 	d, err := rm.ExtractDiagonalCopy()
 	if err != nil {
 		return nil, err
@@ -60,15 +61,23 @@ func newJacobiPrec(rm RowMatrix, steps int) (*jacobiPrec, error) {
 	inv := make([]float64, len(d))
 	for i, v := range d {
 		if v == 0 {
-			return nil, fmt.Errorf("aztec: AZJacobi: zero diagonal at local row %d", i)
+			return nil, fmt.Errorf("aztec: %s: zero diagonal at local row %d", name, i)
 		}
 		inv[i] = 1 / v
+	}
+	return inv, nil
+}
+
+func newJacobiPrec(rm RowMatrix, steps int) (*jacobiPrec, error) {
+	inv, err := invDiagonal(rm, "AZJacobi")
+	if err != nil {
+		return nil, err
 	}
 	if steps < 1 {
 		steps = 1
 	}
 	return &jacobiPrec{invDiag: inv, steps: steps, rm: rm,
-		scratch: make([]float64, len(d)), zPrev: make([]float64, len(d))}, nil
+		scratch: make([]float64, len(inv))}, nil
 }
 
 func (p *jacobiPrec) apply(z, r []float64) {
@@ -97,22 +106,15 @@ type neumannPrec struct {
 }
 
 func newNeumannPrec(rm RowMatrix, order int) (*neumannPrec, error) {
-	d, err := rm.ExtractDiagonalCopy()
+	inv, err := invDiagonal(rm, "AZNeumann")
 	if err != nil {
 		return nil, err
-	}
-	inv := make([]float64, len(d))
-	for i, v := range d {
-		if v == 0 {
-			return nil, fmt.Errorf("aztec: AZNeumann: zero diagonal at local row %d", i)
-		}
-		inv[i] = 1 / v
 	}
 	if order < 0 {
 		order = 0
 	}
 	return &neumannPrec{invDiag: inv, order: order, rm: rm,
-		t: make([]float64, len(d)), q: make([]float64, len(d))}, nil
+		t: make([]float64, len(inv)), q: make([]float64, len(inv))}, nil
 }
 
 func (p *neumannPrec) apply(z, r []float64) {
@@ -145,18 +147,11 @@ type lsPrec struct {
 }
 
 func newLsPrec(rm RowMatrix, order int) (*lsPrec, error) {
-	d, err := rm.ExtractDiagonalCopy()
+	inv, err := invDiagonal(rm, "AZLs")
 	if err != nil {
 		return nil, err
 	}
-	n := len(d)
-	inv := make([]float64, n)
-	for i, v := range d {
-		if v == 0 {
-			return nil, fmt.Errorf("aztec: AZLs: zero diagonal at local row %d", i)
-		}
-		inv[i] = 1 / v
-	}
+	n := len(inv)
 	if order < 1 {
 		order = 1
 	}

@@ -43,10 +43,13 @@ type goldenFile struct {
 	Digests map[string]string `json:"digests"`
 }
 
-// goldenBackend is one backend column of the conformance matrix.
+// goldenBackend is one backend column of the conformance matrix. row
+// names the digest when one family runs a backend twice; it defaults to
+// the backend's name.
 type goldenBackend struct {
 	name   string
 	params map[string]string
+	row    string
 }
 
 // goldenFamily is one corpus workload row: a global system plus the
@@ -61,18 +64,24 @@ type goldenFamily struct {
 func goldenFamilies() []goldenFamily {
 	iterative := func(pcPetsc, pcTrilinos string) []goldenBackend {
 		return []goldenBackend{
-			{"petsc", map[string]string{
+			{name: "petsc", params: map[string]string{
 				"solver": "gmres", "preconditioner": pcPetsc,
 				"tol": "1e-8", "maxits": "2000", "restart": "30"}},
-			{"trilinos", map[string]string{
+			{name: "trilinos", params: map[string]string{
 				"solver": "gmres", "preconditioner": pcTrilinos,
 				"tol": "1e-8", "maxits": "2000"}},
-			{"superlu", map[string]string{"refine_steps": "1"}},
+			{name: "superlu", params: map[string]string{"refine_steps": "1"}},
 		}
 	}
 	stencil := iterative("ilu", "domdecomp")
-	stencil = append(stencil, goldenBackend{"mg", map[string]string{
+	stencil = append(stencil, goldenBackend{name: "mg", params: map[string]string{
 		"grid_n": "9", "tol": "1e-8", "cycles": "100"}})
+	fem := iterative("ilu", "domdecomp")
+	// Overlapping Schwarz: 2 rows borrowed across each rank boundary,
+	// exchanged every apply.
+	fem = append(fem, goldenBackend{name: "trilinos", row: "trilinos-overlap2", params: map[string]string{
+		"solver": "gmres", "preconditioner": "domdecomp", "overlap": "2",
+		"tol": "1e-8", "maxits": "2000"}})
 	return []goldenFamily{
 		{
 			name: "stencil2d-9", procs: 3, backends: stencil,
@@ -86,7 +95,7 @@ func goldenFamilies() []goldenFamily {
 			},
 		},
 		{
-			name: "fem3d-4x4x4", procs: 3, backends: iterative("ilu", "domdecomp"),
+			name: "fem3d-4x4x4", procs: 3, backends: fem,
 			system: func(t *testing.T) (*sparse.CSR, []float64) {
 				t.Helper()
 				a, b, err := mesh.DefaultFEMProblem(4, 7).GenerateGlobal()
@@ -224,7 +233,11 @@ func TestGoldenConformance(t *testing.T) {
 	workerCounts := []int{1, 4}
 	for _, fam := range goldenFamilies() {
 		for _, be := range fam.backends {
-			key := fam.name + "/" + be.name
+			row := be.row
+			if row == "" {
+				row = be.name
+			}
+			key := fam.name + "/" + row
 			t.Run(key, func(t *testing.T) {
 				refBits, refIters := goldenSolve(t, fam, be, workerCounts[0])
 				for _, wk := range workerCounts[1:] {

@@ -379,21 +379,15 @@ func (s *Solver) Solve(b, x []float64) error {
 	return fmt.Errorf("mg: no convergence in %d cycles (relative residual %.3e)", s.opts.MaxCycles, s.rnorm/bnorm)
 }
 
-// smooth performs sweeps of damped Jacobi: x ← x + ω·D⁻¹(b − A·x). With
-// a parallel pool the element-wise update fans out across workers.
+// smooth performs sweeps of damped Jacobi: x ← x + ω·D⁻¹(b − A·x). The
+// element-wise update fans out across the pool's workers, or runs inline
+// on a nil or one-worker pool.
 func (s *Solver) smooth(lvl *level, b, x []float64, sweeps int) {
-	omega := s.opts.Omega
 	for n := 0; n < sweeps; n++ {
 		lvl.a.Apply(lvl.r, x)
-		if s.pool.Parallel() {
-			s.jac = jacobiTask{x: x, b: b, r: lvl.r, invDiag: lvl.invDiag, omega: omega}
-			s.pool.Run(len(x), &s.jac)
-			s.jac = jacobiTask{}
-			continue
-		}
-		for i := range x {
-			x[i] += omega * (b[i] - lvl.r[i]) * lvl.invDiag[i]
-		}
+		s.jac = jacobiTask{x: x, b: b, r: lvl.r, invDiag: lvl.invDiag, omega: s.opts.Omega}
+		s.pool.Run(len(x), &s.jac)
+		s.jac = jacobiTask{}
 	}
 }
 

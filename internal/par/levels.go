@@ -21,22 +21,14 @@ func (lv *Levels) NumLevels() int { return len(lv.Ptr) - 1 }
 // Level returns the row indices of level l.
 func (lv *Levels) Level(l int) []int { return lv.Order[lv.Ptr[l]:lv.Ptr[l+1]] }
 
-// LevelTask is a Task that processes rows[lo:hi] of whichever level it
-// was last handed.
-type LevelTask interface {
-	Task
-	SetRows(rows []int)
-}
-
-// Sweep runs t over the levels in dependency order, one pool dispatch
-// (one join) per level, and hands t a nil row set when done.
-func (lv *Levels) Sweep(p *Pool, t LevelTask) {
+// Sweep runs s over the levels in dependency order, one pool dispatch
+// (one join) per level, and leaves s with a nil row set when done.
+func (lv *Levels) Sweep(p *Pool, s *triSweep) {
 	for l := 0; l < lv.NumLevels(); l++ {
-		rows := lv.Level(l)
-		t.SetRows(rows)
-		p.Run(len(rows), t)
+		s.rows = lv.Level(l)
+		p.Run(len(s.rows), s)
 	}
-	t.SetRows(nil)
+	s.rows = nil
 }
 
 // LowerLevels computes the level sets of a forward (lower-triangular)

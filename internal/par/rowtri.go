@@ -78,8 +78,6 @@ type triSweep struct {
 	back bool
 }
 
-func (s *triSweep) SetRows(rows []int) { s.rows = rows }
-
 func (s *triSweep) Range(_, lo, hi int) {
 	t, z, rows := s.t, s.z, s.rows
 	if s.back {

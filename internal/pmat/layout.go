@@ -64,24 +64,6 @@ func EvenLayout(c *comm.Comm, n int) (*Layout, error) {
 // Comm returns the communicator the layout was built on.
 func (l *Layout) Comm() *comm.Comm { return l.c }
 
-// Owner returns the rank owning global row i.
-func (l *Layout) Owner(i int) int {
-	if i < 0 || i >= l.N {
-		panic(fmt.Sprintf("pmat: Layout.Owner: row %d outside [0,%d)", i, l.N))
-	}
-	// Binary search over Starts.
-	lo, hi := 0, len(l.Starts)-1
-	for lo+1 < hi {
-		mid := (lo + hi) / 2
-		if l.Starts[mid] <= i {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
 // Owns reports whether this rank owns global row i.
 func (l *Layout) Owns(i int) bool {
 	return i >= l.Start && i < l.Start+l.LocalN

@@ -45,21 +45,11 @@ type Mat struct {
 	// not own, sorted ascending.
 	ghostCols []int
 
-	// sendIdx[r] lists this rank's local indices whose values rank r
-	// needs before each product. recvCnt[r] is how many ghost values
-	// arrive from r; they fill the ghost buffer slots whose ghostCols
-	// are owned by r (contiguous because ghostCols is sorted by global
-	// index and ownership is by contiguous ranges).
-	sendIdx [][]int
-	recvOff []int // offset into ghost buffer per source rank
-	recvCnt []int
+	// halo exchanges the ghost values before each product; ghostVals
+	// receives them, in ghostCols order.
+	halo      *Halo
+	ghostVals []float64
 
-	// sendBuf[r] is the persistent staging buffer for the values sent to
-	// rank r, sized from the plan at construction so Apply never grows a
-	// send buffer per product.
-	sendBuf [][]float64
-
-	xext []float64 // scratch: [local x | ghosts]
 	rres []float64 // scratch for Residual
 
 	// pool is the intra-rank worker pool for the row-parallel products
@@ -205,14 +195,8 @@ func NewMatRect(rowL, colL *Layout, localRows *sparse.CSR) (*Mat, error) {
 		}
 	}
 
-	m.buildPlan()
-	m.sendBuf = make([][]float64, len(m.sendIdx))
-	for r, idx := range m.sendIdx {
-		if len(idx) > 0 {
-			m.sendBuf[r] = make([]float64, len(idx))
-		}
-	}
-	m.xext = make([]float64, colL.LocalN+len(m.ghostCols))
+	m.halo = NewHalo(colL, m.ghostCols, tagGhost)
+	m.ghostVals = make([]float64, len(m.ghostCols))
 	return m, nil
 }
 
@@ -224,52 +208,6 @@ func (m *Mat) split() (interior, boundary *sparse.CSR) {
 	return m.local.SplitCols(0, m.C.LocalN)
 }
 
-// buildPlan exchanges ghost requests so every rank learns which of its
-// local entries each peer needs (collective).
-func (m *Mat) buildPlan() {
-	l := m.C
-	p := l.c.Size()
-	m.sendIdx = make([][]int, p)
-	m.recvOff = make([]int, p)
-	m.recvCnt = make([]int, p)
-
-	// Group my ghost columns by owner; contiguous in sorted order.
-	reqFlat := make([]int, 0, 2*p+len(m.ghostCols))
-	i := 0
-	for r := 0; r < p; r++ {
-		start := i
-		for i < len(m.ghostCols) && m.ghostCols[i] < l.Starts[r+1] {
-			i++
-		}
-		m.recvOff[r] = start
-		m.recvCnt[r] = i - start
-		reqFlat = append(reqFlat, i-start)
-		reqFlat = append(reqFlat, m.ghostCols[start:i]...)
-	}
-
-	// Everyone publishes their per-owner request lists.
-	all := l.c.AllGatherInts(reqFlat)
-	for src := 0; src < p; src++ {
-		if src == l.c.Rank() {
-			continue
-		}
-		flat := all[src]
-		pos := 0
-		for r := 0; r < p; r++ {
-			cnt := flat[pos]
-			pos++
-			if r == l.c.Rank() && cnt > 0 {
-				idx := make([]int, cnt)
-				for k := 0; k < cnt; k++ {
-					idx[k] = flat[pos+k] - l.Start
-				}
-				m.sendIdx[src] = idx
-			}
-			pos += cnt
-		}
-	}
-}
-
 // NumGhosts returns the number of off-process columns this rank needs.
 func (m *Mat) NumGhosts() int { return len(m.ghostCols) }
 
@@ -279,27 +217,15 @@ func (m *Mat) NumGhosts() int { return len(m.ghostCols) }
 // (owned columns only) runs while they are in flight, and the boundary
 // product is added once they arrive. x must not alias y.
 func (m *Mat) Apply(y, x []float64) {
-	l := m.C
 	if len(x) != m.C.LocalN || len(y) != m.L.LocalN {
 		panic(fmt.Sprintf("pmat: Apply: local vectors must have lengths %d (in) and %d (out)", m.C.LocalN, m.L.LocalN))
 	}
 	if !m.bound {
 		m.rebind()
 	}
-	// Post all sends first; mailbox delivery is non-blocking so this
-	// cannot deadlock. Values are staged in the plan-owned per-destination
-	// buffers and shipped through the world's payload pool, so the
-	// steady-state product allocates nothing.
-	for r, idx := range m.sendIdx {
-		if len(idx) == 0 {
-			continue
-		}
-		buf := m.sendBuf[r]
-		for k, li := range idx {
-			buf[k] = x[li]
-		}
-		l.c.SendFloat64sPooled(r, tagGhost, buf)
-	}
+	// Post the ghost values first; sends never block, so this cannot
+	// deadlock.
+	m.halo.Post(x)
 
 	// Interior product while the ghost values travel. The persistent
 	// kernel carries whatever format the rule bound; it is partitioned
@@ -308,20 +234,10 @@ func (m *Mat) Apply(y, x []float64) {
 	// and comm stays on this goroutine either way.
 	m.intSpMV.Apply(m.pool, y, x)
 
-	// Collect ghosts straight into their segment of the ghost buffer and
-	// add the boundary contribution.
-	ghosts := m.xext[:len(m.ghostCols)]
-	for r := 0; r < l.c.Size(); r++ {
-		if m.recvCnt[r] == 0 {
-			continue
-		}
-		n, _ := l.c.RecvFloat64sInto(ghosts[m.recvOff[r]:m.recvOff[r]+m.recvCnt[r]], r, tagGhost)
-		if n != m.recvCnt[r] {
-			panic(fmt.Sprintf("pmat: Apply: rank %d sent %d ghosts, want %d", r, n, m.recvCnt[r]))
-		}
-	}
+	// Collect the ghosts and add the boundary contribution.
+	m.halo.Wait(m.ghostVals)
 	if m.boundary.NNZ() > 0 {
-		m.bndSpMV.Apply(m.pool, y, ghosts)
+		m.bndSpMV.Apply(m.pool, y, m.ghostVals)
 	}
 }
 

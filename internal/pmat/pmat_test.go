@@ -53,12 +53,8 @@ func TestEvenLayout(t *testing.T) {
 			t.Errorf("local sizes sum to %d", total)
 		}
 		for i := 0; i < 10; i++ {
-			owner := l.Owner(i)
-			if owner < 0 || owner >= 3 {
-				t.Errorf("Owner(%d) = %d", i, owner)
-			}
-			if (owner == c.Rank()) != l.Owns(i) {
-				t.Errorf("Owner/Owns disagree at %d", i)
+			if owns := l.Starts[c.Rank()] <= i && i < l.Starts[c.Rank()+1]; owns != l.Owns(i) {
+				t.Errorf("Starts/Owns disagree at %d", i)
 			}
 		}
 	})

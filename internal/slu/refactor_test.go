@@ -453,7 +453,7 @@ func TestRefactorRebuildsLevelMirrors(t *testing.T) {
 			if ls == nil || !ls.pool.Parallel() {
 				t.Fatalf("%s: pool not carried across the refactor", step.what)
 			}
-			if kept := ls == before && ls.lvlF == before.lvlF && ls.lvlB == before.lvlB; kept != step.replay {
+			if kept := ls == before; kept != step.replay {
 				t.Fatalf("%s: level sets kept = %v", step.what, kept)
 			}
 			requireSolvesLikeCold(t, step.what, c, d, step.a, opts)

@@ -36,8 +36,12 @@ func (f *LU) SolveInto(x, b []float64) error {
 		}
 		c[f.rowPerm[r]] = v
 	}
-	f.lSolve(c)
-	f.uSolve(c)
+	if ls := f.ls; ls != nil && ls.pool.Parallel() {
+		ls.tri.Solve(ls.pool, c, c)
+	} else {
+		f.lSolve(c)
+		f.uSolve(c)
+	}
 	// x = Dc · Q · z
 	for k := 0; k < f.n; k++ {
 		j := f.colPerm[k]
@@ -52,15 +56,8 @@ func (f *LU) SolveInto(x, b []float64) error {
 
 // lSolve solves L·w = c in place (column-oriented, unit diagonal first).
 func (f *LU) lSolve(c []float64) {
-	if f.ls != nil && f.ls.pool.Parallel() {
-		f.ls.lSolve(c)
-		return
-	}
 	for k := 0; k < f.n; k++ {
 		xk := c[k]
-		if xk == 0 {
-			continue
-		}
 		for p := f.lPtr[k] + 1; p < f.lPtr[k+1]; p++ {
 			c[f.lRows[p]] -= f.lVals[p] * xk
 		}
@@ -69,17 +66,10 @@ func (f *LU) lSolve(c []float64) {
 
 // uSolve solves U·z = c in place (column-oriented, diagonal last).
 func (f *LU) uSolve(c []float64) {
-	if f.ls != nil && f.ls.pool.Parallel() {
-		f.ls.uSolve(c)
-		return
-	}
 	for k := f.n - 1; k >= 0; k-- {
 		dp := f.uPtr[k+1] - 1 // diagonal entry position
 		zk := c[k] / f.uVals[dp]
 		c[k] = zk
-		if zk == 0 {
-			continue
-		}
 		for p := f.uPtr[k]; p < dp; p++ {
 			c[f.uRows[p]] -= f.uVals[p] * zk
 		}
