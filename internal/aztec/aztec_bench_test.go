@@ -2,6 +2,7 @@ package aztec
 
 import (
 	"fmt"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/comm"
@@ -20,14 +21,23 @@ func BenchmarkILUT(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			var nnz int
-			for i := 0; i < b.N; i++ {
+			build := func() {
 				f, err := NewILUT(a, drop, fill)
 				if err != nil {
 					b.Fatal(err)
 				}
 				nnz = f.NNZ()
 			}
+			for i := 0; i < b.N; i++ {
+				build()
+			}
+			b.StopTimer()
 			b.ReportMetric(float64(nnz), "factor-nnz")
+			// b.N is small here, so one GC cycle in the timed loop adds
+			// the runtime's own allocations to allocs/op: count apart,
+			// with the collector off.
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			b.ReportMetric(leastAllocs(1, build), "allocs/op")
 		})
 	}
 	lap := sparse.Laplace2D(60, 60)

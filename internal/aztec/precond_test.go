@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/comm"
+	"repro/internal/mesh"
 	"repro/internal/pmat"
 	"repro/internal/sparse"
 )
@@ -272,5 +273,113 @@ func TestOverlapValidation(t *testing.T) {
 		}
 	}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPolynomialPreconditionersPinned pins CG under AZJacobi, AZNeumann
+// and AZLs on 2 ranks: iterations, the bits of AZr and a hash of x.
+// The AZJacobi rows were recorded before the three preconditioners
+// moved onto pmat's shared Richardson and Chebyshev loops and must
+// never move; the AZNeumann and AZLs rows record the shared loops.
+func TestPolynomialPreconditionersPinned(t *testing.T) {
+	lap := sparse.Laplace2D(50, 50)
+	lapB := make([]float64, lap.Rows)
+	lap.MulVec(lapB, sparse.RandomVector(lap.Rows, 99))
+	fem, femB, err := mesh.DefaultFEMProblem(16, 7).GenerateGlobal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	type want struct {
+		its     int
+		r, xsum uint64
+	}
+	for _, tc := range []struct {
+		name           string
+		a              *sparse.CSR
+		b              []float64
+		precond, order int
+		want           want
+	}{
+		{"laplace50/jacobi-1", lap, lapB, AZJacobi, 1, want{164, 0x3e4abeea84ede22f, 0x16ad46ed012471e5}},
+		{"laplace50/jacobi-3", lap, lapB, AZJacobi, 3, want{96, 0x3e44264d475b73a1, 0x9bf90538e08e7cca}},
+		{"laplace50/neumann-0", lap, lapB, AZNeumann, 0, want{164, 0x3e4abeea84ede22f, 0x16ad46ed012471e5}},
+		{"laplace50/neumann-3", lap, lapB, AZNeumann, 3, want{63, 0x3e4753f3c2128fcd, 0xc2aac732084ea28e}},
+		{"laplace50/ls-3", lap, lapB, AZLs, 3, want{61, 0x3e411dd96e539ae1, 0x9e18d9b924161679}},
+		{"laplace50/ls-5", lap, lapB, AZLs, 5, want{39, 0x3e3ba4e83852fc4a, 0xbfc65d796d160a5e}},
+		{"fem16/jacobi-1", fem, femB, AZJacobi, 1, want{72, 0x3d770ef06d60f5ff, 0x2000237d06735e00}},
+		{"fem16/jacobi-3", fem, femB, AZJacobi, 3, want{41, 0x3d75a5d9fd13b182, 0xc97c188d65be1b85}},
+		{"fem16/neumann-0", fem, femB, AZNeumann, 0, want{72, 0x3d770ef06d60f5ff, 0x2000237d06735e00}},
+		{"fem16/neumann-3", fem, femB, AZNeumann, 3, want{29, 0x3d75d9562836de2d, 0x64045913821d97cf}},
+		{"fem16/ls-3", fem, femB, AZLs, 3, want{26, 0x3d6f852ace0be48e, 0x7a2c51c04e873e6e}},
+		{"fem16/ls-5", fem, femB, AZLs, 5, want{16, 0x3d6cd8a8952a297c, 0x4fb9f5ab89263008}},
+	} {
+		xs := make([][]float64, 2)
+		var got want
+		run(t, 2, func(c *comm.Comm) {
+			crs := buildCrs(c, tc.a)
+			s := NewSolver(c)
+			s.SetUserMatrix(crs)
+			s.Options()[AZSolver] = AZCG
+			s.Options()[AZPrecond] = tc.precond
+			s.Options()[AZPolyOrd] = tc.order
+			l := crs.RowMap().Layout()
+			x := make([]float64, l.LocalN)
+			if err := s.Iterate(x, tc.b[l.Start:l.Start+l.LocalN], 2000, 1e-10); err != nil {
+				t.Errorf("%s: %v", tc.name, err)
+			}
+			xs[c.Rank()] = x
+			if c.Rank() == 0 {
+				got.its, got.r = s.NumIters(), math.Float64bits(s.Status()[AZr])
+			}
+		})
+		got.xsum = fnvBits(append(xs[0], xs[1]...))
+		if got != tc.want {
+			t.Errorf("%s: got %#v, recorded %#v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestPolynomialApplyMakesNoCollective: a fixed-degree polynomial stops
+// on its degree, so an apply of degree d on 2 ranks is d−1 products —
+// one halo send per rank each — and no reduction and no trailing
+// product.
+func TestPolynomialApplyMakesNoCollective(t *testing.T) {
+	global := sparse.Laplace2D(10, 10)
+	w, _ := comm.NewWorld(2)
+	for _, tc := range []struct {
+		name                   string
+		precond, order, degree int
+	}{
+		{"AZJacobi", AZJacobi, 3, 3},
+		{"AZNeumann", AZNeumann, 3, 4},
+		{"AZLs", AZLs, 3, 3},
+	} {
+		ps := make([]preconditioner, 2)
+		if err := w.Run(func(c *comm.Comm) {
+			opts := DefaultOptions()
+			opts[AZPrecond] = tc.precond
+			opts[AZPolyOrd] = tc.order
+			p, err := newPreconditioner(buildCrs(c, global), opts, DefaultParams())
+			if err != nil {
+				panic(err)
+			}
+			ps[c.Rank()] = p
+		}); err != nil {
+			t.Fatal(err)
+		}
+		before := w.Stats()
+		if err := w.Run(func(c *comm.Comm) {
+			r := make([]float64, 50)
+			for i := range r {
+				r[i] = 1
+			}
+			ps[c.Rank()].apply(make([]float64, 50), r)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		d := w.Stats().Sub(before)
+		if d.Collectives != 0 || d.Sends != int64(2*(tc.degree-1)) {
+			t.Errorf("%s order %d: %d collectives, %d sends; want 0 and %d", tc.name, tc.order, d.Collectives, d.Sends, 2*(tc.degree-1))
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/comm"
 	"repro/internal/ksp"
@@ -111,24 +110,22 @@ func TestSolveBitwiseWhateverTheWait(t *testing.T) {
 	}
 }
 
-// TestSolveLiveOnOneP: a 2-rank GMRES solve finishes on one P within a
-// small factor of its two-P time (and with the same bits) — a poll that
-// never yielded would wait out the 10 ms async pre-emption at each of its
-// few thousand rendezvous.
+// TestSolveLiveOnOneP: a 2-rank GMRES solve on one P gives the bits it
+// gives on two and parks in at most 1 % of its waits. A poll that never
+// yielded would spend its budget while the peer cannot run and park in
+// about half of them (1,865 of 3,732 barrier entries and 60 of 120
+// receives with the Gosched removed).
 func TestSolveLiveOnOneP(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	start := time.Now()
 	its2, hash2, _ := stencilGMRES(t, 2)
-	two := time.Since(start)
 	runtime.GOMAXPROCS(1)
-	start = time.Now()
-	its1, hash1, stats := stencilGMRES(t, 2)
-	one := time.Since(start)
-	t.Logf("2-rank solve, %d barrier entries: %v on 2 Ps, %v on 1 P", stats.BarrierEntries, two, one)
+	its1, hash1, s := stencilGMRES(t, 2)
 	if its1 != its2 || hash1 != hash2 {
 		t.Errorf("1 P got (%d its, %#x), 2 Ps got (%d its, %#x)", its1, hash1, its2, hash2)
 	}
-	if limit := comm.LiveLimit(two); one > limit {
-		t.Errorf("2 ranks on 1 P took %v, limit %v (2 Ps: %v)", one, limit, two)
+	parks, waits := s.BarrierParks+s.RecvParks, s.BarrierEntries+s.Recvs
+	t.Logf("2 ranks on 1 P: %d of %d barrier entries and receives parked", parks, waits)
+	if waits == 0 || parks > waits/100 {
+		t.Errorf("2 ranks on 1 P: %d of %d barrier entries and receives parked, want at most 1 %%", parks, waits)
 	}
 }

@@ -206,6 +206,72 @@ func TestDoorConformance(t *testing.T) {
 			}
 		})
 	})
+
+	// A zero diagonal is a property of the matrix, not of the method:
+	// every preconditioner that divides by the diagonal reports it as
+	// singular, whichever backend hosts it. Every row of swap2 has a
+	// zero diagonal, so every rank fails its set-up alone.
+	swap2 := zeroDiagonalSystem()
+	_, b := manufactured(swap2)
+	for _, row := range []struct{ backend, pc string }{
+		{"petsc", "jacobi"}, {"petsc", "sor"}, {"trilinos", "jacobi"}, {"trilinos", "symgs"},
+	} {
+		t.Run(row.backend+"/preconditioner="+row.pc+"/zero-diagonal", func(t *testing.T) {
+			for _, ranks := range []int{1, 2} {
+				run(t, ranks, func(c *comm.Comm) {
+					s, l := openOn(t, c, row.backend, SessionOptions{Params: map[string]string{"preconditioner": row.pc}}, swap2, b)
+					defer s.Close()
+					res, err := s.Solve(context.Background(), make([]float64, l.LocalN))
+					if err == nil || res.Converged || res.FailReason != FailSingular {
+						t.Errorf("p=%d: converged=%v fail=%v err=%v, want singular", ranks, res.Converged, res.FailReason, err)
+					}
+				})
+			}
+		})
+	}
+}
+
+// zeroDiagonalSystem is two 2×2 swaps [0 1; 1 0] on the diagonal:
+// nonsingular, and no row has a diagonal entry.
+func zeroDiagonalSystem() *sparse.CSR {
+	coo := sparse.NewCOO(4, 4)
+	for _, p := range [][2]int{{0, 1}, {1, 0}, {2, 3}, {3, 2}} {
+		coo.Append(p[0], p[1], 1)
+	}
+	return coo.ToCSR()
+}
+
+// TestKSPReasonResetBeforePCSetUp: a preconditioner set-up failure is
+// classified by its own error, not by the reason the previous solve
+// left behind.
+func TestKSPReasonResetBeforePCSetUp(t *testing.T) {
+	a, _ := lap49.sys(t)
+	_, b := manufactured(a)
+	swap2 := zeroDiagonalSystem()
+	_, b2 := manufactured(swap2)
+	params := map[string]string{"solver": "gmres", "preconditioner": "jacobi", "maxits": "1"}
+	run(t, 1, func(c *comm.Comm) {
+		s, _ := openOn(t, c, "petsc", SessionOptions{Params: params}, a, b)
+		defer s.Close()
+		res, _ := s.Solve(context.Background(), make([]float64, a.Rows))
+		if res.FailReason != FailMaxIterations {
+			t.Fatalf("first solve: fail=%v, want max_iterations", res.FailReason)
+		}
+		l, err := pmat.EvenLayout(c, swap2.Rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Setup(l, swap2); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.SetupRHS(b2, 1); err != nil {
+			t.Fatal(err)
+		}
+		res, err = s.Solve(context.Background(), make([]float64, swap2.Rows))
+		if err == nil || res.FailReason != FailSingular {
+			t.Errorf("second solve: fail=%v err=%v, want singular from the zero diagonal", res.FailReason, err)
+		}
+	})
 }
 
 // flakyOp is a matrix-free identity whose first product poisons the

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/aztec"
+	"repro/internal/sparse"
 )
 
 // FailReason is the normalized, backend-independent classification of a
@@ -98,7 +99,8 @@ func classifySolveError(err error) FailReason {
 		return FailNone
 	}
 	switch {
-	case errors.Is(err, aztec.ErrILUTZeroRow), errors.Is(err, aztec.ErrILUTZeroPivot):
+	case errors.Is(err, aztec.ErrILUTZeroRow), errors.Is(err, aztec.ErrILUTZeroPivot),
+		errors.Is(err, sparse.ErrZeroDiagonal):
 		return FailSingular
 	case errors.Is(err, aztec.ErrILUTNonFinite):
 		return FailBreakdown

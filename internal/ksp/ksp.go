@@ -220,6 +220,9 @@ func (k *KSP) Solve(b, x []float64) error {
 	if k.pc == nil {
 		k.pc = &pcBlockILU{name: PCBJacobi}
 	}
+	// A set-up failure must not leave the previous solve's outcome
+	// behind for the caller to read.
+	k.its, k.rnorm, k.reason = 0, 0, DivergedNull
 	// Set up the preconditioner only when the (operator, PC) pair
 	// changed. Operator identity is by pointer: Mat values are fixed at
 	// construction, so a changed system always arrives as a new Mat.
@@ -232,11 +235,7 @@ func (k *KSP) Solve(b, x []float64) error {
 		}
 		k.pcFor, k.pcObj = k.a, k.pc
 	}
-	for i := range x {
-		x[i] = 0
-	}
-	k.its = 0
-	k.reason = DivergedNull
+	clear(x)
 
 	defer k.rec.StartPhase(telemetry.PhaseIterate)()
 	var err error
@@ -250,11 +249,12 @@ func (k *KSP) Solve(b, x []float64) error {
 	case TypeFGMRES:
 		err = k.solveGMRES(b, x, true)
 	case TypeChebyshev:
-		err = k.solveChebyshev(b, x)
+		emax := k.ws.MaxEig(k.red, (*krylovSystem)(k), k.a.Layout())
+		k.ws.Chebyshev((*krylovSystem)(k), x, b, emax)
 	case TypeTFQMR:
 		err = k.solveTFQMR(b, x)
 	case TypeRichardson:
-		err = k.solveRichardson(b, x)
+		k.ws.Richardson((*krylovSystem)(k), x, b, k.damping)
 	default:
 		return fmt.Errorf("ksp: unknown KSP type %q", k.typ)
 	}
@@ -292,9 +292,10 @@ func (k *KSP) testConvergence(it int, rnorm, rnorm0 float64) bool {
 	return true
 }
 
-// krylovSystem is the KSP as the shared Krylov loops see it: the
-// GMRES cycle (pmat.GMRESSystem) and CG/BiCGSTAB (pmat.KrylovSystem).
-// Every stop goes through testConvergence against rnorm0.
+// krylovSystem is the KSP as the shared loops see it: the GMRES cycle
+// (pmat.GMRESSystem), CG/BiCGSTAB (pmat.KrylovSystem) and
+// Richardson/Chebyshev (pmat.PolySystem). Every stop goes through
+// testConvergence against rnorm0.
 type krylovSystem KSP
 
 func (k *krylovSystem) Direction(w, t, v, z []float64) {
@@ -319,6 +320,19 @@ func (k *krylovSystem) Start(rnorm, _ float64) bool {
 func (k *krylovSystem) Stop(it int, rnorm float64) bool {
 	return (*KSP)(k).testConvergence(it, rnorm, k.rnorm0)
 }
+
+// ResidualStop takes the norm of r; the start's is the rtol/dtol
+// reference.
+func (k *krylovSystem) ResidualStop(it int, r []float64) bool {
+	rnorm := k.red.Norm2(r)
+	if it == 0 {
+		k.rnorm0 = rnorm
+	}
+	return (*KSP)(k).testConvergence(it, rnorm, k.rnorm0)
+}
+
+// LastUpdate is false: a solve stops on its residual alone.
+func (*krylovSystem) LastUpdate(int) bool { return false }
 
 // HalfStop ends BiCGSTAB on atol or rtol only; testConvergence then
 // records the step.

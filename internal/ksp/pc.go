@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/par"
+	"repro/internal/sparse"
 )
 
 // PC is a preconditioner: Apply computes z = M⁻¹·r on the local blocks.
@@ -66,7 +67,7 @@ func (p *pcJacobi) SetUp(a *Mat) error {
 	p.invDiag = make([]float64, len(d))
 	for i, v := range d {
 		if v == 0 {
-			return fmt.Errorf("ksp: jacobi: zero diagonal entry at local row %d", i)
+			return fmt.Errorf("ksp: jacobi: %w at local row %d", sparse.ErrZeroDiagonal, i)
 		}
 		p.invDiag[i] = 1 / v
 	}
@@ -135,7 +136,7 @@ func (p *pcSOR) SetUp(a *Mat) error {
 	}
 	tri, bad := par.SplitAtDiagonal(blk.RowPtr, blk.ColInd, blk.Vals)
 	if tri == nil {
-		return fmt.Errorf("ksp: sor: zero diagonal at local row %d", bad)
+		return fmt.Errorf("ksp: sor: %w at local row %d", sparse.ErrZeroDiagonal, bad)
 	}
 	p.tri = tri
 	return nil

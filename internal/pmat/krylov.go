@@ -166,7 +166,7 @@ type KrylovSystem interface {
 }
 
 // residual writes r = b − A·x.
-func residual(sys KrylovSystem, r, x, b []float64) {
+func residual(sys interface{ Apply(y, x []float64) }, r, x, b []float64) {
 	sys.Apply(r, x)
 	for i := range r {
 		r[i] = b[i] - r[i]
@@ -285,6 +285,120 @@ func (ws *Workspace) BiCGSTAB(red *Reducer, sys KrylovSystem, x, b []float64) {
 			return
 		}
 	}
+}
+
+// PolySystem is what a package hands Richardson and Chebyshev: its
+// operator and preconditioner, and its two stop tests. A solver tests
+// the residual; a fixed-degree polynomial preconditioner stops on its
+// degree and so makes no reduction and no product it would not use.
+type PolySystem interface {
+	Apply(y, x []float64)        // y = A·x
+	Precondition(z, r []float64) // z = M⁻¹·r
+	// LastUpdate reports whether iteration it ends with its update of
+	// x, before the residual is updated.
+	LastUpdate(it int) bool
+	// ResidualStop reports whether the loop ends with residual r after
+	// iteration it; at it = 0, r = b.
+	ResidualStop(it int, r []float64) bool
+}
+
+// Richardson is damped preconditioned Richardson iteration,
+// x ← x + s·M⁻¹(b − A·x), from x = 0: the first residual is b itself.
+func (ws *Workspace) Richardson(sys PolySystem, x, b []float64, s float64) {
+	w := ws.Vecs(len(x), 2)
+	r, z := w[0], w[1]
+	copy(r, b)
+	if sys.ResidualStop(0, r) {
+		return
+	}
+	for it := 1; ; it++ {
+		sys.Precondition(z, r)
+		sparse.Axpy(s, z, x)
+		if sys.LastUpdate(it) {
+			return
+		}
+		residual(sys, r, x, b)
+		if sys.ResidualStop(it, r) {
+			return
+		}
+	}
+}
+
+// Chebyshev is the Chebyshev semi-iteration on M⁻¹A from x = 0 over
+// the eigenvalue interval [emax/30, emax], PETSc's default heuristic
+// for the bottom. It needs no inner product of its own, which is why
+// multigrid smoothing and communication-avoiding settings favour it.
+func (ws *Workspace) Chebyshev(sys PolySystem, x, b []float64, emax float64) {
+	w := ws.Vecs(len(x), 4)
+	r, z, p, q := w[0], w[1], w[2], w[3]
+	emin := emax / 30
+	theta := (emax + emin) / 2
+	delta := (emax - emin) / 2
+	copy(r, b)
+	if sys.ResidualStop(0, r) {
+		return
+	}
+	var alpha, beta float64
+	for it := 1; ; it++ {
+		sys.Precondition(z, r)
+		switch it {
+		case 1:
+			alpha = 1 / theta
+			copy(p, z)
+		default:
+			if it == 2 {
+				beta = 0.5 * (delta * alpha) * (delta * alpha)
+			} else {
+				beta = (delta * alpha / 2) * (delta * alpha / 2)
+			}
+			alpha = 1 / (theta - beta/alpha)
+			for i := range p {
+				p[i] = z[i] + beta*p[i]
+			}
+		}
+		sparse.Axpy(alpha, p, x)
+		if sys.LastUpdate(it) {
+			return
+		}
+		sys.Apply(q, p)
+		sparse.Axpy(-alpha, q, r)
+		if sys.ResidualStop(it, r) {
+			return
+		}
+	}
+}
+
+// MaxEig estimates λmax(M⁻¹A) for Chebyshev by 20 power iterations and
+// returns it widened by 10 %. The start vector must overlap the
+// dominant eigenvector, which for preconditioned elliptic operators is
+// high-frequency: a constant start is nearly orthogonal to it and
+// underestimates λmax badly enough that the Chebyshev interval misses
+// real eigenvalues. A hashed sign-varying fill of the global row index
+// of l (so the estimate does not depend on the decomposition) overlaps
+// every mode.
+func (ws *Workspace) MaxEig(red *Reducer, sys PolySystem, l *Layout) float64 {
+	w := ws.Vecs(l.LocalN, 3)
+	v, t, u := w[0], w[1], w[2]
+	for i := range v {
+		h := uint64(l.Start+i+1) * 0x9E3779B97F4A7C15
+		h ^= h >> 33
+		v[i] = float64(h%2048)/1024 - 1
+	}
+	lmax := 1.0
+	for it := 0; it < 20; it++ {
+		sys.Apply(t, v)
+		sys.Precondition(u, t)
+		nrm := red.Norm2(u)
+		if nrm == 0 || math.IsNaN(nrm) {
+			break
+		}
+		lmax = nrm
+		inv := 1 / nrm
+		for i := range v {
+			v[i] = u[i] * inv
+		}
+	}
+	return 1.1 * lmax
 }
 
 // givens returns the rotation (c, s) with c·a + s·b = r, −s·a + c·b = 0.

@@ -5,9 +5,9 @@
 // same operator ride the zero-allocation steady-state path (the
 // component's distVer/cfgVer caches stay warm across requests), applies
 // admission control with bounded queues and typed 429/503 load
-// shedding, enforces per-tenant quotas, coalesces queued requests that
-// share an operator into one multi-RHS solve, and drains gracefully on
-// SIGTERM. Injected faults (internal/fault specs, compiled in only
+// shedding, enforces per-tenant quotas, runs each request as its own
+// solve round on its session (a multi-RHS request is one multi-RHS
+// solve), and drains gracefully on SIGTERM. Injected faults (internal/fault specs, compiled in only
 // under the faultinject build tag) surface as typed JSON error statuses
 // carrying FailReason/Attempts/Backend — never as hangs — extending the
 // chaos-suite guarantees across the network boundary.

@@ -14,9 +14,15 @@
 package sparse
 
 import (
+	"errors"
 	"fmt"
 	"math"
 )
+
+// ErrZeroDiagonal is wrapped by every preconditioner set-up that
+// divides by a diagonal entry which is zero or absent: a property of
+// the matrix, so callers classify it as singular whatever the method.
+var ErrZeroDiagonal = errors.New("zero diagonal")
 
 // Format names the storage scheme a ParSpMV kernel is bound to (the
 // sparse.format telemetry label).
