@@ -2,7 +2,8 @@
 // an Epetra/AztecOO-shaped distributed linear solver library. Its API is
 // deliberately different from package ksp the way Trilinos differs from
 // PETSc — distribution is described by Map objects, matrices are assembled
-// through InsertGlobalValues/FillComplete and accessed through the
+// through InsertGlobalValues/FillComplete (or viewed over a pmat.Mat built
+// elsewhere, Epetra's View mode) and accessed through the
 // RowMatrix interface (the matrix-free hook the paper cites in §5.5), and
 // the solver is driven by integer option and double parameter arrays
 // (AZ_* constants) rather than string options. The LISI adapter must
@@ -32,6 +33,10 @@ func NewMapWithLocal(c *comm.Comm, numLocal int) (*Map, error) {
 	}
 	return &Map{layout: l}, nil
 }
+
+// MapFromLayout wraps an existing block-row layout (local; no
+// collective): the map of a matrix viewed over a pmat.Mat.
+func MapFromLayout(l *pmat.Layout) *Map { return &Map{layout: l} }
 
 // NumGlobalElements returns the global dimension.
 func (m *Map) NumGlobalElements() int { return m.layout.N }

@@ -32,14 +32,14 @@ type RowMatrix interface {
 
 // CrsMatrix is the assembled distributed matrix (Epetra_CrsMatrix role):
 // entries are inserted by global index row-by-row, then FillComplete
-// freezes the pattern and builds the communication plan.
+// freezes the pattern and builds the communication plan — or, in View
+// mode, it wraps a distributed matrix built elsewhere.
 type CrsMatrix struct {
 	rowMap *Map
 	// staging area before FillComplete: per-local-row column/value lists.
 	stageCols [][]int
 	stageVals [][]float64
-	filled    bool
-	dist      *pmat.Mat
+	dist      *pmat.Mat // nil until filled
 }
 
 // NewCrsMatrix creates an empty matrix over the given row map.
@@ -52,10 +52,18 @@ func NewCrsMatrix(rowMap *Map) *CrsMatrix {
 	}
 }
 
+// NewCrsMatrixView returns a filled matrix over an existing distributed
+// matrix, Epetra's View mode: no rows are copied or inserted, and the
+// matrix and its row map share dist and dist's layout (local; no
+// collective).
+func NewCrsMatrixView(dist *pmat.Mat) *CrsMatrix {
+	return &CrsMatrix{rowMap: MapFromLayout(dist.L), dist: dist}
+}
+
 // InsertGlobalValues appends entries to an owned global row; duplicate
 // column entries are summed at FillComplete.
 func (a *CrsMatrix) InsertGlobalValues(globalRow int, cols []int, vals []float64) error {
-	if a.filled {
+	if a.dist != nil {
 		return fmt.Errorf("aztec: InsertGlobalValues after FillComplete")
 	}
 	if len(cols) != len(vals) {
@@ -81,7 +89,7 @@ func (a *CrsMatrix) InsertGlobalValues(globalRow int, cols []int, vals []float64
 // concatenated and normalised (sparse.Canonical): rows inserted in
 // strictly ascending column order pass through as they are.
 func (a *CrsMatrix) FillComplete() error {
-	if a.filled {
+	if a.dist != nil {
 		return fmt.Errorf("aztec: FillComplete called twice")
 	}
 	l := a.rowMap.Layout()
@@ -101,7 +109,6 @@ func (a *CrsMatrix) FillComplete() error {
 		return fmt.Errorf("aztec: FillComplete: %w", err)
 	}
 	a.dist = dist
-	a.filled = true
 	a.stageCols, a.stageVals = nil, nil
 	return nil
 }
@@ -111,7 +118,7 @@ func (a *CrsMatrix) RowMap() *Map { return a.rowMap }
 
 // Apply computes y = A·x (collective).
 func (a *CrsMatrix) Apply(y, x []float64) error {
-	if !a.filled {
+	if a.dist == nil {
 		return fmt.Errorf("aztec: Apply before FillComplete")
 	}
 	a.dist.Apply(y, x)
@@ -121,7 +128,7 @@ func (a *CrsMatrix) Apply(y, x []float64) error {
 // ExtractGlobalRowCopy returns copies of one owned row's global column
 // indices and values.
 func (a *CrsMatrix) ExtractGlobalRowCopy(globalRow int) ([]int, []float64, error) {
-	if !a.filled {
+	if a.dist == nil {
 		return nil, nil, fmt.Errorf("aztec: ExtractGlobalRowCopy before FillComplete")
 	}
 	if !a.rowMap.MyGID(globalRow) {
@@ -133,7 +140,7 @@ func (a *CrsMatrix) ExtractGlobalRowCopy(globalRow int) ([]int, []float64, error
 
 // ExtractDiagonalCopy returns the local diagonal.
 func (a *CrsMatrix) ExtractDiagonalCopy() ([]float64, error) {
-	if !a.filled {
+	if a.dist == nil {
 		return nil, fmt.Errorf("aztec: ExtractDiagonalCopy before FillComplete")
 	}
 	return a.dist.Diagonal(), nil
@@ -148,7 +155,7 @@ func (a *CrsMatrix) Dist() *pmat.Mat { return a.dist }
 // read through the public row-access interface, so user-defined
 // RowMatrix implementations can be preconditioned too.
 func rowMatrixDiagBlock(m RowMatrix) (*sparse.CSR, error) {
-	if crs, ok := m.(*CrsMatrix); ok && crs.filled {
+	if crs, ok := m.(*CrsMatrix); ok && crs.dist != nil {
 		return crs.dist.DiagBlock(), nil
 	}
 	return genericDiagBlock(m)

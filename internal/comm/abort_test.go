@@ -8,27 +8,15 @@ import (
 	"time"
 )
 
-// runWithDeadline fails the test if the Run region does not return
-// within the deadline — the observable symptom of an abort-path
-// regression is a deadlocked Run.
-func runWithDeadline(t *testing.T, w *World, d time.Duration, fn func(c *Comm)) error {
-	t.Helper()
-	done := make(chan error, 1)
-	go func() { done <- w.Run(fn) }()
-	select {
-	case err := <-done:
-		return err
-	case <-time.After(d):
-		t.Fatalf("Run did not return within %v: abort path deadlocked", d)
-		return nil
-	}
-}
+// The Run regions below carry no wall-clock guard of their own: the
+// observable symptom of an abort-path regression is a deadlocked Run,
+// and go test -timeout catches that.
 
 // TestAbortReleasesBarrier: a rank that panics while its peers sit in a
 // barrier must release them.
 func TestAbortReleasesBarrier(t *testing.T) {
 	w, _ := NewWorld(4)
-	err := runWithDeadline(t, w, 10*time.Second, func(c *Comm) {
+	err := w.Run(func(c *Comm) {
 		if c.Rank() == 2 {
 			panic("rank 2 failed")
 		}
@@ -44,7 +32,7 @@ func TestAbortReleasesBarrier(t *testing.T) {
 // peers already committed to the exchange slots) must release them.
 func TestAbortReleasesCollective(t *testing.T) {
 	w, _ := NewWorld(4)
-	err := runWithDeadline(t, w, 10*time.Second, func(c *Comm) {
+	err := w.Run(func(c *Comm) {
 		if c.Rank() == 1 {
 			// Enter one collective so peers pass the first barrier, then
 			// die before the next collective they all expect.
@@ -63,7 +51,7 @@ func TestAbortReleasesCollective(t *testing.T) {
 // a point-to-point receive that will never be matched.
 func TestAbortReleasesRecv(t *testing.T) {
 	w, _ := NewWorld(2)
-	err := runWithDeadline(t, w, 10*time.Second, func(c *Comm) {
+	err := w.Run(func(c *Comm) {
 		if c.Rank() == 0 {
 			panic("rank 0 failed before sending")
 		}
@@ -74,20 +62,6 @@ func TestAbortReleasesRecv(t *testing.T) {
 	}
 }
 
-// runCtxWithDeadline mirrors runWithDeadline for RunContext regions.
-func runCtxWithDeadline(t *testing.T, w *World, d time.Duration, ctx context.Context, fn func(c *Comm)) error {
-	t.Helper()
-	done := make(chan error, 1)
-	go func() { done <- w.RunContext(ctx, fn) }()
-	select {
-	case err := <-done:
-		return err
-	case <-time.After(d):
-		t.Fatalf("RunContext did not return within %v: cancellation path deadlocked", d)
-		return nil
-	}
-}
-
 // TestDeadlineUnblocksBarrier: a rank blocked in a barrier its peer never
 // joins must unblock when the region deadline passes, and RunContext must
 // surface context.DeadlineExceeded.
@@ -95,8 +69,7 @@ func TestDeadlineUnblocksBarrier(t *testing.T) {
 	w, _ := NewWorld(2)
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	start := time.Now()
-	err := runCtxWithDeadline(t, w, 10*time.Second, ctx, func(c *Comm) {
+	err := w.RunContext(ctx, func(c *Comm) {
 		if c.Rank() == 1 {
 			return // never joins the barrier
 		}
@@ -104,9 +77,6 @@ func TestDeadlineUnblocksBarrier(t *testing.T) {
 	})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("RunContext error = %v, want context.DeadlineExceeded", err)
-	}
-	if waited := time.Since(start); waited > 5*time.Second {
-		t.Fatalf("barrier released only after %v; deadline was 50ms", waited)
 	}
 	if !errors.Is(w.Cause(), context.DeadlineExceeded) {
 		t.Fatalf("Cause() = %v, want context.DeadlineExceeded", w.Cause())
@@ -120,7 +90,7 @@ func TestCancelUnblocksAllReduce(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	time.AfterFunc(20*time.Millisecond, cancel)
-	err := runCtxWithDeadline(t, w, 10*time.Second, ctx, func(c *Comm) {
+	err := w.RunContext(ctx, func(c *Comm) {
 		if c.Rank() == 3 {
 			return // the collective can never complete
 		}
@@ -137,7 +107,7 @@ func TestCancelUnblocksRecv(t *testing.T) {
 	w, _ := NewWorld(2)
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	err := runCtxWithDeadline(t, w, 10*time.Second, ctx, func(c *Comm) {
+	err := w.RunContext(ctx, func(c *Comm) {
 		if c.Rank() == 0 {
 			c.RecvFloat64s(1, 7) // rank 1 never sends
 		}
@@ -153,7 +123,7 @@ func TestRunContextPreCancelled(t *testing.T) {
 	w, _ := NewWorld(2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := runCtxWithDeadline(t, w, 10*time.Second, ctx, func(c *Comm) {
+	err := w.RunContext(ctx, func(c *Comm) {
 		c.Barrier()
 	})
 	if !errors.Is(err, context.Canceled) {
@@ -169,8 +139,28 @@ func TestRunAfterCancelReportsCause(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_ = w.RunContext(ctx, func(c *Comm) { c.Barrier() })
-	err := runWithDeadline(t, w, 10*time.Second, func(c *Comm) {})
+	err := w.Run(func(c *Comm) {})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("second Run error = %v, want the recorded context.Canceled cause", err)
+	}
+}
+
+// TestRunReportsStaleWorldAbort: a rank that dies on another world's
+// abort — here a communicator kept from an aborted world — did not reach
+// the end of its body, so Run must report it rather than succeed.
+func TestRunReportsStaleWorldAbort(t *testing.T) {
+	w1, _ := NewWorld(2)
+	stale := make([]*Comm, 2)
+	if err := w1.Run(func(c *Comm) { stale[c.Rank()] = c }); err != nil {
+		t.Fatal(err)
+	}
+	w1.Abort()
+	w, _ := NewWorld(2)
+	err := w.Run(func(c *Comm) { stale[c.Rank()].Barrier() })
+	if err == nil || !strings.Contains(err.Error(), "panicked") || !strings.Contains(err.Error(), ErrAborted.Error()) {
+		t.Fatalf("Run error = %v, want a rank panicked on world 1's abort", err)
+	}
+	if w.Cause() != nil {
+		t.Fatalf("Cause() = %v, want nil: world 2 was never cancelled", w.Cause())
 	}
 }

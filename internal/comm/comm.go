@@ -151,6 +151,16 @@ func (w *World) Abort() {
 	w.once.Do(func() { close(w.abort) })
 }
 
+// aborted reports whether the world has been poisoned.
+func (w *World) aborted() bool {
+	select {
+	case <-w.abort:
+		return true
+	default:
+		return false
+	}
+}
+
 // AbortCause poisons the world exactly like Abort and records cause as
 // the reason (the first recorded cause wins; Cause returns it), so
 // blocked ranks unblock and Run reports the real cause instead of a bare
@@ -223,7 +233,11 @@ func (w *World) Run(fn func(c *Comm)) error {
 			defer func() {
 				if p := recover(); p != nil {
 					mu.Lock()
-					if firstErr == nil && p != ErrAborted {
+					// ErrAborted is this world's own abort only when
+					// the abort has happened: every raise closes the
+					// channel first. Anything else — another world's
+					// abort included — is a rank that died.
+					if firstErr == nil && (p != ErrAborted || !w.aborted()) {
 						firstErr = fmt.Errorf("comm: rank %d panicked: %v", rank, p)
 					}
 					mu.Unlock()

@@ -41,7 +41,7 @@ func TestFaultDelayKeepsCollectivesCorrect(t *testing.T) {
 		n := events.Add(1)
 		return FaultDecision{Op: FaultDelay, Delay: time.Duration(n%5) * 100 * time.Microsecond}
 	}))
-	err := runWithDeadline(t, w, 30*time.Second, func(c *Comm) {
+	err := w.Run(func(c *Comm) {
 		for round := 0; round < 5; round++ {
 			if got := c.AllReduceInt(c.Rank()+1, OpSum); got != 10 {
 				t.Errorf("round %d rank %d: AllReduce sum = %d, want 10", round, c.Rank(), got)
@@ -76,7 +76,7 @@ func TestFaultDropRedeliverPreservesFIFO(t *testing.T) {
 		}
 		return FaultDecision{Op: FaultDropRedeliver, Delay: d}
 	}))
-	err := runWithDeadline(t, w, 30*time.Second, func(c *Comm) {
+	err := w.Run(func(c *Comm) {
 		if c.Rank() == 0 {
 			for i := 0; i < n; i++ {
 				c.SendFloat64s(1, 7, []float64{float64(i)})
@@ -107,7 +107,7 @@ func TestFaultRedeliveryGoroutinesDrain(t *testing.T) {
 		}
 		return FaultDecision{Op: FaultDropRedeliver, Delay: time.Millisecond}
 	}))
-	err := runWithDeadline(t, w, 30*time.Second, func(c *Comm) {
+	err := w.Run(func(c *Comm) {
 		peer := 1 - c.Rank()
 		for i := 0; i < 10; i++ {
 			c.SendFloat64s(peer, 3, []float64{1})
@@ -132,7 +132,7 @@ func TestFaultCrashPoisonsWorld(t *testing.T) {
 		}
 		return FaultDecision{}
 	}))
-	err := runWithDeadline(t, w, 10*time.Second, func(c *Comm) {
+	err := w.Run(func(c *Comm) {
 		c.AllReduceInt(1, OpSum) // first collective: rank 2 dies at its barrier
 		c.AllReduceInt(2, OpSum) // peers must be released, not deadlock
 	})
@@ -157,7 +157,7 @@ func TestFaultCrashDefaultCause(t *testing.T) {
 		}
 		return FaultDecision{}
 	}))
-	runWithDeadline(t, w, 10*time.Second, func(c *Comm) { c.Barrier() })
+	w.Run(func(c *Comm) { c.Barrier() })
 	if !errors.Is(w.Cause(), ErrInjectedFault) {
 		t.Errorf("world Cause = %v, want ErrInjectedFault", w.Cause())
 	}
@@ -216,7 +216,7 @@ func TestSetFaultHookNilRemoves(t *testing.T) {
 		return FaultDecision{}
 	}))
 	w.SetFaultHook(nil)
-	if err := runWithDeadline(t, w, 10*time.Second, func(c *Comm) { c.Barrier() }); err != nil {
+	if err := w.Run(func(c *Comm) { c.Barrier() }); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -232,7 +232,7 @@ func TestFaultRecvDropDegradesToDelay(t *testing.T) {
 		}
 		return FaultDecision{}
 	}))
-	err := runWithDeadline(t, w, 10*time.Second, func(c *Comm) {
+	err := w.Run(func(c *Comm) {
 		if c.Rank() == 0 {
 			c.SendFloat64s(1, 1, []float64{42})
 		} else {

@@ -175,7 +175,7 @@ func TestFaultDelayBeyondBudget(t *testing.T) {
 		}
 		return FaultDecision{}
 	}))
-	err := runWithDeadline(t, w, 30*time.Second, func(c *Comm) {
+	err := w.Run(func(c *Comm) {
 		for round := 0; round < rounds; round++ {
 			want := float64(2*round + 1)
 			if got := c.AllReduceFloat64(float64(round+c.Rank()), OpSum); got != want {
@@ -198,7 +198,7 @@ func TestFaultDelayBeyondBudget(t *testing.T) {
 func barrierLoop(t *testing.T, ranks, n int) Stats {
 	t.Helper()
 	w, _ := NewWorld(ranks)
-	if err := runWithDeadline(t, w, 60*time.Second, func(c *Comm) {
+	if err := w.Run(func(c *Comm) {
 		for i := 0; i < n; i++ {
 			c.Barrier()
 		}

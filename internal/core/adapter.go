@@ -68,6 +68,11 @@ type baseAdapter struct {
 	layout    *pmat.Layout
 	layoutVer int
 
+	// op is the distributed operator built from localA on the cached
+	// layout, at matrix version opVer (see operator).
+	op    *pmat.Mat
+	opVer int
+
 	factorizations int // cumulative setup count reported in Status
 
 	// pool is the intra-rank worker pool built from the "workers"
@@ -572,53 +577,62 @@ func (b *baseAdapter) recordPoolStats() {
 	b.lastDispatch, b.lastInline = d, i
 }
 
-// buildLayout validates the distribution against the communicator and
-// returns the block-row layout (collective on a cache miss). The layout
-// is cached keyed on distVer, so repeated Solve calls against unchanged
-// distribution setters skip the collective entirely; the version-based
-// key keeps cache hits rank-symmetric (see the distVer field comment).
-func (b *baseAdapter) buildLayout() (*pmat.Layout, error) {
-	if b.layout != nil && b.layoutVer == b.distVer {
-		return b.layout, nil
+// operator returns the distributed operator over l built from the staged
+// rows (collective on a rebuild): the port's one conversion of localA
+// into a backend's data structure. It is rebuilt only when the matrix
+// version or the layout changed; both keys are rank-symmetric (see
+// distVer), so either every rank rebuilds or none does. Components key
+// their own backend rebuild on the identity of the operator returned.
+func (b *baseAdapter) operator(l *pmat.Layout) (*pmat.Mat, error) {
+	if b.op != nil && b.opVer == b.matVer && b.op.L == l {
+		return b.op, nil
 	}
-	l, err := pmat.NewLayout(b.c, b.localRows)
+	defer b.rec.StartPhase(telemetry.PhaseSetup)()
+	op, err := pmat.NewMat(l, b.localA)
 	if err != nil {
 		return nil, err
 	}
-	if l.Start != b.startRow {
-		return nil, fmt.Errorf("lisi: SetStartRow(%d) inconsistent with ranks below (expected %d)", b.startRow, l.Start)
-	}
-	if l.N != b.globalCols {
-		return nil, fmt.Errorf("lisi: global rows %d != SetGlobalCols(%d); LISI systems are square", l.N, b.globalCols)
-	}
-	b.layout = l
-	b.layoutVer = b.distVer
-	return l, nil
+	b.op, b.opVer = op, b.matVer
+	return op, nil
 }
 
-// solvePrep validates Solve arguments common to all components.
-func (b *baseAdapter) solvePrep(solution, status []float64, numLocalRow int) int {
+// solvePrep validates Solve arguments common to all components and the
+// distribution against the communicator, and returns the block-row
+// layout: SetStartRow must agree with the ranks below, and a LISI system
+// is square (ErrBadArg otherwise).
+func (b *baseAdapter) solvePrep(solution, status []float64, numLocalRow int) (*pmat.Layout, int) {
 	b.rec.Add("lisi.solve_calls", 1)
 	if b.c == nil || !b.distributionReady() {
-		return ErrBadState
+		return nil, ErrBadState
 	}
 	if b.rhs == nil {
-		return ErrBadState
+		return nil, ErrBadState
 	}
 	if numLocalRow != b.localRows {
-		return ErrBadArg
+		return nil, ErrBadArg
 	}
 	if len(solution) < numLocalRow*b.nRhs {
-		return ErrBadArg
+		return nil, ErrBadArg
 	}
 	if status == nil {
-		return ErrBadArg
+		return nil, ErrBadArg
 	}
 	b.fetchMatrixFreePort()
 	if b.mf == nil && b.localA == nil {
-		return ErrBadState
+		return nil, ErrBadState
 	}
-	return OK
+	// The layout is collective on a cache miss. It is cached on distVer,
+	// so repeated Solve calls against unchanged distribution setters skip
+	// the collective, and the version-based key keeps hits rank-symmetric
+	// (see the distVer field comment).
+	if b.layout == nil || b.layoutVer != b.distVer {
+		l, err := pmat.NewLayout(b.c, b.localRows)
+		if err != nil || l.Start != b.startRow || l.N != b.globalCols {
+			return nil, ErrBadArg
+		}
+		b.layout, b.layoutVer = l, b.distVer
+	}
+	return b.layout, OK
 }
 
 // rhsSolver is a component's backend run for one right-hand side: x is

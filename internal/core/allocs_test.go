@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"runtime/debug"
 	"testing"
 
@@ -48,3 +49,50 @@ func leastAllocs(runs int, f func()) float64 {
 
 // allocSamples is how many counts leastAllocs takes.
 const allocSamples = 3
+
+// TestFirstSolveAllocsConstant extends the rule one call further: the
+// first Solve after a SetupMatrix — the one that turns the staged rows
+// into the backend's operator — allocates the same number of objects at
+// n = 100 / 1,600 / 25,600. preconditioner=none and maxits=1 keep the
+// backend's own set-up and iteration out of the count.
+func TestFirstSolveAllocsConstant(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, be := range assembledBackends {
+		if be.name == "superlu" {
+			continue // no iteration to cut short: the factor is the solve
+		}
+		t.Run(be.name, func(t *testing.T) {
+			run(t, 1, func(c *comm.Comm) {
+				var counts []float64
+				for _, side := range []int{10, 40, 160} {
+					a := sparse.Laplace2D(side, side)
+					n := a.Rows
+					s := be.open()
+					setupComponent(t, c, s, a, onesFor(a))
+					mustOK(t, s.Set("preconditioner", "none"), "Set")
+					mustOK(t, s.Set("maxits", "1"), "Set")
+					x, status := make([]float64, n), make([]float64, StatusLen)
+					stage := func() {
+						mustOK(t, s.SetupMatrix(a.Vals, a.RowPtr, a.ColInd, CSR, n+1, a.NNZ()), "SetupMatrix")
+					}
+					s.Solve(x, status, n, StatusLen) // configure the backend once
+					both := leastAllocs(3, func() {
+						stage()
+						s.Solve(x, status, n, StatusLen)
+					})
+					counts = append(counts, both-leastAllocs(3, stage))
+				}
+				// Under -race sync.Pool drops a quarter of its Puts, so a
+				// pooled comm payload may be made again: a few objects of
+				// slack there, none without it.
+				slack := 0.0
+				if raceEnabled {
+					slack = steadyStateAllocBound
+				}
+				if math.Abs(counts[1]-counts[0]) > slack || math.Abs(counts[2]-counts[0]) > slack {
+					t.Errorf("the first Solve after SetupMatrix allocates %v objects at n = 100 / 1,600 / 25,600, want one constant", counts)
+				}
+			})
+		})
+	}
+}

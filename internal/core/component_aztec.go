@@ -7,7 +7,6 @@ import (
 	"repro/internal/cca"
 	"repro/internal/comm"
 	"repro/internal/pmat"
-	"repro/internal/telemetry"
 )
 
 // AztecComponent is the LISI solver component backed by the
@@ -19,9 +18,6 @@ import (
 type AztecComponent struct {
 	baseAdapter
 
-	crs      *aztec.CrsMatrix
-	builtVer int
-
 	// The configured solver is cached across Solve calls (keyed on the
 	// parameter-store version and the communicator) so its option/param
 	// arrays, workspaces, and preconditioner survive the steady state.
@@ -30,6 +26,7 @@ type AztecComponent struct {
 	s       *aztec.Solver
 	sVer    int
 	sComm   *comm.Comm
+	built   *pmat.Mat    // staged operator s views
 	sLayout *pmat.Layout // layout the matrix-free operator was bound with
 }
 
@@ -183,12 +180,9 @@ func (ac *AztecComponent) configure() *aztec.Solver {
 
 // Solve implements the LISI solve on the aztec backend.
 func (ac *AztecComponent) Solve(solution []float64, status []float64, numLocalRow, statusLength int) int {
-	if code := ac.solvePrep(solution, status, numLocalRow); code != OK {
+	l, code := ac.solvePrep(solution, status, numLocalRow)
+	if code != OK {
 		return code
-	}
-	l, err := ac.buildLayout()
-	if err != nil {
-		return ErrBadArg
 	}
 
 	rebuilt := false
@@ -200,42 +194,27 @@ func (ac *AztecComponent) Solve(solution []float64, status []float64, numLocalRo
 	s := ac.s
 	if ac.mf != nil {
 		if rebuilt || ac.sLayout != l {
-			mf := ac.mf
-			m := aztecMapFromLayout(l)
-			s.SetUserOperator(&lisiOperator{m: m, mf: mf})
+			s.SetUserOperator(&lisiOperator{m: aztec.MapFromLayout(l), mf: ac.mf})
 			ac.sLayout = l
 		}
 	} else {
-		matChanged := false
-		if ac.crs == nil || ac.builtVer != ac.matVer {
-			stopSetup := ac.rec.StartPhase(telemetry.PhaseSetup)
-			m := aztecMapFromLayout(l)
-			crs := aztec.NewCrsMatrix(m)
-			for li := 0; li < ac.localRows; li++ {
-				cols, vals := ac.localA.RowView(li)
-				if err := crs.InsertGlobalValues(ac.startRow+li, cols, vals); err != nil {
-					stopSetup()
-					return ErrBadArg
-				}
-			}
-			if err := crs.FillComplete(); err != nil {
-				stopSetup()
-				return ErrBadArg
-			}
-			ac.crs = crs
-			ac.builtVer = ac.matVer
-			ac.factorizations++
-			stopSetup()
-			matChanged = true
+		op, err := ac.operator(l)
+		if err != nil {
+			return ErrBadArg
 		}
-		if rebuilt || matChanged {
-			s.SetUserMatrix(ac.crs)
+		if op != ac.built {
+			ac.built = op
+			ac.factorizations++
+			rebuilt = true
+		}
+		if rebuilt {
+			s.SetUserMatrix(aztec.NewCrsMatrixView(op))
 		}
 	}
 	s.SetRecorder(ac.rec)
 	s.SetPool(ac.workerPool())
 	if ac.mf == nil {
-		ac.recordFormat(ac.crs.Dist())
+		ac.recordFormat(ac.built)
 	}
 
 	return ac.solveEach(ac, solution, status, numLocalRow, statusLength)
@@ -262,16 +241,6 @@ func classifyAztecFailure(s *aztec.Solver, err error) FailReason {
 		return FailSingular
 	}
 	return classifySolveError(err)
-}
-
-// aztecMapFromLayout rebuilds an aztec.Map over an existing layout
-// (collective; all ranks reach this in lockstep from Solve).
-func aztecMapFromLayout(l *pmat.Layout) *aztec.Map {
-	m, err := aztec.NewMapWithLocal(l.Comm(), l.LocalN)
-	if err != nil {
-		panic(err) // layout was already validated
-	}
-	return m
 }
 
 // lisiOperator adapts the application's MatrixFree port to an

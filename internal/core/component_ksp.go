@@ -7,7 +7,6 @@ import (
 	"repro/internal/comm"
 	"repro/internal/ksp"
 	"repro/internal/pmat"
-	"repro/internal/telemetry"
 )
 
 // KSPComponent is the LISI solver component backed by the PETSc-role ksp
@@ -17,8 +16,10 @@ import (
 type KSPComponent struct {
 	baseAdapter
 
-	op       *ksp.Mat
-	builtVer int // matrix version op was built from
+	// mat wraps built, the staged operator (nil while mat is a
+	// matrix-free shell).
+	mat   *ksp.Mat
+	built *pmat.Mat
 
 	// The configured KSP is cached across Solve calls (keyed on the
 	// parameter-store version and the communicator it was built for) so
@@ -165,36 +166,32 @@ func (p *matrixFreePC) Apply(z, r []float64) {
 
 // Solve implements the LISI solve (§7.2) on the ksp backend.
 func (kc *KSPComponent) Solve(solution []float64, status []float64, numLocalRow, statusLength int) int {
-	if code := kc.solvePrep(solution, status, numLocalRow); code != OK {
+	l, code := kc.solvePrep(solution, status, numLocalRow)
+	if code != OK {
 		return code
 	}
-	l, err := kc.buildLayout()
-	if err != nil {
-		return ErrBadArg
-	}
 
-	// (Re)build the operator only when the staged matrix changed —
-	// use case §5.2b/c reuse.
-	if kc.op == nil || kc.builtVer != kc.matVer || kc.op.Layout() == nil {
-		stopSetup := kc.rec.StartPhase(telemetry.PhaseSetup)
-		if kc.mf != nil {
-			mf := kc.mf
-			kc.op = ksp.NewShellMat(l, func(y, x []float64) {
-				if code := mf.MatMult(IDMatrix, x, y, len(x)); code != OK {
+	// Re-wrap the operator only when the staged one changed — use case
+	// §5.2b/c reuse. A shell follows the layout; it reads kc.mf per
+	// product, so a new MatrixFree port takes effect without a re-wrap.
+	if kc.mf != nil {
+		if kc.mat == nil || kc.built != nil || kc.mat.Layout() != l {
+			kc.mat, kc.built = ksp.NewShellMat(l, func(y, x []float64) {
+				if code := kc.mf.MatMult(IDMatrix, x, y, len(x)); code != OK {
 					panic(Check(code))
 				}
-			})
-		} else {
-			pm, err := pmat.NewMat(l, kc.localA)
-			if err != nil {
-				stopSetup()
-				return ErrBadArg
-			}
-			kc.op = ksp.NewMat(pm)
+			}), nil
+			kc.factorizations++
 		}
-		kc.builtVer = kc.matVer
-		kc.factorizations++
-		stopSetup()
+	} else {
+		pm, err := kc.operator(l)
+		if err != nil {
+			return ErrBadArg
+		}
+		if pm != kc.built {
+			kc.mat, kc.built = ksp.NewMat(pm), pm
+			kc.factorizations++
+		}
 	}
 
 	if kc.k == nil || kc.kVer != kc.cfgVer || kc.kComm != kc.c {
@@ -205,11 +202,11 @@ func (kc *KSPComponent) Solve(solution []float64, status []float64, numLocalRow,
 		kc.k, kc.kVer, kc.kComm = k, kc.cfgVer, kc.c
 	}
 	k := kc.k
-	k.SetOperators(kc.op)
+	k.SetOperators(kc.mat)
 	k.SetRecorder(kc.rec)
 	k.SetPool(kc.workerPool())
-	if pm := kc.op.Assembled(); pm != nil {
-		kc.recordFormat(pm)
+	if kc.built != nil {
+		kc.recordFormat(kc.built)
 	}
 
 	return kc.solveEach(kc, solution, status, numLocalRow, statusLength)

@@ -145,7 +145,8 @@ func (mc *MGComponent) coarseSolve(a *sparse.CSR, b []float64) ([]float64, error
 
 // Solve implements the LISI solve on the multigrid backend.
 func (mc *MGComponent) Solve(solution []float64, status []float64, numLocalRow, statusLength int) int {
-	if code := mc.solvePrep(solution, status, numLocalRow); code != OK {
+	l, code := mc.solvePrep(solution, status, numLocalRow)
+	if code != OK {
 		return code
 	}
 	if mc.mf != nil {
@@ -157,10 +158,6 @@ func (mc *MGComponent) Solve(solution []float64, status []float64, numLocalRow, 
 	}
 	n, _ := strconv.Atoi(gridN)
 	if n*n != mc.globalCols {
-		return ErrBadArg
-	}
-	l, err := mc.buildLayout()
-	if err != nil {
 		return ErrBadArg
 	}
 

@@ -20,7 +20,7 @@ type SLUComponent struct {
 	baseAdapter
 
 	dist      *slu.DistSolver
-	builtVer  int
+	built     *pmat.Mat   // the staged operator dist factors
 	builtOpts slu.Options // the factor-affecting parameters dist was built with
 
 	// seen is dist's set-up record as of the last (re)build, kept so the
@@ -121,7 +121,8 @@ func (sc *SLUComponent) options() slu.Options {
 // factor-affecting parameter; then it is redone, keeping the symbolic
 // analysis when the pattern and ordering allow (use case §5.2d).
 func (sc *SLUComponent) Solve(solution []float64, status []float64, numLocalRow, statusLength int) int {
-	if code := sc.solvePrep(solution, status, numLocalRow); code != OK {
+	l, code := sc.solvePrep(solution, status, numLocalRow)
+	if code != OK {
 		return code
 	}
 	if sc.mf != nil {
@@ -129,7 +130,8 @@ func (sc *SLUComponent) Solve(solution []float64, status []float64, numLocalRow,
 		// matrix-free path only applies to iterative components.
 		return ErrUnsupported
 	}
-	l, err := sc.buildLayout()
+
+	op, err := sc.operator(l)
 	if err != nil {
 		return ErrBadArg
 	}
@@ -137,21 +139,16 @@ func (sc *SLUComponent) Solve(solution []float64, status []float64, numLocalRow,
 	// The factor is a function of the matrix and of slu.Options, so those
 	// two key the rebuild: refine_steps, workers and the ignored
 	// iterative keys change cfgVer but not the options value.
-	if opts := sc.options(); sc.dist == nil || sc.builtVer != sc.matVer || sc.builtOpts != opts {
+	if opts := sc.options(); op != sc.built || sc.builtOpts != opts {
 		stopSetup := sc.rec.StartPhase(telemetry.PhaseSetup)
-		pm, err := pmat.NewMat(l, sc.localA)
-		if err != nil {
-			stopSetup()
-			return ErrBadArg
-		}
 		// A live solver refactors: same pattern and ordering take the
 		// numeric phase only (§5.2d) — over the recorded row permutation
 		// and L/U structure while every pivot validates — anything else
 		// is re-analysed inside, and the L/U storage is refilled either way.
 		if sc.dist == nil {
-			sc.dist, err = slu.NewDistSolver(pm, opts)
+			sc.dist, err = slu.NewDistSolver(op, opts)
 		} else {
-			err = sc.dist.Refactor(pm, opts)
+			err = sc.dist.Refactor(op, opts)
 		}
 		stopSetup()
 		sc.recordSetup()
@@ -159,7 +156,7 @@ func (sc *SLUComponent) Solve(solution []float64, status []float64, numLocalRow,
 			writeStatus(status, statusLength, 0, 0, false, sc.factorizations, classifySolveError(err))
 			return ErrSolveFailed
 		}
-		sc.builtVer = sc.matVer
+		sc.built = op
 		sc.builtOpts = opts
 		sc.factorizations++
 	}

@@ -598,6 +598,14 @@ func TestMatrixFreeDirectSet(t *testing.T) {
 			if op.calls == 0 {
 				t.Error("MatMult never called")
 			}
+			// A replaced port applies the operator from the next Solve on.
+			op2 := &appOperator{a: a, invDiag: inv}
+			mustOK(t, s.SetMatrixFree(op2), "matfree again")
+			before := op.calls
+			mustOK(t, s.Solve(x, status, 25, StatusLen), "solve again")
+			if op2.calls == 0 || op.calls != before {
+				t.Errorf("after SetMatrixFree: new port %d calls, replaced port %d more", op2.calls, op.calls-before)
+			}
 		}
 
 		// Direct component cannot run matrix-free.
