@@ -16,7 +16,7 @@ test:
 check: build vet fmt test race
 
 race:
-	$(GO) test -race ./internal/comm/... ./internal/pmat/... ./internal/core/... ./internal/telemetry/... ./internal/bench/... ./internal/service/... ./internal/par/... ./internal/slu/... ./internal/ksp/... ./internal/aztec/...
+	$(GO) test -race ./internal/comm/... ./internal/pmat/... ./internal/core/... ./internal/telemetry/... ./internal/bench/... ./internal/service/... ./internal/par/... ./internal/slu/... ./internal/ksp/... ./internal/aztec/... ./internal/mg/...
 
 # workers = CI's workers-pool leg: the whole suite with every session
 # forced onto a pooled backend (core's LISI_WORKERS env fallback).

@@ -13,7 +13,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"repro/internal/cca"
@@ -29,6 +31,16 @@ type scenario struct {
 }
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the example, printing to w. Its inputs are fixed, so a failed
+// call is a bug: the rank panics (must), and World.Run recovers the
+// panic, aborts the world so the other ranks unblock, and returns it as
+// run's error.
+func run(w io.Writer) error {
 	const procs = 3
 	const sampleGrid = 31 // small probe systems
 	const fullGrid = 63   // the production solve
@@ -51,9 +63,9 @@ func main() {
 
 	world, err := comm.NewWorld(procs)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	err = world.Run(func(c *comm.Comm) {
+	return world.Run(func(c *comm.Comm) {
 		fw := cca.NewFramework(c)
 		must(fw.CreateInstance("driver", core.ClassDriver))
 		for _, cand := range candidates {
@@ -77,7 +89,7 @@ func main() {
 			probe := mesh.PaperProblem(sampleGrid)
 			probe.Convection = sc.convection
 			if c.Rank() == 0 {
-				fmt.Printf("=== %s (convection %g) ===\n", sc.name, sc.convection)
+				fmt.Fprintf(w, "=== %s (convection %g) ===\n", sc.name, sc.convection)
 			}
 			best, bestTime := "", time.Duration(0)
 			for _, cand := range candidates {
@@ -87,7 +99,7 @@ func main() {
 					status = "failed"
 				}
 				if c.Rank() == 0 {
-					fmt.Printf("  probe %-14s %8.3fs  %s\n", cand.instance, elapsed.Seconds(), status)
+					fmt.Fprintf(w, "  probe %-14s %8.3fs  %s\n", cand.instance, elapsed.Seconds(), status)
 				}
 				if status == "ok" && (best == "" || elapsed < bestTime) {
 					best, bestTime = cand.instance, elapsed
@@ -102,14 +114,11 @@ func main() {
 			elapsed, res, err := solveWith(best, full, fullGrid)
 			must(err)
 			if c.Rank() == 0 {
-				fmt.Printf("  -> selected %s for the full system: %.3fs, %d iterations, residual %.2e\n\n",
+				fmt.Fprintf(w, "  -> selected %s for the full system: %.3fs, %d iterations, residual %.2e\n\n",
 					best, elapsed.Seconds(), res.Iterations, res.Residual)
 			}
 		}
 	})
-	if err != nil {
-		log.Fatal(err)
-	}
 }
 
 // paramsFor supplies each component's vocabulary (the probe and full
@@ -133,6 +142,6 @@ func paramsFor(inst string, gridN int, convection float64) map[string]string {
 
 func must(err error) {
 	if err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 }

@@ -9,7 +9,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/cca"
 	"repro/internal/comm"
@@ -47,15 +49,25 @@ func (a *stencilApp) SetServices(svc cca.Services) error {
 }
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the example, printing to w. Its inputs are fixed, so a failed
+// call is a bug: the rank panics (must), and World.Run recovers the
+// panic, aborts the world so the other ranks unblock, and returns it as
+// run's error.
+func run(w io.Writer) error {
 	const procs = 3
 	const gridN = 40
 	problem := mesh.PaperProblem(gridN)
 
 	world, err := comm.NewWorld(procs)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	err = world.Run(func(c *comm.Comm) {
+	return world.Run(func(c *comm.Comm) {
 		layout, err := pmat.EvenLayout(c, problem.N())
 		must(err)
 		localA, b, err := problem.GenerateLocal(layout)
@@ -95,24 +107,19 @@ func main() {
 
 		res := op.Residual(b, x)
 		if c.Rank() == 0 {
-			fmt.Printf("matrix-free solve on %d ranks: %d iterations, residual %.3e\n",
+			fmt.Fprintf(w, "matrix-free solve on %d ranks: %d iterations, residual %.3e\n",
 				procs, int(status[core.StatusIterations]), res)
-			fmt.Println("(no assembled matrix ever crossed the interface)")
+			fmt.Fprintln(w, "(no assembled matrix ever crossed the interface)")
 		}
 	})
-	if err != nil {
-		log.Fatal(err)
-	}
 }
 
 func must(err error) {
 	if err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 }
 
 func check(code int) {
-	if err := core.Check(code); err != nil {
-		log.Fatal(err)
-	}
+	must(core.Check(code))
 }

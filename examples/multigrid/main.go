@@ -9,7 +9,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"repro/internal/cca"
@@ -19,14 +21,24 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the example, printing to w. Its inputs are fixed, so a failed
+// call is a bug: the rank panics (must), and World.Run recovers the
+// panic, aborts the world so the other ranks unblock, and returns it as
+// run's error.
+func run(w io.Writer) error {
 	const procs = 2
 	grids := []int{15, 31, 63}
 
 	world, err := comm.NewWorld(procs)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	err = world.Run(func(c *comm.Comm) {
+	return world.Run(func(c *comm.Comm) {
 		fw := cca.NewFramework(c)
 		must(fw.CreateInstance("driver", core.ClassDriver))
 		must(fw.CreateInstance("mg", core.ClassMGSolver))
@@ -36,7 +48,7 @@ func main() {
 		driver := comp.(*core.DriverComponent)
 
 		if c.Rank() == 0 {
-			fmt.Printf("%-8s %-28s %-28s\n", "grid", "multigrid (cycles, time)", "gmres+ilu (iters, time)")
+			fmt.Fprintf(w, "%-8s %-28s %-28s\n", "grid", "multigrid (cycles, time)", "gmres+ilu (iters, time)")
 		}
 		for _, n := range grids {
 			problem := mesh.PaperProblem(n)
@@ -60,25 +72,22 @@ func main() {
 			must(fw.Disconnect("driver", "solver"))
 
 			if c.Rank() == 0 {
-				fmt.Printf("%-8s %-28s %-28s\n",
+				fmt.Fprintf(w, "%-8s %-28s %-28s\n",
 					fmt.Sprintf("%dx%d", n, n),
 					fmt.Sprintf("%d cycles, %.3fs", mgRes.Iterations, mgTime.Seconds()),
 					fmt.Sprintf("%d iters, %.3fs", kspRes.Iterations, kspTime.Seconds()))
 			}
 		}
 		if c.Rank() == 0 {
-			fmt.Println("\nmultigrid cycles stay ~constant while single-level iterations grow —")
-			fmt.Println("the multilevel behaviour §5.2(e) anticipates, with the coarse solve")
-			fmt.Println("delegated through the LISI interface to a direct component.")
+			fmt.Fprintln(w, "\nmultigrid cycles stay ~constant while single-level iterations grow —")
+			fmt.Fprintln(w, "the multilevel behaviour §5.2(e) anticipates, with the coarse solve")
+			fmt.Fprintln(w, "delegated through the LISI interface to a direct component.")
 		}
 	})
-	if err != nil {
-		log.Fatal(err)
-	}
 }
 
 func must(err error) {
 	if err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 }

@@ -13,7 +13,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"repro/internal/comm"
@@ -23,23 +25,29 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the example, printing to w. Its inputs are fixed, so a failed
+// call is a bug: the rank panics (must), and World.Run recovers the
+// panic, aborts the world so the other ranks unblock, and returns it as
+// run's error.
+func run(w io.Writer) error {
 	const procs = 2
 	const gridN = 48
 	problem := mesh.PaperProblem(gridN)
 
 	world, err := comm.NewWorld(procs)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	err = world.Run(func(c *comm.Comm) {
+	return world.Run(func(c *comm.Comm) {
 		layout, err := pmat.EvenLayout(c, problem.N())
-		if err != nil {
-			log.Fatal(err)
-		}
+		must(err)
 		localA, b0, err := problem.GenerateLocal(layout)
-		if err != nil {
-			log.Fatal(err)
-		}
+		must(err)
 
 		solver := core.NewSLUComponent()
 		check(solver.Initialize(c))
@@ -65,7 +73,7 @@ func main() {
 			check(solver.Solve(x, status, layout.LocalN, core.StatusLen))
 			c.Barrier()
 			if c.Rank() == 0 {
-				fmt.Printf("rhs %d: %7.4fs  factorizations so far: %d\n",
+				fmt.Fprintf(w, "rhs %d: %7.4fs  factorizations so far: %d\n",
 					k+1, time.Since(start).Seconds(), int(status[core.StatusFactorizations]))
 			}
 		}
@@ -79,7 +87,7 @@ func main() {
 		sols := make([]float64, layout.LocalN*nRhs)
 		check(solver.Solve(sols, status, layout.LocalN, core.StatusLen))
 		if c.Rank() == 0 {
-			fmt.Printf("block of %d rhs: factorizations still %d\n",
+			fmt.Fprintf(w, "block of %d rhs: factorizations still %d\n",
 				nRhs, int(status[core.StatusFactorizations]))
 		}
 
@@ -93,17 +101,18 @@ func main() {
 		check(solver.SetupRHS(b0, layout.LocalN, 1))
 		check(solver.Solve(x, status, layout.LocalN, core.StatusLen))
 		if c.Rank() == 0 {
-			fmt.Printf("after matrix update: factorizations = %d (refactored once)\n",
+			fmt.Fprintf(w, "after matrix update: factorizations = %d (refactored once)\n",
 				int(status[core.StatusFactorizations]))
 		}
 	})
-	if err != nil {
-		log.Fatal(err)
-	}
 }
 
 func check(code int) {
-	if err := core.Check(code); err != nil {
-		log.Fatal(err)
+	must(core.Check(code))
+}
+
+func must(err error) {
+	if err != nil {
+		panic(err)
 	}
 }

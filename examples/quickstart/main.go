@@ -11,7 +11,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/comm"
 	"repro/internal/core"
@@ -20,24 +22,30 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the example, printing to w. Its inputs are fixed, so a failed
+// call is a bug: the rank panics (must), and World.Run recovers the
+// panic, aborts the world so the other ranks unblock, and returns it as
+// run's error.
+func run(w io.Writer) error {
 	const procs = 2
 	const gridN = 32
 	problem := mesh.PaperProblem(gridN)
 
 	world, err := comm.NewWorld(procs)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	err = world.Run(func(c *comm.Comm) {
+	return world.Run(func(c *comm.Comm) {
 		// 1. Each rank generates its block rows of A and b (Figure 3).
 		layout, err := pmat.EvenLayout(c, problem.N())
-		if err != nil {
-			log.Fatal(err)
-		}
+		must(err)
 		localA, localB, err := problem.GenerateLocal(layout)
-		if err != nil {
-			log.Fatal(err)
-		}
+		must(err)
 
 		// 2. Create a solver component and describe the distribution
 		//    through the LISI setters (§6.3).
@@ -66,25 +74,24 @@ func main() {
 
 		// 6. Verify: global residual of the distributed solution.
 		m, err := pmat.NewMat(layout, localA)
-		if err != nil {
-			log.Fatal(err)
-		}
+		must(err)
 		res := m.Residual(localB, x)
 		if c.Rank() == 0 {
-			fmt.Printf("grid %dx%d (N=%d, nnz=%d) on %d ranks\n",
+			fmt.Fprintf(w, "grid %dx%d (N=%d, nnz=%d) on %d ranks\n",
 				gridN, gridN, problem.N(), problem.NNZ(), procs)
-			fmt.Printf("converged in %d iterations, residual %.3e (reported %.3e)\n",
+			fmt.Fprintf(w, "converged in %d iterations, residual %.3e (reported %.3e)\n",
 				int(status[core.StatusIterations]), res, status[core.StatusResidual])
-			fmt.Printf("solver configuration:\n%s", solver.GetAll())
+			fmt.Fprintf(w, "solver configuration:\n%s", solver.GetAll())
 		}
 	})
-	if err != nil {
-		log.Fatal(err)
-	}
 }
 
 func check(code int) {
-	if err := core.Check(code); err != nil {
-		log.Fatal(err)
+	must(core.Check(code))
+}
+
+func must(err error) {
+	if err != nil {
+		panic(err)
 	}
 }

@@ -8,7 +8,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"repro/internal/cca"
@@ -18,6 +20,16 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the example, printing to w. Its inputs are fixed, so a failed
+// call is a bug: the rank panics (must), and World.Run recovers the
+// panic, aborts the world so the other ranks unblock, and returns it as
+// run's error.
+func run(w io.Writer) error {
 	const procs = 4
 	const gridN = 63 // odd so the multigrid component can coarsen
 	problem := mesh.PaperProblem(gridN)
@@ -39,9 +51,9 @@ func main() {
 
 	world, err := comm.NewWorld(procs)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	err = world.Run(func(c *comm.Comm) {
+	return world.Run(func(c *comm.Comm) {
 		fw := cca.NewFramework(c)
 		must(fw.CreateInstance("driver", core.ClassDriver))
 		for _, s := range solvers {
@@ -52,7 +64,7 @@ func main() {
 		driver := comp.(*core.DriverComponent)
 
 		if c.Rank() == 0 {
-			fmt.Printf("problem: %dx%d grid, N=%d, nnz=%d, %d ranks\n\n",
+			fmt.Fprintf(w, "problem: %dx%d grid, N=%d, nnz=%d, %d ranks\n\n",
 				gridN, gridN, problem.N(), problem.NNZ(), procs)
 		}
 		for _, s := range solvers {
@@ -67,18 +79,15 @@ func main() {
 			must(err)
 			must(fw.Disconnect("driver", "solver"))
 			if c.Rank() == 0 {
-				fmt.Printf("%-14s %8.3fs  iterations=%-5d residual=%.2e  wiring=%v\n",
+				fmt.Fprintf(w, "%-14s %8.3fs  iterations=%-5d residual=%.2e  wiring=%v\n",
 					s.instance, elapsed.Seconds(), res.Iterations, res.Residual, res.Converged)
 			}
 		}
 	})
-	if err != nil {
-		log.Fatal(err)
-	}
 }
 
 func must(err error) {
 	if err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 }

@@ -88,8 +88,9 @@ func solveHistory(t *testing.T, hc historyCase) (its int, hash, final uint64) {
 // TestHistoriesMatchParent pins every (method, preconditioner, ranks)
 // cell's residual history and solution bits. The non-GMRES rows were
 // recorded before Gauss–Seidel moved onto par.RowTri and GMRES onto
-// pmat.GMRESCycle and must never move; the GMRES rows were re-pinned
-// once, when the cycle took ksp's normalisation and Givens rotation.
+// pmat's shared cycle and must never move; the GMRES rows were
+// re-pinned once, when the cycle took ksp's normalisation and Givens
+// rotation.
 func TestHistoriesMatchParent(t *testing.T) {
 	want := map[string]struct {
 		its         int

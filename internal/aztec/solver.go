@@ -9,7 +9,6 @@ import (
 	"repro/internal/comm"
 	"repro/internal/par"
 	"repro/internal/pmat"
-	"repro/internal/sparse"
 	"repro/internal/telemetry"
 )
 
@@ -179,23 +178,19 @@ func (s *Solver) Solve(x, b []float64) error {
 		}
 	}
 
-	var err error
-
 	defer s.rec.StartPhase(telemetry.PhaseIterate)()
+	sys := (*krylovSystem)(s)
 	switch s.options[AZSolver] {
 	case AZCG:
-		s.ws.CG(s.red, (*krylovSystem)(s), x, bb)
+		s.ws.CG(s.red, sys, x, bb)
 	case AZGMRES:
-		err = s.gmres(x, bb)
+		s.ws.GMRES(s.red, sys, x, bb, s.options[AZKspace], false)
 	case AZCGS:
-		err = s.cgs(x, bb)
+		s.ws.CGS(s.red, sys, x, bb)
 	case AZBiCGStab:
-		s.ws.BiCGSTAB(s.red, (*krylovSystem)(s), x, bb)
+		s.ws.BiCGSTAB(s.red, sys, x, bb)
 	default:
 		return fmt.Errorf("aztec: unknown solver %d", s.options[AZSolver])
-	}
-	if err != nil {
-		return err
 	}
 	if why := int(s.status[AZWhy]); why != AZNormal {
 		return fmt.Errorf("aztec: solve failed (why=%d, its=%d, r=%.3e)", why, s.NumIters(), s.status[AZr])
@@ -209,18 +204,6 @@ func (s *Solver) buildPreconditioner() (preconditioner, error) {
 	}
 	// Preconditioner must see the scaled matrix.
 	return newPreconditioner(&scaledRowMatrix{s.rm, s.scale}, s.options, s.params)
-}
-
-// applyA computes y = A·x with row scaling folded in.
-func (s *Solver) applyA(y, x []float64) {
-	if err := s.op.Apply(y, x); err != nil {
-		panic(fmt.Sprintf("aztec: operator apply failed: %v", err))
-	}
-	if s.scale != nil {
-		for i := range y {
-			y[i] *= s.scale[i]
-		}
-	}
 }
 
 // convDenominator returns the denominator of the convergence test.
@@ -313,90 +296,52 @@ func (s *Solver) finish(its int, rnorm float64, why int) {
 	}
 }
 
-// test classifies a residual norm: stop with AZNormal when rnorm/denom
-// meets the tolerance, stop with AZBreakdown when rnorm is not finite (a
-// NaN compares false against every tolerance, so a poisoned recurrence
-// would otherwise run to AZMaxIter), go on otherwise.
-func (s *Solver) test(rnorm float64) (why int, stop bool) {
+// stopped tests a residual norm and, if the solve stops on it, records
+// iteration it's outcome: AZNormal when rnorm/denom meets the tolerance,
+// AZBreakdown when rnorm is not finite (a NaN compares false against
+// every tolerance, so a poisoned recurrence would otherwise run to
+// AZMaxIter).
+func (s *Solver) stopped(it int, rnorm float64) bool {
 	switch {
 	case math.IsNaN(rnorm) || math.IsInf(rnorm, 0):
-		return AZBreakdown, true
+		s.finish(it, rnorm, AZBreakdown)
 	case rnorm/s.denom <= s.params[AZTol]:
-		return AZNormal, true
+		s.finish(it, rnorm, AZNormal)
+	default:
+		return false
 	}
-	return 0, false
+	return true
 }
 
-// stopped reports whether test stops on rnorm, and if so records
-// iteration it's outcome.
-func (s *Solver) stopped(it int, rnorm float64) bool {
-	why, stop := s.test(rnorm)
-	if stop {
-		s.finish(it, rnorm, why)
+// ended is stopped, or else AZMaxIts once iteration it reaches
+// AZMaxIter.
+func (s *Solver) ended(it int, rnorm float64) bool {
+	if s.stopped(it, rnorm) {
+		return true
 	}
-	return stop
-}
-
-// ---- Krylov methods (left-preconditioned, aztec-style bookkeeping) ----
-
-// localResidual computes r = b − A·x without any reduction (the norm is
-// taken by the caller, fused with the other startup reductions).
-func (s *Solver) localResidual(x, b, r []float64) {
-	s.applyA(r, x)
-	for i := range r {
-		r[i] = b[i] - r[i]
+	if it < s.options[AZMaxIter] {
+		return false
 	}
+	s.finish(it, rnorm, AZMaxIts)
+	return true
 }
 
-func (s *Solver) gmres(x, b []float64) error {
-	scratch := s.ws.Vecs(len(x), 2)
-	w, t := scratch[0], scratch[1]
-	it := 0
-	for {
-		s.localResidual(x, b, t)
-		s.prec.apply(w, t)
-		var beta float64
-		if it == 0 {
-			// First restart: fuse the rhs norm for the convergence
-			// denominator with the initial preconditioned residual norm.
-			var bnorm float64
-			beta, bnorm = s.red.Norm2x2(w, b)
-			s.denom = s.convDenominator(beta, bnorm)
-		} else {
-			beta = s.red.Norm2(w)
-		}
-		if s.stopped(it, beta) {
-			return nil
-		}
-		if it >= s.options[AZMaxIter] {
-			s.finish(it, beta, AZMaxIts)
-			return nil
-		}
-		it, _ = s.ws.GMRESCycle(s.red, (*gmresSystem)(s), x, w, t, beta, s.options[AZKspace], it, false)
-	}
-}
-
-// gmresSystem is the Solver as the shared GMRES cycle sees it.
-type gmresSystem Solver
-
-func (s *gmresSystem) Direction(w, t, v, _ []float64) {
-	(*Solver)(s).applyA(t, v)
-	s.prec.apply(w, t)
-}
-
-// Stop ends the cycle on the estimate or at AZMaxIter; the restart
-// then tests the recomputed residual and records the outcome.
-func (s *gmresSystem) Stop(it int, est float64) bool {
-	s.rec.Residual(it, est)
-	_, stop := (*Solver)(s).test(est)
-	return stop || it >= s.options[AZMaxIter]
-}
-
-// krylovSystem is the Solver as the shared CG and BiCGSTAB loops see
-// it. Every exit lands in the status array through finish.
+// krylovSystem is the Solver as the shared Krylov loops see it. Every
+// exit lands in the status array through finish.
 type krylovSystem Solver
 
-func (s *krylovSystem) Apply(y, x []float64)        { (*Solver)(s).applyA(y, x) }
+// Apply computes y = A·x with row scaling folded in.
+func (s *krylovSystem) Apply(y, x []float64) {
+	if err := s.op.Apply(y, x); err != nil {
+		panic(fmt.Sprintf("aztec: operator apply failed: %v", err))
+	}
+	if s.scale != nil {
+		for i := range y {
+			y[i] *= s.scale[i]
+		}
+	}
+}
+
 func (s *krylovSystem) Precondition(z, r []float64) { s.prec.apply(z, r) }
 
 // Start builds the convergence denominator from ‖r₀‖ and ‖b‖.
@@ -408,14 +353,7 @@ func (s *krylovSystem) Start(rnorm, bnorm float64) bool {
 // Stop records the residual, then ends on the test or at AZMaxIter.
 func (s *krylovSystem) Stop(it int, rnorm float64) bool {
 	s.rec.Residual(it, rnorm)
-	if (*Solver)(s).stopped(it, rnorm) {
-		return true
-	}
-	if it < s.options[AZMaxIter] {
-		return false
-	}
-	(*Solver)(s).finish(it, rnorm, AZMaxIts)
-	return true
+	return (*Solver)(s).ended(it, rnorm)
 }
 
 func (s *krylovSystem) HalfStop(it int, snorm float64) bool {
@@ -428,66 +366,16 @@ func (s *krylovSystem) Breakdown(it int, rnorm float64, _ bool) {
 	(*Solver)(s).finish(it, rnorm, AZBreakdown)
 }
 
-func (s *Solver) cgs(x, b []float64) error {
-	// Sonneveld's conjugate gradient squared.
-	n := len(x)
-	ws := s.ws.Vecs(n, 9)
-	r, rtld, p, q := ws[0], ws[1], ws[2], ws[3]
-	u, uhat, vhat, qhat, t := ws[4], ws[5], ws[6], ws[7], ws[8]
-
-	s.localResidual(x, b, r)
-	copy(rtld, r)
-	// One AllReduce covers the initial residual norm, the rhs norm, and
-	// the first ρ = r̃·r; the tail of each iteration fuses the residual
-	// norm with the next ρ the same way.
-	r0, bnorm, rhoNext := s.red.Norm2x2Dot(r, b, rtld, r)
-	s.denom = s.convDenominator(r0, bnorm)
-	if s.stopped(0, r0) {
-		return nil
+// Restart builds the convergence denominator at the first restart,
+// then ends on the test or at AZMaxIter; it records no residual.
+func (s *krylovSystem) Restart(it int, beta, bnorm float64) bool {
+	if it == 0 {
+		s.denom = (*Solver)(s).convDenominator(beta, bnorm)
 	}
-	var rho, rhoOld float64
-	for it := 1; it <= s.options[AZMaxIter]; it++ {
-		rho = rhoNext
-		if rho == 0 {
-			s.finish(it, s.red.Norm2(r), AZBreakdown)
-			return nil
-		}
-		if it == 1 {
-			copy(u, r)
-			copy(p, u)
-		} else {
-			beta := rho / rhoOld
-			for i := range u {
-				u[i] = r[i] + beta*q[i]
-				p[i] = u[i] + beta*(q[i]+beta*p[i])
-			}
-		}
-		s.prec.apply(uhat, p)
-		s.applyA(vhat, uhat)
-		sigma := s.red.Dot(rtld, vhat)
-		if sigma == 0 {
-			s.finish(it, s.red.Norm2(r), AZBreakdown)
-			return nil
-		}
-		alpha := rho / sigma
-		for i := range q {
-			q[i] = u[i] - alpha*vhat[i]
-		}
-		for i := range t {
-			t[i] = u[i] + q[i]
-		}
-		s.prec.apply(qhat, t)
-		sparse.Axpy(alpha, qhat, x)
-		s.applyA(t, qhat)
-		sparse.Axpy(-alpha, t, r)
-		rhoOld = rho
-		var rnorm float64
-		rnorm, rhoNext = s.red.NormDot(r, rtld)
-		s.rec.Residual(it, rnorm)
-		if s.stopped(it, rnorm) {
-			return nil
-		}
-	}
-	s.finish(s.options[AZMaxIter], s.red.Norm2(r), AZMaxIts)
-	return nil
+	return (*Solver)(s).ended(it, beta)
 }
+
+// TrustEstimate is false: a GMRES cycle that stopped on its estimate
+// hands the decision to the restart's recomputed residual, whose
+// finish writes last.
+func (*krylovSystem) TrustEstimate() bool { return false }

@@ -26,7 +26,8 @@ type MGComponent struct {
 	baseAdapter
 
 	solver   *mg.Solver
-	builtVer int
+	builtVer int          // matVer the hierarchy was built for
+	builtL   *pmat.Layout // and the layout, so a re-Initialize rebuilds it on the new world
 	coarse   *SLUComponent
 	coarseUp bool // coarse matrix already staged
 
@@ -161,7 +162,7 @@ func (mc *MGComponent) Solve(solution []float64, status []float64, numLocalRow, 
 		return ErrBadArg
 	}
 
-	if mc.solver == nil || mc.builtVer != mc.matVer {
+	if mc.solver == nil || mc.builtVer != mc.matVer || mc.builtL != l {
 		stopSetup := mc.rec.StartPhase(telemetry.PhaseSetup)
 		p := mesh.PaperProblem(n)
 		if v, ok := mc.params["convection"]; ok {
@@ -206,7 +207,7 @@ func (mc *MGComponent) Solve(solution []float64, status []float64, numLocalRow, 
 			return ErrBadArg
 		}
 		mc.solver = s
-		mc.builtVer = mc.matVer
+		mc.builtVer, mc.builtL = mc.matVer, l
 		mc.factorizations++
 	}
 	mc.solver.SetRecorder(mc.rec)

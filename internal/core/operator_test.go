@@ -173,9 +173,23 @@ func TestPortOperatorMatchesInsertPath(t *testing.T) {
 // the new world. World 1 must see no traffic at all from that solve, and
 // world 2's answer must be world 1's, bit for bit.
 func TestReinitializeLeavesOldWorld(t *testing.T) {
-	a, b := paperSystem(20)(t)
-	for _, backend := range assembledBackends {
+	type backendCase struct {
+		name   string
+		open   func() SparseSolver
+		system testSystem
+	}
+	var cases []backendCase
+	for _, be := range assembledBackends {
+		cases = append(cases, backendCase{be.name, be.open, paperSystem(20)})
+	}
+	cases = append(cases, backendCase{"mg", func() SparseSolver {
+		s := NewMGComponent()
+		mustOK(t, s.Set("grid_n", "19"), "Set grid_n")
+		return s
+	}, paperSystem(19)})
+	for _, backend := range cases {
 		t.Run(backend.name, func(t *testing.T) {
+			a, b := backend.system(t)
 			const p = 2
 			comps := make([]SparseSolver, p)
 			first := make([][]float64, p)

@@ -238,28 +238,25 @@ func (k *KSP) Solve(b, x []float64) error {
 	clear(x)
 
 	defer k.rec.StartPhase(telemetry.PhaseIterate)()
-	var err error
+	sys := (*krylovSystem)(k)
 	switch k.typ {
 	case TypeCG:
-		k.ws.CG(k.red, (*krylovSystem)(k), x, b)
+		k.ws.CG(k.red, sys, x, b)
 	case TypeBiCGStab:
-		k.ws.BiCGSTAB(k.red, (*krylovSystem)(k), x, b)
+		k.ws.BiCGSTAB(k.red, sys, x, b)
 	case TypeGMRES:
-		err = k.solveGMRES(b, x, false)
+		k.ws.GMRES(k.red, sys, x, b, k.restart, false)
 	case TypeFGMRES:
-		err = k.solveGMRES(b, x, true)
+		k.ws.GMRES(k.red, sys, x, b, k.restart, true)
 	case TypeChebyshev:
-		emax := k.ws.MaxEig(k.red, (*krylovSystem)(k), k.a.Layout())
-		k.ws.Chebyshev((*krylovSystem)(k), x, b, emax)
+		emax := k.ws.MaxEig(k.red, sys, k.a.Layout())
+		k.ws.Chebyshev(sys, x, b, emax)
 	case TypeTFQMR:
-		err = k.solveTFQMR(b, x)
+		k.ws.TFQMR(k.red, sys, x, b)
 	case TypeRichardson:
-		k.ws.Richardson((*krylovSystem)(k), x, b, k.damping)
+		k.ws.Richardson(sys, x, b, k.damping)
 	default:
 		return fmt.Errorf("ksp: unknown KSP type %q", k.typ)
-	}
-	if err != nil {
-		return err
 	}
 	if !k.reason.Converged() {
 		return fmt.Errorf("ksp: solve diverged: %v (it %d, rnorm %.3e)", k.reason, k.its, k.rnorm)
@@ -292,21 +289,11 @@ func (k *KSP) testConvergence(it int, rnorm, rnorm0 float64) bool {
 	return true
 }
 
-// krylovSystem is the KSP as the shared loops see it: the GMRES cycle
-// (pmat.GMRESSystem), CG/BiCGSTAB (pmat.KrylovSystem) and
-// Richardson/Chebyshev (pmat.PolySystem). Every stop goes through
-// testConvergence against rnorm0.
+// krylovSystem is the KSP as the shared loops see it: the Krylov
+// methods (pmat.KrylovSystem) and Richardson/Chebyshev
+// (pmat.PolySystem). Every stop goes through testConvergence against
+// rnorm0.
 type krylovSystem KSP
-
-func (k *krylovSystem) Direction(w, t, v, z []float64) {
-	if z != nil {
-		k.pc.Apply(z, v)
-		k.a.Apply(w, z)
-		return
-	}
-	k.a.Apply(t, v)
-	k.pc.Apply(w, t)
-}
 
 func (k *krylovSystem) Apply(y, x []float64)        { k.a.Apply(y, x) }
 func (k *krylovSystem) Precondition(z, r []float64) { k.pc.Apply(z, r) }
@@ -320,6 +307,19 @@ func (k *krylovSystem) Start(rnorm, _ float64) bool {
 func (k *krylovSystem) Stop(it int, rnorm float64) bool {
 	return (*KSP)(k).testConvergence(it, rnorm, k.rnorm0)
 }
+
+// Restart tests GMRES's recomputed residual, the first as Start, the
+// rest as Stop.
+func (k *krylovSystem) Restart(it int, beta, bnorm float64) bool {
+	if it == 0 {
+		return k.Start(beta, bnorm)
+	}
+	return k.Stop(it, beta)
+}
+
+// TrustEstimate is true: testConvergence reads the least-squares
+// estimate as the residual norm, so a stop on it is final.
+func (*krylovSystem) TrustEstimate() bool { return true }
 
 // ResidualStop takes the norm of r; the start's is the rtol/dtol
 // reference.

@@ -12,8 +12,8 @@ import (
 // change drops and rebuilds them, so steady-state solves against an
 // unchanged layout allocate nothing here.
 type Workspace struct {
-	n    int         // length of the vectors in vecs
-	vecs [][]float64 // generic per-method scratch, grown on demand
+	n       int         // length of the vectors in scratch
+	scratch [][]float64 // generic per-method scratch, grown on demand
 
 	basisN, basisM int // dimensions the Krylov arrays are sized for
 
@@ -25,17 +25,17 @@ type Workspace struct {
 	g, cs, sn, y []float64 // least-squares rhs, Givens pairs, back-substitution
 }
 
-// Vecs returns count persistent length-n scratch vectors. Contents are
+// vecs returns count persistent length-n scratch vectors. Contents are
 // unspecified: every method must fully initialize what it reads.
-func (ws *Workspace) Vecs(n, count int) [][]float64 {
+func (ws *Workspace) vecs(n, count int) [][]float64 {
 	if ws.n != n {
-		ws.vecs = nil
+		ws.scratch = nil
 		ws.n = n
 	}
-	for len(ws.vecs) < count {
-		ws.vecs = append(ws.vecs, make([]float64, n))
+	for len(ws.scratch) < count {
+		ws.scratch = append(ws.scratch, make([]float64, n))
 	}
-	return ws.vecs[:count]
+	return ws.scratch[:count]
 }
 
 // krylov sizes the restarted-GMRES arrays for local size n and restart
@@ -71,30 +71,19 @@ func (ws *Workspace) col(j int) []float64 {
 	return ws.h[j*ld : (j+1)*ld]
 }
 
-// GMRESSystem is what a Krylov package hands GMRESCycle: its operator
-// with the preconditioner where it sits, and its stop test.
-type GMRESSystem interface {
-	// Direction writes the step's new direction for basis vector v into
-	// w: M⁻¹·A·v with t as scratch, or, when z is non-nil (flexible),
-	// z = M⁻¹·v and then w = A·z.
-	Direction(w, t, v, z []float64)
-	// Stop reports whether the cycle ends after iteration it, whose
-	// least-squares residual estimate is est.
-	Stop(it int, est float64) bool
-}
-
-// GMRESCycle is one cycle of restarted GMRES(m) with modified
+// gmresCycle is one cycle of restarted GMRES(m) with modified
 // Gram–Schmidt and Givens-rotation least squares. w holds the start
 // residual, beta = ‖w‖ > 0, and t is scratch of the same length. Each
-// step runs sys.Direction, orthogonalize, normalises the new basis
-// vector by w·(1/h) (a zero vector when h ≤ 1e-300, a breakdown),
-// rotates the new Hessenberg column by the earlier rotations, makes the
-// next rotation with givens and hands |g[j+1]| to sys.Stop. After m
-// steps or a stop, x gains the least-squares update from the basis, or
-// with flexible set from the stored directions z_j = M⁻¹·v_j. it counts
-// iterations across cycles; GMRESCycle returns it advanced and whether
-// sys.Stop ended the cycle.
-func (ws *Workspace) GMRESCycle(red *Reducer, sys GMRESSystem, x, w, t []float64, beta float64, m, it int, flexible bool) (int, bool) {
+// step writes the new direction for v_j into w (M⁻¹·A·v_j, or with
+// flexible set z_j = M⁻¹·v_j and then A·z_j), runs orthogonalize,
+// normalises the new basis vector by w·(1/h) (a zero vector when
+// h ≤ 1e-300, a breakdown), rotates the new Hessenberg column by the
+// earlier rotations, makes the next rotation with givens and hands
+// |g[j+1]| to sys.Stop. After m steps or a stop, x gains the
+// least-squares update from the basis, or with flexible set from the
+// stored directions z_j. it counts iterations across cycles;
+// gmresCycle returns it advanced and whether sys.Stop ended the cycle.
+func (ws *Workspace) gmresCycle(red *Reducer, sys KrylovSystem, x, w, t []float64, beta float64, m, it int, flexible bool) (int, bool) {
 	ws.krylov(len(x), m, flexible)
 	v, g, cs, sn := ws.v, ws.g, ws.cs, ws.sn
 	update := v
@@ -111,11 +100,12 @@ func (ws *Workspace) GMRESCycle(red *Reducer, sys GMRESSystem, x, w, t []float64
 	j, stop := 0, false
 	for ; j < m && !stop; j++ {
 		it++
-		var z []float64
 		if flexible {
-			z = ws.z[j]
+			sys.Precondition(ws.z[j], v[j])
+			sys.Apply(w, ws.z[j])
+		} else {
+			applyMA(sys, w, t, v[j])
 		}
-		sys.Direction(w, t, v[j], z)
 		h := ws.col(j)
 		if hj1 := orthogonalize(red, w, v[:j+1], h); hj1 > 1e-300 {
 			inv := 1 / hj1
@@ -143,14 +133,15 @@ func (ws *Workspace) GMRESCycle(red *Reducer, sys GMRESSystem, x, w, t []float64
 	return it, stop
 }
 
-// KrylovSystem is what a Krylov package hands CG and BiCGSTAB: its
-// operator and preconditioner, and the policy that decides and records
-// every exit. The loops own every reduction; the policy sees norms.
+// KrylovSystem is what a Krylov package hands every Krylov loop here:
+// its operator and preconditioner, and the policy that decides and
+// records every exit. The loops own every reduction; the policy sees
+// norms.
 type KrylovSystem interface {
 	Apply(y, x []float64)        // y = A·x
 	Precondition(z, r []float64) // z = M⁻¹·r
 	// Start reports whether the solve ends at iteration 0, given ‖r₀‖
-	// and ‖b‖.
+	// (TFQMR: ‖M⁻¹r₀‖) and ‖b‖. GMRES calls Restart instead.
 	Start(rnorm, bnorm float64) bool
 	// Stop reports whether the solve ends after iteration it, whose
 	// residual norm is rnorm; the iteration budget is the policy's.
@@ -163,6 +154,14 @@ type KrylovSystem interface {
 	// Breakdown records that iteration it broke down. rnorm is the last
 	// residual norm the loop computed; indefinite marks CG's p·q ≤ 0.
 	Breakdown(it int, rnorm float64, indefinite bool)
+	// Restart reports whether GMRES ends at the restart after
+	// iteration it (0 at the first), given the recomputed residual norm
+	// beta and ‖b‖. It must stop on beta = 0.
+	Restart(it int, beta, bnorm float64) bool
+	// TrustEstimate reports whether a GMRES cycle that Stop ended on
+	// its least-squares estimate ends the solve; if not, the next
+	// restart tests the recomputed residual.
+	TrustEstimate() bool
 }
 
 // residual writes r = b − A·x.
@@ -173,6 +172,56 @@ func residual(sys interface{ Apply(y, x []float64) }, r, x, b []float64) {
 	}
 }
 
+// applyMA writes w = M⁻¹·A·v, with t as scratch.
+func applyMA(sys KrylovSystem, w, t, v []float64) {
+	sys.Apply(t, v)
+	sys.Precondition(w, t)
+}
+
+// GMRES is restarted GMRES(m). Each restart recomputes r = b − A·x,
+// takes it through M⁻¹ unless flexible is set, and hands its norm β to
+// sys.Restart; the first restart's β and ‖b‖ share one AllReduce. The
+// cycle (gmresCycle) then runs one of two variants:
+//
+//   - flexible unset: left-preconditioned, w = M⁻¹·A·v_j, x += V·y, so
+//     β and the estimates are preconditioned residual norms;
+//   - flexible set (FGMRES): right-preconditioned with the directions
+//     z_j = M⁻¹·v_j stored, w = A·z_j, x += Z·y, so the preconditioner
+//     may change between iterations (e.g. an inner iterative solve) and
+//     β is the true residual norm.
+//
+// A cycle that sys.Stop ended ends the solve when sys.TrustEstimate
+// holds; otherwise the next restart decides.
+func (ws *Workspace) GMRES(red *Reducer, sys KrylovSystem, x, b []float64, m int, flexible bool) {
+	scratch := ws.vecs(len(x), 2)
+	w, t := scratch[0], scratch[1]
+	r := t
+	if flexible {
+		r = w
+	}
+	it := 0
+	var beta, bnorm float64
+	for {
+		residual(sys, r, x, b)
+		if !flexible {
+			sys.Precondition(w, r)
+		}
+		if it == 0 {
+			beta, bnorm = red.Norm2x2(w, b)
+		} else {
+			beta = red.Norm2(w)
+		}
+		if sys.Restart(it, beta, bnorm) {
+			return
+		}
+		var stop bool
+		it, stop = ws.gmresCycle(red, sys, x, w, t, beta, m, it, flexible)
+		if stop && sys.TrustEstimate() {
+			return
+		}
+	}
+}
+
 // CG is preconditioned conjugate gradients (SPD operator, SPD
 // preconditioner), tested on the true residual norm. ‖r₀‖, ‖b‖ and the
 // first r·z share one AllReduce. Each iteration applies the
@@ -180,7 +229,7 @@ func residual(sys interface{ Apply(y, x []float64) }, r, x, b []float64) {
 // extra local apply on the last iteration, a collective round fewer on
 // every other.
 func (ws *Workspace) CG(red *Reducer, sys KrylovSystem, x, b []float64) {
-	w := ws.Vecs(len(x), 4)
+	w := ws.vecs(len(x), 4)
 	r, z, p, q := w[0], w[1], w[2], w[3]
 	residual(sys, r, x, b)
 	sys.Precondition(z, r)
@@ -221,7 +270,7 @@ func (ws *Workspace) CG(red *Reducer, sys KrylovSystem, x, b []float64) {
 // iteration's ‖r‖ shares one with the next ρ: three collective rounds
 // per iteration.
 func (ws *Workspace) BiCGSTAB(red *Reducer, sys KrylovSystem, x, b []float64) {
-	w := ws.Vecs(len(x), 8)
+	w := ws.vecs(len(x), 8)
 	r, rhat, p, v := w[0], w[1], w[2], w[3]
 	s, t, phat, shat := w[4], w[5], w[6], w[7]
 	residual(sys, r, x, b)
@@ -287,6 +336,144 @@ func (ws *Workspace) BiCGSTAB(red *Reducer, sys KrylovSystem, x, b []float64) {
 	}
 }
 
+// CGS is Sonneveld's conjugate gradient squared, preconditioned inside
+// the update directions and tested on the true residual norm. ‖r₀‖,
+// ‖b‖ and the first ρ = r̃·r share one AllReduce, and each iteration's
+// ‖r‖ shares one with the next ρ: two collective rounds per iteration.
+func (ws *Workspace) CGS(red *Reducer, sys KrylovSystem, x, b []float64) {
+	w := ws.vecs(len(x), 9)
+	r, rtld, p, q := w[0], w[1], w[2], w[3]
+	u, uhat, vhat, qhat, t := w[4], w[5], w[6], w[7], w[8]
+	residual(sys, r, x, b)
+	copy(rtld, r)
+	rnorm, bnorm, rhoNext := red.Norm2x2Dot(r, b, rtld, r)
+	if sys.Start(rnorm, bnorm) {
+		return
+	}
+	var rho, rhoOld float64
+	for it := 1; ; it++ {
+		rho = rhoNext
+		if rho == 0 {
+			sys.Breakdown(it, rnorm, false)
+			return
+		}
+		if it == 1 {
+			copy(u, r)
+			copy(p, u)
+		} else {
+			beta := rho / rhoOld
+			for i := range u {
+				u[i] = r[i] + beta*q[i]
+				p[i] = u[i] + beta*(q[i]+beta*p[i])
+			}
+		}
+		sys.Precondition(uhat, p)
+		sys.Apply(vhat, uhat)
+		sigma := red.Dot(rtld, vhat)
+		if sigma == 0 {
+			sys.Breakdown(it, rnorm, false)
+			return
+		}
+		alpha := rho / sigma
+		for i := range q {
+			q[i] = u[i] - alpha*vhat[i]
+		}
+		for i := range t {
+			t[i] = u[i] + q[i]
+		}
+		sys.Precondition(qhat, t)
+		sparse.Axpy(alpha, qhat, x)
+		sys.Apply(t, qhat)
+		sparse.Axpy(-alpha, t, r)
+		rhoOld = rho
+		rnorm, rhoNext = red.NormDot(r, rtld)
+		if sys.Stop(it, rnorm) {
+			return
+		}
+	}
+}
+
+// TFQMR is Freund's transpose-free QMR in the formulation of Kelley
+// ("Iterative Methods for Linear and Nonlinear Equations", alg. 7.4.1),
+// applied to the left-preconditioned system M⁻¹A·x = M⁻¹b. Each
+// iteration makes two half steps, and each half step hands sys.Stop the
+// estimate τ·√(m+1), which bounds the preconditioned residual norm.
+// ‖M⁻¹r₀‖ and ‖b‖ share one AllReduce; the recurrence's reductions
+// (σ, θ, ρ) each depend on the vector updates between them, so nothing
+// else is fused.
+func (ws *Workspace) TFQMR(red *Reducer, sys KrylovSystem, x, b []float64) {
+	vs := ws.vecs(len(x), 10)
+	scratch, r, r0, w := vs[0], vs[1], vs[2], vs[3]
+	y1, y2, d, v := vs[4], vs[5], vs[6], vs[7]
+	u1, u2 := vs[8], vs[9]
+
+	residual(sys, scratch, x, b)
+	sys.Precondition(r, scratch)
+	copy(r0, r)
+	copy(w, r)
+	copy(y1, r)
+	// d accumulates from zero; everything else is fully written before
+	// it is read.
+	clear(d)
+	applyMA(sys, v, scratch, y1)
+	copy(u1, v)
+
+	tau, bnorm := red.Norm2x2(r, b)
+	if sys.Start(tau, bnorm) {
+		return
+	}
+	rnorm := tau
+	theta, eta := 0.0, 0.0
+	rho := tau * tau
+	for it := 1; ; it++ {
+		sigma := red.Dot(r0, v)
+		if sigma == 0 {
+			sys.Breakdown(it, rnorm, false)
+			return
+		}
+		alpha := rho / sigma
+		for j := 1; j <= 2; j++ {
+			y, u := y1, u1
+			if j == 2 {
+				for i := range y2 {
+					y2[i] = y1[i] - alpha*v[i]
+				}
+				applyMA(sys, u2, scratch, y2)
+				y, u = y2, u2
+			}
+			m := float64(2*it - 2 + j)
+			sparse.Axpy(-alpha, u, w)
+			thetaOld, etaOld := theta, eta
+			for i := range d {
+				d[i] = y[i] + (thetaOld*thetaOld*etaOld/alpha)*d[i]
+			}
+			theta = red.Norm2(w) / tau
+			c := 1 / math.Sqrt(1+theta*theta)
+			tau = tau * theta * c
+			eta = c * c * alpha
+			sparse.Axpy(eta, d, x)
+			rnorm = tau * math.Sqrt(m+1)
+			if sys.Stop(it, rnorm) {
+				return
+			}
+		}
+		if rho == 0 {
+			sys.Breakdown(it, rnorm, false)
+			return
+		}
+		rhoNew := red.Dot(r0, w)
+		beta := rhoNew / rho
+		rho = rhoNew
+		for i := range y1 {
+			y1[i] = w[i] + beta*y2[i]
+		}
+		applyMA(sys, u1, scratch, y1)
+		for i := range v {
+			v[i] = u1[i] + beta*(u2[i]+beta*v[i])
+		}
+	}
+}
+
 // PolySystem is what a package hands Richardson and Chebyshev: its
 // operator and preconditioner, and its two stop tests. A solver tests
 // the residual; a fixed-degree polynomial preconditioner stops on its
@@ -305,7 +492,7 @@ type PolySystem interface {
 // Richardson is damped preconditioned Richardson iteration,
 // x ← x + s·M⁻¹(b − A·x), from x = 0: the first residual is b itself.
 func (ws *Workspace) Richardson(sys PolySystem, x, b []float64, s float64) {
-	w := ws.Vecs(len(x), 2)
+	w := ws.vecs(len(x), 2)
 	r, z := w[0], w[1]
 	copy(r, b)
 	if sys.ResidualStop(0, r) {
@@ -329,7 +516,7 @@ func (ws *Workspace) Richardson(sys PolySystem, x, b []float64, s float64) {
 // for the bottom. It needs no inner product of its own, which is why
 // multigrid smoothing and communication-avoiding settings favour it.
 func (ws *Workspace) Chebyshev(sys PolySystem, x, b []float64, emax float64) {
-	w := ws.Vecs(len(x), 4)
+	w := ws.vecs(len(x), 4)
 	r, z, p, q := w[0], w[1], w[2], w[3]
 	emin := emax / 30
 	theta := (emax + emin) / 2
@@ -377,7 +564,7 @@ func (ws *Workspace) Chebyshev(sys PolySystem, x, b []float64, emax float64) {
 // of l (so the estimate does not depend on the decomposition) overlaps
 // every mode.
 func (ws *Workspace) MaxEig(red *Reducer, sys PolySystem, l *Layout) float64 {
-	w := ws.Vecs(l.LocalN, 3)
+	w := ws.vecs(l.LocalN, 3)
 	v, t, u := w[0], w[1], w[2]
 	for i := range v {
 		h := uint64(l.Start+i+1) * 0x9E3779B97F4A7C15
