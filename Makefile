@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test check race workers vet fmt usage bench benchguard bench-pairs baseline telemetry chaos chaos-service serve-integration sweep golden fuzz clean
+.PHONY: all build test check race workers vet fmt usage bench benchguard bench-quick bench-pairs baseline telemetry chaos chaos-service serve-integration sweep golden fuzz clean
 
 all: check
 
@@ -43,6 +43,12 @@ bench:
 
 benchguard:
 	./scripts/benchguard.sh
+
+# bench-quick = CI's end-to-end smoke: the benchmark module built from
+# this tree (benchmark/run.sh) runs every workload once at its quick
+# size; the last line is the JSON summary CI checks.
+bench-quick:
+	bash benchmark/run.sh -quick
 
 # bench-pairs = the end-to-end benchmark alternated between a parent
 # commit and this tree: make bench-pairs PARENT=HEAD~1 WORKLOAD=stencil-gmres

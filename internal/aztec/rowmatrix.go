@@ -151,9 +151,10 @@ func (a *CrsMatrix) ExtractDiagonalCopy() ([]float64, error) {
 func (a *CrsMatrix) Dist() *pmat.Mat { return a.dist }
 
 // rowMatrixDiagBlock extracts the local diagonal block of a RowMatrix. A
-// filled CrsMatrix is cut out of its distributed matrix; anything else is
-// read through the public row-access interface, so user-defined
-// RowMatrix implementations can be preconditioned too.
+// filled CrsMatrix hands out its distributed matrix's own interior block,
+// which callers only read; anything else is read through the public
+// row-access interface, so user-defined RowMatrix implementations can be
+// preconditioned too.
 func rowMatrixDiagBlock(m RowMatrix) (*sparse.CSR, error) {
 	if crs, ok := m.(*CrsMatrix); ok && crs.dist != nil {
 		return crs.dist.DiagBlock(), nil

@@ -40,7 +40,8 @@ type baseAdapter struct {
 	localNNZ   int
 	globalCols int
 
-	// localA holds this rank's rows with global column indices.
+	// localA holds this rank's staged rows with global column indices
+	// until operator turns them into op.
 	localA *sparse.CSR
 	matVer int // bumped on every SetupMatrix*, drives factor reuse
 	rhs    []float64
@@ -69,7 +70,8 @@ type baseAdapter struct {
 	layoutVer int
 
 	// op is the distributed operator built from localA on the cached
-	// layout, at matrix version opVer (see operator).
+	// layout, at matrix version opVer (see operator); once built, it is
+	// the port's only copy of the matrix.
 	op    *pmat.Mat
 	opVer int
 
@@ -451,6 +453,14 @@ func (b *baseAdapter) SetupRHS(rightHandSide []float64, numLocalRow, nRhs int) i
 // comparison and ±Inf exceeds MaxFloat64.
 func finite(v float64) bool { return math.Abs(v) <= math.MaxFloat64 }
 
+// floatParam parses a float parameter value by the same rule: ok only
+// for a well-formed, finite number. Every backend's float keys go
+// through it.
+func floatParam(value string) (float64, bool) {
+	v, err := strconv.ParseFloat(value, 64)
+	return v, err == nil && finite(v)
+}
+
 // ---- generic parameters (§6.5) ----
 
 // Set validates and stores a generic parameter (§6.5): "workers", the
@@ -583,16 +593,23 @@ func (b *baseAdapter) recordPoolStats() {
 // version or the layout changed; both keys are rank-symmetric (see
 // distVer), so either every rank rebuilds or none does. Components key
 // their own backend rebuild on the identity of the operator returned.
+// The staged rows are dropped once they are the operator, so the port
+// keeps one copy of the matrix: a rebuild for a new layout alone reads
+// its rows back from the operator.
 func (b *baseAdapter) operator(l *pmat.Layout) (*pmat.Mat, error) {
 	if b.op != nil && b.opVer == b.matVer && b.op.L == l {
 		return b.op, nil
 	}
 	defer b.rec.StartPhase(telemetry.PhaseSetup)()
-	op, err := pmat.NewMat(l, b.localA)
+	rows := b.localA
+	if rows == nil {
+		rows = b.op.LocalRowsGlobal()
+	}
+	op, err := pmat.NewMat(l, rows)
 	if err != nil {
 		return nil, err
 	}
-	b.op, b.opVer = op, b.matVer
+	b.op, b.opVer, b.localA = op, b.matVer, nil
 	return op, nil
 }
 
@@ -618,7 +635,7 @@ func (b *baseAdapter) solvePrep(solution, status []float64, numLocalRow int) (*p
 		return nil, ErrBadArg
 	}
 	b.fetchMatrixFreePort()
-	if b.mf == nil && b.localA == nil {
+	if b.mf == nil && b.localA == nil && b.op == nil {
 		return nil, ErrBadState
 	}
 	// The layout is collective on a cache miss. It is cached on distVer,

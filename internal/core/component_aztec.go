@@ -94,16 +94,12 @@ func checkAztecParam(key, value string) int {
 		if _, ok := aztecConvNames[value]; !ok {
 			return ErrBadArg
 		}
-	case "tol":
-		if v, err := strconv.ParseFloat(value, 64); err != nil || v <= 0 {
+	case "tol", "fill":
+		if v, ok := floatParam(value); !ok || v <= 0 {
 			return ErrBadArg
 		}
 	case "drop_tol":
-		if v, err := strconv.ParseFloat(value, 64); err != nil || v < 0 {
-			return ErrBadArg
-		}
-	case "fill":
-		if v, err := strconv.ParseFloat(value, 64); err != nil || v <= 0 {
+		if v, ok := floatParam(value); !ok || v < 0 {
 			return ErrBadArg
 		}
 	case "maxits", "restart":

@@ -76,12 +76,8 @@ func checkKSPParam(key, value string) int {
 		if _, ok := kspPCNames[value]; !ok {
 			return ErrBadArg
 		}
-	case "tol", "atol":
-		if v, err := strconv.ParseFloat(value, 64); err != nil || v <= 0 {
-			return ErrBadArg
-		}
-	case "damping":
-		if v, err := strconv.ParseFloat(value, 64); err != nil || v <= 0 {
+	case "tol", "atol", "damping":
+		if v, ok := floatParam(value); !ok || v <= 0 {
 			return ErrBadArg
 		}
 	case "maxits", "restart":

@@ -71,8 +71,12 @@ func checkMGParam(key, value string) int {
 		if v, err := strconv.Atoi(value); err != nil || v < 1 || v > 2 {
 			return ErrBadArg
 		}
-	case "tol", "omega", "convection":
-		if _, err := strconv.ParseFloat(value, 64); err != nil {
+	case "tol", "omega":
+		if v, ok := floatParam(value); !ok || v <= 0 {
+			return ErrBadArg
+		}
+	case "convection":
+		if _, ok := floatParam(value); !ok {
 			return ErrBadArg
 		}
 	case "galerkin":
@@ -119,18 +123,8 @@ func (mc *MGComponent) coarseSolve(a *sparse.CSR, b []float64) ([]float64, error
 		if code := s.Initialize(c); code != OK {
 			return nil, Check(code)
 		}
-		if code := s.SetStartRow(l.Start); code != OK {
-			return nil, Check(code)
-		}
-		if code := s.SetLocalRows(l.LocalN); code != OK {
-			return nil, Check(code)
-		}
-		if code := s.SetGlobalCols(a.Rows); code != OK {
-			return nil, Check(code)
-		}
-		local := a.SubMatrix(l.Start, l.Start+l.LocalN)
-		if code := s.SetupMatrix(local.Vals, local.RowPtr, local.ColInd, CSR, len(local.RowPtr), local.NNZ()); code != OK {
-			return nil, Check(code)
+		if err := stage(s, l, a.SubMatrix(l.Start, l.Start+l.LocalN), nil); err != nil {
+			return nil, err
 		}
 		mc.coarseUp = true
 	}

@@ -77,8 +77,13 @@ func TestMGComponentParamValidation(t *testing.T) {
 	if s.Set("cycles", "0") != ErrBadArg {
 		t.Error("cycles=0 accepted")
 	}
-	if s.Set("tol", "zz") != ErrBadArg {
-		t.Error("bad tol accepted")
+	for _, kv := range [][2]string{
+		{"tol", "zz"}, {"tol", "Inf"}, {"tol", "-1"},
+		{"omega", "NaN"}, {"omega", "-3"}, {"convection", "Inf"},
+	} {
+		if s.Set(kv[0], kv[1]) != ErrBadArg {
+			t.Errorf("%s=%s accepted", kv[0], kv[1])
+		}
 	}
 	if s.Set("unknown", "1") != ErrUnknownKey {
 		t.Error("unknown key accepted")

@@ -59,7 +59,7 @@ func checkSLUParam(key, value string) int {
 			return ErrBadArg
 		}
 	case key == "pivot_threshold":
-		if v, err := strconv.ParseFloat(value, 64); err != nil || v <= 0 || v > 1 {
+		if v, ok := floatParam(value); !ok || v <= 0 || v > 1 {
 			return ErrBadArg
 		}
 	case key == "equilibrate":

@@ -136,10 +136,18 @@ func TestDriverRejectsBadParameter(t *testing.T) {
 	}{
 		{ClassKSPSolver, "frobnicate", "1", Check(ErrUnknownKey).Error()},
 		{ClassKSPSolver, "tol", "abc", Check(ErrBadArg).Error()},
+		{ClassKSPSolver, "tol", "NaN", Check(ErrBadArg).Error()},
+		{ClassKSPSolver, "tol", "Inf", Check(ErrBadArg).Error()},
+		{ClassKSPSolver, "atol", "NaN", Check(ErrBadArg).Error()},
+		{ClassKSPSolver, "damping", "NaN", Check(ErrBadArg).Error()},
 		{ClassAztecSolver, "frobnicate", "1", Check(ErrUnknownKey).Error()},
 		{ClassAztecSolver, "tol", "abc", Check(ErrBadArg).Error()},
+		{ClassAztecSolver, "tol", "Inf", Check(ErrBadArg).Error()},
+		{ClassAztecSolver, "drop_tol", "NaN", Check(ErrBadArg).Error()},
+		{ClassAztecSolver, "fill", "+Inf", Check(ErrBadArg).Error()},
 		{ClassSLUSolver, "frobnicate", "1", Check(ErrUnknownKey).Error()},
 		{ClassSLUSolver, "ordering", "abc", Check(ErrBadArg).Error()},
+		{ClassSLUSolver, "pivot_threshold", "NaN", Check(ErrBadArg).Error()},
 	} {
 		run(t, 1, func(c *comm.Comm) {
 			_, driver := wire(t, c, tc.class)

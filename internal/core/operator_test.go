@@ -137,7 +137,8 @@ func staged(t *testing.T, s SparseSolver) (*baseAdapter, *pmat.Mat) {
 // native door's), bit for bit, for every golden family on 1 and 2 ranks,
 // and requires every assembled backend to solve on that one operator:
 // the trilinos component views it, so no golden digest can move with
-// the path.
+// the path. Once the operator is built, the adapter keeps no staged rows
+// beside it.
 func TestPortOperatorMatchesInsertPath(t *testing.T) {
 	for _, fam := range goldenFamilyNames(t) {
 		sys, ok := goldenSystems[fam]
@@ -149,7 +150,8 @@ func TestPortOperatorMatchesInsertPath(t *testing.T) {
 			for _, p := range []int{1, 2} {
 				run(t, p, func(c *comm.Comm) {
 					s := be.open()
-					n := stageEven(t, c, s, a, b).LocalN
+					l := stageEven(t, c, s, a, b)
+					n := l.LocalN
 					if be.name != "superlu" {
 						mustOK(t, s.Set("preconditioner", "none"), "Set")
 						mustOK(t, s.Set("maxits", "1"), "Set")
@@ -160,7 +162,10 @@ func TestPortOperatorMatchesInsertPath(t *testing.T) {
 					if base.op == nil || built != base.op {
 						t.Fatalf("%s: the backend did not solve on the staged operator", label)
 					}
-					want := insertPathOperator(t, c, base.localA, base.startRow)
+					if base.localA != nil {
+						t.Errorf("%s: the adapter keeps its staged rows beside the operator", label)
+					}
+					want := insertPathOperator(t, c, a.SubMatrix(l.Start, l.Start+n), l.Start)
 					requireSameOperator(t, label, base.op, want)
 				})
 			}
@@ -171,7 +176,9 @@ func TestPortOperatorMatchesInsertPath(t *testing.T) {
 // TestReinitializeLeavesOldWorld: a component re-Initialized on a second
 // world and solved again without restaging must build its operator on
 // the new world. World 1 must see no traffic at all from that solve, and
-// world 2's answer must be world 1's, bit for bit.
+// world 2's answer must be world 1's, bit for bit. The assembled backends
+// hold no staged rows by then, so their world 2 operator is rebuilt from
+// world 1's.
 func TestReinitializeLeavesOldWorld(t *testing.T) {
 	type backendCase struct {
 		name   string
@@ -220,6 +227,11 @@ func TestReinitializeLeavesOldWorld(t *testing.T) {
 				x := make([]float64, n)
 				mustOK(t, s.Solve(x, make([]float64, StatusLen), n, StatusLen), "Solve on world 2")
 				requireSameBits(t, "world 2 solution", x, first[c.Rank()])
+				if backend.name != "mg" {
+					if base, op := staged(t, s); base.localA != nil || op.L.Comm() != c {
+						t.Errorf("rank %d: world 2's operator was not rebuilt from world 1's alone", c.Rank())
+					}
+				}
 			})
 			if err != nil {
 				t.Fatal(err)

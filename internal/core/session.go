@@ -98,9 +98,8 @@ type Session struct {
 	dead      bool // world poisoned by a cancelled/aborted solve
 
 	// Staged-system references retained for failover re-staging: the
-	// local matrix block or matrix-free operator, and (only when a
-	// failover chain is configured) a private copy of the right-hand
-	// sides.
+	// matrix-free operator, and only when a failover chain is configured
+	// the local matrix block and a private copy of the right-hand sides.
 	localA  *sparse.CSR
 	mf      MatrixFree
 	rhsCopy []float64
@@ -222,22 +221,14 @@ func (s *Session) Setup(l *pmat.Layout, a *sparse.CSR) error {
 	if l == nil || a == nil {
 		return fmt.Errorf("core: session Setup requires a layout and a local matrix")
 	}
-	steps := []func() int{
-		func() int { return s.solver.SetStartRow(l.Start) },
-		func() int { return s.solver.SetLocalRows(l.LocalN) },
-		func() int { return s.solver.SetLocalNNZ(a.NNZ()) },
-		func() int { return s.solver.SetGlobalCols(l.N) },
-		func() int {
-			return s.solver.SetupMatrix(a.Vals, a.RowPtr, a.ColInd, CSR, len(a.RowPtr), a.NNZ())
-		},
-	}
-	for _, step := range steps {
-		if code := step(); code != OK {
-			return Check(code)
-		}
+	if err := stage(s.solver, l, a, nil); err != nil {
+		return err
 	}
 	s.layout = l
-	s.localA = a
+	s.localA = nil
+	if len(s.opts.Failover) > 0 {
+		s.localA = a // only the failover walk re-stages it
+	}
 	s.mf = nil
 	s.matStaged = true
 	return nil
@@ -253,16 +244,8 @@ func (s *Session) SetupOperator(l *pmat.Layout, mf MatrixFree) error {
 	if l == nil || mf == nil {
 		return fmt.Errorf("core: session SetupOperator requires a layout and an operator")
 	}
-	steps := []func() int{
-		func() int { return s.solver.SetStartRow(l.Start) },
-		func() int { return s.solver.SetLocalRows(l.LocalN) },
-		func() int { return s.solver.SetGlobalCols(l.N) },
-		func() int { return s.solver.SetMatrixFree(mf) },
-	}
-	for _, step := range steps {
-		if code := step(); code != OK {
-			return Check(code)
-		}
+	if err := stage(s.solver, l, nil, mf); err != nil {
+		return err
 	}
 	s.layout = l
 	s.localA = nil
@@ -406,6 +389,32 @@ func (s *Session) solveOnce(ctx context.Context, x []float64) (SolveResult, erro
 	return res, nil
 }
 
+// stage hands one rank's distribution and operator to a component: the
+// §6.3 setters, then setupMatrix (CSR) with a's rows, or SetMatrixFree
+// when mf is set. It stops at the first refusal. Every staging inside
+// the package goes through it except DriverComponent.SolveProblem,
+// which keeps its explicit calls: it is the Figure 3 application code
+// the paper shows unchanged across swaps.
+func stage(solver SparseSolver, l *pmat.Layout, a *sparse.CSR, mf MatrixFree) error {
+	code := solver.SetStartRow(l.Start)
+	if code == OK {
+		code = solver.SetLocalRows(l.LocalN)
+	}
+	if code == OK {
+		code = solver.SetGlobalCols(l.N)
+	}
+	switch {
+	case code != OK:
+	case mf != nil:
+		code = solver.SetMatrixFree(mf)
+	default:
+		if code = solver.SetLocalNNZ(a.NNZ()); code == OK {
+			code = solver.SetupMatrix(a.Vals, a.RowPtr, a.ColInd, CSR, len(a.RowPtr), a.NNZ())
+		}
+	}
+	return Check(code)
+}
+
 // failoverTo opens the named registry backend, replays the session's
 // parameters (skipping keys outside the replacement's vocabulary) and
 // re-stages the retained system and right-hand sides into it. On any
@@ -436,29 +445,11 @@ func (s *Session) failoverTo(name string) error {
 			return Check(code)
 		}
 	}
-	steps := []func() int{
-		func() int { return solver.SetStartRow(s.layout.Start) },
-		func() int { return solver.SetLocalRows(s.layout.LocalN) },
-		func() int { return solver.SetGlobalCols(s.layout.N) },
+	if err := stage(solver, s.layout, s.localA, s.mf); err != nil {
+		return err
 	}
-	if s.mf != nil {
-		steps = append(steps, func() int { return solver.SetMatrixFree(s.mf) })
-	} else {
-		a := s.localA
-		steps = append(steps,
-			func() int { return solver.SetLocalNNZ(a.NNZ()) },
-			func() int {
-				return solver.SetupMatrix(a.Vals, a.RowPtr, a.ColInd, CSR, len(a.RowPtr), a.NNZ())
-			},
-		)
-	}
-	steps = append(steps, func() int {
-		return solver.SetupRHS(s.rhsCopy, s.layout.LocalN, s.nRhs)
-	})
-	for _, step := range steps {
-		if code := step(); code != OK {
-			return Check(code)
-		}
+	if code := solver.SetupRHS(s.rhsCopy, s.layout.LocalN, s.nRhs); code != OK {
+		return Check(code)
 	}
 	if rh, ok := s.solver.(resourceHolder); ok {
 		rh.releaseResources()

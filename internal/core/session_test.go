@@ -521,3 +521,19 @@ func TestSessionFailedSolveReproduces(t *testing.T) {
 		}
 	}
 }
+
+// TestSessionKeepsMatrixOnlyForFailover: the session holds on to the
+// caller's matrix block only when a failover chain may re-stage it; the
+// backend has its own copy.
+func TestSessionKeepsMatrixOnlyForFailover(t *testing.T) {
+	a, b := paperSystem(9)(t)
+	for _, chain := range [][]string{nil, {"superlu"}} {
+		run(t, 1, func(c *comm.Comm) {
+			s, _ := openOn(t, c, "petsc", SessionOptions{Params: iterativeParams, Failover: chain}, a, b)
+			defer s.Close()
+			if kept := s.localA != nil; kept != (len(chain) > 0) {
+				t.Errorf("failover chain %v: session keeps the matrix = %t", chain, kept)
+			}
+		})
+	}
+}

@@ -62,7 +62,8 @@ func (a *Mat) Diagonal() ([]float64, error) {
 }
 
 // DiagBlock returns the local diagonal block for block preconditioners,
-// or an error for shell operators.
+// or an error for shell operators. The block is the operator's own
+// storage (pmat.Mat.DiagBlock): read it, never write it.
 func (a *Mat) DiagBlock() (*sparse.CSR, error) {
 	if a.pm == nil {
 		return nil, fmt.Errorf("ksp: shell matrix has no accessible diagonal block")

@@ -44,3 +44,22 @@ func leastAllocs(runs int, f func()) float64 {
 
 // allocSamples is how many counts leastAllocs takes.
 const allocSamples = 3
+
+// TestDiagBlockAllocatesNothing: the diagonal block is the matrix's own
+// interior block, handed out as it is stored.
+func TestDiagBlockAllocatesNothing(t *testing.T) {
+	run(t, 1, func(c *comm.Comm) {
+		a := sparse.Laplace2D(8, 8)
+		l, err := EvenLayout(c, a.Rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := NewMat(l, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(10, func() { m.DiagBlock() }); n != 0 {
+			t.Errorf("DiagBlock allocates %v objects, want 0", n)
+		}
+	})
+}

@@ -13,11 +13,11 @@ import (
 const tagGhost = 0x7a00
 
 // Mat is a square sparse matrix distributed by block rows: each rank holds
-// the CSR of its own rows. Vectors are distributed conformally with the
-// row layout. A communication plan built at construction exchanges the
-// off-process ("ghost") vector entries needed by the local rows, so Apply
-// performs one message round per product — the structure of a
-// distributed-memory SpMV.
+// its own rows, split by column ownership. Vectors are distributed
+// conformally with the row layout. A communication plan built at
+// construction exchanges the off-process ("ghost") vector entries needed
+// by the local rows, so Apply performs one message round per product —
+// the structure of a distributed-memory SpMV.
 type Mat struct {
 	L *Layout
 
@@ -26,18 +26,13 @@ type Mat struct {
 	// restriction and prolongation.
 	C *Layout
 
-	// local is the compacted local operator: its column space is
-	// [0,LocalN) for owned entries followed by [LocalN, LocalN+G) for
-	// ghost entries in the order of ghostCols.
-	local *sparse.CSR
-
-	// interior and boundary split local by column ownership so Apply can
-	// overlap the ghost exchange with the interior product: interior
-	// holds the entries whose columns this rank owns, boundary the
-	// entries referencing ghost columns (reindexed to [0, G)). Both are
-	// split off local on first bind, not at construction. interior is
-	// dropped once a SELL kernel has replaced it: only rebind reads it,
-	// and splits it off local again if a pool change needs it.
+	// interior and boundary are the local rows, split by column
+	// ownership so Apply can overlap the ghost exchange with the interior
+	// product: interior holds the entries whose columns this rank owns
+	// (re-indexed to [0, C.LocalN)), boundary the entries referencing
+	// ghost columns (re-indexed to their slot in ghostCols). They are the
+	// matrix's one stored form: both are filled at construction, each
+	// row in the order it came in, and every other view is read off them.
 	interior *sparse.CSR
 	boundary *sparse.CSR
 
@@ -124,21 +119,15 @@ func (m *Mat) rebind() {
 	if m.pool != nil {
 		workers = m.pool.Workers()
 	}
-	if m.interior == nil {
-		m.interior, m.boundary = m.split()
-	}
 	m.intSpMV.Bind(m.interior, false, m.format, workers)
 	m.bndSpMV.Bind(m.boundary, true, m.format, workers)
-	if m.intSpMV.Format() == sparse.FmtSELL {
-		m.interior = nil // the SELL copy replaced it
-	}
 	m.bound = true
 }
 
 // NewMat builds a square distributed matrix from this rank's local rows
 // (collective). localRows must have Rows == l.LocalN and Cols == l.N, with
-// global column indices. The CSR arrays are not retained; a compacted
-// copy is made.
+// global column indices. The CSR arrays are not retained: the rows are
+// copied into the split form Apply reads.
 func NewMat(l *Layout, localRows *sparse.CSR) (*Mat, error) {
 	return NewMatRect(l, l, localRows)
 }
@@ -147,8 +136,8 @@ func NewMat(l *Layout, localRows *sparse.CSR) (*Mat, error) {
 // rowL and whose input vectors follow colL (collective). localRows must
 // have Rows == rowL.LocalN and Cols == colL.N, with global column
 // indices, and be canonical (every row's columns strictly ascending):
-// the interior/boundary split and the diagonal block are order-preserving
-// filters of these rows.
+// the interior and boundary blocks are order-preserving filters of these
+// rows, filled in one count pass and one fill pass.
 func NewMatRect(rowL, colL *Layout, localRows *sparse.CSR) (*Mat, error) {
 	if localRows.Rows != rowL.LocalN {
 		return nil, fmt.Errorf("pmat: NewMatRect: local matrix has %d rows, layout owns %d", localRows.Rows, rowL.LocalN)
@@ -156,56 +145,54 @@ func NewMatRect(rowL, colL *Layout, localRows *sparse.CSR) (*Mat, error) {
 	if localRows.Cols != colL.N {
 		return nil, fmt.Errorf("pmat: NewMatRect: local matrix has %d cols, want global size %d", localRows.Cols, colL.N)
 	}
+	a := localRows
+	if _, err := sparse.NewCSR(a.Rows, a.Cols, a.RowPtr, a.ColInd, a.Vals); err != nil {
+		return nil, fmt.Errorf("pmat: NewMatRect: %v", err)
+	}
 	m := &Mat{L: rowL, C: colL}
 
-	// Collect the ghost columns, sorted and distinct.
-	for _, j := range localRows.ColInd {
-		if !colL.Owns(j) {
-			m.ghostCols = append(m.ghostCols, j)
+	// Count pass: check the order, count each row's owned entries and
+	// collect the ghost columns, sorted and distinct.
+	rows := a.Rows
+	intPtr, bndPtr := make([]int, rows+1), make([]int, rows+1)
+	for i := 0; i < rows; i++ {
+		cols, _ := a.RowView(i)
+		owned := 0
+		for k, j := range cols {
+			if k > 0 && cols[k-1] >= j {
+				return nil, fmt.Errorf("pmat: NewMatRect: row %d columns not strictly ascending (%d then %d)", i, cols[k-1], j)
+			}
+			if colL.Owns(j) {
+				owned++
+			} else {
+				m.ghostCols = append(m.ghostCols, j)
+			}
 		}
+		intPtr[i+1] = intPtr[i] + owned
+		bndPtr[i+1] = bndPtr[i] + len(cols) - owned
 	}
 	sort.Ints(m.ghostCols)
 	m.ghostCols = slices.Compact(m.ghostCols)
 
-	// Compact the column space: owned -> [0,LocalN), ghosts follow.
-	rp := make([]int, len(localRows.RowPtr))
-	copy(rp, localRows.RowPtr)
-	ci := make([]int, len(localRows.ColInd))
-	v := make([]float64, len(localRows.Vals))
-	copy(v, localRows.Vals)
-	for k, j := range localRows.ColInd {
+	// Fill pass: owned columns shift down to [0, LocalN), ghost columns
+	// become their slot. Both maps are monotone, so rows stay ascending.
+	nInt, nBnd := intPtr[rows], bndPtr[rows]
+	m.interior = &sparse.CSR{Rows: rows, Cols: colL.LocalN, RowPtr: intPtr, ColInd: make([]int, nInt), Vals: make([]float64, nInt)}
+	m.boundary = &sparse.CSR{Rows: rows, Cols: len(m.ghostCols), RowPtr: bndPtr, ColInd: make([]int, nBnd), Vals: make([]float64, nBnd)}
+	p, q := 0, 0
+	for k, j := range a.ColInd {
 		if colL.Owns(j) {
-			ci[k] = j - colL.Start
+			m.interior.ColInd[p], m.interior.Vals[p] = j-colL.Start, a.Vals[k]
+			p++
 		} else {
-			ci[k] = colL.LocalN + sort.SearchInts(m.ghostCols, j)
-		}
-	}
-	var err error
-	m.local, err = sparse.NewCSR(rowL.LocalN, colL.LocalN+len(m.ghostCols), rp, ci, v)
-	if err != nil {
-		return nil, fmt.Errorf("pmat: NewMatRect: %v", err)
-	}
-	// The structure is valid now (it is localRows'); check the order.
-	for i := 0; i < localRows.Rows; i++ {
-		cols, _ := localRows.RowView(i)
-		for k := 1; k < len(cols); k++ {
-			if cols[k-1] >= cols[k] {
-				return nil, fmt.Errorf("pmat: NewMatRect: row %d columns not strictly ascending (%d then %d)", i, cols[k-1], cols[k])
-			}
+			m.boundary.ColInd[q], m.boundary.Vals[q] = sort.SearchInts(m.ghostCols, j), a.Vals[k]
+			q++
 		}
 	}
 
 	m.halo = NewHalo(colL, m.ghostCols, tagGhost)
 	m.ghostVals = make([]float64, len(m.ghostCols))
 	return m, nil
-}
-
-// split partitions the compacted operator by column ownership: the
-// owned columns [0, LocalN) are the interior block, the ghost columns
-// the boundary block, re-indexed to [0, G). Ghost slots follow global
-// column order, so both halves of a canonical row stay ascending.
-func (m *Mat) split() (interior, boundary *sparse.CSR) {
-	return m.local.SplitCols(0, m.C.LocalN)
 }
 
 // NumGhosts returns the number of off-process columns this rank needs.
@@ -243,13 +230,13 @@ func (m *Mat) Apply(y, x []float64) {
 
 // DiagBlock returns this rank's diagonal block (rows and columns it owns)
 // as a LocalN×LocalN CSR — the operator block-Jacobi style preconditioners
-// factor.
+// factor. It is the matrix's own interior block, not a copy: callers
+// must treat it as read-only.
 func (m *Mat) DiagBlock() *sparse.CSR {
 	if m.L != m.C {
 		panic("pmat: DiagBlock requires a square matrix")
 	}
-	blk, _ := m.split()
-	return blk
+	return m.interior
 }
 
 // Diagonal returns the local portion of the global main diagonal.
@@ -258,8 +245,8 @@ func (m *Mat) Diagonal() []float64 {
 		panic("pmat: Diagonal requires a square matrix")
 	}
 	d := make([]float64, m.L.LocalN)
-	for i := 0; i < m.L.LocalN; i++ {
-		cols, vals := m.local.RowView(i)
+	for i := range d {
+		cols, vals := m.interior.RowView(i)
 		for k, j := range cols {
 			if j == i {
 				d[i] = vals[k]
@@ -270,39 +257,47 @@ func (m *Mat) Diagonal() []float64 {
 	return d
 }
 
-// globalCol maps a compacted column back to its global index, the
-// inverse of the compaction done at construction. It is monotone within
-// the owned and within the ghost columns, and compaction kept every
-// entry in place, so a row read back through it is the canonical row
-// that went in.
-func (m *Mat) globalCol(j int) int {
-	if j < m.C.LocalN {
-		return j + m.C.Start
+// appendRowGlobal appends local row i, with global column indices, to ci
+// and v. The row is read back in three runs — the ghost columns below
+// the owned range, the owned columns, the ghost columns above it — which
+// is the canonical row that went in, since ghost slots follow global
+// column order.
+func (m *Mat) appendRowGlobal(ci []int, v []float64, i int) ([]int, []float64) {
+	ic, iv := m.interior.RowView(i)
+	bc, bv := m.boundary.RowView(i)
+	below := 0
+	for below < len(bc) && m.ghostCols[bc[below]] < m.C.Start {
+		below++
 	}
-	return m.ghostCols[j-m.C.LocalN]
+	for _, s := range bc[:below] {
+		ci = append(ci, m.ghostCols[s])
+	}
+	for _, j := range ic {
+		ci = append(ci, j+m.C.Start)
+	}
+	for _, s := range bc[below:] {
+		ci = append(ci, m.ghostCols[s])
+	}
+	return ci, append(append(append(v, bv[:below]...), iv...), bv[below:]...)
 }
 
 // RowGlobal returns copies of local row i's global column indices and
 // values.
 func (m *Mat) RowGlobal(i int) ([]int, []float64) {
-	cols, vals := m.local.RowView(i)
-	ci := make([]int, len(cols))
-	for k, j := range cols {
-		ci[k] = m.globalCol(j)
-	}
-	return ci, append([]float64(nil), vals...)
+	n := m.interior.RowPtr[i+1] - m.interior.RowPtr[i] + m.boundary.RowPtr[i+1] - m.boundary.RowPtr[i]
+	return m.appendRowGlobal(make([]int, 0, n), make([]float64, 0, n), i)
 }
 
 // LocalRowsGlobal reconstructs this rank's rows with global column
 // indices.
 func (m *Mat) LocalRowsGlobal() *sparse.CSR {
-	rp := append([]int(nil), m.local.RowPtr...)
-	ci := make([]int, len(m.local.ColInd))
-	for k, j := range m.local.ColInd {
-		ci[k] = m.globalCol(j)
+	rows, nnz := m.L.LocalN, m.interior.NNZ()+m.boundary.NNZ()
+	rp, ci, v := make([]int, rows+1), make([]int, 0, nnz), make([]float64, 0, nnz)
+	for i := 0; i < rows; i++ {
+		ci, v = m.appendRowGlobal(ci, v, i)
+		rp[i+1] = len(ci)
 	}
-	v := append([]float64(nil), m.local.Vals...)
-	return &sparse.CSR{Rows: m.L.LocalN, Cols: m.C.N, RowPtr: rp, ColInd: ci, Vals: v}
+	return &sparse.CSR{Rows: rows, Cols: m.C.N, RowPtr: rp, ColInd: ci, Vals: v}
 }
 
 // GatherGlobal assembles the full matrix on every rank (collective). This

@@ -2,6 +2,8 @@ package pmat
 
 import (
 	"math"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -9,48 +11,42 @@ import (
 	"repro/internal/sparse"
 )
 
-// The COO routes the split, the diagonal block and the gather took
-// before they became order-preserving filters of canonical rows, kept as
-// the references FuzzSplitMatchesCOO compares them against.
+// The COO routes the split and the gather took before they became
+// order-preserving filters of canonical rows, kept as the references
+// FuzzSplitMatchesCOO compares them against. Both read the rows NewMat was
+// given, not the matrix.
 
-func refSplit(m *Mat) (interior, boundary *sparse.CSR) {
-	nLoc := m.C.LocalN
-	intCOO := sparse.NewCOO(m.L.LocalN, nLoc)
-	bndCOO := sparse.NewCOO(m.L.LocalN, len(m.ghostCols))
-	for i := 0; i < m.L.LocalN; i++ {
-		cols, vals := m.local.RowView(i)
+func refSplit(l *Layout, rows *sparse.CSR) (interior, boundary *sparse.CSR) {
+	var ghosts []int
+	for _, j := range rows.ColInd {
+		if !l.Owns(j) {
+			ghosts = append(ghosts, j)
+		}
+	}
+	sort.Ints(ghosts)
+	ghosts = slices.Compact(ghosts)
+	intCOO := sparse.NewCOO(rows.Rows, l.LocalN)
+	bndCOO := sparse.NewCOO(rows.Rows, len(ghosts))
+	for i := 0; i < rows.Rows; i++ {
+		cols, vals := rows.RowView(i)
 		for k, j := range cols {
-			if j < nLoc {
-				intCOO.Append(i, j, vals[k])
+			if l.Owns(j) {
+				intCOO.Append(i, j-l.Start, vals[k])
 			} else {
-				bndCOO.Append(i, j-nLoc, vals[k])
+				bndCOO.Append(i, sort.SearchInts(ghosts, j), vals[k])
 			}
 		}
 	}
 	return intCOO.ToCSR(), bndCOO.ToCSR()
 }
 
-func refDiagBlock(m *Mat) *sparse.CSR {
-	coo := sparse.NewCOO(m.L.LocalN, m.L.LocalN)
-	for i := 0; i < m.L.LocalN; i++ {
-		cols, vals := m.local.RowView(i)
-		for k, j := range cols {
-			if j < m.L.LocalN {
-				coo.Append(i, j, vals[k])
-			}
-		}
-	}
-	return coo.ToCSR()
-}
-
-func refGatherGlobal(m *Mat) *sparse.CSR {
-	l := m.L
-	coo := m.LocalRowsGlobal().ToCOO()
+func refGatherGlobal(l *Layout, rows *sparse.CSR) *sparse.CSR {
+	coo := rows.ToCOO()
 	rowsG := make([]int, len(coo.Row))
 	for k, i := range coo.Row {
 		rowsG[k] = i + l.Start
 	}
-	g := &sparse.COO{Rows: l.N, Cols: m.C.N,
+	g := &sparse.COO{Rows: l.N, Cols: rows.Cols,
 		Row: l.c.AllGatherVInts(rowsG), Col: l.c.AllGatherVInts(coo.Col), Val: l.c.AllGatherVFloat64s(coo.Val)}
 	return g.ToCSR()
 }
@@ -79,8 +75,9 @@ var splitValues = []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 1e-310, 1,
 
 // FuzzSplitMatchesCOO distributes random rows over three ranks, so the
 // middle rank has ghost columns on both sides of its owned range, and
-// requires the interior/boundary split, DiagBlock and GatherGlobal to be
-// the COO routes' bit for bit. The triplets may repeat an entry any
+// requires the interior/boundary split and GatherGlobal to be the COO
+// routes' bit for bit, and LocalRowsGlobal to give back the rows that
+// went in. The triplets may repeat an entry any
 // number of times and leave rows empty; COO.ToCSR, the normaliser,
 // makes them the canonical rows NewMat takes.
 func FuzzSplitMatchesCOO(f *testing.F) {
@@ -117,37 +114,46 @@ func FuzzSplitMatchesCOO(f *testing.F) {
 					local.Append(ri[k]-l.Start, ci[k], v[k])
 				}
 			}
-			m, err := NewMat(l, local.ToCSR())
+			rows := local.ToCSR()
+			m, err := NewMat(l, rows)
 			if err != nil {
 				t.Fatal(err)
 			}
-			interior, boundary := m.split()
-			wantInt, wantBnd := refSplit(m)
-			if !sameBits(interior, wantInt) || !sameBits(boundary, wantBnd) {
-				t.Fatalf("rank %d: split %+v | %+v, COO route %+v | %+v", c.Rank(), interior, boundary, wantInt, wantBnd)
+			wantInt, wantBnd := refSplit(l, rows)
+			if !sameBits(m.interior, wantInt) || !sameBits(m.boundary, wantBnd) {
+				t.Fatalf("rank %d: split %+v | %+v, COO route %+v | %+v", c.Rank(), m.interior, m.boundary, wantInt, wantBnd)
 			}
-			if got, want := m.DiagBlock(), refDiagBlock(m); !sameBits(got, want) {
-				t.Fatalf("rank %d: DiagBlock %+v, COO route %+v", c.Rank(), got, want)
+			if got := m.LocalRowsGlobal(); !sameBits(got, rows) {
+				t.Fatalf("rank %d: LocalRowsGlobal %+v, rows in %+v", c.Rank(), got, rows)
 			}
-			if got, want := m.GatherGlobal(), refGatherGlobal(m); !sameBits(got, want) {
+			if got, want := m.GatherGlobal(), refGatherGlobal(l, rows); !sameBits(got, want) {
 				t.Fatalf("rank %d: GatherGlobal %+v, COO route %+v", c.Rank(), got, want)
 			}
 		})
 	})
 }
 
-// TestNewMatRejectsNonCanonicalRows: the split relies on ascending rows,
-// so NewMatRect refuses a row out of order or with a repeated column.
+// TestNewMatRejectsNonCanonicalRows: the split relies on ascending rows
+// of columns inside the global range, so NewMatRect refuses a row out of
+// order, with a repeated column, or with a column past the last (which
+// would otherwise become a ghost no rank sends).
 func TestNewMatRejectsNonCanonicalRows(t *testing.T) {
-	for name, cols := range map[string][]int{"unsorted": {2, 0}, "repeated": {1, 1}} {
+	for name, tc := range map[string]struct {
+		cols []int
+		want string
+	}{
+		"unsorted":     {[]int{2, 0}, "not strictly ascending"},
+		"repeated":     {[]int{1, 1}, "not strictly ascending"},
+		"out of range": {[]int{1, 3}, "out of range"},
+	} {
 		run(t, 1, func(c *comm.Comm) {
 			l, err := EvenLayout(c, 3)
 			if err != nil {
 				t.Fatal(err)
 			}
-			a := &sparse.CSR{Rows: 3, Cols: 3, RowPtr: []int{0, 1, 3, 4}, ColInd: []int{0, cols[0], cols[1], 2}, Vals: []float64{1, 2, 3, 4}}
-			if _, err := NewMat(l, a); err == nil || !strings.Contains(err.Error(), "not strictly ascending") {
-				t.Errorf("%s row 1: NewMat error %v, want a not-strictly-ascending refusal", name, err)
+			a := &sparse.CSR{Rows: 3, Cols: 3, RowPtr: []int{0, 1, 3, 4}, ColInd: []int{0, tc.cols[0], tc.cols[1], 2}, Vals: []float64{1, 2, 3, 4}}
+			if _, err := NewMat(l, a); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s row 1: NewMat error %v, want a %q refusal", name, err, tc.want)
 			}
 		})
 	}

@@ -26,7 +26,7 @@ type entrySpec struct {
 	params  map[string]string
 
 	gridN  int         // paper model problem when > 0
-	matrix *sparse.CSR // explicit global operator otherwise
+	matrix *sparse.CSR // explicit global operator otherwise, until set-up
 
 	opID  string
 	opVer int
@@ -274,7 +274,12 @@ func (e *entry) dispatch() {
 		}
 		e.teardown(terr)
 	}()
-	if serr := e.collectSetup(); serr != nil {
+	serr := e.collectSetup()
+	// Every rank has taken its rows of an explicit operator by now (its
+	// setup result came through e.results, or its Run region ended), so
+	// the entry need not hold the global matrix for its life.
+	e.spec.matrix = nil
+	if serr != nil {
 		e.teardown(serr)
 		return
 	}

@@ -465,18 +465,21 @@ func (s *Service) reuseLocked(key poolKey, req *SolveRequest) (*entry, bool, *Er
 
 // operatorConflict rejects a request whose operator body disagrees with
 // the one already pooled under the same id@version — versions are
-// immutable; a changed operator must bump Operator.Version.
+// immutable; a changed operator must bump Operator.Version. A spec is
+// the paper model when gridN > 0 and an explicit operator otherwise
+// (buildSpec sets exactly one); the explicit body itself is gone once
+// the entry's ranks are set up.
 func operatorConflict(req *SolveRequest, spec *entrySpec) *Error {
 	switch {
 	case req.Operator.GridN > 0 && req.Operator.GridN != spec.gridN:
 		return errf(CodeOperatorConflict, 409, false,
 			"operator %s@%d is pooled with grid_n=%d, request says %d; bump operator.version",
 			req.Operator.ID, req.Operator.Version, spec.gridN, req.Operator.GridN)
-	case req.Operator.Matrix != nil && (spec.matrix == nil || req.Operator.Matrix.N != spec.n):
+	case req.Operator.Matrix != nil && (spec.gridN > 0 || req.Operator.Matrix.N != spec.n):
 		return errf(CodeOperatorConflict, 409, false,
 			"operator %s@%d is pooled with a different operator body; bump operator.version",
 			req.Operator.ID, req.Operator.Version)
-	case req.Operator.MatrixMarket != "" && spec.matrix == nil:
+	case req.Operator.MatrixMarket != "" && spec.gridN > 0:
 		return errf(CodeOperatorConflict, 409, false,
 			"operator %s@%d is pooled with grid_n=%d, request carries a matrix_market body; bump operator.version",
 			req.Operator.ID, req.Operator.Version, spec.gridN)

@@ -473,18 +473,26 @@ func TestServiceOperatorConflict(t *testing.T) {
 	}
 }
 
+// TestServiceSetupFailureIsTyped: a parameter the backend refuses — an
+// unknown name, or a tolerance that is not a finite number — fails the
+// set-up with a typed 400, never a solve on the default it replaced.
 func TestServiceSetupFailureIsTyped(t *testing.T) {
-	svc := newTestService(t, service.Config{})
-	req := gridReq("acme", 8)
-	req.Params = map[string]string{"solver": "no-such-method"}
-	var resp service.SolveResponse
-	serr := svc.Solve(context.Background(), req, &resp)
-	if serr == nil || serr.Code != service.CodeSetupFailed {
-		t.Fatalf("got %v, want %s", serr, service.CodeSetupFailed)
-	}
-	// The failed entry must not stay pooled.
-	if st := svc.Stats(); st.Sessions != 0 {
-		t.Fatalf("failed session left in pool: %d", st.Sessions)
+	for _, params := range []map[string]string{
+		{"solver": "no-such-method"},
+		{"tol": "Inf"},
+	} {
+		svc := newTestService(t, service.Config{})
+		req := gridReq("acme", 8)
+		req.Params = params
+		var resp service.SolveResponse
+		serr := svc.Solve(context.Background(), req, &resp)
+		if serr == nil || serr.Code != service.CodeSetupFailed || serr.HTTPStatus() != 400 {
+			t.Fatalf("%v: got %v, want %s/400", params, serr, service.CodeSetupFailed)
+		}
+		// The failed entry must not stay pooled.
+		if st := svc.Stats(); st.Sessions != 0 {
+			t.Fatalf("%v: failed session left in pool: %d", params, st.Sessions)
+		}
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 // duplicate-free). NewCSR checks structure only — dimensions, row
 // pointers, column range. Canonical establishes canonical form once,
 // where outside rows enter (COO.ToCSR ends in it); pmat.NewMatRect
-// checks it; and every later reshape (SplitCols) preserves it.
+// checks it and splits the rows by column ownership in their order.
 type CSR struct {
 	Rows, Cols int
 	RowPtr     []int // length Rows+1
@@ -96,43 +96,6 @@ func Canonical(rows, cols int, rowPtr, colInd []int, vals []float64) *CSR {
 		lo = hi
 	}
 	return &CSR{Rows: rows, Cols: cols, RowPtr: rowPtr, ColInd: colInd[:w], Vals: vals[:w]}
-}
-
-// SplitCols splits a by column in two passes (count, then fill): in
-// holds the entries in columns [lo, hi), re-indexed from 0; out holds
-// the rest, columns at or past hi shifted down by hi−lo. Both maps are
-// monotone and rows keep their order, so canonical in, canonical out.
-func (a *CSR) SplitCols(lo, hi int) (in, out *CSR) {
-	width := hi - lo
-	inPtr := make([]int, a.Rows+1)
-	outPtr := make([]int, a.Rows+1)
-	for i := 0; i < a.Rows; i++ {
-		n := 0
-		for _, j := range a.ColInd[a.RowPtr[i]:a.RowPtr[i+1]] {
-			if j >= lo && j < hi {
-				n++
-			}
-		}
-		inPtr[i+1] = inPtr[i] + n
-		outPtr[i+1] = outPtr[i] + a.RowPtr[i+1] - a.RowPtr[i] - n
-	}
-	nIn, nOut := inPtr[a.Rows], outPtr[a.Rows]
-	in = &CSR{Rows: a.Rows, Cols: width, RowPtr: inPtr, ColInd: make([]int, nIn), Vals: make([]float64, nIn)}
-	out = &CSR{Rows: a.Rows, Cols: a.Cols - width, RowPtr: outPtr, ColInd: make([]int, nOut), Vals: make([]float64, nOut)}
-	p, q := 0, 0
-	for k, j := range a.ColInd[:a.RowPtr[a.Rows]] {
-		switch {
-		case j >= hi:
-			j -= width
-		case j >= lo:
-			in.ColInd[p], in.Vals[p] = j-lo, a.Vals[k]
-			p++
-			continue
-		}
-		out.ColInd[q], out.Vals[q] = j, a.Vals[k]
-		q++
-	}
-	return in, out
 }
 
 // NNZ returns the number of stored entries.

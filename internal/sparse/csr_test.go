@@ -265,18 +265,6 @@ func TestConverterAllocsConstant(t *testing.T) {
 	}
 }
 
-// TestSplitCols: the split keeps every row's order, re-indexes the
-// columns in [lo, hi) from 0, and closes the gap in the rest.
-func TestSplitCols(t *testing.T) {
-	a := &CSR{Rows: 2, Cols: 6, RowPtr: []int{0, 4, 6}, ColInd: []int{0, 2, 3, 5, 1, 4}, Vals: []float64{1, 2, 3, 4, 5, 6}}
-	in, out := a.SplitCols(2, 4)
-	wantIn := &CSR{Rows: 2, Cols: 2, RowPtr: []int{0, 2, 2}, ColInd: []int{0, 1}, Vals: []float64{2, 3}}
-	wantOut := &CSR{Rows: 2, Cols: 4, RowPtr: []int{0, 2, 4}, ColInd: []int{0, 3, 1, 2}, Vals: []float64{1, 4, 5, 6}}
-	if !in.Equal(wantIn) || !out.Equal(wantOut) {
-		t.Errorf("SplitCols(2, 4) = %+v | %+v, want %+v | %+v", in, out, wantIn, wantOut)
-	}
-}
-
 func TestCOOValidation(t *testing.T) {
 	defer func() {
 		if recover() == nil {
