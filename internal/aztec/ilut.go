@@ -28,17 +28,8 @@ type ILUT struct {
 	uDiag []float64
 
 	// tri describes the two row-oriented factors to the shared
-	// triangular-sweep kernel; pool is where its level schedule runs.
-	tri  par.RowTri
-	pool *par.Pool
-}
-
-// EnableLevels attaches an intra-rank worker pool to the triangular
-// sweeps, building the level-set schedules on first parallel use.
-// Idempotent; nil (or a 1-worker pool) keeps the serial sweeps.
-func (f *ILUT) EnableLevels(p *par.Pool) {
-	f.pool = p
-	f.tri.Schedule(p)
+	// triangular-sweep kernel, which runs them serially.
+	tri par.RowTri
 }
 
 // Failures of NewILUT, wrapped with the offending row index.
@@ -306,7 +297,7 @@ func (f *ILUT) Solve(z, r []float64) {
 	if len(z) != f.n || len(r) != f.n {
 		panic(fmt.Sprintf("aztec: ILUT.Solve: vectors must have length %d", f.n))
 	}
-	f.tri.Solve(f.pool, z, r)
+	f.tri.Solve(nil, z, r)
 }
 
 // NNZ returns the stored entry count of both factors (plus diagonal).

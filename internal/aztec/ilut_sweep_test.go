@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/comm"
 	"repro/internal/mesh"
 	"repro/internal/par"
 	"repro/internal/sparse"
@@ -11,9 +12,8 @@ import (
 
 // TestILUTSolveMatchesTwoLoopReference: ILUT.Solve — par.RowTri.Solve
 // over the two row-oriented factors — against the two plain loops over
-// the same seven arrays, on the benchmark operators (stencil-100, 199
-// levels; FEM-16, 43), serially and on pools of 2, 4 and 7 workers,
-// with z aliasing r and not.
+// the same seven arrays, on the benchmark operators (stencil-100 and
+// FEM-16), with z aliasing r and not.
 func TestILUTSolveMatchesTwoLoopReference(t *testing.T) {
 	st, _, err := mesh.PaperProblem(100).GenerateGlobal()
 	if err != nil {
@@ -46,24 +46,47 @@ func TestILUTSolveMatchesTwoLoopReference(t *testing.T) {
 			}
 			want[i] = s / f.uDiag[i]
 		}
-		for _, workers := range []int{1, 2, 4, 7} {
-			pool := par.New(workers)
-			f.EnableLevels(pool)
-			for _, aliased := range []bool{false, true} {
-				z := make([]float64, n)
-				src := r
-				if aliased {
-					copy(z, r)
-					src = z
-				}
-				f.Solve(z, src)
-				for i := range z {
-					if math.Float64bits(z[i]) != math.Float64bits(want[i]) {
-						t.Fatalf("%s workers=%d aliased=%v: z[%d] = %x, reference %x", name, workers, aliased, i, z[i], want[i])
-					}
+		for _, aliased := range []bool{false, true} {
+			z := make([]float64, n)
+			src := r
+			if aliased {
+				copy(z, r)
+				src = z
+			}
+			f.Solve(z, src)
+			for i := range z {
+				if math.Float64bits(z[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s aliased=%v: z[%d] = %x, reference %x", name, aliased, i, z[i], want[i])
 				}
 			}
-			pool.Close()
 		}
 	}
+}
+
+// TestPooledILUTApplyDispatchesNothing: a Solver with a 2-worker pool
+// attached keeps its domain-decomposition ILUT sweeps serial, so one
+// preconditioner apply makes no pool dispatch. A level-scheduled sweep
+// would make one per level.
+func TestPooledILUTApplyDispatchesNothing(t *testing.T) {
+	global := sparse.Laplace2D(50, 50)
+	run(t, 1, func(c *comm.Comm) {
+		s := NewSolver(c)
+		s.SetUserMatrix(buildCrs(c, global))
+		s.Options()[AZSolver] = AZGMRES
+		s.Options()[AZPrecond] = AZDomDecomp
+		pool := par.New(2)
+		defer pool.Close()
+		s.SetPool(pool)
+		b := sparse.RandomVector(global.Rows, 5)
+		x := make([]float64, global.Rows)
+		if err := s.Solve(x, b); err != nil {
+			t.Fatal(err)
+		}
+		s.SetPool(pool) // as the component does before every solve
+		before, _ := pool.Stats()
+		s.prec.apply(x, b)
+		if after, _ := pool.Stats(); after != before {
+			t.Errorf("one ILUT apply made %d pool dispatches, want 0", after-before)
+		}
+	})
 }

@@ -151,17 +151,9 @@ func (p *symGSPrec) apply(z, r []float64) {
 // solves its diagonal block with ILUT. With AZOverlap > 0 on more than
 // one rank it upgrades to restricted additive Schwarz with overlapping
 // subdomains (see overlapSchwarz).
-// poolAware preconditioners accept the solver's intra-rank worker pool
-// (handed down when the preconditioner is built or the pool changes).
-type poolAware interface {
-	setPool(p *par.Pool)
-}
-
 type domDecompPrec struct {
 	f *ILUT
 }
-
-func (p *domDecompPrec) setPool(pl *par.Pool) { p.f.EnableLevels(pl) }
 
 func newDomDecompPrec(rm RowMatrix, overlap int, drop, fill float64) (preconditioner, error) {
 	if overlap > 0 && rm.RowMap().Comm().Size() > 1 {

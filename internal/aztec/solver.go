@@ -36,28 +36,21 @@ type Solver struct {
 	bb         []float64
 	ws         pmat.Workspace
 
-	// red performs every global reduction of the Krylov loops. pool is
-	// the intra-rank worker pool (nil = legacy serial path): red's local
-	// halves take its fixed-slot fold, the distributed product of a
-	// CrsMatrix row-partitions across it, and pool-aware preconditioners
-	// inherit it for level-scheduled sweeps.
-	red  *pmat.Reducer
-	pool *par.Pool
+	// red performs every global reduction of the Krylov loops.
+	red *pmat.Reducer
 
 	denom float64 // the convergence denominator of the current solve
 }
 
 // SetPool attaches an intra-rank worker pool (nil restores the serial
-// path). The pool is caller-owned. Idempotent; call after the matrix is
-// set so the distributed product and a cached preconditioner pick it up.
+// path): the reductions' local halves take its fixed-slot fold and the
+// distributed product of a CrsMatrix row-partitions across it. The
+// preconditioners' triangular sweeps stay serial. The pool is
+// caller-owned. Idempotent; call after the matrix is set.
 func (s *Solver) SetPool(p *par.Pool) {
-	s.pool = p
 	s.red.SetPool(p)
 	if cm, ok := s.rm.(*CrsMatrix); ok && cm != nil && cm.Dist() != nil {
 		cm.Dist().SetPool(p)
-	}
-	if pa, ok := s.prec.(poolAware); ok {
-		pa.setPool(p)
 	}
 }
 
@@ -161,9 +154,6 @@ func (s *Solver) Solve(x, b []float64) error {
 			return err
 		}
 		s.prec = prec
-		if pa, ok := prec.(poolAware); ok {
-			pa.setPool(s.pool)
-		}
 		s.precOpts = append(s.precOpts[:0], s.options...)
 		s.precParams = append(s.precParams[:0], s.params...)
 	}

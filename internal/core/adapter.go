@@ -518,8 +518,12 @@ func (b *baseAdapter) getAll(extra map[string]string) string {
 	return sb.String()
 }
 
-// SetMatrixFree implements SparseSolver (§5.5).
+// SetMatrixFree implements SparseSolver (§5.5). Clearing a port that is
+// not set changes nothing, so a refresh that clears reconfigures nothing.
 func (b *baseAdapter) SetMatrixFree(mf MatrixFree) int {
+	if mf == nil && b.mf == nil {
+		return OK
+	}
 	b.mf = mf
 	b.cfgVer++
 	return OK

@@ -161,7 +161,6 @@ func (sc *SLUComponent) Solve(solution []float64, status []float64, numLocalRow,
 		sc.factorizations++
 	}
 	sc.dist.SetRecorder(sc.rec)
-	sc.dist.SetPool(sc.workerPool())
 
 	sc.refineSteps = 0
 	if v, ok := sc.params["refine_steps"]; ok {

@@ -483,3 +483,27 @@ func TestSLUSetupTelemetry(t *testing.T) {
 		}
 	})
 }
+
+// TestPooledSuperLUSolveDispatchesNothing: superlu's triangular solves
+// are serial at every worker count, so a warm Session.Solve at workers=2
+// adds nothing to par.dispatches. A level-scheduled solve would add one
+// per level.
+func TestPooledSuperLUSolveDispatchesNothing(t *testing.T) {
+	a, b := paperSystem(32)(t)
+	run(t, 1, func(c *comm.Comm) {
+		rec := telemetry.New()
+		s, l := openOn(t, c, "superlu", SessionOptions{Recorder: rec, Workers: 2}, a, b)
+		defer s.Close()
+		x := make([]float64, l.LocalN)
+		if _, err := s.Solve(context.Background(), x); err != nil {
+			t.Fatal(err)
+		}
+		before := rec.Counter("par.dispatches")
+		if _, err := s.Solve(context.Background(), x); err != nil {
+			t.Fatal(err)
+		}
+		if d := rec.Counter("par.dispatches") - before; d != 0 {
+			t.Errorf("a warm superlu solve at workers=2 made %d pool dispatches, want 0", d)
+		}
+	})
+}

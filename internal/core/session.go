@@ -27,9 +27,12 @@ type SessionOptions struct {
 	Params map[string]string
 
 	// Workers requests an intra-rank worker pool of that size for the
-	// backend's hot kernels (SpMV, triangular sweeps, reductions). Zero
-	// defers to the LISI_WORKERS environment variable and, when that is
-	// unset too, leaves the backend on its serial path. Results are
+	// backend's SpMV, reductions and mg's Jacobi smoother. Triangular
+	// sweeps (ILU(0), ILUT, superlu) are serial at every worker count:
+	// their levels are too thin to pay for one dispatch each
+	// (docs/PERFORMANCE.md). Zero defers to the LISI_WORKERS
+	// environment variable and, when that is unset too, leaves the
+	// backend on its serial path. Results are
 	// bitwise-identical for every worker count (see PERFORMANCE.md). An
 	// explicit Params["workers"] wins over this field. Backends without
 	// the "workers" parameter ignore the request.
@@ -391,10 +394,12 @@ func (s *Session) solveOnce(ctx context.Context, x []float64) (SolveResult, erro
 
 // stage hands one rank's distribution and operator to a component: the
 // §6.3 setters, then setupMatrix (CSR) with a's rows, or SetMatrixFree
-// when mf is set. It stops at the first refusal. Every staging inside
-// the package goes through it except DriverComponent.SolveProblem,
-// which keeps its explicit calls: it is the Figure 3 application code
-// the paper shows unchanged across swaps.
+// when mf is set. An assembled matrix also clears a MatrixFree port
+// staged before it, so the next solve reads the matrix. It stops at the
+// first refusal. Every staging inside the package goes through it
+// except DriverComponent.SolveProblem, which keeps its explicit calls:
+// it is the Figure 3 application code the paper shows unchanged across
+// swaps.
 func stage(solver SparseSolver, l *pmat.Layout, a *sparse.CSR, mf MatrixFree) error {
 	code := solver.SetStartRow(l.Start)
 	if code == OK {
@@ -408,7 +413,10 @@ func stage(solver SparseSolver, l *pmat.Layout, a *sparse.CSR, mf MatrixFree) er
 	case mf != nil:
 		code = solver.SetMatrixFree(mf)
 	default:
-		if code = solver.SetLocalNNZ(a.NNZ()); code == OK {
+		if code = solver.SetMatrixFree(nil); code == OK {
+			code = solver.SetLocalNNZ(a.NNZ())
+		}
+		if code == OK {
 			code = solver.SetupMatrix(a.Vals, a.RowPtr, a.ColInd, CSR, len(a.RowPtr), a.NNZ())
 		}
 	}

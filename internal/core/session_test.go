@@ -537,3 +537,76 @@ func TestSessionKeepsMatrixOnlyForFailover(t *testing.T) {
 		})
 	}
 }
+
+// identityOp is the matrix-free identity on any rank's block.
+type identityOp struct{}
+
+func (identityOp) MatMult(_ ID, x, y []float64, length int) int {
+	copy(y[:length], x[:length])
+	return OK
+}
+
+// TestSetupReplacesMatrixFreeOperator: Setup after SetupOperator stages
+// the assembled matrix in place of the matrix-free operator, so the next
+// Solve answers for that matrix, ‖A·x − b‖₂ ≤ tol·‖b‖₂. A MatrixFree
+// port left set solves the identity instead and still reports converged.
+// Unpreconditioned, the residual the backends stop on is this one.
+func TestSetupReplacesMatrixFreeOperator(t *testing.T) {
+	a, b := paperSystem(9)(t)
+	const tol = 1e-10
+	params := map[string]string{"solver": "gmres", "preconditioner": "none", "tol": "1e-10"}
+	for _, backend := range []string{"petsc", "trilinos"} {
+		for _, ranks := range []int{1, 2} {
+			run(t, ranks, func(c *comm.Comm) {
+				l, err := pmat.EvenLayout(c, a.Rows)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s, err := OpenSession(backend, c, SessionOptions{Params: params})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer s.Close()
+				if err := s.SetupOperator(l, identityOp{}); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Setup(l, a.SubMatrix(l.Start, l.Start+l.LocalN)); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.SetupRHS(b[l.Start:l.Start+l.LocalN], 1); err != nil {
+					t.Fatal(err)
+				}
+				x := make([]float64, l.LocalN)
+				if res, err := s.Solve(context.Background(), x); err != nil || !res.Converged {
+					t.Fatalf("%s p=%d: converged=%v err=%v", backend, ranks, res.Converged, err)
+				}
+				r := make([]float64, a.Rows)
+				a.MulVec(r, pmat.AllGather(l, x))
+				for i := range r {
+					r[i] -= b[i]
+				}
+				if got, want := sparse.Norm2(r), tol*sparse.Norm2(b); !(got <= want) {
+					t.Errorf("%s p=%d: ‖A·x − b‖₂ = %.3e on the staged matrix, want ≤ %.3e", backend, ranks, got, want)
+				}
+				// With no port left to clear, a same-pattern refresh keeps
+				// the configured solver.
+				cfgVer := func() int {
+					switch v := s.Solver().(type) {
+					case *KSPComponent:
+						return v.cfgVer
+					case *AztecComponent:
+						return v.cfgVer
+					}
+					return -1
+				}
+				before := cfgVer()
+				if err := s.Setup(l, a.SubMatrix(l.Start, l.Start+l.LocalN)); err != nil {
+					t.Fatal(err)
+				}
+				if after := cfgVer(); after != before {
+					t.Errorf("%s p=%d: a refresh moved cfgVer %d → %d", backend, ranks, before, after)
+				}
+			})
+		}
+	}
+}

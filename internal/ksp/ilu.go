@@ -20,7 +20,10 @@ type ILU0 struct {
 
 // EnableLevels attaches an intra-rank worker pool to the triangular
 // sweeps, building the level-set schedules on first parallel use.
-// Idempotent; pass nil (or a 1-worker pool) to stay serial.
+// Idempotent; pass nil (or a 1-worker pool) to stay serial. No solver
+// path calls it: the block-ILU preconditioner sweeps serially at every
+// worker count, and only the benchmark's level-sweep probe measures
+// the pooled schedule.
 func (f *ILU0) EnableLevels(p *par.Pool) {
 	f.pool = p
 	f.tri.Schedule(p)

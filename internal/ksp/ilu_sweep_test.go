@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/comm"
 	"repro/internal/mesh"
 	"repro/internal/par"
 	"repro/internal/sparse"
@@ -77,4 +78,33 @@ func TestILU0SolveMatchesTwoLoopReference(t *testing.T) {
 			pool.Close()
 		}
 	}
+}
+
+// TestPooledBlockILUApplyDispatchesNothing: a KSP with a 2-worker pool
+// attached keeps its block-ILU(0) sweeps serial, so one preconditioner
+// apply makes no pool dispatch. A level-scheduled sweep would make one
+// per level.
+func TestPooledBlockILUApplyDispatchesNothing(t *testing.T) {
+	global := sparse.Laplace2D(50, 50)
+	run(t, 1, func(c *comm.Comm) {
+		k := New(c)
+		k.SetOperators(distMat(c, global))
+		if err := k.SetPCType(PCILU); err != nil {
+			t.Fatal(err)
+		}
+		pool := par.New(2)
+		defer pool.Close()
+		k.SetPool(pool)
+		b := sparse.RandomVector(global.Rows, 5)
+		x := make([]float64, global.Rows)
+		if err := k.Solve(b, x); err != nil {
+			t.Fatal(err)
+		}
+		k.SetPool(pool) // as the component does before every solve
+		before, _ := pool.Stats()
+		k.pc.Apply(x, b)
+		if after, _ := pool.Stats(); after != before {
+			t.Errorf("one ILU(0) apply made %d pool dispatches, want 0", after-before)
+		}
+	})
 }

@@ -101,16 +101,15 @@ type KSP struct {
 
 // SetPool attaches an intra-rank worker pool (nil restores the serial
 // path): the reductions' local halves take its fixed-slot fold. The
-// pool is caller-owned; call after SetOperators/SetPC so the assembled
-// operator's distributed product and a pool-aware PC inherit it before
-// SetUp. Idempotent, safe to call every solve.
+// pool is caller-owned; call after SetOperators so the assembled
+// operator's distributed product inherits it. Preconditioners never
+// see it: a triangular sweep loses to the serial one at the level
+// widths these factors have (docs/PERFORMANCE.md). Idempotent, safe to
+// call every solve.
 func (k *KSP) SetPool(p *par.Pool) {
 	k.red.SetPool(p)
 	if k.a != nil && k.a.pm != nil {
 		k.a.pm.SetPool(p)
-	}
-	if pa, ok := k.pc.(poolAware); ok {
-		pa.setPool(p)
 	}
 }
 

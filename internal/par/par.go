@@ -2,7 +2,10 @@
 // worker pool (the second parallelism level under internal/comm, per
 // ROADMAP item 2 and ShyLU-node's on-node solver design), fixed-slot
 // partial reductions, and a level-set scheduler for sparse triangular
-// solves.
+// solves. No solver path hands a pool to a triangular sweep: at the
+// level widths of the repository's factors the serial sweep wins
+// (docs/PERFORMANCE.md), so the scheduler serves only the benchmark's
+// level-sweep probes.
 //
 // Determinism contract (docs/PERFORMANCE.md "Two-level parallelism"):
 // every kernel dispatched on a Pool must produce bitwise-identical

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/par"
 	"repro/internal/pmat"
 	"repro/internal/sparse"
 	"repro/internal/telemetry"
@@ -45,16 +44,6 @@ type DistSolver struct {
 // (and refinement) of later Solve calls are timed into PhaseIterate and
 // refinement steps are counted. Nil disables instrumentation.
 func (d *DistSolver) SetRecorder(r *telemetry.Recorder) { d.rec = r }
-
-// SetPool attaches an intra-rank worker pool to rank 0's triangular
-// solves (level-scheduled; bitwise-identical to the serial sweeps).
-// Local-only and idempotent: non-root ranks hold no factor and ignore
-// it, so calling per solve is safe on every rank.
-func (d *DistSolver) SetPool(p *par.Pool) {
-	if d.f != nil {
-		d.f.EnableLevels(p)
-	}
-}
 
 // SetupStats is what this rank's set-ups have done since the solver was
 // built. Only rank 0 analyses and factors, so every field is zero on the

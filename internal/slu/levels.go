@@ -3,9 +3,10 @@ package slu
 import "repro/internal/par"
 
 // levelSolve is the pooled triangular solve of a factored LU
-// (EnableLevels): par.RowTri.Solve, the sweep every package's pooled
-// triangular apply runs, over row-major mirrors of the column-major
-// factors:
+// (EnableLevels): par.RowTri.Solve over row-major mirrors of the
+// column-major factors. No solver path enables it — DistSolver's solves
+// sweep the columns serially at every worker count — so it serves the
+// benchmark's level-sweep probe. The mirrors keep the column sweeps' bits:
 //
 //   - Forward (L·x = c): the serial column sweep subtracts column k's
 //     products from every later row in ascending k. A mirror row holds

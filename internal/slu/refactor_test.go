@@ -342,7 +342,7 @@ func TestRefactorFailureLeavesNoFactor(t *testing.T) {
 				t.Fatal(err)
 			}
 			p := par.New(2)
-			d.SetPool(p)
+			d.f.EnableLevels(p)
 
 			_, wantErr := Factor(zeroCol, opts)
 			if wantErr == nil {
@@ -432,7 +432,7 @@ func TestRefactorRebuildsLevelMirrors(t *testing.T) {
 		}
 		p := par.New(2)
 		defer p.Close()
-		d.SetPool(p)
+		d.f.EnableLevels(p)
 		for _, step := range []struct {
 			what   string
 			a      *sparse.CSR
