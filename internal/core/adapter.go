@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/aztec"
 	"repro/internal/cca"
 	"repro/internal/comm"
 	"repro/internal/par"
@@ -25,11 +26,19 @@ type Instrumented interface {
 
 // baseAdapter carries the state machine every LISI solver component
 // shares: the distribution parameters set through the §6.3 setters, the
-// staged local matrix and right-hand sides, the generic parameter store,
-// and the optional MatrixFree port. The package-specific components embed
-// it and add their translation tables and solve routines.
+// staged operator and right-hand sides, the generic parameter store, and
+// the one Solve skeleton (solve). The package-specific components embed
+// it and add their translation tables and the skeleton's hooks.
+//
+// The staged operator is one slot, and the last staging call wins: a
+// SetupMatrix* door that succeeds replaces a MatrixFree port, set or
+// pulled; SetMatrixFree(mf) supersedes the matrix, and SetMatrixFree(nil)
+// goes back to it; a framework-wired port is pulled only while nothing is
+// staged; a refused call changes nothing.
 type baseAdapter struct {
 	name string // component display name for GetAll / errors
+
+	matrixFree bool // the backend solves on the shell (else ErrUnsupported)
 
 	c   *comm.Comm
 	svc cca.Services
@@ -47,18 +56,21 @@ type baseAdapter struct {
 	rhs    []float64
 	nRhs   int
 	params map[string]string
-	mf     MatrixFree
+	mf     MatrixFree // the slot's port; nil: the last staged matrix
+	shell  *shellOp   // over mf, at the last Solve's layout
 
 	// checkParam validates a (key, value) pair against the embedding
 	// backend's own parameter vocabulary; Set calls it for every key
 	// but the cross-cutting ones it validates itself.
 	checkParam func(key, value string) int
 
-	// cfgVer is bumped whenever the parameter store or the MatrixFree
-	// port changes; components key their cached, configured backend
-	// solver objects on it so a steady-state Solve reuses the solver
-	// (and its internal workspaces) instead of rebuilding it.
-	cfgVer int
+	// cfgVer is bumped whenever the parameter store (but "workers") or
+	// the MatrixFree port changes; the skeleton reconfigures the backend when it or the
+	// communicator moved past cfgDone/cfgComm, so a steady-state Solve
+	// reuses the solver (and its internal workspaces).
+	cfgVer  int
+	cfgDone int
+	cfgComm *comm.Comm
 
 	// distVer is bumped by Initialize and the §6.3 distribution setters.
 	// Because those calls are SPMD-symmetric (every rank makes the same
@@ -75,6 +87,9 @@ type baseAdapter struct {
 	op    *pmat.Mat
 	opVer int
 
+	// built is the slot value the backend was last rebuilt on; a Solve
+	// whose slot differs rebuilds, and counts a factorization.
+	built          staged
 	factorizations int // cumulative setup count reported in Status
 
 	// pool is the intra-rank worker pool built from the "workers"
@@ -98,9 +113,10 @@ type baseAdapter struct {
 // (the default) disables instrumentation at one nil check per event.
 func (b *baseAdapter) SetRecorder(r *telemetry.Recorder) { b.rec = r }
 
-func newBaseAdapter(name string, checkParam func(key, value string) int) baseAdapter {
+func newBaseAdapter(name string, checkParam func(key, value string) int, matrixFree bool) baseAdapter {
 	return baseAdapter{
 		name:       name,
+		matrixFree: matrixFree,
 		checkParam: checkParam,
 		blockSize:  1,
 		startRow:   -1,
@@ -127,20 +143,6 @@ func (b *baseAdapter) setServices(svc cca.Services, self SparseSolver) error {
 	// override it.
 	b.c = svc.Comm()
 	return nil
-}
-
-// fetchMatrixFreePort pulls the application's MatrixFree port if wired
-// in the framework and none was set explicitly.
-func (b *baseAdapter) fetchMatrixFreePort() {
-	if b.mf != nil || b.svc == nil {
-		return
-	}
-	if p, err := b.svc.GetPort(PortMatrixFree); err == nil {
-		if mf, ok := p.(MatrixFree); ok {
-			b.mf = mf
-			b.cfgVer++
-		}
-	}
 }
 
 // ---- distribution setters (§6.3) ----
@@ -335,9 +337,15 @@ func (b *baseAdapter) SetupMatrixOffset(values []float64, rows, cols []int, ds S
 	default:
 		return ErrBadArg
 	}
+	return b.stageMatrix(a)
+}
+
+// stageMatrix puts a in the slot, in place of a MatrixFree port: every
+// SetupMatrix* door ends here once it has accepted its input.
+func (b *baseAdapter) stageMatrix(a *sparse.CSR) int {
 	b.localA = a
 	b.matVer++
-	return OK
+	return b.SetMatrixFree(nil)
 }
 
 // SetupMatrixVBR is a LISI-Go extension (the SparseStruct enum names VBR
@@ -363,9 +371,7 @@ func (b *baseAdapter) SetupMatrixVBR(rpntr, cpntr, bpntr, bind, indx []int, valu
 			return ErrBadArg
 		}
 	}
-	b.localA = v.ToCSR()
-	b.matVer++
-	return OK
+	return b.stageMatrix(v.ToCSR())
 }
 
 // SetupMatrixFEM is a LISI-Go extension for element-wise assembly: nodes
@@ -412,9 +418,7 @@ func (b *baseAdapter) SetupMatrixFEM(nodesPerElem int, nodes []int, elemMats []f
 			}
 		}
 	}
-	b.localA = local.ToCSR()
-	b.matVer++
-	return OK
+	return b.stageMatrix(local.ToCSR())
 }
 
 // ---- right-hand sides (§5.2c) ----
@@ -475,7 +479,9 @@ func (b *baseAdapter) Set(key, value string) int {
 		return code
 	}
 	b.params[key] = value
-	b.cfgVer++
+	if key != "workers" { // attach reads it at every Solve; nothing is built from it
+		b.cfgVer++
+	}
 	return OK
 }
 
@@ -494,46 +500,42 @@ func (b *baseAdapter) SetDouble(key string, value float64) int {
 	return b.Set(key, strconv.FormatFloat(value, 'g', -1, 64))
 }
 
-// getAll renders the parameter store plus identification, sorted for
-// determinism aside from an identifying header.
+// getAll renders the parameter store, the component's extra keys and
+// the slot's kind (matrix_free) and setup count, sorted for determinism
+// aside from an identifying header.
 func (b *baseAdapter) getAll(extra map[string]string) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "component=%s\n", b.name)
-	keys := make([]string, 0, len(b.params)+len(extra))
-	merged := make(map[string]string, len(b.params)+len(extra))
+	merged := make(map[string]string, len(b.params)+len(extra)+2)
 	for k, v := range b.params {
 		merged[k] = v
-		keys = append(keys, k)
 	}
 	for k, v := range extra {
-		if _, dup := merged[k]; !dup {
-			keys = append(keys, k)
-		}
 		merged[k] = v
 	}
+	merged["matrix_free"] = strconv.FormatBool(b.mf != nil)
+	merged["factorizations"] = strconv.Itoa(b.factorizations)
+	keys := make([]string, 0, len(merged))
+	for k := range merged {
+		keys = append(keys, k)
+	}
 	sort.Strings(keys)
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "component=%s\n", b.name)
 	for _, k := range keys {
 		fmt.Fprintf(&sb, "%s=%s\n", k, merged[k])
 	}
 	return sb.String()
 }
 
-// SetMatrixFree implements SparseSolver (§5.5). Clearing a port that is
-// not set changes nothing, so a refresh that clears reconfigures nothing.
+// SetMatrixFree implements SparseSolver (§5.5): mf supersedes the staged
+// matrix, and nil goes back to it. Clearing a port that is not set
+// changes nothing, so a refresh that clears reconfigures nothing.
 func (b *baseAdapter) SetMatrixFree(mf MatrixFree) int {
 	if mf == nil && b.mf == nil {
 		return OK
 	}
-	b.mf = mf
+	b.mf, b.shell = mf, nil
 	b.cfgVer++
 	return OK
-}
-
-// recordFormat labels the solve with the kernel the format rule bound
-// to the operator's interior block, so a report can explain its SpMV.
-// Call after SetPool, which binds.
-func (b *baseAdapter) recordFormat(m *pmat.Mat) {
-	b.rec.SetLabel("sparse.format", m.Format().Interior.String())
 }
 
 // workerPool returns the intra-rank pool matching the "workers"
@@ -595,8 +597,8 @@ func (b *baseAdapter) recordPoolStats() {
 // rows (collective on a rebuild): the port's one conversion of localA
 // into a backend's data structure. It is rebuilt only when the matrix
 // version or the layout changed; both keys are rank-symmetric (see
-// distVer), so either every rank rebuilds or none does. Components key
-// their own backend rebuild on the identity of the operator returned.
+// distVer), so either every rank rebuilds or none does. The Solve
+// skeleton keys the backend's rebuild on the identity of the operator.
 // The staged rows are dropped once they are the operator, so the port
 // keeps one copy of the matrix: a rebuild for a new layout alone reads
 // its rows back from the operator.
@@ -617,30 +619,61 @@ func (b *baseAdapter) operator(l *pmat.Layout) (*pmat.Mat, error) {
 	return op, nil
 }
 
+// staged is the slot's value at a Solve: the operator built from the
+// last staged matrix, or the shell over the MatrixFree port, never both.
+type staged struct {
+	mat   *pmat.Mat
+	shell *shellOp
+}
+
+// shellOp is the slot's matrix-free kind: the application's MatrixFree
+// port applied over a layout (§5.5). It is the aztec.Operator trilinos
+// solves on, and its mul is the apply of ksp's shell matrix.
+type shellOp struct {
+	l  *pmat.Layout
+	m  *aztec.Map
+	mf MatrixFree
+}
+
+func (o *shellOp) RowMap() *aztec.Map { return o.m }
+
+func (o *shellOp) Apply(y, x []float64) error {
+	return Check(o.mf.MatMult(IDMatrix, x, y, len(x)))
+}
+
+// mul is Apply for a caller that takes no error: a refused product
+// panics.
+func (o *shellOp) mul(y, x []float64) {
+	if err := o.Apply(y, x); err != nil {
+		panic(err)
+	}
+}
+
 // solvePrep validates Solve arguments common to all components and the
-// distribution against the communicator, and returns the block-row
-// layout: SetStartRow must agree with the ranks below, and a LISI system
-// is square (ErrBadArg otherwise).
-func (b *baseAdapter) solvePrep(solution, status []float64, numLocalRow int) (*pmat.Layout, int) {
+// distribution against the communicator (SetStartRow must agree with
+// the ranks below, and a LISI system is square: ErrBadArg otherwise),
+// and reads the slot over the block-row layout: the shell while a
+// MatrixFree port is in it (ErrUnsupported for a backend that needs
+// assembled entries), else the operator from the last staged matrix.
+// A framework-wired port is pulled only while nothing is staged.
+func (b *baseAdapter) solvePrep(solution, status []float64, numLocalRow int) (staged, int) {
 	b.rec.Add("lisi.solve_calls", 1)
-	if b.c == nil || !b.distributionReady() {
-		return nil, ErrBadState
+	if b.c == nil || !b.distributionReady() || b.rhs == nil {
+		return staged{}, ErrBadState
 	}
-	if b.rhs == nil {
-		return nil, ErrBadState
+	if numLocalRow != b.localRows || len(solution) < numLocalRow*b.nRhs || status == nil {
+		return staged{}, ErrBadArg
 	}
-	if numLocalRow != b.localRows {
-		return nil, ErrBadArg
-	}
-	if len(solution) < numLocalRow*b.nRhs {
-		return nil, ErrBadArg
-	}
-	if status == nil {
-		return nil, ErrBadArg
-	}
-	b.fetchMatrixFreePort()
-	if b.mf == nil && b.localA == nil && b.op == nil {
-		return nil, ErrBadState
+	if b.mf == nil && b.matVer == 0 {
+		var p cca.Port
+		if b.svc != nil {
+			p, _ = b.svc.GetPort(PortMatrixFree)
+		}
+		mf, ok := p.(MatrixFree)
+		if !ok {
+			return staged{}, ErrBadState
+		}
+		b.SetMatrixFree(mf)
 	}
 	// The layout is collective on a cache miss. It is cached on distVer,
 	// so repeated Solve calls against unchanged distribution setters skip
@@ -649,36 +682,94 @@ func (b *baseAdapter) solvePrep(solution, status []float64, numLocalRow int) (*p
 	if b.layout == nil || b.layoutVer != b.distVer {
 		l, err := pmat.NewLayout(b.c, b.localRows)
 		if err != nil || l.Start != b.startRow || l.N != b.globalCols {
-			return nil, ErrBadArg
+			return staged{}, ErrBadArg
 		}
 		b.layout, b.layoutVer = l, b.distVer
 	}
-	return b.layout, OK
+	l := b.layout
+	switch {
+	case b.mf == nil:
+		op, err := b.operator(l)
+		if err != nil {
+			return staged{}, ErrBadArg
+		}
+		return staged{mat: op}, OK
+	case !b.matrixFree:
+		return staged{}, ErrUnsupported
+	case b.shell == nil || b.shell.l != l:
+		b.shell = &shellOp{l: l, m: aztec.MapFromLayout(l), mf: b.mf}
+	}
+	return staged{shell: b.shell}, OK
 }
 
-// rhsSolver is a component's backend run for one right-hand side: x is
-// zero on entry, and a failure comes back classified (reason !=
-// FailNone) with the backend's own iteration count and residual
-// estimate. The component itself implements it, so passing it to
-// solveEach allocates nothing, where a closure would.
-type rhsSolver interface {
+// solveHooks is what a component adds to the Solve skeleton: methods of
+// the component, not closures, so passing it allocates nothing.
+type solveHooks interface {
+	// configure builds the backend from the parameter store for the
+	// slot's kind. A component whose built object depends on the
+	// parameters too drops b.built, so rebuild runs next.
+	configure(op staged) int
+	// rebuild binds the backend to a new slot value. A failure with a
+	// reason is a failed solve, written to status; one without is a
+	// refusal.
+	rebuild(op staged) (int, FailReason)
+	// attach hands the backend the recorder and the worker pool and
+	// returns the operator whose format labels the solve (nil: none).
+	attach(op staged) *pmat.Mat
+	// solveOne runs the backend on one right-hand side from x = 0, and
+	// classifies a failure (reason != FailNone) beside the backend's own
+	// iteration count and residual estimate.
 	solveOne(x, b []float64) (its int, est float64, reason FailReason)
 }
 
-// solveEach is the one solve loop every component ends its Solve with:
-// each staged right-hand side is solved into its block of solution
-// from x = 0 — the rule that makes a failed solve repeat to the bit —
-// and the first failure is written to status and stops the loop. On
-// success status carries the total iteration count and the last
-// right-hand side's estimate.
-func (b *baseAdapter) solveEach(one rhsSolver, solution, status []float64, n, statusLength int) int {
+// solve is the one Solve skeleton every component runs: solvePrep reads
+// the slot; configure runs when the parameters or the communicator
+// changed, then rebuild, counted as a factorization, when the slot's
+// value did (configure first, so a parameter that changes what is built
+// costs one rebuild); attach; then solveEach.
+func (b *baseAdapter) solve(h solveHooks, solution, status []float64, n, statusLength int) int {
+	op, code := b.solvePrep(solution, status, n)
+	if code != OK {
+		return code
+	}
+	if b.cfgDone != b.cfgVer || b.cfgComm != b.c {
+		if code := h.configure(op); code != OK {
+			return code
+		}
+		b.cfgDone, b.cfgComm = b.cfgVer, b.c
+	}
+	if op != b.built {
+		code, reason := h.rebuild(op)
+		if reason != FailNone {
+			writeStatus(status, statusLength, 0, 0, false, b.factorizations, reason)
+		}
+		if code != OK {
+			return code
+		}
+		b.built = op
+		b.factorizations++
+	}
+	if m := h.attach(op); m != nil {
+		// The kernel the format rule bound (attach's SetPool binds) to
+		// the interior block, so a report can explain its SpMV.
+		b.rec.SetLabel("sparse.format", m.Format().Interior.String())
+	}
+	return b.solveEach(h, solution, status, n, statusLength)
+}
+
+// solveEach is the skeleton's solve loop: each staged right-hand side is
+// solved into its block of solution from x = 0 — the rule that makes a
+// failed solve repeat to the bit — and the first failure is written to
+// status and stops the loop. On success status carries the total
+// iteration count and the last right-hand side's estimate.
+func (b *baseAdapter) solveEach(h solveHooks, solution, status []float64, n, statusLength int) int {
 	total, est := 0, 0.0
 	for r := 0; r < b.nRhs; r++ {
 		x := solution[r*n : (r+1)*n]
 		for i := range x {
 			x[i] = 0
 		}
-		its, e, reason := one.solveOne(x, b.rhs[r*n:(r+1)*n])
+		its, e, reason := h.solveOne(x, b.rhs[r*n:(r+1)*n])
 		if reason != FailNone {
 			writeStatus(status, statusLength, its, e, false, b.factorizations, reason)
 			return ErrSolveFailed

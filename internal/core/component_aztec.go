@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/aztec"
 	"repro/internal/cca"
-	"repro/internal/comm"
 	"repro/internal/pmat"
 )
 
@@ -18,16 +17,12 @@ import (
 type AztecComponent struct {
 	baseAdapter
 
-	// The configured solver is cached across Solve calls (keyed on the
-	// parameter-store version and the communicator) so its option/param
-	// arrays, workspaces, and preconditioner survive the steady state.
-	// The matrix/operator is re-bound only when it actually changed —
+	// s is the configured solver: the skeleton rebuilds it only when the
+	// parameters or the communicator changed, so its option/param
+	// arrays, workspaces, and preconditioner survive the steady state,
+	// and re-binds the operator only when the slot changed —
 	// SetUserMatrix invalidates the solver's preconditioner cache.
-	s       *aztec.Solver
-	sVer    int
-	sComm   *comm.Comm
-	built   *pmat.Mat    // staged operator s views
-	sLayout *pmat.Layout // layout the matrix-free operator was bound with
+	s *aztec.Solver
 }
 
 var _ SparseSolver = (*AztecComponent)(nil)
@@ -36,7 +31,7 @@ var _ cca.Component = (*AztecComponent)(nil)
 // NewAztecComponent returns an unconfigured component (CCA class
 // ClassAztecSolver).
 func NewAztecComponent() *AztecComponent {
-	return &AztecComponent{baseAdapter: newBaseAdapter("lisi.solver.aztec", checkAztecParam)}
+	return &AztecComponent{baseAdapter: newBaseAdapter("lisi.solver.aztec", checkAztecParam, true)}
 }
 
 // SetServices implements cca.Component.
@@ -118,28 +113,23 @@ func checkAztecParam(key, value string) int {
 
 // GetAll reports the configuration (§7.2).
 func (ac *AztecComponent) GetAll() string {
-	return ac.getAll(map[string]string{
-		"backend":        "aztec (Trilinos-role)",
-		"matrix_free":    strconv.FormatBool(ac.mf != nil),
-		"factorizations": strconv.Itoa(ac.factorizations),
-	})
+	return ac.getAll(map[string]string{"backend": "aztec (Trilinos-role)"})
 }
 
 // configure builds the solver and fills its AZ_* arrays from the LISI
-// parameter store.
-func (ac *AztecComponent) configure() *aztec.Solver {
+// parameter store (a solveHooks hook); a shell takes no preconditioner.
+func (ac *AztecComponent) configure(op staged) int {
 	s := aztec.NewSolver(ac.c)
 	o := s.Options()
 	p := s.Params()
 	if v, ok := ac.params["solver"]; ok {
 		o[aztec.AZSolver] = aztecSolverNames[v]
 	}
+	o[aztec.AZPrecond] = aztec.AZDomDecomp
 	if v, ok := ac.params["preconditioner"]; ok {
 		o[aztec.AZPrecond] = aztecPCNames[v]
-	} else if ac.mf == nil {
-		o[aztec.AZPrecond] = aztec.AZDomDecomp
 	}
-	if ac.mf != nil {
+	if op.shell != nil {
 		o[aztec.AZPrecond] = aztec.AZNone
 	}
 	if v, ok := ac.params["scaling"]; ok {
@@ -171,49 +161,34 @@ func (ac *AztecComponent) configure() *aztec.Solver {
 	if v, ok := ac.params["overlap"]; ok {
 		o[aztec.AZOverlap], _ = strconv.Atoi(v)
 	}
-	return s
+	ac.s = s
+	if op == ac.built {
+		ac.rebuild(op) // the slot is unchanged: bind it to the new solver
+	}
+	return OK
+}
+
+// rebuild binds the slot to the solver: a view over the operator, or
+// the shell as a matrix-free operator.
+func (ac *AztecComponent) rebuild(op staged) (int, FailReason) {
+	if op.shell != nil {
+		ac.s.SetUserOperator(op.shell)
+	} else {
+		ac.s.SetUserMatrix(aztec.NewCrsMatrixView(op.mat))
+	}
+	return OK, FailNone
+}
+
+// attach hands the solver the recorder and the worker pool.
+func (ac *AztecComponent) attach(op staged) *pmat.Mat {
+	ac.s.SetRecorder(ac.rec)
+	ac.s.SetPool(ac.workerPool())
+	return op.mat
 }
 
 // Solve implements the LISI solve on the aztec backend.
 func (ac *AztecComponent) Solve(solution []float64, status []float64, numLocalRow, statusLength int) int {
-	l, code := ac.solvePrep(solution, status, numLocalRow)
-	if code != OK {
-		return code
-	}
-
-	rebuilt := false
-	if ac.s == nil || ac.sVer != ac.cfgVer || ac.sComm != ac.c {
-		ac.s = ac.configure()
-		ac.sVer, ac.sComm = ac.cfgVer, ac.c
-		rebuilt = true
-	}
-	s := ac.s
-	if ac.mf != nil {
-		if rebuilt || ac.sLayout != l {
-			s.SetUserOperator(&lisiOperator{m: aztec.MapFromLayout(l), mf: ac.mf})
-			ac.sLayout = l
-		}
-	} else {
-		op, err := ac.operator(l)
-		if err != nil {
-			return ErrBadArg
-		}
-		if op != ac.built {
-			ac.built = op
-			ac.factorizations++
-			rebuilt = true
-		}
-		if rebuilt {
-			s.SetUserMatrix(aztec.NewCrsMatrixView(op))
-		}
-	}
-	s.SetRecorder(ac.rec)
-	s.SetPool(ac.workerPool())
-	if ac.mf == nil {
-		ac.recordFormat(ac.built)
-	}
-
-	return ac.solveEach(ac, solution, status, numLocalRow, statusLength)
+	return ac.solve(ac, solution, status, numLocalRow, statusLength)
 }
 
 // solveOne runs the configured Aztec solver on one right-hand side.
@@ -237,21 +212,6 @@ func classifyAztecFailure(s *aztec.Solver, err error) FailReason {
 		return FailSingular
 	}
 	return classifySolveError(err)
-}
-
-// lisiOperator adapts the application's MatrixFree port to an
-// aztec.Operator.
-type lisiOperator struct {
-	m  *aztec.Map
-	mf MatrixFree
-}
-
-func (o *lisiOperator) RowMap() *aztec.Map { return o.m }
-func (o *lisiOperator) Apply(y, x []float64) error {
-	if code := o.mf.MatMult(IDMatrix, x, y, len(x)); code != OK {
-		return Check(code)
-	}
-	return nil
 }
 
 func init() {

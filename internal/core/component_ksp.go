@@ -4,7 +4,6 @@ import (
 	"strconv"
 
 	"repro/internal/cca"
-	"repro/internal/comm"
 	"repro/internal/ksp"
 	"repro/internal/pmat"
 )
@@ -16,18 +15,11 @@ import (
 type KSPComponent struct {
 	baseAdapter
 
-	// mat wraps built, the staged operator (nil while mat is a
-	// matrix-free shell).
-	mat   *ksp.Mat
-	built *pmat.Mat
-
-	// The configured KSP is cached across Solve calls (keyed on the
-	// parameter-store version and the communicator it was built for) so
-	// its internal solve workspaces and preconditioner setup survive the
-	// steady state instead of being rebuilt per solve.
-	k     *ksp.KSP
-	kVer  int
-	kComm *comm.Comm
+	// mat wraps the slot's operator or shell, and k is the configured
+	// KSP; the skeleton rebuilds each only when its key changed, so the
+	// solve workspaces and preconditioner setup survive the steady state.
+	mat *ksp.Mat
+	k   *ksp.KSP
 }
 
 var _ SparseSolver = (*KSPComponent)(nil)
@@ -36,7 +28,7 @@ var _ cca.Component = (*KSPComponent)(nil)
 // NewKSPComponent returns an unconfigured component (CCA class
 // ClassKSPSolver).
 func NewKSPComponent() *KSPComponent {
-	return &KSPComponent{baseAdapter: newBaseAdapter("lisi.solver.ksp", checkKSPParam)}
+	return &KSPComponent{baseAdapter: newBaseAdapter("lisi.solver.ksp", checkKSPParam, true)}
 }
 
 // SetServices implements cca.Component.
@@ -96,11 +88,7 @@ func checkKSPParam(key, value string) int {
 
 // GetAll reports the configuration (§7.2).
 func (kc *KSPComponent) GetAll() string {
-	return kc.getAll(map[string]string{
-		"backend":        "ksp (PETSc-role)",
-		"matrix_free":    strconv.FormatBool(kc.mf != nil),
-		"factorizations": strconv.Itoa(kc.factorizations),
-	})
+	return kc.getAll(map[string]string{"backend": "ksp (PETSc-role)"})
 }
 
 // kspOption is the translation table (paper §6.5) from the LISI parameter
@@ -120,8 +108,8 @@ var kspOption = map[string]struct {
 	"damping":        {"ksp_richardson_scale", nil},
 }
 
-// configure builds a KSP from the parameter store.
-func (kc *KSPComponent) configure() (*ksp.KSP, error) {
+// configure builds the KSP from the parameter store (a solveHooks hook).
+func (kc *KSPComponent) configure(op staged) int {
 	k := ksp.New(kc.c)
 	for key, to := range kspOption {
 		value, ok := kc.params[key]
@@ -132,19 +120,38 @@ func (kc *KSPComponent) configure() (*ksp.KSP, error) {
 			value = to.values[value]
 		}
 		if err := k.SetOption(to.option, value); err != nil {
-			return nil, err
+			return ErrBadArg
 		}
 	}
-	if kc.mf != nil {
+	if op.shell != nil {
 		// Matrix-free: no assembled diagonal block exists. Use the
 		// application's preconditioner callback when offered, else none.
 		if use, _ := strconv.ParseBool(kc.params["matfree_pc"]); use {
-			k.SetPC(&matrixFreePC{mf: kc.mf})
+			k.SetPC(&matrixFreePC{mf: op.shell.mf})
 		} else if err := k.SetOption("pc_type", ksp.PCNone); err != nil {
-			return nil, err
+			return ErrBadArg
 		}
 	}
-	return k, nil
+	kc.k = k
+	return OK
+}
+
+// rebuild wraps the slot's operator, or its shell, as the KSP's matrix.
+func (kc *KSPComponent) rebuild(op staged) (int, FailReason) {
+	if op.shell != nil {
+		kc.mat = ksp.NewShellMat(op.shell.l, op.shell.mul)
+	} else {
+		kc.mat = ksp.NewMat(op.mat)
+	}
+	return OK, FailNone
+}
+
+// attach hands the KSP its matrix, the recorder and the worker pool.
+func (kc *KSPComponent) attach(op staged) *pmat.Mat {
+	kc.k.SetOperators(kc.mat)
+	kc.k.SetRecorder(kc.rec)
+	kc.k.SetPool(kc.workerPool())
+	return op.mat
 }
 
 // matrixFreePC adapts the application's MatrixFree preconditioner
@@ -162,50 +169,7 @@ func (p *matrixFreePC) Apply(z, r []float64) {
 
 // Solve implements the LISI solve (§7.2) on the ksp backend.
 func (kc *KSPComponent) Solve(solution []float64, status []float64, numLocalRow, statusLength int) int {
-	l, code := kc.solvePrep(solution, status, numLocalRow)
-	if code != OK {
-		return code
-	}
-
-	// Re-wrap the operator only when the staged one changed — use case
-	// §5.2b/c reuse. A shell follows the layout; it reads kc.mf per
-	// product, so a new MatrixFree port takes effect without a re-wrap.
-	if kc.mf != nil {
-		if kc.mat == nil || kc.built != nil || kc.mat.Layout() != l {
-			kc.mat, kc.built = ksp.NewShellMat(l, func(y, x []float64) {
-				if code := kc.mf.MatMult(IDMatrix, x, y, len(x)); code != OK {
-					panic(Check(code))
-				}
-			}), nil
-			kc.factorizations++
-		}
-	} else {
-		pm, err := kc.operator(l)
-		if err != nil {
-			return ErrBadArg
-		}
-		if pm != kc.built {
-			kc.mat, kc.built = ksp.NewMat(pm), pm
-			kc.factorizations++
-		}
-	}
-
-	if kc.k == nil || kc.kVer != kc.cfgVer || kc.kComm != kc.c {
-		k, err := kc.configure()
-		if err != nil {
-			return ErrBadArg
-		}
-		kc.k, kc.kVer, kc.kComm = k, kc.cfgVer, kc.c
-	}
-	k := kc.k
-	k.SetOperators(kc.mat)
-	k.SetRecorder(kc.rec)
-	k.SetPool(kc.workerPool())
-	if kc.built != nil {
-		kc.recordFormat(kc.built)
-	}
-
-	return kc.solveEach(kc, solution, status, numLocalRow, statusLength)
+	return kc.solve(kc, solution, status, numLocalRow, statusLength)
 }
 
 // solveOne runs the configured KSP on one right-hand side.

@@ -25,9 +25,12 @@ import (
 type MGComponent struct {
 	baseAdapter
 
+	// prob and opts are the model problem and the mg options configure
+	// reads from the parameters; the hierarchy solver is built from them
+	// on the slot's operator.
+	prob     mesh.Problem
+	opts     mg.Options
 	solver   *mg.Solver
-	builtVer int          // matVer the hierarchy was built for
-	builtL   *pmat.Layout // and the layout, so a re-Initialize rebuilds it on the new world
 	coarse   *SLUComponent
 	coarseUp bool // coarse matrix already staged
 
@@ -48,7 +51,7 @@ var _ cca.Component = (*MGComponent)(nil)
 // NewMGComponent returns an unconfigured component (CCA class
 // ClassMGSolver).
 func NewMGComponent() *MGComponent {
-	return &MGComponent{baseAdapter: newBaseAdapter("lisi.solver.mg", checkMGParam)}
+	return &MGComponent{baseAdapter: newBaseAdapter("lisi.solver.mg", checkMGParam, false)}
 }
 
 // SetServices implements cca.Component.
@@ -91,10 +94,7 @@ func checkMGParam(key, value string) int {
 
 // GetAll reports the configuration.
 func (mc *MGComponent) GetAll() string {
-	extra := map[string]string{
-		"backend":     "mg (geometric multigrid, coarse solve via LISI)",
-		"matrix_free": "false",
-	}
+	extra := map[string]string{"backend": "mg (geometric multigrid, coarse solve via LISI)"}
 	if mc.solver != nil {
 		extra["levels"] = strconv.Itoa(mc.solver.Levels())
 	}
@@ -140,75 +140,78 @@ func (mc *MGComponent) coarseSolve(a *sparse.CSR, b []float64) ([]float64, error
 
 // Solve implements the LISI solve on the multigrid backend.
 func (mc *MGComponent) Solve(solution []float64, status []float64, numLocalRow, statusLength int) int {
-	l, code := mc.solvePrep(solution, status, numLocalRow)
-	if code != OK {
-		return code
-	}
-	if mc.mf != nil {
-		return ErrUnsupported // geometric MG needs the assembled model operator
-	}
+	return mc.solve(mc, solution, status, numLocalRow, statusLength)
+}
+
+// configure reads the model problem and the mg options from the
+// parameters (a solveHooks hook); the hierarchy is built from them, so
+// it drops the built operator and the skeleton rebuilds it.
+func (mc *MGComponent) configure(staged) int {
 	gridN, ok := mc.params["grid_n"]
 	if !ok {
 		return ErrBadState
 	}
 	n, _ := strconv.Atoi(gridN)
-	if n*n != mc.globalCols {
-		return ErrBadArg
+	p := mesh.PaperProblem(n)
+	if v, ok := mc.params["convection"]; ok {
+		p.Convection, _ = strconv.ParseFloat(v, 64)
 	}
+	opts := mg.Options{Coarse: mc.coarseSolve}
+	if v, ok := mc.params["tol"]; ok {
+		opts.Tol, _ = strconv.ParseFloat(v, 64)
+	}
+	if v, ok := mc.params["omega"]; ok {
+		opts.Omega, _ = strconv.ParseFloat(v, 64)
+	}
+	if v, ok := mc.params["cycles"]; ok {
+		opts.MaxCycles, _ = strconv.Atoi(v)
+	}
+	if v, ok := mc.params["smooth_sweeps"]; ok {
+		opts.Nu1, _ = strconv.Atoi(v)
+		opts.Nu2 = opts.Nu1
+	}
+	if v, ok := mc.params["galerkin"]; ok {
+		opts.Galerkin, _ = strconv.ParseBool(v)
+	}
+	if v, ok := mc.params["gamma"]; ok {
+		opts.Gamma, _ = strconv.Atoi(v)
+	}
+	mc.prob, mc.opts = p, opts
+	mc.built = staged{}
+	return OK
+}
 
-	if mc.solver == nil || mc.builtVer != mc.matVer || mc.builtL != l {
-		stopSetup := mc.rec.StartPhase(telemetry.PhaseSetup)
-		p := mesh.PaperProblem(n)
-		if v, ok := mc.params["convection"]; ok {
-			p.Convection, _ = strconv.ParseFloat(v, 64)
-		}
-		// Geometric MG is only valid for the model operator: verify the
-		// staged matrix actually is the discretized PDE.
-		want, _, err := p.GenerateLocal(l)
-		if err != nil {
-			stopSetup()
-			return ErrBadArg
-		}
-		if !want.AlmostEqual(mc.localA, 1e-9*want.NormInf()) {
-			stopSetup()
-			return ErrUnsupported
-		}
-		opts := mg.Options{Coarse: mc.coarseSolve}
-		if v, ok := mc.params["tol"]; ok {
-			opts.Tol, _ = strconv.ParseFloat(v, 64)
-		}
-		if v, ok := mc.params["omega"]; ok {
-			opts.Omega, _ = strconv.ParseFloat(v, 64)
-		}
-		if v, ok := mc.params["cycles"]; ok {
-			opts.MaxCycles, _ = strconv.Atoi(v)
-		}
-		if v, ok := mc.params["smooth_sweeps"]; ok {
-			opts.Nu1, _ = strconv.Atoi(v)
-			opts.Nu2 = opts.Nu1
-		}
-		if v, ok := mc.params["galerkin"]; ok {
-			opts.Galerkin, _ = strconv.ParseBool(v)
-		}
-		if v, ok := mc.params["gamma"]; ok {
-			opts.Gamma, _ = strconv.Atoi(v)
-		}
-		mc.coarse = NewSLUComponent()
-		mc.coarseUp = false
-		s, err := mg.New(mc.c, p, opts)
-		stopSetup()
-		if err != nil {
-			return ErrBadArg
-		}
-		mc.solver = s
-		mc.builtVer, mc.builtL = mc.matVer, l
-		mc.factorizations++
+// rebuild builds the hierarchy on the slot's layout, with a fresh inner
+// coarse component. Geometric MG is only valid for the model operator:
+// the staged matrix must be the discretized PDE.
+func (mc *MGComponent) rebuild(op staged) (int, FailReason) {
+	if mc.prob.N() != mc.globalCols {
+		return ErrBadArg, FailNone
 	}
+	defer mc.rec.StartPhase(telemetry.PhaseSetup)()
+	want, _, err := mc.prob.GenerateLocal(op.mat.L)
+	if err != nil {
+		return ErrBadArg, FailNone
+	}
+	if !want.AlmostEqual(op.mat.LocalRowsGlobal(), 1e-9*want.NormInf()) {
+		return ErrUnsupported, FailNone
+	}
+	mc.coarse = NewSLUComponent()
+	mc.coarseUp = false
+	s, err := mg.New(mc.c, mc.prob, mc.opts)
+	if err != nil {
+		return ErrBadArg, FailNone
+	}
+	mc.solver = s
+	return OK, FailNone
+}
+
+// attach hands the hierarchy the recorder and the worker pool, and
+// labels the solve with its fine operator's format.
+func (mc *MGComponent) attach(staged) *pmat.Mat {
 	mc.solver.SetRecorder(mc.rec)
 	mc.solver.SetPool(mc.workerPool())
-	mc.recordFormat(mc.solver.FineOperator())
-
-	return mc.solveEach(mc, solution, status, numLocalRow, statusLength)
+	return mc.solver.FineOperator()
 }
 
 // solveOne runs V-cycles on one right-hand side. mg reports "diverged at

@@ -117,8 +117,13 @@ func TestMGComponentReusesHierarchyAndInnerFactor(t *testing.T) {
 			mustOK(t, s.SetupRHS(b, a.Rows, 1), "rhs")
 			mustOK(t, s.Solve(x, status, a.Rows, StatusLen), "solve")
 		}
+		// The pool is handed over at every Solve: a new worker count
+		// rebuilds nothing.
+		mustOK(t, s.Set("workers", "2"), "workers")
+		mustOK(t, s.Solve(x, status, a.Rows, StatusLen), "solve")
+		s.releaseResources()
 		if got := int(status[StatusFactorizations]); got != 1 {
-			t.Errorf("hierarchy built %d times across 3 solves, want 1", got)
+			t.Errorf("hierarchy built %d times across 4 solves, want 1", got)
 		}
 		// Verify the answer too.
 		r := a.Residual(b, x)

@@ -19,15 +19,14 @@ import (
 type SLUComponent struct {
 	baseAdapter
 
-	dist      *slu.DistSolver
-	built     *pmat.Mat   // the staged operator dist factors
-	builtOpts slu.Options // the factor-affecting parameters dist was built with
+	dist *slu.DistSolver
+	opts slu.Options // the factor-affecting parameters, read by configure
 
 	// seen is dist's set-up record as of the last (re)build, kept so the
 	// next one's share can be added to the recorder.
 	seen slu.SetupStats
 
-	refineSteps int // the "refine_steps" parameter, read once per Solve
+	refineSteps int // the "refine_steps" parameter, read by configure
 }
 
 var _ SparseSolver = (*SLUComponent)(nil)
@@ -36,7 +35,7 @@ var _ cca.Component = (*SLUComponent)(nil)
 // NewSLUComponent returns an unconfigured component (CCA class
 // ClassSLUSolver).
 func NewSLUComponent() *SLUComponent {
-	return &SLUComponent{baseAdapter: newBaseAdapter("lisi.solver.superlu", checkSLUParam)}
+	return &SLUComponent{baseAdapter: newBaseAdapter("lisi.solver.superlu", checkSLUParam, false)}
 }
 
 // SetServices implements cca.Component.
@@ -81,9 +80,7 @@ func checkSLUParam(key, value string) int {
 // GetAll reports the configuration.
 func (sc *SLUComponent) GetAll() string {
 	extra := map[string]string{
-		"backend":        "slu (SuperLU-role, direct)",
-		"matrix_free":    "false",
-		"factorizations": strconv.Itoa(sc.factorizations),
+		"backend": "slu (SuperLU-role, direct)",
 		// Rank 0 analyses and factors; other ranks report 0 here.
 		"analyses":          strconv.Itoa(sc.seen.Analyses),
 		"symbolic_reuses":   strconv.Itoa(sc.seen.SymbolicReuses),
@@ -101,7 +98,25 @@ func (sc *SLUComponent) GetAll() string {
 	return sc.getAll(extra)
 }
 
-func (sc *SLUComponent) options() slu.Options {
+// Solve implements the LISI solve on the direct backend. The
+// factorization is reused across right-hand sides and across Solve calls
+// (use case §5.2b) until SetupMatrix changes the matrix or Set changes a
+// factor-affecting parameter; then it is redone, keeping the symbolic
+// analysis when the pattern and ordering allow (use case §5.2d).
+func (sc *SLUComponent) Solve(solution []float64, status []float64, numLocalRow, statusLength int) int {
+	return sc.solve(sc, solution, status, numLocalRow, statusLength)
+}
+
+// configure reads the parameters (a solveHooks hook). The factor is a
+// function of the matrix and of slu.Options, so a change of the options
+// drops the built operator and the skeleton refactors: refine_steps
+// and the ignored iterative keys change cfgVer but not the options
+// value.
+func (sc *SLUComponent) configure(staged) int {
+	sc.refineSteps = 0
+	if v, ok := sc.params["refine_steps"]; ok {
+		sc.refineSteps, _ = strconv.Atoi(v)
+	}
 	opts := slu.DefaultOptions()
 	if v, ok := sc.params["ordering"]; ok {
 		opts.ColPerm, _ = slu.OrderingFromName(v)
@@ -112,61 +127,38 @@ func (sc *SLUComponent) options() slu.Options {
 	if v, ok := sc.params["equilibrate"]; ok {
 		opts.Equilibrate, _ = strconv.ParseBool(v)
 	}
-	return opts
+	if opts != sc.opts {
+		sc.opts = opts
+		sc.built = staged{}
+	}
+	return OK
 }
 
-// Solve implements the LISI solve on the direct backend. The
-// factorization is reused across right-hand sides and across Solve calls
-// (use case §5.2b) until SetupMatrix changes the matrix or Set changes a
-// factor-affecting parameter; then it is redone, keeping the symbolic
-// analysis when the pattern and ordering allow (use case §5.2d).
-func (sc *SLUComponent) Solve(solution []float64, status []float64, numLocalRow, statusLength int) int {
-	l, code := sc.solvePrep(solution, status, numLocalRow)
-	if code != OK {
-		return code
+// rebuild factors the slot's operator. A live solver refactors: same
+// pattern and ordering take the numeric phase only (§5.2d) — over the
+// recorded row permutation and L/U structure while every pivot
+// validates — anything else is re-analysed inside, and the L/U storage
+// is refilled either way.
+func (sc *SLUComponent) rebuild(op staged) (int, FailReason) {
+	stopSetup := sc.rec.StartPhase(telemetry.PhaseSetup)
+	var err error
+	if sc.dist == nil {
+		sc.dist, err = slu.NewDistSolver(op.mat, sc.opts)
+	} else {
+		err = sc.dist.Refactor(op.mat, sc.opts)
 	}
-	if sc.mf != nil {
-		// A direct factorization needs assembled entries; the paper's
-		// matrix-free path only applies to iterative components.
-		return ErrUnsupported
-	}
-
-	op, err := sc.operator(l)
+	stopSetup()
+	sc.recordSetup()
 	if err != nil {
-		return ErrBadArg
+		return ErrSolveFailed, classifySolveError(err)
 	}
+	return OK, FailNone
+}
 
-	// The factor is a function of the matrix and of slu.Options, so those
-	// two key the rebuild: refine_steps, workers and the ignored
-	// iterative keys change cfgVer but not the options value.
-	if opts := sc.options(); op != sc.built || sc.builtOpts != opts {
-		stopSetup := sc.rec.StartPhase(telemetry.PhaseSetup)
-		// A live solver refactors: same pattern and ordering take the
-		// numeric phase only (§5.2d) — over the recorded row permutation
-		// and L/U structure while every pivot validates — anything else
-		// is re-analysed inside, and the L/U storage is refilled either way.
-		if sc.dist == nil {
-			sc.dist, err = slu.NewDistSolver(op, opts)
-		} else {
-			err = sc.dist.Refactor(op, opts)
-		}
-		stopSetup()
-		sc.recordSetup()
-		if err != nil {
-			writeStatus(status, statusLength, 0, 0, false, sc.factorizations, classifySolveError(err))
-			return ErrSolveFailed
-		}
-		sc.built = op
-		sc.builtOpts = opts
-		sc.factorizations++
-	}
+// attach hands the factor the recorder; superlu builds no worker pool.
+func (sc *SLUComponent) attach(staged) *pmat.Mat {
 	sc.dist.SetRecorder(sc.rec)
-
-	sc.refineSteps = 0
-	if v, ok := sc.params["refine_steps"]; ok {
-		sc.refineSteps, _ = strconv.Atoi(v)
-	}
-	return sc.solveEach(sc, solution, status, numLocalRow, statusLength)
+	return nil
 }
 
 // solveOne runs the triangular solves and refinement on one right-hand

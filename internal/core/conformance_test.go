@@ -290,24 +290,24 @@ func (o *flakyOp) MatMult(id ID, x, y []float64, length int) int {
 }
 
 // TestSessionDoorRows gives the Session doors no other upper-layer test
-// opens their row: SetMatrixFree and a caller's own second Solve after a
-// typed failure.
+// opens their row: SetupOperator over an assembled Setup, and a caller's
+// own second Solve after a typed failure.
 func TestSessionDoorRows(t *testing.T) {
 	a, _ := lap49.sys(t)
 	xstar, b := manufactured(a)
 	params := map[string]string{"solver": "cg", "preconditioner": "none", "tol": "1e-10"}
 
-	t.Run("SetMatrixFree", func(t *testing.T) {
+	t.Run("SetupOperator", func(t *testing.T) {
 		run(t, 1, func(c *comm.Comm) {
 			s, l := openOn(t, c, "petsc", SessionOptions{Params: params}, a, b)
 			defer s.Close()
 			op := &appOperator{a: a}
-			if err := s.SetMatrixFree(op); err != nil {
+			if err := s.SetupOperator(l, op); err != nil {
 				t.Fatal(err)
 			}
 			x := make([]float64, l.LocalN)
 			res, err := s.Solve(context.Background(), x)
-			checkConverged(t, "SetMatrixFree", l, res, err, x, xstar)
+			checkConverged(t, "SetupOperator", l, res, err, x, xstar)
 			if op.calls == 0 {
 				t.Error("the solve never applied the matrix-free operator")
 			}

@@ -614,6 +614,11 @@ func TestMatrixFreeDirectSet(t *testing.T) {
 			if op2.calls == 0 || op.calls != before {
 				t.Errorf("after SetMatrixFree: new port %d calls, replaced port %d more", op2.calls, op.calls-before)
 			}
+			// Each port staged is a new operator in the slot: one setup
+			// each, on ksp and aztec alike.
+			if got := status[StatusFactorizations]; got != 2 {
+				t.Errorf("%T: %v factorizations after two ports, want 2", s, got)
+			}
 		}
 
 		// Direct component cannot run matrix-free.
@@ -702,12 +707,53 @@ func TestMatrixFreeThroughCCAPort(t *testing.T) {
 			}
 		}
 	})
+
+	// A wired port is pulled only while nothing is staged: with a matrix
+	// staged through SetupMatrix, the solve is the matrix's, not the
+	// wired identity's (which converges in one iteration to x = b).
+	lap := sparse.Laplace2D(9, 9)
+	lstar := sparse.RandomVector(81, 5)
+	lb := make([]float64, 81)
+	lap.MulVec(lb, lstar)
+	cca.RegisterClass("test.mfapp.identity", func() cca.Component {
+		return &mfApp{op: &stagingOp{}}
+	})
+	for _, class := range []string{ClassKSPSolver, ClassAztecSolver} {
+		run(t, 1, func(c *comm.Comm) {
+			fw := cca.NewFramework(c)
+			if err := fw.CreateInstance("app", "test.mfapp.identity"); err != nil {
+				t.Fatal(err)
+			}
+			if err := fw.CreateInstance("solver", class); err != nil {
+				t.Fatal(err)
+			}
+			if err := fw.Connect("solver", PortMatrixFree, "app", PortMatrixFree); err != nil {
+				t.Fatal(err)
+			}
+			comp, _ := fw.Instance("solver")
+			s := comp.(SparseSolver)
+			mustOK(t, s.Set("preconditioner", "none"), "preconditioner")
+			mustOK(t, s.Set("tol", "1e-11"), "tol")
+			mustOK(t, s.SetStartRow(0), "start")
+			mustOK(t, s.SetLocalRows(81), "rows")
+			mustOK(t, s.SetGlobalCols(81), "cols")
+			mustOK(t, s.SetupMatrix(lap.Vals, lap.RowPtr, lap.ColInd, CSR, 82, lap.NNZ()), "matrix")
+			mustOK(t, s.SetupRHS(lb, 81, 1), "rhs")
+			x := make([]float64, 81)
+			status := make([]float64, StatusLen)
+			mustOK(t, s.Solve(x, status, 81, StatusLen), "solve")
+			if r := sparse.NormInf(lap.Residual(lb, x)); r > 1e-8 {
+				t.Errorf("%s: wired identity over a staged matrix: %v iterations, ‖A·x − b‖∞ = %.3g on the staged matrix",
+					class, status[StatusIterations], r)
+			}
+		})
+	}
 }
 
 // mfApp is an application component providing only the MatrixFree port
 // (the §5.6c pattern).
 type mfApp struct {
-	op *appOperator
+	op MatrixFree
 }
 
 func (m *mfApp) SetServices(svc cca.Services) error {

@@ -130,12 +130,12 @@ type MatrixFree interface {
 // All slice arguments follow r-array rules: 0-based, non-nil, in or
 // inout.
 //
-// Call order: Initialize → distribution setters → SetupMatrix* →
-// SetupRHS → (parameter setters anytime before Solve) → Solve. SetupRHS
-// and Solve may be repeated for multiple right-hand sides (§5.2c);
-// SetupMatrix may be repeated for a new system (§5.2d) — components
-// reuse what their package allows (e.g. the direct component refactors
-// only when the matrix changed).
+// Call order: Initialize → distribution setters → SetupMatrix* or
+// SetMatrixFree → SetupRHS → (parameter setters anytime before Solve) →
+// Solve. SetupRHS and Solve may be repeated for multiple right-hand
+// sides (§5.2c); SetupMatrix may be repeated for a new system (§5.2d) —
+// components reuse what their package allows (e.g. the direct component
+// refactors only when the matrix changed).
 type SparseSolver interface {
 	// Initialize binds the component to the SPMD communicator (the
 	// paper's `initialize(in long comm)`, with the handle replaced by a
@@ -187,10 +187,10 @@ type SparseSolver interface {
 	// newline-separated key=value pairs (§7.2's get_all).
 	GetAll() string
 
-	// SetMatrixFree hands the application's MatrixFree port to the
-	// solver; pass nil to revert to the assembled path. Components whose
-	// package cannot operate matrix-free return ErrUnsupported from
-	// Solve.
+	// SetMatrixFree stages the application's MatrixFree port in place
+	// of the matrix; nil goes back to the last staged matrix. The last
+	// staging call wins (SPEC.md §4). Components whose package cannot
+	// operate matrix-free return ErrUnsupported from Solve.
 	SetMatrixFree(mf MatrixFree) int
 }
 

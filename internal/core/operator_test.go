@@ -114,22 +114,26 @@ var assembledBackends = []struct {
 	{"superlu", func() SparseSolver { return NewSLUComponent() }},
 }
 
-// staged returns a component's adapter state and the staged operator
-// its backend last built on (nil if its backend runs on another).
-func staged(t *testing.T, s SparseSolver) (*baseAdapter, *pmat.Mat) {
+// builtOperator returns a component's adapter state and the staged
+// operator its backend was last rebuilt on (nil if it runs on another).
+func builtOperator(t *testing.T, s SparseSolver) (*baseAdapter, *pmat.Mat) {
+	var base *baseAdapter
 	switch s := s.(type) {
 	case *KSPComponent:
-		if s.mat.Assembled() != s.built {
+		if s.mat.Assembled() != s.built.mat {
 			return &s.baseAdapter, nil
 		}
-		return &s.baseAdapter, s.built
+		base = &s.baseAdapter
 	case *AztecComponent:
-		return &s.baseAdapter, s.built
+		base = &s.baseAdapter
 	case *SLUComponent:
-		return &s.baseAdapter, s.built
+		base = &s.baseAdapter
+	case *MGComponent:
+		base = &s.baseAdapter
+	default:
+		t.Fatalf("%T is not a registry backend", s)
 	}
-	t.Fatalf("%T is not an assembled backend", s)
-	return nil, nil
+	return base, base.built.mat
 }
 
 // TestPortOperatorMatchesInsertPath pins the operator the port builds
@@ -157,7 +161,7 @@ func TestPortOperatorMatchesInsertPath(t *testing.T) {
 						mustOK(t, s.Set("maxits", "1"), "Set")
 					}
 					s.Solve(make([]float64, n), make([]float64, StatusLen), n, StatusLen)
-					base, built := staged(t, s)
+					base, built := builtOperator(t, s)
 					label := fmt.Sprintf("%s/%s on %d ranks", fam, be.name, p)
 					if base.op == nil || built != base.op {
 						t.Fatalf("%s: the backend did not solve on the staged operator", label)
@@ -176,9 +180,8 @@ func TestPortOperatorMatchesInsertPath(t *testing.T) {
 // TestReinitializeLeavesOldWorld: a component re-Initialized on a second
 // world and solved again without restaging must build its operator on
 // the new world. World 1 must see no traffic at all from that solve, and
-// world 2's answer must be world 1's, bit for bit. The assembled backends
-// hold no staged rows by then, so their world 2 operator is rebuilt from
-// world 1's.
+// world 2's answer must be world 1's, bit for bit. No backend holds
+// staged rows by then, so its world 2 operator is rebuilt from world 1's.
 func TestReinitializeLeavesOldWorld(t *testing.T) {
 	type backendCase struct {
 		name   string
@@ -227,10 +230,8 @@ func TestReinitializeLeavesOldWorld(t *testing.T) {
 				x := make([]float64, n)
 				mustOK(t, s.Solve(x, make([]float64, StatusLen), n, StatusLen), "Solve on world 2")
 				requireSameBits(t, "world 2 solution", x, first[c.Rank()])
-				if backend.name != "mg" {
-					if base, op := staged(t, s); base.localA != nil || op.L.Comm() != c {
-						t.Errorf("rank %d: world 2's operator was not rebuilt from world 1's alone", c.Rank())
-					}
+				if base, op := builtOperator(t, s); base.localA != nil || op.L.Comm() != c {
+					t.Errorf("rank %d: world 2's operator was not rebuilt from world 1's alone", c.Rank())
 				}
 			})
 			if err != nil {

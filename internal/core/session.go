@@ -203,56 +203,38 @@ func (s *Session) Set(key, value string) error {
 	return nil
 }
 
-// SetMatrixFree hands a MatrixFree operator to the backend (nil reverts
-// to the assembled path).
-func (s *Session) SetMatrixFree(mf MatrixFree) error {
-	if err := s.usable(); err != nil {
-		return err
-	}
-	return Check(s.solver.SetMatrixFree(mf))
-}
-
 // Setup stages this rank's block of the matrix: l describes the
 // block-row partition and a holds the local rows with global column
 // indices. Repeated Setup calls stage a new system; the component's
 // matVer versioning decides how much previous factorization/operator
 // work is reusable.
 func (s *Session) Setup(l *pmat.Layout, a *sparse.CSR) error {
-	if err := s.usable(); err != nil {
-		return err
-	}
-	if l == nil || a == nil {
-		return fmt.Errorf("core: session Setup requires a layout and a local matrix")
-	}
-	if err := stage(s.solver, l, a, nil); err != nil {
-		return err
-	}
-	s.layout = l
-	s.localA = nil
-	if len(s.opts.Failover) > 0 {
-		s.localA = a // only the failover walk re-stages it
-	}
-	s.mf = nil
-	s.matStaged = true
-	return nil
+	return s.setup(l, a, nil, a != nil, "Setup requires a layout and a local matrix")
 }
 
 // SetupOperator stages a matrix-free operator instead of an assembled
 // matrix: the distribution comes from l and operator application is
 // delegated to mf (paper §5.5).
 func (s *Session) SetupOperator(l *pmat.Layout, mf MatrixFree) error {
+	return s.setup(l, nil, mf, mf != nil, "SetupOperator requires a layout and an operator")
+}
+
+// setup stages a or mf through stage; the last one staged is what the
+// session solves, and what a failover re-stages.
+func (s *Session) setup(l *pmat.Layout, a *sparse.CSR, mf MatrixFree, given bool, refusal string) error {
 	if err := s.usable(); err != nil {
 		return err
 	}
-	if l == nil || mf == nil {
-		return fmt.Errorf("core: session SetupOperator requires a layout and an operator")
+	if l == nil || !given {
+		return errors.New("core: session " + refusal)
 	}
-	if err := stage(s.solver, l, nil, mf); err != nil {
+	if err := stage(s.solver, l, a, mf); err != nil {
 		return err
 	}
-	s.layout = l
-	s.localA = nil
-	s.mf = mf
+	s.layout, s.mf, s.localA = l, mf, nil
+	if len(s.opts.Failover) > 0 {
+		s.localA = a // only the failover walk re-stages it
+	}
 	s.matStaged = true
 	return nil
 }
@@ -394,9 +376,8 @@ func (s *Session) solveOnce(ctx context.Context, x []float64) (SolveResult, erro
 
 // stage hands one rank's distribution and operator to a component: the
 // §6.3 setters, then setupMatrix (CSR) with a's rows, or SetMatrixFree
-// when mf is set. An assembled matrix also clears a MatrixFree port
-// staged before it, so the next solve reads the matrix. It stops at the
-// first refusal. Every staging inside the package goes through it
+// when mf is set; the last staging call wins, so either replaces what
+// was staged before. It stops at the first refusal. Every staging inside the package goes through it
 // except DriverComponent.SolveProblem, which keeps its explicit calls:
 // it is the Figure 3 application code the paper shows unchanged across
 // swaps.
@@ -413,10 +394,7 @@ func stage(solver SparseSolver, l *pmat.Layout, a *sparse.CSR, mf MatrixFree) er
 	case mf != nil:
 		code = solver.SetMatrixFree(mf)
 	default:
-		if code = solver.SetMatrixFree(nil); code == OK {
-			code = solver.SetLocalNNZ(a.NNZ())
-		}
-		if code == OK {
+		if code = solver.SetLocalNNZ(a.NNZ()); code == OK {
 			code = solver.SetupMatrix(a.Vals, a.RowPtr, a.ColInd, CSR, len(a.RowPtr), a.NNZ())
 		}
 	}
