@@ -106,7 +106,8 @@ fuzz:
 	for t in FuzzPartition FuzzGenerateRows; do \
 		$(GO) test -run='^$$' -fuzz="^$$t\$$" -fuzztime=$(FUZZTIME) ./internal/mesh || exit 1; done
 	$(GO) test -run='^$$' -fuzz='^FuzzSplitMatchesCOO$$' -fuzztime=$(FUZZTIME) ./internal/pmat
-	$(GO) test -run='^$$' -fuzz='^FuzzDoorMatchesCOO$$' -fuzztime=$(FUZZTIME) ./internal/core
+	for t in FuzzDoorMatchesCOO FuzzParamSet; do \
+		$(GO) test -run='^$$' -fuzz="^$$t\$$" -fuzztime=$(FUZZTIME) ./internal/core || exit 1; done
 	for t in FuzzLevels FuzzGaussSeidelMatchesReference; do \
 		$(GO) test -run='^$$' -fuzz="^$$t\$$" -fuzztime=$(FUZZTIME) ./internal/par || exit 1; done
 	for t in FuzzMinDegreeMatchesReference FuzzStaticRefactorMatchesFresh; do \

@@ -320,10 +320,14 @@ func (s *Solver) ended(it int, rnorm float64) bool {
 // exit lands in the status array through finish.
 type krylovSystem Solver
 
-// Apply computes y = A·x with row scaling folded in.
+// Apply computes y = A·x with row scaling folded in. A failed apply is
+// NaN: the next reduction carries it to every rank, and the loop's
+// non-finite stop ends the solve there as a breakdown.
 func (s *krylovSystem) Apply(y, x []float64) {
 	if err := s.op.Apply(y, x); err != nil {
-		panic(fmt.Sprintf("aztec: operator apply failed: %v", err))
+		for i := range y {
+			y[i] = math.NaN()
+		}
 	}
 	if s.scale != nil {
 		for i := range y {

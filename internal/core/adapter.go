@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -59,12 +58,11 @@ type baseAdapter struct {
 	mf     MatrixFree // the slot's port; nil: the last staged matrix
 	shell  *shellOp   // over mf, at the last Solve's layout
 
-	// checkParam validates a (key, value) pair against the embedding
-	// backend's own parameter vocabulary; Set calls it for every key
-	// but the cross-cutting ones it validates itself.
-	checkParam func(key, value string) int
+	// vocab is the embedding backend's declared vocabulary (§6.5),
+	// the shared "workers" row included.
+	vocab []Param
 
-	// cfgVer is bumped whenever the parameter store (but "workers") or
+	// cfgVer is bumped whenever a parameter the backend is built from or
 	// the MatrixFree port changes; the skeleton reconfigures the backend when it or the
 	// communicator moved past cfgDone/cfgComm, so a steady-state Solve
 	// reuses the solver (and its internal workspaces).
@@ -113,11 +111,11 @@ type baseAdapter struct {
 // (the default) disables instrumentation at one nil check per event.
 func (b *baseAdapter) SetRecorder(r *telemetry.Recorder) { b.rec = r }
 
-func newBaseAdapter(name string, checkParam func(key, value string) int, matrixFree bool) baseAdapter {
+func newBaseAdapter(name string, vocab []Param, matrixFree bool) baseAdapter {
 	return baseAdapter{
 		name:       name,
 		matrixFree: matrixFree,
-		checkParam: checkParam,
+		vocab:      vocab,
 		blockSize:  1,
 		startRow:   -1,
 		localRows:  -1,
@@ -453,36 +451,37 @@ func (b *baseAdapter) SetupRHS(rightHandSide []float64, numLocalRow, nRhs int) i
 	return OK
 }
 
-// finite is the staging doors' one non-finite test: NaN fails the
-// comparison and ±Inf exceeds MaxFloat64.
+// finite is the one non-finite test of the staging doors and the float
+// parameters: NaN fails the comparison and ±Inf exceeds MaxFloat64.
 func finite(v float64) bool { return math.Abs(v) <= math.MaxFloat64 }
-
-// floatParam parses a float parameter value by the same rule: ok only
-// for a well-formed, finite number. Every backend's float keys go
-// through it.
-func floatParam(value string) (float64, bool) {
-	v, err := strconv.ParseFloat(value, 64)
-	return v, err == nil && finite(v)
-}
 
 // ---- generic parameters (§6.5) ----
 
-// Set validates and stores a generic parameter (§6.5): "workers", the
-// one key every backend shares, here, and everything else against the
-// backend's own vocabulary.
+// Set validates and stores a generic parameter (§6.5) against the
+// backend's declared vocabulary.
 func (b *baseAdapter) Set(key, value string) int {
-	if key == "workers" {
-		if v, err := strconv.Atoi(value); err != nil || v < 1 {
-			return ErrBadArg
-		}
-	} else if code := b.checkParam(key, value); code != OK {
+	p, code := validate(b.vocab, key, value)
+	if code != OK {
 		return code
 	}
 	b.params[key] = value
-	if key != "workers" { // attach reads it at every Solve; nothing is built from it
+	if p.effect != noEffect {
 		b.cfgVer++
 	}
 	return OK
+}
+
+// each calls f, in declared order, with every key of the vocabulary
+// the backend is built from that is set, and its parsed value:
+// configure's one loop.
+func (b *baseAdapter) each(f func(p *Param, v paramVal)) {
+	for i := range b.vocab {
+		p := &b.vocab[i]
+		if s, ok := b.params[p.Key]; ok && p.effect != noEffect {
+			v, _ := p.parse(s)
+			f(p, v)
+		}
+	}
 }
 
 // SetInt routes through Set so validation is uniform.
@@ -500,27 +499,26 @@ func (b *baseAdapter) SetDouble(key string, value float64) int {
 	return b.Set(key, strconv.FormatFloat(value, 'g', -1, 64))
 }
 
-// getAll renders the parameter store, the component's extra keys and
-// the slot's kind (matrix_free) and setup count, sorted for determinism
+// getAll renders the parameter store (an ignored key also as
+// ignored.<key>), the component's extra keys and the slot's kind
+// (matrix_free) and setup count, sorted for determinism
 // aside from an identifying header.
 func (b *baseAdapter) getAll(extra map[string]string) string {
 	merged := make(map[string]string, len(b.params)+len(extra)+2)
 	for k, v := range b.params {
 		merged[k] = v
+		if p, _ := validate(b.vocab, k, v); p.Kind == ParamIgnored {
+			merged["ignored."+k] = v
+		}
 	}
 	for k, v := range extra {
 		merged[k] = v
 	}
 	merged["matrix_free"] = strconv.FormatBool(b.mf != nil)
 	merged["factorizations"] = strconv.Itoa(b.factorizations)
-	keys := make([]string, 0, len(merged))
-	for k := range merged {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "component=%s\n", b.name)
-	for _, k := range keys {
+	for _, k := range sortedKeys(merged) {
 		fmt.Fprintf(&sb, "%s=%s\n", k, merged[k])
 	}
 	return sb.String()
@@ -554,10 +552,8 @@ func (b *baseAdapter) workerPool() *par.Pool {
 		b.releasePool()
 		return nil
 	}
-	w, _ := strconv.Atoi(v)
-	if w < 1 {
-		w = 1
-	}
+	pv, _ := workersParam.parse(v)
+	w := pv.i
 	if b.pool == nil || b.poolW != w {
 		b.releasePool()
 		b.pool = par.New(w)
@@ -641,11 +637,18 @@ func (o *shellOp) Apply(y, x []float64) error {
 	return Check(o.mf.MatMult(IDMatrix, x, y, len(x)))
 }
 
-// mul is Apply for a caller that takes no error: a refused product
-// panics.
-func (o *shellOp) mul(y, x []float64) {
-	if err := o.Apply(y, x); err != nil {
-		panic(err)
+// mul is ksp's shell apply.
+func (o *shellOp) mul(y, x []float64) { portProduct(o.mf, IDMatrix, y, x) }
+
+// portProduct writes the port's product y = id·x. A refused product is
+// NaN: the next reduction carries it to every rank, and each Krylov
+// loop's non-finite stop ends the solve there as a breakdown, so a
+// refusal on one rank is a typed failure on all.
+func portProduct(mf MatrixFree, id ID, y, x []float64) {
+	if mf.MatMult(id, x, y, len(x)) != OK {
+		for i := range y {
+			y[i] = math.NaN()
+		}
 	}
 }
 

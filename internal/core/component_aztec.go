@@ -1,8 +1,6 @@
 package core
 
 import (
-	"strconv"
-
 	"repro/internal/aztec"
 	"repro/internal/cca"
 	"repro/internal/pmat"
@@ -31,7 +29,7 @@ var _ cca.Component = (*AztecComponent)(nil)
 // NewAztecComponent returns an unconfigured component (CCA class
 // ClassAztecSolver).
 func NewAztecComponent() *AztecComponent {
-	return &AztecComponent{baseAdapter: newBaseAdapter("lisi.solver.aztec", checkAztecParam, true)}
+	return &AztecComponent{baseAdapter: newBaseAdapter("lisi.solver.aztec", aztecParams, true)}
 }
 
 // SetServices implements cca.Component.
@@ -39,76 +37,28 @@ func (ac *AztecComponent) SetServices(svc cca.Services) error {
 	return ac.baseAdapter.setServices(svc, ac)
 }
 
-// aztecSolverNames maps LISI "solver" values to AZ solver ids.
-var aztecSolverNames = map[string]int{
-	"cg":       aztec.AZCG,
-	"gmres":    aztec.AZGMRES,
-	"cgs":      aztec.AZCGS,
-	"bicgstab": aztec.AZBiCGStab,
-}
-
-// aztecPCNames maps LISI "preconditioner" values to AZ precond ids.
-var aztecPCNames = map[string]int{
-	"none":      aztec.AZNone,
-	"jacobi":    aztec.AZJacobi,
-	"neumann":   aztec.AZNeumann,
-	"ls":        aztec.AZLs,
-	"symgs":     aztec.AZSymGS,
-	"domdecomp": aztec.AZDomDecomp,
-	"ilut":      aztec.AZDomDecomp,
-	"ilu":       aztec.AZDomDecomp, // closest Aztec analogue of generic "ilu"
-}
-
-var aztecScalingNames = map[string]int{
-	"none":   aztec.AZNoScaling,
-	"rowsum": aztec.AZRowSum,
-}
-
-var aztecConvNames = map[string]int{
-	"r0":    aztec.AZr0,
-	"rhs":   aztec.AZrhs,
-	"anorm": aztec.AZAnorm,
-}
-
-// checkAztecParam validates a parameter of the aztec vocabulary (§6.5).
-func checkAztecParam(key, value string) int {
-	switch key {
-	case "solver":
-		if _, ok := aztecSolverNames[value]; !ok {
-			return ErrBadArg
-		}
-	case "preconditioner":
-		if _, ok := aztecPCNames[value]; !ok {
-			return ErrBadArg
-		}
-	case "scaling":
-		if _, ok := aztecScalingNames[value]; !ok {
-			return ErrBadArg
-		}
-	case "conv":
-		if _, ok := aztecConvNames[value]; !ok {
-			return ErrBadArg
-		}
-	case "tol", "fill":
-		if v, ok := floatParam(value); !ok || v <= 0 {
-			return ErrBadArg
-		}
-	case "drop_tol":
-		if v, ok := floatParam(value); !ok || v < 0 {
-			return ErrBadArg
-		}
-	case "maxits", "restart":
-		if v, err := strconv.Atoi(value); err != nil || v < 1 {
-			return ErrBadArg
-		}
-	case "poly_ord", "overlap":
-		if v, err := strconv.Atoi(value); err != nil || v < 0 {
-			return ErrBadArg
-		}
-	default:
-		return ErrUnknownKey
-	}
-	return OK
+// aztecParams is the aztec vocabulary: each key's target is a slot of
+// Aztec's integer options (enum and int keys) or double params (float
+// keys), filled by configure.
+var aztecParams = []Param{
+	{Key: "solver", Kind: ParamEnum, Names: []string{"cg", "gmres", "cgs", "bicgstab"},
+		vals: []int{aztec.AZCG, aztec.AZGMRES, aztec.AZCGS, aztec.AZBiCGStab},
+		to:   "AZ_solver", az: aztec.AZSolver, Doc: "Krylov method"},
+	{Key: "preconditioner", Kind: ParamEnum, Names: []string{"none", "jacobi", "neumann", "ls", "symgs", "domdecomp", "ilut", "ilu"},
+		vals: []int{aztec.AZNone, aztec.AZJacobi, aztec.AZNeumann, aztec.AZLs, aztec.AZSymGS, aztec.AZDomDecomp, aztec.AZDomDecomp, aztec.AZDomDecomp},
+		to:   "AZ_precond", az: aztec.AZPrecond, Doc: "preconditioner (default `domdecomp`, ILUT on each subdomain; none on a matrix-free solve)"},
+	{Key: "scaling", Kind: ParamEnum, Names: []string{"none", "rowsum"}, vals: []int{aztec.AZNoScaling, aztec.AZRowSum},
+		to: "AZ_scaling", az: aztec.AZScaling, Doc: "row scaling"},
+	{Key: "conv", Kind: ParamEnum, Names: []string{"r0", "rhs", "anorm"}, vals: []int{aztec.AZr0, aztec.AZrhs, aztec.AZAnorm},
+		to: "AZ_conv", az: aztec.AZConv, Doc: "residual the tolerance is relative to"},
+	{Key: "tol", Kind: ParamFloat, Bounds: positive, to: "AZ_tol", az: aztec.AZTol, Doc: "convergence tolerance"},
+	{Key: "drop_tol", Kind: ParamFloat, Bounds: nonNeg, to: "AZ_drop", az: aztec.AZDrop, Doc: "ILUT drop tolerance"},
+	{Key: "fill", Kind: ParamFloat, Bounds: positive, to: "AZ_ilut_fill", az: aztec.AZIlutFill, Doc: "ILUT fill ratio"},
+	{Key: "maxits", Kind: ParamInt, Bounds: atLeast1, to: "AZ_max_iter", az: aztec.AZMaxIter, Doc: "iteration limit (default 10000)"},
+	{Key: "restart", Kind: ParamInt, Bounds: atLeast1, to: "AZ_kspace", az: aztec.AZKspace, Doc: "GMRES restart length"},
+	{Key: "poly_ord", Kind: ParamInt, Bounds: nonNeg, to: "AZ_poly_ord", az: aztec.AZPolyOrd, Doc: "polynomial order / relaxation sweeps"},
+	{Key: "overlap", Kind: ParamInt, Bounds: nonNeg, to: "AZ_overlap", az: aztec.AZOverlap, Doc: "subdomain overlap depth of `domdecomp`"},
+	workersParam,
 }
 
 // GetAll reports the configuration (§7.2).
@@ -120,46 +70,19 @@ func (ac *AztecComponent) GetAll() string {
 // parameter store (a solveHooks hook); a shell takes no preconditioner.
 func (ac *AztecComponent) configure(op staged) int {
 	s := aztec.NewSolver(ac.c)
-	o := s.Options()
-	p := s.Params()
-	if v, ok := ac.params["solver"]; ok {
-		o[aztec.AZSolver] = aztecSolverNames[v]
-	}
+	o, pr := s.Options(), s.Params()
+	// The port's own defaults: ILUT on each subdomain, 10000 iterations.
 	o[aztec.AZPrecond] = aztec.AZDomDecomp
-	if v, ok := ac.params["preconditioner"]; ok {
-		o[aztec.AZPrecond] = aztecPCNames[v]
-	}
+	o[aztec.AZMaxIter] = 10000
+	ac.each(func(p *Param, v paramVal) {
+		if p.Kind == ParamFloat {
+			pr[p.az] = v.f
+		} else {
+			o[p.az] = v.i
+		}
+	})
 	if op.shell != nil {
 		o[aztec.AZPrecond] = aztec.AZNone
-	}
-	if v, ok := ac.params["scaling"]; ok {
-		o[aztec.AZScaling] = aztecScalingNames[v]
-	}
-	if v, ok := ac.params["conv"]; ok {
-		o[aztec.AZConv] = aztecConvNames[v]
-	}
-	if v, ok := ac.params["tol"]; ok {
-		p[aztec.AZTol], _ = strconv.ParseFloat(v, 64)
-	}
-	if v, ok := ac.params["drop_tol"]; ok {
-		p[aztec.AZDrop], _ = strconv.ParseFloat(v, 64)
-	}
-	if v, ok := ac.params["fill"]; ok {
-		p[aztec.AZIlutFill], _ = strconv.ParseFloat(v, 64)
-	}
-	if v, ok := ac.params["maxits"]; ok {
-		o[aztec.AZMaxIter], _ = strconv.Atoi(v)
-	} else {
-		o[aztec.AZMaxIter] = 10000
-	}
-	if v, ok := ac.params["restart"]; ok {
-		o[aztec.AZKspace], _ = strconv.Atoi(v)
-	}
-	if v, ok := ac.params["poly_ord"]; ok {
-		o[aztec.AZPolyOrd], _ = strconv.Atoi(v)
-	}
-	if v, ok := ac.params["overlap"]; ok {
-		o[aztec.AZOverlap], _ = strconv.Atoi(v)
 	}
 	ac.s = s
 	if op == ac.built {
@@ -216,9 +139,10 @@ func classifyAztecFailure(s *aztec.Solver, err error) FailReason {
 
 func init() {
 	Register(BackendInfo{
-		Name:  "trilinos",
-		Class: ClassAztecSolver,
-		Kind:  "iterative (Krylov)",
-		Doc:   "Trilinos-role `aztec` package: integer option / double parameter control surface behind the same port",
+		Name:   "trilinos",
+		Class:  ClassAztecSolver,
+		Kind:   "iterative (Krylov)",
+		Doc:    "Trilinos-role `aztec` package: integer option / double parameter control surface behind the same port",
+		Params: aztecParams,
 	}, func() SparseSolver { return NewAztecComponent() })
 }

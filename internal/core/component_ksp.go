@@ -1,8 +1,6 @@
 package core
 
 import (
-	"strconv"
-
 	"repro/internal/cca"
 	"repro/internal/ksp"
 	"repro/internal/pmat"
@@ -28,7 +26,7 @@ var _ cca.Component = (*KSPComponent)(nil)
 // NewKSPComponent returns an unconfigured component (CCA class
 // ClassKSPSolver).
 func NewKSPComponent() *KSPComponent {
-	return &KSPComponent{baseAdapter: newBaseAdapter("lisi.solver.ksp", checkKSPParam, true)}
+	return &KSPComponent{baseAdapter: newBaseAdapter("lisi.solver.ksp", kspParams, true)}
 }
 
 // SetServices implements cca.Component.
@@ -36,54 +34,23 @@ func (kc *KSPComponent) SetServices(svc cca.Services) error {
 	return kc.baseAdapter.setServices(svc, kc)
 }
 
-// kspSolverNames maps LISI "solver" values to ksp types.
-var kspSolverNames = map[string]string{
-	"cg":         ksp.TypeCG,
-	"gmres":      ksp.TypeGMRES,
-	"fgmres":     ksp.TypeFGMRES,
-	"bicgstab":   ksp.TypeBiCGStab,
-	"tfqmr":      ksp.TypeTFQMR,
-	"richardson": ksp.TypeRichardson,
-	"chebyshev":  ksp.TypeChebyshev,
-}
-
-// kspPCNames maps LISI "preconditioner" values to ksp PC types.
-var kspPCNames = map[string]string{
-	"none":    ksp.PCNone,
-	"jacobi":  ksp.PCJacobi,
-	"bjacobi": ksp.PCBJacobi,
-	"sor":     ksp.PCSOR,
-	"ssor":    ksp.PCSSOR,
-	"ilu":     ksp.PCILU,
-}
-
-// checkKSPParam validates a parameter of the ksp vocabulary (§6.5).
-func checkKSPParam(key, value string) int {
-	switch key {
-	case "solver":
-		if _, ok := kspSolverNames[value]; !ok {
-			return ErrBadArg
-		}
-	case "preconditioner":
-		if _, ok := kspPCNames[value]; !ok {
-			return ErrBadArg
-		}
-	case "tol", "atol", "damping":
-		if v, ok := floatParam(value); !ok || v <= 0 {
-			return ErrBadArg
-		}
-	case "maxits", "restart":
-		if v, err := strconv.Atoi(value); err != nil || v < 1 {
-			return ErrBadArg
-		}
-	case "matfree_pc":
-		if _, err := strconv.ParseBool(value); err != nil {
-			return ErrBadArg
-		}
-	default:
-		return ErrUnknownKey
-	}
-	return OK
+// kspParams is the ksp vocabulary: each key's target is the option of
+// ksp's database that configure sets (paper §6.5), with the value
+// given or, for a name, ksp's own name for it.
+var kspParams = []Param{
+	{Key: "solver", Kind: ParamEnum, Names: []string{"cg", "gmres", "fgmres", "bicgstab", "tfqmr", "richardson", "chebyshev"},
+		opts: []string{ksp.TypeCG, ksp.TypeGMRES, ksp.TypeFGMRES, ksp.TypeBiCGStab, ksp.TypeTFQMR, ksp.TypeRichardson, ksp.TypeChebyshev},
+		to:   "ksp_type", Doc: "Krylov method"},
+	{Key: "preconditioner", Kind: ParamEnum, Names: []string{"none", "jacobi", "bjacobi", "sor", "ssor", "ilu"},
+		opts: []string{ksp.PCNone, ksp.PCJacobi, ksp.PCBJacobi, ksp.PCSOR, ksp.PCSSOR, ksp.PCILU},
+		to:   "pc_type", Doc: "preconditioner (none on a matrix-free solve)"},
+	{Key: "tol", Kind: ParamFloat, Bounds: positive, to: "ksp_rtol", Doc: "relative residual tolerance"},
+	{Key: "atol", Kind: ParamFloat, Bounds: positive, to: "ksp_atol", Doc: "absolute residual tolerance"},
+	{Key: "maxits", Kind: ParamInt, Bounds: atLeast1, to: "ksp_max_it", Doc: "iteration limit"},
+	{Key: "restart", Kind: ParamInt, Bounds: atLeast1, to: "ksp_gmres_restart", Doc: "GMRES restart length"},
+	{Key: "damping", Kind: ParamFloat, Bounds: positive, to: "ksp_richardson_scale", Doc: "Richardson damping factor"},
+	{Key: "matfree_pc", Kind: ParamBool, Doc: "a matrix-free solve preconditions with the port's `IDPreconditioner` product"},
+	workersParam,
 }
 
 // GetAll reports the configuration (§7.2).
@@ -91,42 +58,27 @@ func (kc *KSPComponent) GetAll() string {
 	return kc.getAll(map[string]string{"backend": "ksp (PETSc-role)"})
 }
 
-// kspOption is the translation table (paper §6.5) from the LISI parameter
-// vocabulary onto ksp's option database: the option each key sets and,
-// where the values are names, their translation too. checkKSPParam has
-// validated every stored value against the same vocabulary.
-var kspOption = map[string]struct {
-	option string
-	values map[string]string
-}{
-	"solver":         {"ksp_type", kspSolverNames},
-	"preconditioner": {"pc_type", kspPCNames},
-	"tol":            {"ksp_rtol", nil},
-	"atol":           {"ksp_atol", nil},
-	"maxits":         {"ksp_max_it", nil},
-	"restart":        {"ksp_gmres_restart", nil},
-	"damping":        {"ksp_richardson_scale", nil},
-}
-
 // configure builds the KSP from the parameter store (a solveHooks hook).
 func (kc *KSPComponent) configure(op staged) int {
 	k := ksp.New(kc.c)
-	for key, to := range kspOption {
-		value, ok := kc.params[key]
-		if !ok {
-			continue
+	code, portPC := OK, false
+	kc.each(func(p *Param, v paramVal) {
+		switch {
+		case p.to != "":
+			if k.SetOption(p.to, v.s) != nil {
+				code = ErrBadArg
+			}
+		case p.Key == "matfree_pc":
+			portPC = v.i == 1
 		}
-		if to.values != nil {
-			value = to.values[value]
-		}
-		if err := k.SetOption(to.option, value); err != nil {
-			return ErrBadArg
-		}
+	})
+	if code != OK {
+		return code
 	}
 	if op.shell != nil {
 		// Matrix-free: no assembled diagonal block exists. Use the
 		// application's preconditioner callback when offered, else none.
-		if use, _ := strconv.ParseBool(kc.params["matfree_pc"]); use {
+		if portPC {
 			k.SetPC(&matrixFreePC{mf: op.shell.mf})
 		} else if err := k.SetOption("pc_type", ksp.PCNone); err != nil {
 			return ErrBadArg
@@ -161,11 +113,7 @@ type matrixFreePC struct {
 }
 
 func (p *matrixFreePC) SetUp(*ksp.Mat) error { return nil }
-func (p *matrixFreePC) Apply(z, r []float64) {
-	if code := p.mf.MatMult(IDPreconditioner, r, z, len(r)); code != OK {
-		panic(Check(code))
-	}
-}
+func (p *matrixFreePC) Apply(z, r []float64) { portProduct(p.mf, IDPreconditioner, z, r) }
 
 // Solve implements the LISI solve (§7.2) on the ksp backend.
 func (kc *KSPComponent) Solve(solution []float64, status []float64, numLocalRow, statusLength int) int {
@@ -196,9 +144,10 @@ func (kc *KSPComponent) classifyFailure(err error) FailReason {
 
 func init() {
 	Register(BackendInfo{
-		Name:  "petsc",
-		Class: ClassKSPSolver,
-		Kind:  "iterative (Krylov)",
-		Doc:   "PETSc-role `ksp` package: CG, GMRES, BiCGStab and friends with Jacobi/SOR/ILU-class preconditioners",
+		Name:   "petsc",
+		Class:  ClassKSPSolver,
+		Kind:   "iterative (Krylov)",
+		Doc:    "PETSc-role `ksp` package: CG, GMRES, BiCGStab and friends with Jacobi/SOR/ILU-class preconditioners",
+		Params: kspParams,
 	}, func() SparseSolver { return NewKSPComponent() })
 }

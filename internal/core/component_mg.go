@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strconv"
 
 	"repro/internal/cca"
@@ -19,9 +20,7 @@ import (
 // demonstrating LISI re-entrancy — delegates the coarsest-level solve to
 // an inner SLUComponent *through the SparseSolver interface*.
 //
-// Required parameter: "grid_n" (odd; sizes 2^k−1 coarsen fully).
-// Optional: "convection" (default 3), "tol", "cycles", "omega",
-// "smooth_sweeps".
+// Its parameters are mgParams; "grid_n" is required.
 type MGComponent struct {
 	baseAdapter
 
@@ -51,7 +50,7 @@ var _ cca.Component = (*MGComponent)(nil)
 // NewMGComponent returns an unconfigured component (CCA class
 // ClassMGSolver).
 func NewMGComponent() *MGComponent {
-	return &MGComponent{baseAdapter: newBaseAdapter("lisi.solver.mg", checkMGParam, false)}
+	return &MGComponent{baseAdapter: newBaseAdapter("lisi.solver.mg", mgParams, false)}
 }
 
 // SetServices implements cca.Component.
@@ -59,37 +58,27 @@ func (mc *MGComponent) SetServices(svc cca.Services) error {
 	return mc.baseAdapter.setServices(svc, mc)
 }
 
-// checkMGParam validates a parameter of the multigrid vocabulary.
-func checkMGParam(key, value string) int {
-	switch key {
-	case "grid_n":
-		if v, err := strconv.Atoi(value); err != nil || v < 3 || v%2 == 0 {
-			return ErrBadArg
-		}
-	case "cycles", "smooth_sweeps":
-		if v, err := strconv.Atoi(value); err != nil || v < 1 {
-			return ErrBadArg
-		}
-	case "gamma":
-		if v, err := strconv.Atoi(value); err != nil || v < 1 || v > 2 {
-			return ErrBadArg
-		}
-	case "tol", "omega":
-		if v, ok := floatParam(value); !ok || v <= 0 {
-			return ErrBadArg
-		}
-	case "convection":
-		if _, ok := floatParam(value); !ok {
-			return ErrBadArg
-		}
-	case "galerkin":
-		if _, err := strconv.ParseBool(value); err != nil {
-			return ErrBadArg
-		}
-	default:
-		return ErrUnknownKey
-	}
-	return OK
+// mgParams is the multigrid vocabulary: every key enters the model
+// problem or mg.Options, so a change rebuilds the hierarchy. grid_n is
+// applied first: the problem is built from it.
+var mgParams = []Param{
+	{Key: "grid_n", Kind: ParamInt, Bounds: Bounds{Min: 3, Max: math.Inf(1)}, Odd: true, effect: rebuild, Doc: "grid points per side of the model PDE (required; 2^k−1 coarsens fully)",
+		to: "Problem.Nx, Ny", mg: func(mc *MGComponent, v paramVal) { mc.prob = mesh.PaperProblem(v.i) }},
+	{Key: "convection", Kind: ParamFloat, Bounds: Bounds{Min: math.Inf(-1), Max: math.Inf(1)}, effect: rebuild, Doc: "convection coefficient of the model PDE (default 3)",
+		to: "Problem.Convection", mg: func(mc *MGComponent, v paramVal) { mc.prob.Convection = v.f }},
+	{Key: "tol", Kind: ParamFloat, Bounds: positive, effect: rebuild, Doc: "relative residual tolerance of the cycles",
+		to: "Options.Tol", mg: func(mc *MGComponent, v paramVal) { mc.opts.Tol = v.f }},
+	{Key: "cycles", Kind: ParamInt, Bounds: atLeast1, effect: rebuild, Doc: "cycle limit",
+		to: "Options.MaxCycles", mg: func(mc *MGComponent, v paramVal) { mc.opts.MaxCycles = v.i }},
+	{Key: "omega", Kind: ParamFloat, Bounds: positive, effect: rebuild, Doc: "Jacobi smoother damping",
+		to: "Options.Omega", mg: func(mc *MGComponent, v paramVal) { mc.opts.Omega = v.f }},
+	{Key: "smooth_sweeps", Kind: ParamInt, Bounds: atLeast1, effect: rebuild, Doc: "pre- and post-smoothing sweeps",
+		to: "Options.Nu1, Nu2", mg: func(mc *MGComponent, v paramVal) { mc.opts.Nu1, mc.opts.Nu2 = v.i, v.i }},
+	{Key: "galerkin", Kind: ParamBool, effect: rebuild, Doc: "coarse operators as R·A·P instead of rediscretised",
+		to: "Options.Galerkin", mg: func(mc *MGComponent, v paramVal) { mc.opts.Galerkin = v.i == 1 }},
+	{Key: "gamma", Kind: ParamInt, Bounds: Bounds{Min: 1, Max: 2}, effect: rebuild, Doc: "cycle index: 1 V-cycle, 2 W-cycle",
+		to: "Options.Gamma", mg: func(mc *MGComponent, v paramVal) { mc.opts.Gamma = v.i }},
+	workersParam,
 }
 
 // GetAll reports the configuration.
@@ -147,36 +136,13 @@ func (mc *MGComponent) Solve(solution []float64, status []float64, numLocalRow, 
 // parameters (a solveHooks hook); the hierarchy is built from them, so
 // it drops the built operator and the skeleton rebuilds it.
 func (mc *MGComponent) configure(staged) int {
-	gridN, ok := mc.params["grid_n"]
-	if !ok {
+	if _, ok := mc.params["grid_n"]; !ok {
 		return ErrBadState
 	}
-	n, _ := strconv.Atoi(gridN)
-	p := mesh.PaperProblem(n)
-	if v, ok := mc.params["convection"]; ok {
-		p.Convection, _ = strconv.ParseFloat(v, 64)
-	}
-	opts := mg.Options{Coarse: mc.coarseSolve}
-	if v, ok := mc.params["tol"]; ok {
-		opts.Tol, _ = strconv.ParseFloat(v, 64)
-	}
-	if v, ok := mc.params["omega"]; ok {
-		opts.Omega, _ = strconv.ParseFloat(v, 64)
-	}
-	if v, ok := mc.params["cycles"]; ok {
-		opts.MaxCycles, _ = strconv.Atoi(v)
-	}
-	if v, ok := mc.params["smooth_sweeps"]; ok {
-		opts.Nu1, _ = strconv.Atoi(v)
-		opts.Nu2 = opts.Nu1
-	}
-	if v, ok := mc.params["galerkin"]; ok {
-		opts.Galerkin, _ = strconv.ParseBool(v)
-	}
-	if v, ok := mc.params["gamma"]; ok {
-		opts.Gamma, _ = strconv.Atoi(v)
-	}
-	mc.prob, mc.opts = p, opts
+	mc.opts = mg.Options{Coarse: mc.coarseSolve}
+	mc.each(func(p *Param, v paramVal) {
+		p.mg(mc, v)
+	})
 	mc.built = staged{}
 	return OK
 }
@@ -223,9 +189,10 @@ func (mc *MGComponent) solveOne(x, b []float64) (int, float64, FailReason) {
 
 func init() {
 	Register(BackendInfo{
-		Name:  "mg",
-		Class: ClassMGSolver,
-		Kind:  "multilevel (geometric)",
-		Doc:   "geometric multigrid for the model PDE; delegates the coarse solve to an inner SuperLU component through the port (requires `grid_n`)",
+		Name:   "mg",
+		Class:  ClassMGSolver,
+		Kind:   "multilevel (geometric)",
+		Doc:    "geometric multigrid for the model PDE; delegates the coarse solve to an inner SuperLU component through the port (requires `grid_n`)",
+		Params: mgParams,
 	}, func() SparseSolver { return NewMGComponent() })
 }

@@ -35,7 +35,7 @@ var _ cca.Component = (*SLUComponent)(nil)
 // NewSLUComponent returns an unconfigured component (CCA class
 // ClassSLUSolver).
 func NewSLUComponent() *SLUComponent {
-	return &SLUComponent{baseAdapter: newBaseAdapter("lisi.solver.superlu", checkSLUParam, false)}
+	return &SLUComponent{baseAdapter: newBaseAdapter("lisi.solver.superlu", sluParams, false)}
 }
 
 // SetServices implements cca.Component.
@@ -43,38 +43,27 @@ func (sc *SLUComponent) SetServices(svc cca.Services) error {
 	return sc.baseAdapter.setServices(svc, sc)
 }
 
-// ignoredIterativeKeys are accepted for cross-component compatibility but
-// have no effect on a direct solve.
-var ignoredIterativeKeys = map[string]bool{
-	"solver": true, "preconditioner": true, "tol": true,
-	"maxits": true, "restart": true,
-}
-
-// checkSLUParam validates a parameter of the direct solver's vocabulary.
-func checkSLUParam(key, value string) int {
-	switch {
-	case key == "ordering":
-		if _, err := slu.OrderingFromName(value); err != nil {
-			return ErrBadArg
-		}
-	case key == "pivot_threshold":
-		if v, ok := floatParam(value); !ok || v <= 0 || v > 1 {
-			return ErrBadArg
-		}
-	case key == "equilibrate":
-		if _, err := strconv.ParseBool(value); err != nil {
-			return ErrBadArg
-		}
-	case key == "refine_steps":
-		if v, err := strconv.Atoi(value); err != nil || v < 0 {
-			return ErrBadArg
-		}
-	case ignoredIterativeKeys[key]:
-		// Tolerated for seamless component swapping; GetAll reports them.
-	default:
-		return ErrUnknownKey
-	}
-	return OK
+// sluParams is the direct solver's vocabulary. The five common
+// iterative keys are accepted with any value and ignored, so an
+// application swaps an iterative component for this one without
+// changing its parameter-setting code.
+var sluParams = []Param{
+	{Key: "ordering", Kind: ParamEnum, Names: []string{"natural", "", "rcm", "mmd", "mindegree", "amd"},
+		vals:   []int{int(slu.OrderNatural), int(slu.OrderNatural), int(slu.OrderRCM), int(slu.OrderMinDegree), int(slu.OrderMinDegree), int(slu.OrderMinDegree)},
+		effect: rebuild, to: "Options.ColPerm", slu: func(sc *SLUComponent, v paramVal) { sc.opts.ColPerm = slu.Ordering(v.i) },
+		Doc: "fill-reducing column ordering (default `mmd`); a change re-analyses"},
+	{Key: "pivot_threshold", Kind: ParamFloat, Bounds: Bounds{Min: 0, Max: 1, MinOpen: true}, effect: rebuild, Doc: "diagonal pivot threshold (default 1, partial pivoting)",
+		to: "Options.PivotThreshold", slu: func(sc *SLUComponent, v paramVal) { sc.opts.PivotThreshold = v.f }},
+	{Key: "equilibrate", Kind: ParamBool, effect: rebuild, Doc: "row and column scaling before the factorization (default true)",
+		to: "Options.Equilibrate", slu: func(sc *SLUComponent, v paramVal) { sc.opts.Equilibrate = v.i == 1 }},
+	{Key: "refine_steps", Kind: ParamInt, Bounds: nonNeg, Doc: "iterative-refinement steps after each solve; never refactors",
+		to: "SolveRefinedInto steps", slu: func(sc *SLUComponent, v paramVal) { sc.refineSteps = v.i }},
+	{Key: "solver", Kind: ParamIgnored, effect: noEffect, Doc: "accepted for swapping, never read; GetAll adds `ignored.<key>`"},
+	{Key: "preconditioner", Kind: ParamIgnored, effect: noEffect, Doc: "accepted for swapping, never read; GetAll adds `ignored.<key>`"},
+	{Key: "tol", Kind: ParamIgnored, effect: noEffect, Doc: "accepted for swapping, never read; GetAll adds `ignored.<key>`"},
+	{Key: "maxits", Kind: ParamIgnored, effect: noEffect, Doc: "accepted for swapping, never read; GetAll adds `ignored.<key>`"},
+	{Key: "restart", Kind: ParamIgnored, effect: noEffect, Doc: "accepted for swapping, never read; GetAll adds `ignored.<key>`"},
+	workersParam,
 }
 
 // GetAll reports the configuration.
@@ -86,11 +75,6 @@ func (sc *SLUComponent) GetAll() string {
 		"symbolic_reuses":   strconv.Itoa(sc.seen.SymbolicReuses),
 		"static_refactors":  strconv.Itoa(sc.seen.StaticRefactors),
 		"rowperm_fallbacks": strconv.Itoa(sc.seen.RowPermFallbacks),
-	}
-	for k := range sc.params {
-		if ignoredIterativeKeys[k] {
-			extra["ignored."+k] = sc.params[k]
-		}
 	}
 	if sc.dist != nil {
 		extra["fill_ratio"] = strconv.FormatFloat(sc.dist.FillRatio(), 'g', 4, 64)
@@ -110,25 +94,14 @@ func (sc *SLUComponent) Solve(solution []float64, status []float64, numLocalRow,
 // configure reads the parameters (a solveHooks hook). The factor is a
 // function of the matrix and of slu.Options, so a change of the options
 // drops the built operator and the skeleton refactors: refine_steps
-// and the ignored iterative keys change cfgVer but not the options
-// value.
+// changes cfgVer but not the options value.
 func (sc *SLUComponent) configure(staged) int {
-	sc.refineSteps = 0
-	if v, ok := sc.params["refine_steps"]; ok {
-		sc.refineSteps, _ = strconv.Atoi(v)
-	}
-	opts := slu.DefaultOptions()
-	if v, ok := sc.params["ordering"]; ok {
-		opts.ColPerm, _ = slu.OrderingFromName(v)
-	}
-	if v, ok := sc.params["pivot_threshold"]; ok {
-		opts.PivotThreshold, _ = strconv.ParseFloat(v, 64)
-	}
-	if v, ok := sc.params["equilibrate"]; ok {
-		opts.Equilibrate, _ = strconv.ParseBool(v)
-	}
-	if opts != sc.opts {
-		sc.opts = opts
+	built := sc.opts
+	sc.opts, sc.refineSteps = slu.DefaultOptions(), 0
+	sc.each(func(p *Param, v paramVal) {
+		p.slu(sc, v)
+	})
+	if sc.opts != built {
 		sc.built = staged{}
 	}
 	return OK
@@ -193,9 +166,10 @@ func (sc *SLUComponent) recordSetup() {
 
 func init() {
 	Register(BackendInfo{
-		Name:  "superlu",
-		Class: ClassSLUSolver,
-		Kind:  "direct (sparse LU)",
-		Doc:   "SuperLU-role `slu` package: distributed LU factorization with reuse across repeated solves",
+		Name:   "superlu",
+		Class:  ClassSLUSolver,
+		Kind:   "direct (sparse LU)",
+		Doc:    "SuperLU-role `slu` package: distributed LU factorization with reuse across repeated solves",
+		Params: sluParams,
 	}, func() SparseSolver { return NewSLUComponent() })
 }

@@ -45,16 +45,15 @@ type confRow struct {
 // (the largest error today is 5.7e-9, on stencil-48).
 const confForwardBound = 1e-7
 
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+// declaredNames returns the names an enum key of ps accepts, sorted.
+func declaredNames(ps []Param, key string) []string {
+	p, _ := validate(ps, key, "")
+	names := append([]string(nil), p.Names...)
+	sort.Strings(names)
+	return names
 }
 
-// confRows ranges over the components' own name maps, so a newly accepted
+// confRows ranges over the components' declared enum names, so a newly accepted
 // solver or preconditioner value gets its rows without an edit here. No
 // accepted value fails on both operators today; one that does is to be
 // pinned to its typed FailReason here, not skipped.
@@ -72,8 +71,8 @@ func confRows() []confRow {
 			backend      string
 			solvers, pcs []string
 		}{
-			{"petsc", sortedKeys(kspSolverNames), sortedKeys(kspPCNames)},
-			{"trilinos", sortedKeys(aztecSolverNames), sortedKeys(aztecPCNames)},
+			{"petsc", declaredNames(kspParams, "solver"), declaredNames(kspParams, "preconditioner")},
+			{"trilinos", declaredNames(aztecParams, "solver"), declaredNames(aztecParams, "preconditioner")},
 		} {
 			for _, v := range be.solvers {
 				if spdOnly[v] && !op.spd {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/cca"
@@ -124,15 +123,8 @@ func (d *DriverComponent) SolveProblem(p mesh.Problem, format SparseStruct, para
 		return nil, fmt.Errorf("driver: setupRHS: %w", Check(code))
 	}
 
-	keys := make([]string, 0, len(params))
-	for k := range params {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if code := s.Set(k, params[k]); code != OK {
-			return nil, fmt.Errorf("driver: set %q=%q: %w", k, params[k], Check(code))
-		}
+	if err := setParams(s, params, nil); err != nil {
+		return nil, fmt.Errorf("driver: %w", err)
 	}
 	d.rec.Add("lisi.port_call_ns", int64(time.Since(portStart)))
 

@@ -173,11 +173,10 @@ type SparseSolver interface {
 	// written).
 	Solve(solution []float64, status []float64, numLocalRow, statusLength int) int
 
-	// Generic parameter setters (§6.5). Key vocabulary is defined by
-	// LISI: "solver", "preconditioner", "tol", "maxits", "restart",
-	// "ordering", "pivot_threshold", "equilibrate", "drop_tol", "fill",
-	// "poly_ord", "scaling", "conv", "refine_steps". Components reject
-	// keys they do not understand with ErrUnknownKey.
+	// Generic parameter setters (§6.5). Each backend declares its
+	// vocabulary once (BackendInfo.Params; the table is docs/SPEC.md
+	// §7, from ParamTableMarkdown). A key outside it is ErrUnknownKey,
+	// a value it refuses ErrBadArg.
 	Set(key, value string) int
 	SetInt(key string, value int) int
 	SetBool(key string, value bool) int

@@ -260,3 +260,76 @@ func TestSetupMatrixRejectsNonFinite(t *testing.T) {
 		}
 	})
 }
+
+// refusingPort is a diagonal MatrixFree port, d_i = 2 + i mod 5 (its
+// preconditioner product divides by it), that refuses the refuse product
+// with ErrBadArg on the ranks where on is set.
+type refusingPort struct {
+	start  int
+	refuse ID
+	on     bool
+}
+
+func (o *refusingPort) MatMult(id ID, x, y []float64, n int) int {
+	if o.on && id == o.refuse {
+		return ErrBadArg
+	}
+	for i := 0; i < n; i++ {
+		d := float64(2 + (o.start+i)%5)
+		if id == IDPreconditioner {
+			d = 1 / d
+		}
+		y[i] = d * x[i]
+	}
+	return OK
+}
+
+// TestRefusedMatrixFreeProductIsTypedFailure: a port that refuses a
+// product, on every rank or on rank 0 alone, ends Solve in a typed
+// failure on every rank, never a rank panic: the refused product is NaN,
+// and the next reduction stops every rank's Krylov loop.
+func TestRefusedMatrixFreeProductIsTypedFailure(t *testing.T) {
+	const n = 40
+	for _, tc := range []struct {
+		backend string
+		refuse  ID
+	}{
+		{"petsc", IDMatrix}, {"petsc", IDPreconditioner}, {"trilinos", IDMatrix},
+	} {
+		for _, ranks := range []int{1, 2} {
+			for _, onlyRank0 := range []bool{false, true} {
+				label := fmt.Sprintf("%s/id=%d/P=%d/rank0-only=%v", tc.backend, tc.refuse, ranks, onlyRank0)
+				run(t, ranks, func(c *comm.Comm) {
+					l, err := pmat.EvenLayout(c, n)
+					if err != nil {
+						t.Fatal(err)
+					}
+					params := map[string]string{"tol": "1e-10"}
+					if tc.refuse == IDPreconditioner {
+						params["matfree_pc"] = "true"
+					}
+					s, err := OpenSession(tc.backend, c, SessionOptions{Params: params})
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer s.Close()
+					port := &refusingPort{start: l.Start, refuse: tc.refuse, on: !onlyRank0 || c.Rank() == 0}
+					if err := s.SetupOperator(l, port); err != nil {
+						t.Fatal(err)
+					}
+					b := make([]float64, l.LocalN)
+					for i := range b {
+						b[i] = 1
+					}
+					if err := s.SetupRHS(b, 1); err != nil {
+						t.Fatal(err)
+					}
+					res, err := s.Solve(context.Background(), make([]float64, l.LocalN))
+					if err == nil || res.Converged || res.Aborted || res.FailReason != FailBreakdown {
+						t.Errorf("%s rank %d: %+v, %v; want a %v failure", label, c.Rank(), res, err, FailBreakdown)
+					}
+				})
+			}
+		}
+	}
+}

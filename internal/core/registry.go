@@ -22,6 +22,10 @@ type BackendInfo struct {
 	Class string // CCA class name, e.g. "lisi.solver.ksp"
 	Kind  string // solver family, e.g. "iterative (Krylov)"
 	Doc   string // one-line description (rendered into the README table)
+
+	// Params is the backend's declared vocabulary (§6.5), the one its
+	// Set validates against (rendered into docs/SPEC.md §7).
+	Params []Param
 }
 
 type regEntry struct {
@@ -87,12 +91,7 @@ func Lookup(name string) (BackendInfo, bool) {
 func Names() []string {
 	registry.mu.Lock()
 	defer registry.mu.Unlock()
-	names := make([]string, 0, len(registry.m))
-	for n := range registry.m {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return sortedKeys(registry.m)
 }
 
 // Backends returns the descriptors of every registered backend, ordered

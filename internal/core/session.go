@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"sort"
 	"strconv"
 	"time"
 
@@ -34,8 +33,8 @@ type SessionOptions struct {
 	// environment variable and, when that is unset too, leaves the
 	// backend on its serial path. Results are
 	// bitwise-identical for every worker count (see PERFORMANCE.md). An
-	// explicit Params["workers"] wins over this field. Backends without
-	// the "workers" parameter ignore the request.
+	// explicit Params["workers"] wins over this field. Every backend
+	// declares "workers"; superlu accepts it and builds no pool.
 	Workers int
 
 	// Failover names registry backends to try, in order, when the
@@ -43,7 +42,7 @@ type SessionOptions struct {
 	// a cancellation or injected-fault abort — the world is poisoned
 	// then). The staged system and parameters are re-staged into the
 	// replacement automatically; parameters outside the replacement's
-	// vocabulary are skipped. Collective: every rank walks the same
+	// declared vocabulary are skipped. Collective: every rank walks the same
 	// chain in lockstep. Each switch is counted in lisi.solve_failovers.
 	Failover []string
 }
@@ -128,28 +127,10 @@ func OpenSession(backend string, c *comm.Comm, opts SessionOptions) (*Session, e
 	if c == nil {
 		return nil, fmt.Errorf("core: OpenSession requires a communicator")
 	}
-	solver, err := Open(backend)
-	if err != nil {
-		return nil, err
-	}
-	info, _ := Lookup(backend)
-	s := &Session{
-		info:   info,
-		solver: solver,
-		c:      c,
-		rec:    opts.Recorder,
-		opts:   opts,
-	}
 	for _, name := range opts.Failover {
 		if _, ok := Lookup(name); !ok {
 			return nil, fmt.Errorf("core: failover backend %q is not registered", name)
 		}
-	}
-	if ins, ok := solver.(Instrumented); ok {
-		ins.SetRecorder(opts.Recorder)
-	}
-	if code := solver.Initialize(c); code != OK {
-		return nil, Check(code)
 	}
 	// Fold the Workers request (field, then LISI_WORKERS) into a private
 	// copy of the parameter map so failover replays it too; an explicit
@@ -162,27 +143,34 @@ func OpenSession(backend string, c *comm.Comm, opts SessionOptions) (*Session, e
 			}
 			p["workers"] = strconv.Itoa(w)
 			opts.Params = p
-			s.opts.Params = p
 		}
 	}
-	keys := make([]string, 0, len(opts.Params))
-	for k := range opts.Params {
-		keys = append(keys, k)
+	solver, info, err := openBackend(backend, c, opts.Recorder)
+	if err != nil {
+		return nil, err
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if code := solver.Set(k, opts.Params[k]); code != OK {
-			if k == "workers" && code == ErrUnknownKey {
-				// The backend has no intra-rank parallelism (e.g. a
-				// registry extension): the request degrades to the
-				// serial path.
-				continue
-			}
-			return nil, fmt.Errorf("core: session set %s=%s: %w", k, opts.Params[k], Check(code))
-		}
+	if err := setParams(solver, opts.Params, nil); err != nil {
+		return nil, fmt.Errorf("core: session %w", err)
 	}
+	s := &Session{info: info, solver: solver, c: c, rec: opts.Recorder, opts: opts}
 	s.rec.SetLabel("backend", info.Name)
 	return s, nil
+}
+
+// openBackend opens the named registry backend on c with rec attached.
+func openBackend(name string, c *comm.Comm, rec *telemetry.Recorder) (SparseSolver, BackendInfo, error) {
+	solver, err := Open(name)
+	if err != nil {
+		return nil, BackendInfo{}, err
+	}
+	info, _ := Lookup(name)
+	if ins, ok := solver.(Instrumented); ok {
+		ins.SetRecorder(rec)
+	}
+	if code := solver.Initialize(c); code != OK {
+		return nil, info, Check(code)
+	}
+	return solver, info, nil
 }
 
 // Backend returns the descriptor of the backend this session drives.
@@ -406,30 +394,12 @@ func stage(solver SparseSolver, l *pmat.Layout, a *sparse.CSR, mf MatrixFree) er
 // re-stages the retained system and right-hand sides into it. On any
 // error the active backend is left untouched.
 func (s *Session) failoverTo(name string) error {
-	solver, err := Open(name)
+	solver, info, err := openBackend(name, s.c, s.rec)
 	if err != nil {
 		return err
 	}
-	info, _ := Lookup(name)
-	if ins, ok := solver.(Instrumented); ok {
-		ins.SetRecorder(s.rec)
-	}
-	if code := solver.Initialize(s.c); code != OK {
-		return Check(code)
-	}
-	keys := make([]string, 0, len(s.opts.Params))
-	for k := range s.opts.Params {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		switch code := solver.Set(k, s.opts.Params[k]); code {
-		case OK, ErrUnknownKey, ErrBadArg:
-			// Vocabulary mismatches are expected across backends (§6.5);
-			// the replacement runs with its own defaults for those keys.
-		default:
-			return Check(code)
-		}
+	if err := setParams(solver, s.opts.Params, info.Params); err != nil {
+		return err
 	}
 	if err := stage(solver, s.layout, s.localA, s.mf); err != nil {
 		return err

@@ -143,22 +143,38 @@ func TestRegistryNames(t *testing.T) {
 // the registry: the block between the backends markers must equal
 // BackendTableMarkdown() exactly.
 func TestReadmeBackendTable(t *testing.T) {
-	data, err := os.ReadFile("../../README.md")
+	got := markedBlock(t, "../../README.md", "backends")
+	if want := strings.TrimSpace(BackendTableMarkdown()); got != want {
+		t.Errorf("README backend table is out of date; regenerate with `go run ./cmd/lisi-demo -backends`\n--- README ---\n%s\n--- registry ---\n%s", got, want)
+	}
+}
+
+// TestSpecParamTable keeps docs/SPEC.md §7's key table generated from the
+// declared vocabularies: the block between the params markers must equal
+// ParamTableMarkdown() exactly.
+func TestSpecParamTable(t *testing.T) {
+	got := markedBlock(t, "../../docs/SPEC.md", "params")
+	if want := strings.TrimSpace(ParamTableMarkdown()); got != want {
+		t.Errorf("docs/SPEC.md parameter table is out of date; paste ParamTableMarkdown()\n--- SPEC.md ---\n%s\n--- declared ---\n%s", got, want)
+	}
+}
+
+// markedBlock returns the text of path between its <!-- name:begin -->
+// and <!-- name:end --> markers, trimmed.
+func markedBlock(t *testing.T, path, name string) string {
+	t.Helper()
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const begin, end = "<!-- backends:begin -->", "<!-- backends:end -->"
+	begin, end := "<!-- "+name+":begin -->", "<!-- "+name+":end -->"
 	text := string(data)
 	i := strings.Index(text, begin)
 	j := strings.Index(text, end)
 	if i < 0 || j < 0 || j < i {
-		t.Fatalf("README.md is missing the %s / %s markers", begin, end)
+		t.Fatalf("%s is missing the %s / %s markers", path, begin, end)
 	}
-	got := strings.TrimSpace(text[i+len(begin) : j])
-	want := strings.TrimSpace(BackendTableMarkdown())
-	if got != want {
-		t.Errorf("README backend table is out of date; regenerate with `go run ./cmd/lisi-demo -backends`\n--- README ---\n%s\n--- registry ---\n%s", got, want)
-	}
+	return strings.TrimSpace(text[i+len(begin) : j])
 }
 
 // slowOp is a deliberately slow matrix-free operator: a local diagonal

@@ -708,8 +708,15 @@ func (s *Service) validate(req *SolveRequest) *Error {
 	if req.Procs < 0 || req.procs(s.cfg.DefaultProcs) > s.cfg.MaxProcs {
 		return errf(CodeBadRequest, 400, false, "procs %d outside [1,%d]", req.Procs, s.cfg.MaxProcs)
 	}
-	if req.Workers < 0 || req.workers(s.cfg.DefaultWorkers) > s.cfg.MaxWorkers {
-		return errf(CodeBadRequest, 400, false, "workers %d outside [1,%d]", req.Workers, s.cfg.MaxWorkers)
+	// An explicit params.workers wins over the typed field at session
+	// open, so the bound is on it when present; one that does not parse
+	// is the backend's refusal (setup_failed).
+	w := req.workers(s.cfg.DefaultWorkers)
+	if v, ok := req.Params["workers"]; ok {
+		w, _ = strconv.Atoi(v)
+	}
+	if req.Workers < 0 || w > s.cfg.MaxWorkers {
+		return errf(CodeBadRequest, 400, false, "workers %d outside [1,%d]", w, s.cfg.MaxWorkers)
 	}
 	if req.Operator.ID == "" {
 		return errf(CodeBadRequest, 400, false, "operator.id is required")

@@ -348,6 +348,9 @@ func TestServiceTypedValidation(t *testing.T) {
 		{"bad backend", func(r *service.SolveRequest) { r.Backend = "eigen" }, service.CodeUnknownBackend, 400},
 		{"bad failover", func(r *service.SolveRequest) { r.Failover = []string{"nope"} }, service.CodeUnknownBackend, 400},
 		{"procs too big", func(r *service.SolveRequest) { r.Procs = 512 }, service.CodeBadRequest, 400},
+		{"workers too big", func(r *service.SolveRequest) { r.Workers = 17 }, service.CodeBadRequest, 400},
+		// An explicit params.workers wins at session open: the bound is on it.
+		{"params.workers too big", func(r *service.SolveRequest) { r.Params["workers"] = "17" }, service.CodeBadRequest, 400},
 		{"no operator id", func(r *service.SolveRequest) { r.Operator.ID = "" }, service.CodeBadRequest, 400},
 		{"operator body missing", func(r *service.SolveRequest) { r.Operator.GridN = 0 }, service.CodeOperatorMissing, 409},
 		{"nrhs too big", func(r *service.SolveRequest) { r.NRHS = 10000 }, service.CodeBadRequest, 400},

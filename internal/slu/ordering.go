@@ -38,21 +38,6 @@ func (o Ordering) String() string {
 	return fmt.Sprintf("Ordering(%d)", int(o))
 }
 
-// OrderingFromName parses an ordering name. "mindegree" and "amd" are
-// aliases of "mmd": all three select the one minimum-degree ordering
-// here, whose degrees are exact, not AMD's approximation.
-func OrderingFromName(s string) (Ordering, error) {
-	switch s {
-	case "natural", "":
-		return OrderNatural, nil
-	case "rcm":
-		return OrderRCM, nil
-	case "mmd", "mindegree", "amd":
-		return OrderMinDegree, nil
-	}
-	return 0, fmt.Errorf("slu: unknown ordering %q", s)
-}
-
 // symPattern returns the adjacency of the symmetrised pattern A+Aᵀ
 // without the diagonal in compressed form: the neighbours of i are
 // adj[ptr[i]:ptr[i+1]], ascending and free of repeats. It reads

@@ -201,21 +201,6 @@ func TestOrderingsArePermutations(t *testing.T) {
 	}
 }
 
-func TestOrderingFromName(t *testing.T) {
-	for name, want := range map[string]Ordering{
-		"natural": OrderNatural, "": OrderNatural,
-		"rcm": OrderRCM, "mmd": OrderMinDegree, "amd": OrderMinDegree,
-	} {
-		got, err := OrderingFromName(name)
-		if err != nil || got != want {
-			t.Errorf("OrderingFromName(%q) = %v, %v", name, got, err)
-		}
-	}
-	if _, err := OrderingFromName("zzz"); err == nil {
-		t.Error("unknown ordering name accepted")
-	}
-}
-
 // Property: for random diagonally dominant systems, Factor+Solve
 // reproduces a known solution across orderings.
 func TestQuickFactorSolve(t *testing.T) {
