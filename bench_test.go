@@ -242,7 +242,7 @@ func BenchmarkMultigridVsSingleLevel(b *testing.B) {
 	b.ReportAllocs()
 	const n = 63 // 2^6-1 coarsens fully
 	p := mesh.PaperProblem(n)
-	mgParams := map[string]string{"grid_n": fmt.Sprint(n), "tol": "1e-6"}
+	mgParams := map[string]string{"tol": "1e-6"}
 	w, err := comm.NewWorld(2)
 	if err != nil {
 		b.Fatal(err)

@@ -163,7 +163,7 @@ func paramsFor(name string, grid int, tol float64) map[string]string {
 	case "superlu":
 		return map[string]string{"ordering": "mmd", "refine_steps": "1"}
 	case "mg":
-		return map[string]string{"grid_n": fmt.Sprint(grid), "tol": fmt.Sprint(tol)}
+		return map[string]string{"tol": fmt.Sprint(tol)}
 	}
 	return nil
 }

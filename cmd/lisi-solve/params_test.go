@@ -64,21 +64,15 @@ func boundaryProbes() []paramProbe {
 					if math.IsInf(e.at, 0) {
 						continue
 					}
-					inside := func(v float64) int {
-						if p.Kind == core.ParamInt && p.Odd && int(v)%2 == 0 {
-							return core.ErrBadArg
-						}
-						return core.OK
-					}
 					edge := core.ErrBadArg
 					if !e.open {
-						edge = inside(e.at)
+						edge = core.OK
 					}
 					if p.Kind == core.ParamInt {
 						add(p.Key, strconv.Itoa(int(e.at)), edge)
 						add(p.Key, strconv.Itoa(int(e.at+e.out)), core.ErrBadArg)
 						if in := e.at - e.out; in >= p.Min && in <= p.Max {
-							add(p.Key, strconv.Itoa(int(in)), inside(in))
+							add(p.Key, strconv.Itoa(int(in)), core.OK)
 						}
 						continue
 					}

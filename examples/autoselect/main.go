@@ -75,12 +75,12 @@ func run(w io.Writer) error {
 		must(err)
 		driver := comp.(*core.DriverComponent)
 
-		solveWith := func(inst string, p mesh.Problem, gridN int) (time.Duration, *core.Result, error) {
+		solveWith := func(inst string, p mesh.Problem) (time.Duration, *core.Result, error) {
 			must(fw.Connect("driver", "solver", inst, core.PortSparseSolver))
 			defer fw.Disconnect("driver", "solver")
 			c.Barrier()
 			start := time.Now()
-			res, err := driver.SolveProblem(p, core.CSR, paramsFor(inst, gridN, p.Convection))
+			res, err := driver.SolveProblem(p, core.CSR, paramsFor(inst))
 			c.Barrier()
 			return time.Since(start), res, err
 		}
@@ -93,7 +93,7 @@ func run(w io.Writer) error {
 			}
 			best, bestTime := "", time.Duration(0)
 			for _, cand := range candidates {
-				elapsed, res, err := solveWith(cand.instance, probe, sampleGrid)
+				elapsed, res, err := solveWith(cand.instance, probe)
 				status := "ok"
 				if err != nil || !res.Converged {
 					status = "failed"
@@ -111,7 +111,7 @@ func run(w io.Writer) error {
 			best = c.BcastString(0, best)
 			full := mesh.PaperProblem(fullGrid)
 			full.Convection = sc.convection
-			elapsed, res, err := solveWith(best, full, fullGrid)
+			elapsed, res, err := solveWith(best, full)
 			must(err)
 			if c.Rank() == 0 {
 				fmt.Fprintf(w, "  -> selected %s for the full system: %.3fs, %d iterations, residual %.2e\n\n",
@@ -123,7 +123,7 @@ func run(w io.Writer) error {
 
 // paramsFor supplies each component's vocabulary (the probe and full
 // solves share them).
-func paramsFor(inst string, gridN int, convection float64) map[string]string {
+func paramsFor(inst string) map[string]string {
 	switch inst {
 	case "petsc-role":
 		return map[string]string{"solver": "bicgstab", "preconditioner": "ilu", "tol": "1e-8", "maxits": "8000"}
@@ -132,10 +132,7 @@ func paramsFor(inst string, gridN int, convection float64) map[string]string {
 	case "superlu-role":
 		return map[string]string{"ordering": "mmd"}
 	case "multigrid":
-		return map[string]string{
-			"grid_n": fmt.Sprint(gridN), "tol": "1e-8", "cycles": "60",
-			"convection": fmt.Sprint(convection),
-		}
+		return map[string]string{"tol": "1e-8", "cycles": "60"}
 	}
 	return nil
 }

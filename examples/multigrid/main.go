@@ -55,9 +55,7 @@ func run(w io.Writer) error {
 
 			must(fw.Connect("driver", "solver", "mg", core.PortSparseSolver))
 			start := time.Now()
-			mgRes, err := driver.SolveProblem(problem, core.CSR, map[string]string{
-				"grid_n": fmt.Sprint(n), "tol": "1e-8",
-			})
+			mgRes, err := driver.SolveProblem(problem, core.CSR, map[string]string{"tol": "1e-8"})
 			mgTime := time.Since(start)
 			must(err)
 			must(fw.Disconnect("driver", "solver"))

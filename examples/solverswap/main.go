@@ -45,8 +45,7 @@ func run(w io.Writer) error {
 			"solver": "gmres", "preconditioner": "domdecomp", "tol": "1e-8"}},
 		{"superlu-role", core.ClassSLUSolver, map[string]string{
 			"ordering": "mmd", "refine_steps": "1"}},
-		{"multigrid", core.ClassMGSolver, map[string]string{
-			"grid_n": fmt.Sprint(gridN), "tol": "1e-8"}},
+		{"multigrid", core.ClassMGSolver, map[string]string{"tol": "1e-8"}},
 	}
 
 	world, err := comm.NewWorld(procs)

@@ -30,13 +30,11 @@ import (
 const SweepSchema = "lisi.bench.sweep/v1"
 
 // SweepFamily is one problem family: a global operator, a right-hand
-// side, and the backends able to solve it (geometric multigrid only
-// accepts the paper's model operator, so non-stencil families exclude
-// it).
+// side, and the backends able to solve it (multigrid needs the n² rows
+// of an odd n×n grid, so only the stencil family lists it).
 type SweepFamily struct {
 	Name     string
 	Kind     string // "stencil2d", "fem3d" or "matrixmarket"
-	GridN    int    // stencil2d only: interior grid size for mg's grid_n
 	Matrix   *sparse.CSR
 	RHS      []float64
 	Backends []string
@@ -53,7 +51,6 @@ func StencilFamily(n int) (SweepFamily, error) {
 	return SweepFamily{
 		Name:     fmt.Sprintf("stencil2d-%d", n),
 		Kind:     "stencil2d",
-		GridN:    n,
 		Matrix:   a,
 		RHS:      b,
 		Backends: []string{"petsc", "trilinos", "superlu", "mg"},
@@ -231,7 +228,7 @@ type sweepMethod struct {
 // sweepMethods returns the preconditioner axis for a backend. Every
 // parameter set stays inside the backend's validated vocabulary —
 // Session.OpenSession rejects unknown keys for anything but workers.
-func sweepMethods(backend string, family SweepFamily, cfg SweepConfig) []sweepMethod {
+func sweepMethods(backend string, cfg SweepConfig) []sweepMethod {
 	tol := strconv.FormatFloat(cfg.Tol, 'g', -1, 64)
 	its := strconv.Itoa(cfg.MaxIts)
 	switch backend {
@@ -255,27 +252,10 @@ func sweepMethods(backend string, family SweepFamily, cfg SweepConfig) []sweepMe
 		}
 	case "mg":
 		return []sweepMethod{
-			{"mg", map[string]string{
-				"grid_n": strconv.Itoa(family.GridN), "tol": tol, "cycles": its}},
+			{"mg", map[string]string{"tol": tol, "cycles": its}},
 		}
 	}
 	return nil
-}
-
-// cellProcs returns the rank count for one cell. Geometric multigrid
-// refuses partitions that cut grid lines, so its cells snap to the
-// largest divisor of the grid size not exceeding the configured count.
-func cellProcs(backend string, family SweepFamily, procs int) int {
-	if backend != "mg" {
-		return procs
-	}
-	n := family.GridN
-	for p := procs; p > 1; p-- {
-		if n%p == 0 {
-			return p
-		}
-	}
-	return 1
 }
 
 // RunSweep executes the full sweep. Cells that fail to converge are
@@ -302,7 +282,7 @@ func RunSweep(ctx context.Context, families []SweepFamily, cfg SweepConfig) (*Sw
 	}
 	for _, fam := range families {
 		for _, backend := range fam.Backends {
-			for _, method := range sweepMethods(backend, fam, cfg) {
+			for _, method := range sweepMethods(backend, cfg) {
 				if err := ctx.Err(); err != nil {
 					return report, err
 				}
@@ -321,7 +301,7 @@ func RunSweep(ctx context.Context, families []SweepFamily, cfg SweepConfig) (*Sw
 // (non-convergence, typed breakdowns) land in the cell; the returned
 // error is reserved for infrastructure problems.
 func runSweepCell(ctx context.Context, fam SweepFamily, backend string, method sweepMethod, cfg SweepConfig) (SweepCell, error) {
-	procs := cellProcs(backend, fam, cfg.Procs)
+	procs := cfg.Procs
 	cell := SweepCell{
 		Family:  fam.Name,
 		Backend: backend,

@@ -30,7 +30,7 @@ var chaosParams = map[string]map[string]string{
 	"petsc":    {"solver": "gmres", "preconditioner": "jacobi", "tol": "1e-8", "maxits": "5000"},
 	"trilinos": {"solver": "gmres", "preconditioner": "jacobi", "tol": "1e-8", "maxits": "5000"},
 	"superlu":  {},
-	"mg":       {"grid_n": "9", "tol": "1e-10"},
+	"mg":       {"tol": "1e-10"},
 }
 
 // runChaos guards a chaos run against harness hangs: the harness has

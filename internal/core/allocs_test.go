@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"math"
+	"runtime"
 	"runtime/debug"
 	"testing"
 
@@ -95,4 +97,36 @@ func TestFirstSolveAllocsConstant(t *testing.T) {
 			})
 		})
 	}
+}
+
+// TestGMRESRestartCostsTheStepsTaken: a restart length far past the
+// iterations a solve takes costs no more memory than a short one,
+// because the GMRES basis and Hessenberg grow a step at a time. Both
+// solves converge on the same operator; the bytes are the first
+// Session.Solve's, which builds the workspace.
+func TestGMRESRestartCostsTheStepsTaken(t *testing.T) {
+	a, b := paperSystem(8)(t)
+	solveBytes := func(restart string) uint64 {
+		var bytes uint64
+		run(t, 1, func(c *comm.Comm) {
+			params := map[string]string{"solver": "gmres", "preconditioner": "jacobi", "restart": restart, "tol": "1e-8"}
+			s, l := openOn(t, c, "petsc", SessionOptions{Params: params}, a, b)
+			defer s.Close()
+			x := make([]float64, l.LocalN)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			res, err := s.Solve(context.Background(), x)
+			runtime.ReadMemStats(&after)
+			if err != nil || !res.Converged {
+				t.Fatalf("restart=%s: converged=%v err=%v", restart, res.Converged, err)
+			}
+			bytes = after.TotalAlloc - before.TotalAlloc
+		})
+		return bytes
+	}
+	short, long := solveBytes("30"), solveBytes("2000")
+	if long > 2*short {
+		t.Errorf("restart=2000 allocates %d bytes, restart=30 %d: want at most twice", long, short)
+	}
+	t.Logf("first Solve: %d bytes at restart=30, %d at restart=2000", short, long)
 }

@@ -1,11 +1,10 @@
 package core
 
 import (
-	"math"
+	"errors"
 	"strconv"
 
 	"repro/internal/cca"
-	"repro/internal/mesh"
 	"repro/internal/mg"
 	"repro/internal/pmat"
 	"repro/internal/sparse"
@@ -13,21 +12,19 @@ import (
 )
 
 // MGComponent is the multilevel LISI solver component (the paper's §5.2e
-// recursion, deferred there to future work). It is a *geometric*
-// multigrid for the paper's model PDE on an n×n grid: the component
-// rebuilds the grid hierarchy from its parameters, verifies that the
-// matrix staged through SetupMatrix is indeed the model operator, and —
-// demonstrating LISI re-entrancy — delegates the coarsest-level solve to
-// an inner SLUComponent *through the SparseSolver interface*.
+// recursion, deferred there to future work): multigrid on the matrix
+// staged through the port, whose n² rows are an n×n grid (n odd). The
+// hierarchy is built on the port's operator with Galerkin coarse levels
+// and — demonstrating LISI re-entrancy — the coarsest-level solve is
+// delegated to an inner SLUComponent *through the SparseSolver
+// interface*.
 //
-// Its parameters are mgParams; "grid_n" is required.
+// Its parameters are mgParams.
 type MGComponent struct {
 	baseAdapter
 
-	// prob and opts are the model problem and the mg options configure
-	// reads from the parameters; the hierarchy solver is built from them
-	// on the slot's operator.
-	prob     mesh.Problem
+	// opts are the mg options configure reads from the parameters; the
+	// hierarchy solver is built from them on the slot's operator.
 	opts     mg.Options
 	solver   *mg.Solver
 	coarse   *SLUComponent
@@ -58,24 +55,19 @@ func (mc *MGComponent) SetServices(svc cca.Services) error {
 	return mc.baseAdapter.setServices(svc, mc)
 }
 
-// mgParams is the multigrid vocabulary: every key enters the model
-// problem or mg.Options, so a change rebuilds the hierarchy. grid_n is
-// applied first: the problem is built from it.
+// mgParams is the multigrid vocabulary: every key it reads enters
+// mg.Options, so a change rebuilds the hierarchy. The grid side is the
+// staged matrix's, so grid_n is accepted and never read.
 var mgParams = []Param{
-	{Key: "grid_n", Kind: ParamInt, Bounds: Bounds{Min: 3, Max: math.Inf(1)}, Odd: true, effect: rebuild, Doc: "grid points per side of the model PDE (required; 2^k−1 coarsens fully)",
-		to: "Problem.Nx, Ny", mg: func(mc *MGComponent, v paramVal) { mc.prob = mesh.PaperProblem(v.i) }},
-	{Key: "convection", Kind: ParamFloat, Bounds: Bounds{Min: math.Inf(-1), Max: math.Inf(1)}, effect: rebuild, Doc: "convection coefficient of the model PDE (default 3)",
-		to: "Problem.Convection", mg: func(mc *MGComponent, v paramVal) { mc.prob.Convection = v.f }},
+	{Key: "grid_n", Kind: ParamIgnored, effect: noEffect, Doc: "accepted, never read (the grid side is √rows of the staged matrix); GetAll adds `ignored.<key>`"},
 	{Key: "tol", Kind: ParamFloat, Bounds: positive, effect: rebuild, Doc: "relative residual tolerance of the cycles",
 		to: "Options.Tol", mg: func(mc *MGComponent, v paramVal) { mc.opts.Tol = v.f }},
 	{Key: "cycles", Kind: ParamInt, Bounds: atLeast1, effect: rebuild, Doc: "cycle limit",
 		to: "Options.MaxCycles", mg: func(mc *MGComponent, v paramVal) { mc.opts.MaxCycles = v.i }},
-	{Key: "omega", Kind: ParamFloat, Bounds: positive, effect: rebuild, Doc: "Jacobi smoother damping",
+	{Key: "omega", Kind: ParamFloat, Bounds: positive, effect: rebuild, Doc: "Jacobi smoother damping (lowered on a level that is not diagonally dominant)",
 		to: "Options.Omega", mg: func(mc *MGComponent, v paramVal) { mc.opts.Omega = v.f }},
 	{Key: "smooth_sweeps", Kind: ParamInt, Bounds: atLeast1, effect: rebuild, Doc: "pre- and post-smoothing sweeps",
 		to: "Options.Nu1, Nu2", mg: func(mc *MGComponent, v paramVal) { mc.opts.Nu1, mc.opts.Nu2 = v.i, v.i }},
-	{Key: "galerkin", Kind: ParamBool, effect: rebuild, Doc: "coarse operators as R·A·P instead of rediscretised",
-		to: "Options.Galerkin", mg: func(mc *MGComponent, v paramVal) { mc.opts.Galerkin = v.i == 1 }},
 	{Key: "gamma", Kind: ParamInt, Bounds: Bounds{Min: 1, Max: 2}, effect: rebuild, Doc: "cycle index: 1 V-cycle, 2 W-cycle",
 		to: "Options.Gamma", mg: func(mc *MGComponent, v paramVal) { mc.opts.Gamma = v.i }},
 	workersParam,
@@ -83,7 +75,7 @@ var mgParams = []Param{
 
 // GetAll reports the configuration.
 func (mc *MGComponent) GetAll() string {
-	extra := map[string]string{"backend": "mg (geometric multigrid, coarse solve via LISI)"}
+	extra := map[string]string{"backend": "mg (Galerkin multigrid, coarse solve via LISI)"}
 	if mc.solver != nil {
 		extra["levels"] = strconv.Itoa(mc.solver.Levels())
 	}
@@ -98,7 +90,7 @@ func (mc *MGComponent) coarseSolve(a *sparse.CSR, b []float64) ([]float64, error
 	if mc.coarseL == nil || mc.coarseL.N != a.Rows || mc.coarseL.Comm() != c {
 		// The key (coarsest order, communicator) is identical on every
 		// rank, so all ranks enter the collective NewLayout together.
-		l, err := pmat.NewLayout(c, mesh.LocalRows(a.Rows, c.Size(), c.Rank()))
+		l, err := pmat.EvenLayout(c, a.Rows)
 		if err != nil {
 			return nil, err
 		}
@@ -132,13 +124,10 @@ func (mc *MGComponent) Solve(solution []float64, status []float64, numLocalRow, 
 	return mc.solve(mc, solution, status, numLocalRow, statusLength)
 }
 
-// configure reads the model problem and the mg options from the
-// parameters (a solveHooks hook); the hierarchy is built from them, so
-// it drops the built operator and the skeleton rebuilds it.
+// configure reads the mg options from the parameters (a solveHooks
+// hook); the hierarchy is built from them, so it drops the built
+// operator and the skeleton rebuilds it.
 func (mc *MGComponent) configure(staged) int {
-	if _, ok := mc.params["grid_n"]; !ok {
-		return ErrBadState
-	}
 	mc.opts = mg.Options{Coarse: mc.coarseSolve}
 	mc.each(func(p *Param, v paramVal) {
 		p.mg(mc, v)
@@ -147,26 +136,19 @@ func (mc *MGComponent) configure(staged) int {
 	return OK
 }
 
-// rebuild builds the hierarchy on the slot's layout, with a fresh inner
-// coarse component. Geometric MG is only valid for the model operator:
-// the staged matrix must be the discretized PDE.
+// rebuild builds the hierarchy on the slot's operator, with a fresh
+// inner coarse component. An operator that is not an odd square grid is
+// unsupported; a zero on its diagonal fails the solve as singular.
 func (mc *MGComponent) rebuild(op staged) (int, FailReason) {
-	if mc.prob.N() != mc.globalCols {
-		return ErrBadArg, FailNone
-	}
 	defer mc.rec.StartPhase(telemetry.PhaseSetup)()
-	want, _, err := mc.prob.GenerateLocal(op.mat.L)
-	if err != nil {
-		return ErrBadArg, FailNone
-	}
-	if !want.AlmostEqual(op.mat.LocalRowsGlobal(), 1e-9*want.NormInf()) {
-		return ErrUnsupported, FailNone
-	}
 	mc.coarse = NewSLUComponent()
 	mc.coarseUp = false
-	s, err := mg.New(mc.c, mc.prob, mc.opts)
-	if err != nil {
-		return ErrBadArg, FailNone
+	s, err := mg.New(mc.c, op.mat, mc.opts)
+	switch {
+	case errors.Is(err, mg.ErrGrid):
+		return ErrUnsupported, FailNone
+	case err != nil:
+		return ErrSolveFailed, classifySolveError(err)
 	}
 	mc.solver = s
 	return OK, FailNone
@@ -191,8 +173,8 @@ func init() {
 	Register(BackendInfo{
 		Name:   "mg",
 		Class:  ClassMGSolver,
-		Kind:   "multilevel (geometric)",
-		Doc:    "geometric multigrid for the model PDE; delegates the coarse solve to an inner SuperLU component through the port (requires `grid_n`)",
+		Kind:   "multilevel (Galerkin)",
+		Doc:    "multigrid on the staged matrix of an odd n×n grid; delegates the coarse solve to an inner SuperLU component through the port",
 		Params: mgParams,
 	}, func() SparseSolver { return NewMGComponent() })
 }

@@ -90,10 +90,9 @@ func confRows() []confRow {
 		add("trilinos", "scaling=rowsum", op, 0, map[string]string{"scaling": "rowsum"})
 		add("trilinos", "scaling=rowsum+neumann", op, 0, map[string]string{"scaling": "rowsum", "preconditioner": "neumann"})
 	}
-	// mg rebuilds the model PDE from grid_n; galerkin=true forms the coarse
-	// operators as R·A·P, the only caller of sparse.Multiply/TripleProduct.
-	add("mg", "galerkin=true", confOperator{"stencil-15", false, paperSystem(15)}, 0,
-		map[string]string{"grid_n": "15", "galerkin": "true"})
+	// mg forms its coarse operators as R·A·P, the only caller of
+	// sparse.Multiply/TripleProduct.
+	add("mg", "defaults", confOperator{"stencil-15", false, paperSystem(15)}, 0, nil)
 	// 48² = 2304 rows is past par's 2048-element reduction block, so a
 	// pooled dot or norm folds more than one slot.
 	add("petsc", "workers=2", confOperator{"stencil-48", false, paperSystem(48)}, 2,
@@ -154,7 +153,7 @@ func checkConverged(t *testing.T, label string, l *pmat.Layout, res SolveResult,
 
 // TestDoorConformance is the one table for what a door reaches: every
 // solver and preconditioner value the petsc and trilinos components
-// accept, the damping, row-scaling and Galerkin switches, and a pooled
+// accept, the damping and row-scaling switches, multigrid, and a pooled
 // reduction long enough to fan out, each solved through core.Session on a
 // manufactured-solution system on 1 and 2 ranks.
 func TestDoorConformance(t *testing.T) {
@@ -209,25 +208,38 @@ func TestDoorConformance(t *testing.T) {
 	// A zero diagonal is a property of the matrix, not of the method:
 	// every preconditioner that divides by the diagonal reports it as
 	// singular, whichever backend hosts it. Every row of swap2 has a
-	// zero diagonal, so every rank fails its set-up alone.
-	swap2 := zeroDiagonalSystem()
-	_, b := manufactured(swap2)
+	// zero diagonal, so every rank fails its set-up alone; the grid
+	// matrix mg gets has one, so the rank holding it and the rank that
+	// does not fail together.
+	singular := func(t *testing.T, backend string, params map[string]string, a *sparse.CSR) {
+		_, b := manufactured(a)
+		for _, ranks := range []int{1, 2} {
+			run(t, ranks, func(c *comm.Comm) {
+				s, l := openOn(t, c, backend, SessionOptions{Params: params}, a, b)
+				defer s.Close()
+				res, err := s.Solve(context.Background(), make([]float64, l.LocalN))
+				if err == nil || res.Converged || res.FailReason != FailSingular {
+					t.Errorf("p=%d: converged=%v fail=%v err=%v, want singular", ranks, res.Converged, res.FailReason, err)
+				}
+			})
+		}
+	}
 	for _, row := range []struct{ backend, pc string }{
 		{"petsc", "jacobi"}, {"petsc", "sor"}, {"trilinos", "jacobi"}, {"trilinos", "symgs"},
 	} {
 		t.Run(row.backend+"/preconditioner="+row.pc+"/zero-diagonal", func(t *testing.T) {
-			for _, ranks := range []int{1, 2} {
-				run(t, ranks, func(c *comm.Comm) {
-					s, l := openOn(t, c, row.backend, SessionOptions{Params: map[string]string{"preconditioner": row.pc}}, swap2, b)
-					defer s.Close()
-					res, err := s.Solve(context.Background(), make([]float64, l.LocalN))
-					if err == nil || res.Converged || res.FailReason != FailSingular {
-						t.Errorf("p=%d: converged=%v fail=%v err=%v, want singular", ranks, res.Converged, res.FailReason, err)
-					}
-				})
-			}
+			singular(t, row.backend, map[string]string{"preconditioner": row.pc}, zeroDiagonalSystem())
 		})
 	}
+	t.Run("mg/zero-diagonal", func(t *testing.T) {
+		a, _ := paperSystem(7)(t)
+		for k := a.RowPtr[0]; k < a.RowPtr[1]; k++ {
+			if a.ColInd[k] == 0 {
+				a.Vals[k] = 0
+			}
+		}
+		singular(t, "mg", nil, a)
+	})
 }
 
 // zeroDiagonalSystem is two 2×2 swaps [0 1; 1 0] on the diagonal:

@@ -135,7 +135,7 @@ var determinismTable = []struct {
 		"solver": "gmres", "preconditioner": "bjacobi", "tol": "1e-8", "maxits": "400", "restart": "30"}},
 	{"trilinos-bicgstab", "trilinos", paperSystem(12), map[string]string{
 		"solver": "bicgstab", "preconditioner": "ilut", "tol": "1e-8"}},
-	{"mg", "mg", paperSystem(15), map[string]string{"grid_n": "15", "tol": "1e-8"}},
+	{"mg", "mg", paperSystem(15), map[string]string{"tol": "1e-8"}},
 	{"petsc-cg-fem", "petsc", femSystem(5, 7), map[string]string{
 		"solver": "cg", "preconditioner": "jacobi", "tol": "1e-8", "maxits": "400"}},
 	{"trilinos-gmres-mm", "trilinos", mmSystem("../../testdata/corpus/dd40_gen.mtx"), map[string]string{

@@ -192,11 +192,7 @@ func TestReinitializeLeavesOldWorld(t *testing.T) {
 	for _, be := range assembledBackends {
 		cases = append(cases, backendCase{be.name, be.open, paperSystem(20)})
 	}
-	cases = append(cases, backendCase{"mg", func() SparseSolver {
-		s := NewMGComponent()
-		mustOK(t, s.Set("grid_n", "19"), "Set grid_n")
-		return s
-	}, paperSystem(19)})
+	cases = append(cases, backendCase{"mg", func() SparseSolver { return NewMGComponent() }, paperSystem(19)})
 	for _, backend := range cases {
 		t.Run(backend.name, func(t *testing.T) {
 			a, b := backend.system(t)

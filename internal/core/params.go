@@ -53,7 +53,6 @@ type Param struct {
 	Key    string
 	Kind   ParamKind
 	Bounds          // an int or float key's accepted range
-	Odd    bool     // an int key takes odd values only
 	Names  []string // an enum key's accepted names, aliases included
 	Doc    string   // one line
 
@@ -101,7 +100,7 @@ func (p *Param) parse(value string) (v paramVal, ok bool) {
 		return v, false
 	case ParamInt:
 		v.i, err = strconv.Atoi(value)
-		return v, err == nil && p.in(float64(v.i)) && (!p.Odd || v.i%2 != 0)
+		return v, err == nil && p.in(float64(v.i))
 	case ParamFloat:
 		v.f, err = strconv.ParseFloat(value, 64)
 		return v, err == nil && finite(v.f) && p.in(v.f)
@@ -179,9 +178,6 @@ func (p *Param) accepts() string {
 		return strings.Join(groups, ", ")
 	case ParamInt, ParamFloat:
 		kind := map[bool]string{false: "int", true: "float"}[p.Kind == ParamFloat]
-		if p.Odd {
-			kind = "odd " + kind
-		}
 		lo, hi := "[", "]"
 		if p.MinOpen || math.IsInf(p.Min, -1) {
 			lo = "("

@@ -26,7 +26,7 @@ var conformanceParams = map[string]map[string]string{
 	"petsc":    iterativeParams,
 	"trilinos": iterativeParams,
 	"superlu":  {},
-	"mg":       {"grid_n": "9", "tol": "1e-10"},
+	"mg":       {"tol": "1e-10"},
 }
 
 // TestRegistryConformance drives every registered backend through the
@@ -499,7 +499,7 @@ func TestSessionFailedSolveReproduces(t *testing.T) {
 		{"petsc/cg+jacobi", "petsc", map[string]string{"solver": "cg", "preconditioner": "jacobi", "maxits": "3"}, paperSystem(20), FailBreakdown},
 		{"trilinos/gmres+jacobi", "trilinos", map[string]string{"solver": "gmres", "preconditioner": "jacobi", "maxits": "3"}, paperSystem(20), FailMaxIterations},
 		{"trilinos/bicgstab+domdecomp", "trilinos", map[string]string{"solver": "bicgstab", "preconditioner": "domdecomp", "maxits": "3"}, paperSystem(20), FailMaxIterations},
-		{"mg/cycles=1", "mg", map[string]string{"grid_n": "15", "cycles": "1"}, paperSystem(15), FailMaxIterations},
+		{"mg/cycles=1", "mg", map[string]string{"cycles": "1"}, paperSystem(15), FailMaxIterations},
 		// Equilibration would stop first, at the zero column scale.
 		{"superlu/empty-column", "superlu", map[string]string{"equilibrate": "false"}, emptyColumnSystem, FailSingular},
 	}

@@ -142,10 +142,10 @@ var stagingParams = map[string]struct {
 		},
 	},
 	"mg": {
-		base: []stagingParam{{"grid_n", "9", OK}},
+		base: []stagingParam{{"tol", "1e-10", OK}},
 		set: []stagingParam{
 			{"preconditioner", "none", ErrUnknownKey}, {"smooth_sweeps", "1", OK},
-			{"tol", "1e-6", OK}, {"grid_n", "7", OK}, {"workers", "2", OK}, {"omega", "NaN", ErrBadArg},
+			{"tol", "1e-6", OK}, {"gamma", "2", OK}, {"workers", "2", OK}, {"omega", "NaN", ErrBadArg},
 		},
 	},
 }

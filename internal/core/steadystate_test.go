@@ -23,7 +23,7 @@ const steadyStateAllocBound = 10
 // its workspaces, and the comm pools, every later Solve against the
 // staged system stays under steadyStateAllocBound allocations — for
 // every registered backend, every accepted solver value, each apply-loop
-// preconditioner, row scaling, a worker pool and Galerkin coarsening. It
+// preconditioner, row scaling, a worker pool and multigrid. It
 // is the measured gate on the iteration loops of ksp, aztec and mg. A
 // single-rank world makes the process-global malloc counter
 // deterministic; the multi-rank path is exercised by
@@ -68,8 +68,7 @@ func TestSessionSolveSteadyStateAllocs(t *testing.T) {
 			"solver": "gmres", "preconditioner": "jacobi", "scaling": "rowsum", "tol": "1e-8"}},
 		{"trilinos-gmres-ilut-w2", "trilinos", 12, false, 2, map[string]string{
 			"solver": "gmres", "preconditioner": "ilut", "tol": "1e-8"}},
-		{"mg", "mg", 15, false, 0, map[string]string{"grid_n": "15", "tol": "1e-8"}},
-		{"mg-galerkin", "mg", 15, false, 0, map[string]string{"grid_n": "15", "tol": "1e-8", "galerkin": "true"}},
+		{"mg", "mg", 15, false, 0, map[string]string{"tol": "1e-8"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			run(t, 1, func(c *comm.Comm) {

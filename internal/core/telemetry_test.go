@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strconv"
 	"testing"
 
 	"repro/internal/comm"
@@ -119,10 +118,7 @@ func TestMGComponentInstrumented(t *testing.T) {
 			rec = telemetry.New()
 		}
 		driver.SetRecorder(rec)
-		res, err := driver.SolveProblem(p, CSR, map[string]string{
-			"grid_n": strconv.Itoa(n),
-			"tol":    "1e-8",
-		})
+		res, err := driver.SolveProblem(p, CSR, map[string]string{"tol": "1e-8"})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -75,7 +75,7 @@ func goldenFamilies() []goldenFamily {
 	}
 	stencil := iterative("ilu", "domdecomp")
 	stencil = append(stencil, goldenBackend{name: "mg", params: map[string]string{
-		"grid_n": "9", "tol": "1e-8", "cycles": "100"}})
+		"tol": "1e-8", "cycles": "100"}})
 	fem := iterative("ilu", "domdecomp")
 	// Overlapping Schwarz: 2 rows borrowed across each rank boundary,
 	// exchanged every apply.

@@ -5,7 +5,6 @@
 package integration_test
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -86,7 +85,7 @@ func TestManufacturedSolutionThroughEveryComponent(t *testing.T) {
 		core.ClassKSPSolver:   {"solver": "bicgstab", "preconditioner": "ilu", "tol": "1e-10"},
 		core.ClassAztecSolver: {"solver": "bicgstab", "preconditioner": "domdecomp", "tol": "1e-10"},
 		core.ClassSLUSolver:   {"refine_steps": "1"},
-		core.ClassMGSolver:    {"grid_n": fmt.Sprint(n), "tol": "1e-10"},
+		core.ClassMGSolver:    {"tol": "1e-10"},
 	}
 	for class, params := range classes {
 		run(t, 2, func(c *comm.Comm) {
@@ -129,7 +128,7 @@ func TestAllComponentsAgreeAtScale(t *testing.T) {
 		core.ClassKSPSolver:   {"solver": "gmres", "preconditioner": "ilu", "tol": "1e-10"},
 		core.ClassAztecSolver: {"solver": "gmres", "preconditioner": "domdecomp", "tol": "1e-10"},
 		core.ClassSLUSolver:   nil,
-		core.ClassMGSolver:    {"grid_n": fmt.Sprint(n), "tol": "1e-10"},
+		core.ClassMGSolver:    {"tol": "1e-10"},
 	}
 	solutions := make(map[string][]float64)
 	for _, class := range classes {

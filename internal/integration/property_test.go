@@ -22,7 +22,7 @@ var propertyParams = map[string]map[string]string{
 	"petsc":    {"solver": "bicgstab", "preconditioner": "ilu", "tol": "1e-11"},
 	"trilinos": {"solver": "bicgstab", "preconditioner": "domdecomp", "tol": "1e-11"},
 	"superlu":  {},
-	"mg":       {"grid_n": "9", "tol": "1e-11"},
+	"mg":       {"tol": "1e-11"},
 }
 
 const propertyGridN = 9 // odd so the mg component participates
@@ -102,15 +102,11 @@ func TestPropertyBackendAgreement(t *testing.T) {
 // TestPropertyScalingInvariance: solving (αA, αb) must give the same x
 // as (A, b). α is a power of two so the scaling itself is exact in
 // floating point; any drift beyond solver tolerance is a staging or
-// backend bug. The mg backend is skipped: it verifies the staged matrix
-// is the unscaled model operator and (correctly) refuses αA.
+// backend bug.
 func TestPropertyScalingInvariance(t *testing.T) {
 	const alpha = 64.0 // 2^6: exact scaling
 	p := mesh.PaperProblem(propertyGridN)
 	for _, name := range core.Names() {
-		if name == "mg" {
-			continue
-		}
 		params := propertyParams[name]
 		run(t, 3, func(c *comm.Comm) {
 			l, err := pmat.EvenLayout(c, p.N())
@@ -140,17 +136,11 @@ func TestPropertyScalingInvariance(t *testing.T) {
 
 // TestPropertyPartitionInvariance: the solution must not depend on how
 // block rows are distributed over ranks. Solve under the even layout
-// and under a deliberately skewed one, gather both, compare. The mg
-// backend is skipped: geometric multigrid coarsens whole grid-line
-// strips, so it (correctly, as ErrBadArg) refuses partitions that cut
-// through a grid line.
+// and under a deliberately skewed one, gather both, compare.
 func TestPropertyPartitionInvariance(t *testing.T) {
 	p := mesh.PaperProblem(propertyGridN)
 	n := p.N()
 	for _, name := range core.Names() {
-		if name == "mg" {
-			continue
-		}
 		params := propertyParams[name]
 		var even, skewed []float64
 		run(t, 3, func(c *comm.Comm) {

@@ -1,6 +1,6 @@
 // Package mg implements the multilevel extension the paper defers to
-// future work (§5.2 use case e, §9): a distributed geometric multigrid
-// V-cycle for the paper's model PDE on square grids. It demonstrates the
+// future work (§5.2 use case e, §9): a distributed multigrid V-cycle on
+// the operator of an n×n grid, whatever its entries. It demonstrates the
 // recursion pattern LISI anticipates — a multilevel solver built *on top
 // of* the interface, with the coarsest-level solve delegated to a LISI
 // SparseSolver through a callback so each level's solve re-enters the
@@ -9,15 +9,15 @@
 // The hierarchy coarsens n → (n−1)/2 (fine grids of size 2^k − 1 coarsen
 // all the way down), with damped-Jacobi smoothing, full-weighting
 // restriction and bilinear prolongation as distributed rectangular
-// operators.
+// operators, and Galerkin coarse operators R·A·P.
 package mg
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
 	"repro/internal/comm"
-	"repro/internal/mesh"
 	"repro/internal/par"
 	"repro/internal/pmat"
 	"repro/internal/sparse"
@@ -34,7 +34,8 @@ type CoarseSolve func(a *sparse.CSR, b []float64) ([]float64, error)
 type Options struct {
 	// Nu1, Nu2 are pre-/post-smoothing sweep counts (default 2).
 	Nu1, Nu2 int
-	// Omega is the Jacobi damping factor (default 0.8).
+	// Omega is the Jacobi damping factor (default 0.8) on a weakly
+	// diagonally dominant level; newLevel lowers it on a level that is not.
 	Omega float64
 	// MaxCycles bounds the V-cycle count (default 50).
 	MaxCycles int
@@ -43,10 +44,6 @@ type Options struct {
 	// CoarsestN stops coarsening when the grid is this size or smaller
 	// (default 3).
 	CoarsestN int
-	// Galerkin selects algebraically computed coarse operators
-	// A_{l+1} = R·A_l·P instead of re-discretizing the PDE on each
-	// coarser grid (the two classic ways of building a hierarchy).
-	Galerkin bool
 	// Gamma is the cycle index: 1 is a V-cycle (default), 2 a W-cycle
 	// (each level recurses twice into the next coarser level).
 	Gamma int
@@ -80,10 +77,10 @@ func (o *Options) setDefaults() {
 
 // level holds one grid's distributed operator and transfer operators.
 type level struct {
-	n       int // grid size (n×n interior points)
 	layout  *pmat.Layout
 	a       *pmat.Mat
 	invDiag []float64
+	omega   float64 // this level's Jacobi damping (see newLevel)
 	// restrict maps this level's residual to the next coarser level
 	// (nil on the coarsest); prolong maps coarse corrections up.
 	restrict *pmat.Mat
@@ -147,65 +144,55 @@ func (t *jacobiTask) Range(_, lo, hi int) {
 // counts land in the "mg.cycles" counter. Nil disables instrumentation.
 func (s *Solver) SetRecorder(r *telemetry.Recorder) { s.rec = r }
 
-// New builds the hierarchy for the problem (collective). p.Nx must equal
-// p.Ny and coarsen at least once (n odd and ≥ 2·CoarsestN+1).
-func New(c *comm.Comm, p mesh.Problem, opts Options) (*Solver, error) {
+// ErrGrid is wrapped by New when the operator's order is not n² for an
+// odd grid side n that coarsens at least once (n ≥ 2·CoarsestN+1): the
+// full-weighting and bilinear transfers assume that grid.
+var ErrGrid = errors.New("mg: operator is not an odd square grid")
+
+// New builds the hierarchy on a, the fine operator (collective). The
+// grid side is n = √(global rows); every coarser operator is the
+// Galerkin product R·A·P of the level above.
+func New(c *comm.Comm, a *pmat.Mat, opts Options) (*Solver, error) {
 	opts.setDefaults()
 	if opts.Coarse == nil {
 		return nil, fmt.Errorf("mg: Options.Coarse is required")
 	}
-	if p.Nx != p.Ny {
-		return nil, fmt.Errorf("mg: grid must be square, got %dx%d", p.Nx, p.Ny)
-	}
-	if p.Nx%2 == 0 || p.Nx < 2*opts.CoarsestN+1 {
-		return nil, fmt.Errorf("mg: grid size %d cannot coarsen (need odd n ≥ %d; sizes 2^k−1 coarsen fully)", p.Nx, 2*opts.CoarsestN+1)
+	n := int(math.Sqrt(float64(a.L.N)))
+	if n*n != a.L.N || n%2 == 0 || n < 2*opts.CoarsestN+1 {
+		return nil, fmt.Errorf("%w: %d rows (need n² rows for odd n ≥ %d; sizes 2^k−1 coarsen fully)", ErrGrid, a.L.N, 2*opts.CoarsestN+1)
 	}
 	s := &Solver{c: c, opts: opts}
-
-	prob := p
-	var galerkinLocal *sparse.CSR // coarse operator rows for this rank (Galerkin mode)
 	for {
-		var lvl *level
-		var err error
-		if galerkinLocal == nil {
-			lvl, err = buildLevel(c, prob)
-		} else {
-			lvl, err = buildLevelFromLocal(c, prob.Nx, galerkinLocal)
-		}
+		lvl, err := newLevel(c, n, a, opts.Omega)
 		if err != nil {
 			return nil, err
 		}
 		s.levels = append(s.levels, lvl)
-		if prob.Nx <= opts.CoarsestN || prob.Nx%2 == 0 || (prob.Nx-1)/2 < opts.CoarsestN {
+		if n <= opts.CoarsestN || n%2 == 0 || (n-1)/2 < opts.CoarsestN {
 			break
 		}
-		coarse := prob
-		coarse.Nx = (prob.Nx - 1) / 2
-		coarse.Ny = coarse.Nx
-		cl, err := pmat.EvenLayout(c, coarse.Nx*coarse.Ny)
+		nc := (n - 1) / 2
+		cl, err := pmat.EvenLayout(c, nc*nc)
 		if err != nil {
 			return nil, err
 		}
-		if lvl.restrict, err = buildRestriction(cl, lvl.layout, coarse.Nx, prob.Nx); err != nil {
+		if lvl.restrict, err = buildRestriction(cl, a.L, nc, n); err != nil {
 			return nil, err
 		}
-		if lvl.prolong, err = buildProlongation(lvl.layout, cl, prob.Nx, coarse.Nx); err != nil {
+		if lvl.prolong, err = buildProlongation(a.L, cl, n, nc); err != nil {
 			return nil, err
 		}
-		if opts.Galerkin {
-			// Triple product on the gathered operators; coarse grids are
-			// small, so the serial RAP at setup is cheap relative to the
-			// fine-level work.
-			rap, err := sparse.TripleProduct(
-				lvl.restrict.GatherGlobal(),
-				lvl.a.GatherGlobal(),
-				lvl.prolong.GatherGlobal())
-			if err != nil {
-				return nil, fmt.Errorf("mg: Galerkin coarse operator: %w", err)
-			}
-			galerkinLocal = rap.SubMatrix(cl.Start, cl.Start+cl.LocalN)
+		// Triple product on the gathered operators; coarse grids are
+		// small, so the serial RAP at setup is cheap relative to the
+		// fine-level work.
+		rap, err := sparse.TripleProduct(lvl.restrict.GatherGlobal(), a.GatherGlobal(), lvl.prolong.GatherGlobal())
+		if err != nil {
+			return nil, fmt.Errorf("mg: Galerkin coarse operator: %w", err)
 		}
-		prob = coarse
+		if a, err = pmat.NewMat(cl, rap.SubMatrix(cl.Start, cl.Start+cl.LocalN)); err != nil {
+			return nil, err
+		}
+		n = nc
 	}
 
 	// Gather the coarsest operator for the LISI coarse solve.
@@ -222,45 +209,39 @@ func New(c *comm.Comm, p mesh.Problem, opts Options) (*Solver, error) {
 	return s, nil
 }
 
-func buildLevel(c *comm.Comm, p mesh.Problem) (*level, error) {
-	l, err := pmat.EvenLayout(c, p.N())
-	if err != nil {
-		return nil, err
-	}
-	localA, _, err := p.GenerateLocal(l)
-	if err != nil {
-		return nil, err
-	}
-	return levelFromParts(p.Nx, l, localA)
-}
-
-// buildLevelFromLocal builds a level whose operator rows were computed
-// algebraically (Galerkin) rather than by discretization.
-func buildLevelFromLocal(c *comm.Comm, n int, localA *sparse.CSR) (*level, error) {
-	l, err := pmat.EvenLayout(c, n*n)
-	if err != nil {
-		return nil, err
-	}
-	return levelFromParts(n, l, localA)
-}
-
-func levelFromParts(n int, l *pmat.Layout, localA *sparse.CSR) (*level, error) {
-	a, err := pmat.NewMat(l, localA)
-	if err != nil {
-		return nil, err
-	}
-	d := a.Diagonal()
-	inv := make([]float64, len(d))
-	for i, v := range d {
-		if v == 0 {
-			return nil, fmt.Errorf("mg: zero diagonal on level n=%d", n)
+// newLevel wraps the operator a of the n×n grid (collective). Its
+// Jacobi damping is omega·min(1, (2/g)²), where g = maxᵢ Σⱼ|aᵢⱼ|/|aᵢᵢ|
+// over every rank bounds ρ(D⁻¹A): omega itself on a weakly diagonally
+// dominant level (g = 2, every level of the model PDE), less on a
+// Galerkin level of a convection-dominated operator, whose g reaches 4
+// and which the full omega amplifies instead of smoothing. A zero on any
+// rank's diagonal fails every rank with sparse.ErrZeroDiagonal.
+func newLevel(c *comm.Comm, n int, a *pmat.Mat, omega float64) (*level, error) {
+	rows := a.LocalRowsGlobal()
+	inv := make([]float64, rows.Rows)
+	g := 0.0
+	for i := range inv {
+		sum, d := 0.0, 0.0
+		for k := rows.RowPtr[i]; k < rows.RowPtr[i+1]; k++ {
+			sum += math.Abs(rows.Vals[k])
+			if rows.ColInd[k] == a.L.Start+i {
+				d = rows.Vals[k]
+			}
 		}
-		inv[i] = 1 / v
+		if d == 0 {
+			g = math.Inf(1)
+			continue
+		}
+		inv[i] = 1 / d
+		g = math.Max(g, sum/math.Abs(d))
+	}
+	if g = c.AllReduceFloat64(g, comm.OpMax); math.IsInf(g, 1) {
+		return nil, fmt.Errorf("mg: level n=%d: %w", n, sparse.ErrZeroDiagonal)
 	}
 	return &level{
-		n: n, layout: l, a: a, invDiag: inv,
-		r: make([]float64, l.LocalN),
-		z: make([]float64, l.LocalN),
+		layout: a.L, a: a, invDiag: inv, omega: omega * math.Min(1, 4/(g*g)),
+		r: make([]float64, a.L.LocalN),
+		z: make([]float64, a.L.LocalN),
 	}, nil
 }
 
@@ -385,7 +366,7 @@ func (s *Solver) Solve(b, x []float64) error {
 func (s *Solver) smooth(lvl *level, b, x []float64, sweeps int) {
 	for n := 0; n < sweeps; n++ {
 		lvl.a.Apply(lvl.r, x)
-		s.jac = jacobiTask{x: x, b: b, r: lvl.r, invDiag: lvl.invDiag, omega: s.opts.Omega}
+		s.jac = jacobiTask{x: x, b: b, r: lvl.r, invDiag: lvl.invDiag, omega: lvl.omega}
 		s.pool.Run(len(x), &s.jac)
 		s.jac = jacobiTask{}
 	}

@@ -7,22 +7,22 @@ import (
 )
 
 // Workspace is the per-solver scratch a Krylov package reuses across
-// repeated solves. Vectors are keyed by the local problem size and the
-// restarted-GMRES arrays additionally by the restart length; a size
+// repeated solves. Vectors are keyed by the local problem size; a size
 // change drops and rebuilds them, so steady-state solves against an
 // unchanged layout allocate nothing here.
 type Workspace struct {
 	n       int         // length of the vectors in scratch
 	scratch [][]float64 // generic per-method scratch, grown on demand
 
-	basisN, basisM int // dimensions the Krylov arrays are sized for
+	basisN int // length of the vectors in v and z
 
-	v [][]float64 // Krylov basis, m+1 vectors
-	z [][]float64 // flexible (FGMRES) directions, m vectors; built lazily
-	// h is the (m+1)×m Hessenberg stored by columns, so the column an
-	// Arnoldi step fills is the contiguous slice col(j).
-	h            []float64
-	g, cs, sn, y []float64 // least-squares rhs, Givens pairs, back-substitution
+	// The restarted-GMRES arrays grow a step at a time (see step), so
+	// a long restart that converges early costs only the steps it took:
+	// v is the Krylov basis, z the flexible (FGMRES) directions, h the
+	// Hessenberg by columns, column j the j+2 entries step j fills, then
+	// the least-squares rhs, the Givens pairs and the back-substitution.
+	v, z, h      [][]float64
+	g, cs, sn, y []float64
 }
 
 // vecs returns count persistent length-n scratch vectors. Contents are
@@ -38,37 +38,38 @@ func (ws *Workspace) vecs(n, count int) [][]float64 {
 	return ws.scratch[:count]
 }
 
-// krylov sizes the restarted-GMRES arrays for local size n and restart
-// m; with flexible set the stored preconditioned directions z are built
-// too.
-func (ws *Workspace) krylov(n, m int, flexible bool) {
-	if ws.basisN != n || ws.basisM != m {
-		ws.v = makeVecs(m+1, n)
-		ws.z = nil
-		ws.h = make([]float64, (m+1)*m)
-		ws.g = make([]float64, m+1)
-		ws.cs = make([]float64, m)
-		ws.sn = make([]float64, m)
-		ws.y = make([]float64, m)
-		ws.basisN, ws.basisM = n, m
+// krylov readies the restarted-GMRES arrays for local size n: v_0 and
+// g_0, what a cycle writes before its first step.
+func (ws *Workspace) krylov(n int) {
+	if ws.basisN != n {
+		ws.v, ws.z = nil, nil
+		ws.basisN = n
 	}
-	if flexible && ws.z == nil {
-		ws.z = makeVecs(m, n)
+	if len(ws.v) == 0 {
+		ws.v = append(ws.v, make([]float64, n))
+	}
+	if len(ws.g) == 0 {
+		ws.g = append(ws.g, 0)
 	}
 }
 
-func makeVecs(count, n int) [][]float64 {
-	v := make([][]float64, count)
-	for i := range v {
-		v[i] = make([]float64, n)
+// step makes what Arnoldi step j writes, the first time any cycle
+// reaches it: v_{j+1}, Hessenberg column j, g_{j+1}, the j-th Givens
+// pair and y_j, and with flexible set z_j. Later solves reuse them.
+func (ws *Workspace) step(j int, flexible bool) {
+	if len(ws.v) == j+1 {
+		ws.v = append(ws.v, make([]float64, ws.basisN))
 	}
-	return v
-}
-
-// col returns column j of the Hessenberg (m+1 entries).
-func (ws *Workspace) col(j int) []float64 {
-	ld := ws.basisM + 1
-	return ws.h[j*ld : (j+1)*ld]
+	if len(ws.h) == j {
+		ws.h = append(ws.h, make([]float64, j+2))
+		ws.g = append(ws.g, 0)
+		ws.cs = append(ws.cs, 0)
+		ws.sn = append(ws.sn, 0)
+		ws.y = append(ws.y, 0)
+	}
+	if flexible && len(ws.z) == j {
+		ws.z = append(ws.z, make([]float64, ws.basisN))
+	}
 }
 
 // gmresCycle is one cycle of restarted GMRES(m) with modified
@@ -84,29 +85,26 @@ func (ws *Workspace) col(j int) []float64 {
 // stored directions z_j. it counts iterations across cycles;
 // gmresCycle returns it advanced and whether sys.Stop ended the cycle.
 func (ws *Workspace) gmresCycle(red *Reducer, sys KrylovSystem, x, w, t []float64, beta float64, m, it int, flexible bool) (int, bool) {
-	ws.krylov(len(x), m, flexible)
-	v, g, cs, sn := ws.v, ws.g, ws.cs, ws.sn
-	update := v
-	if flexible {
-		update = ws.z
-	}
+	ws.krylov(len(x))
 	inv := 1 / beta
 	for i := range w {
-		v[0][i] = w[i] * inv
+		ws.v[0][i] = w[i] * inv
 	}
-	clear(g)
-	g[0] = beta
+	clear(ws.g)
+	ws.g[0] = beta
 
 	j, stop := 0, false
 	for ; j < m && !stop; j++ {
 		it++
+		ws.step(j, flexible)
+		v, g, cs, sn := ws.v, ws.g, ws.cs, ws.sn
 		if flexible {
 			sys.Precondition(ws.z[j], v[j])
 			sys.Apply(w, ws.z[j])
 		} else {
 			applyMA(sys, w, t, v[j])
 		}
-		h := ws.col(j)
+		h := ws.h[j]
 		if hj1 := orthogonalize(red, w, v[:j+1], h); hj1 > 1e-300 {
 			inv := 1 / hj1
 			for i := range w {
@@ -129,7 +127,11 @@ func (ws *Workspace) gmresCycle(red *Reducer, sys KrylovSystem, x, w, t []float6
 		g[j] = cs[j] * g[j]
 		stop = sys.Stop(it, math.Abs(g[j+1]))
 	}
-	ws.hessenbergUpdate(x, update, j)
+	if flexible {
+		ws.hessenbergUpdate(x, ws.z, j)
+	} else {
+		ws.hessenbergUpdate(x, ws.v, j)
+	}
 	return it, stop
 }
 
@@ -628,9 +630,9 @@ func (ws *Workspace) hessenbergUpdate(x []float64, basis [][]float64, kk int) {
 	for i := kk - 1; i >= 0; i-- {
 		s := ws.g[i]
 		for j := i + 1; j < kk; j++ {
-			s -= ws.col(j)[i] * y[j]
+			s -= ws.h[j][i] * y[j]
 		}
-		if d := ws.col(i)[i]; d != 0 {
+		if d := ws.h[i][i]; d != 0 {
 			y[i] = s / d
 		} else {
 			y[i] = 0

@@ -174,21 +174,6 @@ func (a *CSR) Transpose() *CSR {
 	return &CSR{Rows: a.Cols, Cols: a.Rows, RowPtr: rp, ColInd: ci, Vals: v}
 }
 
-// NormInf returns the infinity (max absolute row sum) norm.
-func (a *CSR) NormInf() float64 {
-	m := 0.0
-	for i := 0; i < a.Rows; i++ {
-		s := 0.0
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			s += math.Abs(a.Vals[k])
-		}
-		if s > m {
-			m = s
-		}
-	}
-	return m
-}
-
 // RowView returns the column indices and values of row i, aliasing the
 // matrix storage. Callers must not modify the index slice.
 func (a *CSR) RowView(i int) (cols []int, vals []float64) {

@@ -93,9 +93,6 @@ func TestCSRBasicOps(t *testing.T) {
 	if a.At(0, 2) != 1 || a.At(0, 1) != 0 || a.At(1, 1) != 3 {
 		t.Errorf("At lookup failed")
 	}
-	if a.NormInf() != 3 {
-		t.Errorf("NormInf = %v", a.NormInf())
-	}
 }
 
 func TestCSRTransposeInvolution(t *testing.T) {
