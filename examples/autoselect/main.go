@@ -91,8 +91,8 @@ func run(w io.Writer) error {
 			if c.Rank() == 0 {
 				fmt.Fprintf(w, "=== %s (convection %g) ===\n", sc.name, sc.convection)
 			}
-			best, bestTime := "", time.Duration(0)
-			for _, cand := range candidates {
+			best, bestTime := -1, time.Duration(0)
+			for i, cand := range candidates {
 				elapsed, res, err := solveWith(cand.instance, probe)
 				status := "ok"
 				if err != nil || !res.Converged {
@@ -101,21 +101,21 @@ func run(w io.Writer) error {
 				if c.Rank() == 0 {
 					fmt.Fprintf(w, "  probe %-14s %8.3fs  %s\n", cand.instance, elapsed.Seconds(), status)
 				}
-				if status == "ok" && (best == "" || elapsed < bestTime) {
-					best, bestTime = cand.instance, elapsed
+				if status == "ok" && (best < 0 || elapsed < bestTime) {
+					best, bestTime = i, elapsed
 				}
 			}
 			// Timing jitter could make ranks disagree about the winner;
-			// rank 0 decides and broadcasts so the commit solve stays
-			// collective.
-			best = c.BcastString(0, best)
+			// rank 0 decides and broadcasts its index so the commit solve
+			// stays collective.
+			winner := candidates[c.BcastInt(0, best)].instance
 			full := mesh.PaperProblem(fullGrid)
 			full.Convection = sc.convection
-			elapsed, res, err := solveWith(best, full)
+			elapsed, res, err := solveWith(winner, full)
 			must(err)
 			if c.Rank() == 0 {
 				fmt.Fprintf(w, "  -> selected %s for the full system: %.3fs, %d iterations, residual %.2e\n\n",
-					best, elapsed.Seconds(), res.Iterations, res.Residual)
+					winner, elapsed.Seconds(), res.Iterations, res.Residual)
 			}
 		}
 	})

@@ -36,10 +36,10 @@ type ILUT struct {
 var (
 	// ErrILUTZeroRow: a row with no nonzero entry has no norm to scale
 	// the drop tolerance by — the matrix is structurally singular.
-	ErrILUTZeroRow = errors.New("row is entirely zero")
+	ErrILUTZeroRow = fmt.Errorf("row is entirely zero: %w", sparse.ErrSingular)
 	// ErrILUTZeroPivot: elimination cancelled the diagonal and a zero
 	// drop tolerance leaves nothing to substitute for it.
-	ErrILUTZeroPivot = errors.New("zero pivot with zero drop tolerance")
+	ErrILUTZeroPivot = fmt.Errorf("zero pivot with zero drop tolerance: %w", sparse.ErrSingular)
 	// ErrILUTNonFinite: a NaN or Inf in the row, or one produced by the
 	// elimination, which every threshold test would silently let through.
 	ErrILUTNonFinite = errors.New("non-finite entry or pivot")

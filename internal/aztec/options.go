@@ -72,8 +72,8 @@ const (
 const (
 	AZNormal    = iota // converged
 	AZMaxIts           // ran out of iterations
-	AZBreakdown        // Krylov breakdown, or a non-finite value met in preconditioner setup
-	AZIllCond          // preconditioner setup failed / unusable system
+	AZBreakdown        // Krylov breakdown, or a preconditioner setup failed on a non-singular matrix
+	AZIllCond          // preconditioner setup met a singular matrix (sparse.ErrSingular)
 )
 
 // DefaultOptions returns the AztecOO-style defaults: GMRES(30) with no

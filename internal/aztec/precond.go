@@ -80,13 +80,17 @@ type polyPrec struct {
 }
 
 func newPolyPrec(rm RowMatrix, name string, degree int, cheb bool) (*polyPrec, error) {
+	m := rm.RowMap()
 	inv, err := invDiagonal(rm, name)
+	if cheb {
+		// MaxEig below is collective.
+		err = pmat.Agree(m.Comm(), err)
+	}
 	if err != nil {
 		return nil, err
 	}
 	p := &polyPrec{name: name, rm: rm, invDiag: inv, degree: degree}
 	if cheb {
-		m := rm.RowMap()
 		p.emax = p.ws.MaxEig(pmat.NewReducer(m.Comm()), p, m.Layout())
 	}
 	return p, nil

@@ -9,6 +9,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/par"
 	"repro/internal/pmat"
+	"repro/internal/sparse"
 	"repro/internal/telemetry"
 )
 
@@ -135,7 +136,7 @@ func (s *Solver) Solve(x, b []float64) error {
 				return fmt.Errorf("aztec: AZRowSum scaling requires a RowMatrix")
 			}
 			scale, err := rowSumScale(s.rm)
-			if err != nil {
+			if err = pmat.Agree(s.c, err); err != nil {
 				return err
 			}
 			s.scale = scale
@@ -144,12 +145,13 @@ func (s *Solver) Solve(x, b []float64) error {
 		}
 		stopPC := s.rec.StartPhase(telemetry.PhasePrecond)
 		prec, err := s.buildPreconditioner()
+		err = pmat.Agree(s.c, err)
 		stopPC()
 		if err != nil {
 			s.prec = nil
-			s.status[AZWhy] = AZIllCond
-			if errors.Is(err, ErrILUTNonFinite) {
-				s.status[AZWhy] = AZBreakdown
+			s.status[AZWhy] = AZBreakdown
+			if errors.Is(err, sparse.ErrSingular) {
+				s.status[AZWhy] = AZIllCond
 			}
 			return err
 		}
@@ -228,7 +230,7 @@ func rowSumScale(rm RowMatrix) ([]float64, error) {
 			sum += math.Abs(v)
 		}
 		if sum == 0 {
-			return nil, fmt.Errorf("aztec: AZRowSum: row %d has zero sum", m.MinMyGID()+lr)
+			return nil, fmt.Errorf("aztec: AZRowSum: row %d has zero sum: %w", m.MinMyGID()+lr, sparse.ErrSingular)
 		}
 		scale[lr] = 1 / sum
 	}

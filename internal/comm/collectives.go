@@ -266,20 +266,6 @@ func (c *Comm) BcastInt(root int, x int) int {
 	return out
 }
 
-// BcastString broadcasts a string from root.
-func (c *Comm) BcastString(root int, s string) string {
-	c.checkPeer(root)
-	w := c.w
-	w.stats[c.rank].collectives.Add(1)
-	if c.rank == root {
-		w.slots[c.rank].s = s
-	}
-	c.Barrier()
-	out := w.slots[root].s
-	c.Barrier()
-	return out
-}
-
 // GatherVFloat64s gathers variable-length slices at root, concatenated in
 // rank order. Non-root ranks receive nil.
 func (c *Comm) GatherVFloat64s(root int, x []float64) []float64 {

@@ -92,14 +92,12 @@ func NewWorld(size int) (*World, error) {
 	return w, nil
 }
 
-// collSlot is one rank's typed posting slot for the collectives: scalar,
-// string and slice contributions are posted into the typed field, so
-// nothing is boxed. Padded so adjacent ranks' slots do not share a cache
-// line.
+// collSlot is one rank's typed posting slot for the collectives: scalar
+// and slice contributions are posted into the typed field, so nothing is
+// boxed. Padded so adjacent ranks' slots do not share a cache line.
 type collSlot struct {
 	f   float64
 	i   int
-	s   string
 	fs  []float64
 	is  []int
 	fss [][]float64

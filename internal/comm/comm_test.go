@@ -235,9 +235,6 @@ func TestBcast(t *testing.T) {
 		got[0] = float64(c.Rank())
 		c.Barrier()
 
-		if s := c.BcastString(0, map[bool]string{true: "hello", false: ""}[c.Rank() == 0]); s != "hello" {
-			t.Errorf("rank %d: bcast string %q", c.Rank(), s)
-		}
 		if v := c.BcastInt(3, (c.Rank()+1)*11); v != 44 {
 			t.Errorf("rank %d: bcast int %d, want 44", c.Rank(), v)
 		}

@@ -123,8 +123,7 @@ func (ac *AztecComponent) solveOne(x, b []float64) (int, float64, FailReason) {
 }
 
 // classifyAztecFailure normalizes aztec's status[AZWhy] termination
-// codes (and textual setup errors such as ILUT zero pivots) into a
-// FailReason.
+// codes (and set-up errors such as a zero row sum) into a FailReason.
 func classifyAztecFailure(s *aztec.Solver, err error) FailReason {
 	switch int(s.Status()[aztec.AZWhy]) {
 	case aztec.AZMaxIts:

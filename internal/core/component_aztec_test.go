@@ -9,7 +9,9 @@ import (
 	"repro/internal/aztec"
 	"repro/internal/comm"
 	"repro/internal/mesh"
+	"repro/internal/mg"
 	"repro/internal/pmat"
+	"repro/internal/sparse"
 )
 
 // TestTrilinosNonFiniteOperatorTypedFailure: a NaN or Inf operator entry
@@ -85,8 +87,11 @@ func TestClassifySolveErrorSentinels(t *testing.T) {
 		{fmt.Errorf("aztec: AZDomDecomp: %w", fmt.Errorf("row 3: %w", aztec.ErrILUTZeroRow)), FailSingular},
 		{fmt.Errorf("row 3: %w", aztec.ErrILUTZeroPivot), FailSingular},
 		{fmt.Errorf("row 3: %w", aztec.ErrILUTNonFinite), FailBreakdown},
-		{fmt.Errorf("slu: matrix is singular"), FailSingular},
-		{fmt.Errorf("something else"), FailBreakdown},
+		{fmt.Errorf("ksp: jacobi: %w at local row 0", sparse.ErrZeroDiagonal), FailSingular},
+		{fmt.Errorf("%w in 3 cycles", mg.ErrNoConvergence), FailMaxIterations},
+		{fmt.Errorf("%w at cycle 2", mg.ErrDiverged), FailDivergence},
+		// The text is not read: only a sentinel names a reason.
+		{fmt.Errorf("singular: zero pivot, no convergence in max cycles, diverged"), FailBreakdown},
 	} {
 		if got := classifySolveError(tc.err); got != tc.want {
 			t.Errorf("classifySolveError(%q) = %v, want %v", tc.err, got, tc.want)

@@ -162,8 +162,9 @@ func (mc *MGComponent) attach(staged) *pmat.Mat {
 	return mc.solver.FineOperator()
 }
 
-// solveOne runs V-cycles on one right-hand side. mg reports "diverged at
-// cycle N" or "no convergence in N cycles"; classifySolveError maps both.
+// solveOne runs V-cycles on one right-hand side. mg's ErrDiverged and
+// ErrNoConvergence are classifySolveError's divergence and max
+// iterations.
 func (mc *MGComponent) solveOne(x, b []float64) (int, float64, FailReason) {
 	err := mc.solver.Solve(b, x)
 	return mc.solver.Cycles(), mc.solver.ResidualNorm(), classifySolveError(err)

@@ -196,8 +196,9 @@ func TestSLUFailedRefreshRecovers(t *testing.T) {
 			singular.Vals[k] = 0
 		}
 	}
-	// Without equilibration the zero column reaches the pivot search and
-	// is typed singular (the equilibration check words it differently).
+	// Without equilibration the zero column reaches the replay's pivot
+	// search, the path this test follows; with it the zero-column check
+	// stops first, typed singular as well.
 	params := map[string]string{"equilibrate": "false"}
 	run(t, 1, func(c *comm.Comm) {
 		s := stagedSLU(t, c, a, b, params)

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"maps"
 	"math"
 	"sort"
 	"strings"
@@ -208,9 +210,7 @@ func TestDoorConformance(t *testing.T) {
 	// A zero diagonal is a property of the matrix, not of the method:
 	// every preconditioner that divides by the diagonal reports it as
 	// singular, whichever backend hosts it. Every row of swap2 has a
-	// zero diagonal, so every rank fails its set-up alone; the grid
-	// matrix mg gets has one, so the rank holding it and the rank that
-	// does not fail together.
+	// zero diagonal, so every rank meets it in its own block.
 	singular := func(t *testing.T, backend string, params map[string]string, a *sparse.CSR) {
 		_, b := manufactured(a)
 		for _, ranks := range []int{1, 2} {
@@ -231,16 +231,131 @@ func TestDoorConformance(t *testing.T) {
 			singular(t, row.backend, map[string]string{"preconditioner": row.pc}, zeroDiagonalSystem())
 		})
 	}
-	t.Run("mg/zero-diagonal", func(t *testing.T) {
-		a, _ := paperSystem(7)(t)
-		for k := a.RowPtr[0]; k < a.RowPtr[1]; k++ {
-			if a.ColInd[k] == 0 {
-				a.Vals[k] = 0
+
+	// A set-up failure on one rank is every rank's. The matrices below
+	// are paper grid 7 with one bad row or column k, the first of rank
+	// 0's block and then the first of the last rank's (the first, so
+	// that no elimination fills a zero pivot in before an incomplete
+	// factorization reaches it): the rank that meets it fails its set-up
+	// and the others do not, yet every rank reports the same reason from
+	// one run, and the session solves the grid after it.
+	paper7, _ := paperSystem(7)(t)
+	oneRank := func(t *testing.T, backend string, params map[string]string, spoil spoiler) {
+		p := map[string]string{"tol": "1e-10"}
+		maps.Copy(p, params)
+		xstar, b := manufactured(paper7)
+		for _, ranks := range []int{2, 3} {
+			for _, k := range []int{0, paper7.Rows - paper7.Rows/ranks} {
+				bad := spoil(paper7, k)
+				_, badB := manufactured(bad)
+				run(t, ranks, func(c *comm.Comm) {
+					s, l := openOn(t, c, backend, SessionOptions{Params: p}, bad, badB)
+					defer s.Close()
+					res, err := s.Solve(context.Background(), make([]float64, l.LocalN))
+					if err == nil || res.Converged || res.FailReason != FailSingular || res.Attempts != 1 {
+						t.Errorf("p=%d, bad row %d, rank %d: converged=%v fail=%v attempts=%d err=%v, want one run ending singular",
+							ranks, k, c.Rank(), res.Converged, res.FailReason, res.Attempts, err)
+					}
+					if err := s.usable(); err != nil {
+						t.Fatalf("p=%d, bad row %d, rank %d: session after a typed failure: %v", ranks, k, c.Rank(), err)
+					}
+					if err := s.Setup(l, paper7.SubMatrix(l.Start, l.Start+l.LocalN)); err != nil {
+						t.Fatal(err)
+					}
+					if err := s.SetupRHS(b[l.Start:l.Start+l.LocalN], 1); err != nil {
+						t.Fatal(err)
+					}
+					x := make([]float64, l.LocalN)
+					res, err = s.Solve(context.Background(), x)
+					checkConverged(t, fmt.Sprintf("bad row %d, then the grid", k), l, res, err, x, xstar)
+				})
 			}
 		}
-		singular(t, "mg", nil, a)
+	}
+	for _, row := range []struct {
+		name, backend string
+		params        map[string]string
+		spoil         spoiler
+	}{
+		{"mg/zero-diagonal", "mg", nil, zeroDiagonal},
+		{"trilinos/scaling=rowsum/zero-row", "trilinos", map[string]string{"scaling": "rowsum"}, zeroRow},
+		{"superlu/empty-column", "superlu", nil, emptyColumn},
+		{"superlu/zero-row", "superlu", nil, zeroRow},
+	} {
+		t.Run(row.name, func(t *testing.T) { oneRank(t, row.backend, row.params, row.spoil) })
+	}
+	for _, be := range []struct {
+		backend string
+		pcs     []string
+	}{
+		{"petsc", []string{"jacobi", "bjacobi", "ilu", "sor", "ssor"}},
+		{"trilinos", []string{"jacobi", "neumann", "ls", "symgs", "domdecomp", "ilut", "ilu"}},
+	} {
+		for _, pc := range be.pcs {
+			for _, d := range []struct {
+				name  string
+				spoil spoiler
+			}{{"zero-diagonal", zeroDiagonal}, {"missing-diagonal", missingDiagonal}} {
+				t.Run(be.backend+"/preconditioner="+pc+"/one-rank-"+d.name, func(t *testing.T) {
+					oneRank(t, be.backend, map[string]string{"preconditioner": pc}, d.spoil)
+				})
+			}
+		}
+	}
+}
+
+// TestSessionFailoverAgreesAcrossRanks: Session.Solve's failover walk is
+// SPMD because every rank reads the same FailReason. A preconditioner
+// set-up that fails on rank 0 alone must give rank 1 that reason too, so
+// that both ranks walk to the same replacement and solve there.
+func TestSessionFailoverAgreesAcrossRanks(t *testing.T) {
+	paper7, _ := paperSystem(7)(t)
+	a := zeroDiagonal(paper7, 0)
+	xstar, b := manufactured(a)
+	opts := SessionOptions{Params: map[string]string{"preconditioner": "jacobi"}, Failover: []string{"superlu"}}
+	run(t, 2, func(c *comm.Comm) {
+		s, l := openOn(t, c, "petsc", opts, a, b)
+		defer s.Close()
+		x := make([]float64, l.LocalN)
+		res, err := s.Solve(context.Background(), x)
+		if res.Backend != "superlu" || res.Attempts != 2 {
+			t.Errorf("rank %d: backend %q after %d attempts, want superlu after 2", c.Rank(), res.Backend, res.Attempts)
+		}
+		checkConverged(t, "petsc jacobi, failed over", l, res, err, x, xstar)
 	})
 }
+
+// A spoiler returns a copy of a whose row or column k fails a set-up.
+type spoiler func(a *sparse.CSR, k int) *sparse.CSR
+
+// spoilEntries returns the spoiler that zeroes, or with drop removes,
+// every entry (i, j) hit selects.
+func spoilEntries(hit func(i, j, k int) bool, drop bool) spoiler {
+	return func(a *sparse.CSR, k int) *sparse.CSR {
+		coo := sparse.NewCOO(a.Rows, a.Cols)
+		for i := 0; i < a.Rows; i++ {
+			cols, vals := a.RowView(i)
+			for q, j := range cols {
+				switch {
+				case !hit(i, j, k):
+					coo.Append(i, j, vals[q])
+				case !drop:
+					coo.Append(i, j, 0)
+				}
+			}
+		}
+		return coo.ToCSR()
+	}
+}
+
+func onDiagonal(i, j, k int) bool { return i == k && j == k }
+
+var (
+	zeroDiagonal    = spoilEntries(onDiagonal, false)
+	missingDiagonal = spoilEntries(onDiagonal, true)
+	zeroRow         = spoilEntries(func(i, _, k int) bool { return i == k }, false)
+	emptyColumn     = spoilEntries(func(_, j, k int) bool { return j == k }, true)
+)
 
 // zeroDiagonalSystem is two 2×2 swaps [0 1; 1 0] on the diagonal:
 // nonsingular, and no row has a diagonal entry.

@@ -3,9 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
-	"strings"
 
-	"repro/internal/aztec"
+	"repro/internal/mg"
 	"repro/internal/sparse"
 )
 
@@ -90,28 +89,19 @@ func failReasonFromStatus(status []float64) FailReason {
 	return r
 }
 
-// classifySolveError maps a native solver error onto a FailReason:
-// sentinel errors first, then the message for backends whose failure
-// vocabulary is textual (slu's singularity diagnostics, ILU zero pivots,
-// mg's cycle reports).
+// classifySolveError maps a native solver error onto a FailReason by
+// its sentinel: every singular matrix wraps sparse.ErrSingular, whatever
+// the backend, and mg's two cycle failures have their own. Anything else
+// is a breakdown.
 func classifySolveError(err error) FailReason {
-	if err == nil {
+	switch {
+	case err == nil:
 		return FailNone
-	}
-	switch {
-	case errors.Is(err, aztec.ErrILUTZeroRow), errors.Is(err, aztec.ErrILUTZeroPivot),
-		errors.Is(err, sparse.ErrZeroDiagonal):
+	case errors.Is(err, sparse.ErrSingular):
 		return FailSingular
-	case errors.Is(err, aztec.ErrILUTNonFinite):
-		return FailBreakdown
-	}
-	msg := err.Error()
-	switch {
-	case strings.Contains(msg, "singular"), strings.Contains(msg, "zero pivot"):
-		return FailSingular
-	case strings.Contains(msg, "no convergence"), strings.Contains(msg, "max"):
+	case errors.Is(err, mg.ErrNoConvergence):
 		return FailMaxIterations
-	case strings.Contains(msg, "diverged"):
+	case errors.Is(err, mg.ErrDiverged):
 		return FailDivergence
 	}
 	return FailBreakdown

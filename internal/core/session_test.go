@@ -500,8 +500,7 @@ func TestSessionFailedSolveReproduces(t *testing.T) {
 		{"trilinos/gmres+jacobi", "trilinos", map[string]string{"solver": "gmres", "preconditioner": "jacobi", "maxits": "3"}, paperSystem(20), FailMaxIterations},
 		{"trilinos/bicgstab+domdecomp", "trilinos", map[string]string{"solver": "bicgstab", "preconditioner": "domdecomp", "maxits": "3"}, paperSystem(20), FailMaxIterations},
 		{"mg/cycles=1", "mg", map[string]string{"cycles": "1"}, paperSystem(15), FailMaxIterations},
-		// Equilibration would stop first, at the zero column scale.
-		{"superlu/empty-column", "superlu", map[string]string{"equilibrate": "false"}, emptyColumnSystem, FailSingular},
+		{"superlu/empty-column", "superlu", nil, emptyColumnSystem, FailSingular},
 	}
 	for _, tc := range cases {
 		for _, p := range []int{1, 2} {

@@ -54,7 +54,7 @@ func NewILU0(a *sparse.CSR) (*ILU0, error) {
 		}
 		if diagPos[i] == -1 {
 			clearPos(pos, f, lo, hi)
-			return nil, fmt.Errorf("ksp: ILU0: row %d has no structural diagonal", i)
+			return nil, fmt.Errorf("ksp: ILU0: row %d: %w", i, sparse.ErrZeroDiagonal)
 		}
 		// Eliminate columns j < i present in row i.
 		for k := lo; k < hi; k++ {
@@ -65,7 +65,7 @@ func NewILU0(a *sparse.CSR) (*ILU0, error) {
 			piv := f.Vals[diagPos[j]]
 			if math.Abs(piv) < 1e-300 {
 				clearPos(pos, f, lo, hi)
-				return nil, fmt.Errorf("ksp: ILU0: zero pivot at row %d", j)
+				return nil, fmt.Errorf("ksp: ILU0: zero pivot at row %d: %w", j, sparse.ErrSingular)
 			}
 			lij := f.Vals[k] / piv
 			f.Vals[k] = lij
@@ -78,7 +78,7 @@ func NewILU0(a *sparse.CSR) (*ILU0, error) {
 		}
 		if math.Abs(f.Vals[diagPos[i]]) < 1e-300 {
 			clearPos(pos, f, lo, hi)
-			return nil, fmt.Errorf("ksp: ILU0: zero pivot at row %d", i)
+			return nil, fmt.Errorf("ksp: ILU0: zero pivot at row %d: %w", i, sparse.ErrSingular)
 		}
 		clearPos(pos, f, lo, hi)
 	}

@@ -224,10 +224,12 @@ func (k *KSP) Solve(b, x []float64) error {
 	k.its, k.rnorm, k.reason = 0, 0, DivergedNull
 	// Set up the preconditioner only when the (operator, PC) pair
 	// changed. Operator identity is by pointer: Mat values are fixed at
-	// construction, so a changed system always arrives as a new Mat.
+	// construction, so a changed system always arrives as a new Mat. A
+	// set-up is local, so every rank agrees on its outcome before the
+	// Krylov loop's first collective.
 	if k.pcFor != k.a || k.pcObj != k.pc {
 		stopPC := k.rec.StartPhase(telemetry.PhasePrecond)
-		err := k.pc.SetUp(k.a)
+		err := pmat.Agree(k.a.Layout().Comm(), k.pc.SetUp(k.a))
 		stopPC()
 		if err != nil {
 			return err

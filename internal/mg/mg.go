@@ -149,6 +149,13 @@ func (s *Solver) SetRecorder(r *telemetry.Recorder) { s.rec = r }
 // full-weighting and bilinear transfers assume that grid.
 var ErrGrid = errors.New("mg: operator is not an odd square grid")
 
+// The two ways Solve's cycling fails: the residual became non-finite,
+// or MaxCycles ran out above the tolerance.
+var (
+	ErrDiverged      = errors.New("mg: diverged")
+	ErrNoConvergence = errors.New("mg: no convergence")
+)
+
 // New builds the hierarchy on a, the fine operator (collective). The
 // grid side is n = √(global rows); every coarser operator is the
 // Galerkin product R·A·P of the level above.
@@ -354,10 +361,10 @@ func (s *Solver) Solve(b, x []float64) error {
 			return nil
 		}
 		if math.IsNaN(res) || math.IsInf(res, 0) {
-			return fmt.Errorf("mg: diverged at cycle %d", cycle)
+			return fmt.Errorf("%w at cycle %d", ErrDiverged, cycle)
 		}
 	}
-	return fmt.Errorf("mg: no convergence in %d cycles (relative residual %.3e)", s.opts.MaxCycles, s.rnorm/bnorm)
+	return fmt.Errorf("%w in %d cycles (relative residual %.3e)", ErrNoConvergence, s.opts.MaxCycles, s.rnorm/bnorm)
 }
 
 // smooth performs sweeps of damped Jacobi: x ← x + ω·D⁻¹(b − A·x). The

@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -496,6 +497,71 @@ func TestServiceSetupFailureIsTyped(t *testing.T) {
 		if st := svc.Stats(); st.Sessions != 0 {
 			t.Fatalf("%v: failed session left in pool: %d", params, st.Sessions)
 		}
+	}
+}
+
+// TestServiceOneRankSetUpFailureIsTyped: a preconditioner set-up that
+// fails on one rank of a pooled two-rank entry is a typed reply on every
+// rank, not a rank left waiting: a 200 naming the reason, without a
+// solve deadline to end it, and the entry stays pooled and answers the
+// same request the same way.
+func TestServiceOneRankSetUpFailureIsTyped(t *testing.T) {
+	a, _, err := mesh.PaperProblem(7).GenerateGlobal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a = a.Clone()
+	for k := a.RowPtr[0]; k < a.RowPtr[1]; k++ {
+		if a.ColInd[k] == 0 {
+			a.Vals[k] = 0 // rank 0's block only
+		}
+	}
+	svc := newTestService(t, service.Config{})
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	req := &service.SolveRequest{
+		Tenant:  "acme",
+		Backend: "petsc",
+		Params:  gmresParams(),
+		Procs:   2,
+		Operator: service.OperatorRef{
+			ID: "zero-diagonal", Version: 1,
+			Matrix: &service.MatrixPayload{N: a.Rows, RowPtr: a.RowPtr, ColInd: a.ColInd, Vals: a.Vals},
+		},
+	}
+	raw, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var replies [2]service.SolveResponse
+	for i := range replies {
+		hr, err := http.Post(ts.URL+"/v1/solve", "application/json", bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body bytes.Buffer
+		_, err = body.ReadFrom(hr.Body)
+		hr.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hr.StatusCode != 200 {
+			t.Fatalf("request %d: status %d: %s", i, hr.StatusCode, body.Bytes())
+		}
+		r := &replies[i]
+		if err := json.Unmarshal(body.Bytes(), r); err != nil {
+			t.Fatal(err)
+		}
+		if r.FailReason != "singular" || r.Converged || r.Attempts != 1 || r.SessionReused != (i == 1) {
+			t.Fatalf("request %d: %+v, want one run ending singular, reused only the second time", i, *r)
+		}
+		r.SessionReused, r.SolveWallS = false, 0
+	}
+	if !reflect.DeepEqual(replies[1], replies[0]) {
+		t.Errorf("repeat reply %+v, want %+v", replies[1], replies[0])
+	}
+	if st := svc.Stats(); st.Counters["sessions_poisoned"] != 0 || st.Sessions != 1 {
+		t.Errorf("sessions_poisoned = %d, pooled sessions = %d, want 0 and 1", st.Counters["sessions_poisoned"], st.Sessions)
 	}
 }
 

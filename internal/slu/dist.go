@@ -1,6 +1,7 @@
 package slu
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -111,18 +112,15 @@ func (d *DistSolver) Refactor(m *pmat.Mat, opts Options) error {
 	// assembly cost is dominated by the factorization, and the gather is
 	// itself the collective every rank must join.
 	global := m.GatherGlobal()
-	errText := ""
+	var err error
 	if c.Rank() == 0 {
 		// Whether the analysis is reused is decided here, on rank 0 alone,
 		// and nothing below depends on it: both outcomes run the same
-		// broadcasts, so the ranks cannot diverge over it.
-		if err := d.refactorRoot(global, opts); err != nil {
-			errText = err.Error()
-		}
+		// collectives, so the ranks cannot diverge over it.
+		err = d.refactorRoot(global, opts)
 	}
-	errText = c.BcastString(0, errText)
-	if errText != "" {
-		return fmt.Errorf("slu: distributed factorization failed: %s", errText)
+	if err = pmat.Agree(c, err); err != nil {
+		return err
 	}
 	d.nnz = c.BcastInt(0, d.nnz)
 	return nil
@@ -198,17 +196,25 @@ func (d *DistSolver) Solve(bLocal []float64) ([]float64, error) {
 	return x, nil
 }
 
+// The failures of a root solve: rank 0's without a factor, and every
+// other rank's when rank 0's solve failed.
+var (
+	errNoFactor  = errors.New("slu: no factorization: the last Refactor failed")
+	errRootSolve = errors.New("slu: the solve on rank 0 failed")
+)
+
 // rootSolveInto gathers the rhs at rank 0, solves (with optional
 // refinement steps), and scatters the solution into the caller-provided
 // xLocal (collective). Returns the refinement residual ∞-norm. Repeated
 // calls reuse the gathered-vector buffers and fuse the error flag and
-// residual into one broadcast, so the steady state does not allocate; the
-// error text itself is only exchanged on failure.
+// residual into one broadcast, so the steady state does not allocate. A
+// failure is only a flag to the other ranks: rank 0 returns its own
+// error, the others errRootSolve.
 func (d *DistSolver) rootSolveInto(xLocal, bLocal []float64, steps int) (float64, error) {
 	l := d.layout
 	c := l.Comm()
 	d.bGlobal = pmat.GatherInto(l, 0, d.bGlobal, bLocal)
-	errText := ""
+	err := errRootSolve
 	d.stat[0], d.stat[1] = 0, 0
 	if c.Rank() == 0 {
 		if len(d.xGlobal) != l.N {
@@ -221,27 +227,20 @@ func (d *DistSolver) rootSolveInto(xLocal, bLocal []float64, steps int) (float64
 		}
 		stop := d.rec.StartPhase(telemetry.PhaseIterate)
 		if d.f == nil {
-			errText = "no factorization: the last Refactor failed"
-		} else if err := d.f.SolveInto(d.xGlobal, d.bGlobal); err != nil {
-			errText = err.Error()
-		} else if steps > 0 {
+			err = errNoFactor
+		} else if err = d.f.SolveInto(d.xGlobal, d.bGlobal); err == nil && steps > 0 {
 			d.rec.Add("slu.refine_steps", int64(steps))
-			res, err := d.f.Refine(d.global, d.bGlobal, d.xGlobal, steps)
-			if err != nil {
-				errText = err.Error()
-			}
-			d.stat[1] = res
+			d.stat[1], err = d.f.Refine(d.global, d.bGlobal, d.xGlobal, steps)
 		}
 		stop()
 		d.rec.Add("slu.root_solves", 1)
-		if errText != "" {
+		if err != nil {
 			d.stat[0] = 1
 		}
 	}
 	c.BcastFloat64sInto(0, d.stat[:])
 	if d.stat[0] != 0 {
-		errText = c.BcastString(0, errText)
-		return 0, fmt.Errorf("slu: %s", errText)
+		return 0, err
 	}
 	c.ScatterVFloat64sInto(0, d.parts, xLocal)
 	return d.stat[1], nil

@@ -192,7 +192,7 @@ func (s *Symbolic) fullPass(f *LU, threshold float64) error {
 		col := q[k]
 		b0, b1 := colPtr[col], colPtr[col+1]
 		if b0 == b1 {
-			return fmt.Errorf("slu: structurally singular: column %d is empty", col)
+			return fmt.Errorf("slu: column %d is empty: %w", col, sparse.ErrSingular)
 		}
 
 		// ---- Symbolic: reach of the column pattern through L ----
@@ -274,7 +274,7 @@ func (s *Symbolic) fullPass(f *LU, threshold float64) error {
 			}
 		}
 		if pivRow < 0 || maxAbs == 0 {
-			return fmt.Errorf("slu: matrix is singular at column %d (no usable pivot)", k)
+			return fmt.Errorf("slu: no usable pivot at column %d: %w", k, sparse.ErrSingular)
 		}
 		if diagRow >= 0 && math.Abs(x[diagRow]) >= threshold*maxAbs {
 			pivRow = diagRow // prefer the diagonal under the threshold rule

@@ -128,7 +128,7 @@ func (s *Symbolic) scatter(f *LU, a *sparse.CSR, equilibrate bool) error {
 				}
 			}
 			if m == 0 {
-				return fmt.Errorf("slu: equilibrate: row %d is entirely zero", i)
+				return fmt.Errorf("slu: equilibrate: row %d is entirely zero: %w", i, sparse.ErrSingular)
 			}
 			dr[i] = 1 / m
 			for k := lo; k < hi; k++ {
@@ -141,7 +141,7 @@ func (s *Symbolic) scatter(f *LU, a *sparse.CSR, equilibrate bool) error {
 		}
 		for j := 0; j < n; j++ {
 			if colMax[j] == 0 {
-				return fmt.Errorf("slu: equilibrate: column %d is entirely zero", j)
+				return fmt.Errorf("slu: equilibrate: column %d is entirely zero: %w", j, sparse.ErrSingular)
 			}
 			dc[j] = 1 / colMax[j]
 			for p := s.colPtr[j]; p < s.colPtr[j+1]; p++ {

@@ -19,10 +19,15 @@ import (
 	"math"
 )
 
+// ErrSingular is wrapped by every set-up that meets a matrix it cannot
+// invert: a zero pivot, an empty row or column, a zero row sum, a zero
+// or absent diagonal entry. It is a property of the matrix, so callers
+// classify it as singular whatever the method.
+var ErrSingular = errors.New("singular matrix")
+
 // ErrZeroDiagonal is wrapped by every preconditioner set-up that
-// divides by a diagonal entry which is zero or absent: a property of
-// the matrix, so callers classify it as singular whatever the method.
-var ErrZeroDiagonal = errors.New("zero diagonal")
+// divides by a diagonal entry which is zero or absent.
+var ErrZeroDiagonal = fmt.Errorf("zero diagonal: %w", ErrSingular)
 
 // Format names the storage scheme a ParSpMV kernel is bound to (the
 // sparse.format telemetry label).
