@@ -27,6 +27,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
 	"sort"
@@ -220,8 +221,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return // world is poisoned; no residual/gather possible
 		}
 		if err != nil {
-			world.AbortCause(err)
-			return
+			if res.FailReason == core.FailNone {
+				world.AbortCause(err)
+			}
+			return // a typed failure: every rank has the same outcome
 		}
 
 		m, err := pmat.NewMat(l, localA)
@@ -263,6 +266,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 	backend := *solver
 	if result.Backend != "" {
 		backend = result.Backend
+	}
+	if result.FailReason != core.FailNone {
+		fmt.Fprintf(stderr, "lisi-solve: solve failed: %s after %d iterations with %s (residual %.3e)\n",
+			result.FailReason, result.Iterations, backend, result.Residual)
+		if *telemetryOut != "" && report != nil {
+			if !math.IsNaN(result.Residual) && !math.IsInf(result.Residual, 0) {
+				report.FinalResidual = result.Residual
+			}
+			if err := writeReport(*telemetryOut, report, stderr); err != nil {
+				fmt.Fprintln(stderr, "lisi-solve:", err)
+			}
+		}
+		return 1
 	}
 	fmt.Fprintf(stdout, "solved %dx%d system (nnz=%d) with %s on %d ranks: iterations=%d residual=%.3e\n",
 		n, n, a.NNZ(), backend, *procs, result.Iterations, result.Residual)

@@ -19,6 +19,7 @@ func TestExitCodes(t *testing.T) {
 	if err := os.WriteFile(nan, []byte(mm), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	report := filepath.Join(t.TempDir(), "t.json")
 	for _, tc := range []struct {
 		name   string
 		args   []string
@@ -29,6 +30,8 @@ func TestExitCodes(t *testing.T) {
 		{"solved", []string{"-matrix", lap49}, 0, "solved 49x49 system", ""},
 		{"non-finite entry", []string{"-matrix", nan}, 1, "", "non-finite entry"},
 		{"rank fails", []string{"-matrix", lap49, "-set", "preconditioner=bogus"}, 1, "", "preconditioner=bogus"},
+		{"typed failure", []string{"-matrix", "../../testdata/corpus/dd40_gen.mtx", "-set", "maxits=2", "-set", "tol=1e-12",
+			"-telemetry", report}, 1, "", "solve failed: max_iterations"},
 		{"missing -matrix", nil, 2, "", "-matrix is required"},
 		{"unknown -solver", []string{"-matrix", lap49, "-solver", "nosuch"}, 2, "", `unknown solver "nosuch"`},
 		{"unknown flag", []string{"-nosuch"}, 2, "", "flag provided but not defined: -nosuch"},
@@ -50,5 +53,9 @@ func TestExitCodes(t *testing.T) {
 				t.Errorf("stderr lacks %q:\n%s", tc.stderr, &stderr)
 			}
 		})
+	}
+	// The typed failure still writes its -telemetry report.
+	if _, err := os.Stat(report); err != nil {
+		t.Errorf("typed failure wrote no telemetry report: %v", err)
 	}
 }

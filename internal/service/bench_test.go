@@ -11,10 +11,13 @@ import (
 // admission, quota accounting, pool lookup, dispatch, solve, reply —
 // against a warm pooled session. This is the gate proving the service
 // layer keeps pooled repeat solves on the session's zero-allocation
-// steady-state path: scripts/benchguard.sh pins both ns/op and
-// allocs/op. The request uses an uncancellable context and no solve
-// timeout (the session's background-context fast path); HTTP callers
-// pay a small extra per-request cost for context binding and JSON.
+// steady-state path: scripts/benchguard.sh pins its allocs/op. The
+// request uses an uncancellable context and no solve timeout (the
+// session's background-context fast path). HTTP callers pay for context
+// binding and JSON on top, and that is not small: on service-mixed's
+// pooled superlu requests the wire path was ≈ 90 % of a request before
+// the one-pass reader and compact writer (BenchmarkServiceWire,
+// docs/PERFORMANCE.md "Service wire path").
 func BenchmarkServiceSolveReuse(b *testing.B) {
 	for _, tc := range []struct {
 		name    string

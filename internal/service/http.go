@@ -5,6 +5,7 @@ import (
 	"errors"
 	"expvar"
 	"net/http"
+	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/telemetry"
@@ -36,17 +37,26 @@ func (s *Service) Handler() http.Handler {
 }
 
 func (s *Service) handleSolve(w http.ResponseWriter, r *http.Request) {
-	req := &SolveRequest{}
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(req); err != nil {
+	buf := bodyBufs.Get().(*[]byte)
+	defer func() {
+		if cap(*buf) <= maxPooledBody {
+			bodyBufs.Put(buf)
+		}
+	}()
+	body, err := readBody((*buf)[:0], http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), r.ContentLength)
+	*buf = body
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeError(w, errf(CodeBadRequest, http.StatusRequestEntityTooLarge, false,
 				"request body exceeds %d bytes", tooBig.Limit))
 			return
 		}
+		writeError(w, errf(CodeBadRequest, 400, false, "reading request: %v", err))
+		return
+	}
+	req := &SolveRequest{}
+	if err := decodeRequest(body, req); err != nil {
 		writeError(w, errf(CodeBadRequest, 400, false, "decoding request: %v", err))
 		return
 	}
@@ -58,7 +68,13 @@ func (s *Service) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, serr)
 		return
 	}
-	writeJSON(w, 200, resp)
+	// No slice of req aliases body, so the reply can take its place.
+	*buf = appendResponse(body[:0], resp)
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(*buf)))
+	w.WriteHeader(200)
+	_, _ = w.Write(*buf) // a failed write means the client has gone
 }
 
 func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -80,9 +96,7 @@ func handleBackends(w http.ResponseWriter, r *http.Request) {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 func writeError(w http.ResponseWriter, e *Error) {

@@ -672,6 +672,152 @@ func TestServiceHTTP(t *testing.T) {
 	}
 }
 
+// TestServiceHTTPBreakdownReply: a solve that breaks down on overflow
+// leaves a NaN residual and solution. The 200 still carries a body that
+// decodes, with each non-finite value as null, and names the failure.
+func TestServiceHTTPBreakdownReply(t *testing.T) {
+	svc := newTestService(t, service.Config{})
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	const n = 4
+	m := &service.MatrixPayload{N: n}
+	for i := 0; i <= n; i++ {
+		m.RowPtr = append(m.RowPtr, i*n)
+	}
+	for i := 0; i < n*n; i++ {
+		m.ColInd = append(m.ColInd, i%n)
+		m.Vals = append(m.Vals, 1.7e308)
+	}
+	for _, solver := range []string{"gmres", "cg"} {
+		for _, telemetry := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/telemetry=%v", solver, telemetry), func(t *testing.T) {
+				req := &service.SolveRequest{
+					Tenant: "wire", Backend: "petsc", ReturnSolution: true, Telemetry: telemetry,
+					Params:   map[string]string{"solver": solver, "preconditioner": "none"},
+					Operator: service.OperatorRef{ID: "overflow-" + solver, Version: 1, Matrix: m},
+				}
+				raw, err := json.Marshal(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				hr, err := http.Post(ts.URL+"/v1/solve", "application/json", bytes.NewReader(raw))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var body bytes.Buffer
+				_, err = body.ReadFrom(hr.Body)
+				hr.Body.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if hr.StatusCode != 200 || hr.ContentLength != int64(body.Len()) {
+					t.Fatalf("status %d, Content-Length %d for %d bytes: %s", hr.StatusCode, hr.ContentLength, body.Len(), &body)
+				}
+				var sr service.SolveResponse
+				if err := json.Unmarshal(body.Bytes(), &sr); err != nil {
+					t.Fatalf("reply does not decode: %v\n%s", err, &body)
+				}
+				if sr.FailReason != "breakdown" || sr.Converged || len(sr.Solution) != n {
+					t.Fatalf("fail_reason %q, converged %v, %d solution values, want breakdown, false, %d:\n%s",
+						sr.FailReason, sr.Converged, len(sr.Solution), n, &body)
+				}
+				if !bytes.Contains(body.Bytes(), []byte(`"residual":null`)) {
+					t.Errorf("the NaN residual is not null:\n%s", &body)
+				}
+				if telemetry && (sr.Report == nil || sr.Report.Converged) {
+					t.Errorf("telemetry report %+v, want one of an unconverged solve", sr.Report)
+				}
+			})
+		}
+	}
+}
+
+// TestServiceHTTPBodyTooLarge: a body past MaxBodyBytes is a 413 with
+// a bad_request error body.
+func TestServiceHTTPBodyTooLarge(t *testing.T) {
+	svc := newTestService(t, service.Config{MaxBodyBytes: 1 << 10})
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	req := gridReq("wire", 8)
+	req.RHS = make([]float64, 1<<10)
+	raw, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hr, err := http.Post(ts.URL+"/v1/solve", "application/json", bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hr.Body.Close()
+	var wire struct {
+		Error service.Error `json:"error"`
+	}
+	if err := json.NewDecoder(hr.Body).Decode(&wire); err != nil {
+		t.Fatal(err)
+	}
+	if hr.StatusCode != http.StatusRequestEntityTooLarge || wire.Error.Code != service.CodeBadRequest {
+		t.Fatalf("status %d, code %q, want 413 %s", hr.StatusCode, wire.Error.Code, service.CodeBadRequest)
+	}
+}
+
+// TestServiceHTTPConcurrentReplies: concurrent requests each read and
+// write their own body buffer. Client k sends k·b for a power of two k,
+// so an exact superlu reply is k·x bit for bit; a buffer shared between
+// two requests would show as another client's solution.
+func TestServiceHTTPConcurrentReplies(t *testing.T) {
+	svc := newTestService(t, service.Config{})
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	const gridN, clients, rounds = 6, 4, 8
+	n := gridN * gridN
+	post := func(scale float64) ([]float64, error) {
+		rhs := make([]float64, n)
+		for i := range rhs {
+			rhs[i] = scale * float64(1+i%5)
+		}
+		raw, err := json.Marshal(&service.SolveRequest{Tenant: "wire", Backend: "superlu", ReturnSolution: true,
+			Operator: service.OperatorRef{ID: "grid", Version: 1, GridN: gridN}, RHS: rhs})
+		if err != nil {
+			return nil, err
+		}
+		hr, err := http.Post(ts.URL+"/v1/solve", "application/json", bytes.NewReader(raw))
+		if err != nil {
+			return nil, err
+		}
+		defer hr.Body.Close()
+		var sr service.SolveResponse
+		if err := json.NewDecoder(hr.Body).Decode(&sr); err != nil {
+			return nil, err
+		}
+		return sr.Solution, nil
+	}
+	base, err := post(1)
+	if err != nil || len(base) != n {
+		t.Fatalf("base solve: %d values, %v", len(base), err)
+	}
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(scale float64) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				x, err := post(scale)
+				if err != nil || len(x) != n {
+					t.Errorf("scale %g: %d values, %v", scale, len(x), err)
+					return
+				}
+				for i := range base {
+					if x[i] != scale*base[i] {
+						t.Errorf("scale %g: x[%d] = %g, want %g", scale, i, x[i], scale*base[i])
+						return
+					}
+				}
+			}
+		}(float64(int(1) << c))
+	}
+	wg.Wait()
+}
+
 func TestServiceErrorString(t *testing.T) {
 	svc := newTestService(t, service.Config{})
 	var resp service.SolveResponse
