@@ -108,7 +108,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzSplitMatchesCOO$$' -fuzztime=$(FUZZTIME) ./internal/pmat
 	for t in FuzzDoorMatchesCOO FuzzParamSet; do \
 		$(GO) test -run='^$$' -fuzz="^$$t\$$" -fuzztime=$(FUZZTIME) ./internal/core || exit 1; done
-	for t in FuzzLevels FuzzGaussSeidelMatchesReference; do \
+	for t in FuzzLevels FuzzGaussSeidelMatchesReference FuzzFusedKernelsMatchUnfused; do \
 		$(GO) test -run='^$$' -fuzz="^$$t\$$" -fuzztime=$(FUZZTIME) ./internal/par || exit 1; done
 	for t in FuzzMinDegreeMatchesReference FuzzStaticRefactorMatchesFresh; do \
 		$(GO) test -run='^$$' -fuzz="^$$t\$$" -fuzztime=$(FUZZTIME) ./internal/slu || exit 1; done

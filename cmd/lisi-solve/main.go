@@ -27,7 +27,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"os/signal"
 	"sort"
@@ -271,9 +270,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "lisi-solve: solve failed: %s after %d iterations with %s (residual %.3e)\n",
 			result.FailReason, result.Iterations, backend, result.Residual)
 		if *telemetryOut != "" && report != nil {
-			if !math.IsNaN(result.Residual) && !math.IsInf(result.Residual, 0) {
-				report.FinalResidual = result.Residual
-			}
+			report.FinalResidual = result.Residual // a breakdown's NaN is written as null
 			if err := writeReport(*telemetryOut, report, stderr); err != nil {
 				fmt.Fprintln(stderr, "lisi-solve:", err)
 			}

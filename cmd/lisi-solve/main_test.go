@@ -2,10 +2,14 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/telemetry"
 )
 
 // TestExitCodes pins lisi-solve's contract: 0 solved, 1 a failure (a
@@ -20,6 +24,19 @@ func TestExitCodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	report := filepath.Join(t.TempDir(), "t.json")
+	// Every entry 1.7e308: the first Arnoldi step overflows, and the
+	// breakdown's report holds a NaN residual.
+	huge := filepath.Join(t.TempDir(), "huge.mtx")
+	mm = "%%MatrixMarket matrix coordinate real general\n4 4 16\n"
+	for i := 1; i <= 4; i++ {
+		for j := 1; j <= 4; j++ {
+			mm += fmt.Sprintf("%d %d 1.7e308\n", i, j)
+		}
+	}
+	if err := os.WriteFile(huge, []byte(mm), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	hugeReport := filepath.Join(t.TempDir(), "huge.json")
 	for _, tc := range []struct {
 		name   string
 		args   []string
@@ -32,6 +49,8 @@ func TestExitCodes(t *testing.T) {
 		{"rank fails", []string{"-matrix", lap49, "-set", "preconditioner=bogus"}, 1, "", "preconditioner=bogus"},
 		{"typed failure", []string{"-matrix", "../../testdata/corpus/dd40_gen.mtx", "-set", "maxits=2", "-set", "tol=1e-12",
 			"-telemetry", report}, 1, "", "solve failed: max_iterations"},
+		{"breakdown", []string{"-matrix", huge, "-set", "preconditioner=none", "-set", "solver=gmres", "-procs", "1",
+			"-telemetry", hugeReport}, 1, "", "solve failed: breakdown"},
 		{"missing -matrix", nil, 2, "", "-matrix is required"},
 		{"unknown -solver", []string{"-matrix", lap49, "-solver", "nosuch"}, 2, "", `unknown solver "nosuch"`},
 		{"unknown flag", []string{"-nosuch"}, 2, "", "flag provided but not defined: -nosuch"},
@@ -57,5 +76,14 @@ func TestExitCodes(t *testing.T) {
 	// The typed failure still writes its -telemetry report.
 	if _, err := os.Stat(report); err != nil {
 		t.Errorf("typed failure wrote no telemetry report: %v", err)
+	}
+	// The breakdown's report is whole: its NaN residual is a null.
+	var rep telemetry.SolveReport
+	if b, err := os.ReadFile(hugeReport); err != nil {
+		t.Errorf("breakdown wrote no telemetry report: %v", err)
+	} else if err := json.Unmarshal(b, &rep); err != nil {
+		t.Errorf("breakdown's telemetry report does not decode: %v\n%s", err, b)
+	} else if rep.Schema != telemetry.SchemaSolveReport || len(rep.ResidualTrace) != 2 {
+		t.Errorf("breakdown's telemetry report is not whole:\n%s", b)
 	}
 }

@@ -21,30 +21,53 @@ func ReduceSlots(n int) int {
 	return (n + reduceBlock - 1) / reduceBlock
 }
 
-// dotTask computes one partial dot product per slot cell.
+// slotBounds returns slot s's block [start, end) of a length-n vector.
+func slotBounds(s, n int) (start, end int) {
+	start = s * reduceBlock
+	return start, min(start+reduceBlock, n)
+}
+
+// dotTask computes one partial dot product a·b per slot cell; with x
+// set, each block first takes a += alpha·x in the same pass (AxpyDot).
 type dotTask struct {
-	a, b []float64
-	out  []float64
+	alpha   float64
+	x, a, b []float64
+	out     []float64
 }
 
 func (t *dotTask) Range(_, lo, hi int) {
 	for s := lo; s < hi; s++ {
-		start := s * reduceBlock
-		end := start + reduceBlock
-		if end > len(t.a) {
-			end = len(t.a)
-		}
-		t.out[s] = plainDot(t.a[start:end], t.b[start:end])
+		start, end := slotBounds(s, len(t.a))
+		t.out[s] = serialDot(t.alpha, t.x, t.a[start:end], t.b[start:end], start)
 	}
+}
+
+// serialDot is a·b, or with x set AxpyDot's a += alpha·x followed by
+// a·b over one block; x is indexed from off, the block's start.
+func serialDot(alpha float64, x, a, b []float64, off int) float64 {
+	if x == nil {
+		return plainDot(a, b)
+	}
+	return plainAxpyDot(alpha, x[off:off+len(a)], a, b)
 }
 
 // Dot returns a·b with the fixed-slot layout: each slot's partial is a
 // plain left-to-right sum over its block, and the slots fold in
 // ascending order. A nil pool (or a single-slot vector) degenerates to
 // the serial sum, bit-identical to sparse.Dot.
-func (p *Pool) Dot(a, b []float64) float64 {
+func (p *Pool) Dot(a, b []float64) float64 { return p.dotSlots(0, nil, a, b) }
+
+// AxpyDot computes y += alpha·x and returns the updated y·z in one
+// dispatch: each slot updates its block and then forms that block's
+// partial, so the result is bitwise sparse.Axpy followed by Dot, for
+// every worker count. A nil pool is bit-identical to sparse.AxpyDot.
+func (p *Pool) AxpyDot(alpha float64, x, y, z []float64) float64 {
+	return p.dotSlots(alpha, x[:len(y)], y, z)
+}
+
+func (p *Pool) dotSlots(alpha float64, x, a, b []float64) float64 {
 	if p == nil {
-		return plainDot(a, b)
+		return serialDot(alpha, x, a, b, 0)
 	}
 	s := ReduceSlots(len(a))
 	if s == 0 {
@@ -52,13 +75,13 @@ func (p *Pool) Dot(a, b []float64) float64 {
 	}
 	if s == 1 {
 		p.inline++
-		return plainDot(a, b)
+		return serialDot(alpha, x, a, b, 0)
 	}
 	parts := p.reserve(s)
 	t := &p.dot
-	t.a, t.b, t.out = a, b, parts
+	t.alpha, t.x, t.a, t.b, t.out = alpha, x, a, b, parts
 	p.Run(s, t)
-	t.a, t.b, t.out = nil, nil, nil
+	t.x, t.a, t.b, t.out = nil, nil, nil, nil
 	sum := parts[0]
 	for _, v := range parts[1:s] {
 		sum += v
@@ -76,45 +99,77 @@ func plainDot(a, b []float64) float64 {
 	return s
 }
 
-// normTask computes one (scale, ssq) pair per slot, interleaved in out.
+// plainAxpyDot mirrors sparse.AxpyDot: y += alpha·x, then y·z, per
+// element in one pass.
+func plainAxpyDot(alpha float64, x, y, z []float64) float64 {
+	y, z = y[:len(x)], z[:len(x)]
+	s := 0.0
+	for i, v := range x {
+		yi := y[i] + alpha*v
+		y[i] = yi
+		s += yi * z[i]
+	}
+	return s
+}
+
+// normTask computes one (scale, ssq) pair per slot, interleaved in out;
+// with x set, each block first takes y += alpha·x in the same pass
+// (AxpyNorm2).
 type normTask struct {
-	x   []float64
-	out []float64
+	alpha float64
+	x, y  []float64
+	out   []float64
 }
 
 func (t *normTask) Range(_, lo, hi int) {
 	for s := lo; s < hi; s++ {
-		start := s * reduceBlock
-		end := start + reduceBlock
-		if end > len(t.x) {
-			end = len(t.x)
-		}
-		scale, ssq := scaledSSQ(t.x[start:end])
-		t.out[2*s], t.out[2*s+1] = scale, ssq
+		start, end := slotBounds(s, len(t.y))
+		t.out[2*s], t.out[2*s+1] = serialSSQ(t.alpha, t.x, t.y[start:end], start)
 	}
+}
+
+// serialSSQ is scaledSSQ(y), or with x set AxpyNorm2's y += alpha·x
+// followed by scaledSSQ(y) over one block; x is indexed from off.
+func serialSSQ(alpha float64, x, y []float64, off int) (scale, ssq float64) {
+	if x == nil {
+		return scaledSSQ(y)
+	}
+	return axpySSQ(alpha, x[off:off+len(y)], y)
 }
 
 // Norm2 returns the overflow-guarded Euclidean norm with the fixed-slot
 // layout: each slot runs the serial scale/ssq recurrence over its
 // block, and the per-slot pairs combine in ascending slot order. A nil
 // pool (or a single-slot vector) is bit-identical to sparse.Norm2.
-func (p *Pool) Norm2(x []float64) float64 {
+func (p *Pool) Norm2(x []float64) float64 { return p.normSlots(0, nil, x) }
+
+// AxpyNorm2 computes y += alpha·x and returns the updated ‖y‖₂ in one
+// dispatch, each slot updating its block before its scale/ssq pair:
+// bitwise sparse.Axpy followed by Norm2, for every worker count. A nil
+// pool is bit-identical to sparse.AxpyNorm2.
+func (p *Pool) AxpyNorm2(alpha float64, x, y []float64) float64 {
+	return p.normSlots(alpha, x[:len(y)], y)
+}
+
+func (p *Pool) normSlots(alpha float64, x, y []float64) float64 {
 	if p == nil {
-		return plainNorm2(x)
+		scale, ssq := serialSSQ(alpha, x, y, 0)
+		return scale * math.Sqrt(ssq)
 	}
-	s := ReduceSlots(len(x))
+	s := ReduceSlots(len(y))
 	if s == 0 {
 		return 0
 	}
 	if s == 1 {
 		p.inline++
-		return plainNorm2(x)
+		scale, ssq := serialSSQ(alpha, x, y, 0)
+		return scale * math.Sqrt(ssq)
 	}
 	parts := p.reserve(2 * s)
 	t := &p.nrm
-	t.x, t.out = x, parts
+	t.alpha, t.x, t.y, t.out = alpha, x, y, parts
 	p.Run(s, t)
-	t.x, t.out = nil, nil
+	t.x, t.y, t.out = nil, nil, nil
 	scale, ssq := parts[0], parts[1]
 	for k := 1; k < s; k++ {
 		s2, q2 := parts[2*k], parts[2*k+1]
@@ -138,23 +193,35 @@ func (p *Pool) Norm2(x []float64) float64 {
 func scaledSSQ(x []float64) (scale, ssq float64) {
 	scale, ssq = 0.0, 1.0
 	for _, v := range x {
-		if v == 0 {
-			continue
-		}
-		a := math.Abs(v)
-		if scale < a {
-			r := scale / a
-			ssq = 1 + ssq*r*r
-			scale = a
-		} else {
-			r := a / scale
-			ssq += r * r
-		}
+		scale, ssq = ssqAdd(scale, ssq, v)
 	}
 	return scale, ssq
 }
 
-func plainNorm2(x []float64) float64 {
-	scale, ssq := scaledSSQ(x)
-	return scale * math.Sqrt(ssq)
+// axpySSQ mirrors sparse.AxpyNorm2's body: y += alpha·x and the
+// scale/ssq recurrence over the updated entries, in one pass.
+func axpySSQ(alpha float64, x, y []float64) (scale, ssq float64) {
+	y = y[:len(x)]
+	scale, ssq = 0.0, 1.0
+	for i, v := range x {
+		yi := y[i] + alpha*v
+		y[i] = yi
+		scale, ssq = ssqAdd(scale, ssq, yi)
+	}
+	return scale, ssq
+}
+
+// ssqAdd mirrors sparse's step of the recurrence: v folds into the
+// running scale and scaled sum of squares, and an exact zero is skipped.
+func ssqAdd(scale, ssq, v float64) (float64, float64) {
+	if v == 0 {
+		return scale, ssq
+	}
+	a := math.Abs(v)
+	if scale < a {
+		r := scale / a
+		return a, 1 + ssq*r*r
+	}
+	r := a / scale
+	return scale, ssq + r*r
 }

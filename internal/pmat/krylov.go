@@ -229,7 +229,7 @@ func (ws *Workspace) GMRES(red *Reducer, sys KrylovSystem, x, b []float64, m int
 // first r·z share one AllReduce. Each iteration applies the
 // preconditioner before its test, so ‖r‖ and r·z share one too: one
 // extra local apply on the last iteration, a collective round fewer on
-// every other.
+// every other. x += α·p and r −= α·q share one pass (sparse.Axpy2).
 func (ws *Workspace) CG(red *Reducer, sys KrylovSystem, x, b []float64) {
 	w := ws.vecs(len(x), 4)
 	r, z, p, q := w[0], w[1], w[2], w[3]
@@ -249,8 +249,7 @@ func (ws *Workspace) CG(red *Reducer, sys KrylovSystem, x, b []float64) {
 			return
 		}
 		alpha := rz / pq
-		sparse.Axpy(alpha, p, x)
-		sparse.Axpy(-alpha, q, r)
+		sparse.Axpy2(alpha, p, x, -alpha, q, r)
 		sys.Precondition(z, r)
 		var rzNew float64
 		rnorm, rzNew = red.NormDot(r, z)
@@ -327,8 +326,6 @@ func (ws *Workspace) BiCGSTAB(red *Reducer, sys KrylovSystem, x, b []float64) {
 		}
 		for i := range x {
 			x[i] += alpha*phat[i] + omega*shat[i]
-		}
-		for i := range r {
 			r[i] = s[i] - omega*t[i]
 		}
 		rnorm, rhoNext = red.NormDot(r, rhat)
@@ -342,6 +339,7 @@ func (ws *Workspace) BiCGSTAB(red *Reducer, sys KrylovSystem, x, b []float64) {
 // the update directions and tested on the true residual norm. ‖r₀‖,
 // ‖b‖ and the first ρ = r̃·r share one AllReduce, and each iteration's
 // ‖r‖ shares one with the next ρ: two collective rounds per iteration.
+// x and r take their α updates in one pass, after the product r needs.
 func (ws *Workspace) CGS(red *Reducer, sys KrylovSystem, x, b []float64) {
 	w := ws.vecs(len(x), 9)
 	r, rtld, p, q := w[0], w[1], w[2], w[3]
@@ -384,9 +382,8 @@ func (ws *Workspace) CGS(red *Reducer, sys KrylovSystem, x, b []float64) {
 			t[i] = u[i] + q[i]
 		}
 		sys.Precondition(qhat, t)
-		sparse.Axpy(alpha, qhat, x)
 		sys.Apply(t, qhat)
-		sparse.Axpy(-alpha, t, r)
+		sparse.Axpy2(alpha, qhat, x, -alpha, t, r)
 		rhoOld = rho
 		rnorm, rhoNext = red.NormDot(r, rtld)
 		if sys.Stop(it, rnorm) {
@@ -401,8 +398,8 @@ func (ws *Workspace) CGS(red *Reducer, sys KrylovSystem, x, b []float64) {
 // iteration makes two half steps, and each half step hands sys.Stop the
 // estimate τ·√(m+1), which bounds the preconditioned residual norm.
 // ‖M⁻¹r₀‖ and ‖b‖ share one AllReduce; the recurrence's reductions
-// (σ, θ, ρ) each depend on the vector updates between them, so nothing
-// else is fused.
+// (σ, θ, ρ) each depend on the vector updates between them, so no
+// other rounds are shared. The w update shares its pass with θ's norm.
 func (ws *Workspace) TFQMR(red *Reducer, sys KrylovSystem, x, b []float64) {
 	vs := ws.vecs(len(x), 10)
 	scratch, r, r0, w := vs[0], vs[1], vs[2], vs[3]
@@ -444,12 +441,11 @@ func (ws *Workspace) TFQMR(red *Reducer, sys KrylovSystem, x, b []float64) {
 				y, u = y2, u2
 			}
 			m := float64(2*it - 2 + j)
-			sparse.Axpy(-alpha, u, w)
 			thetaOld, etaOld := theta, eta
 			for i := range d {
 				d[i] = y[i] + (thetaOld*thetaOld*etaOld/alpha)*d[i]
 			}
-			theta = red.Norm2(w) / tau
+			theta = red.AxpyNorm2(-alpha, u, w) / tau
 			c := 1 / math.Sqrt(1+theta*theta)
 			tau = tau * theta * c
 			eta = c * c * alpha
@@ -610,15 +606,19 @@ func givens(a, b float64) (c, s float64) {
 // orthogonalize is one Arnoldi step by modified Gram–Schmidt: w is
 // orthogonalized against basis in order, the coefficients land in
 // hcol[:len(basis)] and the norm of what is left in hcol[len(basis)],
-// which is also returned. Each dot reads the previous Axpy, so nothing
-// is fused: len(basis)+1 collective rounds.
+// which is also returned. Each coefficient needs the previous one's
+// update of w, so the rounds stay len(basis)+1; but each update shares
+// its pass over w with the next coefficient's local partial, and the
+// last with the norm's (Reducer.AxpyDot, AxpyNorm2), bit for bit the
+// unfused Dot, Axpy, …, Axpy, Norm2 sequence.
 func orthogonalize(red *Reducer, w []float64, basis [][]float64, hcol []float64) float64 {
-	for i, v := range basis {
-		hcol[i] = red.Dot(w, v)
-		sparse.Axpy(-hcol[i], v, w)
+	k := len(basis)
+	hcol[0] = red.Dot(w, basis[0])
+	for i := 1; i < k; i++ {
+		hcol[i] = red.AxpyDot(-hcol[i-1], basis[i-1], w, basis[i])
 	}
-	norm := red.Norm2(w)
-	hcol[len(basis)] = norm
+	norm := red.AxpyNorm2(-hcol[k-1], basis[k-1], w)
+	hcol[k] = norm
 	return norm
 }
 

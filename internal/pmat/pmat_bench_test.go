@@ -160,3 +160,37 @@ func BenchmarkApplyWorkers(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkOrthogonalize measures one Arnoldi step's modified
+// Gram–Schmidt — the bulk of a GMRES iteration's vector work — on one
+// rank at local n = 5,000 (a rank's share of the 2-rank grid-100
+// stencil) against 1, 15 and 30 basis vectors. It must not allocate:
+// scripts/benchguard.sh gates its allocs/op at zero.
+func BenchmarkOrthogonalize(b *testing.B) {
+	const n = 5000
+	for _, k := range []int{1, 15, 30} {
+		b.Run(fmt.Sprintf("basis=%d", k), func(b *testing.B) {
+			b.ReportAllocs()
+			w, err := comm.NewWorld(1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := w.Run(func(c *comm.Comm) {
+				red := NewReducer(c)
+				basis := make([][]float64, k)
+				for i := range basis {
+					basis[i] = sparse.RandomVector(n, int64(i+1))
+				}
+				v := sparse.RandomVector(n, 0)
+				hcol := make([]float64, k+1)
+				orthogonalize(red, v, basis, hcol) // warm the collective
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					orthogonalize(red, v, basis, hcol)
+				}
+			}); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}

@@ -22,7 +22,11 @@ import (
 //   - ranks fold in rank order inside comm;
 //   - a fused method reduces independent same-iteration quantities in
 //     one AllReduce, each of them bitwise identical to its unfused Dot
-//     or Norm2 — only the number of collective rounds changes.
+//     or Norm2 — only the number of collective rounds changes;
+//   - AxpyDot and AxpyNorm2 fold the update y += α·x into the pass that
+//     forms the local partial (each pool slot updates its block, then
+//     reduces it): one read of y instead of two, bitwise sparse.Axpy
+//     followed by Dot or Norm2, and one AllReduce as before.
 //
 // A Reducer belongs to one rank goroutine; its methods are collective.
 type Reducer struct {
@@ -64,6 +68,28 @@ func (r *Reducer) Dot(x, y []float64) float64 {
 // Norm2 returns ‖x‖₂.
 func (r *Reducer) Norm2(x []float64) float64 {
 	return math.Sqrt(r.c.AllReduceFloat64(r.sqPart(x), comm.OpSum))
+}
+
+// AxpyDot computes y += alpha·x and returns the global y·z.
+func (r *Reducer) AxpyDot(alpha float64, x, y, z []float64) float64 {
+	var l float64
+	if r.pool != nil {
+		l = r.pool.AxpyDot(alpha, x, y, z)
+	} else {
+		l = sparse.AxpyDot(alpha, x, y, z)
+	}
+	return r.c.AllReduceFloat64(l, comm.OpSum)
+}
+
+// AxpyNorm2 computes y += alpha·x and returns the global ‖y‖₂.
+func (r *Reducer) AxpyNorm2(alpha float64, x, y []float64) float64 {
+	var l float64
+	if r.pool != nil {
+		l = r.pool.AxpyNorm2(alpha, x, y)
+	} else {
+		l = sparse.AxpyNorm2(alpha, x, y)
+	}
+	return math.Sqrt(r.c.AllReduceFloat64(l*l, comm.OpSum))
 }
 
 // NormDot returns (‖a‖₂, a·b) with one AllReduce.

@@ -200,7 +200,7 @@ func New(cfg Config) (*Service, error) {
 	}
 	s := &Service{
 		cfg:       cfg,
-		agg:       telemetry.NewAggregator(),
+		agg:       telemetry.NewRecentAggregator(recentReports),
 		entries:   make(map[poolKey]*entry),
 		tenants:   make(map[string]*tenantState),
 		accepting: true,
@@ -208,6 +208,11 @@ func New(cfg Config) (*Service, error) {
 	s.jobs.New = func() any { return &job{done: make(chan jobResult, 1)} }
 	return s, nil
 }
+
+// recentReports bounds the telemetry reports a service keeps for
+// inspection (Aggregator().Reports()); its running Summary, which
+// /debug/vars publishes, folds every report ever recorded.
+const recentReports = 1024
 
 // Aggregator exposes the telemetry sink (for expvar publication).
 func (s *Service) Aggregator() *telemetry.Aggregator { return s.agg }

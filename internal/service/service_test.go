@@ -17,6 +17,7 @@ import (
 	"repro/internal/mesh"
 	"repro/internal/service"
 	"repro/internal/sparse"
+	"repro/internal/telemetry"
 )
 
 // gmresParams is the iterative workhorse configuration used across the
@@ -247,6 +248,46 @@ func TestServiceTelemetryReport(t *testing.T) {
 	}
 	if resp2.Report != nil {
 		t.Fatal("plain request should carry no report")
+	}
+}
+
+// TestServiceTelemetryBounded: the service folds every telemetry
+// report into its running summary and keeps only the most recent ones,
+// so what it holds stops growing — 2,000 telemetry requests hold what
+// 1,500 did — while the summary is, bit for bit, the fold of all 2,000
+// reports in arrival order.
+func TestServiceTelemetryBounded(t *testing.T) {
+	const requests = 2000
+	svc := newTestService(t, service.Config{})
+	all := telemetry.NewAggregator()
+	var held int
+	for i := 1; i <= requests; i++ {
+		req := gridReq("acme", 4)
+		req.Telemetry = true
+		var resp service.SolveResponse
+		if serr := svc.Solve(context.Background(), req, &resp); serr != nil {
+			t.Fatal(serr)
+		}
+		all.Record(resp.Report)
+		if i == 1500 {
+			held = len(svc.Aggregator().Reports())
+		}
+	}
+	agg := svc.Aggregator()
+	kept, every := agg.Reports(), all.Reports()
+	if len(kept) != held || len(kept) >= requests {
+		t.Fatalf("service holds %d reports after %d requests, %d after 1500", len(kept), requests, held)
+	}
+	for i, rep := range kept {
+		if rep != every[len(every)-len(kept)+i] {
+			t.Fatalf("kept report %d is not the %d-th most recent", i, len(kept)-i)
+		}
+	}
+	if agg.Len() != requests {
+		t.Fatalf("aggregator recorded %d reports, want %d", agg.Len(), requests)
+	}
+	if got, want := agg.Summarize(), all.Summarize(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("running summary %+v, fold of every report %+v", got, want)
 	}
 }
 

@@ -5,14 +5,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"slices"
-	"sort"
 	"strconv"
 	"sync"
 	"unicode"
 	"unicode/utf8"
 
+	"repro/internal/jsonw"
 	"repro/internal/telemetry"
 )
 
@@ -563,7 +562,7 @@ func (d *wireReader) matrix(m *MatrixPayload) error {
 	})
 }
 
-// floatBytes bounds the text of one float64 as appendFloat writes it,
+// floatBytes bounds the text of one float64 as jsonw.AppendFloat writes it,
 // with its separator ("-0.0000012345678901234567,").
 const floatBytes = 26
 
@@ -578,188 +577,33 @@ func appendResponse(dst []byte, resp *SolveResponse) []byte {
 			64*(len(rep.Phases)+len(rep.Counters)+len(rep.Labels))
 	}
 	b := slices.Grow(dst, size)
-	b = appendString(append(b, `{"tenant":`...), resp.Tenant)
-	b = appendString(append(b, `,"backend":`...), resp.Backend)
-	b = appendString(append(b, `,"operator_id":`...), resp.OperatorID)
-	b = appendInt(append(b, `,"operator_version":`...), resp.OperatorVersion)
-	b = appendInt(append(b, `,"iterations":`...), resp.Iterations)
-	b = appendFloat(append(b, `,"residual":`...), resp.Residual)
+	b = jsonw.AppendString(append(b, `{"tenant":`...), resp.Tenant)
+	b = jsonw.AppendString(append(b, `,"backend":`...), resp.Backend)
+	b = jsonw.AppendString(append(b, `,"operator_id":`...), resp.OperatorID)
+	b = jsonw.AppendInt(append(b, `,"operator_version":`...), resp.OperatorVersion)
+	b = jsonw.AppendInt(append(b, `,"iterations":`...), resp.Iterations)
+	b = jsonw.AppendFloat(append(b, `,"residual":`...), resp.Residual)
 	b = strconv.AppendBool(append(b, `,"converged":`...), resp.Converged)
-	b = appendString(append(b, `,"fail_reason":`...), resp.FailReason)
-	b = appendInt(append(b, `,"attempts":`...), resp.Attempts)
+	b = jsonw.AppendString(append(b, `,"fail_reason":`...), resp.FailReason)
+	b = jsonw.AppendInt(append(b, `,"attempts":`...), resp.Attempts)
 	b = strconv.AppendBool(append(b, `,"session_reused":`...), resp.SessionReused)
 	if resp.Batched {
 		b = append(b, `,"batched":true`...)
 	}
-	b = appendInt(append(b, `,"nrhs":`...), resp.NRHS)
-	b = appendFloat(append(b, `,"solve_wall_s":`...), resp.SolveWallS)
+	b = jsonw.AppendInt(append(b, `,"nrhs":`...), resp.NRHS)
+	b = jsonw.AppendFloat(append(b, `,"solve_wall_s":`...), resp.SolveWallS)
 	if len(resp.Solution) > 0 {
 		b = append(b, `,"solution":[`...)
 		for i, v := range resp.Solution {
 			if i > 0 {
 				b = append(b, ',')
 			}
-			b = appendFloat(b, v)
+			b = jsonw.AppendFloat(b, v)
 		}
 		b = append(b, ']')
 	}
 	if resp.Report != nil {
-		b = appendReport(append(b, `,"report":`...), resp.Report)
+		b = telemetry.AppendReport(append(b, `,"report":`...), resp.Report)
 	}
 	return append(b, "}\n"...)
-}
-
-func appendReport(b []byte, r *telemetry.SolveReport) []byte {
-	b = appendString(append(b, `{"schema":`...), r.Schema)
-	b = appendString(append(b, `,"solver":`...), r.Solver)
-	if r.Backend != "" {
-		b = appendString(append(b, `,"backend":`...), r.Backend)
-	}
-	if r.Path != "" {
-		b = appendString(append(b, `,"path":`...), r.Path)
-	}
-	b = appendInt(append(b, `,"procs":`...), r.Procs)
-	if r.GlobalRows != 0 {
-		b = appendInt(append(b, `,"global_rows":`...), r.GlobalRows)
-	}
-	if r.NNZ != 0 {
-		b = appendInt(append(b, `,"nnz":`...), r.NNZ)
-	}
-	b = appendInt(append(b, `,"iterations":`...), r.Iterations)
-	b = appendFloat(append(b, `,"final_residual":`...), r.FinalResidual)
-	b = strconv.AppendBool(append(b, `,"converged":`...), r.Converged)
-	b = appendFloat(append(b, `,"wall_seconds":`...), r.WallSeconds)
-	b = appendMap(append(b, `,"phases":`...), r.Phases, appendFloat)
-	if len(r.Counters) > 0 {
-		b = appendMap(append(b, `,"counters":`...), r.Counters, appendInt[int64])
-	}
-	if c := r.Comm; c != nil {
-		b = appendInt(append(b, `,"comm":{"sends":`...), c.Sends)
-		b = appendInt(append(b, `,"recvs":`...), c.Recvs)
-		b = appendInt(append(b, `,"bytes_sent":`...), c.BytesSent)
-		b = appendInt(append(b, `,"bytes_recv":`...), c.BytesRecv)
-		b = appendInt(append(b, `,"barrier_entries":`...), c.BarrierEntries)
-		b = appendFloat(append(b, `,"barrier_wait_seconds":`...), c.BarrierWaitSeconds)
-		b = appendInt(append(b, `,"barrier_parks":`...), c.BarrierParks)
-		b = appendInt(append(b, `,"recv_parks":`...), c.RecvParks)
-		b = append(appendInt(append(b, `,"collectives":`...), c.Collectives), '}')
-	}
-	if len(r.ResidualTrace) > 0 {
-		b = append(b, `,"residual_trace":[`...)
-		for i, p := range r.ResidualTrace {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = appendInt(append(b, `{"it":`...), p.Iteration)
-			b = append(appendFloat(append(b, `,"rnorm":`...), p.Residual), '}')
-		}
-		b = append(b, ']')
-	}
-	if len(r.Labels) > 0 {
-		b = appendMap(append(b, `,"labels":`...), r.Labels, appendString)
-	}
-	return append(b, '}')
-}
-
-func appendInt[T int | int64](b []byte, v T) []byte { return strconv.AppendInt(b, int64(v), 10) }
-
-// appendMap writes m with its keys in sorted order, as encoding/json
-// does; a nil map is null.
-func appendMap[V any](b []byte, m map[string]V, value func([]byte, V) []byte) []byte {
-	if m == nil {
-		return append(b, "null"...)
-	}
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	b = append(b, '{')
-	for i, k := range keys {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = appendString(b, k)
-		b = append(b, ':')
-		b = value(b, m[k])
-	}
-	return append(b, '}')
-}
-
-// appendFloat writes f as encoding/json does — the shortest decimal
-// that reads back to the same bits, in 'e' form below 1e-6 and from
-// 1e21, with the exponent unpadded — and a NaN or ±Inf as null.
-func appendFloat(b []byte, f float64) []byte {
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		return append(b, "null"...)
-	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		// e-07 → e-7
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b
-}
-
-const hexDigits = "0123456789abcdef"
-
-// appendString writes s quoted as encoding/json does with HTML
-// escaping on: <, > and & as \u00XX, control bytes escaped, invalid
-// UTF-8 as \ufffd, and U+2028 and U+2029 escaped.
-func appendString(b []byte, s string) []byte {
-	b = append(b, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		if c := s[i]; c < utf8.RuneSelf {
-			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
-				i++
-				continue
-			}
-			b = append(b, s[start:i]...)
-			switch c {
-			case '"', '\\':
-				b = append(b, '\\', c)
-			case '\b':
-				b = append(b, '\\', 'b')
-			case '\f':
-				b = append(b, '\\', 'f')
-			case '\n':
-				b = append(b, '\\', 'n')
-			case '\r':
-				b = append(b, '\\', 'r')
-			case '\t':
-				b = append(b, '\\', 't')
-			default:
-				b = append(b, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		if r == utf8.RuneError && size == 1 {
-			b = append(b, s[start:i]...)
-			b = append(b, `\ufffd`...)
-			i++
-			start = i
-			continue
-		}
-		if r == '\u2028' || r == '\u2029' {
-			b = append(b, s[start:i]...)
-			b = append(b, '\\', 'u', '2', '0', '2', hexDigits[r&0xF])
-			i += size
-			start = i
-			continue
-		}
-		i += size
-	}
-	b = append(b, s[start:]...)
-	return append(b, '"')
 }

@@ -76,20 +76,24 @@ func Dot(a, b []float64) float64 {
 func Norm2(x []float64) float64 {
 	scale, ssq := 0.0, 1.0
 	for _, v := range x {
-		if v == 0 {
-			continue
-		}
-		a := math.Abs(v)
-		if scale < a {
-			r := scale / a
-			ssq = 1 + ssq*r*r
-			scale = a
-		} else {
-			r := a / scale
-			ssq += r * r
-		}
+		scale, ssq = ssqAdd(scale, ssq, v)
 	}
 	return scale * math.Sqrt(ssq)
+}
+
+// ssqAdd folds v into Norm2's running scale and scaled sum of squares,
+// skipping exact zeros.
+func ssqAdd(scale, ssq, v float64) (float64, float64) {
+	if v == 0 {
+		return scale, ssq
+	}
+	a := math.Abs(v)
+	if scale < a {
+		r := scale / a
+		return a, 1 + ssq*r*r
+	}
+	r := a / scale
+	return scale, ssq + r*r
 }
 
 // NormInf returns the max-norm of a dense vector.
@@ -106,8 +110,52 @@ func NormInf(x []float64) float64 {
 // Axpy computes y += alpha*x.
 func Axpy(alpha float64, x, y []float64) {
 	checkDims("Axpy", len(y), len(x))
+	y = y[:len(x)]
 	for i, v := range x {
 		y[i] += alpha * v
+	}
+}
+
+// AxpyDot computes y += alpha*x and returns the updated y·z in the same
+// pass: bit for bit Axpy(alpha, x, y) followed by Dot(y, z), with y
+// read once.
+func AxpyDot(alpha float64, x, y, z []float64) float64 {
+	checkDims("AxpyDot", len(y), len(x))
+	checkDims("AxpyDot", len(z), len(x))
+	y, z = y[:len(x)], z[:len(x)]
+	s := 0.0
+	for i, v := range x {
+		yi := y[i] + alpha*v
+		y[i] = yi
+		s += yi * z[i]
+	}
+	return s
+}
+
+// AxpyNorm2 computes y += alpha*x and returns the updated ‖y‖₂ in the
+// same pass: bit for bit Axpy(alpha, x, y) followed by Norm2(y).
+func AxpyNorm2(alpha float64, x, y []float64) float64 {
+	checkDims("AxpyNorm2", len(y), len(x))
+	y = y[:len(x)]
+	scale, ssq := 0.0, 1.0
+	for i, v := range x {
+		yi := y[i] + alpha*v
+		y[i] = yi
+		scale, ssq = ssqAdd(scale, ssq, yi)
+	}
+	return scale * math.Sqrt(ssq)
+}
+
+// Axpy2 computes y += a*x and v += b*u in one pass: bit for bit
+// Axpy(a, x, y) followed by Axpy(b, u, v). y and v must not alias.
+func Axpy2(a float64, x, y []float64, b float64, u, v []float64) {
+	checkDims("Axpy2", len(y), len(x))
+	checkDims("Axpy2", len(u), len(x))
+	checkDims("Axpy2", len(v), len(x))
+	y, u, v = y[:len(x)], u[:len(x)], v[:len(x)]
+	for i, xi := range x {
+		y[i] += a * xi
+		v[i] += b * u[i]
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"sync"
 	"testing"
@@ -170,6 +171,74 @@ func TestAggregator(t *testing.T) {
 	}
 	if doc.Schema != "lisi.telemetry.report_set/v1" || len(doc.Reports) != 8 {
 		t.Fatalf("aggregator document wrong: schema=%q n=%d", doc.Schema, len(doc.Reports))
+	}
+	// For finite reports the file is what encoding/json's indented
+	// encoder writes.
+	var want bytes.Buffer
+	enc := json.NewEncoder(&want)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(struct {
+		Schema  string         `json:"schema"`
+		Reports []*SolveReport `json:"reports"`
+	}{"lisi.telemetry.report_set/v1", agg.Reports()}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want.Bytes()) {
+		t.Fatalf("Emit wrote\n%s\nencoding/json writes\n%s", &buf, &want)
+	}
+}
+
+// TestRecentAggregator: a bounded aggregator keeps the most recent
+// reports in arrival order and still summarizes every one it recorded.
+func TestRecentAggregator(t *testing.T) {
+	agg := NewRecentAggregator(3)
+	for i := 1; i <= 5; i++ {
+		agg.Record(&SolveReport{Iterations: i, WallSeconds: 0.1 * float64(i), Phases: map[string]float64{"iterate": 0.1}})
+	}
+	var its []int
+	for _, rep := range agg.Reports() {
+		its = append(its, rep.Iterations)
+	}
+	if fmt.Sprint(its) != "[3 4 5]" || agg.Len() != 5 {
+		t.Fatalf("kept iterations %v, Len %d; want [3 4 5], 5", its, agg.Len())
+	}
+	wall := 0.0
+	for i := 1; i <= 5; i++ {
+		wall += 0.1 * float64(i) // the fold's order, one rounding per report
+	}
+	sum := agg.Summarize()
+	if sum.Solves != 5 || sum.Iterations != 15 || sum.WallSeconds != wall {
+		t.Fatalf("summary %+v, want 5 solves, 15 iterations, %v s", sum, wall)
+	}
+	sum.Phases["iterate"] = 99 // a caller's copy, not the running summary
+	if agg.Summarize().Phases["iterate"] == 99 {
+		t.Fatal("Summarize shares its phase map with the aggregator")
+	}
+}
+
+// TestWriteJSONNonFinite: a report holding NaN or ±Inf (a breakdown)
+// is still written whole, with null for each non-finite float.
+func TestWriteJSONNonFinite(t *testing.T) {
+	rep := &SolveReport{
+		Schema:        SchemaSolveReport,
+		FinalResidual: math.NaN(),
+		WallSeconds:   math.Inf(1),
+		Phases:        map[string]float64{"iterate": math.Inf(-1)},
+		Comm:          &CommStats{BarrierWaitSeconds: math.NaN()},
+		ResidualTrace: []ResidualPoint{{Iteration: 0, Residual: 1}, {Iteration: 1, Residual: math.NaN()}},
+	}
+	var buf bytes.Buffer
+	if err := WriteJSON(&buf, rep); err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("report does not decode: %v\n%s", err, &buf)
+	}
+	trace := doc["residual_trace"].([]any)
+	if doc["final_residual"] != nil || doc["wall_seconds"] != nil || doc["phases"].(map[string]any)["iterate"] != nil ||
+		len(trace) != 2 || trace[1].(map[string]any)["rnorm"] != nil || trace[0].(map[string]any)["rnorm"] != 1.0 {
+		t.Fatalf("non-finite floats not written as null:\n%s", &buf)
 	}
 }
 

@@ -34,7 +34,7 @@ PKGS=(
   "./internal/aztec"
   "./internal/comm"
 )
-PATTERN='^(BenchmarkCOOToCSR|BenchmarkTranspose|BenchmarkMSRConversion|BenchmarkSpMVFormats|BenchmarkNilRecorderAdd|BenchmarkNilRecorderStartPhase|BenchmarkRecorderAdd|BenchmarkRecorderResidual|BenchmarkSessionReuseSolve|BenchmarkSolveSteadyState|BenchmarkApplyAllocs|BenchmarkServiceSolveReuse|BenchmarkServiceWire|BenchmarkTriSolveWorkers|BenchmarkFEMAssembly|BenchmarkRefactorSamePattern|BenchmarkRefactorPivotsMove|BenchmarkOrderingAlgorithms|BenchmarkILUT|BenchmarkBarrier|BenchmarkAllReduceFloat64|BenchmarkPingPong)$'
+PATTERN='^(BenchmarkCOOToCSR|BenchmarkTranspose|BenchmarkMSRConversion|BenchmarkSpMVFormats|BenchmarkNilRecorderAdd|BenchmarkNilRecorderStartPhase|BenchmarkRecorderAdd|BenchmarkRecorderResidual|BenchmarkSessionReuseSolve|BenchmarkSolveSteadyState|BenchmarkApplyAllocs|BenchmarkOrthogonalize|BenchmarkServiceSolveReuse|BenchmarkServiceWire|BenchmarkTriSolveWorkers|BenchmarkFEMAssembly|BenchmarkRefactorSamePattern|BenchmarkRefactorPivotsMove|BenchmarkOrderingAlgorithms|BenchmarkILUT|BenchmarkBarrier|BenchmarkAllReduceFloat64|BenchmarkPingPong)$'
 
 OUT="$(mktemp)"
 trap 'rm -f "$OUT"' EXIT
