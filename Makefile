@@ -113,6 +113,7 @@ fuzz:
 	for t in FuzzMinDegreeMatchesReference FuzzStaticRefactorMatchesFresh; do \
 		$(GO) test -run='^$$' -fuzz="^$$t\$$" -fuzztime=$(FUZZTIME) ./internal/slu || exit 1; done
 	$(GO) test -run='^$$' -fuzz='^FuzzILUTMatchesReference$$' -fuzztime=$(FUZZTIME) ./internal/aztec
+	$(GO) test -run='^$$' -fuzz='^FuzzFloatCodecMatchesStrconv$$' -fuzztime=$(FUZZTIME) ./internal/jsonw
 	for t in FuzzDecodeRequestMatchesJSON FuzzAppendResponseMatchesJSON; do \
 		$(GO) test -run='^$$' -fuzz="^$$t\$$" -fuzztime=$(FUZZTIME) ./internal/service || exit 1; done
 

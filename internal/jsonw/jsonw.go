@@ -3,11 +3,18 @@
 // their shortest round-trip form — with one difference: a NaN or ±Inf,
 // which encoding/json refuses, is written as null. The service's
 // /v1/solve replies and the telemetry report files are written with it,
-// so both follow the one rule for non-finite values.
+// so both follow the one rule for non-finite values. It also reads JSON
+// numbers (ReadNumber) to the values strconv gives, which is how the
+// service reads a request's numbers.
+//
+// Floats are converted here, not by strconv: Schubfach's shortest
+// digits on the way out, Clinger's fast path or Eisel–Lemire on the way
+// in, both over one generated table of 128-bit powers of ten
+// (pow10.go). The bits and bytes are strconv's, which the package's
+// tests and fuzz target check against the standard library.
 package jsonw
 
 import (
-	"math"
 	"sort"
 	"strconv"
 	"unicode/utf8"
@@ -37,28 +44,6 @@ func AppendMap[V any](b []byte, m map[string]V, value func([]byte, V) []byte) []
 		b = value(b, m[k])
 	}
 	return append(b, '}')
-}
-
-// AppendFloat writes f as encoding/json does — the shortest decimal
-// that reads back to the same bits, in 'e' form below 1e-6 and from
-// 1e21, with the exponent unpadded — and a NaN or ±Inf as null.
-func AppendFloat(b []byte, f float64) []byte {
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		return append(b, "null"...)
-	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		// e-07 → e-7
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b
 }
 
 const hexDigits = "0123456789abcdef"

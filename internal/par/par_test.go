@@ -118,7 +118,9 @@ func TestCloseReleasesWorkers(t *testing.T) {
 
 // TestReductionsBitwiseAcrossWorkers is the core determinism contract:
 // Dot and Norm2 produce identical bits for every worker count, on
-// vector lengths spanning one slot, slot boundaries, and many slots.
+// vector lengths spanning one slot, slot boundaries, and many slots —
+// and Dot's slots fold in ascending order, checked against a serial
+// fold written here.
 func TestReductionsBitwiseAcrossWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, n := range []int{0, 1, 7, 2047, 2048, 2049, 4096, 10000} {
@@ -142,6 +144,44 @@ func TestReductionsBitwiseAcrossWorkers(t *testing.T) {
 			}
 			p.Close()
 		}
+	}
+
+	// 64 slots whose partials span 1e-20 to 1e20 in magnitude, either
+	// sign, between a 1e30 and a -1e30 that cancel: only the ascending
+	// fold gives these bits, so a slot fold in any other order (or one
+	// that loses an update to a race) fails here without -race too. A
+	// fold left to the scheduler often does run in ascending order, so
+	// each pool folds 50 times.
+	const slots, block = 64, 2048
+	n := slots * block
+	if got := par.ReduceSlots(n); got != slots {
+		t.Fatalf("ReduceSlots(%d) = %d, want %d", n, got, slots)
+	}
+	a, b := make([]float64, n), make([]float64, n)
+	parts := make([]float64, slots)
+	for s := range parts {
+		parts[s] = math.Copysign(math.Pow10(rng.Intn(41)-20)*(1+rng.Float64()), rng.Float64()-0.5)
+	}
+	parts[0], parts[slots-1] = 1e30, -1e30
+	for i := range b {
+		b[i] = 1
+	}
+	for s, v := range parts {
+		a[s*block] = v // the slot's partial is exactly v
+	}
+	want := parts[0]
+	for _, v := range parts[1:] {
+		want += v
+	}
+	for _, w := range []int{1, 2, 4, 7} {
+		p := par.New(w)
+		for rep := 0; rep < 50; rep++ {
+			if d := p.Dot(a, b); math.Float64bits(d) != math.Float64bits(want) {
+				t.Errorf("%d slots w=%d, fold %d: Dot=%v, the ascending fold of the slot partials is %v", slots, w, rep, d, want)
+				break
+			}
+		}
+		p.Close()
 	}
 }
 

@@ -129,51 +129,6 @@ func (d *wireReader) kind() string {
 	return "number"
 }
 
-// number consumes one token of the JSON number grammar.
-func (d *wireReader) number() ([]byte, error) {
-	b, start := d.b, d.i
-	i := start
-	if i < len(b) && b[i] == '-' {
-		i++
-	}
-	switch {
-	case i < len(b) && b[i] == '0':
-		i++
-	case i < len(b) && '1' <= b[i] && b[i] <= '9':
-		for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-			i++
-		}
-	default:
-		d.i = i
-		return nil, d.syntaxError()
-	}
-	if i < len(b) && b[i] == '.' {
-		i++
-		if i >= len(b) || b[i] < '0' || b[i] > '9' {
-			d.i = i
-			return nil, d.syntaxError()
-		}
-		for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-			i++
-		}
-	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
-			i++
-		}
-		if i >= len(b) || b[i] < '0' || b[i] > '9' {
-			d.i = i
-			return nil, d.syntaxError()
-		}
-		for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-			i++
-		}
-	}
-	d.i = i
-	return b[start:i], nil
-}
-
 // stringToken consumes one string token. raw is its content when the
 // token is plain printable ASCII, copied as it is; otherwise raw is nil
 // and tok is the whole quoted token, for json.Unmarshal to unescape.
@@ -238,39 +193,45 @@ func unquote(tok []byte) (string, error) {
 	return s, err
 }
 
-// numberToken consumes a number value; null gives a nil token, which
+// number consumes a number value into num, converting it in the pass
+// that checks its grammar (jsonw.ReadNumber); null gives false, which
 // leaves the field as it is.
-func (d *wireReader) numberToken(field string) ([]byte, error) {
+func (d *wireReader) number(num *jsonw.Number, field string) (bool, error) {
 	if isNull, err := d.null(); isNull || err != nil {
-		return nil, err
+		return false, err
 	}
 	if c := d.peek(); c != '-' && (c < '0' || c > '9') {
-		return nil, typeError(d.kind(), field)
+		return false, typeError(d.kind(), field)
 	}
-	return d.number()
+	end, ok := jsonw.ReadNumber(num, d.b, d.i)
+	d.i = end
+	if !ok {
+		return false, d.syntaxError()
+	}
+	return true, nil
 }
 
 func (d *wireReader) integer(dst *int, field string) error {
-	tok, err := d.numberToken(field)
-	if tok == nil || err != nil {
+	var num jsonw.Number
+	if ok, err := d.number(&num, field); !ok {
 		return err
 	}
-	v, err := strconv.ParseInt(string(tok), 10, 64)
-	if err != nil {
-		return fmt.Errorf("number %s does not fit int field %q", tok, field)
+	v, ok := num.Int64()
+	if !ok {
+		return fmt.Errorf("number %s does not fit int field %q", num.Text, field)
 	}
 	*dst = int(v)
 	return nil
 }
 
 func (d *wireReader) float(dst *float64, field string) error {
-	tok, err := d.numberToken(field)
-	if tok == nil || err != nil {
+	var num jsonw.Number
+	if ok, err := d.number(&num, field); !ok {
 		return err
 	}
-	v, err := strconv.ParseFloat(string(tok), 64)
+	v, err := num.Float64()
 	if err != nil {
-		return fmt.Errorf("number %s does not fit float field %q", tok, field)
+		return fmt.Errorf("number %s does not fit float field %q", num.Text, field)
 	}
 	*dst = v
 	return nil

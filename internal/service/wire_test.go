@@ -108,6 +108,15 @@ var wireSeeds = []string{
 	`{"rhs":[-]}`, `{"rhs":[1e]}`, `{"rhs":[1e+]}`, `{"rhs":[-0,1E+2,1e-400,2.5e-7,0.1,123456789012345678901234567890]}`,
 	`{"procs":1.5}`, `{"procs":1e2}`, `{"procs":-0}`, `{"procs":99999999999999999999}`, `{"nrhs":-3}`,
 	`{"operator":{"matrix":{"rowptr":[0,1.0]}}}`,
+	// The float codec's edge cases: zeros, subnormals, the normal ends,
+	// both sides of the 1e-6 and 1e21 layout cut-offs, 2^53±1, a decimal
+	// halfway case, 19- and 20-digit mantissas, leading zeros.
+	`{"rhs":[0,-0,5e-324,2.225073858507201e-308,2.2250738585072014e-308,1.7976931348623157e308,-1.7976931348623157e308]}`,
+	`{"rhs":[9.999999999999999e-7,0.000001,1e-6,999999999999999900000,1e21,1e+21,9007199254740991,9007199254740992,9007199254740993]}`,
+	`{"rhs":[1234567890123456789,12345678901234567890,0.12345678901234567891,0.000000000000000000000000000001234,0e5,1E+2,2.4703282292062328e-324]}`,
+	`{"rhs":[1.7976931348623159e308]}`, `{"rhs":[-1e400]}`, `{"rhs":[0e99999,1e-99999]}`,
+	`{"procs":9223372036854775807,"workers":-9223372036854775808}`, `{"procs":9223372036854775808}`,
+	`{"procs":-9223372036854775809}`, `{"operator":{"version":12345678901234567890}}`, `{"nrhs":1E0}`,
 	// Bytes after the top-level value.
 	`{"tenant":"a"} garbage`, `{"tenant":"a"}{`, `{"tenant":"a"}]`, `{"tenant":"a"}}`,
 	// Unknown fields and wrong types.
@@ -224,6 +233,12 @@ func FuzzAppendResponseMatchesJSON(f *testing.F) {
 	f.Add("<tenant & co>", "petsc\u2028\u2029", "caf\xc3\xa9\xff", "max_iterations\n\t\"\\", -7, 5000, 1e-6, 9.99e20, uint16(0x7fff), sol)
 	f.Add("\x00\x1f\x7f", "", "\u00e9\U0001f600", "breakdown", 3, 12, -0.0, 1e-300, uint16(8|32), []byte{})
 	f.Add("a", "b", "c", "d", 0, 0, 0.0, 0.0, uint16(8), []byte{})
+	edge := make([]byte, 0, 16*8)
+	for _, v := range []float64{0, math.Copysign(0, -1), math.Float64frombits(0x000FFFFFFFFFFFFF), 2.2250738585072014e-308,
+		math.Nextafter(1e-6, 0), 1e-6, math.Nextafter(1e21, 0), 1e21, 1<<53 - 1, 1 << 53, 1<<53 + 2, 0.1, 1e23, -math.MaxFloat64} {
+		edge = binary.LittleEndian.AppendUint64(edge, math.Float64bits(v))
+	}
+	f.Add("edge", "superlu", "slu-c0", "none", 2, 1, 5e-324, math.Nextafter(1e-6, 1), uint16(8|256), edge)
 	f.Fuzz(func(t *testing.T, tenant, backend, id, reason string, version, iters int, residual, wall float64, flags uint16, raw []byte) {
 		if math.IsNaN(residual) || math.IsInf(residual, 0) || math.IsNaN(wall) || math.IsInf(wall, 0) {
 			t.Skip("non-finite values are written as null, which encoding/json refuses")

@@ -33,8 +33,9 @@ PKGS=(
   "./internal/mesh"
   "./internal/aztec"
   "./internal/comm"
+  "./internal/jsonw"
 )
-PATTERN='^(BenchmarkCOOToCSR|BenchmarkTranspose|BenchmarkMSRConversion|BenchmarkSpMVFormats|BenchmarkNilRecorderAdd|BenchmarkNilRecorderStartPhase|BenchmarkRecorderAdd|BenchmarkRecorderResidual|BenchmarkSessionReuseSolve|BenchmarkSolveSteadyState|BenchmarkApplyAllocs|BenchmarkOrthogonalize|BenchmarkServiceSolveReuse|BenchmarkServiceWire|BenchmarkTriSolveWorkers|BenchmarkFEMAssembly|BenchmarkRefactorSamePattern|BenchmarkRefactorPivotsMove|BenchmarkOrderingAlgorithms|BenchmarkILUT|BenchmarkBarrier|BenchmarkAllReduceFloat64|BenchmarkPingPong)$'
+PATTERN='^(BenchmarkCOOToCSR|BenchmarkTranspose|BenchmarkMSRConversion|BenchmarkSpMVFormats|BenchmarkNilRecorderAdd|BenchmarkNilRecorderStartPhase|BenchmarkRecorderAdd|BenchmarkRecorderResidual|BenchmarkSessionReuseSolve|BenchmarkSolveSteadyState|BenchmarkApplyAllocs|BenchmarkOrthogonalize|BenchmarkServiceSolveReuse|BenchmarkServiceWire|BenchmarkJSONFloat|BenchmarkTriSolveWorkers|BenchmarkFEMAssembly|BenchmarkRefactorSamePattern|BenchmarkRefactorPivotsMove|BenchmarkOrderingAlgorithms|BenchmarkILUT|BenchmarkBarrier|BenchmarkAllReduceFloat64|BenchmarkPingPong)$'
 
 OUT="$(mktemp)"
 trap 'rm -f "$OUT"' EXIT
